@@ -20,15 +20,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"makalu/internal/gateway"
 	"makalu/internal/obs"
+	"makalu/internal/serve"
 )
 
 func main() { os.Exit(run()) }
@@ -40,16 +37,6 @@ func run() int {
 		backends    = flag.String("backends", "", "comma-separated backend TCP (line protocol) addresses (required)")
 		backendHTTP = flag.String("backend-http", "", "comma-separated backend HTTP addresses, aligned with -backends (empty entries probe via TCP Z)")
 		route       = flag.String("route", gateway.RouteHash, "routing policy: hash (key affinity) or random (uniform spray)")
-		vnodes      = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per backend on the hash ring")
-		pool        = flag.Int("pool", 4, "pipelined connections per backend")
-		noHedge     = flag.Bool("no-hedge", false, "disable hedged requests")
-		hedgeMin    = flag.Duration("hedge-min", time.Millisecond, "hedge delay floor")
-		hedgeMax    = flag.Duration("hedge-max", 50*time.Millisecond, "hedge delay ceiling (used until p99 data exists)")
-		healthIvl   = flag.Duration("health-interval", 500*time.Millisecond, "health probe period")
-		failThresh  = flag.Int("fail-threshold", 2, "consecutive failures (probe or forward) that evict a backend")
-		maxQueue    = flag.Int("max-queue-depth", 0, "evict a backend whose reported queue depth exceeds this (0 = off)")
-		staleEvicts = flag.Bool("stale-epoch-evicts", false, "evict backends reporting an older overlay epoch than their peers")
-		readTimeout = flag.Duration("read-timeout", 30*time.Second, "per-reply backend read deadline")
 		debug       = flag.Bool("debug", false, "expose /debug/metrics and /debug/pprof over HTTP")
 	)
 	flag.Parse()
@@ -64,60 +51,21 @@ func run() int {
 	}
 
 	reg := obs.NewRegistry()
-	gw, err := gateway.New(gateway.Config{
-		Backends:         specs,
-		Route:            *route,
-		VNodes:           *vnodes,
-		PoolSize:         *pool,
-		NoHedge:          *noHedge,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
-		HealthInterval:   *healthIvl,
-		FailThreshold:    *failThresh,
-		MaxQueueDepth:    *maxQueue,
-		StaleEpochEvicts: *staleEvicts,
-		ReadTimeout:      *readTimeout,
-		Metrics:          reg,
-	})
+	gw, err := gateway.New(gateway.Config{Backends: specs, Route: *route, Metrics: reg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "makalu-gateway:", err)
 		return 1
 	}
 	defer gw.Close()
-	fmt.Printf("gateway over %d backends (route=%s, %d vnodes, pool %d)\n",
-		len(specs), *route, *vnodes, *pool)
+	fmt.Printf("gateway over %d backends (route=%s)\n", len(specs), *route)
 
-	var httpSrv *http.Server
-	if *httpAddr != "" {
-		httpSrv = gateway.NewHTTPServer(*httpAddr, gateway.NewHTTPHandler(gateway.HTTPConfig{
-			Gateway: gw, Metrics: reg, Debug: *debug,
-		}))
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "http: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving HTTP on %s\n", *httpAddr)
-	}
-	var tcpSrv *gateway.TCPServer
-	if *tcpAddr != "" {
-		tcpSrv, err = gateway.NewTCPServer(*tcpAddr, gw, gateway.TCPConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "makalu-gateway:", err)
-			return 1
-		}
-		fmt.Printf("serving TCP lookups on %s\n", tcpSrv.Addr())
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	s := <-sigs
-	fmt.Printf("received %v, shutting down\n", s)
-	if httpSrv != nil {
-		httpSrv.Close()
-	}
-	if tcpSrv != nil {
-		tcpSrv.Close()
+	handler := gateway.NewHTTPHandler(gateway.HTTPConfig{Gateway: gw, Metrics: reg, Debug: *debug})
+	err = serve.RunFrontends(*httpAddr, handler, *tcpAddr, func(addr string) (*serve.TCPServer, error) {
+		return gateway.NewTCPServer(addr, gw, gateway.TCPConfig{})
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "makalu-gateway:", err)
+		return 1
 	}
 	return 0
 }

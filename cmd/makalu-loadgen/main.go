@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -244,7 +245,9 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var send func(obj uint64) (status byte, cacheHit bool, ans answer, err error)
+			// send issues one lookup and returns the reply in the line
+			// protocol's vocabulary, whichever path carried it.
+			var send func(obj uint64) (serve.Reply, error)
 			switch proto {
 			case "tcp":
 				conn, err := net.Dial("tcp", tcpAddrs[w%len(tcpAddrs)])
@@ -258,41 +261,41 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 				}
 				defer conn.Close()
 				r := bufio.NewReaderSize(conn, 16<<10)
-				send = func(obj uint64) (byte, bool, answer, error) {
-					if _, err := fmt.Fprintf(conn, "Q %s %d %d\n", mech, obj, ttl); err != nil {
-						return 0, false, answer{}, err
+				send = func(obj uint64) (serve.Reply, error) {
+					if _, err := io.WriteString(conn, serve.EncodeQuery(serve.Request{Mech: mech, Object: obj, TTL: ttl})); err != nil {
+						return serve.Reply{}, err
 					}
 					line, err := r.ReadString('\n')
 					if err != nil {
-						return 0, false, answer{}, err
+						return serve.Reply{}, err
 					}
-					return parseTCPReply(line)
+					return serve.ParseReply(line)
 				}
 			default:
 				client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
 				clientID := fmt.Sprintf("loadgen-%d", w)
 				base := fmt.Sprintf("http://%s/lookup?mech=%s&ttl=%d&obj=",
 					httpAddrs[w%len(httpAddrs)], mech, ttl)
-				send = func(obj uint64) (byte, bool, answer, error) {
+				send = func(obj uint64) (serve.Reply, error) {
 					req, err := http.NewRequest(http.MethodGet, base+strconv.FormatUint(obj, 10), nil)
 					if err != nil {
-						return 0, false, answer{}, err
+						return serve.Reply{}, err
 					}
 					req.Header.Set("X-Makalu-Client", clientID)
 					resp, err := client.Do(req)
 					if err != nil {
-						return 0, false, answer{}, err
+						return serve.Reply{}, err
 					}
 					defer resp.Body.Close()
 					switch resp.StatusCode {
 					case http.StatusOK:
 						var reply serve.LookupReply
 						if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-							return 0, false, answer{}, err
+							return serve.Reply{}, err
 						}
-						return 'H', reply.CacheHit, answer{
-							Found: reply.Found, Hop: reply.FirstMatchHop,
-							Messages: reply.Messages, Visited: reply.Visited,
+						return serve.Reply{
+							Kind: serve.ReplyHit, Found: reply.Found, Hop: reply.FirstMatchHop,
+							Messages: reply.Messages, Visited: reply.Visited, CacheHit: reply.CacheHit,
 						}, nil
 					case http.StatusTooManyRequests:
 						var er struct {
@@ -300,11 +303,11 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 						}
 						_ = json.NewDecoder(resp.Body).Decode(&er)
 						if er.Reason == "rate" {
-							return 'R', false, answer{}, nil
+							return serve.Reply{Kind: serve.ReplyLimited}, nil
 						}
-						return 'S', false, answer{}, nil
+						return serve.Reply{Kind: serve.ReplyShed}, nil
 					default:
-						return 'E', false, answer{}, nil
+						return serve.Reply{Kind: serve.ReplyError}, nil
 					}
 				}
 			}
@@ -319,7 +322,7 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 					}
 				}
 				t0 := time.Now()
-				status, cacheHit, ans, err := send(work[i])
+				reply, err := send(work[i])
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -328,11 +331,12 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 					errMu.Unlock()
 					return
 				}
-				switch status {
-				case 'H':
+				switch reply.Kind {
+				case serve.ReplyHit:
 					sh.ok++
 					sh.lats = append(sh.lats, time.Since(t0))
-					if cacheHit {
+					ans := answer{Found: reply.Found, Hop: reply.Hop, Messages: reply.Messages, Visited: reply.Visited}
+					if reply.CacheHit {
 						sh.hits++
 					}
 					if ans.Found {
@@ -347,9 +351,9 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 						return
 					}
 					sh.answers[work[i]] = ans
-				case 'S':
+				case serve.ReplyShed:
 					sh.shed++
-				case 'R':
+				case serve.ReplyLimited:
 					sh.limited++
 				default:
 					sh.errorsN++
@@ -380,40 +384,6 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 	}
 	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 	return res, nil
-}
-
-// parseTCPReply classifies one line-protocol response and, for H,
-// extracts the full deterministic answer.
-func parseTCPReply(line string) (status byte, cacheHit bool, ans answer, err error) {
-	fields := strings.Fields(strings.TrimRight(line, "\n"))
-	if len(fields) == 0 {
-		return 0, false, answer{}, fmt.Errorf("empty reply")
-	}
-	switch fields[0] {
-	case "H":
-		if len(fields) != 6 {
-			return 0, false, answer{}, fmt.Errorf("bad H reply %q", line)
-		}
-		ans.Found = fields[1] == "1"
-		for _, f := range []struct {
-			dst *int
-			s   string
-		}{{&ans.Hop, fields[2]}, {&ans.Messages, fields[3]}, {&ans.Visited, fields[4]}} {
-			v, err := strconv.Atoi(f.s)
-			if err != nil {
-				return 0, false, answer{}, fmt.Errorf("bad H reply %q: %v", line, err)
-			}
-			*f.dst = v
-		}
-		return 'H', fields[5] == "1", ans, nil
-	case "S":
-		return 'S', false, answer{}, nil
-	case "R":
-		return 'R', false, answer{}, nil
-	case "E":
-		return 'E', false, answer{}, nil
-	}
-	return 0, false, answer{}, fmt.Errorf("unknown reply %q", line)
 }
 
 // answersDoc is the -verify-out / -verify-against file: object id

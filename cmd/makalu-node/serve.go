@@ -3,11 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"makalu"
@@ -28,9 +25,6 @@ type serveFlags struct {
 	objects     int
 	replication float64
 	joinWave    int
-	shards      int
-	window      int
-	queueDepth  int
 	cache       int
 	abf         bool
 	rate        float64
@@ -45,9 +39,6 @@ func registerServeFlags(sf *serveFlags) {
 	flag.IntVar(&sf.objects, "serve-objects", 10000, "service mode: distinct objects to place")
 	flag.Float64Var(&sf.replication, "serve-replication", 0.01, "service mode: replica fraction per object")
 	flag.IntVar(&sf.joinWave, "serve-join-wave", 4096, "service mode: batched join wave size (<=1 = sequential build)")
-	flag.IntVar(&sf.shards, "serve-shards", 0, "service mode: worker/cache shards (0 = GOMAXPROCS)")
-	flag.IntVar(&sf.window, "serve-window", 0, "service mode: micro-batch admission window (0 = default)")
-	flag.IntVar(&sf.queueDepth, "serve-queue", 0, "service mode: per-shard queue depth (0 = default)")
 	flag.IntVar(&sf.cache, "serve-cache", 4096, "service mode: result cache capacity (0 = cache off)")
 	flag.BoolVar(&sf.abf, "serve-abf", false, "service mode: build the attenuated-Bloom identifier index (mech=abf)")
 	flag.Float64Var(&sf.rate, "serve-rate", 0, "service mode: per-client tokens/second (0 = unlimited)")
@@ -81,9 +72,6 @@ func serveMain(sf *serveFlags, seed int64) int {
 		}
 	}
 	eng, err := ov.ServeEngine(content, ix, serve.Config{
-		Shards:        sf.shards,
-		Window:        sf.window,
-		QueueDepth:    sf.queueDepth,
 		CacheCapacity: sf.cache,
 		Metrics:       reg,
 	})
@@ -101,37 +89,13 @@ func serveMain(sf *serveFlags, seed int64) int {
 	}
 	lim := serve.NewLimiter(sf.rate, burst) // nil (off) when rate is 0
 
-	var httpSrv *http.Server
-	if sf.httpAddr != "" {
-		httpSrv = serve.NewHTTPServer(sf.httpAddr, serve.NewHTTPHandler(serve.HTTPConfig{
-			Engine: eng, Limiter: lim, Metrics: reg, Debug: sf.debug,
-		}))
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "http: %v\n", err)
-			}
-		}()
-		fmt.Printf("serving HTTP lookups on %s\n", sf.httpAddr)
-	}
-	var tcpSrv *serve.TCPServer
-	if sf.tcpAddr != "" {
-		tcpSrv, err = serve.NewTCPServer(sf.tcpAddr, eng, lim)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("serving TCP lookups on %s\n", tcpSrv.Addr())
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	s := <-sigs
-	fmt.Printf("received %v, shutting down\n", s)
-	if httpSrv != nil {
-		httpSrv.Close()
-	}
-	if tcpSrv != nil {
-		tcpSrv.Close()
+	handler := serve.NewHTTPHandler(serve.HTTPConfig{Engine: eng, Limiter: lim, Metrics: reg, Debug: sf.debug})
+	err = serve.RunFrontends(sf.httpAddr, handler, sf.tcpAddr, func(addr string) (*serve.TCPServer, error) {
+		return serve.NewTCPServer(addr, eng, lim)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	return 0
 }

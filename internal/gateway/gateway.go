@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"makalu/internal/obs"
+	"makalu/internal/serve"
 )
 
 // BackendSpec names one serve backend: the TCP line-protocol address
@@ -32,20 +31,11 @@ type Config struct {
 	// baseline BENCH_gateway's affinity experiment compares against).
 	Route string
 
-	// VNodes is the ring's virtual-node count per backend (default
-	// DefaultVNodes).
-	VNodes int
-	// PoolSize is the pipelined connection count per backend (default 4).
-	PoolSize int
-
-	// NoHedge disables hedged requests; by default a request that has
-	// not answered within the hedge delay is re-issued to the next ring
-	// replica and the first reply wins (safe: answers are bit-identical
-	// by the serve purity contract).
-	NoHedge bool
 	// HedgeMin/HedgeMax clamp the p99-derived hedge delay (defaults
-	// 1ms / 50ms). Until enough latency samples exist the delay is
-	// HedgeMax.
+	// 1ms / 50ms): a request that has not answered within the delay is
+	// re-issued to the next ring replica and the first reply wins (safe:
+	// answers are bit-identical by the serve purity contract). Until
+	// enough latency samples exist the delay is HedgeMax.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 
@@ -55,18 +45,10 @@ type Config struct {
 	// after one successful probe.
 	HealthInterval time.Duration
 	FailThreshold  int
-	// MaxQueueDepth evicts a backend whose reported queue depth exceeds
-	// it (0 = saturation never evicts, depth is still exported).
-	MaxQueueDepth int
 	// StaleEpochEvicts evicts a backend whose reported overlay epoch
 	// trails the newest healthy backend's — it would serve bit-different
 	// (pre-update) answers.
 	StaleEpochEvicts bool
-
-	// DialTimeout / ReadTimeout bound one backend connection attempt
-	// and one reply wait (defaults 2s / 30s).
-	DialTimeout time.Duration
-	ReadTimeout time.Duration
 
 	// Metrics receives gateway counters and latency histograms; nil
 	// disables instrumentation.
@@ -152,9 +134,6 @@ func New(cfg Config) (*Gateway, error) {
 	default:
 		return nil, fmt.Errorf("gateway: unknown route policy %q (want %s|%s)", cfg.Route, RouteHash, RouteRandom)
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 4
-	}
 	if cfg.HedgeMin <= 0 {
 		cfg.HedgeMin = time.Millisecond
 	}
@@ -173,7 +152,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:  cfg,
 		byID: make(map[string]*Backend, len(cfg.Backends)),
-		ring: NewRing(cfg.VNodes),
+		ring: NewRing(DefaultVNodes),
 		stop: make(chan struct{}),
 	}
 	g.hedgeDelayNs.Store(int64(cfg.HedgeMax))
@@ -196,7 +175,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		b := &Backend{
 			spec: spec,
-			pool: NewPool(spec.Addr, cfg.PoolSize, cfg.DialTimeout, cfg.ReadTimeout),
+			pool: NewPool(spec.Addr, 0, 0, 0),
 		}
 		if reg := cfg.Metrics; reg != nil {
 			b.forwardsC = reg.Counter("gw.backend." + spec.Addr + ".forwards")
@@ -314,7 +293,7 @@ func (g *Gateway) Forward(key uint64, line string) (string, error) {
 	}
 	issue(false)
 	var hedgeC <-chan time.Time
-	if !g.cfg.NoHedge && issued < len(targets) {
+	if issued < len(targets) {
 		t := time.NewTimer(g.hedgeDelay())
 		defer t.Stop()
 		hedgeC = t.C
@@ -415,9 +394,9 @@ func (g *Gateway) setUp(b *Backend) {
 
 // healthLoop probes every backend each interval, then applies the
 // verdicts: probe failures accumulate toward eviction, success heals
-// the streak (and rejoins an evicted backend), a saturated queue
-// (MaxQueueDepth) or a stale epoch (StaleEpochEvicts) counts as
-// unhealthy even though the process is up.
+// the streak (and rejoins an evicted backend), a stale epoch
+// (StaleEpochEvicts) counts as unhealthy even though the process is up.
+// Queue depth is recorded for /healthz, never acted on.
 func (g *Gateway) healthLoop() {
 	defer g.wg.Done()
 	tick := time.NewTicker(g.cfg.HealthInterval)
@@ -471,18 +450,15 @@ func (g *Gateway) probeAll() {
 		}
 		b.epoch.Store(v.epoch)
 		b.queueDepth.Store(v.depth)
-		switch {
-		case g.cfg.MaxQueueDepth > 0 && v.depth > int64(g.cfg.MaxQueueDepth):
-			g.setDown(b, fmt.Errorf("saturated: queue depth %d > %d", v.depth, g.cfg.MaxQueueDepth))
-		case g.cfg.StaleEpochEvicts && v.epoch < maxEpoch:
+		if g.cfg.StaleEpochEvicts && v.epoch < maxEpoch {
 			g.setDown(b, fmt.Errorf("stale epoch %d < %d", v.epoch, maxEpoch))
-		default:
-			b.failStreak.Store(0)
-			b.lastProbeMu.Lock()
-			b.lastProbe = nil
-			b.lastProbeMu.Unlock()
-			g.setUp(b)
+			continue
 		}
+		b.failStreak.Store(0)
+		b.lastProbeMu.Lock()
+		b.lastProbe = nil
+		b.lastProbeMu.Unlock()
+		g.setUp(b)
 	}
 }
 
@@ -513,21 +489,18 @@ func (g *Gateway) probe(b *Backend) (epoch uint64, depth int64, err error) {
 		}
 		return doc.Epoch, doc.QueueDepth, nil
 	}
-	reply, err := b.pool.Do("Z\n")
+	line, err := b.pool.Do(serve.StatusLine)
 	if err != nil {
 		return 0, 0, err
 	}
-	fields := strings.Fields(strings.TrimSpace(reply))
-	if len(fields) != 3 || fields[0] != "Z" {
-		return 0, 0, fmt.Errorf("bad Z reply %q", reply)
+	reply, err := serve.ParseReply(line)
+	if err != nil {
+		return 0, 0, err
 	}
-	if epoch, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("bad Z epoch: %v", err)
+	if reply.Kind != serve.ReplyStatus {
+		return 0, 0, fmt.Errorf("bad Z reply %q", line)
 	}
-	if depth, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("bad Z depth: %v", err)
-	}
-	return epoch, depth, nil
+	return reply.Epoch, reply.QueueDepth, nil
 }
 
 // Close stops the health checker and tears down every pool.

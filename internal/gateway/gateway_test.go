@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -96,11 +97,11 @@ func (c *lineClient) do(t *testing.T, line string) string {
 // the same pure result.
 func stripCacheBit(t *testing.T, reply string) string {
 	t.Helper()
-	fields := strings.Fields(reply)
-	if len(fields) != 6 || fields[0] != "H" {
+	i := strings.LastIndexByte(reply, ' ')
+	if !strings.HasPrefix(reply, "H ") || i < 0 {
 		t.Fatalf("not an H reply: %q", reply)
 	}
-	return strings.Join(fields[:5], " ")
+	return reply[:i]
 }
 
 // TestGatewayBitIdenticalAndAffinity is the tier's core contract in
@@ -234,55 +235,36 @@ func TestGatewayFailover(t *testing.T) {
 	}
 }
 
-// fakeBackend is a minimal line server answering every Q with a canned
-// H after an optional delay, and Z with "Z 0 0" — just enough protocol
-// for hedging and pool tests to control timing exactly.
-func fakeBackend(t *testing.T, delay time.Duration) (addr string, served *atomic.Int64) {
+// fakeLines scripts a backend: a serve line server whose every Q is
+// answered by the func, and whose Z answers "Z 0 0".
+type fakeLines func(w *bufio.Writer, req serve.Request)
+
+func (fakeLines) Status() (uint64, int64) { return 0, 0 }
+
+func (f fakeLines) Lookup(w *bufio.Writer, _ string, req serve.Request) { f(w, req) }
+
+func startFake(t *testing.T, f fakeLines) (addr string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := serve.NewLineServer("127.0.0.1:0", serve.TCPConfig{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
+	return srv.Addr()
+}
+
+// fakeBackend answers every Q with a canned H after an optional delay —
+// just enough protocol for hedging and pool tests to control timing
+// exactly. The H echoes the object id back (as the messages field) so
+// callers can match replies to requests.
+func fakeBackend(t *testing.T, delay time.Duration) (addr string, served *atomic.Int64) {
+	t.Helper()
 	served = new(atomic.Int64)
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						return
-					}
-					fields := strings.Fields(line)
-					if len(fields) == 0 {
-						continue
-					}
-					if fields[0] == "Z" {
-						fmt.Fprint(conn, "Z 0 0\n")
-						continue
-					}
-					if delay > 0 {
-						time.Sleep(delay)
-					}
-					served.Add(1)
-					// Echo the object id back so callers can match
-					// replies to requests.
-					obj := "?"
-					if len(fields) >= 3 {
-						obj = fields[2]
-					}
-					fmt.Fprintf(conn, "H 1 1 %s 1 0\n", obj)
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), served
+	return startFake(t, func(w *bufio.Writer, req serve.Request) {
+		time.Sleep(delay)
+		served.Add(1)
+		serve.WriteReply(w, serve.Reply{Kind: serve.ReplyHit, Found: true, Hop: 1, Messages: int(req.Object), Visited: 1})
+	}), served
 }
 
 // TestPoolPipelining drives many concurrent calls through a single
@@ -317,6 +299,53 @@ func TestPoolPipelining(t *testing.T) {
 	}
 	if served.Load() != calls {
 		t.Fatalf("backend served %d calls, want %d", served.Load(), calls)
+	}
+}
+
+// TestPoolBoundsReplyLine pins the unbounded-reply fix: a backend that
+// streams reply bytes without ever sending a newline must cost the pool
+// one fixed read buffer and a dead connection — every call in flight
+// fails promptly with the transport error, and through the gateway the
+// request fails over to the next replica like after any other one.
+func TestPoolBoundsReplyLine(t *testing.T) {
+	endless := startFake(t, func(w *bufio.Writer, _ serve.Request) {
+		w.WriteString(strings.Repeat("H", 4*maxReplyLine))
+	})
+	p := NewPool(endless, 1, 0, 0)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if reply, err := p.Do("Q flood 1 4\n"); err == nil {
+				t.Errorf("unterminated reply delivered as %d bytes", len(reply))
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := p.Do("Q flood 1 4\n"); !errors.Is(err, bufio.ErrBufferFull) {
+		t.Fatalf("err = %v, want bufio.ErrBufferFull", err)
+	}
+
+	good, _ := fakeBackend(t, 0)
+	gw, err := New(Config{
+		Backends:       []BackendSpec{{Addr: endless}, {Addr: good}},
+		HedgeMin:       time.Hour, // the rescue below must be failover, not a hedge
+		HedgeMax:       time.Hour,
+		HealthInterval: time.Hour,
+		FailThreshold:  1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	key := uint64(0)
+	for gw.targets(key)[0].Addr() != endless {
+		key++
+	}
+	if reply, err := gw.Forward(key, "Q flood 7 4\n"); err != nil || reply != "H 1 1 7 1 0\n" {
+		t.Fatalf("forward past the endless backend: %q, %v", reply, err)
 	}
 }
 

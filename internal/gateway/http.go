@@ -1,14 +1,11 @@
 package gateway
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
-	"time"
 
 	"makalu/internal/obs"
+	"makalu/internal/serve"
 )
 
 // HTTPConfig wires the gateway's HTTP endpoints.
@@ -34,6 +31,9 @@ type backendHealth struct {
 //	GET /objects   the object catalog, proxied from a healthy backend
 //	GET /debug/... metrics and pprof (Debug only)
 //
+// The debug endpoints and the request-body cap are the backend
+// frontend's (serve.OpsHandler).
+//
 // /objects keeps the load generator's contract — it fetches the
 // catalog from whatever address it benchmarks — without the gateway
 // owning any content state.
@@ -54,7 +54,7 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 			b.lastProbeMu.Unlock()
 			rows = append(rows, row)
 		}
-		writeJSON(w, http.StatusOK, struct {
+		serve.WriteJSON(w, http.StatusOK, struct {
 			OK       bool            `json:"ok"`
 			Route    string          `json:"route"`
 			Epoch    uint64          `json:"epoch"`
@@ -80,41 +80,5 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 		}
 		http.Error(w, `{"error":"no healthy backend with an HTTP address"}`, http.StatusServiceUnavailable)
 	})
-	if cfg.Debug {
-		mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if cfg.Metrics == nil {
-				fmt.Fprintln(w, "{}")
-				return
-			}
-			if err := cfg.Metrics.WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
-}
-
-// NewHTTPServer wraps handler with the same slow-client protections
-// the backend frontend uses.
-func NewHTTPServer(addr string, handler http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	return serve.OpsHandler(mux, cfg.Metrics, cfg.Debug, nil)
 }

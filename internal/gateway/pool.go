@@ -181,21 +181,31 @@ func (p *Pool) pick() (*pconn, error) {
 	return c, nil
 }
 
+// maxReplyLine caps one backend reply line, terminator included. The
+// longest legitimate reply is an E line quoting a rejected request line
+// (1 KiB, escaped), far below this.
+const maxReplyLine = 32 << 10
+
 func (c *pconn) readLoop(readTimeout time.Duration) {
-	r := bufio.NewReaderSize(c.nc, 32<<10)
+	// As in the line server, the read buffer is the line cap: a backend
+	// that streams bytes without ever sending a newline gets
+	// bufio.ErrBufferFull from ReadSlice — a connection failure like any
+	// other, so its calls fail over — instead of growing a string
+	// without bound.
+	r := bufio.NewReaderSize(c.nc, maxReplyLine)
 	for {
 		select {
 		case <-c.quit:
 			return
 		case cl := <-c.inflight:
 			c.nc.SetReadDeadline(time.Now().Add(readTimeout))
-			line, err := r.ReadString('\n')
+			line, err := r.ReadSlice('\n')
 			if err != nil {
 				cl.ch <- callResult{err: err}
 				c.kill(err)
 				return
 			}
-			cl.ch <- callResult{line: line}
+			cl.ch <- callResult{line: string(line)}
 		}
 	}
 }

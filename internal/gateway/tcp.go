@@ -2,159 +2,44 @@ package gateway
 
 import (
 	"bufio"
-	"fmt"
-	"net"
-	"strings"
-	"sync"
-	"time"
 
 	"makalu/internal/serve"
 )
 
-// TCPServer is the gateway's client-facing line-protocol listener. It
-// speaks the exact grammar of the backend TCP frontend (Q lookups, Z
-// status, H/S/R/E replies), so the load generator drives a direct
-// backend and the gateway with the same code path — the property the
-// overhead row in BENCH_gateway.json depends on.
-//
-// Each request line is parsed (malformed lines are answered locally
-// with E and never forwarded), re-serialized canonically, routed by
-// serve.Request.Key, and its backend reply relayed verbatim — the
-// gateway never rewrites an H line, so cache-hit bits and result
-// fields are exactly what the backend produced. Lines on one client
-// connection are served sequentially, preserving reply order for
-// pipelined clients; concurrency comes from serving many connections.
-type TCPServer struct {
-	gw  *Gateway
-	ln  net.Listener
-	cfg TCPConfig
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+// TCPServer is the gateway's client-facing line-protocol listener: the
+// backend frontend's own server (same sockets, bounds, grammar and
+// codec), so the load generator drives a direct backend and the gateway
+// with the same code path — the property the overhead row in
+// BENCH_gateway.json depends on.
+type TCPServer = serve.TCPServer
 
 // TCPConfig bounds a client connection's resource use; the zero value
 // gets the backend frontend's defaults (1 KiB lines, 2m idle).
-type TCPConfig struct {
-	MaxLine     int
-	IdleTimeout time.Duration
-}
-
-func (cfg TCPConfig) withDefaults() TCPConfig {
-	if cfg.MaxLine <= 0 {
-		cfg.MaxLine = 1024
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
-	}
-	return cfg
-}
+type TCPConfig = serve.TCPConfig
 
 // NewTCPServer starts the gateway frontend on addr.
 func NewTCPServer(addr string, gw *Gateway, cfg TCPConfig) (*TCPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &TCPServer{gw: gw, ln: ln, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return serve.NewLineServer(addr, cfg, gatewayLines{gw})
 }
 
-// Addr returns the bound listen address.
-func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
+// gatewayLines forwards each parsed request (malformed lines never get
+// this far) re-serialized canonically, routed by serve.Request.Key, and
+// relays the backend reply verbatim — the gateway never rewrites an H
+// line, so cache-hit bits and result fields are exactly what the
+// backend produced.
+type gatewayLines struct{ gw *Gateway }
 
-func (s *TCPServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+// Status is the gateway's own: the tier's epoch and its total in-flight
+// forwards stand in for the single-engine fields.
+func (h gatewayLines) Status() (uint64, int64) { return h.gw.Epoch(), h.gw.Inflight() }
 
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	r := bufio.NewReaderSize(conn, s.cfg.MaxLine)
-	w := bufio.NewWriterSize(conn, 16<<10)
-	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		line, err := r.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			fmt.Fprintf(w, "E line too long (max %d bytes)\n", s.cfg.MaxLine)
-			w.Flush()
-			return
-		}
-		if err != nil {
-			return
-		}
-		s.serveLine(w, strings.TrimRight(string(line), "\r\n"))
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-func (s *TCPServer) serveLine(w *bufio.Writer, line string) {
-	if strings.TrimSpace(line) == "Z" {
-		// The gateway's own status: the tier's epoch and its total
-		// in-flight forwards stand in for the single-engine fields.
-		fmt.Fprintf(w, "Z %d %d\n", s.gw.Epoch(), s.gw.Inflight())
-		return
-	}
-	req, ok, perr := serve.ParseQueryLine(line)
-	if perr != nil {
-		fmt.Fprintf(w, "E %s\n", perr)
-		return
-	}
-	if !ok {
-		return // blank line
-	}
+func (h gatewayLines) Lookup(w *bufio.Writer, _ string, req serve.Request) {
 	// Canonical re-serialization: the backend parses exactly what the
 	// gateway keyed on, so gateway and backend agree on Request.Key.
-	fwd := fmt.Sprintf("Q %s %d %d\n", req.Mech, req.Object, req.TTL)
-	reply, err := s.gw.Forward(req.Key(), fwd)
+	reply, err := h.gw.Forward(req.Key(), serve.EncodeQuery(req))
 	if err != nil {
-		fmt.Fprintf(w, "E gateway: %s\n", err)
+		serve.WriteReply(w, serve.Reply{Kind: serve.ReplyError, Message: "gateway: " + err.Error()})
 		return
 	}
 	w.WriteString(reply)
-}
-
-// Close stops accepting, closes live client connections, and waits.
-func (s *TCPServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.ln.Close()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
 }

@@ -143,14 +143,6 @@ type Config struct {
 	// key); equal seeds serve bit-identical results.
 	Seed int64
 
-	// Walkers is the walker count for MechWalk (default 16).
-	Walkers int
-	// MaxFloodTTL, MaxWalkSteps and MaxABFTTL clamp request budgets
-	// (defaults 8, 4096, 1024).
-	MaxFloodTTL  int
-	MaxWalkSteps int
-	MaxABFTTL    int
-
 	// Metrics receives request counters and latency histograms; nil
 	// disables instrumentation at the usual one-branch cost.
 	Metrics *obs.Registry
@@ -255,18 +247,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Window
-	}
-	if cfg.Walkers <= 0 {
-		cfg.Walkers = 16
-	}
-	if cfg.MaxFloodTTL <= 0 {
-		cfg.MaxFloodTTL = 8
-	}
-	if cfg.MaxWalkSteps <= 0 {
-		cfg.MaxWalkSteps = 4096
-	}
-	if cfg.MaxABFTTL <= 0 {
-		cfg.MaxABFTTL = 1024
 	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	if reg := cfg.Metrics; reg != nil {
@@ -469,6 +449,16 @@ func (e *Engine) QueueDepth() int {
 	return total
 }
 
+// The walker count for MechWalk and the clamps on request budgets. A
+// client-chosen TTL is clamped, not refused: the budget is a cost cap,
+// and the clamped request is what the cache keys on.
+const (
+	walkers      = 16
+	maxFloodTTL  = 8
+	maxWalkSteps = 4096
+	maxABFTTL    = 1024
+)
+
 // validate clamps budgets and checks the mechanism is servable.
 func (e *Engine) validate(req *Request, snap *snapshot) error {
 	if req.TTL < 1 {
@@ -476,19 +466,19 @@ func (e *Engine) validate(req *Request, snap *snapshot) error {
 	}
 	switch req.Mech {
 	case MechFlood:
-		if req.TTL > e.cfg.MaxFloodTTL {
-			req.TTL = e.cfg.MaxFloodTTL
+		if req.TTL > maxFloodTTL {
+			req.TTL = maxFloodTTL
 		}
 	case MechWalk:
-		if req.TTL > e.cfg.MaxWalkSteps {
-			req.TTL = e.cfg.MaxWalkSteps
+		if req.TTL > maxWalkSteps {
+			req.TTL = maxWalkSteps
 		}
 	case MechABF:
 		if snap.abf == nil {
 			return ErrNoABF
 		}
-		if req.TTL > e.cfg.MaxABFTTL {
-			req.TTL = e.cfg.MaxABFTTL
+		if req.TTL > maxABFTTL {
+			req.TTL = maxABFTTL
 		}
 	default:
 		return fmt.Errorf("serve: unknown mechanism %d", req.Mech)
@@ -567,7 +557,7 @@ func (e *Engine) execute(kern *search.Kernel, snap *snapshot, req Request, key u
 	case MechFlood:
 		return kern.Flooder().Flood(src, req.TTL, match)
 	case MechWalk:
-		cfg := search.WalkConfig{Walkers: e.cfg.Walkers, MaxSteps: req.TTL, CheckInterval: 4}
+		cfg := search.WalkConfig{Walkers: walkers, MaxSteps: req.TTL, CheckInterval: 4}
 		return kern.Walker().Random(src, cfg, match, rng)
 	case MechABF:
 		return kern.ABF(snap.abf).Lookup(src, req.Object, req.TTL, rng)

@@ -1,170 +1,14 @@
 package serve
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
-func hardenedTCP(t *testing.T, cfg TCPConfig) (*TCPServer, *Engine) {
-	t.Helper()
-	g, store := testOverlay(t, 300, 30)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, Seed: 21, CacheCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewTCPServerConfig("127.0.0.1:0", e, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); e.Close() })
-	return srv, e
-}
-
-// TestTCPLineCap pins the unbounded-line fix: an endless unterminated
-// request line must get an E response and a closed connection, not an
-// ever-growing buffer.
-func TestTCPLineCap(t *testing.T) {
-	srv, _ := hardenedTCP(t, TCPConfig{MaxLine: 64})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// 4 KiB with no terminator — far past the 64-byte cap.
-	if _, err := conn.Write([]byte(strings.Repeat("A", 4096))); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("no overflow response: %v", err)
-	}
-	if !strings.HasPrefix(reply, "E line too long") {
-		t.Fatalf("reply = %q, want E line too long", reply)
-	}
-	// The server must close the connection after the overflow (EOF, or
-	// RST when our unread junk was still in its receive buffer).
-	if _, err := r.ReadByte(); err == nil {
-		t.Fatal("connection still serving data after overflow")
-	} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-		t.Fatal("connection never closed after overflow")
-	}
-}
-
-// TestTCPLineCapSurvivesValidTraffic: lines under the cap keep working
-// on a capped server, including pipelined batches.
-func TestTCPLineCapSurvivesValidTraffic(t *testing.T) {
-	srv, e := hardenedTCP(t, TCPConfig{MaxLine: 128})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	obj := e.Objects()[0]
-	// Pipeline three requests in one write.
-	line := fmt.Sprintf("Q flood 0x%x 6\n", obj)
-	if _, err := conn.Write([]byte(line + line + line)); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for i := 0; i < 3; i++ {
-		reply, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if !strings.HasPrefix(reply, "H 1 ") {
-			t.Fatalf("reply %d = %q, want a hit", i, reply)
-		}
-	}
-}
-
-// TestTCPIdleReaped pins the missing-read-deadline fix: a connection
-// that sends nothing must be closed by the server, not pin a goroutine
-// forever.
-func TestTCPIdleReaped(t *testing.T) {
-	srv, _ := hardenedTCP(t, TCPConfig{IdleTimeout: 150 * time.Millisecond})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	start := time.Now()
-	_, rerr := conn.Read(buf)
-	if rerr == nil {
-		t.Fatal("read returned data from an idle connection")
-	}
-	if nerr, ok := rerr.(net.Error); ok && nerr.Timeout() {
-		t.Fatal("server never reaped the idle connection (client read timed out)")
-	}
-	if waited := time.Since(start); waited > 4*time.Second {
-		t.Fatalf("idle reap took %v", waited)
-	}
-	// A mid-line stall counts as idle too: the deadline is per read,
-	// not per line.
-	conn2, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if _, err := conn2.Write([]byte("Q flo")); err != nil { // partial line, then silence
-		t.Fatal(err)
-	}
-	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, rerr := conn2.Read(buf); rerr == nil {
-		t.Fatal("read returned data from a half-line connection")
-	} else if nerr, ok := rerr.(net.Error); ok && nerr.Timeout() {
-		t.Fatal("server never reaped the half-line connection")
-	}
-}
-
-// TestHTTPBodyLimit pins the unbounded-body fix: a request declaring
-// an oversized body is refused with 413 before any handler runs.
-func TestHTTPBodyLimit(t *testing.T) {
-	g, store := testOverlay(t, 300, 30)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, Seed: 5, CacheCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	h := NewHTTPHandler(HTTPConfig{Engine: e, MaxBodyBytes: 1024})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	big := strings.NewReader(strings.Repeat("x", 4096))
-	resp, err := http.Post(ts.URL+"/lookup", "application/octet-stream", big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
-	}
-
-	// Within the cap the endpoint behaves normally.
-	obj := e.Objects()[0]
-	resp2, err := http.Get(fmt.Sprintf("%s/lookup?obj=0x%x&mech=flood&ttl=6", ts.URL, obj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("normal lookup: status %d", resp2.StatusCode)
-	}
-}
+// The line-cap, idle-reap and HTTP body-cap cases live in
+// internal/gateway/hardening_test.go: they run against both tiers'
+// frontends, and only that package can import both.
 
 // TestNewHTTPServerTimeouts pins the slowloris protections on the
 // server makalu-node now starts.

@@ -20,15 +20,12 @@ type HTTPConfig struct {
 	// Debug exposes /debug/metrics and /debug/pprof. Leave false when
 	// the daemon faces untrusted clients.
 	Debug bool
-	// MaxBodyBytes caps a request body; every endpoint is GET-shaped,
-	// so bodies buy a client nothing and an oversized one is refused
-	// with 413 before any handler reads it. Default 64 KiB.
-	MaxBodyBytes int64
 }
 
-// DefaultMaxBodyBytes caps request bodies when HTTPConfig.MaxBodyBytes
-// is zero.
-const DefaultMaxBodyBytes = 64 << 10
+// MaxBodyBytes caps a request body on every HTTP frontend; every
+// endpoint is GET-shaped, so bodies buy a client nothing and an
+// oversized one is refused with 413 before any handler reads it.
+const MaxBodyBytes = 64 << 10
 
 // LookupReply is the JSON document /lookup returns.
 type LookupReply struct {
@@ -72,7 +69,7 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 		for i, o := range objs {
 			ids[i] = "0x" + strconv.FormatUint(o, 16)
 		}
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Epoch   uint64   `json:"epoch"`
 			Objects []string `json:"objects"`
 		}{cfg.Engine.Epoch(), ids})
@@ -84,15 +81,25 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 		fmt.Fprintf(w, `{"ok":true,"epoch":%d,"shards":%d,"queue_depth":%d}`+"\n",
 			cfg.Engine.Epoch(), cfg.Engine.Shards(), cfg.Engine.QueueDepth())
 	})
-	if cfg.Debug {
+	return OpsHandler(mux, cfg.Metrics, cfg.Debug, cfg.Engine.syncCacheLen)
+}
+
+// OpsHandler finishes a tier's mux with what every HTTP frontend
+// shares: when debug is set, /debug/metrics (reg as JSON, after refresh
+// if the tier has gauges it only updates on demand) and /debug/pprof;
+// always, the request-body cap.
+func OpsHandler(mux *http.ServeMux, reg *obs.Registry, debug bool, refresh func()) http.Handler {
+	if debug {
 		mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-			cfg.Engine.syncCacheLen()
+			if refresh != nil {
+				refresh()
+			}
 			w.Header().Set("Content-Type", "application/json")
-			if cfg.Metrics == nil {
+			if reg == nil {
 				fmt.Fprintln(w, "{}")
 				return
 			}
-			if err := cfg.Metrics.WriteJSON(w); err != nil {
+			if err := reg.WriteJSON(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})
@@ -102,26 +109,22 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	maxBody := cfg.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
-	return limitBody(mux, maxBody)
+	return limitBody(mux)
 }
 
-// limitBody rejects requests whose declared Content-Length exceeds max
-// with 413, and caps chunked/undeclared bodies with http.MaxBytesReader
-// so no handler (present or future) can be made to buffer an unbounded
-// POST.
-func limitBody(next http.Handler, max int64) http.Handler {
+// limitBody rejects requests whose declared Content-Length exceeds
+// MaxBodyBytes with 413, and caps chunked/undeclared bodies with
+// http.MaxBytesReader so no handler (present or future) can be made to
+// buffer an unbounded POST.
+func limitBody(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.ContentLength > max {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorReply{Error: fmt.Sprintf("request body exceeds %d bytes", max)})
+		if r.ContentLength > MaxBodyBytes {
+			WriteJSON(w, http.StatusRequestEntityTooLarge,
+				errorReply{Error: fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes)})
 			return
 		}
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, max)
+			r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -167,36 +170,38 @@ func retryAfterHeader(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON sends v as the JSON body of a response with the given
+// status. An encode error means the client went away mid-body; there
+// is no one left to report it to.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func serveLookup(cfg HTTPConfig, w http.ResponseWriter, r *http.Request) {
 	if ok, retry := cfg.Limiter.Allow(clientID(r)); !ok {
 		w.Header().Set("Retry-After", retryAfterHeader(retry))
-		writeJSON(w, http.StatusTooManyRequests,
+		WriteJSON(w, http.StatusTooManyRequests,
 			errorReply{Error: "rate limit exceeded", Reason: "rate"})
 		return
 	}
 	q := r.URL.Query()
 	objStr := q.Get("obj")
 	if objStr == "" {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "missing obj parameter"})
+		WriteJSON(w, http.StatusBadRequest, errorReply{Error: "missing obj parameter"})
 		return
 	}
 	obj, err := parseObjectID(objStr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("bad obj: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("bad obj: %v", err)})
 		return
 	}
 	mech := MechFlood
 	if ms := q.Get("mech"); ms != "" {
 		mech, err = ParseMechanism(ms)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 			return
 		}
 	}
@@ -204,7 +209,7 @@ func serveLookup(cfg HTTPConfig, w http.ResponseWriter, r *http.Request) {
 	if ts := q.Get("ttl"); ts != "" {
 		ttl, err = strconv.Atoi(ts)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("bad ttl: %v", err)})
+			WriteJSON(w, http.StatusBadRequest, errorReply{Error: fmt.Sprintf("bad ttl: %v", err)})
 			return
 		}
 	}
@@ -217,17 +222,17 @@ func serveLookup(cfg HTTPConfig, w http.ResponseWriter, r *http.Request) {
 		// their latency. One second is the "come back after the burst"
 		// hint; the client-side backoff does the real pacing.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests,
+		WriteJSON(w, http.StatusTooManyRequests,
 			errorReply{Error: err.Error(), Reason: "shed"})
 		return
 	case err == ErrClosed:
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, errorReply{Error: err.Error()})
 		return
 	default:
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, LookupReply{
+	WriteJSON(w, http.StatusOK, LookupReply{
 		Found:         resp.Result.Success,
 		FirstMatchHop: resp.Result.FirstMatchHop,
 		Messages:      resp.Result.Messages,

@@ -4,38 +4,37 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
+// LineHandler is what a tier plugs into the line-protocol server: the
+// server owns the sockets and the grammar (codec.go), the handler
+// answers well-formed requests.
+type LineHandler interface {
+	// Status answers the Z probe.
+	Status() (epoch uint64, queueDepth int64)
+	// Lookup answers one parsed Q line by writing exactly one reply
+	// line to w. client is the connection's remote address.
+	Lookup(w *bufio.Writer, client string, req Request)
+}
+
 // TCPServer speaks the raw line protocol — the low-overhead path the
 // load generator uses to push millions of queries through persistent
-// connections without HTTP parsing on either side.
+// connections without HTTP parsing on either side. It is the one
+// line-protocol server in the repository: the serve daemon and the
+// gateway frontend are this server with different LineHandlers.
 //
-// Request line:   Q <mech> <object> <ttl>\n    (object decimal or 0x hex)
-// Responses:      H <found> <hop> <messages> <visited> <cachehit>\n
-//
-//	S <retry_ms>\n   (shed: queue full)
-//	R <retry_ms>\n   (rate limited)
-//	E <message>\n    (bad request)
-//
-// A bare "Z\n" is the status probe: the server replies
-// "Z <epoch> <queue_depth>\n" so a gateway health checker can detect
-// stale-epoch or saturated backends over the same pooled connection it
-// forwards queries on.
-//
-// One connection is one rate-limit client (keyed by remote address).
 // Replies are written in request order per connection; the writer is
 // flushed only when no further request is buffered, so a pipelined
 // client amortizes syscalls the same way the engine amortizes kernel
-// dispatch.
+// dispatch. Lines on one connection are served sequentially;
+// concurrency comes from serving many connections.
 type TCPServer struct {
-	eng *Engine
-	lim *Limiter
-	ln  net.Listener
-	cfg TCPConfig
+	ln     net.Listener
+	cfg    TCPConfig
+	handle LineHandler
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -68,23 +67,29 @@ func (cfg TCPConfig) withDefaults() TCPConfig {
 	return cfg
 }
 
-// NewTCPServer starts listening on addr (e.g. "127.0.0.1:0") with
-// default connection bounds.
-func NewTCPServer(addr string, eng *Engine, lim *Limiter) (*TCPServer, error) {
-	return NewTCPServerConfig(addr, eng, lim, TCPConfig{})
-}
-
-// NewTCPServerConfig starts listening on addr with explicit connection
-// bounds.
-func NewTCPServerConfig(addr string, eng *Engine, lim *Limiter, cfg TCPConfig) (*TCPServer, error) {
+// NewLineServer starts listening on addr (e.g. "127.0.0.1:0") and
+// answers every connection's lines through handle.
+func NewLineServer(addr string, cfg TCPConfig, handle LineHandler) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPServer{eng: eng, lim: lim, ln: ln, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, cfg: cfg.withDefaults(), handle: handle, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// NewTCPServer starts the serve daemon's frontend on addr with default
+// connection bounds: lookups go to eng, one connection is one
+// rate-limit client of lim (keyed by remote address; nil = unlimited).
+func NewTCPServer(addr string, eng *Engine, lim *Limiter) (*TCPServer, error) {
+	return NewTCPServerConfig(addr, eng, lim, TCPConfig{})
+}
+
+// NewTCPServerConfig is NewTCPServer with explicit connection bounds.
+func NewTCPServerConfig(addr string, eng *Engine, lim *Limiter, cfg TCPConfig) (*TCPServer, error) {
+	return NewLineServer(addr, cfg, engineLines{eng, lim})
 }
 
 // Addr returns the bound listen address.
@@ -128,14 +133,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			fmt.Fprintf(w, "E line too long (max %d bytes)\n", s.cfg.MaxLine)
+			WriteReply(w, Reply{Kind: ReplyError, Message: fmt.Sprintf("line too long (max %d bytes)", s.cfg.MaxLine)})
 			w.Flush()
 			return
 		}
 		if err != nil {
 			return // EOF, deadline expired, or closed
 		}
-		s.serveLine(w, client, strings.TrimRight(string(line), "\r\n"))
+		s.serveLine(w, client, string(line))
 		// Flush only when the read side has no pipelined request
 		// waiting: batch replies to a batch of requests in one write.
 		if r.Buffered() == 0 {
@@ -146,83 +151,58 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// ParseQueryLine parses one protocol line into a Request. ok=false
-// with a nil error means a blank line (ignored by the server); an
-// error describes the malformation for the E response. The function is
-// pure — the fuzz harness drives it with arbitrary bytes. Exported so
-// the gateway frontend speaks the exact same grammar (and therefore
-// derives the exact same Request.Key the backends shard and cache on).
-func ParseQueryLine(line string) (req Request, ok bool, err error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return Request{}, false, nil // blank line: ignore
-	}
-	if fields[0] != "Q" || len(fields) != 4 {
-		return Request{}, false, fmt.Errorf("bad request line (want: Q <mech> <object> <ttl>)")
-	}
-	mech, err := ParseMechanism(fields[1])
-	if err != nil {
-		return Request{}, false, err
-	}
-	obj, err := parseObjectID(fields[2])
-	if err != nil {
-		return Request{}, false, fmt.Errorf("bad object id: %s", err)
-	}
-	ttl, err := strconv.Atoi(fields[3])
-	if err != nil {
-		return Request{}, false, fmt.Errorf("bad ttl: %s", err)
-	}
-	return Request{Mech: mech, Object: obj, TTL: ttl}, true, nil
-}
-
+// serveLine is the request grammar, shared by every tier: Z is the
+// status probe, a malformed line is answered locally with E (a gateway
+// never forwards one), a blank line is ignored, and a Q line goes to
+// the handler already parsed.
 func (s *TCPServer) serveLine(w *bufio.Writer, client, line string) {
 	if strings.TrimSpace(line) == "Z" {
-		fmt.Fprintf(w, "Z %d %d\n", s.eng.Epoch(), s.eng.QueueDepth())
+		epoch, depth := s.handle.Status()
+		WriteReply(w, Reply{Kind: ReplyStatus, Epoch: epoch, QueueDepth: depth})
 		return
 	}
-	req, ok, perr := ParseQueryLine(line)
-	if perr != nil {
-		fmt.Fprintf(w, "E %s\n", perr)
+	req, ok, err := ParseQueryLine(line)
+	if err != nil {
+		WriteReply(w, Reply{Kind: ReplyError, Message: err.Error()})
 		return
 	}
-	if !ok {
-		return // blank line
+	if ok {
+		s.handle.Lookup(w, client, req)
 	}
-	if ok, retry := s.lim.Allow(client); !ok {
-		fmt.Fprintf(w, "R %d\n", retryMillis(retry))
-		return
-	}
-	resp, err := s.eng.Lookup(req)
-	switch {
-	case err == nil:
-	case err == ErrOverloaded:
-		fmt.Fprintf(w, "S %d\n", retryMillis(time.Millisecond))
-		return
-	case err == ErrClosed:
-		fmt.Fprintf(w, "E %s\n", err)
-		return
-	default:
-		fmt.Fprintf(w, "E %s\n", err)
-		return
-	}
-	found, hit := 0, 0
-	if resp.Result.Success {
-		found = 1
-	}
-	if resp.CacheHit {
-		hit = 1
-	}
-	fmt.Fprintf(w, "H %d %d %d %d %d\n",
-		found, resp.Result.FirstMatchHop, resp.Result.Messages, resp.Result.Visited, hit)
 }
 
-// retryMillis renders a retry hint in whole milliseconds, at least 1.
-func retryMillis(d time.Duration) int64 {
-	ms := int64((d + time.Millisecond - 1) / time.Millisecond)
-	if ms < 1 {
-		ms = 1
+// engineLines is the serve daemon's LineHandler: rate-limit, look up,
+// encode the outcome.
+type engineLines struct {
+	eng *Engine
+	lim *Limiter
+}
+
+func (h engineLines) Status() (uint64, int64) {
+	return h.eng.Epoch(), int64(h.eng.QueueDepth())
+}
+
+func (h engineLines) Lookup(w *bufio.Writer, client string, req Request) {
+	if ok, retry := h.lim.Allow(client); !ok {
+		WriteReply(w, Reply{Kind: ReplyLimited, RetryMs: retryMillis(retry)})
+		return
 	}
-	return ms
+	resp, err := h.eng.Lookup(req)
+	switch {
+	case err == nil:
+		WriteReply(w, Reply{
+			Kind:     ReplyHit,
+			Found:    resp.Result.Success,
+			Hop:      resp.Result.FirstMatchHop,
+			Messages: resp.Result.Messages,
+			Visited:  resp.Result.Visited,
+			CacheHit: resp.CacheHit,
+		})
+	case err == ErrOverloaded:
+		WriteReply(w, Reply{Kind: ReplyShed, RetryMs: retryMillis(time.Millisecond)})
+	default:
+		WriteReply(w, Reply{Kind: ReplyError, Message: err.Error()})
+	}
 }
 
 // Close stops accepting, closes every live connection, and waits for

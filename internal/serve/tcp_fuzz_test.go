@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -45,10 +44,12 @@ func FuzzParseQueryLine(f *testing.F) {
 		if !ok {
 			return
 		}
-		// Accepted requests round-trip through the canonical form.
-		canon := fmt.Sprintf("Q %s %d %d", req.Mech, req.Object, req.TTL)
+		// Accepted requests round-trip through the canonical form to the
+		// same request and the same key — what lets the gateway route on
+		// the key of a line the backend will parse again.
+		canon := EncodeQuery(req)
 		req2, ok2, err2 := ParseQueryLine(canon)
-		if !ok2 || err2 != nil || req2 != req {
+		if !ok2 || err2 != nil || req2 != req || req2.Key() != req.Key() {
 			t.Fatalf("round trip failed: %q -> %+v -> %q -> %+v (%v)", line, req, canon, req2, err2)
 		}
 	})
