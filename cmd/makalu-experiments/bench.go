@@ -385,7 +385,7 @@ func benchSearch(rep *benchReport) error {
 		br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 			obj := store.RandomObject(rng)
 			src := rng.Intn(n)
-			return k.Walker().Random(src, walkCfg, func(u int) bool { return store.Has(u, obj) }, rng)
+			return k.Walker().Random(src, walkCfg, k.Targets(store.Replicas(obj)), rng)
 		})
 	})
 
@@ -395,7 +395,7 @@ func benchSearch(rep *benchReport) error {
 		br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 			obj := store.RandomObject(rng)
 			src := rng.Intn(n)
-			return search.ExpandingRing(k.Flooder(), src, ringCfg, func(u int) bool { return store.Has(u, obj) }, rng)
+			return search.ExpandingRing(k.Flooder(), src, ringCfg, k.Targets(store.Replicas(obj)), rng)
 		})
 	})
 
@@ -428,7 +428,7 @@ func benchSearch(rep *benchReport) error {
 	walker := search.NewWalker(g)
 	wrng := rand.New(rand.NewSource(seed + 31))
 	obj := store.RandomObject(wrng)
-	match := func(u int) bool { return store.Has(u, obj) }
+	match := search.NewTargets(n).Set(store.Replicas(obj))
 	walker.Random(0, walkCfg, match, wrng) // warm the scratch
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -440,5 +440,81 @@ func benchSearch(rep *benchReport) error {
 		"allocs/op": float64(r.AllocsPerOp()),
 		"bytes/op":  float64(r.AllocedBytesPerOp()),
 	}, r)
+	return benchSearchKernels(rep, seed)
+}
+
+// benchSearchKernels mirrors internal/search/kernel_bench_test.go: one
+// TTL-4 flood and one 16-walker walk per iteration on the world the
+// serving benchmark's lookup workloads use (20k-node Makalu overlay,
+// 2000 objects at 0.1% replication), so ns/op is the kernel's share
+// of one cache-off lookup. Each runs with the content.Store.Has
+// closure callers used to pass and with the Kernel.Targets bitmap
+// they pass now; ns/msg makes kernels of different reach comparable.
+func benchSearchKernels(rep *benchReport, seed int64) error {
+	const (
+		n       = 20000
+		objects = 2000
+	)
+	mk, err := experiments.BuildMakalu(n, seed)
+	if err != nil {
+		return err
+	}
+	store, err := experiments.PlaceObjects(n, objects, 0.001, seed+17)
+	if err != nil {
+		return err
+	}
+	type query struct {
+		src int
+		obj uint64
+	}
+	qrng := rand.New(rand.NewSource(seed + 37))
+	qs := make([]query, 1024)
+	for i := range qs {
+		qs[i] = query{src: qrng.Intn(n), obj: store.RandomObject(qrng)}
+	}
+	walkCfg := search.WalkConfig{Walkers: 16, MaxSteps: 256, CheckInterval: 4}
+	wrng := rand.New(rand.NewSource(seed + 41))
+	kernels := []struct {
+		name string
+		run  func(k *search.Kernel, src int, match search.Matcher) search.Result
+	}{
+		{"FloodKernel", func(k *search.Kernel, src int, match search.Matcher) search.Result {
+			return k.Flooder().Flood(src, 4, match)
+		}},
+		{"WalkKernel", func(k *search.Kernel, src int, match search.Matcher) search.Result {
+			return k.Walker().Random(src, walkCfg, match, wrng)
+		}},
+	}
+	matchers := []struct {
+		name string
+		make func(k *search.Kernel, obj uint64) search.Matcher
+	}{
+		{"has", func(_ *search.Kernel, obj uint64) search.Matcher {
+			return func(u int) bool { return store.Has(u, obj) }
+		}},
+		{"targets", func(k *search.Kernel, obj uint64) search.Matcher {
+			return k.Targets(store.Replicas(obj))
+		}},
+	}
+	for _, kn := range kernels {
+		for _, m := range matchers {
+			k := search.NewKernel(mk.Graph, 0)
+			kn.run(k, qs[0].src, m.make(k, qs[0].obj)) // size the scratch
+			var msgs int
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				msgs = 0
+				for i := 0; i < b.N; i++ {
+					q := qs[i%len(qs)]
+					msgs += kn.run(k, q.src, m.make(k, q.obj)).Messages
+				}
+			})
+			rep.add(fmt.Sprintf("%s/n=%d/%s", kn.name, n, m.name), 1, map[string]float64{
+				"msgs/query": float64(msgs) / float64(r.N),
+				"ns/msg":     float64(r.T.Nanoseconds()) / float64(msgs),
+				"allocs/op":  float64(r.AllocsPerOp()),
+			}, r)
+		}
+	}
 	return nil
 }

@@ -90,28 +90,27 @@ func main() {
 	g := overlay.Freeze()
 	rng := rand.New(rand.NewSource(*seed + 5))
 	agg := search.NewAggregate()
+	kern := search.NewKernel(g, 0)
 
 	start = time.Now()
 	switch *mode {
 	case "flood":
-		fl := search.NewFlooder(g)
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(fl.Flood(rng.Intn(*n), *ttl, func(u int) bool { return store.Has(u, obj) }))
+			agg.Add(kern.Flooder().Flood(rng.Intn(*n), *ttl, kern.Targets(store.Replicas(obj))))
 		}
 	case "walk":
 		cfg := search.DefaultWalkConfig()
 		cfg.MaxSteps = *ttl * 256
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(search.RandomWalk(g, rng.Intn(*n), cfg, func(u int) bool { return store.Has(u, obj) }, rng))
+			agg.Add(kern.Walker().Random(rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)), rng))
 		}
 	case "ring":
-		fl := search.NewFlooder(g)
 		cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: *ttl}
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(search.ExpandingRing(fl, rng.Intn(*n), cfg, func(u int) bool { return store.Has(u, obj) }, rng))
+			agg.Add(search.ExpandingRing(kern.Flooder(), rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)), rng))
 		}
 	case "abf":
 		abfStart := time.Now()

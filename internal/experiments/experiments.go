@@ -116,7 +116,7 @@ func FloodBatch(g *graph.Graph, store *content.Store, ttl, queries, workers int,
 	return br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().Flood(src, ttl, func(u int) bool { return store.Has(u, obj) })
+		return k.Flooder().Flood(src, ttl, k.Targets(store.Replicas(obj)))
 	})
 }
 
@@ -144,7 +144,7 @@ func TwoTierFloodBatch(g *graph.Graph, isUltra []bool, store *content.Store, ttl
 		fl, _ := k.TwoTier(isUltra, qrp)
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return fl.Flood(src, ttl, obj, func(u int) bool { return store.Has(u, obj) })
+		return fl.Flood(src, ttl, obj, k.Targets(store.Replicas(obj)))
 	})
 	return agg, nil
 }

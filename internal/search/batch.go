@@ -46,6 +46,7 @@ type Kernel struct {
 	flooder *Flooder
 	gossip  *GossipFlooder
 	walker  *Walker
+	targets *Targets
 	twoTier *TwoTierFlooder
 	abf     map[*ABFNetwork]*ABFRouter
 	perEdge map[*PerEdgeABFNetwork]*PerEdgeABFRouter
@@ -87,6 +88,17 @@ func (k *Kernel) Walker() *Walker {
 		k.walker = NewWalker(k.g)
 	}
 	return k.walker
+}
+
+// Targets loads the worker's reusable target set with nodes — the
+// replica set of the object a query looks for — and returns its
+// membership Matcher, valid until the next Targets call on this
+// kernel. Steady-state calls allocate nothing.
+func (k *Kernel) Targets(nodes []int32) Matcher {
+	if k.targets == nil {
+		k.targets = NewTargets(k.g.N())
+	}
+	return k.targets.Set(nodes)
 }
 
 // TwoTier returns the worker's reusable v0.6 two-tier flooding kernel

@@ -252,6 +252,34 @@ func TestWalkerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// One exact-object query through a Kernel — load the target set, run
+// the flood or walk — must allocate nothing once the scratch is sized:
+// the per-query Store.Has closure is gone and Targets hands out a
+// pre-bound Matcher.
+func TestKernelTargetsZeroAllocSteadyState(t *testing.T) {
+	const n = 2000
+	g := testGraph(n)
+	store := testStore(t, n)
+	k := NewKernel(g, 0)
+	rng := rand.New(rand.NewSource(3))
+	cfg := WalkConfig{Walkers: 16, MaxSteps: 128, CheckInterval: 4}
+	flood := func() {
+		k.Flooder().Flood(rng.Intn(n), 6, k.Targets(store.Replicas(store.RandomObject(rng))))
+	}
+	walk := func() {
+		k.Walker().Random(rng.Intn(n), cfg, k.Targets(store.Replicas(store.RandomObject(rng))), rng)
+	}
+	// Warm up: a wide flood grows the queue to its steady capacity.
+	k.Flooder().Flood(0, n, k.Targets(nil))
+	walk()
+	if avg := testing.AllocsPerRun(50, flood); avg != 0 {
+		t.Fatalf("Flooder.Flood with a Targets matcher allocates %.1f/op in steady state, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, walk); avg != 0 {
+		t.Fatalf("Walker.Random with a Targets matcher allocates %.1f/op in steady state, want 0", avg)
+	}
+}
+
 // Free-function wrappers must behave exactly like a fresh kernel.
 func TestWalkWrappersMatchKernel(t *testing.T) {
 	const n = 500

@@ -22,37 +22,36 @@ type Result struct {
 	FirstMatchLatency float64
 }
 
-// Matcher decides whether a node satisfies the query. Implementations
-// are usually closures over a content.Store.
+// Matcher decides whether a node satisfies the query. The usual one
+// is a Targets set loaded with the query object's replica nodes.
 type Matcher func(node int) bool
 
-// Flooder runs TTL floods over a frozen graph, reusing visit-epoch
-// scratch between queries so large batches stay allocation-free.
+// Flooder runs TTL floods over a frozen graph as a level-synchronous
+// BFS. Its only random-access state is a visited bitmap (one bit per
+// node); everything else is the BFS queue itself, written and read
+// sequentially: queue[i] holds the i-th node discovered and the queue
+// index of the entry that sent it the query, so the hop count is the
+// level counter and the sender is queue[queue[i].from].node. Scratch
+// is reused between queries, so large batches stay allocation-free.
 // It is not safe for concurrent use; create one Flooder per worker.
 type Flooder struct {
 	g       *graph.Graph
-	epoch   int32
-	visited []int32   // epoch when node was first reached
-	hop     []int32   // hop at which node was first reached
-	parent  []int32   // node the query arrived from
-	lat     []float64 // accumulated latency along the flood tree
-	queue   []int32
+	visited []uint64 // bit v set while v is in the current query's queue
+	queue   []visit  // discovery order
+	chain   []int32  // first-match latency scratch: queue indices match -> source
 }
+
+// visit is one queue entry: a node and the queue index of its sender
+// (-1 for the source).
+type visit struct{ node, from int32 }
 
 // NewFlooder creates a Flooder for g.
 func NewFlooder(g *graph.Graph) *Flooder {
-	n := g.N()
-	f := &Flooder{
+	return &Flooder{
 		g:       g,
-		visited: make([]int32, n),
-		hop:     make([]int32, n),
-		parent:  make([]int32, n),
-		queue:   make([]int32, 0, 1024),
+		visited: make([]uint64, (g.N()+63)/64),
+		queue:   make([]visit, 0, 1024),
 	}
-	if g.Weights != nil {
-		f.lat = make([]float64, n)
-	}
-	return f
 }
 
 // Flood issues a query from src with the given TTL and returns its
@@ -61,69 +60,92 @@ func NewFlooder(g *graph.Graph) *Flooder {
 // the query for the first time checks its store and, while TTL
 // remains, forwards to every neighbor except the one it came from.
 // Re-received queries are recognized by their cached query ID, counted
-// as duplicates, and suppressed.
+// as duplicates, and suppressed. match is called exactly once per
+// distinct node reached, source first, in discovery order.
 func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
-	f.epoch++
-	ep := f.epoch
 	res := Result{FirstMatchHop: -1}
-
-	f.visited[src] = ep
-	f.hop[src] = 0
-	f.parent[src] = -1
-	if f.lat != nil {
-		f.lat[src] = 0
-	}
-	res.Visited = 1
 	if match(src) {
 		res.Success = true
 		res.FirstMatchHop = 0
 		res.MatchesFound++
 	}
 	if ttl <= 0 {
+		res.Visited = 1
 		return res
 	}
 
-	queue := f.queue[:0]
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		hu := f.hop[u]
-		if int(hu) >= ttl {
-			continue // TTL exhausted: do not forward
-		}
-		pu := f.parent[u]
-		for i := f.g.Offsets[u]; i < f.g.Offsets[u+1]; i++ {
-			v := f.g.Edges[i]
-			if v == pu {
-				continue // never echo back to the sender
+	offsets, edges, visited := f.g.Offsets, f.g.Edges, f.visited
+	queue := append(f.queue[:0], visit{int32(src), -1})
+	visited[src>>6] |= 1 << (uint(src) & 63)
+	first := -1 // queue index of the first match beyond the source
+	head := 0
+	for hop := 1; hop <= ttl && head < len(queue); hop++ {
+		for levelEnd := len(queue); head < levelEnd; head++ {
+			u := queue[head].node
+			pu := int32(-1)
+			if p := queue[head].from; p >= 0 {
+				pu = queue[p].node
 			}
-			res.Messages++
-			if f.visited[v] == ep {
-				res.Duplicates++
-				continue
-			}
-			f.visited[v] = ep
-			f.hop[v] = hu + 1
-			f.parent[v] = u
-			if f.lat != nil {
-				f.lat[v] = f.lat[u] + f.g.Weights[i]
-			}
-			res.Visited++
-			if match(int(v)) {
-				res.MatchesFound++
-				if !res.Success {
-					res.Success = true
-					res.FirstMatchHop = int(hu + 1)
-					if f.lat != nil {
-						res.FirstMatchLatency = f.lat[v]
+			for _, v := range edges[offsets[u]:offsets[u+1]] {
+				if v == pu {
+					continue // never echo back to the sender
+				}
+				res.Messages++
+				word, bit := &visited[v>>6], uint64(1)<<(uint(v)&63)
+				if *word&bit != 0 {
+					res.Duplicates++
+					continue
+				}
+				*word |= bit
+				if match(int(v)) {
+					res.MatchesFound++
+					if !res.Success {
+						res.Success = true
+						res.FirstMatchHop = hop
+						first = len(queue)
 					}
 				}
+				queue = append(queue, visit{v, int32(head)})
 			}
-			queue = append(queue, v)
 		}
 	}
 	f.queue = queue
+	res.Visited = len(queue)
+	if first >= 0 && f.g.Weights != nil {
+		res.FirstMatchLatency = f.pathLatency(first)
+	}
+	// Every set bit belongs to a queued node, so zeroing their words
+	// restores the all-clear bitmap the next query expects.
+	for _, v := range queue {
+		visited[v.node>>6] = 0
+	}
 	return res
+}
+
+// pathLatency sums the edge weights along the flood tree from the
+// source to queue entry i. The sum runs source-first, the order in
+// which a per-node running total would have accumulated it, so the
+// float result is the same as carrying latency through the flood.
+func (f *Flooder) pathLatency(i int) float64 {
+	queue := f.queue
+	chain := f.chain[:0]
+	for ; queue[i].from >= 0; i = int(queue[i].from) {
+		chain = append(chain, int32(i))
+	}
+	f.chain = chain
+	g := f.g
+	lat := 0.0
+	for k := len(chain) - 1; k >= 0; k-- {
+		c := queue[chain[k]]
+		u, v := queue[c.from].node, c.node
+		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+			if g.Edges[e] == v {
+				lat += g.Weights[e]
+				break
+			}
+		}
+	}
+	return lat
 }
 
 // Coverage returns how many distinct nodes a TTL-bounded flood from

@@ -1,0 +1,228 @@
+package search
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"makalu/internal/graph"
+)
+
+// oracleFlooder is the array-based flood Flooder.Flood replaced: four
+// n-sized scratch arrays stamped per visit and a running per-node
+// latency. It is kept verbatim as the reference the bitmap kernel must
+// reproduce field for field.
+type oracleFlooder struct {
+	g       *graph.Graph
+	epoch   int32
+	visited []int32   // epoch when node was first reached
+	hop     []int32   // hop at which node was first reached
+	parent  []int32   // node the query arrived from
+	lat     []float64 // accumulated latency along the flood tree
+	queue   []int32
+}
+
+func newOracleFlooder(g *graph.Graph) *oracleFlooder {
+	n := g.N()
+	f := &oracleFlooder{
+		g:       g,
+		visited: make([]int32, n),
+		hop:     make([]int32, n),
+		parent:  make([]int32, n),
+		queue:   make([]int32, 0, 1024),
+	}
+	if g.Weights != nil {
+		f.lat = make([]float64, n)
+	}
+	return f
+}
+
+func (f *oracleFlooder) Flood(src, ttl int, match Matcher) Result {
+	f.epoch++
+	ep := f.epoch
+	res := Result{FirstMatchHop: -1}
+
+	f.visited[src] = ep
+	f.hop[src] = 0
+	f.parent[src] = -1
+	if f.lat != nil {
+		f.lat[src] = 0
+	}
+	res.Visited = 1
+	if match(src) {
+		res.Success = true
+		res.FirstMatchHop = 0
+		res.MatchesFound++
+	}
+	if ttl <= 0 {
+		return res
+	}
+
+	queue := f.queue[:0]
+	queue = append(queue, int32(src))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		hu := f.hop[u]
+		if int(hu) >= ttl {
+			continue // TTL exhausted: do not forward
+		}
+		pu := f.parent[u]
+		for i := f.g.Offsets[u]; i < f.g.Offsets[u+1]; i++ {
+			v := f.g.Edges[i]
+			if v == pu {
+				continue // never echo back to the sender
+			}
+			res.Messages++
+			if f.visited[v] == ep {
+				res.Duplicates++
+				continue
+			}
+			f.visited[v] = ep
+			f.hop[v] = hu + 1
+			f.parent[v] = u
+			if f.lat != nil {
+				f.lat[v] = f.lat[u] + f.g.Weights[i]
+			}
+			res.Visited++
+			if match(int(v)) {
+				res.MatchesFound++
+				if !res.Success {
+					res.Success = true
+					res.FirstMatchHop = int(hu + 1)
+					if f.lat != nil {
+						res.FirstMatchLatency = f.lat[v]
+					}
+				}
+			}
+			queue = append(queue, v)
+		}
+	}
+	f.queue = queue
+	return res
+}
+
+// randomGraph draws a seeded sparse graph on n nodes with node 0 left
+// isolated. Weights, when asked for, are irrational-looking floats so
+// a different summation order shows up in the low bits.
+func randomGraph(n int, meanDeg float64, weighted bool, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	m := graph.NewMutable(n)
+	for e := int(meanDeg * float64(n) / 2); e > 0; e-- {
+		u, v := 1+rng.Intn(n-1), 1+rng.Intn(n-1)
+		if u != v {
+			m.AddEdge(u, v) // duplicates are rejected by the graph
+		}
+	}
+	if !weighted {
+		return m.Freeze(nil)
+	}
+	return m.Freeze(func(u, v int) float64 {
+		if u > v {
+			u, v = v, u
+		}
+		return 0.1 + math.Sqrt(float64(u*n+v))/7
+	})
+}
+
+// recording wraps a target predicate and logs the order it is asked in.
+func recording(target func(int) bool, calls *[]int) Matcher {
+	return func(u int) bool {
+		*calls = append(*calls, u)
+		return target(u)
+	}
+}
+
+// checkAgainstOracle runs the same query on both kernels and compares
+// the whole Result (latency bit for bit) and the matcher call order.
+func checkAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleFlooder, src, ttl int, target func(int) bool) {
+	t.Helper()
+	var gotCalls, wantCalls []int
+	got := f.Flood(src, ttl, recording(target, &gotCalls))
+	want := o.Flood(src, ttl, recording(target, &wantCalls))
+	if math.Float64bits(got.FirstMatchLatency) != math.Float64bits(want.FirstMatchLatency) {
+		t.Fatalf("%s: latency %v (%#x) != oracle %v (%#x)", label,
+			got.FirstMatchLatency, math.Float64bits(got.FirstMatchLatency),
+			want.FirstMatchLatency, math.Float64bits(want.FirstMatchLatency))
+	}
+	if got != want {
+		t.Fatalf("%s: result %+v != oracle %+v", label, got, want)
+	}
+	if !reflect.DeepEqual(gotCalls, wantCalls) {
+		t.Fatalf("%s: matcher called on %v, oracle on %v", label, gotCalls, wantCalls)
+	}
+	seen := make(map[int]bool, len(gotCalls))
+	for _, u := range gotCalls {
+		if seen[u] {
+			t.Fatalf("%s: matcher called twice on node %d", label, u)
+		}
+		seen[u] = true
+	}
+	if len(gotCalls) != got.Visited || gotCalls[0] != src {
+		t.Fatalf("%s: %d matcher calls starting at %d for %d visited from %d", label, len(gotCalls), gotCalls[0], got.Visited, src)
+	}
+}
+
+// TestFloodMatchesOracle is the property test for the bitmap kernel:
+// on seeded random graphs it must agree with the array-based oracle on
+// every Result field and on the matcher call sequence, across
+// consecutive queries on one Flooder (so a bitmap left dirty by one
+// query corrupts the next and is caught).
+func TestFloodMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 65, 130, 517} {
+		for _, weighted := range []bool{false, true} {
+			for _, deg := range []float64{1.2, 3, 8} {
+				if n < 3 && deg > 1.2 {
+					continue
+				}
+				seed := int64(n)*31 + int64(deg*10)
+				var g *graph.Graph
+				if n < 3 {
+					g = graph.NewMutable(n).Freeze(nil)
+				} else {
+					g = randomGraph(n, deg, weighted, seed)
+				}
+				f, o := NewFlooder(g), newOracleFlooder(g)
+				rng := rand.New(rand.NewSource(seed + 1))
+				for q := 0; q < 60; q++ {
+					src := rng.Intn(n)
+					if q%10 == 0 {
+						src = 0 // the isolated node
+					}
+					ttl := q % 10
+					// A handful of targets; some queries include the
+					// source, some only nodes in another component or
+					// none at all.
+					targets := map[int]bool{}
+					for k := rng.Intn(4); k > 0; k-- {
+						targets[rng.Intn(n)] = true
+					}
+					if q%7 == 0 {
+						targets[src] = true
+					}
+					if q%5 == 0 {
+						targets = map[int]bool{0: true} // unreachable unless src == 0
+					}
+					label := fmt.Sprintf("n=%d weighted=%v deg=%v q=%d src=%d ttl=%d", n, weighted, deg, q, src, ttl)
+					checkAgainstOracle(t, label, f, o, src, ttl, func(u int) bool { return targets[u] })
+				}
+			}
+		}
+	}
+}
+
+// TestFloodLongChainLatency floods a weighted 300-node path end to
+// end: the first match sits 299 hops from the source, so the lazy
+// latency walk needs a chain as long as the TTL, not a fixed buffer.
+func TestFloodLongChainLatency(t *testing.T) {
+	m := graph.NewMutable(300)
+	for i := 0; i+1 < 300; i++ {
+		m.AddEdge(i, i+1)
+	}
+	g := m.Freeze(func(u, v int) float64 { return 0.1 + math.Sqrt(float64(u+v))/3 })
+	f, o := NewFlooder(g), newOracleFlooder(g)
+	checkAgainstOracle(t, "path(300) ttl=299", f, o, 0, 299, func(u int) bool { return u == 299 })
+	checkAgainstOracle(t, "path(300) ttl=299 reversed", f, o, 299, 299, func(u int) bool { return u == 0 })
+	checkAgainstOracle(t, "path(300) ttl=298 short", f, o, 0, 298, func(u int) bool { return u == 299 })
+}

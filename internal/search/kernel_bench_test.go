@@ -1,0 +1,105 @@
+package search
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"makalu/internal/content"
+	"makalu/internal/core"
+	"makalu/internal/graph"
+	"makalu/internal/netmodel"
+)
+
+// The kernel benchmarks run one flood or walk per iteration on the
+// world the serving benchmark's lookup workloads use — a 20k-node
+// Makalu overlay, 2000 objects at 0.1% replication with a floor of 8
+// copies — so ns/op here is the kernel share of one cache-off lookup.
+// Each has two matchers: the content.Store.Has closure every caller
+// used to pass, and the Kernel.Targets bitmap they pass now.
+
+const (
+	benchN       = 20000
+	benchObjects = 2000
+	benchQueries = 1024
+)
+
+type kernelQuery struct {
+	src int
+	obj uint64
+}
+
+var benchWorld = sync.OnceValues(func() (*graph.Graph, *content.Store) {
+	ov, err := core.Build(benchN, core.DefaultConfig(netmodel.NewEuclidean(benchN, 1000, 1), 1))
+	if err != nil {
+		panic(err)
+	}
+	store, err := content.Place(benchN, content.PlacementConfig{Objects: benchObjects, Replication: 0.001, MinReplicas: 8, Seed: 18})
+	if err != nil {
+		panic(err)
+	}
+	return ov.Freeze(), store
+})
+
+func benchQuerySet(store *content.Store) []kernelQuery {
+	rng := rand.New(rand.NewSource(3))
+	qs := make([]kernelQuery, benchQueries)
+	for i := range qs {
+		qs[i] = kernelQuery{src: rng.Intn(benchN), obj: store.RandomObject(rng)}
+	}
+	return qs
+}
+
+// benchKernel times run over the query set with each matcher and
+// reports the message count per query and the time per message, the
+// unit in which kernels of different reach compare.
+func benchKernel(b *testing.B, run func(k *Kernel, src int, match Matcher) Result) {
+	g, store := benchWorld()
+	qs := benchQuerySet(store)
+	matchers := []struct {
+		name string
+		make func(k *Kernel, obj uint64) Matcher
+	}{
+		{"has", func(_ *Kernel, obj uint64) Matcher { return func(u int) bool { return store.Has(u, obj) } }},
+		{"targets", func(k *Kernel, obj uint64) Matcher { return k.Targets(store.Replicas(obj)) }},
+	}
+	for _, m := range matchers {
+		b.Run("n=20000/"+m.name, func(b *testing.B) {
+			k := NewKernel(g, 0)
+			run(k, qs[0].src, m.make(k, qs[0].obj)) // size the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			msgs := 0
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				msgs += run(k, q.src, m.make(k, q.obj)).Messages
+			}
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+		})
+	}
+}
+
+func BenchmarkFloodKernel(b *testing.B) {
+	benchKernel(b, func(k *Kernel, src int, match Matcher) Result {
+		return k.Flooder().Flood(src, 4, match)
+	})
+}
+
+func BenchmarkWalkKernel(b *testing.B) {
+	cfg := WalkConfig{Walkers: 16, MaxSteps: 256, CheckInterval: 4}
+	rng := rand.New(rand.NewSource(5))
+	benchKernel(b, func(k *Kernel, src int, match Matcher) Result {
+		return k.Walker().Random(src, cfg, match, rng)
+	})
+}
+
+// BenchmarkFloodOracle is the array-based flood the bitmap kernel
+// replaced, on the same queries: the "before" row.
+func BenchmarkFloodOracle(b *testing.B) {
+	g, _ := benchWorld()
+	o := newOracleFlooder(g)
+	benchKernel(b, func(_ *Kernel, src int, match Matcher) Result {
+		return o.Flood(src, 4, match)
+	})
+}

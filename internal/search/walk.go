@@ -25,9 +25,8 @@ func DefaultWalkConfig() WalkConfig {
 // Walker runs random-walk searches over a frozen graph, reusing
 // epoch-stamped scratch between queries so large batches stay
 // allocation-free (the seed implementation kept per-query
-// map[int32]bool visited sets; the epoch array replaces them the same
-// way Flooder's visited array works). Not safe for concurrent use;
-// create one Walker per worker.
+// map[int32]bool visited sets; the epoch array replaces them). Not
+// safe for concurrent use; create one Walker per worker.
 type Walker struct {
 	g     *graph.Graph
 	epoch int32

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -333,5 +334,102 @@ func TestRequestKeyStability(t *testing.T) {
 			t.Fatalf("key collision between %+v and %+v", prev, r)
 		}
 		distinct[r.Key()] = r
+	}
+}
+
+// A shard worker loads its kernel's target set per request; the set
+// must follow the snapshot. After a swap to a placement that does not
+// hold the object at all, a lookup for it finds nothing — a target
+// set surviving from the old snapshot would still match its replicas
+// — and every answer equals a fresh engine's over the new snapshot.
+func TestSnapshotSwapReplacesTargetSet(t *testing.T) {
+	g, store := testOverlay(t, 400, 50)
+	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	obj := store.Objects()[0]
+	flood := Request{Mech: MechFlood, Object: obj, TTL: 8}
+	walk := Request{Mech: MechWalk, Object: obj, TTL: 512}
+	for _, req := range []Request{flood, walk} {
+		if resp, err := e.Lookup(req); err != nil || !resp.Result.Success {
+			t.Fatalf("%v before the swap: %+v, %v", req.Mech, resp, err)
+		}
+	}
+
+	store2, err := content.Place(g.N(), content.PlacementConfig{
+		Objects: 50, Replication: 0.02, MinReplicas: 2, Seed: 99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store2.ReplicaCount(obj) != 0 {
+		t.Fatal("fixture: the second placement should not know the first one's object")
+	}
+	if err := e.UpdateSnapshot(g, store2, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{Graph: g, Store: store2, Shards: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	// A flood's answer does not depend on the epoch (no randomness), so
+	// the fresh engine at epoch 0 is an oracle for it.
+	for _, o := range []uint64{obj, store2.Objects()[0], store2.Objects()[1]} {
+		req := Request{Mech: MechFlood, Object: o, TTL: 8}
+		got, err := e.Lookup(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Lookup(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Result != want.Result {
+			t.Fatalf("object %#x after the swap: %+v, fresh engine %+v", o, got.Result, want.Result)
+		}
+	}
+	for _, req := range []Request{flood, walk} {
+		resp, err := e.Lookup(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.Success || resp.Result.MatchesFound != 0 {
+			t.Fatalf("%v matched an object the new snapshot does not hold: %+v", req.Mech, resp.Result)
+		}
+	}
+}
+
+// The kernel call of a steady-state miss — seed the rng, load the
+// target set, flood or walk — allocates nothing.
+func TestExecuteZeroAllocSteadyState(t *testing.T) {
+	g, store := testOverlay(t, 2000, 100)
+	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := e.snap.Load()
+	kern := search.NewKernel(snap.g, 0)
+	rng := rand.New(rand.NewSource(0))
+	objs := store.Objects()
+	i := 0
+	next := func(mech Mechanism, ttl int) func() {
+		return func() {
+			req := Request{Mech: mech, Object: objs[i%len(objs)], TTL: ttl}
+			i++
+			e.execute(kern, snap, req, req.Key(), rng)
+		}
+	}
+	// Warm up: a flood deep enough to cover the graph sizes the queue.
+	e.execute(kern, snap, Request{Mech: MechFlood, Object: 1, TTL: maxFloodTTL}, 1, rng)
+	next(MechWalk, 256)()
+	if avg := testing.AllocsPerRun(50, next(MechFlood, 4)); avg != 0 {
+		t.Fatalf("flood miss allocates %.1f/op in the kernel call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, next(MechWalk, 256)); avg != 0 {
+		t.Fatalf("walk miss allocates %.1f/op in the kernel call, want 0", avg)
 	}
 }

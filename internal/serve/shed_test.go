@@ -1,155 +1,234 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// shedFixture builds an engine with a deliberately slow, deterministic
-// service time (testDelay) so saturation is a known constant:
-// 2 shards x 1 request per 20ms = 100 req/s, queue depth 1, no
-// batching, no cache. Load-shedding math is then exact rather than
-// hardware-dependent.
-const shedServiceTime = 20 * time.Millisecond
+// The load-shedding test runs in virtual time. Every execution parks
+// in the testOnExecute hook until the test grants its shard one
+// service, so "one service time" is a tick of the test, not a sleep,
+// and a request's latency is counted in ticks, not read off a clock.
+// Offered load is then exact — so many arrivals per service — and the
+// outcome does not depend on the host: the wall-clock version (20 ms
+// sleeps, two p99s compared) failed about one run in six, more when
+// go test ran packages in parallel, because one scheduler stall
+// bunches arrivals and stretches several latencies at once.
+const (
+	shedShards     = 2
+	shedQueueDepth = 1
+)
 
-func shedFixture(t *testing.T) *Engine {
+type shedHarness struct {
+	t *testing.T
+	e *Engine
+
+	now     atomic.Int64             // virtual time: ticks so far
+	begun   [shedShards]atomic.Int64 // executions that reached the hook, per shard
+	grant   [shedShards]chan struct{}
+	granted [shedShards]int64 // executions the test has let finish
+
+	offered  int64
+	returned atomic.Int64 // Lookups that came back, shed or served
+	shed     atomic.Int64
+	mu       sync.Mutex
+	latency  []int64 // per served request, in ticks from offer to reply
+	wg       sync.WaitGroup
+}
+
+func shedShard(obj uint64) int {
+	return int((Request{Mech: MechFlood, Object: obj, TTL: 2}).Key() % shedShards)
+}
+
+// newShedHarness builds a 2-shard engine with queue depth 1, no
+// batching and no cache, whose workers serve only when told to.
+func newShedHarness(t *testing.T) *shedHarness {
 	t.Helper()
 	g, store := testOverlay(t, 200, 20)
+	h := &shedHarness{t: t}
+	for s := range h.grant {
+		h.grant[s] = make(chan struct{})
+	}
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 2, QueueDepth: 1, Window: 1,
-		Seed:      11,
-		testDelay: shedServiceTime,
+		Shards: shedShards, QueueDepth: shedQueueDepth, Window: 1,
+		Seed: 11,
+		testOnExecute: func(req Request) {
+			s := shedShard(req.Object)
+			h.begun[s].Add(1)
+			<-h.grant[s]
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	h.e = e
+	return h
 }
 
-// runPhase fires the given schedule open-loop (one goroutine per
-// request, launched at its offset regardless of completions) and
-// returns the sorted accepted-request latencies plus the shed count.
-func runPhase(t *testing.T, e *Engine, offsets []time.Duration, keys []uint64) ([]time.Duration, int) {
-	t.Helper()
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		lats  []time.Duration
-		sheds atomic.Int64
-	)
-	start := time.Now()
-	for i := range offsets {
-		wg.Add(1)
-		go func(at time.Duration, obj uint64) {
-			defer wg.Done()
-			if d := time.Until(start.Add(at)); d > 0 {
-				time.Sleep(d)
-			}
-			t0 := time.Now()
-			_, err := e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 2})
+// close lets every parked and future execution through, then stops the
+// engine; without the release a failed test would wedge in Close.
+func (h *shedHarness) close() {
+	for _, c := range h.grant {
+		close(c)
+	}
+	h.wg.Wait()
+	h.e.Close()
+}
+
+// settled reports whether the engine has come to rest: every offered
+// request is shed, queued or in service, every granted service has
+// been delivered, and no idle worker has a queued request left to
+// pick up. Between events the engine always reaches this state, and
+// only in this state does the test make its next move.
+func (h *shedHarness) settled() bool {
+	var admitted, delivered int64
+	for s := range h.grant {
+		begun, queued := h.begun[s].Load(), int64(len(h.e.shards[s].queue))
+		if begun == h.granted[s] && queued > 0 {
+			return false
+		}
+		admitted += begun + queued
+		delivered += h.granted[s]
+	}
+	shed := h.shed.Load()
+	return shed+admitted == h.offered && h.returned.Load()-shed == delivered
+}
+
+func (h *shedHarness) awaitSettled() {
+	h.t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !h.settled() {
+		if time.Now().After(deadline) {
+			h.t.Fatalf("engine never settled: offered %d, returned %d, shed %d, begun %d/%d, granted %v",
+				h.offered, h.returned.Load(), h.shed.Load(), h.begun[0].Load(), h.begun[1].Load(), h.granted)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// offer fires one Lookup per object at the same instant of virtual
+// time and returns once each has been admitted or shed.
+func (h *shedHarness) offer(objs ...uint64) {
+	h.t.Helper()
+	for _, obj := range objs {
+		h.offered++
+		h.wg.Add(1)
+		go func(obj uint64) {
+			defer h.wg.Done()
+			sent := h.now.Load()
+			_, err := h.e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 2})
 			switch err {
 			case nil:
-				mu.Lock()
-				lats = append(lats, time.Since(t0))
-				mu.Unlock()
+				h.mu.Lock()
+				h.latency = append(h.latency, h.now.Load()-sent)
+				h.mu.Unlock()
 			case ErrOverloaded:
-				sheds.Add(1)
+				h.shed.Add(1)
 			default:
-				t.Errorf("lookup: %v", err)
+				h.t.Errorf("lookup: %v", err)
 			}
-		}(offsets[i], keys[i])
+			h.returned.Add(1)
+		}(obj)
 	}
-	wg.Wait()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats, int(sheds.Load())
+	h.awaitSettled()
+}
+
+// tick advances virtual time by one service: every busy shard finishes
+// the request it holds and starts the next one queued, if any.
+func (h *shedHarness) tick() {
+	h.t.Helper()
+	h.now.Add(1)
+	for s := range h.grant {
+		if h.begun[s].Load() > h.granted[s] {
+			h.grant[s] <- struct{}{}
+			h.granted[s]++
+		}
+	}
+	h.awaitSettled()
 }
 
 // sameShardDistinctKey finds an object id != obj whose flood request
 // hashes to the same shard as obj's — queued behind it, but not
 // coalesced with it.
-func sameShardDistinctKey(obj uint64, shards int) uint64 {
-	want := (Request{Mech: MechFlood, Object: obj, TTL: 2}).Key() % uint64(shards)
+func sameShardDistinctKey(obj uint64) uint64 {
 	for cand := obj + 100000; ; cand++ {
-		if (Request{Mech: MechFlood, Object: cand, TTL: 2}).Key()%uint64(shards) == want {
+		if shedShard(cand) == shedShard(obj) {
 			return cand
 		}
 	}
 }
 
-func p99(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	return lats[len(lats)*99/100]
-}
-
 // TestLoadShedding is the overload-behavior acceptance test: at 2x the
 // saturation rate the engine sheds (the client sees ErrOverloaded,
-// which the HTTP front end maps to 429 — see http_test.go) and the p99
-// of ACCEPTED requests stays within 2x the unloaded p99. Bounded
-// queues mean overload degrades admission, not latency.
+// which the HTTP front end maps to 429 — see http_test.go) and an
+// ACCEPTED request is still answered as soon as an unloaded one that
+// found its shard busy: after the service in flight, the queue ahead
+// of it and its own. Bounded queues mean overload degrades admission,
+// not latency.
 func TestLoadShedding(t *testing.T) {
-	e := shedFixture(t)
-	defer e.Close()
+	h := newShedHarness(t)
+	defer h.close()
 
-	// Unloaded phase: ~25% of the 100 req/s capacity. Every 10th
-	// request is fired back-to-back with its predecessor on a DISTINCT
-	// key that hashes to the same shard, so the unloaded sample honestly
-	// includes the queue-behind-one-request case that defines its p99.
-	// (An identical key would no longer queue at all — singleflight
-	// coalescing hands it the predecessor's result in one service time.)
+	// Unloaded phase: one arrival per two services on two shards, 25%
+	// of capacity. Every 10th request is followed at once by one on a
+	// DISTINCT key that hashes to the same shard, so the phase includes
+	// the queue-behind-one-request case, which must be queued and not
+	// shed. (An identical key would not queue at all — singleflight
+	// coalescing hands it the predecessor's result.)
 	const unloadedN = 160
-	offs := make([]time.Duration, unloadedN)
-	keys := make([]uint64, unloadedN)
-	gap := 2 * shedServiceTime // 40ms: 2 shards => 25% utilization
-	for i := range offs {
-		offs[i] = time.Duration(i) * gap
-		keys[i] = uint64(i)
+	for i := uint64(0); h.offered < unloadedN; i++ {
+		h.offer(i)
 		if i%10 == 9 {
-			offs[i] = offs[i-1]
-			keys[i] = sameShardDistinctKey(keys[i-1], len(e.shards))
+			h.offer(sameShardDistinctKey(i))
 		}
+		h.tick()
+		h.tick()
 	}
-	unloaded, shedU := runPhase(t, e, offs, keys)
-	if shedU > unloadedN/50 {
-		t.Fatalf("unloaded phase shed %d/%d requests", shedU, unloadedN)
-	}
-	p99u := p99(unloaded)
-	if p99u < shedServiceTime {
-		t.Fatalf("unloaded p99 %v below the service time %v — clock is lying", p99u, shedServiceTime)
+	if shed := h.shed.Load(); shed != 0 {
+		t.Fatalf("unloaded phase shed %d/%d requests", shed, unloadedN)
 	}
 
-	// Overload phase: 2x saturation (200 req/s, capacity 100 req/s).
+	// Overload phase: four arrivals per tick against a capacity of two
+	// (one service per shard), 2x saturation.
 	const overloadN = 400
-	offs = make([]time.Duration, overloadN)
-	keys = make([]uint64, overloadN)
-	for i := range offs {
-		offs[i] = time.Duration(i) * shedServiceTime / 4 // 5ms spacing
-		keys[i] = uint64(1000 + i)
+	for i := uint64(0); i < overloadN; i += 4 {
+		h.offer(1000+i, 1001+i, 1002+i, 1003+i)
+		h.tick()
 	}
-	accepted, shedO := runPhase(t, e, offs, keys)
+	shed := int(h.shed.Load())
+	for h.returned.Load() < h.offered {
+		h.tick()
+	}
+	accepted := len(h.latency) - unloadedN
 
 	// The engine must actually shed: at 2x offered load, steady state
 	// rejects about half. Demand at least 20%.
-	if shedO < overloadN/5 {
-		t.Fatalf("overload shed only %d/%d requests (want >= %d)", shedO, overloadN, overloadN/5)
+	if shed < overloadN/5 {
+		t.Fatalf("overload shed only %d/%d requests (want >= %d)", shed, overloadN, overloadN/5)
 	}
-	if len(accepted) == 0 {
+	if accepted <= 0 {
 		t.Fatal("overload accepted nothing — shedding collapsed into unavailability")
 	}
-	p99o := p99(accepted)
-	if p99o > 2*p99u {
-		t.Fatalf("accepted p99 %v exceeds 2x unloaded p99 %v — backpressure is not protecting latency", p99o, p99u)
+	// Structural ceiling: an accepted request waits for the service in
+	// flight and for the requests queued ahead of it — fewer than
+	// QueueDepth, or it would have been shed — and then takes one
+	// service itself. The unloaded phase's queued-behind-one requests
+	// reach that ceiling; overload may not exceed it.
+	worstU, worstO := int64(0), int64(0)
+	for i, l := range h.latency {
+		if i < unloadedN {
+			worstU = max(worstU, l)
+		} else {
+			worstO = max(worstO, l)
+		}
 	}
-	// Structural ceiling independent of the measured baseline: an
-	// accepted request waits for at most one in-flight plus one queued
-	// service, plus generous 1-CPU scheduler slop.
-	if limit := 3*shedServiceTime + 50*time.Millisecond; p99o > limit {
-		t.Fatalf("accepted p99 %v above structural ceiling %v", p99o, limit)
+	if ceiling := int64(shedQueueDepth + 1); worstU != ceiling || worstO > ceiling {
+		t.Fatalf("worst accepted latency %d ticks unloaded (want %d), %d under overload (ceiling %d) — backpressure is not protecting latency",
+			worstU, ceiling, worstO, ceiling)
 	}
-	t.Logf("unloaded p99 %v; overload shed %d/%d, accepted p99 %v", p99u, shedO, overloadN, p99o)
+	t.Logf("unloaded: shed 0/%d, worst %d ticks; overload: shed %d/%d, accepted %d, worst %d ticks",
+		unloadedN, worstU, shed, overloadN, accepted, worstO)
 }

@@ -231,7 +231,8 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 			return search.Result{FirstMatchHop: -1} // counts as a failed probe
 		}
 		obj := store.RandomObject(rng)
-		return k.Flooder().Flood(src, ttl, func(u int) bool { return o.Alive(u) && store.Has(u, obj) })
+		hosts := k.Targets(store.Replicas(obj))
+		return k.Flooder().Flood(src, ttl, func(u int) bool { return o.Alive(u) && hosts(u) })
 	})
 	return agg.SuccessRate()
 }

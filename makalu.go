@@ -32,6 +32,7 @@ import (
 	"makalu/internal/core"
 	"makalu/internal/graph"
 	"makalu/internal/netmodel"
+	"makalu/internal/search"
 	"makalu/internal/spectral"
 )
 
@@ -85,7 +86,8 @@ type Config struct {
 type Overlay struct {
 	cfg    Config
 	core   *core.Overlay
-	frozen *graph.Graph // invalidated on mutation
+	frozen *graph.Graph   // invalidated on mutation
+	kernel *search.Kernel // single-query search scratch over frozen; dropped with it
 }
 
 // New builds a Makalu overlay: nodes join one at a time through
@@ -174,8 +176,9 @@ func (ov *Overlay) Neighbors(u int) []int {
 // MeanDegree returns the mean degree over alive nodes.
 func (ov *Overlay) MeanDegree() float64 { return ov.core.MeanDegree() }
 
-// invalidate drops the cached frozen graph after mutations.
-func (ov *Overlay) invalidate() { ov.frozen = nil }
+// invalidate drops the cached frozen graph, and the search scratch
+// sized to it, after mutations.
+func (ov *Overlay) invalidate() { ov.frozen, ov.kernel = nil, nil }
 
 // graphSnapshot returns (building if needed) the frozen CSR view.
 func (ov *Overlay) graphSnapshot() *graph.Graph {
@@ -183,6 +186,16 @@ func (ov *Overlay) graphSnapshot() *graph.Graph {
 		ov.frozen = ov.core.Freeze()
 	}
 	return ov.frozen
+}
+
+// searchKernel returns the reusable scratch behind the single-query
+// searches, so repeated Flood / ExpandingRingSearch / RandomWalkSearch
+// calls on an unchanged overlay do not reallocate node-sized state.
+func (ov *Overlay) searchKernel() *search.Kernel {
+	if ov.kernel == nil {
+		ov.kernel = search.NewKernel(ov.graphSnapshot(), 0)
+	}
+	return ov.kernel
 }
 
 // NeighborRating describes how node u currently rates neighbor v
@@ -394,9 +407,10 @@ func (c *Content) Replicas(obj uint64) []int {
 	return out
 }
 
-// Matcher returns a node predicate for an exact-object query.
+// Matcher returns a node predicate for an exact-object query: a
+// membership test on the object's replica set.
 func (c *Content) Matcher(obj uint64) func(node int) bool {
-	return func(node int) bool { return c.store.Has(node, obj) }
+	return search.NewTargets(c.store.N()).Set(c.store.Replicas(obj))
 }
 
 // WildcardMatcher returns a node predicate for a keyword query built
@@ -406,10 +420,5 @@ func (c *Content) Matcher(obj uint64) func(node int) bool {
 func (c *Content) WildcardMatcher(i, terms int, seed int64) func(node int) bool {
 	rng := rand.New(rand.NewSource(seed))
 	q := c.catalog.QueryFor(i, terms, rng)
-	nodes := c.catalog.MatchingNodes(q, c.store)
-	set := make(map[int32]bool, len(nodes))
-	for _, n := range nodes {
-		set[n] = true
-	}
-	return func(node int) bool { return set[int32(node)] }
+	return search.NewTargets(c.store.N()).Set(c.catalog.MatchingNodes(q, c.store))
 }

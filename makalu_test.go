@@ -196,6 +196,56 @@ func TestFloodEndToEnd(t *testing.T) {
 	}
 }
 
+// The single-query searches run on one scratch kernel kept beside the
+// frozen snapshot: once the first call has built both, a Flood
+// allocates nothing (the matcher is the caller's), and a mutation
+// drops the kernel with the snapshot so the next search is sized to
+// the grown overlay. Building a Flooder per call made this public API
+// slower than the serving engine running the same flood.
+func TestSingleQuerySearchReusesScratch(t *testing.T) {
+	ov, err := New(Config{Nodes: 400, Seed: 12, Headroom: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ov.PlaceContent(10, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := c.Objects()[0]
+	match := c.Matcher(obj)
+	hosts := 0
+	for u := 0; u < ov.Nodes(); u++ {
+		if match(u) {
+			hosts++
+		}
+	}
+	if hosts != len(c.Replicas(obj)) {
+		t.Fatalf("matcher accepts %d nodes, object has %d replicas", hosts, len(c.Replicas(obj)))
+	}
+	first := ov.Flood(1, 4, match)
+	var again SearchResult
+	if avg := testing.AllocsPerRun(20, func() { again = ov.Flood(1, 4, match) }); avg != 0 {
+		t.Fatalf("Flood allocates %.1f/op after the first call, want 0", avg)
+	}
+	if again != first {
+		t.Fatalf("repeated flood changed its answer: %+v then %+v", first, again)
+	}
+	ring := ov.ExpandingRingSearch(1, 6, match, 13)
+	if !first.Found || !ring.Found || ov.Flood(1, 4, match) != first {
+		t.Fatalf("searches sharing the scratch disturbed each other: flood %+v ring %+v", first, ring)
+	}
+
+	// Grow the overlay: the new node lies beyond the placement, hosts
+	// nothing, and a flood from it must run on scratch sized for it.
+	id := ov.AddNode()
+	if match(id) {
+		t.Fatal("a node added after placement cannot host the object")
+	}
+	if res := ov.Flood(id, 4, match); res.NodesVisited < 2 || !res.Found {
+		t.Fatalf("flood from the added node: %+v", res)
+	}
+}
+
 func TestWildcardFloodMatchesMoreNodes(t *testing.T) {
 	ov := newSmall(t, 400, 10)
 	c, err := ov.PlaceContent(200, 0.01)

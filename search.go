@@ -34,12 +34,14 @@ func fromInternal(r search.Result) SearchResult {
 // Flood runs a TTL-controlled flooding search from src over the alive
 // overlay: the paper's wildcard/attribute search mechanism. match is
 // the node predicate (use Content.Matcher or Content.WildcardMatcher).
+// Flood, RandomWalkSearch and ExpandingRingSearch reuse one scratch
+// kernel per overlay snapshot, so call them from one goroutine at a
+// time; the Batch variants are the parallel path.
 func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
 	if !ov.core.Alive(src) {
 		return SearchResult{FirstMatchHop: -1}
 	}
-	f := search.NewFlooder(ov.graphSnapshot())
-	return fromInternal(f.Flood(src, ttl, search.Matcher(match)))
+	return fromInternal(ov.searchKernel().Flooder().Flood(src, ttl, search.Matcher(match)))
 }
 
 // RandomWalkSearch runs a k-walker random walk from src (the
@@ -47,16 +49,15 @@ func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
 func (ov *Overlay) RandomWalkSearch(src, walkers, maxSteps int, match func(node int) bool, seed int64) SearchResult {
 	cfg := search.WalkConfig{Walkers: walkers, MaxSteps: maxSteps, CheckInterval: 4}
 	rng := rand.New(rand.NewSource(seed))
-	return fromInternal(search.RandomWalk(ov.graphSnapshot(), src, cfg, search.Matcher(match), rng))
+	return fromInternal(ov.searchKernel().Walker().Random(src, cfg, search.Matcher(match), rng))
 }
 
 // ExpandingRingSearch repeats floods with growing TTL until the query
 // resolves (TTL-control per Chang & Liu).
 func (ov *Overlay) ExpandingRingSearch(src, maxTTL int, match func(node int) bool, seed int64) SearchResult {
-	f := search.NewFlooder(ov.graphSnapshot())
 	cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: maxTTL}
 	rng := rand.New(rand.NewSource(seed))
-	return fromInternal(search.ExpandingRing(f, src, cfg, search.Matcher(match), rng))
+	return fromInternal(search.ExpandingRing(ov.searchKernel().Flooder(), src, cfg, search.Matcher(match), rng))
 }
 
 // BatchOptions sizes a parallel query batch. Queries are sharded over
@@ -145,7 +146,7 @@ func (ov *Overlay) FloodBatch(c *Content, ttl int, opt BatchOptions) BatchStats 
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().Flood(src, ttl, func(u int) bool { return c.store.Has(u, obj) })
+		return k.Flooder().Flood(src, ttl, k.Targets(c.store.Replicas(obj)))
 	}), o)
 }
 
@@ -159,7 +160,7 @@ func (ov *Overlay) RandomWalkBatch(c *Content, walkers, maxSteps int, opt BatchO
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Walker().Random(src, cfg, func(u int) bool { return c.store.Has(u, obj) }, rng)
+		return k.Walker().Random(src, cfg, k.Targets(c.store.Replicas(obj)), rng)
 	}), o)
 }
 
@@ -173,7 +174,7 @@ func (ov *Overlay) ExpandingRingBatch(c *Content, maxTTL int, opt BatchOptions) 
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return search.ExpandingRing(k.Flooder(), src, cfg, func(u int) bool { return c.store.Has(u, obj) }, rng)
+		return search.ExpandingRing(k.Flooder(), src, cfg, k.Targets(c.store.Replicas(obj)), rng)
 	}), o)
 }
 
