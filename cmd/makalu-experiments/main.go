@@ -12,12 +12,6 @@
 // table2 (E10), resilience (E11), expansion (E12), low-replication
 // (E13), strategies (E14), convergence (E15), ratings (E16), all.
 //
-// -bench-json <path> skips the experiments and instead reruns a
-// micro-benchmark suite through the public API, writing a
-// machine-readable report; -bench-suite selects the rating-engine
-// scenarios (core → the committed BENCH_core.json) or the parallel
-// query-batch engine (search → the committed BENCH_search.json).
-//
 // -workers bounds the goroutines used for query batches and the
 // experiment-cell scheduler (0 = GOMAXPROCS, 1 = sequential); results
 // are identical at any setting. -cpuprofile/-memprofile write pprof
@@ -37,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -107,10 +100,6 @@ func main() {
 		sources     = flag.Int("sources", 500, "BFS/Dijkstra sources for path analysis (0 = exact)")
 		workers     = flag.Int("workers", 0, "goroutines for query batches and experiment cells (0 = GOMAXPROCS, 1 = sequential; results identical at any setting)")
 		plotDir     = flag.String("plot", "", "write gnuplot .dat/.gp files for figures to this directory")
-		benchTo     = flag.String("bench-json", "", "run a micro-benchmark suite and write a JSON report to this path instead of experiments")
-		benchKind   = flag.String("bench-suite", "core", "benchmark suite for -bench-json: core (rating engine) or search (query-batch engine)")
-		benchBase   = flag.String("bench-baseline", "", "committed BENCH_*.json to compare the fresh -bench-json report against; exit non-zero on regression")
-		benchMaxX   = flag.Float64("bench-max-regression", 2.0, "maximum allowed ns/op ratio vs -bench-baseline before failing")
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 		liveChurn   = flag.Bool("live-churn", false, "run the live TCP fault-injection scenario instead of experiments (uses -seed; scale with -live-nodes)")
@@ -119,10 +108,8 @@ func main() {
 		tracePath   = flag.String("trace", "", "write the overlay event trace as JSON lines to this path at exit")
 		metricsDump = flag.Bool("metrics-dump", false, "print an expvar-style metrics dump to stderr at exit")
 		scaleSizes  = flag.String("scale-sizes", "10000,50000,200000,1000000,10000000", "comma-separated network sizes for -exp scale")
-		scaleJSON   = flag.String("scale-json", "", "write the -exp scale sweep as JSON to this path (the BENCH_scale.json record)")
+		scaleJSON   = flag.String("scale-json", "", "write the -exp scale sweep as JSON to this path")
 		scaleLand   = flag.Int("scale-landmarks", 64, "landmark BFS sources for the sampled path length in -exp scale")
-		streamJSON  = flag.String("stream-json", "", "write the -exp stream sweep as JSON to this path (the BENCH_stream.json record)")
-		streamBase  = flag.String("stream-baseline", "", "committed BENCH_stream.json to gate the fresh -exp stream run against; exit non-zero on regression")
 		streamXfers = flag.Int("stream-transfers", 0, "downloads per -exp stream scenario (0 = default 24)")
 	)
 	flag.Parse()
@@ -166,27 +153,6 @@ func main() {
 			}
 		}()
 	}
-	if *benchTo != "" {
-		if err := runBenchJSON(*benchTo, *benchKind); err != nil {
-			fmt.Fprintf(os.Stderr, "benchmark run failed: %v\n", err)
-			os.Exit(1)
-		}
-		if *benchBase != "" {
-			rep, err := os.ReadFile(*benchTo)
-			var fresh benchReport
-			if err == nil {
-				err = json.Unmarshal(rep, &fresh)
-			}
-			if err == nil {
-				err = compareBaseline(&fresh, *benchBase, *benchMaxX)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench-baseline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 	if *liveChurn {
 		if err := runLiveChurn(*liveNodes, *seed, reg, trace); err != nil {
 			fmt.Fprintf(os.Stderr, "live churn failed: %v\n", err)
@@ -205,9 +171,9 @@ func main() {
 	}
 	if *exp == "stream" {
 		// The streaming sweep drives the chunked-transfer scheduler
-		// under churn plus a kill wave; like scale it has its own knobs
-		// and JSON record, so it is excluded from -exp all.
-		if err := runStream(*n, *seed, *streamXfers, reg, *streamJSON, *streamBase); err != nil {
+		// under churn plus a kill wave; like scale it has its own knobs,
+		// so it is excluded from -exp all.
+		if err := runStream(*n, *seed, *streamXfers, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment stream failed: %v\n", err)
 			os.Exit(1)
 		}

@@ -13,7 +13,7 @@ import (
 
 // runScale drives the -exp scale sweep: parse the size list, run the
 // build+analysis at each size, print the table, and optionally write
-// the JSON record (the committed BENCH_scale.json).
+// the JSON record.
 func runScale(sizeList string, landmarks int, seed int64, jsonPath string) error {
 	var sizes []int
 	for _, f := range strings.Split(sizeList, ",") {

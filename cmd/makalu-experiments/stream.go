@@ -1,20 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"makalu/internal/experiments"
 	"makalu/internal/obs"
 )
 
-// runStream executes the chunked-streaming sweep (-exp stream), prints
-// the table, optionally writes the JSON record (-stream-json — the
-// BENCH_stream.json artifact) and optionally gates the fresh numbers
-// against a committed baseline (-stream-baseline).
-func runStream(n int, seed int64, transfers int, reg *obs.Registry, jsonPath, baselinePath string) error {
+// runStream executes the chunked-streaming sweep (-exp stream) and
+// prints the table.
+func runStream(n int, seed int64, transfers int, reg *obs.Registry) error {
 	opt := experiments.DefaultStreamOptions(n, seed)
 	if transfers > 0 {
 		opt.Transfers = transfers
@@ -27,87 +23,5 @@ func runStream(n int, seed int64, transfers int, reg *obs.Registry, jsonPath, ba
 	}
 	fmt.Println(res.Render())
 	fmt.Printf("[stream completed in %v]\n", time.Since(start).Round(time.Millisecond))
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("[stream report written to %s]\n", jsonPath)
-	}
-	if baselinePath != "" {
-		if err := checkStreamBaseline(res, baselinePath); err != nil {
-			return err
-		}
-		fmt.Printf("[stream baseline %s satisfied]\n", baselinePath)
-	}
-	return nil
-}
-
-// checkStreamBaseline gates a fresh stream sweep against the committed
-// BENCH_stream.json. The sweep is deterministic for a fixed seed, so on
-// unchanged code fresh == baseline exactly; the tolerances only give
-// intentional scheduler changes room to move the numbers without a
-// baseline refresh for every touch:
-//
-//   - each baseline row must still exist,
-//   - completion may not drop more than 10 points (churn makes some
-//     failures legitimate; a slide below that is a recovery regression),
-//   - mean goodput may not fall below half the baseline,
-//   - mean stall rate may not grow by more than 0.15,
-//   - the churn row must still prove the acceptance property: at least
-//     one in-flight transfer lost an active source to the kill wave,
-//     re-requests happened, and transfers still completed.
-func checkStreamBaseline(fresh *experiments.StreamResult, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("stream-baseline: %w", err)
-	}
-	var base experiments.StreamResult
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("stream-baseline %s: %w", path, err)
-	}
-	rows := make(map[string]experiments.StreamRow, len(fresh.Rows))
-	for _, r := range fresh.Rows {
-		rows[r.Label] = r
-	}
-	for _, b := range base.Rows {
-		f, ok := rows[b.Label]
-		if !ok {
-			return fmt.Errorf("stream-baseline: scenario %q missing from fresh run", b.Label)
-		}
-		if f.CompletedFraction < b.CompletedFraction-0.10 {
-			return fmt.Errorf("stream-baseline %s: completed fraction %.3f fell below baseline %.3f - 0.10",
-				b.Label, f.CompletedFraction, b.CompletedFraction)
-		}
-		if b.GoodputMean > 0 && f.GoodputMean < 0.5*b.GoodputMean {
-			return fmt.Errorf("stream-baseline %s: mean goodput %.1f B/ms fell below half of baseline %.1f",
-				b.Label, f.GoodputMean, b.GoodputMean)
-		}
-		if f.StallRateMean > b.StallRateMean+0.15 {
-			return fmt.Errorf("stream-baseline %s: mean stall rate %.4f exceeds baseline %.4f + 0.15",
-				b.Label, f.StallRateMean, b.StallRateMean)
-		}
-		if b.Label != "churn" {
-			continue
-		}
-		// Structural acceptance floor, independent of the numbers.
-		switch {
-		case f.KilledMidTransfer < 1:
-			return fmt.Errorf("stream-baseline churn: kill wave removed no active source mid-transfer")
-		case f.ReRequests < 1:
-			return fmt.Errorf("stream-baseline churn: no chunk was ever re-requested — source death never exercised recovery")
-		case f.Completed < 1:
-			return fmt.Errorf("stream-baseline churn: no transfer completed under churn")
-		}
-	}
 	return nil
 }

@@ -7,10 +7,7 @@ import (
 	"time"
 )
 
-// Row is one BENCH_serve.json measurement. Identity (which row a new
-// measurement replaces) is (label, proto, mech, zipf): the same
-// serving configuration re-measured overwrites itself, different
-// configurations accumulate.
+// Row is one run's measurement, as -json writes it.
 type Row struct {
 	Label        string  `json:"label"`
 	Proto        string  `json:"proto"`
@@ -73,50 +70,24 @@ func (res *result) row(label, proto, mech string, ttl int, zipf float64, conns i
 	return row
 }
 
-// Report is the BENCH_serve.json document, matching the repo's other
-// BENCH files: a generated stamp plus accumulated rows.
+// Report is the -json document: a generated stamp plus this run's row.
 type Report struct {
 	Generated string `json:"generated"`
 	Rows      []Row  `json:"rows"`
 }
 
-func sameIdentity(a, b Row) bool {
-	return a.Label == b.Label && a.Proto == b.Proto && a.Mech == b.Mech && a.Zipf == b.Zipf
+// failed is the exit-code rule: a run whose requests drew error
+// replies, or of which not one was accepted, did not measure the
+// serving stack. Shed and rate-limited requests are legitimate
+// outcomes of an overloaded daemon and do not fail the run.
+func (r Row) failed() bool {
+	return r.Errors > 0 || r.OK == 0
 }
 
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &Report{}, nil
-		}
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &r, nil
-}
-
-func mergeRow(path string, row Row) error {
-	r, err := loadReport(path)
-	if err != nil {
-		return err
-	}
-	replaced := false
-	for i := range r.Rows {
-		if sameIdentity(r.Rows[i], row) {
-			r.Rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		r.Rows = append(r.Rows, row)
-	}
-	r.Generated = time.Now().UTC().Format(time.RFC3339)
-	data, err := json.MarshalIndent(r, "", "  ")
+// writeJSON writes v as indented JSON, through a temporary file so a
+// reader never sees a partial document.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -126,31 +97,4 @@ func mergeRow(path string, row Row) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// compareBaseline gates a fresh row against the committed one with the
-// same identity: QPS must hold a floor fraction of the baseline and
-// p99 must stay under a ceiling multiple — the serve bench-regression
-// contract CI enforces.
-func compareBaseline(row Row, path string, minQPSFactor, maxP99Factor float64) error {
-	base, err := loadReport(path)
-	if err != nil {
-		return err
-	}
-	for _, b := range base.Rows {
-		if !sameIdentity(b, row) {
-			continue
-		}
-		if floor := b.QPS * minQPSFactor; row.QPS < floor {
-			return fmt.Errorf("row %s: qps %.0f below floor %.0f (baseline %.0f x factor %.2f)",
-				rowName(row), row.QPS, floor, b.QPS, minQPSFactor)
-		}
-		if ceil := b.P99Ms * maxP99Factor; row.P99Ms > ceil {
-			return fmt.Errorf("row %s: p99 %.3fms above ceiling %.3fms (baseline %.3fms x factor %.2f)",
-				rowName(row), row.P99Ms, ceil, b.P99Ms, maxP99Factor)
-		}
-		return nil
-	}
-	return fmt.Errorf("baseline %s has no row matching %s (proto %s, mech %s, zipf %g)",
-		path, rowName(row), row.Proto, row.Mech, row.Zipf)
 }

@@ -2,23 +2,20 @@
 // Makalu network on one machine: hundreds of real makalu-node
 // processes over real TCP, converged to the expander profile, then
 // driven through a deny-list partition and/or a SIGKILL wave while a
-// driver-side peer measures query latency. The aggregate lands in a
-// BENCH_testnet.json row.
+// driver-side peer measures query latency. -json writes the aggregate
+// row.
 //
 // Usage:
 //
 //	# the acceptance run: 500 real processes, 30% killed
-//	makalu-testnet -nodes 500 -kill 0.30 -seed 1 -json BENCH_testnet.json
+//	makalu-testnet -nodes 500 -kill 0.30 -seed 1 -json /tmp/testnet500.json
 //
 //	# CI smoke: 20 processes, one kill wave, a partition phase
-//	makalu-testnet -nodes 20 -kill 0.30 -partition 0.5 \
-//	    -json /tmp/testnet.json -baseline BENCH_testnet.json
+//	makalu-testnet -nodes 20 -kill 0.30 -partition 0.5 -json /tmp/testnet.json
 //
 // Every schedule decision (spawn fan-out, kill victims, partition
 // cut, per-process rng seeds) derives from -seed, so the kill
-// schedule is bit-reproducible; the row records its hash. -baseline
-// compares the fresh row against a committed BENCH_testnet.json and
-// exits non-zero on regression, mirroring the bench-regression gate.
+// schedule is bit-reproducible; the row records its hash.
 package main
 
 import (
@@ -53,10 +50,7 @@ func main() {
 		queryWait = flag.Duration("query-timeout", 5*time.Second, "per-query wait for the first hit")
 		partition = flag.Float64("partition", 0, "fraction to cut off via deny lists before the kill wave (0 = no partition phase)")
 		hold      = flag.Duration("partition-hold", 10*time.Second, "how long the partition holds before healing")
-		jsonOut   = flag.String("json", "", "write/merge the report row into this BENCH_testnet.json")
-		baseline  = flag.String("baseline", "", "committed BENCH_testnet.json to compare against; exit non-zero on regression")
-		degTol    = flag.Float64("degree-tolerance", 0.10, "allowed relative mean-degree deviation vs -baseline")
-		latFactor = flag.Float64("max-latency-regression", 3.0, "maximum post-kill query p99 ratio vs -baseline")
+		jsonOut   = flag.String("json", "", "write the report row as JSON to this path")
 	)
 	flag.Parse()
 
@@ -123,23 +117,12 @@ func main() {
 	printRow(row)
 
 	if *jsonOut != "" {
-		rep, err := testnet.LoadReport(*jsonOut)
-		if err != nil {
-			rep = &testnet.Report{}
-		}
-		rep.MergeRow(row)
+		rep := &testnet.Report{Rows: []testnet.Row{row}}
 		if err := rep.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[row merged into %s]\n", *jsonOut)
-	}
-	if *baseline != "" {
-		if err := testnet.CompareBaseline(row, *baseline, *degTol, *latFactor); err != nil {
-			fmt.Fprintf(os.Stderr, "baseline regression: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[baseline check vs %s passed]\n", *baseline)
+		fmt.Printf("[row written to %s]\n", *jsonOut)
 	}
 }
 

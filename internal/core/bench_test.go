@@ -7,10 +7,8 @@ import (
 	"makalu/internal/netmodel"
 )
 
-// Micro-benchmarks for the overlay's hot paths, tracking the perf
-// trajectory of the rating engine. cmd/makalu-experiments -bench-json
-// reruns the same scenarios through the public API and writes
-// BENCH_core.json so the numbers are versioned alongside the code.
+// Micro-benchmarks for the overlay's hot paths: the rating engine and
+// both prune engines.
 
 // benchOverlay builds an overlay whose every node has capacity `deg`
 // (mean degree settles just below it).
@@ -23,7 +21,7 @@ func benchOverlay(b *testing.B, n, deg int, full bool) *Overlay {
 		caps[i] = deg
 	}
 	cfg.Capacities = caps
-	cfg.FullRecomputePrune = full
+	cfg.fullRecomputePrune = full
 	o, err := Build(n, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -121,7 +119,7 @@ func BenchmarkBuildOverlay(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig(net, int64(i))
-				cfg.FullRecomputePrune = mode.full
+				cfg.fullRecomputePrune = mode.full
 				if _, err := Build(n, cfg); err != nil {
 					b.Fatal(err)
 				}

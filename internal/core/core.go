@@ -76,14 +76,15 @@ type Config struct {
 	// mean anything, and what reproduces the paper's measured
 	// connectivity and duplicate figures (see DESIGN.md).
 	RawProximity bool
-	// FullRecomputePrune disables the incremental rating engine inside
+	// fullRecomputePrune disables the incremental rating engine inside
 	// the pruning loop and re-rates every neighbor from scratch after
 	// each removal, as the paper describes Manage() literally. The
 	// incremental default produces bit-identical edge sets (asserted by
 	// the golden determinism tests) in O(deg² + k·deg) instead of
-	// O(k·deg²) for k removals; this flag keeps the slow path alive as
-	// the test oracle and for benchmarking the gap.
-	FullRecomputePrune bool
+	// O(k·deg²) for k removals; this field, which only the package's
+	// own tests and benchmarks can set, keeps the slow path alive as
+	// their oracle.
+	fullRecomputePrune bool
 	// Workers bounds the worker pool used by the parallel read-only
 	// phases (the ManageRound view-exchange sweep, RateAll, and the
 	// wave builder's walk and prune-decision passes). 0 uses one

@@ -56,7 +56,7 @@ func TestGoldenIncrementalPruneBuild(t *testing.T) {
 				fast := DefaultConfig(net, seed)
 				tc.mod(&fast)
 				slow := fast
-				slow.FullRecomputePrune = true
+				slow.fullRecomputePrune = true
 				slow.Workers = 1
 
 				of, err := Build(n, fast)
@@ -87,7 +87,7 @@ func TestGoldenPruneDropSequence(t *testing.T) {
 		mk := func(full bool) *Overlay {
 			cfg := DefaultConfig(net, 7)
 			cfg.Views = views
-			cfg.FullRecomputePrune = full
+			cfg.fullRecomputePrune = full
 			o, err := Build(n, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -250,7 +250,7 @@ func (o *Overlay) Rating(u, v int) float64 {
 // more neighbors than its capacity, disconnect the lowest-rated one.
 // The incremental engine maintains the rating state across removals
 // (one O(deg²) view sweep total, O(deg) per removal); setting
-// Config.FullRecomputePrune re-rates every neighbor from scratch after
+// Config.fullRecomputePrune re-rates every neighbor from scratch after
 // each removal, which is the paper-literal oracle the incremental path
 // is tested against. Both produce identical edge sets. It returns the
 // disconnected nodes.
@@ -258,7 +258,7 @@ func (o *Overlay) pruneToCapacity(u int, dropped []int32) []int32 {
 	if o.g.Degree(u) <= o.caps[u] {
 		return dropped
 	}
-	if o.cfg.FullRecomputePrune {
+	if o.cfg.fullRecomputePrune {
 		return o.pruneFullRecompute(u, dropped)
 	}
 	return o.pruneIncremental(u, dropped)

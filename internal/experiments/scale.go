@@ -18,8 +18,8 @@ import (
 // clock for build/freeze/diameter, memory high-water marks, and the
 // analysis results themselves. Below scaleOracleLimit the sublinear
 // estimators (iFUB diameter, landmark path sampling) are cross-checked
-// in-run against the all-pairs oracle, so the committed
-// BENCH_scale.json doubles as an exactness record.
+// in-run against the all-pairs oracle, so a sweep's record doubles as
+// an exactness record.
 
 // scaleOracleLimit is the largest size at which the all-pairs oracle
 // is re-run for cross-checking (the paper's own analysis ceiling).
@@ -60,8 +60,8 @@ type ScaleRow struct {
 	HeapSysMB   float64 `json:"heap_sys_mb"`   // OS-held heap high-water mark
 }
 
-// ScaleResult is the full sweep, rendered as a table and committed as
-// BENCH_scale.json.
+// ScaleResult is the full sweep, rendered as a table and written by
+// -scale-json.
 type ScaleResult struct {
 	Seed      int64      `json:"seed"`
 	Landmarks int        `json:"landmarks"`

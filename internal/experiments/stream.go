@@ -85,41 +85,41 @@ func DefaultStreamOptions(n int, seed int64) StreamOptions {
 // bytes per simulated millisecond; multiply by 8000 for bits/s under
 // the ms interpretation.
 type StreamRow struct {
-	Label             string  `json:"label"`
-	Transfers         int     `json:"transfers"`
-	Completed         int     `json:"completed"`
-	Failed            int     `json:"failed"`
-	CompletedFraction float64 `json:"completed_fraction"`
-	GoodputMean       float64 `json:"goodput_mean_bytes_per_ms"`
-	GoodputP50        float64 `json:"goodput_p50_bytes_per_ms"`
-	TTFBP50           float64 `json:"ttfb_p50_ms"`
-	ElapsedP50        float64 `json:"elapsed_p50_ms"`
-	StallRateMean     float64 `json:"stall_rate_mean"`
-	Timeouts          int     `json:"timeouts"`
-	ReRequests        int     `json:"re_requests"`
-	Rediscoveries     int     `json:"rediscoveries"`
-	SourcesEvicted    int     `json:"sources_evicted"`
-	SourcesKilled     int     `json:"sources_killed"`
+	Label             string
+	Transfers         int
+	Completed         int
+	Failed            int
+	CompletedFraction float64
+	GoodputMean       float64
+	GoodputP50        float64
+	TTFBP50           float64
+	ElapsedP50        float64
+	StallRateMean     float64
+	Timeouts          int
+	ReRequests        int
+	Rediscoveries     int
+	SourcesEvicted    int
+	SourcesKilled     int
 	// KilledMidTransfer is the number of in-flight transfers whose
 	// active source the kill wave removed (0 in the steady scenario).
-	KilledMidTransfer int `json:"killed_mid_transfer"`
-	Departures        int `json:"departures"`
-	Rejoins           int `json:"rejoins"`
+	KilledMidTransfer int
+	Departures        int
+	Rejoins           int
 }
 
-// StreamResult is the full -exp stream record, the shape committed as
-// BENCH_stream.json.
+// StreamResult is the full -exp stream record: the options that shape
+// the sweep and one row per scenario.
 type StreamResult struct {
-	N            int         `json:"n"`
-	Seed         int64       `json:"seed"`
-	Objects      int         `json:"objects"`
-	ObjectBytes  int64       `json:"object_bytes"`
-	ChunkBytes   int         `json:"chunk_bytes"`
-	Transfers    int         `json:"transfers"`
-	MaxSources   int         `json:"max_sources"`
-	Window       int         `json:"window"`
-	ChunkTimeout float64     `json:"chunk_timeout_ms"`
-	Rows         []StreamRow `json:"rows"`
+	N            int
+	Seed         int64
+	Objects      int
+	ObjectBytes  int64
+	ChunkBytes   int
+	Transfers    int
+	MaxSources   int
+	Window       int
+	ChunkTimeout float64
+	Rows         []StreamRow
 }
 
 // Render formats the sweep as the text table the CLI prints.

@@ -28,7 +28,8 @@ type Config struct {
 
 	// Route picks the routing policy: RouteHash (consistent-hash key
 	// affinity, the default) or RouteRandom (uniform spray — the
-	// baseline BENCH_gateway's affinity experiment compares against).
+	// baseline the affinity experiment in EXPERIMENTS.md compares
+	// against).
 	Route string
 
 	// HedgeMin/HedgeMax clamp the p99-derived hedge delay (defaults

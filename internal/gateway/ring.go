@@ -4,8 +4,8 @@
 // chained-splitmix64 key the serve engine shards and caches on — so
 // each backend's SLRU cache only ever sees ~1/N of the keyspace. At a
 // fixed total cache budget, key-affinity routing multiplies effective
-// cache capacity, which is the throughput win BENCH_gateway.json pins
-// against random routing.
+// cache capacity, which is the throughput win over random routing
+// recorded in EXPERIMENTS.md.
 //
 // Fault tolerance leans on the serve determinism contract: a response
 // is a pure function of (seed, epoch, key), so any backend answering a

@@ -9,8 +9,8 @@ import (
 // TCPServer is the gateway's client-facing line-protocol listener: the
 // backend frontend's own server (same sockets, bounds, grammar and
 // codec), so the load generator drives a direct backend and the gateway
-// with the same code path — the property the overhead row in
-// BENCH_gateway.json depends on.
+// with the same code path — the property a direct-vs-gateway
+// comparison depends on.
 type TCPServer = serve.TCPServer
 
 // TCPConfig bounds a client connection's resource use; the zero value

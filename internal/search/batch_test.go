@@ -334,8 +334,9 @@ func BenchmarkWalkerDegreeBiased(b *testing.B) {
 }
 
 // BenchmarkBatchFlood measures the batch engine end to end at both
-// worker settings (the BENCH_search.json scenarios run the same pair
-// through the command; see cmd/makalu-experiments).
+// worker settings, and sequentially with every BatchObs histogram on:
+// instrumented vs sequential is the observability overhead, whose
+// acceptance budget is < 5%.
 func BenchmarkBatchFlood(b *testing.B) {
 	const n = 2000
 	g := testGraph(n)
@@ -350,13 +351,17 @@ func BenchmarkBatchFlood(b *testing.B) {
 		src := rng.Intn(n)
 		return k.Flooder().Flood(src, 4, func(u int) bool { return store.Has(u, obj) })
 	}
-	for _, workers := range []int{1, 8} {
-		name := "sequential"
-		if workers > 1 {
-			name = "parallel-8"
-		}
-		b.Run(name, func(b *testing.B) {
-			br := &BatchRunner{Graph: g, Workers: workers, Seed: 42}
+	for _, c := range []struct {
+		name    string
+		workers int
+		obs     *BatchObs
+	}{
+		{"sequential", 1, nil},
+		{"instrumented", 1, NewBatchObs()},
+		{"parallel-8", 8, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			br := &BatchRunner{Graph: g, Workers: c.workers, Seed: 42, Obs: c.obs}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				br.Run(200, fn)

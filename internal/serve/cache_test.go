@@ -47,8 +47,8 @@ func TestSLRUEvictionPrefersProbation(t *testing.T) {
 // TestSLRUEvictionDeterminism pins the exact eviction sequence of a
 // fixed op trace: the policy (probation-first, LRU within segment,
 // promotion demotes the protected LRU back to probation) is part of
-// the serving contract — BENCH_serve hit rates are only reproducible
-// if eviction order is.
+// the serving contract — measured hit rates are only reproducible if
+// eviction order is.
 func TestSLRUEvictionDeterminism(t *testing.T) {
 	run := func() []uint64 {
 		c := newSLRU(4, 0.5) // protected cap 2

@@ -147,8 +147,8 @@ func TestCacheEquivalence(t *testing.T) {
 }
 
 // TestServingDeterminismAcrossRestart pins that a fresh engine with
-// the same seed serves the same results — the property that makes
-// BENCH_serve rows reproducible.
+// the same seed serves the same results — the property that makes a
+// serving measurement reproducible.
 func TestServingDeterminismAcrossRestart(t *testing.T) {
 	g, store := testOverlay(t, 400, 50)
 	abf := testABF(t, g, store)

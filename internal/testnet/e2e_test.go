@@ -9,8 +9,8 @@ import (
 // TestHarnessEndToEnd runs the whole orchestration on a miniature
 // network: 8 real makalu-node processes, a deny-list partition, a
 // 25% SIGKILL wave, and driver-side queries. Assertions stay lenient
-// (this is a plumbing test, not a performance gate — BENCH_testnet
-// and the CI smoke own the numeric acceptance).
+// (this is a plumbing test, not a performance gate — the CI smoke
+// owns the numeric acceptance).
 func TestHarnessEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")

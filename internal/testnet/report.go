@@ -2,13 +2,12 @@ package testnet
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"time"
 )
 
-// Row is one BENCH_testnet.json record: the aggregate outcome of one
-// multi-process run at a given (nodes, capacity, kill) point.
+// Row is the aggregate outcome of one multi-process run at a given
+// (nodes, capacity, kill) point.
 type Row struct {
 	Nodes            int     `json:"nodes"`
 	Capacity         int     `json:"capacity"`
@@ -17,7 +16,7 @@ type Row struct {
 	ManageIntervalMS float64 `json:"manage_interval_ms"`
 
 	// Convergence: live mean degree vs the simulator's at equal size
-	// and capacity (the acceptance gate is within 10%).
+	// and capacity.
 	SimMeanDegree float64       `json:"sim_mean_degree"`
 	Degrees       DegreeSummary `json:"degrees"`
 	Converged     bool          `json:"converged"`
@@ -62,37 +61,10 @@ type PartitionResult struct {
 	HealWaitSeconds float64 `json:"heal_wait_seconds"`
 }
 
-// Report is the BENCH_testnet.json document.
+// Report is the -json document: a generated stamp plus the run's row.
 type Report struct {
 	Generated string `json:"generated"`
-	Host      string `json:"host,omitempty"`
 	Rows      []Row  `json:"rows"`
-}
-
-// LoadReport parses an existing BENCH_testnet.json.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("testnet: %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// MergeRow inserts row into the report, replacing any existing row
-// with the same (nodes, capacity, kill_fraction) point so repeated
-// runs update in place.
-func (r *Report) MergeRow(row Row) {
-	for i, old := range r.Rows {
-		if old.Nodes == row.Nodes && old.Capacity == row.Capacity && old.KillFraction == row.KillFraction {
-			r.Rows[i] = row
-			return
-		}
-	}
-	r.Rows = append(r.Rows, row)
 }
 
 // WriteFile writes the report as indented JSON, stamping Generated.
@@ -104,40 +76,4 @@ func (r *Report) WriteFile(path string) error {
 	}
 	out = append(out, '\n')
 	return os.WriteFile(path, out, 0o644)
-}
-
-// CompareBaseline checks row against the committed baseline report,
-// mirroring the bench-regression gate: the matching row (same nodes,
-// capacity, kill fraction) must exist, the converged mean degree must
-// sit within degTol of the baseline's, and the post-kill query p99
-// must not exceed latFactor times the baseline's. Returns an error
-// describing the first regression found.
-func CompareBaseline(row Row, baselinePath string, degTol, latFactor float64) error {
-	base, err := LoadReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	for _, b := range base.Rows {
-		if b.Nodes != row.Nodes || b.Capacity != row.Capacity || b.KillFraction != row.KillFraction {
-			continue
-		}
-		if b.Degrees.Mean > 0 {
-			rel := row.Degrees.Mean/b.Degrees.Mean - 1
-			if rel < -degTol || rel > degTol {
-				return fmt.Errorf("testnet: mean degree %.2f deviates %+.1f%% from baseline %.2f (tolerance ±%.0f%%)",
-					row.Degrees.Mean, rel*100, b.Degrees.Mean, degTol*100)
-			}
-		}
-		if b.KillScheduleHash != "" && b.Seed == row.Seed && b.KillScheduleHash != row.KillScheduleHash {
-			return fmt.Errorf("testnet: kill schedule hash %s != baseline %s at equal seed — determinism regression",
-				row.KillScheduleHash, b.KillScheduleHash)
-		}
-		if b.QueryPost.P99 > 0 && row.QueryPost.P99 > latFactor*b.QueryPost.P99 {
-			return fmt.Errorf("testnet: post-kill query p99 %.1fms > %.1fx baseline %.1fms",
-				row.QueryPost.P99, latFactor, b.QueryPost.P99)
-		}
-		return nil
-	}
-	return fmt.Errorf("testnet: no baseline row for nodes=%d capacity=%d kill=%.2f in %s",
-		row.Nodes, row.Capacity, row.KillFraction, baselinePath)
 }

@@ -12,7 +12,7 @@ import (
 // (seed, salt|index) per decision stream. Nothing here reads a clock
 // or an OS rng, so a run's spawn order, bootstrap fan-out, kill wave
 // and partition cut are bit-reproducible given -seed — the property
-// the BENCH_testnet.json kill_schedule_hash records and CI pins.
+// a row's kill_schedule_hash records and TestKillWaveGoldenHash pins.
 
 // Stream salts keep the decision families disjoint.
 const (

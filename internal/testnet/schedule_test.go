@@ -88,9 +88,8 @@ func TestKillWaveDeterministicExactAndSorted(t *testing.T) {
 }
 
 // TestKillWaveGoldenHash pins the schedule bytes: if the derivation
-// ever changes, committed BENCH_testnet.json hashes (and the CI
-// reproducibility check) silently stop matching — fail loudly here
-// instead.
+// ever changes, the hashes recorded with earlier runs (EXPERIMENTS.md)
+// silently stop matching — fail loudly here instead.
 func TestKillWaveGoldenHash(t *testing.T) {
 	got := ScheduleHash(KillWave(1, 20, 0.30))
 	const want = "35912b5bc7db02ea"

@@ -106,61 +106,3 @@ func TestSummarizeLatencies(t *testing.T) {
 		t.Fatalf("percentiles off: %+v", got)
 	}
 }
-
-func TestReportMergeAndBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_testnet.json")
-	rep := &Report{}
-	row := Row{
-		Nodes: 20, Capacity: 10, KillFraction: 0.3, Seed: 1,
-		KillScheduleHash: "abc",
-		Degrees:          DegreeSummary{Mean: 9.0},
-		QueryPost:        LatencySummary{P99: 40},
-	}
-	rep.MergeRow(row)
-	row2 := row
-	row2.Degrees.Mean = 9.5
-	rep.MergeRow(row2) // same point: replace
-	other := row
-	other.Nodes = 500
-	rep.MergeRow(other) // new point: append
-	if len(rep.Rows) != 2 || rep.Rows[0].Degrees.Mean != 9.5 {
-		t.Fatalf("merge semantics wrong: %+v", rep.Rows)
-	}
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != 2 || back.Generated == "" {
-		t.Fatalf("report round trip: %+v", back)
-	}
-
-	// Baseline comparisons.
-	ok := row2
-	if err := CompareBaseline(ok, path, 0.10, 3.0); err != nil {
-		t.Fatalf("identical row flagged as regression: %v", err)
-	}
-	slow := row2
-	slow.QueryPost.P99 = 200 // > 3x the 40ms baseline
-	if err := CompareBaseline(slow, path, 0.10, 3.0); err == nil {
-		t.Fatal("latency regression not flagged")
-	}
-	sparse := row2
-	sparse.Degrees.Mean = 5 // way under the 9.5 baseline
-	if err := CompareBaseline(sparse, path, 0.10, 3.0); err == nil {
-		t.Fatal("degree collapse not flagged")
-	}
-	drift := row2
-	drift.KillScheduleHash = "zzz" // same seed, different schedule
-	if err := CompareBaseline(drift, path, 0.10, 3.0); err == nil {
-		t.Fatal("determinism drift not flagged")
-	}
-	missing := row2
-	missing.Nodes = 9999
-	if err := CompareBaseline(missing, path, 0.10, 3.0); err == nil {
-		t.Fatal("missing baseline row not flagged")
-	}
-}

@@ -7,8 +7,9 @@ import (
 // This file binds a node to the observability layer. All handles are
 // resolved once at Start; with Config.Metrics/Trace nil every handle
 // is nil and each instrumentation point reduces to one branch, so an
-// uninstrumented node pays nothing measurable (the <5% regression
-// budget on the flood benchmarks is pinned in BENCH_core.json).
+// uninstrumented node pays nothing measurable (the <5% budget is
+// measured by BenchmarkBatchFlood's instrumented case in
+// internal/search).
 //
 // Metric names are stable identifiers — the -metrics-json consumers
 // key on them. Several nodes may share one Registry (peer.Cluster
