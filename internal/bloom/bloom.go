@@ -70,18 +70,40 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// indexes derives the k bit positions of key via double hashing:
-// position_i = (h1 + i*h2) mod m with h2 forced odd.
-func (f *Filter) index(key uint64, i int) uint64 {
-	h1 := mix(key)
-	h2 := mix(key^0xabcdef1234567890) | 1
-	return (h1 + uint64(i)*h2) % f.m
+// hash2 is the double-hashing basis of a key: position i of a filter
+// with m bits is (h1 + i·h2) mod m, h2 forced odd.
+func hash2(key uint64) (h1, h2 uint64) {
+	return mix(key), mix(key^0xabcdef1234567890) | 1
+}
+
+// AppendPositions appends to dst the k bit positions a filter of m
+// bits derives for key, in hash order, for callers that keep many
+// equal-geometry filters in a word array of their own (see View) and
+// hash a key once for all of them. m must be in (0, 1<<32].
+func AppendPositions(dst []uint32, key uint64, m, k int) []uint32 {
+	h1, h2 := hash2(key)
+	for i := 0; i < k; i++ {
+		dst = append(dst, uint32((h1+uint64(i)*h2)%uint64(m)))
+	}
+	return dst
+}
+
+// View returns a filter of m bits and k hashes over the caller's
+// words, which must hold (m+63)/64 of them and are shared, not copied:
+// bits set through either are seen through both. Insertions counts
+// only the view's own Add calls.
+func View(words []uint64, m, k int) *Filter {
+	if m <= 0 || k <= 0 || len(words) != (m+63)/64 {
+		panic("bloom: view needs positive m and k and exactly (m+63)/64 words")
+	}
+	return &Filter{words: words, m: uint64(m), k: k}
 }
 
 // Add inserts a key.
 func (f *Filter) Add(key uint64) {
+	h1, h2 := hash2(key)
 	for i := 0; i < f.k; i++ {
-		p := f.index(key, i)
+		p := (h1 + uint64(i)*h2) % f.m
 		f.words[p/64] |= 1 << (p % 64)
 	}
 	f.n++
@@ -94,8 +116,9 @@ func (f *Filter) AddString(s string) { f.Add(HashString(s)) }
 // positives occur at the filter's fill-dependent rate; false
 // negatives never.
 func (f *Filter) Contains(key uint64) bool {
+	h1, h2 := hash2(key)
 	for i := 0; i < f.k; i++ {
-		p := f.index(key, i)
+		p := (h1 + uint64(i)*h2) % f.m
 		if f.words[p/64]&(1<<(p%64)) == 0 {
 			return false
 		}

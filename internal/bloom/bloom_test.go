@@ -3,6 +3,7 @@ package bloom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -343,5 +344,82 @@ func TestAttenuatedDeepLevelsFalsePositives(t *testing.T) {
 	}
 	if a.Levels[0].EstimatedFPRate() >= a.Levels[2].EstimatedFPRate() {
 		t.Fatal("deeper levels should have higher estimated FPR")
+	}
+}
+
+// legacyIndex is Filter.index as it was before the two mixes were
+// hoisted out of the per-hash loop: both re-run for every position.
+func legacyIndex(key uint64, i int, m uint64) uint64 {
+	h1 := mix(key)
+	h2 := mix(key^0xabcdef1234567890) | 1
+	return (h1 + uint64(i)*h2) % m
+}
+
+// Bit positions are a wire and index format (filters are exchanged
+// between peers and pinned by golden routing results): hoisting the
+// hashes, AppendPositions and View must all leave them where they were.
+func TestPositionsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, m := range []int{1, 63, 64, 65, 1000, 4096, 1 << 20} {
+		for k := 1; k <= 9; k += 2 {
+			f := New(m, k)
+			words := make([]uint64, (m+63)/64)
+			v := View(words, m, k)
+			for n := 0; n < 50; n++ {
+				key := rng.Uint64()
+				pos := AppendPositions(nil, key, m, k)
+				if len(pos) != k {
+					t.Fatalf("m=%d k=%d: %d positions", m, k, len(pos))
+				}
+				want := New(m, k)
+				for i := 0; i < k; i++ {
+					p := legacyIndex(key, i, uint64(m))
+					if uint64(pos[i]) != p {
+						t.Fatalf("m=%d k=%d key %#x hash %d: position %d, was %d", m, k, key, i, pos[i], p)
+					}
+					want.words[p/64] |= 1 << (p % 64)
+				}
+				single := New(m, k)
+				single.Add(key)
+				if !reflect.DeepEqual(single.words, want.words) {
+					t.Fatalf("m=%d k=%d key %#x: Add sets different bits", m, k, key)
+				}
+				if !single.Contains(key) {
+					t.Fatalf("m=%d k=%d key %#x: Contains misses an added key", m, k, key)
+				}
+				f.Add(key)
+				v.Add(key)
+			}
+			if !reflect.DeepEqual(f.words, words) {
+				t.Fatalf("m=%d k=%d: a view's Add did not write the caller's words as a filter would", m, k)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View over the wrong number of words should panic")
+		}
+	}()
+	View(make([]uint64, 3), 64, 2)
+}
+
+var sinkBool bool
+
+func BenchmarkFilterAdd(b *testing.B) {
+	f := New(1<<16, 4)
+	for i := 0; i < b.N; i++ {
+		f.Add(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+}
+
+func BenchmarkFilterContains(b *testing.B) {
+	f := New(1<<16, 4)
+	for i := 0; i < 4096; i++ {
+		f.Add(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Half the probed keys were added, so half the probes run all k hashes.
+		sinkBool = f.Contains(uint64(i%8192) * 0x9e3779b97f4a7c15)
 	}
 }

@@ -152,7 +152,7 @@ func RunABFvsDHT(opt Options, replication float64) (*ABFvsDHTResult, error) {
 		res.ABFMeanMsgs = agg.Hops.Mean()
 	}
 	chordHops, kadHops := 0, 0
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(search.NewQuerySource())
 	for q := 0; q < opt.Queries; q++ {
 		rng.Seed(search.QuerySeed(opt.Seed+53, q))
 		obj := store.RandomObject(rng)

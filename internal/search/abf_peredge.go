@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -34,27 +33,9 @@ type PerEdgeABFNetwork struct {
 // geometry and auto-sizing match BuildABFNetwork so the two variants
 // are directly comparable.
 func BuildPerEdgeABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*PerEdgeABFNetwork, error) {
-	if g.N() != store.N() {
-		return nil, fmt.Errorf("search: graph has %d nodes, store %d", g.N(), store.N())
-	}
-	if cfg.Depth < 1 {
-		return nil, fmt.Errorf("search: ABF depth must be >= 1, got %d", cfg.Depth)
-	}
-	if cfg.Hashes <= 0 {
-		cfg.Hashes = 4
-	}
-	if cfg.Decay <= 0 || cfg.Decay >= 1 {
-		cfg.Decay = 0.5
-	}
-	if cfg.TargetFPR <= 0 || cfg.TargetFPR >= 1 {
-		cfg.TargetFPR = 0.01
-	}
-	levels := cfg.Depth + 1
-	if cfg.LevelBits == nil {
-		cfg.LevelBits = autoLevelBits(g, store, levels, cfg.TargetFPR)
-	}
-	if len(cfg.LevelBits) != levels {
-		return nil, fmt.Errorf("search: need %d level sizes, got %d", levels, len(cfg.LevelBits))
+	cfg, err := cfg.resolved(g, store)
+	if err != nil {
+		return nil, err
 	}
 	net := &PerEdgeABFNetwork{
 		g:       g,

@@ -46,6 +46,18 @@ func TestBuildABFValidation(t *testing.T) {
 	if _, err := BuildABFNetwork(g, st5, cfg); err == nil {
 		t.Fatal("wrong level-size count should fail")
 	}
+	// A level size no filter can have used to panic inside a build
+	// worker goroutine, where no caller can recover it.
+	for _, bad := range []int{0, -64, 1<<32 + 1} {
+		cfg = DefaultABFConfig()
+		cfg.LevelBits = []int{64, 64, bad, 64}
+		if _, err := BuildABFNetwork(g, st5, cfg); err == nil {
+			t.Fatalf("level of %d bits should fail", bad)
+		}
+		if _, err := BuildPerEdgeABFNetwork(g, st5, cfg); err == nil {
+			t.Fatalf("per-edge: level of %d bits should fail", bad)
+		}
+	}
 }
 
 func TestABFLevelsEncodeDistance(t *testing.T) {

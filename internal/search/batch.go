@@ -34,7 +34,8 @@ func QuerySeed(batchSeed int64, q int) int64 {
 
 // Kernel is one worker's bundle of reusable per-query scratch engines.
 // Every engine is created lazily on first use and reused for the rest
-// of the batch, so steady-state queries allocate nothing. A Kernel is
+// of the batch — and, when the batch draws from a KernelPool, by later
+// batches — so steady-state queries allocate nothing. A Kernel is
 // confined to its worker goroutine and must not be shared.
 type Kernel struct {
 	// Index is the worker's position in [0, workers); batch callers
@@ -43,6 +44,7 @@ type Kernel struct {
 	Index int
 
 	g       *graph.Graph
+	rng     *rand.Rand // the per-query stream a batch worker re-seeds
 	flooder *Flooder
 	gossip  *GossipFlooder
 	walker  *Walker
@@ -62,6 +64,43 @@ func NewKernel(g *graph.Graph, index int) *Kernel {
 
 // Graph returns the frozen graph the kernel's engines run over.
 func (k *Kernel) Graph() *graph.Graph { return k.g }
+
+// KernelPool is a free list of kernels over one frozen graph, held by
+// whoever holds the graph and dropped with it, so that every batch
+// after the first finds its node-sized scratch ready instead of
+// allocating it for 5 ms of use (DESIGN.md "Kernels outlive the
+// batch"). Safe for concurrent batches: a kernel is owned by one worker
+// between get and put.
+type KernelPool struct {
+	g    *graph.Graph
+	mu   sync.Mutex
+	free []*Kernel
+}
+
+// NewKernelPool returns an empty pool of kernels over g.
+func NewKernelPool(g *graph.Graph) *KernelPool { return &KernelPool{g: g} }
+
+// get pops a kernel, or makes one, and stamps it with the worker index.
+func (p *KernelPool) get(index int) *Kernel {
+	p.mu.Lock()
+	var k *Kernel
+	if n := len(p.free); n > 0 {
+		k, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if k == nil {
+		k = NewKernel(p.g, index)
+	}
+	k.Index = index
+	return k
+}
+
+// put returns a kernel whose worker finished its queries.
+func (p *KernelPool) put(k *Kernel) {
+	p.mu.Lock()
+	p.free = append(p.free, k)
+	p.mu.Unlock()
+}
 
 // Flooder returns the worker's reusable flooding kernel. The same
 // instance also backs expanding-ring batches (ExpandingRing takes a
@@ -222,9 +261,10 @@ func (b *BatchObs) merge(o workerObs) {
 // graph. The zero value of Workers selects GOMAXPROCS.
 type BatchRunner struct {
 	Graph   *graph.Graph
-	Workers int       // goroutines; <= 0 means GOMAXPROCS, 1 is sequential
-	Seed    int64     // batch seed; per-query seeds derive from (Seed, q)
-	Obs     *BatchObs // optional per-query metrics; nil = zero overhead
+	Workers int         // goroutines; <= 0 means GOMAXPROCS, 1 is sequential
+	Seed    int64       // batch seed; per-query seeds derive from (Seed, q)
+	Obs     *BatchObs   // optional per-query metrics; nil = zero overhead
+	Kernels *KernelPool // optional pool over Graph; nil = fresh kernels per batch
 }
 
 // WorkerCount resolves the effective worker count for a batch of the
@@ -254,19 +294,17 @@ func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 	if queries <= 0 {
 		return NewAggregate()
 	}
+	// A kernel's scratch is sized to its graph, so the pool must be this
+	// graph's; without one the kernels live for this batch only.
+	pool := br.Kernels
+	if pool == nil {
+		pool = NewKernelPool(br.Graph)
+	} else if pool.g != br.Graph {
+		panic("search: batch over one graph given the kernel pool of another")
+	}
 	workers := br.WorkerCount(queries)
 	if workers == 1 {
-		kern := &Kernel{g: br.Graph}
-		rng := rand.New(rand.NewSource(0))
-		agg := NewAggregate()
-		o := br.Obs.worker()
-		for q := 0; q < queries; q++ {
-			rng.Seed(QuerySeed(br.Seed, q))
-			start := o.start()
-			r := fn(kern, q, rng)
-			o.observe(start, r)
-			agg.Add(r)
-		}
+		agg, o := br.runRange(pool, 0, 0, queries, fn)
 		br.Obs.merge(o)
 		return agg
 	}
@@ -287,19 +325,7 @@ func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			kern := &Kernel{Index: w, g: br.Graph}
-			rng := rand.New(rand.NewSource(0))
-			agg := NewAggregate()
-			o := br.Obs.worker()
-			for q := lo; q < hi; q++ {
-				rng.Seed(QuerySeed(br.Seed, q))
-				start := o.start()
-				r := fn(kern, q, rng)
-				o.observe(start, r)
-				agg.Add(r)
-			}
-			aggs[w] = agg
-			wobs[w] = o
+			aggs[w], wobs[w] = br.runRange(pool, w, lo, hi, fn)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -316,4 +342,26 @@ func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 		br.Obs.merge(wobs[w])
 	}
 	return total
+}
+
+// runRange is worker w's share of a batch: queries lo..hi-1 on one
+// kernel, each on a freshly seeded stream. The kernel goes back to the
+// pool only when every query returned, so a panicking QueryFunc cannot
+// leave half-reset scratch for a later batch to find.
+func (br *BatchRunner) runRange(pool *KernelPool, w, lo, hi int, fn QueryFunc) (*Aggregate, workerObs) {
+	kern := pool.get(w)
+	if kern.rng == nil {
+		kern.rng = rand.New(NewQuerySource())
+	}
+	agg := NewAggregate()
+	o := br.Obs.worker()
+	for q := lo; q < hi; q++ {
+		kern.rng.Seed(QuerySeed(br.Seed, q))
+		start := o.start()
+		r := fn(kern, q, kern.rng)
+		o.observe(start, r)
+		agg.Add(r)
+	}
+	pool.put(kern)
+	return agg, o
 }

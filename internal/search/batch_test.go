@@ -3,6 +3,9 @@ package search
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"makalu/internal/content"
@@ -41,7 +44,8 @@ func testStore(t testing.TB, n int) *content.Store {
 
 // runBoth executes the same batch sequentially (Workers=1) and in
 // parallel (Workers=8) and asserts the aggregates are identical —
-// including the full hop and message distributions.
+// including the full hop and message distributions — and then twice
+// more on pooled kernels, the second time on ones a batch already used.
 func runBoth(t *testing.T, g *graph.Graph, queries int, fn QueryFunc) {
 	t.Helper()
 	seq := (&BatchRunner{Graph: g, Workers: 1, Seed: 42}).Run(queries, fn)
@@ -51,6 +55,13 @@ func runBoth(t *testing.T, g *graph.Graph, queries int, fn QueryFunc) {
 	}
 	if seq.Queries != queries {
 		t.Fatalf("aggregate covers %d queries, want %d", seq.Queries, queries)
+	}
+	pool := NewKernelPool(g)
+	for i := 0; i < 2; i++ {
+		pooled := (&BatchRunner{Graph: g, Workers: 3, Seed: 42, Kernels: pool}).Run(queries, fn)
+		if !reflect.DeepEqual(seq, pooled) {
+			t.Fatalf("batch %d on pooled kernels diverged from sequential:\n  seq:    %v\n  pooled: %v", i, seq, pooled)
+		}
 	}
 }
 
@@ -368,4 +379,78 @@ func BenchmarkBatchFlood(b *testing.B) {
 			}
 		})
 	}
+}
+
+// A pooled batch finds the scratch of the batch before it: the same
+// kernels come back, re-indexed, and a steady-state batch allocates
+// nothing the size of the graph.
+func TestKernelPoolReusesScratch(t *testing.T) {
+	const n = 1 << 16
+	g := testGraph(n)
+	store := testStore(t, n)
+	pool := NewKernelPool(g)
+	seen := map[*Kernel]bool{}
+	var indexOK atomic.Bool
+	indexOK.Store(true)
+	var mu sync.Mutex
+	br := &BatchRunner{Graph: g, Workers: 4, Seed: 1, Kernels: pool}
+	fn := func(k *Kernel, q int, rng *rand.Rand) Result {
+		mu.Lock()
+		seen[k] = true
+		mu.Unlock()
+		if k.Index != q/10 { // 40 queries over 4 workers: 10 each
+			indexOK.Store(false)
+		}
+		obj := store.RandomObject(rng)
+		k.Walker().Random(rng.Intn(n), WalkConfig{Walkers: 4, MaxSteps: 32, CheckInterval: 4}, k.Targets(store.Replicas(obj)), rng)
+		return k.Flooder().Flood(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
+	}
+	for i := 0; i < 5; i++ {
+		br.Run(40, fn)
+	}
+	// A worker that finishes early hands its kernel to one starting
+	// late, so fewer than 4 may do; more means a batch made its own.
+	if len(seen) > 4 || len(pool.free) != len(seen) {
+		t.Fatalf("5 batches of 4 workers used %d kernels and left %d pooled, want at most 4 and all of them back", len(seen), len(pool.free))
+	}
+	if !indexOK.Load() {
+		t.Fatal("a pooled kernel kept the worker index of an earlier batch")
+	}
+
+	// Steady state, one worker so the count is exact: the smallest
+	// node-sized array any kernel engine holds is a bitmap of n/8 bytes.
+	br.Workers = 1
+	plain := func(k *Kernel, q int, rng *rand.Rand) Result {
+		obj := store.RandomObject(rng)
+		return k.Flooder().Flood(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
+	}
+	br.Run(40, plain)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const batches = 20
+	for i := 0; i < batches; i++ {
+		br.Run(40, plain)
+	}
+	runtime.ReadMemStats(&after)
+	if perBatch := (after.TotalAlloc - before.TotalAlloc) / batches; perBatch >= n/8 {
+		t.Fatalf("steady-state batch allocates %d bytes, a node-sized array (>= %d) among them", perBatch, n/8)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { br.Run(40, plain) }); allocs > 16 {
+		t.Fatalf("steady-state batch makes %.0f allocations, want <= 16", allocs)
+	}
+}
+
+// A kernel's scratch is sized to its graph, so a pool refuses a batch
+// over any other.
+func TestKernelPoolBoundToGraph(t *testing.T) {
+	g, other := testGraph(100), testGraph(200)
+	pool := NewKernelPool(g)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("batch over another graph accepted this graph's kernels")
+		}
+	}()
+	(&BatchRunner{Graph: other, Workers: 1, Kernels: pool}).Run(1, func(k *Kernel, q int, rng *rand.Rand) Result {
+		return k.Flooder().Flood(150, 2, noMatch)
+	})
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -101,5 +102,85 @@ func BenchmarkFloodOracle(b *testing.B) {
 	o := newOracleFlooder(g)
 	benchKernel(b, func(_ *Kernel, src int, match Matcher) Result {
 		return o.Flood(src, 4, match)
+	})
+}
+
+// The identifier-index benchmarks use the search_batch workload's world
+// (Makalu overlay, 2000 objects at 0.2% replication, depth-3 default
+// geometry; 10k nodes there). oracle is the per-node bloom.Attenuated
+// index the arena replaced (abf_oracle_test.go): the "before" rows.
+func abfBenchWorld(b *testing.B, n int) (*graph.Graph, *content.Store) {
+	ov, err := core.Build(n, core.DefaultConfig(netmodel.NewEuclidean(n, 1000, 1), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := content.Place(n, content.PlacementConfig{Objects: benchObjects, Replication: 0.002, MinReplicas: 1, Seed: 18})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ov.Freeze(), store
+}
+
+// BenchmarkBuildABF times one whole index build. The n=50000 rows take
+// ~20 s together and are the EXPERIMENTS.md "Recorded at scale" entry;
+// select them with -bench 'BuildABF/n=50000' -benchtime 1x.
+func BenchmarkBuildABF(b *testing.B) {
+	for _, n := range []int{10000, 50000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, store := abfBenchWorld(b, n)
+			b.Run("oracle", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := buildOracleABFNetwork(g, store, DefaultABFConfig()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("arena", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := BuildABFNetwork(g, store, DefaultABFConfig()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkABFLookup routes one identifier lookup per iteration (hop
+// budget 64, as search_batch does) on a stream re-seeded per query.
+func BenchmarkABFLookup(b *testing.B) {
+	const n = 10000
+	g, store := abfBenchWorld(b, n)
+	qs := benchQuerySet(store)
+	run := func(b *testing.B, lookup func(src int, obj uint64, rng *rand.Rand) Result) {
+		rng := rand.New(NewQuerySource())
+		b.ReportAllocs()
+		b.ResetTimer()
+		msgs := 0
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			rng.Seed(int64(i))
+			msgs += lookup(q.src%n, q.obj, rng).Messages
+		}
+		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
+	}
+	b.Run("n=10000/oracle", func(b *testing.B) {
+		net, err := buildOracleABFNetwork(g, store, DefaultABFConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := newOracleABFRouter(net)
+		run(b, func(src int, obj uint64, rng *rand.Rand) Result {
+			res, _ := r.LookupNode(src, obj, 64, rng)
+			return res
+		})
+	})
+	b.Run("n=10000/arena", func(b *testing.B) {
+		net, err := BuildABFNetwork(g, store, DefaultABFConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := NewABFRouter(net)
+		run(b, func(src int, obj uint64, rng *rand.Rand) Result { return r.Lookup(src, obj, 64, rng) })
 	})
 }

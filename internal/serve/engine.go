@@ -495,7 +495,7 @@ func (e *Engine) worker(index int, sh *shard) {
 	var (
 		kern     *search.Kernel
 		lastSnap *snapshot
-		rng      = rand.New(rand.NewSource(0))
+		rng      = rand.New(search.NewQuerySource())
 		batch    = make([]*pending, 0, e.cfg.Window)
 	)
 	for {

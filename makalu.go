@@ -84,10 +84,11 @@ type Config struct {
 
 // Overlay is a built Makalu overlay plus cached analysis state.
 type Overlay struct {
-	cfg    Config
-	core   *core.Overlay
-	frozen *graph.Graph   // invalidated on mutation
-	kernel *search.Kernel // single-query search scratch over frozen; dropped with it
+	cfg     Config
+	core    *core.Overlay
+	frozen  *graph.Graph       // invalidated on mutation
+	kernel  *search.Kernel     // single-query search scratch over frozen; dropped with it
+	kernels *search.KernelPool // batch workers' scratch over frozen; made and dropped with it
 }
 
 // New builds a Makalu overlay: nodes join one at a time through
@@ -178,12 +179,13 @@ func (ov *Overlay) MeanDegree() float64 { return ov.core.MeanDegree() }
 
 // invalidate drops the cached frozen graph, and the search scratch
 // sized to it, after mutations.
-func (ov *Overlay) invalidate() { ov.frozen, ov.kernel = nil, nil }
+func (ov *Overlay) invalidate() { ov.frozen, ov.kernel, ov.kernels = nil, nil, nil }
 
 // graphSnapshot returns (building if needed) the frozen CSR view.
 func (ov *Overlay) graphSnapshot() *graph.Graph {
 	if ov.frozen == nil {
 		ov.frozen = ov.core.Freeze()
+		ov.kernels = search.NewKernelPool(ov.frozen)
 	}
 	return ov.frozen
 }

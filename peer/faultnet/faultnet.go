@@ -49,10 +49,10 @@ type Config struct {
 type Network struct {
 	cfg Config
 
-	mu       sync.Mutex
-	seq      int64              // connection counter, for per-conn RNG derivation
-	isolated map[string]bool    // node listen addr -> all its traffic black-holed
-	cut      map[[2]string]bool // link (addr pair) -> black-holed
+	mu        sync.Mutex
+	endpoints int64              // endpoints created, for per-conn RNG derivation
+	isolated  map[string]bool    // node listen addr -> all its traffic black-holed
+	cut       map[[2]string]bool // link (addr pair) -> black-holed
 
 	dropped    atomic.Uint64
 	duplicated atomic.Uint64
@@ -121,26 +121,30 @@ func (n *Network) blackholed(local, peer string) bool {
 	return peer != "" && n.cut[pairKey(local, peer)]
 }
 
-func (n *Network) nextSeq() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.seq++
-	return n.seq
-}
-
 // Endpoint returns a node's view of the network. It implements the
 // peer package's Transport interface.
 func (n *Network) Endpoint() *Endpoint {
-	return &Endpoint{net: n}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.endpoints++
+	return &Endpoint{net: n, index: n.endpoints}
 }
+
+// Connection roles, the two ways an endpoint comes to hold a Conn.
+const (
+	roleDial = iota
+	roleAccept
+)
 
 // Endpoint is one node's transport. Its identity (listen address) is
 // recorded at Listen time and stamps every connection it creates.
 type Endpoint struct {
-	net *Network
+	net   *Network
+	index int64 // creation order on the network, from 1
 
 	mu    sync.Mutex
 	local string
+	conns [2]int64 // connections wrapped so far, by role
 }
 
 func (e *Endpoint) localAddr() string {
@@ -176,7 +180,7 @@ func (e *Endpoint) DialTimeout(network, address string, timeout time.Duration) (
 	if err != nil {
 		return nil, err
 	}
-	return e.wrap(c, address), nil
+	return e.wrap(c, address, roleDial), nil
 }
 
 type listener struct {
@@ -191,16 +195,26 @@ func (l *listener) Accept() (net.Conn, error) {
 	}
 	// The dialer's listen address is unknown until the protocol labels
 	// the connection via SetPeer.
-	return l.ep.wrap(c, ""), nil
+	return l.ep.wrap(c, "", roleAccept), nil
 }
 
-func (e *Endpoint) wrap(c net.Conn, peer string) *Conn {
-	seq := e.net.nextSeq()
+// wrap derives the connection's rng stream from the network seed, the
+// endpoint's creation index, the role and the endpoint's own count of
+// connections in that role. A network-wide connection counter would
+// not do: the two ends of one TCP connection are wrapped by the dialing
+// and the accepting goroutine in whichever order the scheduler picks,
+// so equal seeds would give different fault schedules run to run.
+func (e *Endpoint) wrap(c net.Conn, peer string, role int) *Conn {
+	e.mu.Lock()
+	seq := e.conns[role]
+	e.conns[role]++
+	e.mu.Unlock()
+	stream := (e.index<<1|int64(role))<<32 + seq
 	return &Conn{
 		c:         c,
 		ep:        e,
 		peer:      peer,
-		rng:       rand.New(rand.NewSource(e.net.cfg.Seed*1000003 + seq)),
+		rng:       rand.New(rand.NewSource(e.net.cfg.Seed*1000003 + stream)),
 		closed:    make(chan struct{}),
 		dlChanged: make(chan struct{}),
 	}

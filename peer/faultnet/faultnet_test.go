@@ -284,3 +284,41 @@ func TestNonFrameTrafficPassesThrough(t *testing.T) {
 		t.Fatalf("blob mangled: %x", got)
 	}
 }
+
+// The two ends of a connection are wrapped by racing goroutines, so a
+// connection's fault stream must not depend on which is wrapped first
+// (the network-wide counter it used to derive from did, and made
+// TestDeterministicFaultsAcrossRuns fail about one run in ten).
+func TestConnStreamIndependentOfWrapOrder(t *testing.T) {
+	draws := func(dialFirst bool) (dial, accept int64) {
+		n := New(Config{Seed: 23})
+		ln, dialer := n.Endpoint(), n.Endpoint()
+		var d, a *Conn
+		if dialFirst {
+			d = dialer.wrap(nil, "", roleDial)
+			a = ln.wrap(nil, "", roleAccept)
+		} else {
+			a = ln.wrap(nil, "", roleAccept)
+			d = dialer.wrap(nil, "", roleDial)
+		}
+		return d.rng.Int63(), a.rng.Int63()
+	}
+	d1, a1 := draws(true)
+	d2, a2 := draws(false)
+	if d1 != d2 || a1 != a2 {
+		t.Fatalf("stream depends on wrap order: dial %d vs %d, accept %d vs %d", d1, d2, a1, a2)
+	}
+	if d1 == a1 {
+		t.Fatal("dial and accept ends share a stream")
+	}
+	// Later connections of one endpoint, and the other role, get their own.
+	n := New(Config{Seed: 23})
+	ep := n.Endpoint()
+	seen := map[int64]bool{}
+	for _, role := range []int{roleDial, roleDial, roleAccept, roleAccept} {
+		seen[ep.wrap(nil, "", role).rng.Int63()] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("4 connections of one endpoint drew %d distinct streams", len(seen))
+	}
+}

@@ -142,7 +142,7 @@ func statsFrom(agg *search.Aggregate, o *search.BatchObs) BatchStats {
 func (ov *Overlay) FloodBatch(c *Content, ttl int, opt BatchOptions) BatchStats {
 	g := ov.graphSnapshot()
 	o := opt.obs()
-	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o}
+	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o, Kernels: ov.kernels}
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
@@ -156,7 +156,7 @@ func (ov *Overlay) RandomWalkBatch(c *Content, walkers, maxSteps int, opt BatchO
 	g := ov.graphSnapshot()
 	cfg := search.WalkConfig{Walkers: walkers, MaxSteps: maxSteps, CheckInterval: 4}
 	o := opt.obs()
-	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o}
+	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o, Kernels: ov.kernels}
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
@@ -170,7 +170,7 @@ func (ov *Overlay) ExpandingRingBatch(c *Content, maxTTL int, opt BatchOptions) 
 	g := ov.graphSnapshot()
 	cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: maxTTL}
 	o := opt.obs()
-	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o}
+	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o, Kernels: ov.kernels}
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
@@ -182,11 +182,12 @@ func (ov *Overlay) ExpandingRingBatch(c *Content, maxTTL int, opt BatchOptions) 
 // exact identifier search (§4.6). Build one per content placement;
 // rebuild after overlay mutations or content changes.
 type IdentifierIndex struct {
-	g      *graph.Graph
-	store  *content.Store
-	net    *search.ABFNetwork
-	router *search.ABFRouter
-	rng    *rand.Rand
+	g       *graph.Graph
+	store   *content.Store
+	net     *search.ABFNetwork
+	router  *search.ABFRouter
+	rng     *rand.Rand
+	kernels *search.KernelPool // LookupBatch workers' routers; lives as long as the index
 }
 
 // BuildIdentifierIndex computes every node's attenuated Bloom filter
@@ -202,11 +203,12 @@ func (ov *Overlay) BuildIdentifierIndex(c *Content) (*IdentifierIndex, error) {
 		return nil, err
 	}
 	return &IdentifierIndex{
-		g:      g,
-		store:  c.store,
-		net:    net,
-		router: search.NewABFRouter(net),
-		rng:    rand.New(rand.NewSource(ov.cfg.Seed + 23)),
+		g:       g,
+		store:   c.store,
+		net:     net,
+		router:  search.NewABFRouter(net),
+		rng:     rand.New(rand.NewSource(ov.cfg.Seed + 23)),
+		kernels: search.NewKernelPool(g),
 	}, nil
 }
 
@@ -222,7 +224,7 @@ func (ix *IdentifierIndex) Lookup(src int, obj uint64, ttl int) SearchResult {
 // owns its own router scratch).
 func (ix *IdentifierIndex) LookupBatch(ttl int, opt BatchOptions) BatchStats {
 	o := opt.obs()
-	br := &search.BatchRunner{Graph: ix.g, Workers: opt.Workers, Seed: opt.Seed, Obs: o}
+	br := &search.BatchRunner{Graph: ix.g, Workers: opt.Workers, Seed: opt.Seed, Obs: o, Kernels: ix.kernels}
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := ix.store.RandomObject(rng)
 		src := rng.Intn(ix.g.N())
