@@ -46,26 +46,31 @@ func buildWith(t testing.TB, n int, seed int64, views ViewMode, joinWave, worker
 	return o
 }
 
-// TestGoldenPinnedBuildHashes pins the sequential build's exact edge
-// sets across seeds and view modes. The hashes were captured from the
-// build BEFORE this PR's kernel and wave work landed, so they prove
-// the L1 hash kernels, the gathered-row sweeps and the permutation
-// buffer reuse are bit-identical rewrites — and that JoinWave<=1
-// really routes through the untouched sequential path.
+// TestGoldenPinnedBuildHashes pins the build's exact edge sets across
+// seeds, view modes and schedules. The sequential rows (JoinWave 0 and
+// 1, which must route through the same path) were captured before the
+// L1 hash kernels landed; the JoinWave=256 rows were captured at the
+// commit before the rating kernels were folded onto one table, so wave
+// edge sets are pinned absolutely, not only against each other
+// (TestWaveWorkerDeterminism).
 func TestGoldenPinnedBuildHashes(t *testing.T) {
+	sequential := []int{0, 1}
 	cases := []struct {
-		n     int
-		seed  int64
-		views ViewMode
-		want  uint64
+		n        int
+		seed     int64
+		views    ViewMode
+		joinWave []int
+		want     uint64
 	}{
-		{500, 1, OracleViews, 0xfd9a77d551ea2479},
-		{500, 2, OracleViews, 0x29d7ba772205bcad},
-		{500, 1, ProtocolViews, 0xfd9a77d551ea2479},
-		{2000, 7, OracleViews, 0x247a4751330d9e8a},
+		{500, 1, OracleViews, sequential, 0xfd9a77d551ea2479},
+		{500, 2, OracleViews, sequential, 0x29d7ba772205bcad},
+		{500, 1, ProtocolViews, sequential, 0xfd9a77d551ea2479},
+		{2000, 7, OracleViews, sequential, 0x247a4751330d9e8a},
+		{4000, 11, OracleViews, []int{256}, 0x75228b230bbe419f},
+		{2000, 7, ProtocolViews, []int{256}, 0x0c12958758a03114},
 	}
 	for _, tc := range cases {
-		for _, joinWave := range []int{0, 1} {
+		for _, joinWave := range tc.joinWave {
 			o := buildWith(t, tc.n, tc.seed, tc.views, joinWave, 1)
 			if got := buildEdgeHash(o); got != tc.want {
 				t.Errorf("n=%d seed=%d views=%d joinWave=%d: edge hash 0x%016x, want pinned 0x%016x",
