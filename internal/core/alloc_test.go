@@ -99,3 +99,47 @@ func TestManageRoundAllocsBounded(t *testing.T) {
 		t.Errorf("ManageRound allocates %.1f/round on n=%d; want <= 16", avg, o.N())
 	}
 }
+
+// TestGrownTableZeroAlloc pins the rating table's growth as a one-time
+// cost: at uniform capacity 40 a node's view volume outgrows the
+// initial table, and once a scratch has grown, rating, walking and
+// multi-link pruning on it allocate nothing.
+func TestGrownTableZeroAlloc(t *testing.T) {
+	const n, capacity, excess = 600, 40, 6
+	cfg := DefaultConfig(netmodel.NewEuclidean(n, 1000, 7), 7)
+	cfg.Capacities = make([]int, n)
+	for i := range cfg.Capacities {
+		cfg.Capacities[i] = capacity
+	}
+	cfg.Workers = 1
+	o, err := Build(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(o.scratch.tab); got <= rateSlots {
+		t.Fatalf("table has %d slots after a capacity-%d build; the test needs it grown", got, capacity)
+	}
+	rng := rand.New(rand.NewSource(3))
+	buf := o.RateNeighbors(0, nil)
+	cands := o.randomWalkCandidates(0, 1, nil)
+	var dropped []int32
+	cycle := func() {
+		u := rng.Intn(n)
+		buf = o.RateNeighbors(u, buf)
+		cands = o.randomWalkCandidates(u, rng.Intn(n), cands)
+		// Force node 0 over capacity and drain it again.
+		for o.g.Degree(0) < o.caps[0]+excess {
+			o.g.AddEdge(0, rng.Intn(n))
+		}
+		dropped = o.pruneToCapacity(0, dropped[:0])
+	}
+	for i := 0; i < 20; i++ {
+		cycle() // adjacency rows and buffers reach their high-water marks
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("rate+walk+prune on a grown table allocates %.2f/op; want 0", avg)
+	}
+	if len(dropped) != excess {
+		t.Errorf("prune dropped %d links, want %d", len(dropped), excess)
+	}
+}

@@ -34,16 +34,15 @@ func (o *Overlay) randomWalkCandidates(u, seed int, out []int32) []int32 {
 	if !o.alive[seed] {
 		return out
 	}
-	// Membership in out/fallback is tracked with an epoch-stamped mark
-	// per node instead of linear scans, so accepting a candidate is
-	// O(1) rather than O(candidates collected so far). The boundary
-	// membership test ("is x already visible within two hops of u?")
-	// is likewise precomputed once into the stamp array — one O(deg²)
-	// sweep for the whole walk instead of one per candidate. Γ(u) does
-	// not change while candidates are gathered, so the set stays valid.
 	out, o.fallbackBuf = o.walkCandidatesOn(&o.scratch, o.rng, u, seed, out, o.fallbackBuf[:0])
 	return out
 }
+
+// Flag bits the candidate walk keeps in a rating cell's count field.
+const (
+	walkBoundary int32 = 1 << 0 // x ∈ Γ(u) ∪ ∂Γ(u): fallback-only candidate
+	walkMarked   int32 = 1 << 1 // already in the candidate or fallback list
+)
 
 // walkCandidatesOn is randomWalkCandidates on an explicit scratch, rng
 // and fallback buffer, so the wave builder's concurrent join walks can
@@ -51,28 +50,30 @@ func (o *Overlay) randomWalkCandidates(u, seed int, out []int32) []int32 {
 // overlay (adjacency, liveness, views) and writes its own scratch. The
 // rng is either the overlay's *rand.Rand (sequential trace) or a
 // per-slot waveRng stream (wave builder).
+//
+// Membership is tracked in the scratch's rating table, so accepting a
+// candidate is O(1) rather than O(candidates collected so far). The
+// boundary test ("is x already visible within two hops of u?") is one
+// O(deg²) pre-pass over the views for the whole walk; Γ(u) does not
+// change while candidates are gathered, so the set stays valid.
 func (o *Overlay) walkCandidatesOn(s *ratingScratch, rng intner, u, seed int, out, fallback []int32) (cands, fb []int32) {
-	if rows, vol := o.gatherViews(s, o.g.Neighbors(u)); vol <= whFallback {
-		// Small boundary: run the membership bookkeeping in the
-		// L1-resident walk table (identical output, see ratehash.go).
-		return o.walkCandidatesHash(s, rng, u, rows, seed, out, fallback)
-	}
-	s.markEpoch++
-	mep := s.markEpoch
-	s.epoch++
-	bep := s.epoch
-	cells := s.cells
-	for _, w := range o.g.Neighbors(u) {
-		for _, y := range o.neighborView(int(w)) {
-			cells[y].stamp = bep
+	rows, need := o.gatherViews(s, o.g.Neighbors(u))
+	s.reserve(need+o.cfg.WalkLength, 0) // the walk marks at most 1 + WalkLength/2 more
+	for _, row := range rows {
+		for _, y := range row {
+			s.lookup(y).count = walkBoundary
 		}
 	}
 	maybeAdd := func(x int) {
-		if x == u || cells[x].mark == mep || o.g.HasEdge(u, x) || !o.alive[x] {
+		if x == u || o.g.HasEdge(u, x) || !o.alive[x] {
 			return
 		}
-		cells[x].mark = mep
-		if cells[x].stamp == bep { // x ∈ Γ(u) ∪ ∂Γ(u): fallback only
+		e := s.lookup(int32(x))
+		if e.count&walkMarked != 0 {
+			return
+		}
+		e.count |= walkMarked
+		if e.count&walkBoundary != 0 { // fallback only
 			fallback = append(fallback, int32(x))
 			return
 		}
@@ -112,6 +113,7 @@ func (o *Overlay) walkCandidatesOn(s *ratingScratch, rng intner, u, seed int, ou
 		}
 		out = append(out, f)
 	}
+	s.clear()
 	return out, fallback
 }
 
@@ -200,21 +202,7 @@ func (o *Overlay) fillConnections(u, seedPeer int) {
 // first in ProtocolViews mode (the paper's routing-table exchange).
 func (o *Overlay) ManageRound() {
 	n := o.g.N()
-	if t := o.cfg.Tracer; t != nil {
-		// Each round starts with the periodic routing-table exchange:
-		// every node pushes its neighbor list to each neighbor.
-		for u := 0; u < n; u++ {
-			if !o.alive[u] {
-				continue
-			}
-			deg := o.g.Degree(u)
-			for _, v := range o.g.Neighbors(u) {
-				if o.alive[v] {
-					t.ViewExchange(u, int(v), deg)
-				}
-			}
-		}
-	}
+	o.traceViewExchange()
 	o.refreshAllViews() // parallel snapshot sweep (ProtocolViews only)
 	order := o.perm(n)
 	for _, u := range order {
@@ -226,12 +214,12 @@ func (o *Overlay) ManageRound() {
 		// rating function a chance to upgrade the neighbor set (the
 		// candidate sticks only if it outranks the current worst).
 		for p := 0; p < o.cfg.ProbesPerRound; p++ {
-			if c := o.randomAliveNodeExcept(u); c >= 0 {
+			if c := o.randomAliveNodeExcept(o.rng, u); c >= 0 {
 				o.connect(u, c)
 			}
 		}
 		if o.g.Degree(u) < o.caps[u] {
-			if seed := o.randomAliveNeighbor(u); seed >= 0 {
+			if seed := o.randomAliveNeighbor(o.rng, u); seed >= 0 {
 				o.fillConnections(u, seed)
 			}
 		}
@@ -240,7 +228,7 @@ func (o *Overlay) ManageRound() {
 			// node (possibly a fragment island): fall back to the
 			// bootstrap path and walk from a random known peer, as
 			// real clients re-contact their host cache.
-			if seed := o.randomAliveNodeExcept(u); seed >= 0 {
+			if seed := o.randomAliveNodeExcept(o.rng, u); seed >= 0 {
 				o.fillConnections(u, seed)
 			}
 		}
@@ -283,13 +271,39 @@ func (o *Overlay) pairOpenSlots() {
 	}
 }
 
+// traceViewExchange accounts the periodic routing-table exchange that
+// opens a management round: every alive node pushes its neighbor list
+// to each alive neighbor.
+func (o *Overlay) traceViewExchange() {
+	t := o.cfg.Tracer
+	if t == nil {
+		return
+	}
+	for u := 0; u < o.g.N(); u++ {
+		if !o.alive[u] {
+			continue
+		}
+		deg := o.g.Degree(u)
+		for _, v := range o.g.Neighbors(u) {
+			if o.alive[v] {
+				t.ViewExchange(u, int(v), deg)
+			}
+		}
+	}
+}
+
+// intner is the minimal rng surface the protocol's random choices
+// need. It is satisfied by *rand.Rand (the sequential path) and by
+// *waveRng (the per-slot deterministic streams of the wave builder).
+type intner interface{ Intn(n int) int }
+
 // randomAliveNeighbor returns a random alive neighbor of u, or -1.
-func (o *Overlay) randomAliveNeighbor(u int) int {
+func (o *Overlay) randomAliveNeighbor(rng intner, u int) int {
 	nb := o.g.Neighbors(u)
 	if len(nb) == 0 {
 		return -1
 	}
-	start := o.rng.Intn(len(nb))
+	start := rng.Intn(len(nb))
 	for i := 0; i < len(nb); i++ {
 		v := int(nb[(start+i)%len(nb)])
 		if o.alive[v] {
@@ -299,18 +313,18 @@ func (o *Overlay) randomAliveNeighbor(u int) int {
 	return -1
 }
 
-// randomAliveNode returns a uniformly random alive node other than
-// none (-1 when the overlay is empty). Rejection sampling is fine
-// because experiments keep a majority of nodes alive.
-func (o *Overlay) randomAliveNode() int {
-	if o.nLive == 0 {
+// randomAliveNodeExcept returns a uniformly random alive node other
+// than u, or -1 when there is none. Rejection sampling is fine because
+// experiments keep a majority of nodes alive.
+func (o *Overlay) randomAliveNodeExcept(rng intner, u int) int {
+	if o.nLive <= 1 {
 		return -1
 	}
 	n := o.g.N()
 	for {
-		u := o.rng.Intn(n)
-		if o.alive[u] {
-			return u
+		v := rng.Intn(n)
+		if v != u && o.alive[v] {
+			return v
 		}
 	}
 }
@@ -472,24 +486,11 @@ func (o *Overlay) AddNode(capacity int) int {
 		o.views = append(o.views, nil)
 	}
 	o.nLive++
-	o.scratch.grow(u + 1)
-	if seed := o.randomAliveNodeExcept(u); seed >= 0 {
+	if seed := o.randomAliveNodeExcept(o.rng, u); seed >= 0 {
 		o.fillConnections(u, seed)
 		if o.g.Degree(u) == 0 {
 			o.connect(u, seed)
 		}
 	}
 	return u
-}
-
-func (o *Overlay) randomAliveNodeExcept(u int) int {
-	if o.nLive <= 1 {
-		return -1
-	}
-	for {
-		v := o.randomAliveNode()
-		if v != u {
-			return v
-		}
-	}
 }

@@ -76,15 +76,15 @@ type Config struct {
 	// mean anything, and what reproduces the paper's measured
 	// connectivity and duplicate figures (see DESIGN.md).
 	RawProximity bool
-	// fullRecomputePrune disables the incremental rating engine inside
-	// the pruning loop and re-rates every neighbor from scratch after
-	// each removal, as the paper describes Manage() literally. The
-	// incremental default produces bit-identical edge sets (asserted by
-	// the golden determinism tests) in O(deg² + k·deg) instead of
-	// O(k·deg²) for k removals; this field, which only the package's
-	// own tests and benchmarks can set, keeps the slow path alive as
-	// their oracle.
-	fullRecomputePrune bool
+	// fullRecomputePrune, when non-nil, replaces the prune loop's
+	// engine: pruneToCapacity hands it every over-capacity node. It is
+	// the seam through which the package's own tests and benchmarks
+	// (nothing else can set it) install the paper-literal oracle of
+	// oracle_test.go — re-rate every neighbor from scratch after each
+	// removal, O(k·deg²) for k removals — which the default engine must
+	// match edge for edge (asserted by the golden determinism tests) in
+	// O(deg² + k·deg).
+	fullRecomputePrune func(o *Overlay, u int, dropped []int32) []int32
 	// Workers bounds the worker pool used by the parallel read-only
 	// phases (the ManageRound view-exchange sweep, RateAll, and the
 	// wave builder's walk and prune-decision passes). 0 uses one
@@ -244,7 +244,6 @@ func Build(n int, cfg Config) (*Overlay, error) {
 		views: make([][]int32, n),
 		lat:   resolveLatency(cfg.Net),
 	}
-	o.scratch.init(n)
 	if cfg.Capacities != nil {
 		o.caps = append([]int(nil), cfg.Capacities...)
 	} else {

@@ -100,9 +100,9 @@ func (o *Overlay) Leave(u int) bool {
 		if !o.alive[v] {
 			continue
 		}
-		if seed := o.randomAliveNeighbor(int(v)); seed >= 0 {
+		if seed := o.randomAliveNeighbor(o.rng, int(v)); seed >= 0 {
 			o.fillConnections(int(v), seed)
-		} else if seed := o.randomAliveNodeExcept(int(v)); seed >= 0 {
+		} else if seed := o.randomAliveNodeExcept(o.rng, int(v)); seed >= 0 {
 			o.fillConnections(int(v), seed)
 		}
 	}
@@ -118,7 +118,7 @@ func (o *Overlay) Revive(u int) bool {
 	}
 	o.alive[u] = true
 	o.nLive++
-	if seed := o.randomAliveNodeExcept(u); seed >= 0 {
+	if seed := o.randomAliveNodeExcept(o.rng, u); seed >= 0 {
 		o.fillConnections(u, seed)
 		if o.g.Degree(u) == 0 {
 			o.connect(u, seed)

@@ -56,7 +56,7 @@ func TestGoldenIncrementalPruneBuild(t *testing.T) {
 				fast := DefaultConfig(net, seed)
 				tc.mod(&fast)
 				slow := fast
-				slow.fullRecomputePrune = true
+				slow.fullRecomputePrune = fullRecomputeOracle()
 				slow.Workers = 1
 
 				of, err := Build(n, fast)
@@ -80,57 +80,94 @@ func TestGoldenIncrementalPruneBuild(t *testing.T) {
 // TestGoldenPruneDropSequence drives pruneToCapacity directly on
 // mirrored over-capacity states and asserts the incremental engine
 // drops exactly the same neighbors, in the same order, as the oracle.
+// Beyond the default capacities it covers the two inputs the deleted
+// array fallbacks used to serve: a view volume that outgrows the
+// initial table, and a node pushed past the graph's sorted-adjacency
+// threshold under constant latency — every proximity term ties, the
+// adjacency is sorted and edge removal shift-deletes, so the drop
+// order is decided by tie-breaking alone.
 func TestGoldenPruneDropSequence(t *testing.T) {
 	const n = 400
-	for _, views := range []ViewMode{OracleViews, ProtocolViews} {
-		net := netmodel.NewEuclidean(n, 1000, 7)
-		mk := func(full bool) *Overlay {
-			cfg := DefaultConfig(net, 7)
-			cfg.Views = views
-			cfg.fullRecomputePrune = full
-			o, err := Build(n, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		net       netmodel.Model
+		capacity  int // uniform capacity; 0 keeps the default 8–14
+		minExtra  int // forced extra links per trial: minExtra + [0,12)
+		wantSlots int // the incremental scratch's table must have grown this far
+		wantDeg   int // some trial must push its node past this degree
+	}{
+		{name: "default", net: netmodel.NewEuclidean(n, 1000, 7), minExtra: 2},
+		{name: "capacity-40", net: netmodel.NewEuclidean(n, 1000, 7), capacity: 40, minExtra: 2, wantSlots: 4096},
+		{name: "degree>64-tied", net: netmodel.Uniform{Nodes: n, Cost: 1}, minExtra: 60, wantDeg: 64},
+	} {
+		for _, views := range []ViewMode{OracleViews, ProtocolViews} {
+			mk := func(full bool) *Overlay {
+				cfg := DefaultConfig(tc.net, 7)
+				cfg.Views = views
+				if tc.capacity > 0 {
+					cfg.Capacities = make([]int, n)
+					for i := range cfg.Capacities {
+						cfg.Capacities[i] = tc.capacity
+					}
+				}
+				if full {
+					cfg.fullRecomputePrune = fullRecomputeOracle()
+				}
+				o, err := Build(n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o
 			}
-			return o
-		}
-		inc, oracle := mk(false), mk(true)
-		if !reflect.DeepEqual(edgeSet(inc), edgeSet(oracle)) {
-			t.Fatal("builds diverged before the prune comparison")
-		}
+			inc, oracle := mk(false), mk(true)
+			if !reflect.DeepEqual(edgeSet(inc), edgeSet(oracle)) {
+				t.Fatalf("%s views=%v: builds diverged before the prune comparison", tc.name, views)
+			}
 
-		rng := rand.New(rand.NewSource(99))
-		for trial := 0; trial < 50; trial++ {
-			u := rng.Intn(n)
-			// Mirror a burst of forced extra links on both overlays,
-			// then prune the same excess on each.
-			extra := 2 + rng.Intn(12)
-			for e := 0; e < extra; e++ {
-				v := rng.Intn(n)
-				if v == u {
-					continue
+			rng := rand.New(rand.NewSource(99))
+			maxDeg := 0
+			for trial := 0; trial < 50; trial++ {
+				u := rng.Intn(n)
+				// Mirror a burst of forced extra links on both overlays,
+				// then prune the same excess on each.
+				extra := tc.minExtra + rng.Intn(12)
+				for e := 0; e < extra; e++ {
+					v := rng.Intn(n)
+					if v == u {
+						continue
+					}
+					a := inc.g.AddEdge(u, v)
+					b := oracle.g.AddEdge(u, v)
+					if a != b {
+						t.Fatalf("%s trial %d: mirrored edge insert diverged", tc.name, trial)
+					}
+					if a && views == ProtocolViews {
+						inc.refreshView(u)
+						inc.refreshView(v)
+						oracle.refreshView(u)
+						oracle.refreshView(v)
+					}
 				}
-				a := inc.g.AddEdge(u, v)
-				b := oracle.g.AddEdge(u, v)
-				if a != b {
-					t.Fatalf("trial %d: mirrored edge insert diverged", trial)
+				maxDeg = max(maxDeg, inc.g.Degree(u))
+				di := inc.pruneToCapacity(u, nil)
+				do := oracle.pruneToCapacity(u, nil)
+				if !reflect.DeepEqual(di, do) {
+					t.Fatalf("%s trial %d (views=%v): drop sequences diverged:\nincremental: %v\noracle:      %v",
+						tc.name, trial, views, di, do)
 				}
-				if a && views == ProtocolViews {
-					inc.refreshView(u)
-					inc.refreshView(v)
-					oracle.refreshView(u)
-					oracle.refreshView(v)
+				if len(inc.scratch.used) != 0 {
+					t.Fatalf("%s trial %d (views=%v): prune left %d table slots in use", tc.name, trial, views, len(inc.scratch.used))
 				}
 			}
-			di := inc.pruneToCapacity(u, nil)
-			do := oracle.pruneToCapacity(u, nil)
-			if !reflect.DeepEqual(di, do) {
-				t.Fatalf("trial %d (views=%v): drop sequences diverged:\nincremental: %v\noracle:      %v",
-					trial, views, di, do)
+			if !reflect.DeepEqual(edgeSet(inc), edgeSet(oracle)) {
+				t.Fatalf("%s views=%v: edge sets diverged after mirrored prune trials", tc.name, views)
 			}
-		}
-		if !reflect.DeepEqual(edgeSet(inc), edgeSet(oracle)) {
-			t.Fatal("edge sets diverged after mirrored prune trials")
+			if got := len(inc.scratch.tab); got < tc.wantSlots {
+				t.Errorf("%s views=%v: table has %d slots, want the case to grow it to >= %d", tc.name, views, got, tc.wantSlots)
+			}
+			if maxDeg <= tc.wantDeg {
+				t.Errorf("%s views=%v: largest pruned degree %d, want the case to pass %d", tc.name, views, maxDeg, tc.wantDeg)
+			}
 		}
 	}
 }

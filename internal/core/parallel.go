@@ -25,19 +25,15 @@ func (o *Overlay) workerCount() int {
 
 // scratchFor returns worker i's private rating scratch. Worker 0 uses
 // the overlay's own scratch; higher workers get pool entries created
-// (and grown) on demand.
+// on demand.
 func (o *Overlay) scratchFor(i int) *ratingScratch {
 	if i == 0 {
 		return &o.scratch
 	}
 	for len(o.scratchPool) < i {
-		s := &ratingScratch{}
-		s.init(len(o.scratch.cells))
-		o.scratchPool = append(o.scratchPool, s)
+		o.scratchPool = append(o.scratchPool, &ratingScratch{})
 	}
-	s := o.scratchPool[i-1]
-	s.grow(len(o.scratch.cells))
-	return s
+	return o.scratchPool[i-1]
 }
 
 // forEachNode runs fn(s, u) for every node u in [0, N), sharding

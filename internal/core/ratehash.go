@@ -1,36 +1,57 @@
 package core
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// This file is the cache-level rewrite of the hot rating kernels. The
-// original kernels count view overlaps in epoch-stamped arrays indexed
-// by global node id — O(1) per access, but every access is a miss once
-// the overlay outgrows the last-level cache: rating one node touches
-// ~deg² random cells of an n-sized array, and that sweep is ~70% of
-// construction. That is the super-linear build wall: the work per node
-// is constant, the cost per access grows with n.
+// This file holds the rating table and the kernels built on it. Rating
+// one node counts view overlaps over a few hundred distinct node ids;
+// counting them in arrays indexed by global node id made every access a
+// last-level miss once the overlay outgrew the cache (~deg² random
+// cells of an n-sized array per call, ~70% of construction — the
+// super-linear build wall) and cost every worker 36 B/node of scratch.
+// The state lives instead in one open-addressing table per scratch:
+// keyed on node id, probed linearly, wiped between calls by zeroing
+// only the slots a call used, and doubled on demand, so there is no
+// input it cannot serve. At the default capacities it stays at its
+// initial 16 KB, L1-resident. Integers, scoreTerms floats and victims
+// are those of the paper-literal oracle in oracle_test.go bit for bit
+// (the golden tests pin this).
 //
-// The counting state of one rating call is tiny — a few hundred
-// distinct node ids — so it fits a fixed 1024-slot open-addressing
-// table (8–16 KB, L1-resident). The table keys on node id, probes
-// linearly, and is wiped between calls by zeroing only the slots a
-// call used. Counts, owners and boundary sizes come out identical to
-// the array kernels — same integers, same scoreTerms floats, same
-// victims bit for bit (the golden tests pin this) — the only thing
-// that changes is which level of the cache hierarchy the sweep runs
-// in. Calls whose view volume could overflow the table fall back to
-// the array kernels (degrees far beyond any capacity the experiments
-// use), so behavior is unchanged for pathological inputs.
+// Two victim kernels run on it. rateLoad/rateWorst/rateDrop keep the
+// full incremental state (sighting counts and owner sums) and serve
+// RateNeighbors, every multi-link prune and the wave planner.
+// pruneVictimHash serves the overwhelmingly common prune, excess == 1:
+// nothing reads the state after the one removal, so it parks the owner
+// in 8-byte slots and skips the counts. Folding it into the counting
+// kernel measured +10–15% on the sequential build (bench/ workload
+// `build`, build_seq_s), which is why it stays; the choice is made from
+// the observed excess, and `build` has both sides of it (sequential
+// accepts are excess 1, wave drains are not).
 
-// whSize is the slot count of the per-scratch rating hash table. A
-// rating call touches at most whFallback view entries plus deg+1
-// exclusion marks, so load stays under ~55% and linear probing stays
-// short.
-const whSize = 1024
+// rateSlots is the initial slot count of a scratch's tables. A call
+// reserves twice the entries it can insert, so load stays under 50%
+// and linear probes stay short.
+const rateSlots = 1024
 
-// whFallback is the per-call view-volume limit above which kernels
-// fall back to the array paths.
-const whFallback = 512
+// rateCell is one slot of the rating table: the incremental state of
+// one candidate node x. When count == 1, sum IS the sole sighting
+// owner's position, so a 2→1 transition finds the remaining owner
+// without a search. pos marks membership in Γ(u) ∪ {u} — mutable,
+// because a dropped victim stops being excluded. The candidate walk
+// reuses count as its flag word (walkBoundary | walkMarked).
+type rateCell struct {
+	key   int32 // node id + 1; 0 = empty slot
+	pos   int32 // position in nb; cellSelf for u; cellFree otherwise
+	count int32 // sightings across surviving views
+	sum   int32 // sum of sighting owners' positions
+}
+
+const (
+	cellFree int32 = -1 // not (or no longer) in Γ(u) ∪ {u}
+	cellSelf int32 = -2
+)
 
 // whEntry is one slot of the single-victim kernel's table: the node id
 // (biased by +1 so the zero value means empty) and the owner tag.
@@ -44,92 +65,238 @@ const (
 	whExcluded int32 = -2 // member of Γ(u) ∪ {u}
 )
 
-// whHash spreads a node id over the table (Fibonacci hashing).
-func whHash(x int32) uint32 {
-	return (uint32(x) * 0x9E3779B1) >> 22 // top 10 bits: [0, 1024)
+// rateHash spreads a node id over a table of 1<<(32-shift) slots
+// (Fibonacci hashing). Masking the shift tells the compiler it is in
+// range, which drops an overflow check from every probe.
+func rateHash(x int32, shift uint32) uint32 {
+	return (uint32(x) * 0x9E3779B1) >> (shift & 31)
 }
 
-// ensureHash sizes the scratch's hash table and position-indexed
-// buffers for a call over deg neighbors.
-func (s *ratingScratch) ensureHash(deg int) {
-	if s.wh == nil {
-		s.wh = make([]whEntry, whSize)
-		s.whUsed = make([]int32, 0, whFallback+64)
+// reserve sizes both tables for a call that inserts at most need
+// entries over deg neighbors. The tables are empty between calls, so
+// growing is a plain reallocation. Kernels must call it before caching
+// tab/shift/mask in locals.
+func (s *ratingScratch) reserve(need, deg int) {
+	size := max(len(s.tab), rateSlots)
+	for size < 2*need {
+		size *= 2
+	}
+	if size != len(s.tab) {
+		s.tab = make([]rateCell, size)
+		s.wh = make([]whEntry, size)
+		s.shift = uint32(32 - bits.TrailingZeros(uint(size)))
 	}
 	if len(s.puniq) < deg {
 		// Fully rewritten by every call, so no need to preserve.
 		s.puniq = make([]int32, deg+32)
 		s.plat = make([]float64, deg+32)
+		s.ident = make([]int32, deg+32)
+		for i := range s.ident {
+			s.ident[i] = int32(i)
+		}
 	}
 }
 
-// whClear wipes the slots used by the last call.
-func (s *ratingScratch) whClear() {
-	wh := s.wh
-	for _, i := range s.whUsed {
-		wh[i] = whEntry{}
+// lookup returns the cell for x, inserting a free zero-count one on
+// first sight.
+func (s *ratingScratch) lookup(x int32) *rateCell {
+	h := rateHash(x, s.shift)
+	k := x + 1
+	for {
+		e := &s.tab[h]
+		if e.key == 0 {
+			e.key = k
+			e.pos = cellFree
+			s.used = append(s.used, int32(h))
+			return e
+		}
+		if e.key == k {
+			return e
+		}
+		h = (h + 1) & uint32(len(s.tab)-1)
 	}
-	s.whUsed = s.whUsed[:0]
+}
+
+// clear wipes the cells used since the last clear. Every kernel leaves
+// the table empty on return.
+func (s *ratingScratch) clear() {
+	for _, i := range s.used {
+		s.tab[i] = rateCell{}
+	}
+	s.used = s.used[:0]
 }
 
 // gatherViews loads the view row of every neighbor into the scratch's
-// row buffer and returns the rows plus their total entry count. This
+// row buffer and returns the rows plus the most table entries a kernel
+// over them can insert (every view entry, the neighbors and u). This
 // pass exists for memory-level parallelism: at 10⁶⁺ nodes every row
 // header and every coordinate pair is a last-level miss, and a kernel
 // that interleaves "load row, sweep row, load next row" serializes
 // those misses behind each other. Loading all headers in one
 // dependence-free loop lets the core keep ~deg misses in flight at
 // once, and the subsequent sweeps walk contents the prefetcher can
-// follow. The total doubles as the kernel-selection volume (callers
-// fall back to the array path above whFallback).
-func (o *Overlay) gatherViews(s *ratingScratch, nb []int32) ([][]int32, int) {
-	rows := s.rows[:0]
-	total := 0
+// follow.
+func (o *Overlay) gatherViews(s *ratingScratch, nb []int32) (rows [][]int32, need int) {
+	rows = s.rows[:0]
+	need = len(nb) + 1
 	touch := int32(0)
-	if o.cfg.Views == ProtocolViews {
-		for _, w := range nb {
-			r := o.views[w]
-			rows = append(rows, r)
-			total += len(r)
-			if n := len(r); n > 0 {
-				touch += r[0] + r[n-1]
-			}
+	for _, w := range nb {
+		r := o.neighborView(int(w))
+		rows = append(rows, r)
+		need += len(r)
+		// Touching the first and last element of every row starts the
+		// content misses here, overlapped, instead of serially inside
+		// the kernel sweep; a view row is 1–2 cache lines, so these two
+		// loads cover it.
+		if n := len(r); n > 0 {
+			touch += r[0] + r[n-1]
 		}
-	} else {
-		for _, w := range nb {
-			r := o.g.Neighbors(int(w))
-			rows = append(rows, r)
-			total += len(r)
-			if n := len(r); n > 0 {
-				touch += r[0] + r[n-1]
+	}
+	s.touchSink = touch // keeps the loads from being dead-code eliminated
+	s.rows = rows
+	return rows, need
+}
+
+// rateLoad builds the rating state of u over its neighbors nb and
+// their gathered view rows (kept in s.rows) in one fused sweep, and
+// returns |∂Γ(u)|.
+// On return puniq[p] is |R(u, nb[p])| and plat[p] the raw d(u, nb[p]),
+// both indexed by position in nb — so the only random memory a call
+// touches outside the table is the row contents and one coordinate
+// pair per neighbor. Members of Γ(u) ∪ {u} are counted too (with pos
+// as the exclusion mark), because a pruned neighbor leaves the
+// excluded set and its boundary membership is then read off its count.
+// The caller owns the table until it calls clear.
+func (o *Overlay) rateLoad(s *ratingScratch, u int, nb []int32) (boundary int) {
+	rows, need := o.gatherViews(s, nb)
+	s.reserve(need, len(nb))
+	s.lookup(int32(u)).pos = cellSelf
+	for pw, w := range nb {
+		s.lookup(w).pos = int32(pw)
+		s.puniq[pw] = 0
+		s.plat[pw] = o.lat(u, int(w))
+	}
+	// The probe loop is s.lookup by hand: a call per view entry costs
+	// the sequential build several percent.
+	tab, shift, mask := s.tab, s.shift, uint32(len(s.tab)-1)
+	used, puniq := s.used, s.puniq
+	for pw, row := range rows {
+		for _, x := range row {
+			h := rateHash(x, shift)
+			k := x + 1
+			for {
+				e := &tab[h]
+				if e.key == 0 {
+					*e = rateCell{key: k, pos: cellFree, count: 1, sum: int32(pw)}
+					used = append(used, int32(h))
+					boundary++
+					puniq[pw]++ // provisional: x unique to nb[pw] so far
+					break
+				}
+				if e.key == k {
+					if e.pos == cellFree && e.count == 1 {
+						puniq[e.sum]-- // second owner: no longer unique
+					}
+					e.count++
+					e.sum += int32(pw)
+					break
+				}
+				h = (h + 1) & mask
 			}
 		}
 	}
-	// Touching the first and last element of every row starts the
-	// content misses here, overlapped, instead of serially inside the
-	// kernel sweep. The sink store keeps the loads from being
-	// dead-code eliminated; a view row is 1–2 cache lines, so these
-	// two loads cover it.
-	s.touchSink = touch
-	s.rows = rows
-	return rows, total
+	s.used = used
+	return boundary
 }
 
-// pruneVictimHash is the single-victim kernel on the L1 table: one
-// fused pass over the pre-gathered view rows credits the first
-// (non-excluded) sighting of x to its owner and revokes the credit on
-// the second, exactly as pruneSingleVictim does in the global arrays.
-// uniq and latency are indexed by the owner's position in nb, not by
-// node id, so the only random memory the call touches outside L1 is
-// the row contents and one coordinate pair per neighbor — both loaded
-// with independent-miss loops.
-func (o *Overlay) pruneVictimHash(s *ratingScratch, u int, nb []int32, rows [][]int32) int {
-	s.ensureHash(len(nb))
-	wh := s.wh
-	used := s.whUsed
+// latExtremes returns d_max and the floored d_min over the neighbors
+// at positions ord.
+func (s *ratingScratch) latExtremes(ord []int32) (dmax, dmin float64) {
+	dmin = math.Inf(1)
+	for _, pw := range ord {
+		d := s.plat[pw]
+		if d > dmax {
+			dmax = d
+		}
+		if d < dmin {
+			dmin = d
+		}
+	}
+	if dmin < minPositiveLatency {
+		dmin = minPositiveLatency
+	}
+	return dmax, dmin
+}
+
+// rateWorst scores the surviving neighbors — positions ord, in the
+// order ties must break — from the loaded state and returns the index
+// in ord of the lowest-rated one.
+func (o *Overlay) rateWorst(s *ratingScratch, ord []int32, boundary int) int {
+	dmax, dmin := s.latExtremes(ord)
+	worst := 0
+	worstScore := math.Inf(1)
+	for i, pw := range ord {
+		d := s.plat[pw]
+		if d < minPositiveLatency { // the builtin max costs the single-victim prune ~4%
+			d = minPositiveLatency
+		}
+		conn, prox := o.scoreTerms(int(s.puniq[pw]), boundary, d, dmax, dmin)
+		if score := conn + prox; score < worstScore {
+			worst, worstScore = i, score
+		}
+	}
+	return worst
+}
+
+// rateDrop removes the neighbor v at position vp from the loaded state
+// by subtracting its view row, and returns the new boundary size: a
+// 2→1 transition hands x's uniqueness to its remaining owner (sum), a
+// 1→0 transition shrinks the boundary, and v itself stops being
+// excluded, joining the boundary if a surviving neighbor still sees it.
+// O(view) per removal instead of a fresh O(deg²) load. It must run
+// before the edge (u, v) is really removed: that rewrites v's
+// adjacency, or its exchanged view, in place, and the row aliases it.
+func (s *ratingScratch) rateDrop(vp, v int32, boundary int) int {
+	for _, x := range s.rows[vp] {
+		e := s.lookup(x)
+		e.count--
+		e.sum -= vp
+		if e.pos != cellFree {
+			continue
+		}
+		switch e.count {
+		case 1:
+			s.puniq[e.sum]++ // sole owner again
+		case 0:
+			boundary--
+		}
+	}
+	ev := s.lookup(v)
+	ev.pos = cellFree
+	if ev.count > 0 {
+		boundary++
+		if ev.count == 1 {
+			s.puniq[ev.sum]++
+		}
+	}
+	return boundary
+}
+
+// pruneVictimHash picks the one lowest-rated neighbor of u without
+// mutating the graph (the sequential path disconnects it, the wave
+// planner records it). One fused pass credits the first non-excluded
+// sighting of x to its owner and revokes the credit on the second; the
+// owner is parked in the slot (whMulti once multi-owned), so there are
+// no counts, owner sums or subtraction bookkeeping.
+func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
+	nb := o.g.Neighbors(u)
+	rows, need := o.gatherViews(s, nb)
+	s.reserve(need, len(nb))
+	wh, shift, mask := s.wh, s.shift, uint32(len(s.wh)-1)
+	used, puniq := s.used, s.puniq
 
 	insertExcluded := func(x int32) {
-		h := whHash(x)
+		h := rateHash(x, shift)
 		k := x + 1
 		for {
 			e := &wh[h]
@@ -143,19 +310,19 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int, nb []int32, rows [][]
 				e.own = whExcluded
 				return
 			}
-			h = (h + 1) & (whSize - 1)
+			h = (h + 1) & mask
 		}
 	}
 	insertExcluded(int32(u))
 	for pw, w := range nb {
 		insertExcluded(w)
-		s.puniq[pw] = 0
+		puniq[pw] = 0
 		s.plat[pw] = o.lat(u, int(w))
 	}
 	boundary := 0
-	for pw := range nb {
-		for _, x := range rows[pw] {
-			h := whHash(x)
+	for pw, row := range rows {
+		for _, x := range row {
+			h := rateHash(x, shift)
 			k := x + 1
 			for {
 				e := &wh[h]
@@ -163,311 +330,24 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int, nb []int32, rows [][]
 					e.key = k
 					e.own = int32(pw)
 					used = append(used, int32(h))
-					s.puniq[pw]++
+					puniq[pw]++
 					boundary++
 					break
 				}
 				if e.key == k {
 					if e.own >= 0 {
-						s.puniq[e.own]--
+						puniq[e.own]--
 						e.own = whMulti
 					}
 					break
 				}
-				h = (h + 1) & (whSize - 1)
+				h = (h + 1) & mask
 			}
 		}
 	}
-	s.whUsed = used
-	s.whClear()
-
-	dmax := 0.0
-	dmin := math.Inf(1)
-	for pw := range nb {
-		d := s.plat[pw]
-		if d > dmax {
-			dmax = d
-		}
-		if d < dmin {
-			dmin = d
-		}
+	for _, i := range used {
+		wh[i] = whEntry{}
 	}
-	if dmin < minPositiveLatency {
-		dmin = minPositiveLatency
-	}
-	worst := 0
-	worstScore := math.Inf(1)
-	for pw := range nb {
-		d := s.plat[pw]
-		if d < minPositiveLatency {
-			d = minPositiveLatency
-		}
-		conn, prox := o.scoreTerms(int(s.puniq[pw]), boundary, d, dmax, dmin)
-		if score := conn + prox; score < worstScore {
-			worst, worstScore = pw, score
-		}
-	}
-	return int(nb[worst])
-}
-
-// wmEntry is one slot of the multi-victim kernel's table. Unlike the
-// single-victim entries, these carry the full incremental state of
-// pruneVictimsOn's array machinery: the sighting count across the
-// surviving neighbors' views and the sum of the sighting owners'
-// positions (when count == 1 the sum IS the sole owner's position, the
-// ownerSum trick at hash scale). pos marks membership in Γ(u) ∪ {u} —
-// the exclusion state, mutable because a dropped victim stops being
-// excluded.
-type wmEntry struct {
-	key   int32 // node id + 1; 0 = empty slot
-	pos   int32 // position in nb; wmSelf for u; wmFree otherwise
-	count int32 // sightings across surviving views
-	sum   int32 // sum of sighting owners' positions
-}
-
-const (
-	wmFree int32 = -1 // not (or no longer) in Γ(u) ∪ {u}
-	wmSelf int32 = -2
-)
-
-// wmLookup returns the slot for x, inserting a free zero-count entry
-// on first sight.
-func (s *ratingScratch) wmLookup(x int32) *wmEntry {
-	h := whHash(x)
-	k := x + 1
-	for {
-		e := &s.wm[h]
-		if e.key == 0 {
-			e.key = k
-			e.pos = wmFree
-			s.wmUsed = append(s.wmUsed, int32(h))
-			return e
-		}
-		if e.key == k {
-			return e
-		}
-		h = (h + 1) & (whSize - 1)
-	}
-}
-
-// pruneVictimsHash is pruneVictimsOn's multi-victim body on the L1
-// table: build the incremental rating state once, then drop victims
-// one at a time, subtracting each victim's view from the maintained
-// counts — O(view) per drop instead of a fresh O(deg²) build. The
-// survivor order is tracked in a position permutation with the same
-// swap-removal the array path applies to its neighbor copy, so
-// iteration order — and therefore score tie-breaking — matches the
-// array kernel exactly. Read-only against the overlay.
-func (o *Overlay) pruneVictimsHash(s *ratingScratch, u int, nb []int32, rows [][]int32, out []int32) []int32 {
-	deg := len(nb)
-	s.ensureHash(deg)
-	if s.wm == nil {
-		s.wm = make([]wmEntry, whSize)
-		s.wmUsed = make([]int32, 0, whFallback+64)
-	}
-	if cap(s.pord) < deg {
-		s.pord = make([]int32, 0, deg+32)
-	}
-	ord := s.pord[:0]
-	s.wmLookup(int32(u)).pos = wmSelf
-	for pw, w := range nb {
-		s.wmLookup(w).pos = int32(pw)
-		s.puniq[pw] = 0
-		s.plat[pw] = o.lat(u, int(w))
-		ord = append(ord, int32(pw))
-	}
-	boundary := 0
-	for pw := range nb {
-		for _, x := range rows[pw] {
-			e := s.wmLookup(x)
-			if e.count == 0 {
-				e.count = 1
-				e.sum = int32(pw)
-				if e.pos == wmFree {
-					boundary++
-					s.puniq[pw]++
-				}
-			} else {
-				if e.pos == wmFree && e.count == 1 {
-					s.puniq[e.sum]--
-				}
-				e.count++
-				e.sum += int32(pw)
-			}
-		}
-	}
-
-	for {
-		dmax := 0.0
-		dmin := minPositiveLatency
-		first := true
-		for _, pw := range ord {
-			d := s.plat[pw]
-			if d > dmax {
-				dmax = d
-			}
-			if first || d < dmin {
-				dmin = d
-				first = false
-			}
-		}
-		if dmin < minPositiveLatency {
-			dmin = minPositiveLatency
-		}
-		worst := 0
-		worstScore := 0.0
-		for i, pw := range ord {
-			d := s.plat[pw]
-			if d < minPositiveLatency {
-				d = minPositiveLatency
-			}
-			conn, prox := o.scoreTerms(int(s.puniq[pw]), boundary, d, dmax, dmin)
-			if score := conn + prox; i == 0 || score < worstScore {
-				worst, worstScore = i, score
-			}
-		}
-		vp := ord[worst]
-		out = append(out, nb[vp])
-		if len(ord)-1 <= o.caps[u] {
-			break
-		}
-		// Subtract the victim's view from the maintained state; the
-		// victim itself stops being excluded and may join the boundary.
-		for _, x := range rows[vp] {
-			e := s.wmLookup(x)
-			e.count--
-			e.sum -= vp
-			if e.pos != wmFree {
-				continue
-			}
-			switch e.count {
-			case 1:
-				s.puniq[e.sum]++
-			case 0:
-				boundary--
-			}
-		}
-		ev := s.wmLookup(nb[vp])
-		ev.pos = wmFree
-		if ev.count > 0 {
-			boundary++
-			if ev.count == 1 {
-				s.puniq[ev.sum]++
-			}
-		}
-		ord[worst] = ord[len(ord)-1]
-		ord = ord[:len(ord)-1]
-	}
-	wm := s.wm
-	for _, i := range s.wmUsed {
-		wm[i] = wmEntry{}
-	}
-	s.wmUsed = s.wmUsed[:0]
-	s.pord = ord[:0]
-	return out
-}
-
-// wcEntry is one slot of the walk kernel's membership table.
-type wcEntry struct {
-	key   int32 // node id + 1; 0 = empty slot
-	flags int32 // wcBoundary | wcMarked
-}
-
-const (
-	wcBoundary int32 = 1 << 0 // x ∈ Γ(u) ∪ ∂Γ(u): fallback-only candidate
-	wcMarked   int32 = 1 << 1 // already in the candidate or fallback list
-)
-
-// wcLookup returns the slot for x, inserting an empty entry on first
-// sight. Shared by the boundary pre-pass and the walk's membership
-// checks; both run on the same table within one walk.
-func (s *ratingScratch) wcLookup(x int32) *wcEntry {
-	h := whHash(x)
-	k := x + 1
-	for {
-		e := &s.wc[h]
-		if e.key == 0 {
-			e.key = k
-			s.wcUsed = append(s.wcUsed, int32(h))
-			return e
-		}
-		if e.key == k {
-			return e
-		}
-		h = (h + 1) & (whSize - 1)
-	}
-}
-
-func (s *ratingScratch) wcClear() {
-	for _, i := range s.wcUsed {
-		s.wc[i] = wcEntry{}
-	}
-	s.wcUsed = s.wcUsed[:0]
-}
-
-// walkCandidatesHash is walkCandidatesOn's L1 kernel: the boundary
-// pre-pass and the walk's membership checks run in the wc table
-// instead of the global mark arrays. Same walk, same rng draws, same
-// candidate and fallback lists — only the memory level changes.
-func (o *Overlay) walkCandidatesHash(s *ratingScratch, rng intner, u int, rows [][]int32, seed int, out, fallback []int32) (cands, fb []int32) {
-	if s.wc == nil {
-		s.wc = make([]wcEntry, whSize)
-		s.wcUsed = make([]int32, 0, whFallback+64)
-	}
-	for _, row := range rows {
-		for _, y := range row {
-			s.wcLookup(y).flags |= wcBoundary
-		}
-	}
-	maybeAdd := func(x int) {
-		if x == u || o.g.HasEdge(u, x) || !o.alive[x] {
-			return
-		}
-		e := s.wcLookup(int32(x))
-		if e.flags&wcMarked != 0 {
-			return
-		}
-		e.flags |= wcMarked
-		if e.flags&wcBoundary != 0 { // x ∈ Γ(u) ∪ ∂Γ(u): fallback only
-			fallback = append(fallback, int32(x))
-			return
-		}
-		out = append(out, int32(x))
-	}
-	cur := seed
-	maybeAdd(cur)
-	for step := 0; step < o.cfg.WalkLength && len(out) < o.cfg.CandidateSetSize; step++ {
-		nb := o.g.Neighbors(cur)
-		// Walk only over alive neighbors.
-		next := -1
-		for tries := 0; tries < 4 && len(nb) > 0; tries++ {
-			cand := int(nb[rng.Intn(len(nb))])
-			if o.alive[cand] {
-				next = cand
-				break
-			}
-		}
-		if next == -1 {
-			next = seed // dead end: restart from the seed peer
-			if o.g.Degree(next) == 0 {
-				break
-			}
-		}
-		if t := o.cfg.Tracer; t != nil {
-			t.WalkProbe(cur, next)
-		}
-		cur = next
-		if step%2 == 1 { // sample every other step: non-adjacent candidates
-			maybeAdd(cur)
-		}
-	}
-	// Top up with boundary nodes when fresh reach was scarce.
-	for _, f := range fallback {
-		if len(out) >= o.cfg.CandidateSetSize {
-			break
-		}
-		out = append(out, f)
-	}
-	s.wcClear()
-	return out, fallback
+	s.used = used[:0]
+	return int(nb[o.rateWorst(s, s.ident[:len(nb)], boundary)])
 }

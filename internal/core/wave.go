@@ -42,11 +42,6 @@ import "sync"
 // oracle for wave correctness is determinism plus the invariant suite,
 // while JoinWave<=1 routes through the untouched sequential path.
 
-// intner is the minimal rng surface the candidate walk needs. It is
-// satisfied by *rand.Rand (the sequential path) and by *waveRng (the
-// per-slot deterministic streams of the wave builder).
-type intner interface{ Intn(n int) int }
-
 // waveRng is a splitmix64 stream: 8 bytes of state, an add and a few
 // xor-shifts per draw, and O(1) seeding — re-seeding a math/rand
 // rngSource costs ~607 word initializations, which would dominate a
@@ -345,16 +340,17 @@ func (o *Overlay) joinWave(order []int, pos int, final bool) {
 }
 
 // waveAcceptSlack bounds how far past capacity a node's provisional
-// accepts can stack up within one wave, modeling a bounded accept
-// queue: past it the dial is refused and the joiner moves to its next
+// accepts can stack up between drains, modeling a bounded accept queue:
+// past it the dial is refused and the joiner moves to its next
 // candidate. The slack is what lets batching amortize — a node that
-// stacks e excess links is planned ONCE per wave and drops e victims
-// incrementally (O(view) each on the L1 table, see pruneVictimsHash),
-// where the sequential protocol rebuilds the O(deg²) rating state for
-// every single accept. Too small a slack refuses the stacking that
-// amortization feeds on; unbounded slack lets one popular node absorb
-// a whole wave's dials only to drop most of them. Eight ≈ the mean
-// degree is the sweet spot measured at 2·10⁵.
+// stacks e excess links is planned ONCE per drain and drops e victims
+// incrementally (O(view) each, see rateDrop), where the sequential
+// protocol rebuilds the O(deg²) rating state for every single accept.
+// Too small a slack refuses the stacking that amortization feeds on;
+// unbounded slack lets one popular node absorb a whole wave's dials
+// only to drop most of them. Twelve — about the mean degree, a few
+// waves' worth of stacking at wavePruneEvery = 8 — is the sweet spot
+// measured at 2·10⁵.
 const waveAcceptSlack = 12
 
 // waveAccept commits the provisional edge (u, v): accept with tracing
@@ -430,147 +426,33 @@ func (o *Overlay) wavePrune() {
 }
 
 // pruneVictimsOn computes the prune victims of over-capacity node u
-// without mutating the graph: the incremental rating state of
-// pruneIncremental, maintained over a scratch-local copy of u's
-// neighbor list with swap-removal. Read-only against the overlay, so
-// any number of nodes can plan concurrently against the same snapshot.
+// without mutating the graph: pruneToCapacity's loop, with the
+// removals applied to a permutation of neighbor positions (swap-removed
+// — that order is the wave build's pinned tie-break) instead of to the
+// graph. Read-only against the overlay, so any number of nodes can plan
+// concurrently against the same snapshot.
 func (o *Overlay) pruneVictimsOn(s *ratingScratch, u int, out []int32) []int32 {
-	if o.g.Degree(u)-o.caps[u] == 1 {
-		// The dominant case (a round probe, a single surviving accept)
-		// drops exactly one link and never reads the state again, so it
-		// takes the owner-parking fast path — no owner sums, no
-		// subtraction bookkeeping, one less array in cache.
-		return append(out, int32(o.pruneSingleVictim(s, u)))
-	}
-	if rows, vol := o.gatherViews(s, o.g.Neighbors(u)); vol <= whFallback {
-		return o.pruneVictimsHash(s, u, o.g.Neighbors(u), rows, out)
-	}
-	s.epoch++
-	ep := s.epoch
-	nb := append(s.wnb[:0], o.g.Neighbors(u)...)
-	cells := s.cells
-
-	cells[u].exclude = ep
-	for _, w := range nb {
-		cells[w].exclude = ep
-		s.uniq[w] = 0
-		s.lat[w] = o.lat(u, int(w))
-	}
-	boundary := 0
-	for _, w := range nb {
-		wid := int64(w)
-		for _, x := range o.neighborView(int(w)) {
-			c := &cells[x]
-			if c.stamp != ep {
-				c.stamp = ep
-				c.count = 1
-				s.ownerSum[x] = wid
-				if c.exclude != ep {
-					boundary++
-					s.uniq[w]++
-				}
-			} else {
-				if c.exclude != ep && c.count == 1 {
-					s.uniq[s.ownerSum[x]]--
-				}
-				c.count++
-				s.ownerSum[x] += wid
-			}
-		}
-	}
-
-	for {
-		dmax := 0.0
-		dmin := minPositiveLatency
-		first := true
-		for _, w := range nb {
-			d := s.lat[w]
-			if d > dmax {
-				dmax = d
-			}
-			if first || d < dmin {
-				dmin = d
-				first = false
-			}
-		}
-		if dmin < minPositiveLatency {
-			dmin = minPositiveLatency
-		}
-		worst := 0
-		worstScore := 0.0
-		for i, w := range nb {
-			d := s.lat[w]
-			if d < minPositiveLatency {
-				d = minPositiveLatency
-			}
-			conn, prox := o.scoreTerms(int(s.uniq[w]), boundary, d, dmax, dmin)
-			if score := conn + prox; i == 0 || score < worstScore {
-				worst, worstScore = i, score
-			}
-		}
-		v := int(nb[worst])
-		out = append(out, int32(v))
-		if len(nb)-1 <= o.caps[u] {
-			s.wnb = nb
-			return out
-		}
-		// Subtract v's view from the maintained state and swap-remove v
-		// from the local neighbor copy (the graph itself is untouched).
-		vid := int64(v)
-		for _, x := range o.neighborView(v) {
-			c := &cells[x]
-			c.count--
-			s.ownerSum[x] -= vid
-			if c.exclude == ep {
-				continue
-			}
-			switch c.count {
-			case 1:
-				s.uniq[s.ownerSum[x]]++
-			case 0:
-				boundary--
-			}
-		}
-		cells[v].exclude = 0
-		if cells[v].stamp == ep && cells[v].count > 0 {
-			boundary++
-			if cells[v].count == 1 {
-				s.uniq[s.ownerSum[v]]++
-			}
-		}
-		nb[worst] = nb[len(nb)-1]
-		nb = nb[:len(nb)-1]
-	}
-}
-
-// slotAliveNeighbor is randomAliveNeighbor on an explicit rng stream.
-func (o *Overlay) slotAliveNeighbor(rng intner, u int) int {
 	nb := o.g.Neighbors(u)
-	if len(nb) == 0 {
-		return -1
+	excess := len(nb) - o.caps[u]
+	if excess == 1 {
+		// The dominant case: a round probe, a single surviving accept.
+		return append(out, int32(o.pruneVictimHash(s, u)))
 	}
-	start := rng.Intn(len(nb))
-	for i := 0; i < len(nb); i++ {
-		v := int(nb[(start+i)%len(nb)])
-		if o.alive[v] {
-			return v
+	boundary := o.rateLoad(s, u, nb)
+	ord := append(s.pord[:0], s.ident[:len(nb)]...)
+	for ; excess > 0; excess-- {
+		i := o.rateWorst(s, ord, boundary)
+		vp := ord[i]
+		out = append(out, nb[vp])
+		if excess > 1 {
+			boundary = s.rateDrop(vp, nb[vp], boundary)
 		}
+		ord[i] = ord[len(ord)-1]
+		ord = ord[:len(ord)-1]
 	}
-	return -1
-}
-
-// slotAliveExcept is randomAliveNodeExcept on an explicit rng stream.
-func (o *Overlay) slotAliveExcept(rng intner, u int) int {
-	if o.nLive <= 1 {
-		return -1
-	}
-	n := o.g.N()
-	for {
-		v := rng.Intn(n)
-		if v != u && o.alive[v] {
-			return v
-		}
-	}
+	s.clear()
+	s.pord = ord[:0]
+	return out
 }
 
 // manageChunk runs the batched management step for one chunk of nodes:
@@ -599,16 +481,16 @@ func (o *Overlay) manageChunk(nodes []int32, base int64, probes, minDeficit int)
 			return
 		}
 		for p := 0; p < probes; p++ {
-			if c := o.slotAliveExcept(&sl.rng, u); c >= 0 {
+			if c := o.randomAliveNodeExcept(&sl.rng, u); c >= 0 {
 				sl.probes = append(sl.probes, int32(c))
 			}
 		}
 		if o.caps[u]-o.g.Degree(u) >= minDeficit {
-			seed := o.slotAliveNeighbor(&sl.rng, u)
+			seed := o.randomAliveNeighbor(&sl.rng, u)
 			if seed < 0 {
 				// Fragment island or isolated node: fall back to the
 				// host-cache path and walk from a random known peer.
-				seed = o.slotAliveExcept(&sl.rng, u)
+				seed = o.randomAliveNodeExcept(&sl.rng, u)
 			}
 			if seed >= 0 {
 				sl.cands, sl.fb = o.walkCandidatesOn(s, &sl.rng, u, seed, sl.cands, sl.fb[:0])
@@ -638,20 +520,7 @@ func (o *Overlay) manageChunk(nodes []int32, base int64, probes, minDeficit int)
 // round builds it on both endpoints of every probe dial.
 func (o *Overlay) waveManageRound(r int) {
 	n := o.g.N()
-	if t := o.cfg.Tracer; t != nil {
-		// Periodic routing-table exchange, accounted as in ManageRound.
-		for u := 0; u < n; u++ {
-			if !o.alive[u] {
-				continue
-			}
-			deg := o.g.Degree(u)
-			for _, v := range o.g.Neighbors(u) {
-				if o.alive[v] {
-					t.ViewExchange(u, int(v), deg)
-				}
-			}
-		}
-	}
+	o.traceViewExchange()
 	o.refreshAllViews()
 	w := o.wave
 	w.beginAffected()
