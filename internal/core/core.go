@@ -155,7 +155,10 @@ type Overlay struct {
 	caps  []int
 	alive []bool
 	nLive int
-	rng   *rand.Rand
+	// liveEpoch counts writes to alive[u] of an existing node: every
+	// mutator that flips one must bump it (see LiveEpoch).
+	liveEpoch uint64
+	rng       *rand.Rand
 
 	// views[u] is the neighbor list of u as known to its peers in
 	// ProtocolViews mode; nil entries mean "never exchanged".
@@ -341,6 +344,12 @@ func (o *Overlay) LiveCount() int { return o.nLive }
 
 // Alive reports whether node u is alive.
 func (o *Overlay) Alive(u int) bool { return o.alive[u] }
+
+// LiveEpoch returns a counter that grows whenever an existing node's
+// Alive answer changes, so a caller caching a function of liveness
+// (the stream scheduler's stall flags) re-derives it only when the
+// counter moved. A joining node is new, not changed, and does not count.
+func (o *Overlay) LiveEpoch() uint64 { return o.liveEpoch }
 
 // Capacity returns node u's connection capacity.
 func (o *Overlay) Capacity(u int) int { return o.caps[u] }

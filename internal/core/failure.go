@@ -18,6 +18,7 @@ func (o *Overlay) FailNodes(ids []int) {
 			continue
 		}
 		o.alive[u] = false
+		o.liveEpoch++
 		o.nLive--
 		o.g.IsolateNode(u)
 		if o.cfg.Views == ProtocolViews {
@@ -89,6 +90,7 @@ func (o *Overlay) Leave(u int) bool {
 		}
 	}
 	o.alive[u] = false
+	o.liveEpoch++
 	o.nLive--
 	o.g.IsolateNode(u)
 	if o.cfg.Views == ProtocolViews {
@@ -117,6 +119,7 @@ func (o *Overlay) Revive(u int) bool {
 		return false
 	}
 	o.alive[u] = true
+	o.liveEpoch++
 	o.nLive++
 	if seed := o.randomAliveNodeExcept(o.rng, u); seed >= 0 {
 		o.fillConnections(u, seed)

@@ -232,12 +232,15 @@ func runStreamScenario(opt StreamOptions, churn bool) (StreamRow, error) {
 	// either way.
 	rng := rand.New(rand.NewSource(opt.Seed + 4))
 	objs := store.Objects()
-	for i := 0; i < opt.Transfers; i++ {
-		obj := objs[i%len(objs)]
-		man, err := content.BuildManifest(obj, opt.ObjectBytes, opt.ChunkBytes)
-		if err != nil {
+	// One manifest per object in use: building one hashes the object.
+	mans := make([]content.Manifest, min(len(objs), opt.Transfers))
+	for i := range mans {
+		if mans[i], err = content.BuildManifest(objs[i], opt.ObjectBytes, opt.ChunkBytes); err != nil {
 			return row, err
 		}
+	}
+	for i := 0; i < opt.Transfers; i++ {
+		man := mans[i%len(objs)]
 		client := rng.Intn(opt.N)
 		eng.ScheduleAt(float64(i)*opt.Stagger, func() {
 			sw.Start(client, man, nil)

@@ -101,8 +101,8 @@ func (o *stallOracle) reconcile(now float64, executed uint64) {
 // liveProgress reports whether any chunk is in flight on a live
 // source.
 func (o *stallOracle) liveProgress(tr *Transfer) bool {
-	for src, n := range tr.inflight {
-		if n > 0 && o.s.live.Alive(src) {
+	for i, n := range tr.inflight {
+		if n > 0 && o.s.live.Alive(tr.sources[i]) {
 			return true
 		}
 	}
@@ -115,7 +115,6 @@ func (o *stallOracle) liveProgress(tr *Transfer) bool {
 // experiments.RunStream without the identifier index.
 type churnScenario struct {
 	eng     *sim.Engine
-	ov      *core.Overlay
 	sw      *Swarm
 	horizon float64
 }
@@ -131,7 +130,7 @@ func newChurnScenario(tb testing.TB, n, transfers int, seed int64, churn bool, s
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sc := &churnScenario{eng: &sim.Engine{}, ov: ov, horizon: 40000}
+	sc := &churnScenario{eng: &sim.Engine{}, horizon: 40000}
 	live := Liveness(AllAlive{})
 	if churn {
 		live = ov
@@ -223,7 +222,12 @@ func TestStallAccountingMatchesOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d results, %d tracked, want 240", seed, len(results), len(o.all))
 		}
 		if !slices.Equal(o.flips, o.swarmFlips) {
-			t.Fatalf("seed %d: stall transitions diverge: oracle %d, swarm %d", seed, len(o.flips), len(o.swarmFlips))
+			i := 0
+			for i < len(o.flips) && i < len(o.swarmFlips) && o.flips[i] == o.swarmFlips[i] {
+				i++
+			}
+			t.Fatalf("seed %d: stall transitions diverge at #%d of oracle %d, swarm %d: oracle %+v, swarm %+v",
+				seed, i, len(o.flips), len(o.swarmFlips), o.flips[i:min(i+1, len(o.flips))], o.swarmFlips[i:min(i+1, len(o.swarmFlips))])
 		}
 		stalledTransfers, completed := 0, 0
 		for _, sh := range o.all {

@@ -27,6 +27,12 @@ import (
 // flight.
 type Liveness interface {
 	Alive(u int) bool
+	// LiveEpoch must return a different value after any change to any
+	// node's Alive answer than before it (a monotone counter does). The
+	// swarm rescans its transfers' sources only when the epoch moved, so
+	// an implementation that flips a node without moving it silently
+	// under-counts stall time.
+	LiveEpoch() uint64
 }
 
 // AllAlive is the degenerate liveness model with no failures.
@@ -34,6 +40,9 @@ type AllAlive struct{}
 
 // Alive always reports true.
 func (AllAlive) Alive(int) bool { return true }
+
+// LiveEpoch never moves: nothing ever dies.
+func (AllAlive) LiveEpoch() uint64 { return 0 }
 
 // Locator discovers replica holders of an object. Implementations may
 // return stale or dead nodes — discovery is routing, not liveness; the

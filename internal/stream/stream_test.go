@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"makalu/internal/content"
@@ -30,12 +31,26 @@ func (l fixedLocator) Locate(client int, obj uint64, k int, skip map[int]bool) [
 	return out
 }
 
-// setLive marks explicit nodes dead.
+// setLive marks explicit nodes dead, moving the epoch on every flip as
+// the Liveness contract requires.
 type setLive struct {
-	dead map[int]bool
+	dead  map[int]bool
+	epoch uint64
 }
 
-func (s *setLive) Alive(u int) bool { return !s.dead[u] }
+func (s *setLive) Alive(u int) bool  { return !s.dead[u] }
+func (s *setLive) LiveEpoch() uint64 { return s.epoch }
+
+func (s *setLive) kill(u int)   { s.dead[u] = true; s.epoch++ }
+func (s *setLive) revive(u int) { delete(s.dead, u); s.epoch++ }
+
+func newSetLive(dead ...int) *setLive {
+	s := &setLive{dead: make(map[int]bool)}
+	for _, u := range dead {
+		s.kill(u)
+	}
+	return s
+}
 
 func mustManifest(t *testing.T, obj uint64, size int64, chunk int) content.Manifest {
 	t.Helper()
@@ -114,7 +129,7 @@ func TestUploadSerialization(t *testing.T) {
 func TestSourceDeathRecovers(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{9: {1, 2}}}
-	live := &setLive{dead: make(map[int]bool)}
+	live := newSetLive()
 	cfg := Config{ChunkTimeout: 100}
 	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 3, Cost: 5}, live, loc, cfg, Obs{})
 
@@ -122,7 +137,7 @@ func TestSourceDeathRecovers(t *testing.T) {
 	var got TransferResult
 	sw.Start(0, man, func(r TransferResult) { got = r })
 	// Kill source 1 while its window is full and bytes are moving.
-	eng.Schedule(20, func() { live.dead[1] = true })
+	eng.Schedule(20, func() { live.kill(1) })
 	eng.Run()
 
 	if !got.Completed {
@@ -145,7 +160,7 @@ func TestSourceDeathRecovers(t *testing.T) {
 func TestRediscoveryAndStall(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{5: {1, 2}}}
-	live := &setLive{dead: make(map[int]bool)}
+	live := newSetLive()
 	// ChunkTimeout must exceed window·tx+RTT (4·13.1+10 ≈ 62) or a
 	// healthy source's queued chunks get it falsely evicted.
 	cfg := Config{MaxSources: 1, ChunkTimeout: 100, RediscoverDelay: 25}
@@ -154,7 +169,7 @@ func TestRediscoveryAndStall(t *testing.T) {
 	man := mustManifest(t, 5, 256<<10, 16<<10) // 16 chunks
 	var got TransferResult
 	sw.Start(0, man, func(r TransferResult) { got = r })
-	eng.Schedule(10, func() { live.dead[1] = true })
+	eng.Schedule(10, func() { live.kill(1) })
 	eng.Run()
 
 	if !got.Completed {
@@ -219,12 +234,12 @@ func TestDeterministicReplay(t *testing.T) {
 			3: {1, 2, 3},
 			4: {2, 4, 5},
 		}}
-		live := &setLive{dead: make(map[int]bool)}
+		live := newSetLive()
 		sw := NewSwarm(eng, netmodel.NewEuclidean(6, 100, 11), live, loc,
 			Config{ChunkTimeout: 200, MaxSources: 2}, Obs{})
 		sw.Start(0, mustManifest(t, 3, 300<<10, 32<<10), nil)
 		sw.Start(5, mustManifest(t, 4, 200<<10, 32<<10), nil)
-		eng.Schedule(15, func() { live.dead[2] = true })
+		eng.Schedule(15, func() { live.kill(2) })
 		eng.Run()
 		return sw.Results()
 	}
@@ -241,7 +256,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestAbortActive(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
-	live := &setLive{dead: map[int]bool{1: true}} // sole replica already dead
+	live := newSetLive(1) // sole replica already dead
 	cfg := Config{ChunkTimeout: 1 << 20, RediscoverDelay: 1 << 20}
 	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, live, loc, cfg, Obs{})
 
@@ -261,6 +276,47 @@ func TestAbortActive(t *testing.T) {
 	// abort at t=50; only the short pre-first-event window is exempt.
 	if got := tr.Result().StallTime; got < 40 || got > 50 {
 		t.Fatalf("stall time = %v, want ~(50 - first delivery)", got)
+	}
+}
+
+// TestActiveOrderIsTotal starts transfers that tie on start time, object
+// and client — everything Active used to compare — and requires them
+// back in start order, also after a removal from the middle has
+// permuted the underlying slice.
+func TestActiveOrderIsTotal(t *testing.T) {
+	eng := &sim.Engine{}
+	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
+	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, AllAlive{}, loc, Config{}, Obs{})
+	man := mustManifest(t, 1, 1000, 100)
+	var started []*Transfer
+	for i := 0; i < 8; i++ {
+		started = append(started, sw.Start(0, man, nil))
+	}
+	if got := sw.Active(); !slices.Equal(got, started) {
+		t.Fatalf("Active() is not in start order: %v, want %v", got, started)
+	}
+	sw.fail(started[2])
+	want := slices.Delete(slices.Clone(started), 2, 3)
+	if got := sw.Active(); !slices.Equal(got, want) {
+		t.Fatalf("Active() after a removal is not in start order: %v, want %v", got, want)
+	}
+}
+
+// TestStallFollowsLiveness pins the stall interval to liveness flips that
+// no event of the transfer itself accompanies: the sole source dies at
+// t=10 with its window outstanding and is back at t=30.
+func TestStallFollowsLiveness(t *testing.T) {
+	eng := &sim.Engine{}
+	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
+	live := newSetLive()
+	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 5}, live, loc, Config{}, Obs{})
+	tr := sw.Start(0, mustManifest(t, 1, 256<<10, 16<<10), nil)
+	eng.Schedule(10, func() { live.kill(1) })
+	eng.Schedule(30, func() { live.revive(1) })
+	eng.RunUntil(40)
+	sw.AbortActive()
+	if got := tr.Result().StallTime; got != 20 {
+		t.Fatalf("stall time = %v, want exactly 20 (dead from t=10 to t=30)", got)
 	}
 }
 

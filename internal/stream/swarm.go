@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
+
 	"makalu/internal/content"
 	"makalu/internal/netmodel"
 	"makalu/internal/sim"
@@ -24,9 +27,14 @@ type Swarm struct {
 	// a new chunk cannot start transmitting before it.
 	busy map[int]float64
 
-	active  map[*Transfer]struct{}
+	active  []*Transfer // unordered; tr.slot indexes it
 	results []TransferResult
-	lastNow float64
+
+	// touched holds the transfers whose in-flight counts an event since
+	// the last tick changed, liveEpoch the Liveness epoch at that tick:
+	// together they are everything that can move a stalled flag.
+	touched   []*Transfer
+	liveEpoch uint64
 }
 
 // NewSwarm creates a swarm on eng. The swarm chains itself onto the
@@ -34,21 +42,20 @@ type Swarm struct {
 // already installed. ob may be the zero Obs for no instrumentation.
 func NewSwarm(eng *sim.Engine, net netmodel.Model, live Liveness, loc Locator, cfg Config, ob Obs) *Swarm {
 	s := &Swarm{
-		eng:    eng,
-		net:    net,
-		live:   live,
-		loc:    loc,
-		cfg:    cfg.withDefaults(),
-		obs:    ob,
-		busy:   make(map[int]float64),
-		active: make(map[*Transfer]struct{}),
+		eng:  eng,
+		net:  net,
+		live: live,
+		loc:  loc,
+		cfg:  cfg.withDefaults(),
+		obs:  ob,
+		busy: make(map[int]float64),
 	}
 	prev := eng.TickHook
 	eng.TickHook = func(now float64, executed uint64) {
 		if prev != nil {
 			prev(now, executed)
 		}
-		s.reconcile(now)
+		s.tick(now)
 	}
 	return s
 }
@@ -57,30 +64,19 @@ func NewSwarm(eng *sim.Engine, net netmodel.Model, live Liveness, loc Locator, c
 // order.
 func (s *Swarm) Results() []TransferResult { return s.results }
 
-// Active returns the transfers still in flight, in start order.
+// Active returns the transfers still in flight, ordered by start time,
+// then object, then client, then start order — a total order, because
+// kill waves pick victims from this list.
 func (s *Swarm) Active() []*Transfer {
-	out := make([]*Transfer, 0, len(s.active))
-	for tr := range s.active {
-		out = append(out, tr)
-	}
-	// Map order is random; sort by start time then object for
-	// deterministic callers (kill waves pick victims from this list).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out := slices.Clone(s.active)
+	slices.SortFunc(out, func(a, b *Transfer) int {
+		return cmp.Or(
+			cmp.Compare(a.res.Start, b.res.Start),
+			cmp.Compare(a.res.Object, b.res.Object),
+			cmp.Compare(a.res.Client, b.res.Client),
+			cmp.Compare(a.seq, b.seq))
+	})
 	return out
-}
-
-func less(a, b *Transfer) bool {
-	if a.res.Start != b.res.Start {
-		return a.res.Start < b.res.Start
-	}
-	if a.res.Object != b.res.Object {
-		return a.res.Object < b.res.Object
-	}
-	return a.res.Client < b.res.Client
 }
 
 // AbortActive fails every in-flight transfer at the current time.
@@ -114,11 +110,13 @@ type Transfer struct {
 	remaining int
 
 	sources  []int        // active sources, in discovery order
+	inflight []int        // outstanding chunk count, parallel to sources
 	evicted  map[int]bool // sources dropped for missing a deadline
-	inflight map[int]int  // source -> outstanding chunk count
 
+	slot, seq     int // index in Swarm.active; start order
 	rediscovering bool
 	stalled       bool
+	stallAt       float64 // time of the tick that set stalled
 	done          bool
 	res           TransferResult
 }
@@ -156,7 +154,8 @@ func (s *Swarm) Start(client int, man content.Manifest, onDone func(TransferResu
 		pending:   make([]int, n),
 		remaining: n,
 		evicted:   make(map[int]bool),
-		inflight:  make(map[int]int),
+		slot:      len(s.active),
+		seq:       len(s.active) + len(s.results), // every earlier transfer is in one of the two
 	}
 	for i := range tr.assigned {
 		tr.assigned[i] = -1
@@ -170,7 +169,8 @@ func (s *Swarm) Start(client int, man content.Manifest, onDone func(TransferResu
 		TTFB:   -1,
 	}
 	s.obs.TransfersStarted.Inc()
-	s.active[tr] = struct{}{}
+	s.active = append(s.active, tr)
+	s.touched = append(s.touched, tr)
 	if s.cfg.Deadline > 0 {
 		s.eng.Schedule(s.cfg.Deadline, func() {
 			if !tr.done {
@@ -204,15 +204,11 @@ func (tr *Transfer) skipSet() map[int]bool {
 }
 
 func (s *Swarm) addSource(tr *Transfer, u int) {
-	if u == tr.client || tr.evicted[u] {
+	if u == tr.client || tr.evicted[u] || slices.Contains(tr.sources, u) {
 		return
 	}
-	for _, v := range tr.sources {
-		if v == u {
-			return
-		}
-	}
 	tr.sources = append(tr.sources, u)
+	tr.inflight = append(tr.inflight, 0)
 }
 
 // grant fills every source's window with pending chunks.
@@ -220,13 +216,14 @@ func (s *Swarm) grant(tr *Transfer) {
 	if tr.done {
 		return
 	}
-	for _, src := range tr.sources {
-		for tr.inflight[src] < s.cfg.PerSourceWindow && len(tr.pending) > 0 {
+	for i, src := range tr.sources {
+		for tr.inflight[i] < s.cfg.PerSourceWindow && len(tr.pending) > 0 {
 			c := tr.pending[0]
 			tr.pending = tr.pending[1:]
 			if tr.delivered[c] || tr.assigned[c] >= 0 {
 				continue
 			}
+			tr.inflight[i]++
 			s.request(tr, src, c)
 		}
 	}
@@ -239,7 +236,6 @@ func (s *Swarm) request(tr *Transfer, src, c int) {
 	tr.assigned[c] = src
 	tr.attempt[c]++
 	att := tr.attempt[c]
-	tr.inflight[src]++
 	s.obs.ChunksRequested.Inc()
 
 	now := s.eng.Now()
@@ -270,9 +266,10 @@ func (s *Swarm) deliver(tr *Transfer, src, c, att int, rtt float64) {
 	if !s.live.Alive(src) {
 		return
 	}
+	s.touched = append(s.touched, tr)
 	tr.delivered[c] = true
 	tr.assigned[c] = -1
-	tr.inflight[src]--
+	tr.inflight[slices.Index(tr.sources, src)]--
 	tr.remaining--
 	tr.res.Delivered++
 	tr.res.Bytes += int64(tr.man.ChunkLen(c))
@@ -301,6 +298,7 @@ func (s *Swarm) timeout(tr *Transfer, c, att int) {
 	if src < 0 {
 		return
 	}
+	s.touched = append(s.touched, tr)
 	tr.res.Timeouts++
 	s.obs.ChunkTimeouts.Inc()
 	s.evictSource(tr, src)
@@ -316,13 +314,10 @@ func (s *Swarm) evictSource(tr *Transfer, src int) {
 		return
 	}
 	tr.evicted[src] = true
-	for i, v := range tr.sources {
-		if v == src {
-			tr.sources = append(tr.sources[:i], tr.sources[i+1:]...)
-			break
-		}
+	if i := slices.Index(tr.sources, src); i >= 0 {
+		tr.sources = slices.Delete(tr.sources, i, i+1)
+		tr.inflight = slices.Delete(tr.inflight, i, i+1)
 	}
-	delete(tr.inflight, src)
 	tr.res.SourcesEvicted++
 	s.obs.SourceEvictions.Inc()
 	if !s.live.Alive(src) {
@@ -360,6 +355,7 @@ func (s *Swarm) scheduleRediscover(tr *Transfer) {
 		if tr.done {
 			return
 		}
+		s.touched = append(s.touched, tr)
 		tr.rediscovering = false
 		want := s.cfg.MaxSources - len(tr.sources)
 		if want <= 0 {
@@ -394,22 +390,24 @@ func (s *Swarm) scheduleRediscover(tr *Transfer) {
 	})
 }
 
-// settleStall integrates the open stall interval ending now. finish
-// and fail must call it because they remove the transfer from the
-// active set before the post-event tick hook would account it (and an
-// out-of-event AbortActive never gets a tick hook at all).
-func (s *Swarm) settleStall(tr *Transfer) {
-	if dt := s.eng.Now() - s.lastNow; dt > 0 && tr.stalled {
-		tr.res.StallTime += dt
+// retire closes a transfer at the current time: it integrates the open
+// stall interval, which no later tick will see (and an out-of-event
+// AbortActive never gets a tick at all), and swap-removes the transfer
+// from the active set.
+func (s *Swarm) retire(tr *Transfer) {
+	tr.done = true
+	tr.res.End = s.eng.Now()
+	if tr.stalled {
+		tr.res.StallTime += tr.res.End - tr.stallAt
 	}
+	last := s.active[len(s.active)-1]
+	s.active[tr.slot], last.slot = last, tr.slot
+	s.active = s.active[:len(s.active)-1]
 }
 
 func (s *Swarm) finish(tr *Transfer) {
-	s.settleStall(tr)
-	tr.done = true
+	s.retire(tr)
 	tr.res.Completed = true
-	tr.res.End = s.eng.Now()
-	delete(s.active, tr)
 	s.obs.TransfersCompleted.Inc()
 	s.obs.TransferTime.Observe(toMicros(tr.res.Elapsed()))
 	s.obs.GoodputBps.Observe(int64(tr.res.Goodput() * 1000)) // bytes/ms -> bytes/s
@@ -423,11 +421,7 @@ func (s *Swarm) fail(tr *Transfer) {
 	if tr.done {
 		return
 	}
-	s.settleStall(tr)
-	tr.done = true
-	tr.res.Completed = false
-	tr.res.End = s.eng.Now()
-	delete(s.active, tr)
+	s.retire(tr)
 	s.obs.TransfersFailed.Inc()
 	s.results = append(s.results, tr.res)
 	if tr.onDone != nil {
@@ -435,32 +429,41 @@ func (s *Swarm) fail(tr *Transfer) {
 	}
 }
 
-// reconcile runs after every engine event: it integrates stall time
-// over the interval since the previous event for transfers that were
-// stalled across it, then re-evaluates each transfer's stall state. A
-// transfer is stalled when it is incomplete and no chunk is in flight
-// on a live source — every outstanding byte is owed by a dead replica
-// or the transfer is waiting out a re-discovery round.
-func (s *Swarm) reconcile(now float64) {
-	dt := now - s.lastNow
-	if dt > 0 {
-		for tr := range s.active {
-			if tr.stalled {
-				tr.res.StallTime += dt
-			}
+// tick runs after every engine event and re-evaluates the stalled flag
+// of the transfers it can have changed for: the ones the event touched,
+// or every active one when some node's liveness changed since the last
+// tick. A transfer is stalled when it is incomplete and no chunk is in
+// flight on a live source — every outstanding byte is owed by a dead
+// replica or the transfer is waiting out a re-discovery round. StallTime
+// is integrated per stall interval, from the tick that sets the flag to
+// the tick (or retire) that clears it.
+func (s *Swarm) tick(now float64) {
+	scan := s.touched
+	if ep := s.live.LiveEpoch(); ep != s.liveEpoch {
+		s.liveEpoch, scan = ep, s.active
+	}
+	for _, tr := range scan {
+		if tr.done {
+			continue // retired by the event that touched it
+		}
+		stalled := !s.liveProgress(tr)
+		if stalled == tr.stalled {
+			continue
+		}
+		if tr.stalled = stalled; stalled {
+			tr.stallAt = now
+		} else {
+			tr.res.StallTime += now - tr.stallAt
 		}
 	}
-	s.lastNow = now
-	for tr := range s.active {
-		tr.stalled = !s.liveProgress(tr)
-	}
+	s.touched = s.touched[:0]
 }
 
 // liveProgress reports whether any chunk is in flight on a live
 // source.
 func (s *Swarm) liveProgress(tr *Transfer) bool {
-	for src, n := range tr.inflight {
-		if n > 0 && s.live.Alive(src) {
+	for i, n := range tr.inflight {
+		if n > 0 && s.live.Alive(tr.sources[i]) {
 			return true
 		}
 	}
