@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -480,6 +482,74 @@ func TestFreezeAndBFSProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rowsSymmetricAndSimple reports the first violation of the invariant
+// search.Flooder counts messages by: v ∈ row(u) ⇔ u ∈ row(v), no
+// neighbor repeated in a row, no self-loop.
+func rowsSymmetricAndSimple(g *Graph) string {
+	for u := 0; u < g.N(); u++ {
+		seen := map[int32]bool{}
+		for _, v := range g.Neighbors(u) {
+			switch {
+			case int(v) == u:
+				return fmt.Sprintf("self-loop at %d", u)
+			case seen[v]:
+				return fmt.Sprintf("%d repeated in row %d", v, u)
+			case !slices.Contains(g.Neighbors(int(v)), int32(u)):
+				return fmt.Sprintf("%d in row %d but not the reverse", v, u)
+			}
+			seen[v] = true
+		}
+	}
+	return ""
+}
+
+// Property: however a Mutable was edited — rejected loops and repeats,
+// removals, isolations, a hub past sortedDegreeThreshold — Freeze,
+// InducedSubgraph and Thaw→Freeze produce symmetric simple rows.
+func TestFrozenRowsSymmetricAndSimple(t *testing.T) {
+	f := func(seed int64, nRaw, extra uint8, weighted bool) bool {
+		n := int(nRaw)%150 + 2
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMutable(n)
+		hub := rng.Intn(n)
+		for i := n + 3*int(extra); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch rng.Intn(8) {
+			case 0:
+				m.RemoveEdge(u, v)
+			case 1:
+				if rng.Intn(20) == 0 {
+					m.IsolateNode(u)
+				}
+			case 2, 3:
+				m.AddEdge(hub, v)
+			default:
+				m.AddEdge(u, v)
+			}
+		}
+		var latency WeightFunc
+		if weighted {
+			latency = func(u, v int) float64 { return float64(u + v) }
+		}
+		g := m.Freeze(latency)
+		keep := make([]bool, n)
+		for u := range keep {
+			keep[u] = rng.Intn(3) > 0
+		}
+		sub, _ := g.InducedSubgraph(keep)
+		for name, fr := range map[string]*Graph{"Freeze": g, "InducedSubgraph": sub, "Thaw→Freeze": g.Thaw().Freeze(latency)} {
+			if bad := rowsSymmetricAndSimple(fr); bad != "" {
+				t.Logf("%s (seed %d, n %d): %s", name, seed, n, bad)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
