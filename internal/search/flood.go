@@ -5,7 +5,11 @@
 // attenuated-Bloom-filter identifier routing.
 package search
 
-import "makalu/internal/graph"
+import (
+	"slices"
+
+	"makalu/internal/graph"
+)
 
 // Result describes one query execution, whatever the mechanism.
 type Result struct {
@@ -35,22 +39,28 @@ type Matcher func(node int) bool
 // is reused between queries, so large batches stay allocation-free.
 // It is not safe for concurrent use; create one Flooder per worker.
 type Flooder struct {
-	g       *graph.Graph
-	visited []uint64 // bit v set while v is in the current query's queue
-	queue   []visit  // discovery order
-	chain   []int32  // first-match latency scratch: queue indices match -> source
+	g         *graph.Graph
+	visited   []uint64 // bit v set while v is in the current query's queue
+	queue     []visit  // discovery order; kept at full length, Flood tracks the tail
+	chain     []int32  // first-match latency scratch: queue indices match -> source
+	touchSink int32    // keeps the row-gather loads live
 }
 
 // visit is one queue entry: a node and the queue index of its sender
 // (-1 for the source).
 type visit struct{ node, from int32 }
 
+// floodBlock is how many frontier rows Flood fetches together before
+// sweeping them: enough independent misses to fill the core's load
+// queue, few enough that the rows are still in L1 when swept.
+const floodBlock = 32
+
 // NewFlooder creates a Flooder for g.
 func NewFlooder(g *graph.Graph) *Flooder {
 	return &Flooder{
 		g:       g,
 		visited: make([]uint64, (g.N()+63)/64),
-		queue:   make([]visit, 0, 1024),
+		queue:   make([]visit, 1024),
 	}
 }
 
@@ -62,6 +72,13 @@ func NewFlooder(g *graph.Graph) *Flooder {
 // Re-received queries are recognized by their cached query ID, counted
 // as duplicates, and suppressed. match is called exactly once per
 // distinct node reached, source first, in discovery order.
+//
+// The graph's rows must be symmetric and simple (v in row(u) exactly
+// when u is in row(v), no repeats, no self-loops), which is what
+// Mutable.Freeze and Graph.InducedSubgraph produce: the sender then
+// appears exactly once in the row of every node it reached, so the
+// messages a level sends are its rows' lengths less one per forwarder,
+// counted without looking at the edges.
 func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 	res := Result{FirstMatchHop: -1}
 	if match(src) {
@@ -74,49 +91,77 @@ func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 		return res
 	}
 
-	offsets, edges, visited := f.g.Offsets, f.g.Edges, f.visited
-	queue := append(f.queue[:0], visit{int32(src), -1})
+	offsets, edges, visited, queue := f.g.Offsets, f.g.Edges, f.visited, f.queue
+	queue[0] = visit{int32(src), -1}
 	visited[src>>6] |= 1 << (uint(src) & 63)
 	first := -1 // queue index of the first match beyond the source
-	head := 0
-	for hop := 1; hop <= ttl && head < len(queue); hop++ {
-		for levelEnd := len(queue); head < levelEnd; head++ {
-			u := queue[head].node
-			pu := int32(-1)
-			if p := queue[head].from; p >= 0 {
-				pu = queue[p].node
+	head, tail, rowSum := 0, 1, 0
+	var lo, hi [floodBlock]int32 // the current block's rows: edges[lo[i]:hi[i]]
+	for hop := 1; hop <= ttl && head < tail; hop++ {
+		levelEnd := tail
+		for head < levelEnd {
+			// The frontier was written a level ago, so a block of its
+			// rows can be fetched at once: loading every offset pair and
+			// the two ends of every row in one dependence-free loop
+			// overlaps misses the sweep would otherwise take one by one.
+			block := min(levelEnd-head, floodBlock)
+			room, touch := tail, int32(0)
+			for i := 0; i < block; i++ {
+				u := queue[head+i].node
+				lo[i], hi[i] = offsets[u], offsets[u+1]
+				room += int(hi[i] - lo[i])
+				if lo[i] < hi[i] {
+					touch += edges[lo[i]] + edges[hi[i]-1]
+				}
 			}
-			for _, v := range edges[offsets[u]:offsets[u+1]] {
-				if v == pu {
-					continue // never echo back to the sender
+			f.touchSink = touch
+			rowSum += room - tail
+			// The sweep stores before it knows whether it keeps the
+			// entry, so the queue must have room for every edge of the
+			// block; that bounds it by the flood's reach, not by n.
+			if room > len(queue) {
+				queue = slices.Grow(queue[:tail], room-tail)
+				queue = queue[:cap(queue)]
+			}
+			// Discovery without a data-dependent branch: write the
+			// entry, set the bit, and keep the entry only if the bit was
+			// clear. The sender's bit is set, so it is never re-queued.
+			for i := 0; i < block; i++ {
+				from := int32(head + i)
+				for _, v := range edges[lo[i]:hi[i]] {
+					queue[tail] = visit{v, from}
+					word, shift := &visited[v>>6], uint(v)&63
+					old := *word
+					*word = old | 1<<shift
+					tail += int(^old >> shift & 1)
 				}
-				res.Messages++
-				word, bit := &visited[v>>6], uint64(1)<<(uint(v)&63)
-				if *word&bit != 0 {
-					res.Duplicates++
-					continue
+			}
+			head += block
+		}
+		// Matching runs once per level over the nodes it discovered:
+		// the same calls in the same order as matching at discovery.
+		for i := levelEnd; i < tail; i++ {
+			if match(int(queue[i].node)) {
+				res.MatchesFound++
+				if !res.Success {
+					res.Success = true
+					res.FirstMatchHop = hop
+					first = i
 				}
-				*word |= bit
-				if match(int(v)) {
-					res.MatchesFound++
-					if !res.Success {
-						res.Success = true
-						res.FirstMatchHop = hop
-						first = len(queue)
-					}
-				}
-				queue = append(queue, visit{v, int32(head)})
 			}
 		}
 	}
 	f.queue = queue
-	res.Visited = len(queue)
+	res.Visited = tail
+	// Every forwarder but the source skipped its sender.
+	res.Messages = rowSum - (head - 1)
+	res.Duplicates = res.Messages - (tail - 1)
 	if first >= 0 && f.g.Weights != nil {
 		res.FirstMatchLatency = f.pathLatency(first)
 	}
 	// Every set bit belongs to a queued node, so zeroing their words
 	// restores the all-clear bitmap the next query expects.
-	for _, v := range queue {
+	for _, v := range queue[:tail] {
 		visited[v.node>>6] = 0
 	}
 	return res

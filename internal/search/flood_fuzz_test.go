@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"makalu/internal/graph"
@@ -85,17 +84,7 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 		for ; len(edges) >= 2; edges = edges[2:] {
 			m.AddEdge(int(edges[0])%n, int(edges[1])%n) // loops and repeats are rejected
 		}
-		var g *graph.Graph
-		if weighted {
-			g = m.Freeze(func(u, v int) float64 {
-				if u > v {
-					u, v = v, u
-				}
-				return 0.1 + math.Sqrt(float64(u*n+v))/7
-			})
-		} else {
-			g = m.Freeze(nil)
-		}
+		g := freezeMaybeWeighted(m, weighted)
 		fl, o := NewFlooder(g), newOracleFlooder(g)
 		for q := 0; q < nq; q++ {
 			src, ttl := int(queries[4*q])%n, int(queries[4*q+1])%12

@@ -115,9 +115,16 @@ func randomGraph(n int, meanDeg float64, weighted bool, seed int64) *graph.Graph
 			m.AddEdge(u, v) // duplicates are rejected by the graph
 		}
 	}
+	return freezeMaybeWeighted(m, weighted)
+}
+
+// freezeMaybeWeighted freezes m, when asked with symmetric weights
+// whose low bits differ from edge to edge.
+func freezeMaybeWeighted(m *graph.Mutable, weighted bool) *graph.Graph {
 	if !weighted {
 		return m.Freeze(nil)
 	}
+	n := m.N()
 	return m.Freeze(func(u, v int) float64 {
 		if u > v {
 			u, v = v, u

@@ -292,3 +292,43 @@ func TestExpandingRingDegenerateConfig(t *testing.T) {
 		t.Fatalf("clamped config should still flood once: %+v", r)
 	}
 }
+
+// The sweep stores every edge's entry before it knows whether it keeps
+// it, so the queue needs room for a block's rows ahead of the tail. That
+// room is reserved block by block from the rows' lengths: the queue is
+// sized by what a flood reaches, never by n, and stops growing.
+func TestFloodQueueSizedByReach(t *testing.T) {
+	const n, hubDegree = 200000, 2500
+	m := graph.NewMutable(n)
+	for i := 0; i < n; i++ {
+		for d := 1; d <= 4; d++ {
+			m.AddEdge(i, (i+d)%n)
+		}
+	}
+	for k := 1; k <= hubDegree; k++ {
+		m.AddEdge(0, k*(n/hubDegree)-40)
+	}
+	g := m.Freeze(nil)
+	f := NewFlooder(g)
+	rng := rand.New(rand.NewSource(1))
+	flood := func(src, ttl int) {
+		r := f.Flood(src, ttl, noMatch)
+		if ttl == 1 && (r.Visited != 1+g.Degree(src) || r.Messages != g.Degree(src) || r.Duplicates != 0) {
+			t.Fatalf("TTL-1 flood from %d (degree %d): %+v", src, g.Degree(src), r)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		flood(rng.Intn(n), 1)
+	}
+	if c := cap(f.queue); c > 2048 {
+		t.Fatalf("TTL-1 floods on a %d-node graph grew the queue to %d entries", n, c)
+	}
+	flood(0, 1) // the hub's row alone outgrows the initial queue
+	flood(0, 2)
+	if c := cap(f.queue); c < hubDegree || c > 20*hubDegree {
+		t.Fatalf("floods from a degree-%d hub left the queue at %d entries", g.Degree(0), c)
+	}
+	if avg := testing.AllocsPerRun(50, func() { flood(rng.Intn(n), 1); flood(0, 2) }); avg != 0 {
+		t.Fatalf("Flood allocates %.1f/op once the queue covers its reach, want 0", avg)
+	}
+}

@@ -51,10 +51,29 @@ func benchQuerySet(store *content.Store) []kernelQuery {
 	return qs
 }
 
+// evictCaches reads one word per cache line of a buffer four times the
+// reference host's per-core L2, so whatever the previous query left in
+// L1 and L2 — adjacency rows, queue, bitmaps — is gone when the next
+// one starts. That is the state a serving worker finds after waiting
+// on its socket.
+var evictBuf []uint64
+var evictSink uint64
+
+func evictCaches() {
+	if evictBuf == nil {
+		evictBuf = make([]uint64, 8<<20/8)
+	}
+	for i := 0; i < len(evictBuf); i += 8 {
+		evictSink += evictBuf[i]
+	}
+}
+
 // benchKernel times run over the query set with each matcher and
 // reports the message count per query and the time per message, the
-// unit in which kernels of different reach compare.
-func benchKernel(b *testing.B, run func(k *Kernel, src int, match Matcher) Result) {
+// unit in which kernels of different reach compare. With cold set, each
+// matcher gets a second row that evicts the caches between queries
+// with the timer stopped.
+func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Matcher) Result) {
 	g, store := benchWorld()
 	qs := benchQuerySet(store)
 	matchers := []struct {
@@ -65,24 +84,38 @@ func benchKernel(b *testing.B, run func(k *Kernel, src int, match Matcher) Resul
 		{"targets", func(k *Kernel, obj uint64) Matcher { return k.Targets(store.Replicas(obj)) }},
 	}
 	for _, m := range matchers {
-		b.Run("n=20000/"+m.name, func(b *testing.B) {
-			k := NewKernel(g, 0)
-			run(k, qs[0].src, m.make(k, qs[0].obj)) // size the scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			msgs := 0
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				msgs += run(k, q.src, m.make(k, q.obj)).Messages
+		row := func(evict bool) func(b *testing.B) {
+			return func(b *testing.B) {
+				k := NewKernel(g, 0)
+				run(k, qs[0].src, m.make(k, qs[0].obj)) // size the scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				msgs := 0
+				for i := 0; i < b.N; i++ {
+					q := qs[i%len(qs)]
+					if evict {
+						b.StopTimer()
+						evictCaches()
+						b.StartTimer()
+					}
+					msgs += run(k, q.src, m.make(k, q.obj)).Messages
+				}
+				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 			}
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
-		})
+		}
+		b.Run("n=20000/"+m.name, row(false))
+		if cold {
+			b.Run("n=20000/"+m.name+"/cold", row(true))
+		}
 	}
 }
 
+// BenchmarkFloodKernel's cold rows approach the in-place regime, where
+// a flood starts behind a socket wait and costs more than the warm row
+// says: what overlapping the row fetches buys shows there, not warm.
 func BenchmarkFloodKernel(b *testing.B) {
-	benchKernel(b, func(k *Kernel, src int, match Matcher) Result {
+	benchKernel(b, true, func(k *Kernel, src int, match Matcher) Result {
 		return k.Flooder().Flood(src, 4, match)
 	})
 }
@@ -90,7 +123,7 @@ func BenchmarkFloodKernel(b *testing.B) {
 func BenchmarkWalkKernel(b *testing.B) {
 	cfg := WalkConfig{Walkers: 16, MaxSteps: 256, CheckInterval: 4}
 	rng := rand.New(rand.NewSource(5))
-	benchKernel(b, func(k *Kernel, src int, match Matcher) Result {
+	benchKernel(b, false, func(k *Kernel, src int, match Matcher) Result {
 		return k.Walker().Random(src, cfg, match, rng)
 	})
 }
@@ -100,7 +133,7 @@ func BenchmarkWalkKernel(b *testing.B) {
 func BenchmarkFloodOracle(b *testing.B) {
 	g, _ := benchWorld()
 	o := newOracleFlooder(g)
-	benchKernel(b, func(_ *Kernel, src int, match Matcher) Result {
+	benchKernel(b, false, func(_ *Kernel, src int, match Matcher) Result {
 		return o.Flood(src, 4, match)
 	})
 }

@@ -27,6 +27,25 @@ func TestFloodFirstMatchLatency(t *testing.T) {
 	}
 }
 
+// The ring's answer is the winning attempt's: its latency too, or every
+// ring batch on a weighted graph aggregates MeanLatency() == 0.
+func TestExpandingRingFirstMatchLatency(t *testing.T) {
+	f := NewFlooder(weightedPath(10, 7.5))
+	match := func(u int) bool { return u == 4 }
+	r := ExpandingRing(f, 0, RingConfig{StartTTL: 1, Step: 1, MaxTTL: 9}, match, nil)
+	if !r.Success || r.FirstMatchHop != 4 {
+		t.Fatalf("ring result %+v, want a match at hop 4", r)
+	}
+	if want := f.Flood(0, 4, match).FirstMatchLatency; r.FirstMatchLatency != want || want != 30 {
+		t.Fatalf("ring latency = %v, winning flood's %v, want 30", r.FirstMatchLatency, want)
+	}
+	a := NewAggregate()
+	a.Add(r)
+	if a.MeanLatency() != 30 {
+		t.Fatalf("ring batch mean latency = %v, want 30", a.MeanLatency())
+	}
+}
+
 func TestFloodLatencyZeroWithoutWeights(t *testing.T) {
 	f := NewFlooder(path(10))
 	r := f.Flood(0, 9, func(u int) bool { return u == 4 })

@@ -48,6 +48,7 @@ func ExpandingRing(f *Flooder, src int, cfg RingConfig, match Matcher, rng *rand
 			total.Success = true
 			total.FirstMatchHop = r.FirstMatchHop
 			total.MatchesFound = r.MatchesFound
+			total.FirstMatchLatency = r.FirstMatchLatency
 			return total
 		}
 		if ttl >= cfg.MaxTTL {
