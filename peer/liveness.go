@@ -50,43 +50,43 @@ func (n *Node) sweepLiveness() {
 		// the socket; if the peer is actually alive it will observe
 		// the loss and both ends re-enter the overlay via refill.
 		n.dropLink(l)
-		n.noteDialFailure(l.addr)
-		n.bumpEvictions(l.addr)
-	}
-	if len(victims) > 0 {
-		n.kickManage()
+		n.noteEviction(l.addr)
 	}
 }
 
 // noteDialFailure records one more consecutive failure for addr and
 // schedules the next retry with capped exponential backoff plus
-// jitter. After DialMaxFails consecutive failures the address is
-// dropped from the host cache entirely.
+// jitter. The address is never forgotten (HostCacheCap is the only
+// eviction): a node cut off from everyone it knows must still have a
+// next dial when the partition lifts. An address not cached yet (a
+// dead bootstrap seed) is cached first, so backoff ⊆ cache and the cap
+// bounds both maps.
 func (n *Node) noteDialFailure(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
+	n.met.dialFailures.Inc()
+	n.addToCacheLocked(addr)
+	if !n.cache[addr] {
+		return // cache full of live neighbors: nothing to retry from
+	}
 	b := n.backoff[addr]
 	if b == nil {
 		b = &dialBackoff{}
 		n.backoff[addr] = b
 	}
-	b.fails++
-	n.met.dialFailures.Inc()
-	n.met.trace.Record(obs.EvDialBackoff, n.Addrlocked(), addr, int64(b.fails))
-	if b.fails >= n.cfg.DialMaxFails {
-		delete(n.cache, addr)
-		delete(n.backoff, addr)
-		n.met.backoffEntries.Set(int64(len(n.backoff)))
-		return
-	}
-	delay := n.cfg.DialBackoffBase << uint(b.fails-1)
-	if delay > n.cfg.DialBackoffMax || delay <= 0 {
+	// fails stops counting once the delay has reached the cap, so the
+	// shift stays small however long the address stays dead.
+	delay := n.cfg.DialBackoffBase << uint(b.fails)
+	if delay >= n.cfg.DialBackoffMax || delay <= 0 {
 		delay = n.cfg.DialBackoffMax
+	} else {
+		b.fails++
 	}
-	// Jitter in [delay/2, delay): de-synchronizes a cohort of
+	n.met.trace.Record(obs.EvDialBackoff, n.Addrlocked(), addr, int64(b.fails))
+	// Jitter in [delay/2, delay]: de-synchronizes a cohort of
 	// survivors all retrying the same dead peer.
 	jittered := delay/2 + time.Duration(n.rng.Int63n(int64(delay/2)+1))
 	b.until = time.Now().Add(jittered)
@@ -101,16 +101,20 @@ func (n *Node) noteDialSuccess(addr string) {
 	n.mu.Unlock()
 }
 
-// bumpEvictions counts a liveness-triggered loss of the link to addr,
-// in both the LinkStats counter and the event trace — every eviction
-// LinkStats reports has a matching EvEvict event, which the
-// mass-failure acceptance test pins.
-func (n *Node) bumpEvictions(addr string) {
+// noteEviction is the epilogue of every liveness-triggered loss of the
+// link to addr, after dropLink: the address goes on dial backoff, the
+// loss is counted in both LinkStats and the event trace — every
+// eviction LinkStats reports has a matching EvEvict event, which the
+// mass-failure acceptance test pins — and the management loop is
+// kicked to refill.
+func (n *Node) noteEviction(addr string) {
+	n.noteDialFailure(addr)
 	n.mu.Lock()
 	n.evictions++
 	n.mu.Unlock()
 	n.met.evictions.Inc()
 	n.met.trace.Record(obs.EvEvict, n.Addr(), addr, 0)
+	n.kickManage()
 }
 
 // kickManage requests an immediate management round (refill, prune)

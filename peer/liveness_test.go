@@ -2,8 +2,11 @@ package peer
 
 import (
 	"bufio"
+	"errors"
 	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -143,7 +146,7 @@ func TestSilentPeerSuspectedEvictedAndPurged(t *testing.T) {
 	}
 	defer nd.Close()
 	fp := dialFakePeer(t, nd, true)
-	fp.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: []string{"10.0.0.1:1"}}))
+	fp.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: []string{"127.0.0.2:1"}}))
 	waitFor(t, 2*time.Second, func() bool {
 		st := nd.Stats()
 		return nd.Degree() == 1 && st.RTTs == 1 && st.Views == 1
@@ -239,7 +242,7 @@ func TestHostCacheBounded(t *testing.T) {
 	for batch := 0; batch < 10; batch++ {
 		addrs := make([]string, 20)
 		for i := range addrs {
-			addrs[i] = net.JoinHostPort("203.0.113.1", strconv.Itoa(1000+batch*20+i))
+			addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(1000+batch*20+i))
 		}
 		fp.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: addrs}))
 	}
@@ -300,18 +303,19 @@ func TestTTLClampNoWrap(t *testing.T) {
 	}
 }
 
-// Dial backoff: failures space out retries exponentially and
-// DialMaxFails consecutive failures drop the address from the cache.
-func TestDialBackoffDropsDeadAddress(t *testing.T) {
+// Dial backoff: failures space out retries exponentially, and a dead
+// address is never dropped — it stays a refill candidate, retried at
+// DialBackoffMax cadence, until the HostCacheCap bound evicts it.
+func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 	cfg := tightConfig(6)
+	cfg.ManageInterval = time.Hour // only the test drives the backoff state
 	cfg.DialBackoffBase = 100 * time.Millisecond
-	cfg.DialMaxFails = 3
 	nd, err := Start("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	const dead = "203.0.113.9:444"
+	const dead = "127.0.0.2:444"
 	nd.mu.Lock()
 	nd.addToCacheLocked(dead)
 	nd.mu.Unlock()
@@ -334,24 +338,212 @@ func TestDialBackoffDropsDeadAddress(t *testing.T) {
 	}
 
 	nd.noteDialFailure(dead)
-	nd.noteDialFailure(dead) // third strike: drop entirely
+	nd.noteDialFailure(dead) // third strike: still remembered
 	nd.mu.Lock()
 	_, stillBackoff := nd.backoff[dead]
 	stillCached := nd.cache[dead]
+	canLater = nd.canDialLocked(dead, time.Now().Add(nd.cfg.DialBackoffMax))
 	nd.mu.Unlock()
-	if stillBackoff || stillCached {
-		t.Fatalf("dead address not dropped after %d failures (backoff=%v cached=%v)",
-			cfg.DialMaxFails, stillBackoff, stillCached)
+	if !stillBackoff || !stillCached || !canLater {
+		t.Fatalf("dead address forgotten after 3 failures (backoff=%v cached=%v dialable after DialBackoffMax=%v)",
+			stillBackoff, stillCached, canLater)
 	}
 
 	// A success wipes the slate.
-	nd.noteDialFailure(dead)
 	nd.noteDialSuccess(dead)
 	nd.mu.Lock()
 	_, hasBackoff := nd.backoff[dead]
 	nd.mu.Unlock()
 	if hasBackoff {
 		t.Fatal("successful dial did not clear backoff state")
+	}
+}
+
+// An address that never comes back must cost a bounded amount of state
+// and arithmetic: the retry delay settles at DialBackoffMax (the shift
+// does not grow with the failure count), and failed addresses — cached
+// beforehand or not — are bounded by HostCacheCap in both maps.
+func TestDialBackoffStaysBounded(t *testing.T) {
+	cfg := tightConfig(9)
+	cfg.ManageInterval = time.Hour
+	cfg.DialBackoffBase = 100 * time.Millisecond
+	cfg.HostCacheCap = 32
+	nd, err := Start("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	const dead = "127.0.0.2:444"
+	for i := 0; i < 9999; i++ {
+		nd.noteDialFailure(dead)
+	}
+	before := time.Now()
+	nd.noteDialFailure(dead)
+	after := time.Now()
+	nd.mu.Lock()
+	b, cached := nd.backoff[dead], nd.cache[dead]
+	nd.mu.Unlock()
+	maxDelay := nd.cfg.DialBackoffMax
+	if !cached || b == nil {
+		t.Fatalf("address forgotten after 10000 failures (backoff=%+v cached=%v)", b, cached)
+	}
+	if b.until.Before(before.Add(maxDelay/2)) || b.until.After(after.Add(maxDelay)) {
+		t.Fatalf("retry %v after the 10000th failure, want within [%v, %v]", b.until.Sub(before), maxDelay/2, maxDelay)
+	}
+
+	for i := 0; i < cfg.HostCacheCap+100; i++ {
+		nd.noteDialFailure(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
+	}
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if len(nd.backoff) > len(nd.cache) || len(nd.cache) > cfg.HostCacheCap {
+		t.Fatalf("backoff %d, cache %d, cap %d: want backoff <= cache <= cap", len(nd.backoff), len(nd.cache), cfg.HostCacheCap)
+	}
+	for a := range nd.backoff {
+		if !nd.cache[a] {
+			t.Fatalf("%s on backoff but not cached", a)
+		}
+	}
+}
+
+// The property local repair rests on: whatever sequence of learned
+// addresses, dial failures, dial successes and elapsed time a node has
+// seen, once it has heard of anyone it can dial someone within
+// DialBackoffMax. No sockets: the test drives the bookkeeping directly.
+func TestDialCandidateNeverRunsOut(t *testing.T) {
+	pool := make([]string, 8)
+	for i := range pool {
+		pool[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(2000+i))
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		// Histories of one address up to eight: a node that knows few
+		// peers is the one a forgetful cache strands.
+		pool := pool[:seed]
+		cfg := tightConfig(seed)
+		cfg.ManageInterval = time.Hour
+		cfg.DialBackoffBase = time.Millisecond
+		cfg.DialBackoffMax = 4 * time.Millisecond
+		cfg.HostCacheCap = 4 // below the pool, so the cap evicts too
+		nd, err := Start("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		rng := rand.New(rand.NewSource(seed))
+		heard := false
+		for op := 0; op < 200; op++ {
+			a := pool[rng.Intn(len(pool))]
+			switch rng.Intn(5) {
+			case 0:
+				nd.mu.Lock()
+				nd.addToCacheLocked(a)
+				nd.mu.Unlock()
+				heard = true
+			case 1, 2:
+				nd.noteDialFailure(a)
+			case 3:
+				nd.noteDialSuccess(a)
+			case 4:
+				time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
+			}
+			if !heard {
+				continue
+			}
+			horizon := time.Now().Add(cfg.DialBackoffMax)
+			dialable := 0
+			nd.mu.Lock()
+			for c := range nd.cache {
+				if nd.canDialLocked(c, horizon) {
+					dialable++
+				}
+			}
+			cache, backoff := len(nd.cache), len(nd.backoff)
+			nd.mu.Unlock()
+			if dialable == 0 {
+				t.Fatalf("seed %d op %d: no dial candidate within DialBackoffMax (cache %d, backoff %d)", seed, op, cache, backoff)
+			}
+		}
+	}
+}
+
+// recordingTransport listens for real but refuses every dial, noting
+// the address: refill decisions become observable without a network.
+type recordingTransport struct {
+	mu     sync.Mutex
+	dialed []string
+}
+
+func (r *recordingTransport) Listen(network, address string) (net.Listener, error) {
+	return net.Listen(network, address)
+}
+
+func (r *recordingTransport) DialTimeout(_, address string, _ time.Duration) (net.Conn, error) {
+	r.mu.Lock()
+	r.dialed = append(r.dialed, address)
+	r.mu.Unlock()
+	return nil, errors.New("recordingTransport: no network")
+}
+
+// Same seed, same contents, different insertion order: the prune
+// victim among equal scores and the refill candidates must not depend
+// on map iteration order.
+func TestSeededTiesIgnoreMapOrder(t *testing.T) {
+	addrs := make([]string, 8)
+	for i := range addrs {
+		addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(3000+i))
+	}
+	decide := func(order []string) (victim string, dialed []string) {
+		tr := &recordingTransport{}
+		nd, err := Start("127.0.0.1:0", Config{Capacity: 2, ManageInterval: time.Hour, Seed: 77, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		nd.mu.Lock()
+		for _, a := range order {
+			nd.addToCacheLocked(a)
+		}
+		nd.mu.Unlock()
+		nd.refillFromCache() // no links, capacity 2: two candidates
+		waitFor(t, 2*time.Second, func() bool {
+			tr.mu.Lock()
+			defer tr.mu.Unlock()
+			return len(tr.dialed) == 2
+		}, "refill did not dial two candidates")
+		dialed = append(dialed, tr.dialed...)
+		sort.Strings(dialed)
+
+		// Four socketless links, all scoring 0 and out of grace, on a
+		// capacity-2 node. They leave the table again before Close,
+		// which would write a Bye to them.
+		old := time.Now().Add(-5 * time.Hour)
+		nd.mu.Lock()
+		for _, a := range order[:4] {
+			nd.conns[a] = &link{addr: a, born: old}
+		}
+		nd.mu.Unlock()
+		victim = nd.selectPruneVictim().addr
+		nd.mu.Lock()
+		for _, a := range order[:4] {
+			delete(nd.conns, a)
+		}
+		nd.mu.Unlock()
+		return victim, dialed
+	}
+	wantVictim, wantDialed := decide(addrs)
+	for trial := 0; trial < 5; trial++ {
+		order := append([]string(nil), addrs[:4]...)
+		rand.New(rand.NewSource(int64(trial))).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for i := len(addrs) - 1; i >= 4; i-- {
+			order = append(order, addrs[i])
+		}
+		victim, dialed := decide(order)
+		if victim != wantVictim {
+			t.Fatalf("trial %d: prune victim %s, first build picked %s", trial, victim, wantVictim)
+		}
+		if !reflect.DeepEqual(dialed, wantDialed) {
+			t.Fatalf("trial %d: refill dialed %v, first build dialed %v", trial, dialed, wantDialed)
+		}
 	}
 }
 

@@ -49,14 +49,14 @@ type Config struct {
 	IdleTimeout time.Duration
 
 	// Re-dial backoff: a failed dial to addr is retried no sooner than
-	// base<<(fails-1) later (capped at DialBackoffMax, jittered), and
-	// after DialMaxFails consecutive failures the address is dropped
-	// from the host cache. Defaults: ManageInterval, 16×base, 6.
+	// base<<(fails-1) later (capped at DialBackoffMax, jittered). A
+	// failing address is never forgotten, only retried at the capped
+	// cadence. Defaults: ManageInterval, 16×base.
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
-	DialMaxFails    int
 	// HostCacheCap bounds the host cache; beyond it a random
-	// non-neighbor entry is evicted per insertion. Default 512.
+	// non-neighbor entry is evicted per insertion — the only way an
+	// address ever leaves the cache. Default 512.
 	HostCacheCap int
 
 	// DenyPeers lists peer listen addresses this node refuses to dial
@@ -109,9 +109,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.DialBackoffMax <= 0 {
 		cfg.DialBackoffMax = 16 * cfg.DialBackoffBase
-	}
-	if cfg.DialMaxFails <= 0 {
-		cfg.DialMaxFails = 6
 	}
 	if cfg.HostCacheCap <= 0 {
 		cfg.HostCacheCap = 512
@@ -173,7 +170,7 @@ type pingRef struct {
 
 // dialBackoff tracks consecutive dial failures to one address.
 type dialBackoff struct {
-	fails int
+	fails int // saturates once the delay has reached DialBackoffMax
 	until time.Time
 }
 
@@ -477,9 +474,7 @@ func (n *Node) readLoop(l *link, r *bufio.Reader) {
 		skip := clean || n.closed || l.byManager
 		n.mu.Unlock()
 		if !skip {
-			n.noteDialFailure(l.addr)
-			n.bumpEvictions(l.addr)
-			n.kickManage()
+			n.noteEviction(l.addr)
 		}
 	}()
 	for {
@@ -670,6 +665,8 @@ func (n *Node) refillFromCache() {
 				cands = append(cands, a)
 			}
 		}
+		// Map order would discard the seed the shuffle draws from.
+		sort.Strings(cands)
 		n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		if len(cands) > want {
 			cands = cands[:want]
@@ -779,7 +776,9 @@ func (n *Node) selectPruneVictim() *link {
 			if !includeYoung && now.Sub(l.born) < grace {
 				continue
 			}
-			if worst == nil || s < worstScore {
+			// Ties (every link scores 0 before views and RTTs arrive)
+			// break by address, not by map order.
+			if worst == nil || s < worstScore || (s == worstScore && addr < worst.addr) {
 				worst = l
 				worstScore = s
 			}
@@ -850,48 +849,17 @@ func (n *Node) rateLocked() map[string]float64 {
 // listener address is immutable after Start).
 func (n *Node) Addrlocked() string { return n.ln.Addr().String() }
 
-// KnownPeers returns addresses learned from neighbor views that we
-// are not connected to — the host-cache candidates for Bootstrap.
-func (n *Node) KnownPeers() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	self := n.Addrlocked()
-	seen := map[string]bool{}
-	var out []string
-	for _, view := range n.views {
-		for _, a := range view {
-			if a == self || seen[a] {
-				continue
-			}
-			if _, isNeighbor := n.conns[a]; isNeighbor {
-				continue
-			}
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Bootstrap joins the network through a seed peer: connect to the
-// seed, wait for its neighbor push, then dial learned candidates
-// until the node reaches its capacity or runs out.
+// seed, then run the management loop's own refill — the seed's
+// neighbor push feeds the host cache — until the node reaches its
+// capacity or settle runs out.
 func (n *Node) Bootstrap(seed string, settle time.Duration) error {
 	if err := n.Connect(seed); err != nil {
 		return err
 	}
 	deadline := time.Now().Add(settle)
-	for time.Now().Before(deadline) {
-		if n.Degree() >= n.cfg.Capacity {
-			return nil
-		}
-		for _, cand := range n.KnownPeers() {
-			if n.Degree() >= n.cfg.Capacity {
-				break
-			}
-			n.Connect(cand)
-		}
+	for n.Degree() < n.cfg.Capacity && time.Now().Before(deadline) {
+		n.refillFromCache()
 		time.Sleep(20 * time.Millisecond)
 	}
 	return nil

@@ -35,7 +35,6 @@ func TestStatsConsistentDuringEvictions(t *testing.T) {
 		EvictMisses:     2,
 		IdleTimeout:     8 * interval,
 		DialBackoffBase: interval,
-		DialMaxFails:    4,
 		Metrics:         obs.NewRegistry(),
 		Trace:           obs.NewEventLog(1 << 12),
 	}
