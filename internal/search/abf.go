@@ -34,18 +34,40 @@ func DefaultABFConfig() ABFConfig {
 // neighbors consult (see DESIGN.md: per-edge filters without
 // back-edge exclusion), which keeps 100k-node networks in memory.
 //
-// All hierarchies live in one word arena: node u's row is
-// words[u*stride : (u+1)*stride], and level h of a row is the
-// (LevelBits[h]+63)/64 words at offset levelOff[h] — the words a
-// bloom.Filter of that geometry would hold, bit for bit.
+// Each level has its own word arena: level h of node u is the
+// (LevelBits[h]+63)/64 words of levels[h] starting at u times that many
+// — the words a bloom.Filter of that geometry would hold, bit for bit.
+// The shallow levels, which decide most hops, are small enough that
+// those of every node stay in cache together.
 type ABFNetwork struct {
-	g        *graph.Graph
-	store    *content.Store
-	cfg      ABFConfig
-	words    []uint64
-	stride   int
-	levelOff []int
+	g      *graph.Graph
+	store  *content.Store
+	cfg    ABFConfig
+	levels [][]uint64
+	table  []float64 // scoreTable(levels, cfg.Decay)
 }
+
+// scoreTable tabulates bloom.Attenuated.Score: table[mask] is the
+// routing potential of a hierarchy that matches the key at exactly the
+// levels in mask (bit h = level h) — each adds its weight, weights
+// decaying by decay per level, summed in level order.
+func scoreTable(levels int, decay float64) []float64 {
+	table := make([]float64, 1<<levels)
+	for mask := range table {
+		w := 1.0
+		for h := 0; h < levels; h++ {
+			if mask>>h&1 != 0 {
+				table[mask] += w
+			}
+			w *= decay
+		}
+	}
+	return table
+}
+
+// maxABFDepth keeps a level mask in a uint16 and the score table at
+// 2^16 entries; the paper uses 3.
+const maxABFDepth = 15
 
 // resolved fills cfg's defaults against the placement and validates
 // what is left, for both filter layouts.
@@ -53,8 +75,8 @@ func (cfg ABFConfig) resolved(g *graph.Graph, store *content.Store) (ABFConfig, 
 	if g.N() != store.N() {
 		return cfg, fmt.Errorf("search: graph has %d nodes, store %d", g.N(), store.N())
 	}
-	if cfg.Depth < 1 {
-		return cfg, fmt.Errorf("search: ABF depth must be >= 1, got %d", cfg.Depth)
+	if cfg.Depth < 1 || cfg.Depth > maxABFDepth {
+		return cfg, fmt.Errorf("search: ABF depth must be 1..%d, got %d", maxABFDepth, cfg.Depth)
 	}
 	if cfg.Hashes <= 0 {
 		cfg.Hashes = 4
@@ -148,12 +170,10 @@ func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFN
 	if err != nil {
 		return nil, err
 	}
-	net := &ABFNetwork{g: g, store: store, cfg: cfg, levelOff: make([]int, len(cfg.LevelBits))}
-	for h, m := range cfg.LevelBits {
-		net.levelOff[h] = net.stride
-		net.stride += (m + 63) / 64
+	net := &ABFNetwork{g: g, store: store, cfg: cfg, table: scoreTable(len(cfg.LevelBits), cfg.Decay)}
+	for _, m := range cfg.LevelBits {
+		net.levels = append(net.levels, make([]uint64, g.N()*((m+63)/64)))
 	}
-	net.words = make([]uint64, g.N()*net.stride)
 	ids := newHostedIdentifiers(g, store, cfg)
 
 	workers := runtime.GOMAXPROCS(0)
@@ -181,17 +201,16 @@ func (n *ABFNetwork) buildRows(lo, hi int, ids *hostedIdentifiers) {
 	}
 	queue := make([]int32, 0, 4096)
 	for u := lo; u < hi; u++ {
-		row := n.words[u*n.stride : (u+1)*n.stride]
 		queue = append(queue[:0], int32(u))
 		dist[u] = 0
-		ids.or(row[n.levelOff[0]:], 0, ids.byNode[ids.nodeFirst[u]:ids.nodeFirst[u+1]])
+		ids.or(n.level(0, u), 0, ids.byNode[ids.nodeFirst[u]:ids.nodeFirst[u+1]])
 		for head := 0; head < len(queue); head++ {
 			x := queue[head]
 			h := int(dist[x]) + 1
 			if h > n.cfg.Depth {
 				break // BFS order: the rest of the queue is at the horizon too
 			}
-			level := row[n.levelOff[h]:]
+			level := n.level(h, u)
 			for e := g.Offsets[x]; e < g.Offsets[x+1]; e++ {
 				if v := g.Edges[e]; dist[v] == -1 {
 					dist[v] = int32(h)
@@ -250,20 +269,31 @@ func nextPow2(x int) int {
 	return p
 }
 
-// Filter returns node u's published hierarchy as a view over its arena
-// row (for tests/inspection; routing reads the arena directly).
+// level returns the words of node u's level-h filter.
+func (n *ABFNetwork) level(h, u int) []uint64 {
+	w := (n.cfg.LevelBits[h] + 63) / 64
+	return n.levels[h][u*w : (u+1)*w]
+}
+
+// Filter returns node u's published hierarchy as views over the level
+// arenas (for tests/inspection; routing reads the arenas directly).
 func (n *ABFNetwork) Filter(u int) *bloom.Attenuated {
-	a := &bloom.Attenuated{Levels: make([]*bloom.Filter, len(n.levelOff))}
-	row := n.words[u*n.stride : (u+1)*n.stride]
+	a := &bloom.Attenuated{Levels: make([]*bloom.Filter, len(n.levels))}
 	for h, m := range n.cfg.LevelBits {
-		a.Levels[h] = bloom.View(row[n.levelOff[h]:n.levelOff[h]+(m+63)/64], m, n.cfg.Hashes)
+		a.Levels[h] = bloom.View(n.level(h, u), m, n.cfg.Hashes)
 	}
 	return a
 }
 
 // MemoryBytes returns the total filter footprint, the figure the
 // paper's feasibility argument rests on.
-func (n *ABFNetwork) MemoryBytes() int64 { return int64(len(n.words)) * 8 }
+func (n *ABFNetwork) MemoryBytes() int64 {
+	var words int64
+	for _, arena := range n.levels {
+		words += int64(len(arena))
+	}
+	return words * 8
+}
 
 // ABFRouter performs identifier lookups over an ABFNetwork. Not safe
 // for concurrent use; create one per worker.
@@ -271,8 +301,16 @@ type ABFRouter struct {
 	net     *ABFNetwork
 	epoch   int32
 	visited []int32
-	path    []int32  // current route, for backtracking
-	pos     []uint32 // the current key's bit positions, Hashes per level
+	path    []int32        // current route, for backtracking
+	pos     []uint32       // the current key's bit positions, Hashes per level
+	cand    []abfCandidate // pickNext's scratch
+}
+
+// abfCandidate is a neighbor in the running for the next hop and the
+// levels of its hierarchy found to match so far (bit h = level h).
+type abfCandidate struct {
+	v    int32
+	mask uint16
 }
 
 // NewABFRouter creates a router over net.
@@ -298,8 +336,7 @@ func (r *ABFRouter) Lookup(src int, obj uint64, ttl int, rng *rand.Rand) Result 
 // discovery — a chunk transfer needs an address to pull from, not just
 // the fact that one exists.
 func (r *ABFRouter) LookupNode(src int, obj uint64, ttl int, rng *rand.Rand) (Result, int) {
-	r.epoch++
-	ep := r.epoch
+	ep := nextEpoch(r.visited, &r.epoch)
 	res := Result{FirstMatchHop: -1}
 	res.Visited = 1
 	r.visited[src] = ep
@@ -342,32 +379,64 @@ func (r *ABFRouter) LookupNode(src int, obj uint64, ttl int, rng *rand.Rand) (Re
 	return res, -1
 }
 
-// pickNext scores unvisited neighbors of u and returns the best, a
-// random unvisited one when no filter matches, or -1 at a dead end.
+// pickNext returns the best-scoring unvisited neighbor of u, a random
+// unvisited one when no filter matches, or -1 at a dead end.
 func (r *ABFRouter) pickNext(u int, rng *rand.Rand) int {
-	best := -1
-	bestScore := 0.0
-	nUnvisited := 0
-	var fallback int = -1
+	cand := r.cand[:0]
+	fallback := -1
 	for _, v := range r.net.g.Neighbors(u) {
 		if r.visited[v] == r.epoch {
 			continue
 		}
-		nUnvisited++
+		cand = append(cand, abfCandidate{v: v})
 		// Reservoir-sample a uniform fallback candidate.
-		if rng.Intn(nUnvisited) == 0 {
+		if rng.Intn(len(cand)) == 0 {
 			fallback = int(v)
 		}
-		s := r.score(int(v))
-		if s > bestScore {
-			bestScore = s
-			best = int(v)
-		}
 	}
-	if best >= 0 {
+	r.cand = cand
+	if best := pickBest(r.net.table, cand, r.hit); best >= 0 {
 		return best
 	}
 	return fallback
+}
+
+// pickBest returns the first candidate with the highest positive score
+// table[mask], mask being the levels hit reports for it, or -1 when no
+// candidate matches anywhere. It asks hit only for what can decide
+// that, one level at a time: a candidate drops out once the score it
+// would have if every deeper level matched is below a score some
+// candidate already has for sure. The bound is exact for any table
+// summed in level order from non-negative weights, float addition
+// being monotone: table[a] <= table[b] whenever a's levels are among
+// b's. A candidate that ends on the maximum is never below a sure
+// score, so it is never dropped, and ties keep their order. cand is
+// overwritten.
+func pickBest(table []float64, cand []abfCandidate, hit func(h int, v int32) bool) int {
+	full := len(table) - 1
+	sure := 0.0
+	// A lone survivor is the one holding sure: nothing deeper matters.
+	for h := 0; 1<<h <= full && (len(cand) > 1 || sure == 0); h++ {
+		deeper := uint16(full >> h << h)
+		alive := cand[:0]
+		for _, c := range cand {
+			if table[c.mask|deeper] < sure {
+				continue
+			}
+			if hit(h, c.v) {
+				c.mask |= 1 << h
+				sure = max(sure, table[c.mask])
+			}
+			alive = append(alive, c)
+		}
+		cand = alive
+	}
+	for _, c := range cand {
+		if sure > 0 && table[c.mask] == sure {
+			return int(c.v)
+		}
+	}
+	return -1
 }
 
 // hashKey derives obj's bit positions at every level, once for the
@@ -380,29 +449,15 @@ func (r *ABFRouter) hashKey(obj uint64) {
 	}
 }
 
-// score is bloom.Attenuated.Score of node v's hierarchy for the key
-// whose positions are in r.pos: each level whose bits are all set adds
-// its weight, weights decaying by cfg.Decay per level, summed in level
-// order.
-func (r *ABFRouter) score(v int) float64 {
-	n := r.net
-	row := n.words[v*n.stride : (v+1)*n.stride]
-	k := n.cfg.Hashes
-	score := 0.0
-	w := 1.0
-	for h, off := range n.levelOff {
-		level := row[off:]
-		hit := true
-		for _, p := range r.pos[h*k : (h+1)*k] {
-			if level[p>>6]&(1<<(p&63)) == 0 {
-				hit = false
-				break
-			}
+// hit reports whether level h of node v's hierarchy has every bit of
+// the hashed key set, as bloom.Filter.Contains would.
+func (r *ABFRouter) hit(h int, v int32) bool {
+	level := r.net.level(h, int(v))
+	k := r.net.cfg.Hashes
+	for _, p := range r.pos[h*k : (h+1)*k] {
+		if level[p>>6]&(1<<(p&63)) == 0 {
+			return false
 		}
-		if hit {
-			score += w
-		}
-		w *= n.cfg.Decay
 	}
-	return score
+	return true
 }

@@ -64,10 +64,18 @@ func TestABFArenaMatchesOracle(t *testing.T) {
 		for depth := 1; depth <= 4; depth++ {
 			for _, sized := range []bool{false, true} {
 				cfg := ABFConfig{Depth: depth, Hashes: 1 + pick.Intn(7), Decay: 0.3 + 0.4*pick.Float64()}
+				// Half the time an extreme: level 0 outweighing everything
+				// below it together, or the deep levels outweighing it.
+				switch pick.Intn(4) {
+				case 0:
+					cfg.Decay = 0.05
+				case 1:
+					cfg.Decay = 0.95
+				}
 				if sized {
 					cfg.LevelBits = oddBits[:depth+1]
 				}
-				label := fmt.Sprintf("%s/depth=%d/hashes=%d/sized=%v", name, depth, cfg.Hashes, sized)
+				label := fmt.Sprintf("%s/depth=%d/hashes=%d/decay=%.2f/sized=%v", name, depth, cfg.Hashes, cfg.Decay, sized)
 				st, err := content.Place(g.N(), content.PlacementConfig{
 					Objects: 5 + g.N()/4, Replication: 0.03, MinReplicas: 1, Seed: int64(depth)})
 				if err != nil {
@@ -107,7 +115,7 @@ func checkArenaAgainstOracle(t *testing.T, label string, g *graph.Graph, st *con
 				t.Fatalf("%s: node %d key %#x: view score %v, oracle %v", label, u, key, s, ws)
 			}
 			probe.hashKey(key)
-			if s := probe.score(u); s != ws {
+			if s := probe.fullScore(u); s != ws {
 				t.Fatalf("%s: node %d key %#x: router score %v, oracle %v", label, u, key, s, ws)
 			}
 		}

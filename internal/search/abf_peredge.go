@@ -149,8 +149,7 @@ func NewPerEdgeABFRouter(net *PerEdgeABFNetwork) *PerEdgeABFRouter {
 // content never includes routes doubling back through the current
 // node.
 func (r *PerEdgeABFRouter) Lookup(src int, obj uint64, ttl int, rng *rand.Rand) Result {
-	r.epoch++
-	ep := r.epoch
+	ep := nextEpoch(r.visited, &r.epoch)
 	res := Result{FirstMatchHop: -1}
 	res.Visited = 1
 	r.visited[src] = ep

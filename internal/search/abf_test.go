@@ -41,6 +41,24 @@ func TestBuildABFValidation(t *testing.T) {
 	if _, err := BuildABFNetwork(g, st5, cfg); err == nil {
 		t.Fatal("zero depth should fail")
 	}
+	// The routers keep a score per subset of levels: a depth that makes
+	// that table absurd is refused, not allocated.
+	cfg = DefaultABFConfig()
+	cfg.Depth = maxABFDepth + 1
+	if _, err := BuildABFNetwork(g, st5, cfg); err == nil {
+		t.Fatalf("depth %d should fail", cfg.Depth)
+	}
+	if _, err := BuildPerEdgeABFNetwork(g, st5, cfg); err == nil {
+		t.Fatalf("per-edge: depth %d should fail", cfg.Depth)
+	}
+	cfg.Depth = maxABFDepth
+	cfg.LevelBits = make([]int, maxABFDepth+1)
+	for h := range cfg.LevelBits {
+		cfg.LevelBits[h] = 64
+	}
+	if _, err := BuildABFNetwork(g, st5, cfg); err != nil {
+		t.Fatalf("depth %d should build: %v", cfg.Depth, err)
+	}
 	cfg = DefaultABFConfig()
 	cfg.LevelBits = []int{64} // depth 3 needs 4 levels
 	if _, err := BuildABFNetwork(g, st5, cfg); err == nil {

@@ -53,8 +53,7 @@ func NewGossipFlooder(g *graph.Graph) *GossipFlooder {
 // probability cfg.Probability afterwards. Message and duplicate
 // accounting matches Flooder, so results are directly comparable.
 func (f *GossipFlooder) Flood(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
-	f.epoch++
-	ep := f.epoch
+	ep := nextEpoch(f.visited, &f.epoch)
 	res := Result{FirstMatchHop: -1}
 	prob := cfg.Probability
 	if prob <= 0 || prob > 1 {

@@ -180,40 +180,58 @@ func BenchmarkBuildABF(b *testing.B) {
 }
 
 // BenchmarkABFLookup routes one identifier lookup per iteration (hop
-// budget 64, as search_batch does) on a stream re-seeded per query.
+// budget 64, as search_batch does) on a stream re-seeded per query. The
+// cold rows evict the caches before every lookup with the timer stopped
+// (about a millisecond each: give them -benchtime 5000x), which is how
+// a batch worker finds the index after a flood or a walk. The n=50000
+// index is 443 MB, the regime where even the shallow levels come from
+// DRAM; overlay and index take tens of seconds to build, so select it
+// by name. It has no oracle row: that index is over a gigabyte of heap.
 func BenchmarkABFLookup(b *testing.B) {
-	const n = 10000
-	g, store := abfBenchWorld(b, n)
-	qs := benchQuerySet(store)
-	run := func(b *testing.B, lookup func(src int, obj uint64, rng *rand.Rand) Result) {
-		rng := rand.New(NewQuerySource())
-		b.ReportAllocs()
-		b.ResetTimer()
-		msgs := 0
-		for i := 0; i < b.N; i++ {
-			q := qs[i%len(qs)]
-			rng.Seed(int64(i))
-			msgs += lookup(q.src%n, q.obj, rng).Messages
-		}
-		b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
-	}
-	b.Run("n=10000/oracle", func(b *testing.B) {
-		net, err := buildOracleABFNetwork(g, store, DefaultABFConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := newOracleABFRouter(net)
-		run(b, func(src int, obj uint64, rng *rand.Rand) Result {
-			res, _ := r.LookupNode(src, obj, 64, rng)
-			return res
+	for _, n := range []int{10000, 50000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, store := abfBenchWorld(b, n)
+			qs := benchQuerySet(store)
+			row := func(cold bool, lookup func(src int, obj uint64, rng *rand.Rand) Result) func(b *testing.B) {
+				return func(b *testing.B) {
+					rng := rand.New(NewQuerySource())
+					b.ReportAllocs()
+					b.ResetTimer()
+					msgs := 0
+					for i := 0; i < b.N; i++ {
+						q := qs[i%len(qs)]
+						rng.Seed(int64(i))
+						if cold {
+							b.StopTimer()
+							evictCaches()
+							b.StartTimer()
+						}
+						msgs += lookup(q.src%n, q.obj, rng).Messages
+					}
+					b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
+				}
+			}
+			if n == 10000 {
+				b.Run("oracle", func(b *testing.B) {
+					net, err := buildOracleABFNetwork(g, store, DefaultABFConfig())
+					if err != nil {
+						b.Fatal(err)
+					}
+					r := newOracleABFRouter(net)
+					row(false, func(src int, obj uint64, rng *rand.Rand) Result {
+						res, _ := r.LookupNode(src, obj, 64, rng)
+						return res
+					})(b)
+				})
+			}
+			net, err := BuildABFNetwork(g, store, DefaultABFConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewABFRouter(net)
+			lookup := func(src int, obj uint64, rng *rand.Rand) Result { return r.Lookup(src, obj, 64, rng) }
+			b.Run("arena", row(false, lookup))
+			b.Run("arena/cold", row(true, lookup))
 		})
-	})
-	b.Run("n=10000/arena", func(b *testing.B) {
-		net, err := BuildABFNetwork(g, store, DefaultABFConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := NewABFRouter(net)
-		run(b, func(src int, obj uint64, rng *rand.Rand) Result { return r.Lookup(src, obj, 64, rng) })
-	})
+	}
 }

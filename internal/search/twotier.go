@@ -61,8 +61,7 @@ func NewTwoTierFlooder(g *graph.Graph, isUltra []bool, qrp []*content.QRPTable) 
 // Gnutella. match decides actual content hits (QRP tables only gate
 // which leaves are bothered).
 func (t *TwoTierFlooder) Flood(src, ttl int, obj uint64, match Matcher) Result {
-	t.epoch++
-	ep := t.epoch
+	ep := nextEpoch(t.visited, &t.epoch)
 	res := Result{FirstMatchHop: -1}
 
 	visit := func(node int32, hop int32, parent int32) {

@@ -22,6 +22,21 @@ func DefaultWalkConfig() WalkConfig {
 	return WalkConfig{Walkers: 16, MaxSteps: 1024, CheckInterval: 4}
 }
 
+// nextEpoch advances a query epoch and returns it: the stamp that marks
+// a node as seen by the current query. Searchers live as long as the
+// process (KernelPool, the serve shards), so the counter does wrap; when
+// it does, every stamp is cleared and counting restarts at 1, or nodes
+// never stamped would read as seen at epoch 0 and old stamps as current
+// after it.
+func nextEpoch(stamps []int32, epoch *int32) int32 {
+	*epoch++
+	if *epoch <= 0 {
+		clear(stamps)
+		*epoch = 1
+	}
+	return *epoch
+}
+
 // Walker runs random-walk searches over a frozen graph, reusing
 // epoch-stamped scratch between queries so large batches stay
 // allocation-free (the seed implementation kept per-query
@@ -65,8 +80,7 @@ func (w *Walker) Random(src int, cfg WalkConfig, match Matcher, rng *rand.Rand) 
 		res.MatchesFound = 1
 		return res
 	}
-	w.epoch++
-	ep := w.epoch
+	ep := nextEpoch(w.seen, &w.epoch)
 	if cap(w.ws) < cfg.Walkers {
 		w.ws = make([]walkerState, cfg.Walkers)
 	}
@@ -140,8 +154,7 @@ func (w *Walker) DegreeBiased(src, maxSteps int, match Matcher, rng *rand.Rand) 
 		res.MatchesFound = 1
 		return res
 	}
-	w.epoch++
-	ep := w.epoch
+	ep := nextEpoch(w.seen, &w.epoch)
 	w.seen[src] = ep
 	g := w.g
 	cur := src
