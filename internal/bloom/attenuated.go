@@ -27,23 +27,6 @@ func NewAttenuated(bitsPerLevel []int, k int) *Attenuated {
 	return a
 }
 
-// DefaultLevelBits returns the per-level filter sizes used by the
-// experiments for the given depth: sizes grow geometrically
-// (base<<(2i)) because level i covers ~degreeⁱ more nodes.
-func DefaultLevelBits(depth, base int) []int {
-	if depth <= 0 {
-		panic("bloom: depth must be positive")
-	}
-	if base <= 0 {
-		base = 512
-	}
-	sizes := make([]int, depth)
-	for i := range sizes {
-		sizes[i] = base << (2 * uint(i))
-	}
-	return sizes
-}
-
 // Depth returns the number of levels.
 func (a *Attenuated) Depth() int { return len(a.Levels) }
 

@@ -53,6 +53,23 @@ func NewOptimal(expected int, fpRate float64) *Filter {
 	return New(m, k)
 }
 
+// BitsFor returns the bits a filter with a fixed k hash functions needs
+// for items distinct keys to reach false-positive rate fpRate:
+// m = ⌈−k·n / ln(1 − p^{1/k})⌉, the size at which the expected fill
+// 1 − e^{−kn/m} is p^{1/k}. Unlike NewOptimal it does not assume the
+// optimal k, which callers that share one k across filters of many
+// sizes do not have. At least one bit.
+func BitsFor(items float64, k int, fpRate float64) int {
+	if k <= 0 {
+		panic("bloom: k must be positive")
+	}
+	if fpRate <= 0 || fpRate >= 1 {
+		panic("bloom: false-positive rate must be in (0, 1)")
+	}
+	m := math.Ceil(-float64(k) * items / math.Log1p(-math.Pow(fpRate, 1/float64(k))))
+	return max(int(m), 1)
+}
+
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() int { return int(f.m) }
 

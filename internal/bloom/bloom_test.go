@@ -86,6 +86,47 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// A filter sized by BitsFor for n distinct keys at a fixed k reads its
+// target rate, for k far from the optimal one as well.
+func TestBitsForMeetsTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, k := range []int{1, 2, 4, 8} {
+		for _, p := range []float64{0.05, 0.01, 0.001} {
+			n := 2000
+			bf := New(BitsFor(float64(n), k, p), k)
+			for i := 0; i < n; i++ {
+				bf.Add(rng.Uint64())
+			}
+			fp, trials := 0, 400000
+			for i := 0; i < trials; i++ {
+				if bf.Contains(rng.Uint64()) {
+					fp++
+				}
+			}
+			if rate := float64(fp) / float64(trials); rate < 0.8*p || rate > 1.2*p {
+				t.Errorf("k=%d p=%v: %d bits read %.5f", k, p, bf.Bits(), rate)
+			}
+		}
+	}
+	if m := BitsFor(0, 4, 0.01); m != 1 {
+		t.Fatalf("no items: %d bits, want 1", m)
+	}
+	for _, fn := range []func(){
+		func() { BitsFor(10, 0, 0.01) },
+		func() { BitsFor(10, 4, 0) },
+		func() { BitsFor(10, 4, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestNewOptimalGeometry(t *testing.T) {
 	bf := NewOptimal(1000, 0.01)
 	// Optimal: m ≈ 9.59 bits/item, k ≈ 7.
@@ -239,32 +280,12 @@ func TestAttenuatedScoreWeighting(t *testing.T) {
 }
 
 func TestAttenuatedValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewAttenuated(nil, 4) },
-		func() { DefaultLevelBits(0, 512) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestDefaultLevelBits(t *testing.T) {
-	sizes := DefaultLevelBits(3, 512)
-	want := []int{512, 2048, 8192}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes = %v, want %v", sizes, want)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
 		}
-	}
-	if s := DefaultLevelBits(2, 0); s[0] != 512 {
-		t.Fatalf("zero base should default to 512, got %v", s)
-	}
+	}()
+	NewAttenuated(nil, 4)
 }
 
 func TestAttenuatedShifted(t *testing.T) {

@@ -38,9 +38,27 @@ func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 	n := m.NumChunks()
 	m.Hashes = make([]uint64, n)
 	for i := 0; i < n; i++ {
-		m.Hashes[i] = chunkHash(ChunkPayload(obj, i, m.ChunkLen(i)))
+		m.Hashes[i] = payloadHash(obj, i, m.ChunkLen(i))
 	}
 	return m, nil
+}
+
+// payloadHash is chunkHash(ChunkPayload(obj, i, length)) without the
+// payload: each keystream word's bytes fold straight into the FNV-1a
+// state, low byte first, as ChunkPayload lays them out.
+func payloadHash(obj uint64, i, length int) uint64 {
+	h := uint64(fnvOffset)
+	x := chunkSeed(obj, i)
+	for o := 0; o < length; o += 8 {
+		x += 0x9e3779b97f4a7c15
+		v := mixSplit(x)
+		for b := min(8, length-o); b > 0; b-- {
+			h ^= v & 0xff
+			h *= fnvPrime
+			v >>= 8
+		}
+	}
+	return mixSplit(h)
 }
 
 // NumChunks returns the chunk count: ceil(Size / ChunkSize).
@@ -118,13 +136,19 @@ func chunkSeed(obj uint64, i int) uint64 {
 // corruption in tests (this is an integrity check, not a security
 // boundary).
 func chunkHash(data []byte) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(fnvOffset)
 	for _, b := range data {
 		h ^= uint64(b)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return mixSplit(h)
 }
+
+// FNV-1a's 64-bit parameters.
+const (
+	fnvOffset = 1469598103934665603
+	fnvPrime  = 1099511628211
+)
 
 // mixSplit is the splitmix64 finalizer used across the repo.
 func mixSplit(x uint64) uint64 {

@@ -68,6 +68,31 @@ func TestManifestVerifyChunk(t *testing.T) {
 	}
 }
 
+// BuildManifest hashes chunks without materializing them: every length
+// around a keystream word and a default chunk must hash as the payload
+// does.
+func TestPayloadHashMatchesChunkHash(t *testing.T) {
+	for _, obj := range []uint64{0, 7, 0xdeadbeefcafe} {
+		for _, i := range []int{0, 1, 31} {
+			for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 65535, 65536} {
+				if got, want := payloadHash(obj, i, n), chunkHash(ChunkPayload(obj, i, n)); got != want {
+					t.Fatalf("obj %#x chunk %d len %d: payloadHash %#x, chunkHash %#x", obj, i, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildManifest derives the manifest of a 2 MiB object in
+// default chunks, as the streaming workload does for every object.
+func BenchmarkBuildManifest(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildManifest(uint64(i), 2<<20, DefaultChunkSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestObjectPayloadMatchesChunks(t *testing.T) {
 	const obj = uint64(7)
 	whole := ObjectPayload(obj, 2500, 1000)

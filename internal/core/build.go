@@ -377,6 +377,19 @@ func (o *Overlay) RejoinFragments(maxPasses int) bool {
 	return len(sizes) <= 1
 }
 
+// AliveComponents returns the number of connected components of the
+// alive subgraph and the size of the largest — what
+// FreezeAlive().Components() reports, without freezing anything. It
+// reuses the overlay's scratch buffers, so it is a write as far as
+// concurrent readers are concerned.
+func (o *Overlay) AliveComponents() (count, giant int) {
+	_, sizes := o.aliveComponents()
+	for _, s := range sizes {
+		giant = max(giant, s)
+	}
+	return len(sizes), giant
+}
+
 // aliveComponents labels the connected components of the alive
 // subgraph directly on the live adjacency — no CSR freeze, no latency
 // weights, no induced-subgraph copy, just one BFS sweep over reusable

@@ -159,3 +159,56 @@ func TestChurnCycleInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AliveComponents counts on the live adjacency what the churn snapshots
+// used to count on a frozen induced copy: after every step of a random
+// fail/revive/leave sequence — crash bursts included, so the alive
+// subgraph fragments — both agree on the component count and the giant.
+func TestAliveComponentsMatchesFreezeProperty(t *testing.T) {
+	fragmented := 0
+	prop := func(seedRaw int16, opsRaw uint8) bool {
+		n := 80
+		seed := int64(seedRaw)
+		o, err := Build(n, DefaultConfig(netmodel.NewEuclidean(n, 1000, seed), seed))
+		if err != nil {
+			return false
+		}
+		x := uint64(seed)*2654435761 + 99
+		for i := int(opsRaw)%40 + 10; i > 0; i-- {
+			x = x*6364136223846793005 + 1442695040888963407
+			u := int(x>>33) % n
+			switch (x >> 13) % 4 {
+			case 0:
+				o.Leave(u)
+			case 1:
+				o.Revive(u)
+			case 2:
+				o.FailNodes([]int{u})
+			case 3:
+				o.FailRandom(int(x>>40) % (n / 4))
+			}
+			sub, _ := o.FreezeAlive()
+			_, sizes := sub.Components()
+			giant := 0
+			for _, s := range sizes {
+				giant = max(giant, s)
+			}
+			if count, g := o.AliveComponents(); count != len(sizes) || g != giant {
+				t.Logf("seed %d step %d: AliveComponents (%d, %d), FreezeAlive %d components, giant %d",
+					seed, i, count, g, len(sizes), giant)
+				return false
+			}
+			if len(sizes) > 1 {
+				fragmented++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+	if fragmented == 0 {
+		t.Fatal("no step left the alive subgraph in pieces: the property was never tested")
+	}
+	t.Logf("%d steps with a fragmented alive subgraph", fragmented)
+}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -89,7 +90,7 @@ func (cfg ABFConfig) resolved(g *graph.Graph, store *content.Store) (ABFConfig, 
 	}
 	levels := cfg.Depth + 1
 	if cfg.LevelBits == nil {
-		cfg.LevelBits = autoLevelBits(g, store, levels, cfg.TargetFPR)
+		cfg.LevelBits = autoLevelBits(g, store, levels, cfg.Hashes, cfg.TargetFPR)
 	}
 	if len(cfg.LevelBits) != levels {
 		return cfg, fmt.Errorf("search: need %d level sizes, got %d", levels, len(cfg.LevelBits))
@@ -227,46 +228,40 @@ func (n *ABFNetwork) buildRows(lo, hi int, ids *hostedIdentifiers) {
 	}
 }
 
-// autoLevelBits sizes level filters for the expected identifier count
-// at each hop distance: roughly meanObjects · meanDegree^h items.
-func autoLevelBits(g *graph.Graph, store *content.Store, levels int, fpr float64) []int {
-	meanObjs := 0.0
-	for u := 0; u < store.N(); u++ {
-		meanObjs += float64(len(store.NodeObjects(u)))
-	}
-	if store.N() > 0 {
-		meanObjs /= float64(store.N())
-	}
-	if meanObjs < 1 {
-		meanObjs = 1
-	}
-	deg := g.MeanDegree()
-	if deg < 2 {
-		deg = 2
-	}
+// minLevelIdentifiers floors the identifiers a level is sized for, so a
+// level whose expected share rounds to nothing still has a few words.
+const minLevelIdentifiers = 8
+
+// autoLevelBits sizes each level for the distinct identifiers it is
+// expected to hold (expectedIdentifiers) at false-positive rate fpr
+// under the index's own hash count, rounded up to whole words.
+func autoLevelBits(g *graph.Graph, store *content.Store, levels, hashes int, fpr float64) []int {
 	sizes := make([]int, levels)
-	reach := 1.0
-	for h := 0; h < levels; h++ {
-		expected := int(meanObjs * reach)
-		if expected < 8 {
-			expected = 8
-		}
-		ref := bloom.NewOptimal(expected, fpr)
-		sizes[h] = nextPow2(ref.Bits())
-		reach *= deg
-		if reach > float64(g.N()) {
-			reach = float64(g.N())
-		}
+	for h, e := range expectedIdentifiers(g, store, levels) {
+		sizes[h] = (bloom.BitsFor(max(e, minLevelIdentifiers), hashes, fpr) + 63) &^ 63
 	}
 	return sizes
 }
 
-func nextPow2(x int) int {
-	p := 64
-	for p < x {
-		p <<= 1
+// expectedIdentifiers returns, per level h, the distinct identifiers a
+// node's level-h filter is expected to hold: an object lands there when
+// one of its replicas is among the reach_h = min(deg^h, n) nodes the
+// level covers, so with replicas placed uniformly at random
+// E_h = Σ_obj 1 − (1 − reach_h/n)^replicas(obj). Placements (the
+// replicas the level covers, duplicates included) overcount it: a
+// duplicate insert sets no new bit.
+func expectedIdentifiers(g *graph.Graph, store *content.Store, levels int) []float64 {
+	out := make([]float64, levels)
+	n := float64(store.N())
+	deg := max(g.MeanDegree(), 2)
+	reach := 1.0
+	for h := range out {
+		for _, obj := range store.Objects() {
+			out[h] += 1 - math.Pow(1-reach/n, float64(store.ReplicaCount(obj)))
+		}
+		reach = min(reach*deg, n)
 	}
-	return p
+	return out
 }
 
 // level returns the words of node u's level-h filter.

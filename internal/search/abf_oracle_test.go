@@ -41,7 +41,7 @@ func buildOracleABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) 
 	}
 	levels := cfg.Depth + 1
 	if cfg.LevelBits == nil {
-		cfg.LevelBits = autoLevelBits(g, store, levels, cfg.TargetFPR)
+		cfg.LevelBits = autoLevelBits(g, store, levels, cfg.Hashes, cfg.TargetFPR)
 	}
 	if len(cfg.LevelBits) != levels {
 		return nil, fmt.Errorf("search: need %d level sizes, got %d", levels, len(cfg.LevelBits))

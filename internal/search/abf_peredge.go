@@ -119,15 +119,14 @@ func (n *PerEdgeABFNetwork) EdgeFilter(u, v int) *bloom.Attenuated {
 	return nil
 }
 
-// MemoryBytes returns the total filter footprint.
+// MemoryBytes returns the total filter footprint in allocated words, as
+// ABFNetwork.MemoryBytes counts it: one hierarchy per half-edge.
 func (n *PerEdgeABFNetwork) MemoryBytes() int64 {
-	var total int64
-	for _, f := range n.filters {
-		if f != nil {
-			total += int64(f.MemoryBits() / 8)
-		}
+	var words int64
+	for _, m := range n.cfg.LevelBits {
+		words += int64((m + 63) / 64)
 	}
-	return total
+	return words * 8 * int64(len(n.filters))
 }
 
 // PerEdgeABFRouter routes identifier lookups over per-edge filters.

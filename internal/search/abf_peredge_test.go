@@ -150,7 +150,9 @@ func TestPerEdgeLookupOnExpander(t *testing.T) {
 }
 
 // Per-edge filters cost strictly more memory than the shared
-// published hierarchies (O(edges) vs O(nodes) filter sets).
+// published hierarchies (O(edges) vs O(nodes) filter sets). Both count
+// allocated words, so a geometry that is not whole words compares like
+// with like.
 func TestPerEdgeMemoryExceedsShared(t *testing.T) {
 	n := 300
 	gm, err := topology.KRegular(n, 8, 12)
@@ -162,21 +164,33 @@ func TestPerEdgeMemoryExceedsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := BuildABFNetwork(g, st, DefaultABFConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEdge, err := BuildPerEdgeABFNetwork(g, st, DefaultABFConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perEdge.MemoryBytes() <= shared.MemoryBytes() {
-		t.Fatalf("per-edge memory %d should exceed shared %d",
-			perEdge.MemoryBytes(), shared.MemoryBytes())
-	}
-	ratio := float64(perEdge.MemoryBytes()) / float64(shared.MemoryBytes())
-	if ratio < 4 { // mean degree 8 → expect ≈ 8x
-		t.Fatalf("memory ratio %.1f suspiciously low for degree-8", ratio)
+	odd := DefaultABFConfig()
+	odd.LevelBits = []int{65, 100, 1000, 4099}
+	for _, cfg := range []ABFConfig{DefaultABFConfig(), odd} {
+		shared, err := BuildABFNetwork(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perEdge, err := BuildPerEdgeABFNetwork(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rowBytes int64
+		for _, f := range perEdge.EdgeFilter(0, int(g.Neighbors(0)[0])).Levels {
+			rowBytes += int64((f.Bits() + 63) / 64 * 8)
+		}
+		if got, want := perEdge.MemoryBytes(), rowBytes*int64(len(g.Edges)); got != want {
+			t.Fatalf("levels %v: per-edge MemoryBytes %d, want %d half-edges x %d bytes",
+				perEdge.cfg.LevelBits, got, len(g.Edges), rowBytes)
+		}
+		if got, want := shared.MemoryBytes(), rowBytes*int64(n); got != want {
+			t.Fatalf("levels %v: shared MemoryBytes %d, want %d nodes x %d bytes",
+				shared.cfg.LevelBits, got, n, rowBytes)
+		}
+		ratio := float64(perEdge.MemoryBytes()) / float64(shared.MemoryBytes())
+		if ratio != float64(len(g.Edges))/float64(n) { // mean degree 8 → 8x
+			t.Fatalf("levels %v: memory ratio %.2f, want the mean degree", perEdge.cfg.LevelBits, ratio)
+		}
 	}
 }
 

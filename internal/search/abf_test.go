@@ -221,6 +221,55 @@ func TestABFAutoSizingGrowsWithDepth(t *testing.T) {
 	}
 }
 
+// Auto-sizing must meet the rate it is configured for: on the
+// search_batch world, every level sized above the floor reads a measured
+// false-positive rate near TargetFPR — not far under it, which is memory
+// spent on nothing, and not over it.
+func TestABFLevelSizing(t *testing.T) {
+	g, st := abfBenchWorld(t, 4000)
+	expected := expectedIdentifiers(g, st, DefaultABFConfig().Depth+1)
+	catalog := make(map[uint64]bool, st.NumObjects())
+	for _, obj := range st.Objects() {
+		catalog[obj] = true
+	}
+	rng := rand.New(rand.NewSource(22))
+	var keys []uint64
+	for len(keys) < 4000 {
+		if k := rng.Uint64(); !catalog[k] {
+			keys = append(keys, k)
+		}
+	}
+	nodes := rng.Perm(g.N())[:100]
+	for _, p := range []float64{0.01, 0.001} {
+		cfg := DefaultABFConfig()
+		cfg.TargetFPR = p
+		net, err := BuildABFNetwork(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h, e := range expected {
+			if e <= minLevelIdentifiers {
+				continue
+			}
+			hits := 0
+			for _, u := range nodes {
+				f := net.Filter(u).Levels[h]
+				for _, k := range keys {
+					if f.Contains(k) {
+						hits++
+					}
+				}
+			}
+			fpr := float64(hits) / float64(len(nodes)*len(keys))
+			t.Logf("p=%v level %d: E=%.0f, %d bits, FPR %.5f", p, h, e, net.cfg.LevelBits[h], fpr)
+			if fpr < p/4 || fpr > 1.5*p {
+				t.Errorf("p=%v level %d (E=%.0f, %d bits): measured FPR %.5f, want in [%v, %v]",
+					p, h, e, net.cfg.LevelBits[h], fpr, p/4, 1.5*p)
+			}
+		}
+	}
+}
+
 func TestABFLookupOnExpanderResolvesMostQueries(t *testing.T) {
 	// The paper's claim (§4.6): on well-connected overlays identifier
 	// search resolves most queries within ~10 hops at 1% replication.

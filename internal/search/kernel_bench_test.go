@@ -142,21 +142,22 @@ func BenchmarkFloodOracle(b *testing.B) {
 // (Makalu overlay, 2000 objects at 0.2% replication, depth-3 default
 // geometry; 10k nodes there). oracle is the per-node bloom.Attenuated
 // index the arena replaced (abf_oracle_test.go): the "before" rows.
-func abfBenchWorld(b *testing.B, n int) (*graph.Graph, *content.Store) {
+func abfBenchWorld(tb testing.TB, n int) (*graph.Graph, *content.Store) {
 	ov, err := core.Build(n, core.DefaultConfig(netmodel.NewEuclidean(n, 1000, 1), 1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	store, err := content.Place(n, content.PlacementConfig{Objects: benchObjects, Replication: 0.002, MinReplicas: 1, Seed: 18})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ov.Freeze(), store
 }
 
-// BenchmarkBuildABF times one whole index build. The n=50000 rows take
-// ~20 s together and are the EXPERIMENTS.md "Recorded at scale" entry;
-// select them with -bench 'BuildABF/n=50000' -benchtime 1x.
+// BenchmarkBuildABF times one whole index build and reports the arena's
+// footprint as index-MB. The n=50000 rows take ~20 s together and are
+// the EXPERIMENTS.md "Recorded at scale" entry; select them with
+// -bench 'BuildABF/n=50000' -benchtime 1x.
 func BenchmarkBuildABF(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -169,11 +170,14 @@ func BenchmarkBuildABF(b *testing.B) {
 				}
 			})
 			b.Run("arena", func(b *testing.B) {
+				var net *ABFNetwork
 				for i := 0; i < b.N; i++ {
-					if _, err := BuildABFNetwork(g, store, DefaultABFConfig()); err != nil {
+					var err error
+					if net, err = BuildABFNetwork(g, store, DefaultABFConfig()); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(net.MemoryBytes())/(1<<20), "index-MB")
 			})
 		})
 	}
@@ -184,7 +188,7 @@ func BenchmarkBuildABF(b *testing.B) {
 // cold rows evict the caches before every lookup with the timer stopped
 // (about a millisecond each: give them -benchtime 5000x), which is how
 // a batch worker finds the index after a flood or a walk. The n=50000
-// index is 443 MB, the regime where even the shallow levels come from
+// index is 148 MB, the regime where even the shallow levels come from
 // DRAM; overlay and index take tens of seconds to build, so select it
 // by name. It has no oracle row: that index is over a gigabyte of heap.
 func BenchmarkABFLookup(b *testing.B) {

@@ -255,22 +255,15 @@ func meanRating(all [][]core.RatingInfo) float64 {
 }
 
 func takeSnapshot(o *core.Overlay, t float64) Snapshot {
-	sub, _ := o.FreezeAlive()
-	_, sizes := sub.Components()
-	giant := 0
-	for _, s := range sizes {
-		if s > giant {
-			giant = s
-		}
-	}
+	components, giant := o.AliveComponents()
 	snap := Snapshot{
 		Time:       t,
 		Live:       o.LiveCount(),
-		Components: len(sizes),
+		Components: components,
 		MeanDegree: o.MeanDegree(),
 	}
-	if sub.N() > 0 {
-		snap.GiantFraction = float64(giant) / float64(sub.N())
+	if snap.Live > 0 {
+		snap.GiantFraction = float64(giant) / float64(snap.Live)
 	}
 	return snap
 }
