@@ -1,7 +1,6 @@
 package makalu
 
 import (
-	"fmt"
 	"math/rand"
 
 	"makalu/internal/search"
@@ -48,16 +47,17 @@ func (ov *Overlay) Profile(sources, maxHop int) StructureProfile {
 
 // GossipFlood runs the hybrid flood-then-gossip search (§4.4): full
 // flooding for boundaryHops hops, then epidemic forwarding with the
-// given probability. It trades a little coverage for a large cut in
-// duplicate messages once the flood passes the convergence boundary.
+// given probability, clamped to [0, 1] (at 0 it is a flood with TTL
+// boundaryHops, at 1 a plain flood). It trades a little coverage for a
+// large cut in duplicate messages once the flood passes the
+// convergence boundary.
 func (ov *Overlay) GossipFlood(src, ttl, boundaryHops int, probability float64, match func(node int) bool, seed int64) SearchResult {
 	if !ov.core.Alive(src) {
 		return SearchResult{FirstMatchHop: -1}
 	}
-	gf := search.NewGossipFlooder(ov.graphSnapshot())
 	cfg := search.GossipConfig{BoundaryHops: boundaryHops, Probability: probability}
 	rng := rand.New(rand.NewSource(seed))
-	return fromInternal(gf.Flood(src, ttl, cfg, search.Matcher(match), rng))
+	return fromInternal(ov.searchKernel().Flooder().Gossip(src, ttl, cfg, search.Matcher(match), rng))
 }
 
 // ChurnReport summarizes a churn simulation over the overlay.
@@ -107,38 +107,3 @@ func (ov *Overlay) RunChurn(duration, meanSession, meanDowntime float64, seed in
 	}
 	return rep, nil
 }
-
-// BuildPerEdgeIdentifierIndex builds the exact Rhea–Kubiatowicz
-// per-edge filter layout (back-edge exclusion) instead of the shared
-// published hierarchies. Memory is O(edges) filter sets — use for
-// moderate overlay sizes; see DESIGN.md.
-func (ov *Overlay) BuildPerEdgeIdentifierIndex(c *Content) (*PerEdgeIdentifierIndex, error) {
-	if c == nil {
-		return nil, fmt.Errorf("makalu: nil content")
-	}
-	net, err := search.BuildPerEdgeABFNetwork(ov.graphSnapshot(), c.store, search.DefaultABFConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &PerEdgeIdentifierIndex{
-		net:    net,
-		router: search.NewPerEdgeABFRouter(net),
-		rng:    rand.New(rand.NewSource(ov.cfg.Seed + 29)),
-	}, nil
-}
-
-// PerEdgeIdentifierIndex routes identifier lookups over per-edge
-// attenuated Bloom filters.
-type PerEdgeIdentifierIndex struct {
-	net    *search.PerEdgeABFNetwork
-	router *search.PerEdgeABFRouter
-	rng    *rand.Rand
-}
-
-// Lookup routes a query for obj from src within a ttl hop budget.
-func (ix *PerEdgeIdentifierIndex) Lookup(src int, obj uint64, ttl int) SearchResult {
-	return fromInternal(ix.router.Lookup(src, obj, ttl, ix.rng))
-}
-
-// MemoryBytes reports the total filter state across all edges.
-func (ix *PerEdgeIdentifierIndex) MemoryBytes() int64 { return ix.net.MemoryBytes() }

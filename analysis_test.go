@@ -46,6 +46,10 @@ func TestGossipFloodAPI(t *testing.T) {
 	if gossip.Messages >= flood.Messages {
 		t.Fatalf("gossip (%d msgs) should cost less than flooding (%d)", gossip.Messages, flood.Messages)
 	}
+	// Probability 0 forwards nothing past the boundary.
+	if a, b := ov.GossipFlood(0, 4, 2, 0, c.Matcher(obj), 99), ov.Flood(0, 2, c.Matcher(obj)); a != b {
+		t.Fatalf("gossip at p=0 %+v, want the TTL-2 flood %+v", a, b)
+	}
 	// Dead source returns the empty result.
 	ov.Fail(0)
 	if r := ov.GossipFlood(0, 4, 2, 0.5, c.Matcher(obj), 99); r.Found || r.Messages != 0 {
@@ -72,37 +76,5 @@ func TestRunChurnAPI(t *testing.T) {
 	}
 	if _, err := ov.RunChurn(-1, 1, 1, 7); err == nil {
 		t.Fatal("invalid churn config should fail")
-	}
-}
-
-func TestPerEdgeIdentifierIndexAPI(t *testing.T) {
-	ov := newSmall(t, 400, 22)
-	c, err := ov.PlaceContent(10, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := ov.BuildIdentifierIndex(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEdge, err := ov.BuildPerEdgeIdentifierIndex(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perEdge.MemoryBytes() <= shared.MemoryBytes() {
-		t.Fatal("per-edge index should use more memory than the shared one")
-	}
-	found := 0
-	for q := 0; q < 40; q++ {
-		obj := c.Objects()[q%10]
-		if perEdge.Lookup(q*11%400, obj, 25).Found {
-			found++
-		}
-	}
-	if found < 34 {
-		t.Fatalf("per-edge lookups resolved only %d/40", found)
-	}
-	if _, err := ov.BuildPerEdgeIdentifierIndex(nil); err == nil {
-		t.Fatal("nil content should fail")
 	}
 }

@@ -101,13 +101,3 @@ func (a *Attenuated) Shifted() (*Attenuated, error) {
 	}
 	return c, nil
 }
-
-// MemoryBits returns the total bit footprint of the hierarchy,
-// reported by the experiments that size 100k-node networks.
-func (a *Attenuated) MemoryBits() int {
-	total := 0
-	for _, f := range a.Levels {
-		total += f.Bits()
-	}
-	return total
-}

@@ -13,7 +13,7 @@ import (
 )
 
 // Filter is a fixed-size Bloom filter over 64-bit keys. The zero
-// value is unusable; construct with New or NewOptimal.
+// value is unusable; construct with New or View.
 type Filter struct {
 	words []uint64
 	m     uint64 // number of bits
@@ -29,36 +29,12 @@ func New(m, k int) *Filter {
 	return &Filter{words: make([]uint64, (m+63)/64), m: uint64(m), k: k}
 }
 
-// NewOptimal sizes a filter for the expected number of items at the
-// target false-positive rate using the standard formulas
-// m = -n·ln(p)/ln(2)², k = (m/n)·ln(2).
-func NewOptimal(expected int, fpRate float64) *Filter {
-	if expected <= 0 {
-		expected = 1
-	}
-	if fpRate <= 0 || fpRate >= 1 {
-		panic("bloom: false-positive rate must be in (0, 1)")
-	}
-	m := int(math.Ceil(-float64(expected) * math.Log(fpRate) / (math.Ln2 * math.Ln2)))
-	if m < 64 {
-		m = 64
-	}
-	k := int(math.Round(float64(m) / float64(expected) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return New(m, k)
-}
-
 // BitsFor returns the bits a filter with a fixed k hash functions needs
 // for items distinct keys to reach false-positive rate fpRate:
 // m = ⌈−k·n / ln(1 − p^{1/k})⌉, the size at which the expected fill
-// 1 − e^{−kn/m} is p^{1/k}. Unlike NewOptimal it does not assume the
-// optimal k, which callers that share one k across filters of many
-// sizes do not have. At least one bit.
+// 1 − e^{−kn/m} is p^{1/k}. It does not assume the optimal k, which
+// callers that share one k across filters of many sizes do not have.
+// At least one bit.
 func BitsFor(items float64, k int, fpRate float64) int {
 	if k <= 0 {
 		panic("bloom: k must be positive")

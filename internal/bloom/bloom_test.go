@@ -41,7 +41,7 @@ func TestEmptyFilterContainsNothing(t *testing.T) {
 
 func TestFalsePositiveRateNearTarget(t *testing.T) {
 	n := 1000
-	bf := NewOptimal(n, 0.01)
+	bf := New(BitsFor(float64(n), 7, 0.01), 7) // k = 7 is optimal at 1%
 	rng := rand.New(rand.NewSource(2))
 	inserted := make(map[uint64]bool, n)
 	for len(inserted) < n {
@@ -72,8 +72,6 @@ func TestNewValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(0, 3) },
 		func() { New(64, 0) },
-		func() { NewOptimal(10, 0) },
-		func() { NewOptimal(10, 1) },
 	} {
 		func() {
 			defer func() {
@@ -124,21 +122,6 @@ func TestBitsForMeetsTarget(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestNewOptimalGeometry(t *testing.T) {
-	bf := NewOptimal(1000, 0.01)
-	// Optimal: m ≈ 9.59 bits/item, k ≈ 7.
-	if bf.Bits() < 9000 || bf.Bits() > 11000 {
-		t.Fatalf("m = %d, want ≈ 9600", bf.Bits())
-	}
-	if bf.Hashes() < 6 || bf.Hashes() > 8 {
-		t.Fatalf("k = %d, want ≈ 7", bf.Hashes())
-	}
-	tiny := NewOptimal(0, 0.5)
-	if tiny.Bits() < 64 || tiny.Hashes() < 1 {
-		t.Fatal("degenerate sizing should clamp sanely")
 	}
 }
 
@@ -338,13 +321,6 @@ func TestAttenuatedUnionLevelAndClone(t *testing.T) {
 	}
 	if err := a.UnionLevel(0, New(128, 3)); err == nil {
 		t.Fatal("geometry mismatch should fail")
-	}
-}
-
-func TestAttenuatedMemoryBits(t *testing.T) {
-	a := NewAttenuated([]int{512, 2048}, 3)
-	if a.MemoryBits() != 2560 {
-		t.Fatalf("memory = %d bits", a.MemoryBits())
 	}
 }
 

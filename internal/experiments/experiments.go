@@ -134,17 +134,15 @@ func TwoTierFloodBatch(g *graph.Graph, isUltra []bool, store *content.Store, ttl
 			}
 		}
 	}
-	// Validate the layout once up front; worker kernels then wire their
-	// own flooders from the same (now known-good) slices.
-	if _, err := search.NewTwoTierFlooder(g, isUltra, qrp); err != nil {
+	layout, err := search.NewTwoTierLayout(g, isUltra, qrp)
+	if err != nil {
 		return nil, err
 	}
 	br := &search.BatchRunner{Graph: g, Workers: workers, Seed: seed, Obs: o}
 	agg := br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
-		fl, _ := k.TwoTier(isUltra, qrp)
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return fl.Flood(src, ttl, obj, k.Targets(store.Replicas(obj)))
+		return k.Flooder().TwoTier(src, ttl, layout, obj, k.Targets(store.Replicas(obj)))
 	})
 	return agg, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,34 @@ func TestRunTable1Shape(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Replication") {
 		t.Fatal("render malformed")
+	}
+}
+
+// TestRunTable1Golden pins every cell of Table 1 at the shape test's
+// options, message means to the bit, sequentially and at the default
+// worker count. Its v0.6 column is the only experiment that runs the
+// two-tier flood, so this is where a change to that loop shows.
+func TestRunTable1Golden(t *testing.T) {
+	want := [4][3]Table1Cell{ // v0.4, v0.6, Makalu per replication row
+		{{967.1875, 12, 0.9625}, {4612.925, 2, 1}, {5749.925, 4, 1}},
+		{{948.55, 11, 0.95}, {4612.925, 2, 1}, {5749.925, 4, 1}},
+		{{807.375, 8, 0.95}, {1297.7125, 1, 1}, {1202.325, 3, 1}},
+		{{807.375, 8, 0.95}, {1297.7125, 1, 1}, {1202.325, 3, 1}},
+	}
+	for _, workers := range []int{1, 0} {
+		res, err := RunTable1(Options{N: 800, Queries: 80, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ri, row := range res.Rows {
+			for ti, got := range [3]Table1Cell{row.V04, row.V06, row.MK} {
+				w := want[ri][ti]
+				if math.Float64bits(got.MsgsPerQuery) != math.Float64bits(w.MsgsPerQuery) ||
+					got.MinTTL != w.MinTTL || got.SuccessRate != w.SuccessRate {
+					t.Errorf("workers %d, repl %.2f%%, column %d: %+v, want %+v", workers, row.Replication*100, ti, got, w)
+				}
+			}
+		}
 	}
 }
 

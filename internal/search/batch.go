@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"makalu/internal/content"
 	"makalu/internal/graph"
 	"makalu/internal/obs"
 )
@@ -46,12 +45,9 @@ type Kernel struct {
 	g       *graph.Graph
 	rng     *rand.Rand // the per-query stream a batch worker re-seeds
 	flooder *Flooder
-	gossip  *GossipFlooder
 	walker  *Walker
 	targets *Targets
-	twoTier *TwoTierFlooder
 	abf     map[*ABFNetwork]*ABFRouter
-	perEdge map[*PerEdgeABFNetwork]*PerEdgeABFRouter
 }
 
 // NewKernel creates a standalone kernel over g for callers outside
@@ -103,21 +99,14 @@ func (p *KernelPool) put(k *Kernel) {
 }
 
 // Flooder returns the worker's reusable flooding kernel. The same
-// instance also backs expanding-ring batches (ExpandingRing takes a
-// *Flooder), so ring state reuses the flood scratch.
+// instance runs gossip and two-tier queries and backs expanding-ring
+// batches (ExpandingRing takes a *Flooder), so they all reuse the
+// flood scratch.
 func (k *Kernel) Flooder() *Flooder {
 	if k.flooder == nil {
 		k.flooder = NewFlooder(k.g)
 	}
 	return k.flooder
-}
-
-// Gossip returns the worker's reusable flood-then-gossip kernel.
-func (k *Kernel) Gossip() *GossipFlooder {
-	if k.gossip == nil {
-		k.gossip = NewGossipFlooder(k.g)
-	}
-	return k.gossip
 }
 
 // Walker returns the worker's reusable random/degree-biased walk
@@ -140,20 +129,6 @@ func (k *Kernel) Targets(nodes []int32) Matcher {
 	return k.targets.Set(nodes)
 }
 
-// TwoTier returns the worker's reusable v0.6 two-tier flooding kernel
-// for the given role/QRP layout. The layout is validated and cached on
-// first use; a batch runs one layout, so later calls reuse it.
-func (k *Kernel) TwoTier(isUltra []bool, qrp []*content.QRPTable) (*TwoTierFlooder, error) {
-	if k.twoTier == nil {
-		tt, err := NewTwoTierFlooder(k.g, isUltra, qrp)
-		if err != nil {
-			return nil, err
-		}
-		k.twoTier = tt
-	}
-	return k.twoTier, nil
-}
-
 // ABF returns the worker's reusable router over the shared-hierarchy
 // filter network, keyed by network so one kernel can serve batches
 // over several placements.
@@ -165,20 +140,6 @@ func (k *Kernel) ABF(net *ABFNetwork) *ABFRouter {
 	if !ok {
 		r = NewABFRouter(net)
 		k.abf[net] = r
-	}
-	return r
-}
-
-// PerEdgeABF returns the worker's reusable router over the per-edge
-// filter network.
-func (k *Kernel) PerEdgeABF(net *PerEdgeABFNetwork) *PerEdgeABFRouter {
-	if k.perEdge == nil {
-		k.perEdge = make(map[*PerEdgeABFNetwork]*PerEdgeABFRouter, 1)
-	}
-	r, ok := k.perEdge[net]
-	if !ok {
-		r = NewPerEdgeABFRouter(net)
-		k.perEdge[net] = r
 	}
 	return r
 }

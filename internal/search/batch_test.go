@@ -124,15 +124,14 @@ func TestBatchTwoTierParallelMatchesSequential(t *testing.T) {
 			qrp[u] = content.BuildQRPTable(store, u, 1024, 3)
 		}
 	}
+	layout, err := NewTwoTierLayout(g, tt.IsUltra, qrp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runBoth(t, g, 150, func(k *Kernel, q int, rng *rand.Rand) Result {
-		fl, err := k.TwoTier(tt.IsUltra, qrp)
-		if err != nil {
-			t.Error(err)
-			return Result{FirstMatchHop: -1}
-		}
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
-		return fl.Flood(src, 3, obj, func(u int) bool { return store.Has(u, obj) })
+		return k.Flooder().TwoTier(src, 3, layout, obj, func(u int) bool { return store.Has(u, obj) })
 	})
 }
 
@@ -159,10 +158,16 @@ func TestBatchPerEdgeABFLookupParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One router per worker index: runBoth's batches run one at a time
+	// and use at most 8 workers, each its own index.
+	routers := make([]*PerEdgeABFRouter, 8)
 	runBoth(t, g, 100, func(k *Kernel, q int, rng *rand.Rand) Result {
+		if routers[k.Index] == nil {
+			routers[k.Index] = NewPerEdgeABFRouter(net)
+		}
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
-		return k.PerEdgeABF(net).Lookup(src, obj, 25, rng)
+		return routers[k.Index].Lookup(src, obj, 25, rng)
 	})
 }
 
@@ -174,7 +179,7 @@ func TestBatchGossipParallelMatchesSequential(t *testing.T) {
 	runBoth(t, g, 150, func(k *Kernel, q int, rng *rand.Rand) Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
-		return k.Gossip().Flood(src, 4, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
+		return k.Flooder().Gossip(src, 4, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
 	})
 }
 

@@ -32,10 +32,6 @@ func TestEpochWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	walk := WalkConfig{Walkers: 4, MaxSteps: 32, CheckInterval: 4}
-	allUltra := make([]bool, g.N())
-	for i := range allUltra {
-		allUltra[i] = true
-	}
 	// A query runs query number q of one searcher; q fixes source,
 	// object and rng stream.
 	type query func(q int) Result
@@ -75,23 +71,6 @@ func TestEpochWrap(t *testing.T) {
 				src, _, match, rng := seeded(q)
 				return w.DegreeBiased(src, 32, match, rng)
 			}, &w.epoch, w.seen
-		}},
-		{"gossip", func() (query, *int32, []int32) {
-			f := NewGossipFlooder(g)
-			return func(q int) Result {
-				src, _, match, rng := seeded(q)
-				return f.Flood(src, 3, DefaultGossipConfig(), match, rng)
-			}, &f.epoch, f.visited
-		}},
-		{"two-tier", func() (query, *int32, []int32) {
-			f, err := NewTwoTierFlooder(g, allUltra, make([]*content.QRPTable, g.N()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(q int) Result {
-				src, obj, match, _ := seeded(q)
-				return f.Flood(src, 2, obj, match)
-			}, &f.epoch, f.visited
 		}},
 	}
 	for _, s := range searchers {

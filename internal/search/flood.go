@@ -37,13 +37,33 @@ type Matcher func(node int) bool
 // index of the entry that sent it the query, so the hop count is the
 // level counter and the sender is queue[queue[i].from].node. Scratch
 // is reused between queries, so large batches stay allocation-free.
+// Gossip and TwoTier run the same loop under a forwarding rule.
 // It is not safe for concurrent use; create one Flooder per worker.
 type Flooder struct {
 	g         *graph.Graph
 	visited   []uint64 // bit v set while v is in the current query's queue
 	queue     []visit  // discovery order; kept at full length, Flood tracks the tail
 	chain     []int32  // first-match latency scratch: queue indices match -> source
+	kept      []int32  // a block's rows as a forwarding rule narrowed them
 	touchSink int32    // keeps the row-gather loads live
+
+	// The rule of the running query lives here, so that passing it to
+	// the loop allocates nothing.
+	gossip  gossipRule
+	twoTier twoTierRule
+}
+
+// A forwardRule narrows the rows a flood sends the query along. Plain
+// flooding has none: every node forwards to its whole row but the
+// sender.
+type forwardRule interface {
+	// narrows reports whether nodes reached at hop forward through
+	// keep; where it does not, they forward their whole row.
+	narrows(hop int) bool
+	// keep appends to kept the neighbours in row that u, reached at hop
+	// from sender (-1 at the source), forwards the query to. It never
+	// keeps the sender.
+	keep(kept []int32, u, sender int32, hop int, row []int32) []int32
 }
 
 // visit is one queue entry: a node and the queue index of its sender
@@ -80,42 +100,83 @@ func NewFlooder(g *graph.Graph) *Flooder {
 // messages a level sends are its rows' lengths less one per forwarder,
 // counted without looking at the edges.
 func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
+	return f.flood(src, ttl, nil, match)
+}
+
+// flood is the frontier loop behind every flood-family search: at most
+// levels levels from src, each node forwarding its whole row or, where
+// rule narrows, the neighbours rule keeps.
+func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result {
 	res := Result{FirstMatchHop: -1}
 	if match(src) {
 		res.Success = true
 		res.FirstMatchHop = 0
 		res.MatchesFound++
 	}
-	if ttl <= 0 {
+	if levels <= 0 {
 		res.Visited = 1
 		return res
 	}
 
-	offsets, edges, visited, queue := f.g.Offsets, f.g.Edges, f.visited, f.queue
+	offsets, visited, queue := f.g.Offsets, f.visited, f.queue
 	queue[0] = visit{int32(src), -1}
 	visited[src>>6] |= 1 << (uint(src) & 63)
 	first := -1 // queue index of the first match beyond the source
-	head, tail, rowSum := 0, 1, 0
-	var lo, hi [floodBlock]int32 // the current block's rows: edges[lo[i]:hi[i]]
-	for hop := 1; hop <= ttl && head < tail; hop++ {
+	head, tail := 0, 1
+	// Messages are counted per swept row: a narrowed row is exactly what
+	// its node sends, a whole row that plus its node's sender. Each whole
+	// row gives one back below; the source's holds no sender, so it is
+	// credited here.
+	sent := 0
+	if rule == nil || !rule.narrows(0) {
+		sent = 1
+	}
+	var lo, hi [floodBlock]int32 // the current block's rows: rows[lo[i]:hi[i]]
+	for hop := 1; hop <= levels && head < tail; hop++ {
 		levelEnd := tail
+		narrow := rule != nil && rule.narrows(hop-1)
 		for head < levelEnd {
-			// The frontier was written a level ago, so a block of its
-			// rows can be fetched at once: loading every offset pair and
-			// the two ends of every row in one dependence-free loop
-			// overlaps misses the sweep would otherwise take one by one.
 			block := min(levelEnd-head, floodBlock)
-			room, touch := tail, int32(0)
-			for i := 0; i < block; i++ {
-				u := queue[head+i].node
-				lo[i], hi[i] = offsets[u], offsets[u+1]
-				room += int(hi[i] - lo[i])
-				if lo[i] < hi[i] {
-					touch += edges[lo[i]] + edges[hi[i]-1]
+			// rows is the graph's edges or, narrowed, the kept scratch.
+			// Reading the edges through it too keeps one slice live
+			// across the sweep, not two; the second costs the sweep a
+			// spilled register, ≈ 4% of a flood.
+			rows, room := f.g.Edges, tail
+			if narrow {
+				// The rule reads every row it narrows, which fetches the
+				// block's rows as the gather below does.
+				kept := f.kept[:0]
+				for i := 0; i < block; i++ {
+					e := queue[head+i]
+					sender := int32(-1)
+					if e.from >= 0 {
+						sender = queue[e.from].node
+					}
+					lo[i] = int32(len(kept))
+					kept = rule.keep(kept, e.node, sender, hop-1, rows[offsets[e.node]:offsets[e.node+1]])
+					hi[i] = int32(len(kept))
 				}
+				f.kept, rows = kept, kept
+				room += len(kept)
+				sent += len(kept)
+			} else {
+				// The frontier was written a level ago, so a block of its
+				// rows can be fetched at once: loading every offset pair
+				// and the two ends of every row in one dependence-free
+				// loop overlaps misses the sweep would otherwise take one
+				// by one.
+				touch := int32(0)
+				for i := 0; i < block; i++ {
+					u := queue[head+i].node
+					lo[i], hi[i] = offsets[u], offsets[u+1]
+					room += int(hi[i] - lo[i])
+					if lo[i] < hi[i] {
+						touch += rows[lo[i]] + rows[hi[i]-1]
+					}
+				}
+				f.touchSink = touch
+				sent += room - tail - block
 			}
-			f.touchSink = touch
-			rowSum += room - tail
 			// The sweep stores before it knows whether it keeps the
 			// entry, so the queue must have room for every edge of the
 			// block; that bounds it by the flood's reach, not by n.
@@ -128,7 +189,7 @@ func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 			// clear. The sender's bit is set, so it is never re-queued.
 			for i := 0; i < block; i++ {
 				from := int32(head + i)
-				for _, v := range edges[lo[i]:hi[i]] {
+				for _, v := range rows[lo[i]:hi[i]] {
 					queue[tail] = visit{v, from}
 					word, shift := &visited[v>>6], uint(v)&63
 					old := *word
@@ -153,9 +214,8 @@ func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 	}
 	f.queue = queue
 	res.Visited = tail
-	// Every forwarder but the source skipped its sender.
-	res.Messages = rowSum - (head - 1)
-	res.Duplicates = res.Messages - (tail - 1)
+	res.Messages = sent
+	res.Duplicates = sent - (tail - 1)
 	if first >= 0 && f.g.Weights != nil {
 		res.FirstMatchLatency = f.pathLatency(first)
 	}

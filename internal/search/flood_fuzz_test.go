@@ -4,36 +4,69 @@ import (
 	"fmt"
 	"testing"
 
+	"makalu/internal/content"
 	"makalu/internal/graph"
 )
 
 // A fuzz input is a small flood scenario:
 //
 //	byte 0      n = 1 + b%200 nodes
-//	byte 1      bit 0: weighted graph
+//	byte 1      bit 0: weighted graph; bits 1–2: forwarding rule (plain,
+//	            gossip, two-tier, plain)
 //	byte 2      q = 1 + b%4 consecutive queries on one Flooder
 //	4 bytes × q source (mod n), TTL (mod 12), two targets (mod n; 255 = none)
+//	gossip      2 bytes: boundary hops b%6 − 1, probability (1 + b)/256
+//	two-tier    1 byte: bit 0 gives leaves QRP tables, the rest seeds the
+//	            placement they summarize; then ⌈n/8⌉ bytes of roles, node
+//	            u an ultrapeer when bit u%8 of byte u/8 is set
 //	the rest    edges, two bytes each (both mod n; loops and repeats dropped)
 type fuzzQuery struct{ src, ttl, t1, t2 byte }
 
+const (
+	rulePlain = iota
+	ruleGossip
+	ruleTwoTier
+)
+
 func fuzzFloodInput(n int, weighted bool, queries []fuzzQuery, edges [][2]int) []byte {
-	data := []byte{byte(n - 1), 0, byte(len(queries) - 1)}
+	return fuzzRuleInput(n, weighted, rulePlain, queries, nil, edges)
+}
+
+func fuzzRuleInput(n int, weighted bool, rule byte, queries []fuzzQuery, params []byte, edges [][2]int) []byte {
+	data := []byte{byte(n - 1), rule << 1, byte(len(queries) - 1)}
 	if weighted {
-		data[1] = 1
+		data[1] |= 1
 	}
 	for _, q := range queries {
 		data = append(data, q.src, q.ttl, q.t1, q.t2)
 	}
+	data = append(data, params...)
 	for _, e := range edges {
 		data = append(data, byte(e[0]), byte(e[1]))
 	}
 	return data
 }
 
-// FuzzFloodMatchesOracle holds Flooder.Flood to the array-based oracle
-// on arbitrary small graphs: whole Result, latency bits and matcher
-// call sequence, over consecutive queries so scratch left dirty by one
-// query is caught by the next.
+// twoTierParams encodes the two-tier parameter bytes: QRP on or off and
+// the ultrapeers among n nodes.
+func twoTierParams(n int, qrp bool, ultras ...int) []byte {
+	p := make([]byte, 1+(n+7)/8)
+	if qrp {
+		p[0] = 1
+	}
+	for _, u := range ultras {
+		p[1+u/8] |= 1 << (u % 8)
+	}
+	return p
+}
+
+// FuzzFloodMatchesOracle holds Flooder to the verbatim oracles of its
+// three forwarding rules on arbitrary small graphs, over consecutive
+// queries so scratch left dirty by one query is caught by the next.
+// Plain flooding must match whole Result, latency bits and matcher call
+// sequence; gossip whole Result but latency, call sequence and rng
+// stream; two-tier whole Result but latency, and the set of nodes
+// matched.
 func FuzzFloodMatchesOracle(f *testing.F) {
 	const none = 255
 	ring := func(n int) (edges [][2]int) {
@@ -66,26 +99,109 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 	for leaf := 1; leaf <= 70; leaf++ {
 		star = append(star, [2]int{0, leaf}, [2]int{leaf, 71 + leaf%9})
 	}
-	f.Add(fuzzFloodInput(80, true,
-		[]fuzzQuery{{0, 3, 75, 33}, {33, 4, 34, 79}, {0, 1, none, none}, {70, 2, 0, none}},
-		star))
+	starQueries := []fuzzQuery{{0, 3, 75, 33}, {33, 4, 34, 79}, {0, 1, none, none}, {70, 2, 0, none}}
+	f.Add(fuzzFloodInput(80, true, starQueries, star))
+
+	// Gossip from the source on, past one hop, and at p = 1.
+	f.Add(fuzzRuleInput(80, true, ruleGossip, starQueries, []byte{1, 127}, star))
+	f.Add(fuzzRuleInput(80, false, ruleGossip, starQueries, []byte{0, 200}, star))
+	f.Add(fuzzRuleInput(65, true, ruleGossip,
+		[]fuzzQuery{{64, 5, 0, 32}, {0, 3, 64, none}}, []byte{3, 255}, ring(65)))
+
+	// Two tiers on 100 nodes: ultrapeers 0–39 in a ring with chords,
+	// hub 0 linked to all 39 others (a frontier past one gather block),
+	// leaves 40–98 on two ultrapeers each and leaf 99 isolated. Queries
+	// from a leaf, from the hub at TTL 0 (its leaves are still
+	// delivered), deep from an ultrapeer, and from the isolated leaf.
+	var tiers [][2]int
+	ultras := make([]int, 40)
+	for u := range ultras {
+		ultras[u] = u
+		tiers = append(tiers, [2]int{u, (u + 1) % 40}, [2]int{u, (u + 11) % 40}, [2]int{0, u})
+	}
+	for leaf := 40; leaf < 99; leaf++ {
+		tiers = append(tiers, [2]int{leaf, leaf % 40}, [2]int{leaf, (leaf * 7) % 40})
+	}
+	tierQueries := []fuzzQuery{{50, 2, 77, none}, {0, 0, 45, 3}, {17, 3, 98, 60}, {99, 4, 99, 40}}
+	f.Add(fuzzRuleInput(100, true, ruleTwoTier, tierQueries, twoTierParams(100, false, ultras...), tiers))
+	f.Add(fuzzRuleInput(100, false, ruleTwoTier, tierQueries, twoTierParams(100, true, ultras...), tiers))
+	// Leaves linked to leaves, and a leaf source with no ultrapeer.
+	f.Add(fuzzRuleInput(8, false, ruleTwoTier,
+		[]fuzzQuery{{3, 2, 7, none}, {6, 1, 0, none}, {0, 0, 2, none}},
+		twoTierParams(8, true, 0, 1), [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {3, 4}, {2, 3}, {6, 7}, {1, 5}, {5, 7}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		n, weighted, nq := 1+int(data[0])%200, data[1]&1 == 1, 1+int(data[2])%4
+		n, weighted, rule, nq := 1+int(data[0])%200, data[1]&1 == 1, int(data[1]>>1)&3, 1+int(data[2])%4
 		data = data[3:]
 		if len(data) < 4*nq {
 			return
 		}
-		queries, edges := data[:4*nq], data[4*nq:]
+		queries, rest := data[:4*nq], data[4*nq:]
+		var params []byte
+		switch rule {
+		case ruleGossip:
+			params = make([]byte, 2)
+		case ruleTwoTier:
+			params = make([]byte, 1+(n+7)/8)
+		}
+		if len(rest) < len(params) {
+			return
+		}
+		params, rest = rest[:len(params)], rest[len(params):]
 		m := graph.NewMutable(n)
-		for ; len(edges) >= 2; edges = edges[2:] {
-			m.AddEdge(int(edges[0])%n, int(edges[1])%n) // loops and repeats are rejected
+		for ; len(rest) >= 2; rest = rest[2:] {
+			m.AddEdge(int(rest[0])%n, int(rest[1])%n) // loops and repeats are rejected
 		}
 		g := freezeMaybeWeighted(m, weighted)
-		fl, o := NewFlooder(g), newOracleFlooder(g)
+		fl := NewFlooder(g)
+		var check func(label string, q, src, ttl int, target func(int) bool)
+		switch rule {
+		case ruleGossip:
+			cfg := GossipConfig{BoundaryHops: int(params[0])%6 - 1, Probability: float64(1+int(params[1])) / 256}
+			o := newOracleGossipFlooder(g)
+			check = func(label string, q, src, ttl int, target func(int) bool) {
+				checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), fl, o, src, ttl, cfg, int64(q), target)
+			}
+		case ruleTwoTier:
+			isUltra := make([]bool, n)
+			for u := range isUltra {
+				isUltra[u] = params[1+u/8]>>(u%8)&1 == 1
+			}
+			qrp := make([]*content.QRPTable, n)
+			objs := []uint64{1, 2, 3} // with no tables the object gates nothing
+			if params[0]&1 == 1 {
+				st, err := content.Place(n, content.PlacementConfig{Objects: 3, Replication: 0.3, MinReplicas: 1, Seed: int64(params[0] >> 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				objs = st.Objects()
+				for u := range qrp {
+					if !isUltra[u] {
+						qrp[u] = content.BuildQRPTable(st, u, 16, 1)
+					}
+				}
+			}
+			layout, err := NewTwoTierLayout(g, isUltra, qrp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := newOracleTwoTierFlooder(g, isUltra, qrp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check = func(label string, q, src, ttl int, target func(int) bool) {
+				obj := objs[q%len(objs)]
+				checkTwoTierAgainstOracle(t, fmt.Sprintf("%s isUltra=%v obj=%d", label, isUltra, q%len(objs)), fl, o, layout, src, ttl, obj, target)
+			}
+		default:
+			o := newOracleFlooder(g)
+			check = func(label string, _, src, ttl int, target func(int) bool) {
+				checkAgainstOracle(t, label, fl, o, src, ttl, target)
+			}
+		}
 		for q := 0; q < nq; q++ {
 			src, ttl := int(queries[4*q])%n, int(queries[4*q+1])%12
 			targets := map[int]bool{}
@@ -94,8 +210,8 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 					targets[int(b)%n] = true
 				}
 			}
-			label := fmt.Sprintf("n=%d weighted=%v q=%d src=%d ttl=%d targets=%v", n, weighted, q, src, ttl, targets)
-			checkAgainstOracle(t, label, fl, o, src, ttl, func(u int) bool { return targets[u] })
+			label := fmt.Sprintf("n=%d weighted=%v rule=%d q=%d src=%d ttl=%d targets=%v", n, weighted, rule, q, src, ttl, targets)
+			check(label, q, src, ttl, func(u int) bool { return targets[u] })
 		}
 	})
 }

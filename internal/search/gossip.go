@@ -25,91 +25,33 @@ func DefaultGossipConfig() GossipConfig {
 	return GossipConfig{BoundaryHops: 2, Probability: 0.5}
 }
 
-// GossipFlooder runs hybrid flood/gossip queries. Like Flooder it
-// reuses scratch; not safe for concurrent use.
-type GossipFlooder struct {
-	g       *graph.Graph
-	epoch   int32
-	visited []int32
-	hop     []int32
-	parent  []int32
-	queue   []int32
+// Gossip issues a flood-then-gossip query from src with the given TTL:
+// nodes fewer than cfg.BoundaryHops hops from src forward to every
+// neighbor but their sender, nodes past it to each such neighbor with
+// probability cfg.Probability, clamped to [0, 1]: one rng draw per
+// such neighbor, in queue order and row order. Counting and matching
+// are Flood's, so results compare directly.
+func (f *Flooder) Gossip(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
+	f.gossip = gossipRule{boundary: cfg.BoundaryHops, p: min(max(cfg.Probability, 0), 1), rng: rng}
+	return f.flood(src, ttl, &f.gossip, match)
 }
 
-// NewGossipFlooder creates a GossipFlooder over g.
-func NewGossipFlooder(g *graph.Graph) *GossipFlooder {
-	n := g.N()
-	return &GossipFlooder{
-		g:       g,
-		visited: make([]int32, n),
-		hop:     make([]int32, n),
-		parent:  make([]int32, n),
-		queue:   make([]int32, 0, 1024),
-	}
+// gossipRule is the epidemic rule past the boundary.
+type gossipRule struct {
+	boundary int
+	p        float64
+	rng      *rand.Rand
 }
 
-// Flood issues a query from src with the given TTL: deterministic
-// flooding for cfg.BoundaryHops hops, epidemic forwarding with
-// probability cfg.Probability afterwards. Message and duplicate
-// accounting matches Flooder, so results are directly comparable.
-func (f *GossipFlooder) Flood(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
-	ep := nextEpoch(f.visited, &f.epoch)
-	res := Result{FirstMatchHop: -1}
-	prob := cfg.Probability
-	if prob <= 0 || prob > 1 {
-		prob = 1
-	}
+func (r *gossipRule) narrows(hop int) bool { return hop >= r.boundary }
 
-	f.visited[src] = ep
-	f.hop[src] = 0
-	f.parent[src] = -1
-	res.Visited = 1
-	if match(src) {
-		res.Success = true
-		res.FirstMatchHop = 0
-		res.MatchesFound++
-	}
-	if ttl <= 0 {
-		return res
-	}
-	queue := f.queue[:0]
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		hu := f.hop[u]
-		if int(hu) >= ttl {
-			continue
-		}
-		pu := f.parent[u]
-		gossiping := int(hu) >= cfg.BoundaryHops
-		for _, v := range f.g.Neighbors(int(u)) {
-			if v == pu {
-				continue
-			}
-			if gossiping && rng.Float64() >= prob {
-				continue // epidemic rule: probabilistically skip
-			}
-			res.Messages++
-			if f.visited[v] == ep {
-				res.Duplicates++
-				continue
-			}
-			f.visited[v] = ep
-			f.hop[v] = hu + 1
-			f.parent[v] = u
-			res.Visited++
-			if match(int(v)) {
-				res.MatchesFound++
-				if !res.Success {
-					res.Success = true
-					res.FirstMatchHop = int(hu + 1)
-				}
-			}
-			queue = append(queue, v)
+func (r *gossipRule) keep(kept []int32, _, sender int32, _ int, row []int32) []int32 {
+	for _, v := range row {
+		if v != sender && r.rng.Float64() < r.p {
+			kept = append(kept, v)
 		}
 	}
-	f.queue = queue
-	return res
+	return kept
 }
 
 // ConvergenceBoundary estimates the hop count at which a flood from

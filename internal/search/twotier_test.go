@@ -15,7 +15,7 @@ import (
 //	leaves:     2, 3 on ultrapeer 0; 4 on ultrapeer 1
 //
 // and a store with a single object placed on one random node.
-func buildTwoTierFixture(t *testing.T) (*TwoTierFlooder, *content.Store, uint64) {
+func buildTwoTierFixture(t *testing.T) (*Flooder, *TwoTierLayout, *content.Store, uint64) {
 	t.Helper()
 	g := graph.NewMutable(5)
 	g.AddEdge(0, 1)
@@ -35,37 +35,45 @@ func buildTwoTierFixture(t *testing.T) (*TwoTierFlooder, *content.Store, uint64)
 			qrp[u] = content.BuildQRPTable(st, u, 512, 3)
 		}
 	}
-	tt, err := NewTwoTierFlooder(fr, isUltra, qrp)
+	l, err := NewTwoTierLayout(fr, isUltra, qrp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tt, st, obj
+	return NewFlooder(fr), l, st, obj
 }
 
 func TestTwoTierValidation(t *testing.T) {
 	g := graph.NewMutable(2)
 	g.AddEdge(0, 1)
 	fr := g.Freeze(nil)
-	if _, err := NewTwoTierFlooder(fr, []bool{true}, make([]*content.QRPTable, 2)); err == nil {
+	if _, err := NewTwoTierLayout(fr, []bool{true}, make([]*content.QRPTable, 2)); err == nil {
 		t.Fatal("short role slice should fail")
 	}
 	// An ultrapeer carrying a QRP table must fail; a leaf without one
 	// is legal (ungated delivery, the paper's measured behaviour).
 	st, _ := content.Place(2, content.PlacementConfig{Objects: 1, Seed: 1})
 	qrp := []*content.QRPTable{content.BuildQRPTable(st, 0, 64, 2), nil}
-	if _, err := NewTwoTierFlooder(fr, []bool{true, false}, qrp); err == nil {
+	if _, err := NewTwoTierLayout(fr, []bool{true, false}, qrp); err == nil {
 		t.Fatal("ultrapeer with QRP table should fail")
 	}
-	if _, err := NewTwoTierFlooder(fr, []bool{true, false}, make([]*content.QRPTable, 2)); err != nil {
+	l, err := NewTwoTierLayout(fr, []bool{true, false}, make([]*content.QRPTable, 2))
+	if err != nil {
 		t.Fatalf("ungated leaves should be accepted: %v", err)
 	}
+	// A layout covers the graph it was validated for and no other.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a two-node layout was accepted on a three-node graph")
+		}
+	}()
+	NewFlooder(path(3)).TwoTier(0, 1, l, 0, noMatch)
 }
 
 func TestTwoTierLeafInjection(t *testing.T) {
-	tt, st, obj := buildTwoTierFixture(t)
+	f, l, st, obj := buildTwoTierFixture(t)
 	// Query from leaf 2: injection to UP 0 (1 msg), UP0 -> UP1 (1 msg),
 	// plus QRP-gated leaf deliveries.
-	r := tt.Flood(2, 2, obj, func(u int) bool { return st.Has(u, obj) })
+	r := f.TwoTier(2, 2, l, obj, func(u int) bool { return st.Has(u, obj) })
 	if r.Messages < 2 {
 		t.Fatalf("expected at least injection + core flood, got %+v", r)
 	}
@@ -79,8 +87,8 @@ func TestTwoTierLeavesDoNotForward(t *testing.T) {
 	// Query from ultrapeer 1 with TTL 1: UP1 floods UP0; UP0 delivers
 	// to matching leaves. Leaf 4 gets the query from UP1 directly but
 	// never forwards anywhere.
-	tt, st, obj := buildTwoTierFixture(t)
-	r := tt.Flood(1, 1, obj, func(u int) bool { return st.Has(u, obj) })
+	f, l, st, obj := buildTwoTierFixture(t)
+	r := f.TwoTier(1, 1, l, obj, func(u int) bool { return st.Has(u, obj) })
 	// Upper bound: UP1->UP0, UP1->leaf4, UP0->leaf2, UP0->leaf3 = 4.
 	if r.Messages > 4 {
 		t.Fatalf("too many messages (%d): leaves must not forward", r.Messages)
@@ -88,12 +96,12 @@ func TestTwoTierLeavesDoNotForward(t *testing.T) {
 }
 
 func TestTwoTierQRPShieldsLeaves(t *testing.T) {
-	tt, st, obj := buildTwoTierFixture(t)
+	f, l, st, obj := buildTwoTierFixture(t)
 	// Query an identifier no one hosts: QRP tables should suppress
 	// almost all leaf deliveries (false positives aside, with 512-bit
 	// tables and 1 insertion they are essentially impossible).
 	missing := obj ^ 0xdeadbeef
-	r := tt.Flood(0, 2, missing, func(u int) bool { return st.Has(u, missing) })
+	r := f.TwoTier(0, 2, l, missing, func(u int) bool { return st.Has(u, missing) })
 	if r.Success {
 		t.Fatal("missing object cannot be found")
 	}
@@ -111,15 +119,17 @@ func TestTwoTierTTLBoundsCore(t *testing.T) {
 	g.AddEdge(2, 3)
 	isUltra := []bool{true, true, true, true}
 	qrp := make([]*content.QRPTable, 4)
-	tt, err := NewTwoTierFlooder(g.Freeze(nil), isUltra, qrp)
+	fr := g.Freeze(nil)
+	l, err := NewTwoTierLayout(fr, isUltra, qrp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tt.Flood(0, 2, 0, func(u int) bool { return u == 3 })
+	f := NewFlooder(fr)
+	r := f.TwoTier(0, 2, l, 0, func(u int) bool { return u == 3 })
 	if r.Success {
 		t.Fatal("TTL 2 cannot reach UP 3 hops away")
 	}
-	r = tt.Flood(0, 3, 0, func(u int) bool { return u == 3 })
+	r = f.TwoTier(0, 3, l, 0, func(u int) bool { return u == 3 })
 	if !r.Success || r.FirstMatchHop != 3 {
 		t.Fatalf("TTL 3 should reach: %+v", r)
 	}
@@ -139,16 +149,17 @@ func TestTwoTierOnGeneratedTopology(t *testing.T) {
 			qrp[u] = content.BuildQRPTable(st, u, 1024, 3)
 		}
 	}
-	fl, err := NewTwoTierFlooder(fr, tt.IsUltra, qrp)
+	l, err := NewTwoTierLayout(fr, tt.IsUltra, qrp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl := NewFlooder(fr)
 	rng := rand.New(rand.NewSource(4))
 	agg := NewAggregate()
 	for q := 0; q < 100; q++ {
 		obj := st.RandomObject(rng)
 		src := rng.Intn(n)
-		agg.Add(fl.Flood(src, 3, obj, func(u int) bool { return st.Has(u, obj) }))
+		agg.Add(fl.TwoTier(src, 3, l, obj, func(u int) bool { return st.Has(u, obj) }))
 	}
 	// 1% replication with TTL 3 over a 30-degree ultrapeer core should
 	// resolve essentially everything.

@@ -191,8 +191,9 @@ func (ov *Overlay) graphSnapshot() *graph.Graph {
 }
 
 // searchKernel returns the reusable scratch behind the single-query
-// searches, so repeated Flood / ExpandingRingSearch / RandomWalkSearch
-// calls on an unchanged overlay do not reallocate node-sized state.
+// searches, so repeated Flood / GossipFlood / ExpandingRingSearch /
+// RandomWalkSearch calls on an unchanged overlay do not reallocate
+// node-sized state.
 func (ov *Overlay) searchKernel() *search.Kernel {
 	if ov.kernel == nil {
 		ov.kernel = search.NewKernel(ov.graphSnapshot(), 0)

@@ -34,9 +34,9 @@ func fromInternal(r search.Result) SearchResult {
 // Flood runs a TTL-controlled flooding search from src over the alive
 // overlay: the paper's wildcard/attribute search mechanism. match is
 // the node predicate (use Content.Matcher or Content.WildcardMatcher).
-// Flood, RandomWalkSearch and ExpandingRingSearch reuse one scratch
-// kernel per overlay snapshot, so call them from one goroutine at a
-// time; the Batch variants are the parallel path.
+// Flood, GossipFlood, RandomWalkSearch and ExpandingRingSearch reuse
+// one scratch kernel per overlay snapshot, so call them from one
+// goroutine at a time; the Batch variants are the parallel path.
 func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
 	if !ov.core.Alive(src) {
 		return SearchResult{FirstMatchHop: -1}
