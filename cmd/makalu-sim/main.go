@@ -97,20 +97,20 @@ func main() {
 	case "flood":
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(kern.Flooder().Flood(rng.Intn(*n), *ttl, kern.Targets(store.Replicas(obj))))
+			agg.Add(kern.Flooder().FloodTargets(rng.Intn(*n), *ttl, kern.Targets(store.Replicas(obj))))
 		}
 	case "walk":
 		cfg := search.DefaultWalkConfig()
 		cfg.MaxSteps = *ttl * 256
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(kern.Walker().Random(rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)), rng))
+			agg.Add(kern.Walker().Random(rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)).Matcher(), rng))
 		}
 	case "ring":
 		cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: *ttl}
 		for q := 0; q < *queries; q++ {
 			obj := store.RandomObject(rng)
-			agg.Add(search.ExpandingRing(kern.Flooder(), rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)), rng))
+			agg.Add(search.ExpandingRingTargets(kern.Flooder(), rng.Intn(*n), cfg, kern.Targets(store.Replicas(obj)), rng))
 		}
 	case "abf":
 		abfStart := time.Now()

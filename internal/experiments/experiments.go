@@ -116,7 +116,7 @@ func FloodBatch(g *graph.Graph, store *content.Store, ttl, queries, workers int,
 	return br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().Flood(src, ttl, k.Targets(store.Replicas(obj)))
+		return k.Flooder().FloodTargets(src, ttl, k.Targets(store.Replicas(obj)))
 	})
 }
 
@@ -142,7 +142,7 @@ func TwoTierFloodBatch(g *graph.Graph, isUltra []bool, store *content.Store, ttl
 	agg := br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().TwoTier(src, ttl, layout, obj, k.Targets(store.Replicas(obj)))
+		return k.Flooder().TwoTier(src, ttl, layout, obj, k.Targets(store.Replicas(obj)).Matcher())
 	})
 	return agg, nil
 }

@@ -84,7 +84,7 @@ func RunStrategies(opt Options) (*StrategiesResult, error) {
 			agg := br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 				obj := store.RandomObject(rng)
 				src := rng.Intn(opt.N)
-				match := loadCounting(k.Targets(store.Replicas(obj)), slabs[k.Index])
+				match := loadCounting(k.Targets(store.Replicas(obj)).Matcher(), slabs[k.Index])
 				return st.run(k, src, match, rng)
 			})
 			load := make([]int64, opt.N)

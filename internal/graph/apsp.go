@@ -53,7 +53,6 @@ func allSources(n int) []int {
 type pathAccum struct {
 	hopSum       int64
 	hopPairs     int64
-	costSum      float64
 	costPairs    int64
 	hopDiameter  int32
 	costDiameter float64
@@ -63,7 +62,6 @@ type pathAccum struct {
 func (a *pathAccum) merge(b *pathAccum) {
 	a.hopSum += b.hopSum
 	a.hopPairs += b.hopPairs
-	a.costSum += b.costSum
 	a.costPairs += b.costPairs
 	if b.hopDiameter > a.hopDiameter {
 		a.hopDiameter = b.hopDiameter
@@ -85,6 +83,10 @@ func (g *Graph) pathStats(sources []int) PathStats {
 	}
 	work := make(chan int, workers)
 	accums := make([]pathAccum, workers)
+	// Float addition is not associative, so each source's cost sum is
+	// kept apart and folded in sources order below: which worker took
+	// which source must not show in MeanCost.
+	costSums := make([]float64, len(sources))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -95,7 +97,8 @@ func (g *Graph) pathStats(sources []int) PathStats {
 			if g.Weights != nil {
 				costDist = make([]float64, n)
 			}
-			for src := range work {
+			for i := range work {
+				src := sources[i]
 				ecc, reached, sum := g.BFSStats(src, scratch)
 				if ecc > acc.hopDiameter {
 					acc.hopDiameter = ecc
@@ -108,18 +111,20 @@ func (g *Graph) pathStats(sources []int) PathStats {
 					if wecc > acc.costDiameter {
 						acc.costDiameter = wecc
 					}
+					cost := 0.0
 					for v, d := range costDist {
 						if v != src && !math.IsInf(d, 1) {
-							acc.costSum += d
+							cost += d
 							acc.costPairs++
 						}
 					}
+					costSums[i] = cost
 				}
 			}
 		}(&accums[w])
 	}
-	for _, s := range sources {
-		work <- s
+	for i := range sources {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
@@ -127,6 +132,10 @@ func (g *Graph) pathStats(sources []int) PathStats {
 	var total pathAccum
 	for i := range accums {
 		total.merge(&accums[i])
+	}
+	costSum := 0.0
+	for _, c := range costSums {
+		costSum += c
 	}
 	st := PathStats{
 		Sources:        len(sources),
@@ -140,7 +149,7 @@ func (g *Graph) pathStats(sources []int) PathStats {
 		st.MeanHops = float64(total.hopSum) / float64(total.hopPairs)
 	}
 	if total.costPairs > 0 {
-		st.MeanCost = total.costSum / float64(total.costPairs)
+		st.MeanCost = costSum / float64(total.costPairs)
 	}
 	return st
 }

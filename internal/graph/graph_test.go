@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -382,6 +383,31 @@ func TestAllPathStatsCycle(t *testing.T) {
 	}
 	if st.Disconnected {
 		t.Fatal("cycle should be connected")
+	}
+}
+
+// MeanCost sums floats from many sources. The sum must not depend on
+// how many workers ran them or which took which: every GOMAXPROCS and
+// every repeat gives the same bits.
+func TestPathStatsMeanCostBitIdentical(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(11))
+	m := NewMutable(n)
+	for e := 0; e < 4*n; e++ {
+		m.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	g := m.Freeze(func(u, v int) float64 { return 0.1 + math.Sqrt(float64(min(u, v)*n+max(u, v)))/7 })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want uint64
+	for i, procs := range []int{1, 2, 4, 2, 4, 1, 4, 2} {
+		runtime.GOMAXPROCS(procs)
+		st := g.SampledPathStats(64, rand.New(rand.NewSource(5)))
+		if got := math.Float64bits(st.MeanCost); i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d at GOMAXPROCS %d: MeanCost %v (%#x), first run %v (%#x)",
+				i, procs, st.MeanCost, got, math.Float64frombits(want), want)
+		}
 	}
 }
 

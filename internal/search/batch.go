@@ -119,10 +119,11 @@ func (k *Kernel) Walker() *Walker {
 }
 
 // Targets loads the worker's reusable target set with nodes — the
-// replica set of the object a query looks for — and returns its
-// membership Matcher, valid until the next Targets call on this
-// kernel. Steady-state calls allocate nothing.
-func (k *Kernel) Targets(nodes []int32) Matcher {
+// replica set of the object a query looks for — and returns it, valid
+// until the next Targets call on this kernel: floods take the set
+// (Flooder.FloodTargets), walks its Matcher. Steady-state calls
+// allocate nothing.
+func (k *Kernel) Targets(nodes []int32) *Targets {
 	if k.targets == nil {
 		k.targets = NewTargets(k.g.N())
 	}

@@ -270,8 +270,8 @@ func TestWalkerZeroAllocSteadyState(t *testing.T) {
 
 // One exact-object query through a Kernel — load the target set, run
 // the flood or walk — must allocate nothing once the scratch is sized:
-// the per-query Store.Has closure is gone and Targets hands out a
-// pre-bound Matcher.
+// the per-query Store.Has closure is gone, Targets hands out a
+// pre-bound Matcher, and a set flood needs no scratch of its own.
 func TestKernelTargetsZeroAllocSteadyState(t *testing.T) {
 	const n = 2000
 	g := testGraph(n)
@@ -280,19 +280,32 @@ func TestKernelTargetsZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := WalkConfig{Walkers: 16, MaxSteps: 128, CheckInterval: 4}
 	flood := func() {
-		k.Flooder().Flood(rng.Intn(n), 6, k.Targets(store.Replicas(store.RandomObject(rng))))
+		k.Flooder().Flood(rng.Intn(n), 6, k.Targets(store.Replicas(store.RandomObject(rng))).Matcher())
+	}
+	set := func() {
+		k.Flooder().FloodTargets(rng.Intn(n), 1+rng.Intn(6), k.Targets(store.Replicas(store.RandomObject(rng))))
+	}
+	ring := func() {
+		ExpandingRingTargets(k.Flooder(), rng.Intn(n), DefaultRingConfig(), k.Targets(store.Replicas(store.RandomObject(rng))), rng)
 	}
 	walk := func() {
-		k.Walker().Random(rng.Intn(n), cfg, k.Targets(store.Replicas(store.RandomObject(rng))), rng)
+		k.Walker().Random(rng.Intn(n), cfg, k.Targets(store.Replicas(store.RandomObject(rng))).Matcher(), rng)
 	}
 	// Warm up: a wide flood grows the queue to its steady capacity.
-	k.Flooder().Flood(0, n, k.Targets(nil))
+	k.Flooder().Flood(0, n, k.Targets(nil).Matcher())
 	walk()
-	if avg := testing.AllocsPerRun(50, flood); avg != 0 {
-		t.Fatalf("Flooder.Flood with a Targets matcher allocates %.1f/op in steady state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, walk); avg != 0 {
-		t.Fatalf("Walker.Random with a Targets matcher allocates %.1f/op in steady state, want 0", avg)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Flooder.Flood with a Targets matcher", flood},
+		{"Flooder.FloodTargets", set},
+		{"ExpandingRingTargets", ring},
+		{"Walker.Random with a Targets matcher", walk},
+	} {
+		if avg := testing.AllocsPerRun(50, c.run); avg != 0 {
+			t.Fatalf("%s allocates %.1f/op in steady state, want 0", c.name, avg)
+		}
 	}
 }
 
@@ -407,8 +420,8 @@ func TestKernelPoolReusesScratch(t *testing.T) {
 			indexOK.Store(false)
 		}
 		obj := store.RandomObject(rng)
-		k.Walker().Random(rng.Intn(n), WalkConfig{Walkers: 4, MaxSteps: 32, CheckInterval: 4}, k.Targets(store.Replicas(obj)), rng)
-		return k.Flooder().Flood(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
+		k.Walker().Random(rng.Intn(n), WalkConfig{Walkers: 4, MaxSteps: 32, CheckInterval: 4}, k.Targets(store.Replicas(obj)).Matcher(), rng)
+		return k.Flooder().FloodTargets(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
 	}
 	for i := 0; i < 5; i++ {
 		br.Run(40, fn)
@@ -427,7 +440,7 @@ func TestKernelPoolReusesScratch(t *testing.T) {
 	br.Workers = 1
 	plain := func(k *Kernel, q int, rng *rand.Rand) Result {
 		obj := store.RandomObject(rng)
-		return k.Flooder().Flood(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
+		return k.Flooder().FloodTargets(rng.Intn(n), 3, k.Targets(store.Replicas(obj)))
 	}
 	br.Run(40, plain)
 	var before, after runtime.MemStats

@@ -26,8 +26,9 @@ type Result struct {
 	FirstMatchLatency float64
 }
 
-// Matcher decides whether a node satisfies the query. The usual one
-// is a Targets set loaded with the query object's replica nodes.
+// Matcher decides whether a node satisfies the query. A query whose
+// matching nodes are known before it starts is a Targets set instead,
+// which floods test without a call per node.
 type Matcher func(node int) bool
 
 // Flooder runs TTL floods over a frozen graph as a level-synchronous
@@ -41,7 +42,7 @@ type Matcher func(node int) bool
 // It is not safe for concurrent use; create one Flooder per worker.
 type Flooder struct {
 	g         *graph.Graph
-	visited   []uint64 // bit v set while v is in the current query's queue
+	visited   []uint64 // bit v set while the current query has reached v
 	queue     []visit  // discovery order; kept at full length, Flood tracks the tail
 	chain     []int32  // first-match latency scratch: queue indices match -> source
 	kept      []int32  // a block's rows as a forwarding rule narrowed them
@@ -100,14 +101,26 @@ func NewFlooder(g *graph.Graph) *Flooder {
 // messages a level sends are its rows' lengths less one per forwarder,
 // counted without looking at the edges.
 func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
-	return f.flood(src, ttl, nil, match)
+	return f.flood(src, ttl, nil, match, nil)
+}
+
+// FloodTargets is Flood matched against the set t: the Result is
+// Flood(src, ttl, t.Matcher())'s field for field, latency bits
+// included, but no node is asked about. Each level tests the members
+// against the visited bitmap, and the last level only sets bits.
+func (f *Flooder) FloodTargets(src, ttl int, t *Targets) Result {
+	return f.flood(src, ttl, nil, nil, t)
 }
 
 // flood is the frontier loop behind every flood-family search: at most
 // levels levels from src, each node forwarding its whole row or, where
-// rule narrows, the neighbours rule keeps.
-func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result {
+// rule narrows, the neighbours rule keeps. It matches through match or,
+// when set is not nil, against set.
+func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *Targets) Result {
 	res := Result{FirstMatchHop: -1}
+	if set != nil {
+		match = set.match
+	}
 	if match(src) {
 		res.Success = true
 		res.FirstMatchHop = 0
@@ -123,6 +136,10 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result
 	visited[src>>6] |= 1 << (uint(src) & 63)
 	first := -1 // queue index of the first match beyond the source
 	head, tail := 0, 1
+	// A set flood's last level over whole rows only sets bits: bitsFrom
+	// is its frontier's start, fresh the nodes it reached and swept the
+	// edges it swept, which is what replaying it costs.
+	bitsFrom, fresh, swept := -1, 0, 0
 	// Messages are counted per swept row: a narrowed row is exactly what
 	// its node sends, a whole row that plus its node's sender. Each whole
 	// row gives one back below; the source's holds no sender, so it is
@@ -135,6 +152,12 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result
 	for hop := 1; hop <= levels && head < tail; hop++ {
 		levelEnd := tail
 		narrow := rule != nil && rule.narrows(hop-1)
+		// Nothing reads the last level's queue entries when the members
+		// are known: the probe below reads bits.
+		bitsOnly := set != nil && hop == levels && !narrow
+		if bitsOnly {
+			bitsFrom = head
+		}
 		for head < levelEnd {
 			block := min(levelEnd-head, floodBlock)
 			// rows is the graph's edges or, narrowed, the kept scratch.
@@ -177,6 +200,19 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result
 				f.touchSink = touch
 				sent += room - tail - block
 			}
+			if bitsOnly {
+				for i := 0; i < block; i++ {
+					for _, v := range rows[lo[i]:hi[i]] {
+						word, shift := &visited[v>>6], uint(v)&63
+						old := *word
+						*word = old | 1<<shift
+						fresh += int(^old >> shift & 1)
+					}
+				}
+				swept += room - tail
+				head += block
+				continue
+			}
 			// The sweep stores before it knows whether it keeps the
 			// entry, so the queue must have room for every edge of the
 			// block; that bounds it by the flood's reach, not by n.
@@ -199,32 +235,85 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher) Result
 			}
 			head += block
 		}
-		// Matching runs once per level over the nodes it discovered:
-		// the same calls in the same order as matching at discovery.
-		for i := levelEnd; i < tail; i++ {
-			if match(int(queue[i].node)) {
-				res.MatchesFound++
-				if !res.Success {
-					res.Success = true
-					res.FirstMatchHop = hop
-					first = i
+		if set == nil {
+			// Matching runs once per level over the nodes it discovered:
+			// the same calls in the same order as matching at discovery.
+			for i := levelEnd; i < tail; i++ {
+				if match(int(queue[i].node)) {
+					res.MatchesFound++
+					if !res.Success {
+						res.Success = true
+						res.FirstMatchHop = hop
+						first = i
+					}
+				}
+			}
+			continue
+		}
+		// A member is reached once its bit is set, so the members this
+		// level discovered are the growth in the count of set ones.
+		found := set.countIn(visited) - res.MatchesFound
+		if found > 0 && !res.Success {
+			res.Success = true
+			res.FirstMatchHop = hop
+			// Only the latency walk needs to know which member came
+			// first; a bits-only level has no entries and is re-scanned
+			// after the loop instead.
+			if f.g.Weights != nil && !bitsOnly {
+				for first = levelEnd; !set.has(int(queue[first].node)); first++ {
 				}
 			}
 		}
+		res.MatchesFound += found
 	}
 	f.queue = queue
-	res.Visited = tail
+	res.Visited = tail + fresh
 	res.Messages = sent
-	res.Duplicates = sent - (tail - 1)
-	if first >= 0 && f.g.Weights != nil {
-		res.FirstMatchLatency = f.pathLatency(first)
+	res.Duplicates = sent - (res.Visited - 1)
+	if f.g.Weights != nil {
+		switch {
+		case first >= 0:
+			res.FirstMatchLatency = f.pathLatency(first)
+		case res.FirstMatchHop > 0:
+			res.FirstMatchLatency = f.edgeLatency(bitsFrom, tail, set)
+		}
 	}
-	// Every set bit belongs to a queued node, so zeroing their words
-	// restores the all-clear bitmap the next query expects.
+	// Every set bit belongs to a queued node or to a row the bits-only
+	// level swept. Zeroing their words restores the all-clear bitmap the
+	// next query expects; when there are more of them than words,
+	// zeroing every word is cheaper.
+	if tail+swept > len(visited) {
+		clear(visited)
+		return res
+	}
 	for _, v := range queue[:tail] {
 		visited[v.node>>6] = 0
 	}
+	if bitsFrom >= 0 {
+		for _, v := range queue[bitsFrom:tail] {
+			for _, w := range f.g.Edges[offsets[v.node]:offsets[v.node+1]] {
+				visited[w>>6] = 0
+			}
+		}
+	}
 	return res
+}
+
+// edgeLatency is pathLatency for the first member a bits-only level
+// reached from the frontier queue[from:to]. No member was reached
+// before that level, so the first edge into one, in sweep order, is the
+// one that discovered it.
+func (f *Flooder) edgeLatency(from, to int, t *Targets) float64 {
+	g := f.g
+	for i := from; i < to; i++ {
+		u := f.queue[i].node
+		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+			if t.has(int(g.Edges[e])) {
+				return f.pathLatency(i) + g.Weights[e]
+			}
+		}
+	}
+	return 0 // not reached: the level found a member
 }
 
 // pathLatency sums the edge weights along the flood tree from the
@@ -251,12 +340,4 @@ func (f *Flooder) pathLatency(i int) float64 {
 		}
 	}
 	return lat
-}
-
-// Coverage returns how many distinct nodes a TTL-bounded flood from
-// src reaches, without any matching; used by the convergence-boundary
-// analysis of §4.4.
-func (f *Flooder) Coverage(src, ttl int) int {
-	r := f.Flood(src, ttl, func(int) bool { return false })
-	return r.Visited
 }

@@ -12,7 +12,7 @@ import (
 //
 //	byte 0      n = 1 + b%200 nodes
 //	byte 1      bit 0: weighted graph; bits 1–2: forwarding rule (plain,
-//	            gossip, two-tier, plain)
+//	            gossip, two-tier, plain against a target set)
 //	byte 2      q = 1 + b%4 consecutive queries on one Flooder
 //	4 bytes × q source (mod n), TTL (mod 12), two targets (mod n; 255 = none)
 //	gossip      2 bytes: boundary hops b%6 − 1, probability (1 + b)/256
@@ -26,6 +26,7 @@ const (
 	rulePlain = iota
 	ruleGossip
 	ruleTwoTier
+	ruleSet
 )
 
 func fuzzFloodInput(n int, weighted bool, queries []fuzzQuery, edges [][2]int) []byte {
@@ -61,12 +62,13 @@ func twoTierParams(n int, qrp bool, ultras ...int) []byte {
 }
 
 // FuzzFloodMatchesOracle holds Flooder to the verbatim oracles of its
-// three forwarding rules on arbitrary small graphs, over consecutive
-// queries so scratch left dirty by one query is caught by the next.
-// Plain flooding must match whole Result, latency bits and matcher call
-// sequence; gossip whole Result but latency, call sequence and rng
-// stream; two-tier whole Result but latency, and the set of nodes
-// matched.
+// three forwarding rules, and plain flooding against a target set, on
+// arbitrary small graphs, over consecutive queries so scratch left dirty
+// by one query is caught by the next. Plain flooding must match whole
+// Result, latency bits and matcher call sequence; a set flood whole
+// Result and latency bits; gossip whole Result but latency, call
+// sequence and rng stream; two-tier whole Result but latency, and the
+// set of nodes matched.
 func FuzzFloodMatchesOracle(f *testing.F) {
 	const none = 255
 	ring := func(n int) (edges [][2]int) {
@@ -130,6 +132,21 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 		[]fuzzQuery{{3, 2, 7, none}, {6, 1, 0, none}, {0, 0, 2, none}},
 		twoTierParams(8, true, 0, 1), [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {3, 4}, {2, 3}, {6, 7}, {1, 5}, {5, 7}}))
 
+	// Set floods. From the hub at TTL 2 the last level's frontier is the
+	// 70 leaves, past one gather block, and member 75 is listed twice and
+	// first reached there, on a weighted graph; then the source as a
+	// member, and TTL 0 with and without the source in the set.
+	f.Add(fuzzRuleInput(80, true, ruleSet,
+		[]fuzzQuery{{0, 2, 75, 75}, {0, 2, 0, 79}, {33, 0, 33, none}, {33, 0, 75, none}}, nil, star))
+	// A first match at the last level of a weighted ring, at a word
+	// boundary, and one found a level early.
+	f.Add(fuzzRuleInput(65, true, ruleSet,
+		[]fuzzQuery{{0, 3, 21, 3}, {64, 4, 0, 0}, {0, 5, 2, none}}, nil, ring(65)))
+	// A member in the other component, and one on the isolated node.
+	f.Add(fuzzRuleInput(7, true, ruleSet,
+		[]fuzzQuery{{0, 5, 4, none}, {4, 5, 4, 1}, {6, 3, 6, none}, {6, 3, 0, none}},
+		nil, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -157,12 +174,12 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 		}
 		g := freezeMaybeWeighted(m, weighted)
 		fl := NewFlooder(g)
-		var check func(label string, q, src, ttl int, target func(int) bool)
+		var check func(label string, q, src, ttl int, members []int32, target func(int) bool)
 		switch rule {
 		case ruleGossip:
 			cfg := GossipConfig{BoundaryHops: int(params[0])%6 - 1, Probability: float64(1+int(params[1])) / 256}
 			o := newOracleGossipFlooder(g)
-			check = func(label string, q, src, ttl int, target func(int) bool) {
+			check = func(label string, q, src, ttl int, _ []int32, target func(int) bool) {
 				checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), fl, o, src, ttl, cfg, int64(q), target)
 			}
 		case ruleTwoTier:
@@ -192,26 +209,33 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check = func(label string, q, src, ttl int, target func(int) bool) {
+			check = func(label string, q, src, ttl int, _ []int32, target func(int) bool) {
 				obj := objs[q%len(objs)]
 				checkTwoTierAgainstOracle(t, fmt.Sprintf("%s isUltra=%v obj=%d", label, isUltra, q%len(objs)), fl, o, layout, src, ttl, obj, target)
 			}
+		case ruleSet:
+			o, set := newOracleFlooder(g), NewTargets(n)
+			check = func(label string, _, src, ttl int, members []int32, target func(int) bool) {
+				checkSetAgainstOracle(t, label, fl, o, set, src, ttl, members, target)
+			}
 		default:
 			o := newOracleFlooder(g)
-			check = func(label string, _, src, ttl int, target func(int) bool) {
+			check = func(label string, _, src, ttl int, _ []int32, target func(int) bool) {
 				checkAgainstOracle(t, label, fl, o, src, ttl, target)
 			}
 		}
 		for q := 0; q < nq; q++ {
 			src, ttl := int(queries[4*q])%n, int(queries[4*q+1])%12
 			targets := map[int]bool{}
+			var members []int32
 			for _, b := range queries[4*q+2 : 4*q+4] {
 				if b != none {
 					targets[int(b)%n] = true
+					members = append(members, int32(int(b)%n))
 				}
 			}
 			label := fmt.Sprintf("n=%d weighted=%v rule=%d q=%d src=%d ttl=%d targets=%v", n, weighted, rule, q, src, ttl, targets)
-			check(label, q, src, ttl, func(u int) bool { return targets[u] })
+			check(label, q, src, ttl, members, func(u int) bool { return targets[u] })
 		}
 	})
 }

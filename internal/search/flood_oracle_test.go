@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"makalu/internal/content"
 	"makalu/internal/graph"
 )
 
@@ -232,4 +234,89 @@ func TestFloodLongChainLatency(t *testing.T) {
 	checkAgainstOracle(t, "path(300) ttl=299", f, o, 0, 299, func(u int) bool { return u == 299 })
 	checkAgainstOracle(t, "path(300) ttl=299 reversed", f, o, 299, 299, func(u int) bool { return u == 0 })
 	checkAgainstOracle(t, "path(300) ttl=298 short", f, o, 0, 298, func(u int) bool { return u == 299 })
+}
+
+// checkSetAgainstOracle loads members into set and compares a set flood
+// with the oracle's flood under target, the same membership, on the
+// whole Result, latency bit for bit.
+func checkSetAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleFlooder, set *Targets, src, ttl int, members []int32, target func(int) bool) {
+	t.Helper()
+	got := f.FloodTargets(src, ttl, set.Set(members))
+	want := o.Flood(src, ttl, target)
+	if math.Float64bits(got.FirstMatchLatency) != math.Float64bits(want.FirstMatchLatency) || got != want {
+		t.Fatalf("%s members=%v: set flood %+v != oracle %+v", label, members, got, want)
+	}
+}
+
+// TestSetFloodMatchesOracle is TestFloodMatchesOracle for floods against
+// a target set: n on both sides of every bitmap word boundary, TTL 0–9,
+// members listed twice, the source as a member, the isolated node as
+// the only one. One Flooder runs every query as a plain flood, a set
+// flood, a gossip and a two-tier query, in an order that rotates, so a
+// bitmap any of them leaves dirty fails the next.
+func TestSetFloodMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 130, 517} {
+		for _, weighted := range []bool{false, true} {
+			for _, deg := range []float64{1.2, 3, 8} {
+				if n < 3 && deg > 1.2 {
+					continue
+				}
+				seed := int64(n)*41 + int64(deg*10)
+				var g *graph.Graph
+				if n < 3 {
+					g = graph.NewMutable(n).Freeze(nil)
+				} else {
+					g = randomGraph(n, deg, weighted, seed)
+				}
+				rng := rand.New(rand.NewSource(seed + 1))
+				isUltra := make([]bool, n)
+				for u := range isUltra {
+					isUltra[u] = rng.Intn(3) == 0
+				}
+				noQRP := make([]*content.QRPTable, n)
+				layout, err := NewTwoTierLayout(g, isUltra, noQRP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ot, err := newOracleTwoTierFlooder(g, isUltra, noQRP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, o, og, set := NewFlooder(g), newOracleFlooder(g), newOracleGossipFlooder(g), NewTargets(n)
+				for q := 0; q < 60; q++ {
+					src, ttl := rng.Intn(n), q%10
+					if q%10 == 0 {
+						src = 0 // the isolated node
+					}
+					var members []int32
+					for k := rng.Intn(5); k > 0; k-- {
+						members = append(members, int32(rng.Intn(n)))
+					}
+					if q%3 == 0 && len(members) > 0 {
+						members = append(members, members[0])
+					}
+					if q%7 == 0 {
+						members = append(members, int32(src))
+					}
+					if q%5 == 0 {
+						members = []int32{0} // unreachable unless src == 0
+					}
+					target := func(u int) bool { return slices.Contains(members, int32(u)) }
+					label := fmt.Sprintf("n=%d weighted=%v deg=%v q=%d src=%d ttl=%d", n, weighted, deg, q, src, ttl)
+					cfg := GossipConfig{BoundaryHops: q%6 - 1, Probability: 0.5}
+					queries := []func(){
+						func() { checkSetAgainstOracle(t, label, f, o, set, src, ttl, members, target) },
+						func() { checkAgainstOracle(t, label, f, o, src, ttl, target) },
+						func() {
+							checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), f, og, src, ttl, cfg, seed+int64(q), target)
+						},
+						func() { checkTwoTierAgainstOracle(t, label, f, ot, layout, src, ttl, 0, target) },
+					}
+					for i := range queries {
+						queries[(q+i)%len(queries)]()
+					}
+				}
+			}
+		}
+	}
 }

@@ -116,13 +116,17 @@ func TestFloodEpochReuse(t *testing.T) {
 	}
 }
 
+// A flood's coverage is its Visited count, with or without matching.
 func TestFloodCoverage(t *testing.T) {
 	f := NewFlooder(cycle(10))
-	if got := f.Coverage(0, 2); got != 5 {
-		t.Fatalf("coverage TTL2 on cycle = %d, want 5", got)
-	}
-	if got := f.Coverage(0, 100); got != 10 {
-		t.Fatalf("full coverage = %d, want 10", got)
+	none := NewTargets(10)
+	for _, c := range []struct{ ttl, want int }{{2, 5}, {100, 10}} {
+		if got := f.Flood(0, c.ttl, noMatch).Visited; got != c.want {
+			t.Fatalf("coverage TTL %d on cycle = %d, want %d", c.ttl, got, c.want)
+		}
+		if got := f.FloodTargets(0, c.ttl, none).Visited; got != c.want {
+			t.Fatalf("set-flood coverage TTL %d on cycle = %d, want %d", c.ttl, got, c.want)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func DefaultGossipConfig() GossipConfig {
 // are Flood's, so results compare directly.
 func (f *Flooder) Gossip(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
 	f.gossip = gossipRule{boundary: cfg.BoundaryHops, p: min(max(cfg.Probability, 0), 1), rng: rng}
-	return f.flood(src, ttl, &f.gossip, match)
+	return f.flood(src, ttl, &f.gossip, match, nil)
 }
 
 // gossipRule is the epidemic rule past the boundary.

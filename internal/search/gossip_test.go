@@ -137,13 +137,13 @@ func TestRulesZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	gossip := func() {
 		obj := st.RandomObject(rng)
-		k.Flooder().Gossip(rng.Intn(n), 5, DefaultGossipConfig(), k.Targets(st.Replicas(obj)), rng)
+		k.Flooder().Gossip(rng.Intn(n), 5, DefaultGossipConfig(), k.Targets(st.Replicas(obj)).Matcher(), rng)
 	}
 	twoTier := func() {
 		obj := st.RandomObject(rng)
-		k.Flooder().TwoTier(rng.Intn(n), 3, layout, obj, k.Targets(st.Replicas(obj)))
+		k.Flooder().TwoTier(rng.Intn(n), 3, layout, obj, k.Targets(st.Replicas(obj)).Matcher())
 	}
-	k.Flooder().Flood(0, n, k.Targets(nil)) // size the queue for any reach
+	k.Flooder().Flood(0, n, noMatch) // size the queue for any reach
 	for i := 0; i < 20; i++ {
 		gossip()
 		twoTier()

@@ -70,24 +70,35 @@ func evictCaches() {
 
 // benchKernel times run over the query set with each matcher and
 // reports the message count per query and the time per message, the
-// unit in which kernels of different reach compare. With cold set, each
-// matcher gets a second row that evicts the caches between queries
-// with the timer stopped.
-func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Matcher) Result) {
+// unit in which kernels of different reach compare. A kernel that takes
+// the target set itself, set, gets a third row. When cold is true, each
+// row gets a second one that evicts the caches between queries with the
+// timer stopped.
+func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Matcher) Result, set func(k *Kernel, src int, t *Targets) Result) {
 	g, store := benchWorld()
 	qs := benchQuerySet(store)
-	matchers := []struct {
-		name string
-		make func(k *Kernel, obj uint64) Matcher
-	}{
-		{"has", func(_ *Kernel, obj uint64) Matcher { return func(u int) bool { return store.Has(u, obj) } }},
-		{"targets", func(k *Kernel, obj uint64) Matcher { return k.Targets(store.Replicas(obj)) }},
+	type row struct {
+		name  string
+		query func(k *Kernel, q kernelQuery) Result
 	}
-	for _, m := range matchers {
-		row := func(evict bool) func(b *testing.B) {
+	rows := []row{
+		{"has", func(k *Kernel, q kernelQuery) Result {
+			return run(k, q.src, func(u int) bool { return store.Has(u, q.obj) })
+		}},
+		{"targets", func(k *Kernel, q kernelQuery) Result {
+			return run(k, q.src, k.Targets(store.Replicas(q.obj)).Matcher())
+		}},
+	}
+	if set != nil {
+		rows = append(rows, row{"set", func(k *Kernel, q kernelQuery) Result {
+			return set(k, q.src, k.Targets(store.Replicas(q.obj)))
+		}})
+	}
+	for _, r := range rows {
+		bench := func(evict bool) func(b *testing.B) {
 			return func(b *testing.B) {
 				k := NewKernel(g, 0)
-				run(k, qs[0].src, m.make(k, qs[0].obj)) // size the scratch
+				r.query(k, qs[0]) // size the scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				msgs := 0
@@ -98,15 +109,15 @@ func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Mat
 						evictCaches()
 						b.StartTimer()
 					}
-					msgs += run(k, q.src, m.make(k, q.obj)).Messages
+					msgs += r.query(k, q).Messages
 				}
 				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/query")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 			}
 		}
-		b.Run("n=20000/"+m.name, row(false))
+		b.Run("n=20000/"+r.name, bench(false))
 		if cold {
-			b.Run("n=20000/"+m.name+"/cold", row(true))
+			b.Run("n=20000/"+r.name+"/cold", bench(true))
 		}
 	}
 }
@@ -117,6 +128,8 @@ func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Mat
 func BenchmarkFloodKernel(b *testing.B) {
 	benchKernel(b, true, func(k *Kernel, src int, match Matcher) Result {
 		return k.Flooder().Flood(src, 4, match)
+	}, func(k *Kernel, src int, t *Targets) Result {
+		return k.Flooder().FloodTargets(src, 4, t)
 	})
 }
 
@@ -125,7 +138,7 @@ func BenchmarkWalkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	benchKernel(b, false, func(k *Kernel, src int, match Matcher) Result {
 		return k.Walker().Random(src, cfg, match, rng)
-	})
+	}, nil)
 }
 
 // BenchmarkFloodOracle is the array-based flood the bitmap kernel
@@ -135,7 +148,7 @@ func BenchmarkFloodOracle(b *testing.B) {
 	o := newOracleFlooder(g)
 	benchKernel(b, false, func(_ *Kernel, src int, match Matcher) Result {
 		return o.Flood(src, 4, match)
-	})
+	}, nil)
 }
 
 // The identifier-index benchmarks use the search_batch workload's world

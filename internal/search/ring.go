@@ -23,6 +23,16 @@ func DefaultRingConfig() RingConfig {
 // attempts (each re-flood re-sends the query), which is exactly the
 // trade-off the TTL-selection literature optimizes.
 func ExpandingRing(f *Flooder, src int, cfg RingConfig, match Matcher, rng *rand.Rand) Result {
+	return expandingRing(f, src, cfg, match, nil, rng)
+}
+
+// ExpandingRingTargets is ExpandingRing whose floods match against the
+// set t (Flooder.FloodTargets).
+func ExpandingRingTargets(f *Flooder, src int, cfg RingConfig, t *Targets, rng *rand.Rand) Result {
+	return expandingRing(f, src, cfg, nil, t, rng)
+}
+
+func expandingRing(f *Flooder, src int, cfg RingConfig, match Matcher, set *Targets, rng *rand.Rand) Result {
 	total := Result{FirstMatchHop: -1}
 	if cfg.StartTTL < 1 {
 		cfg.StartTTL = 1
@@ -38,7 +48,7 @@ func ExpandingRing(f *Flooder, src int, cfg RingConfig, match Matcher, rng *rand
 		ttl = 1 + rng.Intn(cfg.StartTTL)
 	}
 	for {
-		r := f.Flood(src, ttl, match)
+		r := f.flood(src, ttl, nil, match, set)
 		total.Messages += r.Messages
 		total.Duplicates += r.Duplicates
 		if r.Visited > total.Visited {

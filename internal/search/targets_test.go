@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-func members(m Matcher, n int) []int {
+func members(t *Targets, n int) []int {
 	var out []int
+	m := t.Matcher()
 	for u := 0; u < n; u++ {
 		if m(u) {
 			out = append(out, u)
@@ -37,13 +38,44 @@ func TestTargetsSetReplacesPreviousSet(t *testing.T) {
 }
 
 // A node outside [0, n) — an overlay that grew after the content was
-// placed — is simply not a member.
+// placed — is simply not a member, whether it is asked about or listed:
+// Set drops it, and a set flood never probes the bitmap for it.
 func TestTargetsOutOfRangeNodeDoesNotMatch(t *testing.T) {
-	m := NewTargets(100).Set([]int32{99})
-	for _, u := range []int{100, 127, 128, 1 << 20, -1} {
-		if m(u) {
+	const n = 100
+	outside := []int32{100, 120, 128, 1 << 20, -1}
+	ts := NewTargets(n)
+	ts.Set(append([]int32{99}, outside...))
+	for _, u := range outside {
+		if ts.Matcher()(int(u)) {
 			t.Fatalf("node %d outside the set's range matched", u)
 		}
+	}
+	if got := members(ts, 1<<21); !reflect.DeepEqual(got, []int{99}) {
+		t.Fatalf("set listed with out-of-range nodes holds %v, want [99]", got)
+	}
+	f, o := NewFlooder(cycle(n)), newOracleFlooder(cycle(n))
+	for _, ttl := range []int{0, 1, 50} {
+		got, want := f.FloodTargets(0, ttl, ts), o.Flood(0, ttl, func(u int) bool { return u == 99 })
+		if got != want {
+			t.Fatalf("TTL %d set flood %+v != oracle %+v", ttl, got, want)
+		}
+	}
+	for _, v := range outside {
+		m := ts.Set([]int32{v}).Matcher()
+		if got := members(ts, 1<<21); got != nil {
+			t.Fatalf("set of node %d alone holds %v", v, got)
+		}
+		if m(int(v)) {
+			t.Fatalf("set of node %d alone matches it", v)
+		}
+		if r := f.FloodTargets(0, 50, ts); r.Success || r.MatchesFound != 0 || r.Visited != n {
+			t.Fatalf("flood for node %d outside the graph: %+v", v, r)
+		}
+	}
+	// A set over more nodes than the graph holds members past its end.
+	wide := NewTargets(1 << 21).Set(outside)
+	if r := f.FloodTargets(0, 50, wide); r.Success || r.MatchesFound != 0 || r.Visited != n {
+		t.Fatalf("flood for nodes %v outside the graph: %+v", outside, r)
 	}
 }
 
@@ -61,14 +93,15 @@ func TestTargetsSetCopiesNodes(t *testing.T) {
 
 // The target set is a drop-in for asking the store at each node: same
 // membership for every object, an unknown object matches nowhere, and
-// a flood batch aggregates identically under either matcher.
+// a batch of floods and walks aggregates identically whether it asks
+// the store or the set, floods taking the set itself.
 func TestTargetsEquivalentToStoreHas(t *testing.T) {
 	const n = 600
 	g := testGraph(n)
 	store := testStore(t, n)
 	k := NewKernel(g, 0)
 	for _, obj := range append([]uint64{0xdeadbeef}, store.Objects()...) {
-		m := k.Targets(store.Replicas(obj))
+		m := k.Targets(store.Replicas(obj)).Matcher()
 		for u := 0; u < n; u++ {
 			if m(u) != store.Has(u, obj) {
 				t.Fatalf("object %#x node %d: targets %v, store %v", obj, u, m(u), store.Has(u, obj))
@@ -81,7 +114,11 @@ func TestTargetsEquivalentToStoreHas(t *testing.T) {
 			src := rng.Intn(n)
 			match := Matcher(func(u int) bool { return store.Has(u, obj) })
 			if targets {
-				match = k.Targets(store.Replicas(obj))
+				set := k.Targets(store.Replicas(obj))
+				if q%2 == 0 {
+					return k.Flooder().FloodTargets(src, 4, set)
+				}
+				match = set.Matcher()
 			}
 			if q%2 == 0 {
 				return k.Flooder().Flood(src, 4, match)
@@ -99,12 +136,12 @@ func TestTargetsEquivalentToStoreHas(t *testing.T) {
 func TestKernelTargetsArePerKernel(t *testing.T) {
 	g := testGraph(100)
 	old := NewKernel(g, 0)
-	oldMatch := old.Targets([]int32{5, 50})
+	oldSet := old.Targets([]int32{5, 50})
 	fresh := NewKernel(g, 0)
 	if got := members(fresh.Targets(nil), 100); got != nil {
 		t.Fatalf("fresh kernel sees %v from another kernel's set", got)
 	}
-	if got := members(oldMatch, 100); !reflect.DeepEqual(got, []int{5, 50}) {
+	if got := members(oldSet, 100); !reflect.DeepEqual(got, []int{5, 50}) {
 		t.Fatalf("loading a fresh kernel disturbed the old one: %v", got)
 	}
 }

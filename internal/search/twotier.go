@@ -60,7 +60,7 @@ func (f *Flooder) TwoTier(src, ttl int, l *TwoTierLayout, obj uint64, match Matc
 	}
 	f.twoTier = twoTierRule{TwoTierLayout: l, obj: obj, core: core}
 	// The ultrapeers reached last still deliver to their leaves.
-	return f.flood(src, core+1, &f.twoTier, match)
+	return f.flood(src, core+1, &f.twoTier, match, nil)
 }
 
 // twoTierRule is v0.6 routing over a layout: core is the hop count

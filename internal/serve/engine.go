@@ -552,10 +552,10 @@ func (e *Engine) execute(kern *search.Kernel, snap *snapshot, req Request, key u
 	src := int(mix64(key^0x9e3779b97f4a7c15) % uint64(snap.g.N()))
 	switch req.Mech {
 	case MechFlood:
-		return kern.Flooder().Flood(src, req.TTL, kern.Targets(snap.store.Replicas(req.Object)))
+		return kern.Flooder().FloodTargets(src, req.TTL, kern.Targets(snap.store.Replicas(req.Object)))
 	case MechWalk:
 		cfg := search.WalkConfig{Walkers: walkers, MaxSteps: req.TTL, CheckInterval: 4}
-		return kern.Walker().Random(src, cfg, kern.Targets(snap.store.Replicas(req.Object)), rng)
+		return kern.Walker().Random(src, cfg, kern.Targets(snap.store.Replicas(req.Object)).Matcher(), rng)
 	case MechABF:
 		return kern.ABF(snap.abf).Lookup(src, req.Object, req.TTL, rng)
 	}

@@ -231,7 +231,7 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 			return search.Result{FirstMatchHop: -1} // counts as a failed probe
 		}
 		obj := store.RandomObject(rng)
-		hosts := k.Targets(store.Replicas(obj))
+		hosts := k.Targets(store.Replicas(obj)).Matcher()
 		return k.Flooder().Flood(src, ttl, func(u int) bool { return o.Alive(u) && hosts(u) })
 	})
 	return agg.SuccessRate()

@@ -413,7 +413,7 @@ func (c *Content) Replicas(obj uint64) []int {
 // Matcher returns a node predicate for an exact-object query: a
 // membership test on the object's replica set.
 func (c *Content) Matcher(obj uint64) func(node int) bool {
-	return search.NewTargets(c.store.N()).Set(c.store.Replicas(obj))
+	return search.NewTargets(c.store.N()).Set(c.store.Replicas(obj)).Matcher()
 }
 
 // WildcardMatcher returns a node predicate for a keyword query built
@@ -423,5 +423,5 @@ func (c *Content) Matcher(obj uint64) func(node int) bool {
 func (c *Content) WildcardMatcher(i, terms int, seed int64) func(node int) bool {
 	rng := rand.New(rand.NewSource(seed))
 	q := c.catalog.QueryFor(i, terms, rng)
-	return search.NewTargets(c.store.N()).Set(c.catalog.MatchingNodes(q, c.store))
+	return search.NewTargets(c.store.N()).Set(c.catalog.MatchingNodes(q, c.store)).Matcher()
 }

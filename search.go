@@ -146,7 +146,7 @@ func (ov *Overlay) FloodBatch(c *Content, ttl int, opt BatchOptions) BatchStats 
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().Flood(src, ttl, k.Targets(c.store.Replicas(obj)))
+		return k.Flooder().FloodTargets(src, ttl, k.Targets(c.store.Replicas(obj)))
 	}), o)
 }
 
@@ -160,7 +160,7 @@ func (ov *Overlay) RandomWalkBatch(c *Content, walkers, maxSteps int, opt BatchO
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Walker().Random(src, cfg, k.Targets(c.store.Replicas(obj)), rng)
+		return k.Walker().Random(src, cfg, k.Targets(c.store.Replicas(obj)).Matcher(), rng)
 	}), o)
 }
 
@@ -174,7 +174,7 @@ func (ov *Overlay) ExpandingRingBatch(c *Content, maxTTL int, opt BatchOptions) 
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return search.ExpandingRing(k.Flooder(), src, cfg, k.Targets(c.store.Replicas(obj)), rng)
+		return search.ExpandingRingTargets(k.Flooder(), src, cfg, k.Targets(c.store.Replicas(obj)), rng)
 	}), o)
 }
 
