@@ -158,3 +158,39 @@ func BenchmarkBuildOverlay(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPruneNewcomerVictim answers how often a single-victim prune
+// drops the neighbour just added — the probe a management round dialed,
+// or the node a join dialed — over whole 2000-node builds. A counting
+// prune goes in through the fullRecomputePrune seam: single-victim
+// prunes run the engine's pruneVictimHash and are counted, the victim
+// being the newcomer when it is the row's last entry (rows keep
+// insertion order below the sorted-degree threshold); other prunes go
+// to the oracle, which drops what the engine drops, so each build is
+// the one Build makes.
+func BenchmarkPruneNewcomerVictim(b *testing.B) {
+	const n = 2000
+	singles, newcomer := 0, 0
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig(netmodel.NewEuclidean(n, 1000, 1), int64(i+1))
+		oracle := fullRecomputeOracle()
+		cfg.fullRecomputePrune = func(o *Overlay, u int, dropped []int32) []int32 {
+			nb := o.g.Neighbors(u)
+			if len(nb)-o.caps[u] != 1 {
+				return oracle(o, u, dropped)
+			}
+			v := o.pruneVictimHash(&o.scratch, u)
+			singles++
+			if int32(v) == nb[len(nb)-1] {
+				newcomer++
+			}
+			o.disconnect(u, v)
+			return append(dropped, int32(v))
+		}
+		if _, err := Build(n, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(100*float64(newcomer)/float64(singles), "newcomer-victim-%")
+	b.ReportMetric(float64(singles)/float64(b.N), "single-prunes/op")
+}

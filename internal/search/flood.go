@@ -6,6 +6,7 @@
 package search
 
 import (
+	"math/bits"
 	"slices"
 
 	"makalu/internal/graph"
@@ -137,9 +138,9 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 	first := -1 // queue index of the first match beyond the source
 	head, tail := 0, 1
 	// A set flood's last level over whole rows only sets bits: bitsFrom
-	// is its frontier's start, fresh the nodes it reached and swept the
-	// edges it swept, which is what replaying it costs.
-	bitsFrom, fresh, swept := -1, 0, 0
+	// is its frontier's start and swept the edges it swept, which is what
+	// replaying it costs.
+	bitsFrom, swept := -1, 0
 	// Messages are counted per swept row: a narrowed row is exactly what
 	// its node sends, a whole row that plus its node's sender. Each whole
 	// row gives one back below; the source's holds no sender, so it is
@@ -201,12 +202,11 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 				sent += room - tail - block
 			}
 			if bitsOnly {
+				// The nodes this level reaches are counted when the bitmap
+				// is cleared, so the sweep needs no word's old value.
 				for i := 0; i < block; i++ {
 					for _, v := range rows[lo[i]:hi[i]] {
-						word, shift := &visited[v>>6], uint(v)&63
-						old := *word
-						*word = old | 1<<shift
-						fresh += int(^old >> shift & 1)
+						visited[v>>6] |= 1 << (uint(v) & 63)
 					}
 				}
 				swept += room - tail
@@ -267,9 +267,7 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 		res.MatchesFound += found
 	}
 	f.queue = queue
-	res.Visited = tail + fresh
 	res.Messages = sent
-	res.Duplicates = sent - (res.Visited - 1)
 	if f.g.Weights != nil {
 		switch {
 		case first >= 0:
@@ -278,25 +276,43 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 			res.FirstMatchLatency = f.edgeLatency(bitsFrom, tail, set)
 		}
 	}
-	// Every set bit belongs to a queued node or to a row the bits-only
-	// level swept. Zeroing their words restores the all-clear bitmap the
-	// next query expects; when there are more of them than words,
-	// zeroing every word is cheaper.
+	res.Visited = f.reset(tail, bitsFrom, swept)
+	res.Duplicates = sent - (res.Visited - 1)
+	return res
+}
+
+// reset restores the all-clear bitmap the next query expects and
+// returns how many bits it cleared: the flood's reach, since a node is
+// reached exactly when its bit is set. Every set bit belongs to a node
+// in queue[:tail] or to a row of queue[bitsFrom:tail] the bits-only
+// level swept (swept edges in all). Each word is counted as it is
+// zeroed, so a word two of them share is counted once; when there are
+// more of them than words, walking every word is cheaper.
+func (f *Flooder) reset(tail, bitsFrom, swept int) int {
+	visited, reached := f.visited, 0
 	if tail+swept > len(visited) {
-		clear(visited)
-		return res
+		for i, w := range visited {
+			reached += bits.OnesCount64(w)
+			visited[i] = 0
+		}
+		return reached
 	}
-	for _, v := range queue[:tail] {
-		visited[v.node>>6] = 0
+	for _, v := range f.queue[:tail] {
+		word := &visited[v.node>>6]
+		reached += bits.OnesCount64(*word)
+		*word = 0
 	}
 	if bitsFrom >= 0 {
-		for _, v := range queue[bitsFrom:tail] {
-			for _, w := range f.g.Edges[offsets[v.node]:offsets[v.node+1]] {
-				visited[w>>6] = 0
+		g := f.g
+		for _, v := range f.queue[bitsFrom:tail] {
+			for _, w := range g.Edges[g.Offsets[v.node]:g.Offsets[v.node+1]] {
+				word := &visited[w>>6]
+				reached += bits.OnesCount64(*word)
+				*word = 0
 			}
 		}
 	}
-	return res
+	return reached
 }
 
 // edgeLatency is pathLatency for the first member a bits-only level

@@ -22,6 +22,9 @@ import (
 //	the rest    edges, two bytes each (both mod n; loops and repeats dropped)
 type fuzzQuery struct{ src, ttl, t1, t2 byte }
 
+// none marks an unused target byte in a fuzzQuery.
+const none = 255
+
 const (
 	rulePlain = iota
 	ruleGossip
@@ -70,7 +73,6 @@ func twoTierParams(n int, qrp bool, ultras ...int) []byte {
 // sequence and rng stream; two-tier whole Result but latency, and the
 // set of nodes matched.
 func FuzzFloodMatchesOracle(f *testing.F) {
-	const none = 255
 	ring := func(n int) (edges [][2]int) {
 		for i := 0; i < n; i++ {
 			edges = append(edges, [2]int{i, (i + 1) % n}, [2]int{i, (i + 7) % n})
@@ -146,6 +148,12 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 	f.Add(fuzzRuleInput(7, true, ruleSet,
 		[]fuzzQuery{{0, 5, 4, none}, {4, 5, 4, 1}, {6, 3, 6, none}, {6, 3, 0, none}},
 		nil, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}))
+
+	// Floods small enough that clearing the bitmap replays what they
+	// queued and swept, which is what computes Visited there.
+	for _, sc := range replayScenarios {
+		f.Add(fuzzRuleInput(sc.n, true, sc.rule, sc.queries, nil, sc.edges))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -238,4 +246,36 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 			check(label, q, src, ttl, members, func(u int) bool { return targets[u] })
 		}
 	})
+}
+
+// replayScenarios are floods on 200 nodes that reach so little that the
+// bitmap reset replays the queue and the swept rows, which floods on
+// random graphs of that size rarely do. FuzzFloodMatchesOracle seeds
+// its corpus with them and TestFloodResetMatchesOracle checks that they
+// replay.
+var replayScenarios = []struct {
+	name    string
+	n       int
+	rule    byte
+	queries []fuzzQuery
+	edges   [][2]int
+}{
+	// A 200-node cycle (4 bitmap words) at TTL 1: 3 nodes queued by a
+	// plain flood; a set flood queues the source and sweeps its row.
+	// From 0, neighbour 199 is alone in the last word; 63 and 64 sit on
+	// a word boundary.
+	{"cycle/plain", 200, rulePlain, []fuzzQuery{{0, 1, 199, none}, {100, 1, 5, none}, {63, 1, 64, 1}, {150, 0, 150, none}}, cycleEdges(200)},
+	{"cycle/set", 200, ruleSet, []fuzzQuery{{0, 1, 199, none}, {100, 1, 101, 99}, {63, 1, 64, none}, {150, 0, 150, none}}, cycleEdges(200)},
+	// A path 0–1–2–3 with 3 linked to 130 and 130 to 131, and node 199
+	// isolated. From 0 at TTL 2 a set flood queues 0 and 1 and sweeps
+	// 1's row: member 2, reached only there, shares word 0 with both.
+	// From 3 at TTL 1 member 130 is reached alone in word 2.
+	{"path/set", 200, ruleSet, []fuzzQuery{{0, 2, 2, none}, {3, 1, 130, 2}, {199, 3, 199, none}, {131, 1, 3, none}}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 130}, {130, 131}}},
+}
+
+func cycleEdges(n int) (edges [][2]int) {
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n})
+	}
+	return edges
 }

@@ -320,3 +320,118 @@ func TestSetFloodMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// resetBranch names the way a flood from src clears its bitmap, by
+// Flooder.reset's rule worked out on a BFS of g: "replay" when the
+// nodes it queued and the edges its bits-only level swept are no more
+// than the bitmap's words, "whole" when they are more, and "none" at
+// TTL 0, where no bit is set. A plain flood queues every node within
+// ttl hops; a set flood queues those within ttl−1 and sweeps the rows
+// of the ones at ttl−1.
+func resetBranch(g *graph.Graph, src, ttl int, set bool) string {
+	if ttl <= 0 {
+		return "none"
+	}
+	queuedHops := ttl
+	if set {
+		queuedHops = ttl - 1
+	}
+	seen := map[int32]bool{int32(src): true}
+	frontier := []int32{int32(src)}
+	queued, swept := 1, 0
+	for hop := 1; hop <= queuedHops && len(frontier) > 0; hop++ {
+		var next []int32
+		for _, u := range frontier {
+			for _, v := range g.Neighbors(int(u)) {
+				if !seen[v] {
+					seen[v] = true
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+		queued += len(next)
+	}
+	if set {
+		for _, u := range frontier {
+			swept += g.Degree(int(u))
+		}
+	}
+	if queued+swept > (g.N()+63)/64 {
+		return "whole"
+	}
+	return "replay"
+}
+
+// TestFloodResetMatchesOracle drives both of the bitmap reset's
+// branches, which compute Visited, against the oracle on the whole
+// Result, latency bits included: the replay scenarios, then plain and
+// set floods at TTL 0–3 on sparse 5000-node graphs (79 words), where
+// small reaches replay and large ones walk every word. It counts the
+// floods on each branch and fails if one was never taken.
+func TestFloodResetMatchesOracle(t *testing.T) {
+	for _, sc := range replayScenarios {
+		m := graph.NewMutable(sc.n)
+		for _, e := range sc.edges {
+			m.AddEdge(e[0], e[1])
+		}
+		g := freezeMaybeWeighted(m, true)
+		f, o, set := NewFlooder(g), newOracleFlooder(g), NewTargets(sc.n)
+		for _, q := range sc.queries {
+			var members []int32
+			for _, b := range []byte{q.t1, q.t2} {
+				if b != none {
+					members = append(members, int32(b))
+				}
+			}
+			target := func(u int) bool { return slices.Contains(members, int32(u)) }
+			src, ttl := int(q.src), int(q.ttl)
+			label := fmt.Sprintf("%s src=%d ttl=%d", sc.name, src, ttl)
+			if b := resetBranch(g, src, ttl, sc.rule == ruleSet); b != "replay" && ttl > 0 {
+				t.Fatalf("%s: reset takes the %s branch, want replay", label, b)
+			}
+			if sc.rule == ruleSet {
+				checkSetAgainstOracle(t, label, f, o, set, src, ttl, members, target)
+			} else {
+				checkAgainstOracle(t, label, f, o, src, ttl, target)
+			}
+		}
+	}
+
+	const n = 5000
+	taken := map[string]int{}
+	for _, weighted := range []bool{false, true} {
+		for _, deg := range []float64{1.2, 3, 8} {
+			seed := int64(deg * 10)
+			g := randomGraph(n, deg, weighted, seed)
+			f, o, set := NewFlooder(g), newOracleFlooder(g), NewTargets(n)
+			rng := rand.New(rand.NewSource(seed + 1))
+			for q := 0; q < 80; q++ {
+				src, ttl := rng.Intn(n), q%4
+				if q%10 == 0 {
+					src = 0 // the isolated node
+				}
+				// A member a random walk of at most ttl hops away, so that
+				// some are found and at the last level, and one anywhere.
+				near := src
+				for h := rng.Intn(ttl + 1); h > 0 && g.Degree(near) > 0; h-- {
+					row := g.Neighbors(near)
+					near = int(row[rng.Intn(len(row))])
+				}
+				members := []int32{int32(near), int32(rng.Intn(n))}
+				target := func(u int) bool { return slices.Contains(members, int32(u)) }
+				label := fmt.Sprintf("n=%d weighted=%v deg=%v q=%d src=%d ttl=%d", n, weighted, deg, q, src, ttl)
+				checkAgainstOracle(t, label, f, o, src, ttl, target)
+				taken["plain/"+resetBranch(g, src, ttl, false)]++
+				checkSetAgainstOracle(t, label, f, o, set, src, ttl, members, target)
+				taken["set/"+resetBranch(g, src, ttl, true)]++
+			}
+		}
+	}
+	for _, b := range []string{"plain/replay", "plain/whole", "set/replay", "set/whole"} {
+		if taken[b] == 0 {
+			t.Errorf("no flood took the %s reset branch: %v", b, taken)
+		}
+	}
+	t.Logf("floods per reset branch: %v", taken)
+}

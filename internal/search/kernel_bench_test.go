@@ -68,13 +68,18 @@ func evictCaches() {
 	}
 }
 
+// A setKernel is a row of a kernel that takes the target set itself.
+type setKernel struct {
+	name string
+	run  func(k *Kernel, src int, t *Targets) Result
+}
+
 // benchKernel times run over the query set with each matcher and
 // reports the message count per query and the time per message, the
-// unit in which kernels of different reach compare. A kernel that takes
-// the target set itself, set, gets a third row. When cold is true, each
-// row gets a second one that evicts the caches between queries with the
-// timer stopped.
-func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Matcher) Result, set func(k *Kernel, src int, t *Targets) Result) {
+// unit in which kernels of different reach compare. Each of sets gets a
+// row after those two. When cold is true, each row gets a second one
+// that evicts the caches between queries with the timer stopped.
+func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Matcher) Result, sets ...setKernel) {
 	g, store := benchWorld()
 	qs := benchQuerySet(store)
 	type row struct {
@@ -89,9 +94,9 @@ func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Mat
 			return run(k, q.src, k.Targets(store.Replicas(q.obj)).Matcher())
 		}},
 	}
-	if set != nil {
-		rows = append(rows, row{"set", func(k *Kernel, q kernelQuery) Result {
-			return set(k, q.src, k.Targets(store.Replicas(q.obj)))
+	for _, set := range sets {
+		rows = append(rows, row{set.name, func(k *Kernel, q kernelQuery) Result {
+			return set.run(k, q.src, k.Targets(store.Replicas(q.obj)))
 		}})
 	}
 	for _, r := range rows {
@@ -125,12 +130,18 @@ func benchKernel(b *testing.B, cold bool, run func(k *Kernel, src int, match Mat
 // BenchmarkFloodKernel's cold rows approach the in-place regime, where
 // a flood starts behind a socket wait and costs more than the warm row
 // says: what overlapping the row fetches buys shows there, not warm.
+// The set-ttl2 row is a set flood small enough (≈ 12 nodes queued and
+// ≈ 130 edges swept, against 313 bitmap words) that clearing the bitmap
+// replays the queue and the swept rows instead of walking every word.
 func BenchmarkFloodKernel(b *testing.B) {
+	setFlood := func(ttl int) func(k *Kernel, src int, t *Targets) Result {
+		return func(k *Kernel, src int, t *Targets) Result {
+			return k.Flooder().FloodTargets(src, ttl, t)
+		}
+	}
 	benchKernel(b, true, func(k *Kernel, src int, match Matcher) Result {
 		return k.Flooder().Flood(src, 4, match)
-	}, func(k *Kernel, src int, t *Targets) Result {
-		return k.Flooder().FloodTargets(src, 4, t)
-	})
+	}, setKernel{"set", setFlood(4)}, setKernel{"set-ttl2", setFlood(2)})
 }
 
 func BenchmarkWalkKernel(b *testing.B) {
@@ -138,7 +149,7 @@ func BenchmarkWalkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	benchKernel(b, false, func(k *Kernel, src int, match Matcher) Result {
 		return k.Walker().Random(src, cfg, match, rng)
-	}, nil)
+	})
 }
 
 // BenchmarkFloodOracle is the array-based flood the bitmap kernel
@@ -148,7 +159,7 @@ func BenchmarkFloodOracle(b *testing.B) {
 	o := newOracleFlooder(g)
 	benchKernel(b, false, func(_ *Kernel, src int, match Matcher) Result {
 		return o.Flood(src, 4, match)
-	}, nil)
+	})
 }
 
 // The identifier-index benchmarks use the search_batch workload's world

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The line protocol's one codec. Both tiers' servers, the gateway's
@@ -31,13 +33,22 @@ const StatusLine = "Z\n"
 // ParseQueryLine parses one protocol line into a Request. ok=false
 // with a nil error means a blank line (ignored by the server); an
 // error describes the malformation for the E response. The function is
-// pure — the fuzz harness drives it with arbitrary bytes.
+// pure — the fuzz harness drives it with arbitrary bytes. It splits
+// the line into fields as strings.Fields does, without allocating the
+// slice of them.
 func ParseQueryLine(line string) (req Request, ok bool, err error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
+	var fields [4]string
+	nf := 0
+	for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
+		if nf < len(fields) {
+			fields[nf] = f
+		}
+		nf++
+	}
+	if nf == 0 {
 		return Request{}, false, nil // blank line: ignore
 	}
-	if fields[0] != "Q" || len(fields) != 4 {
+	if fields[0] != "Q" || nf != len(fields) {
 		return Request{}, false, fmt.Errorf("bad request line (want: Q <mech> <object> <ttl>)")
 	}
 	mech, err := ParseMechanism(fields[1])
@@ -53,6 +64,51 @@ func ParseQueryLine(line string) (req Request, ok bool, err error) {
 		return Request{}, false, fmt.Errorf("bad ttl: %s", err)
 	}
 	return Request{Mech: mech, Object: obj, TTL: ttl}, true, nil
+}
+
+// nextField returns the first field of s and what follows it, or two
+// empty strings when s holds only white space. A field is a run of
+// runes that are not unicode.IsSpace, the split strings.Fields makes;
+// bytes that are not valid UTF-8 are not space. ASCII is decided by a
+// table lookup, inline; only a rune past it takes a call.
+func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if space, size := leadingSpace(s[i:]); space {
+			i += size
+		} else {
+			break
+		}
+	}
+	start := i
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+		} else if space, size := leadingSpace(s[i:]); !space {
+			i += size
+		} else {
+			break
+		}
+	}
+	return s[start:i], s[i:]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// leadingSpace reports whether s starts with a white space rune, and
+// that rune's width.
+func leadingSpace(s string) (space bool, size int) {
+	r, size := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r), size
 }
 
 // EncodeQuery returns req's canonical request line, terminator
@@ -94,25 +150,43 @@ type Reply struct {
 // WriteReply encodes r onto w as one line, terminator included. The
 // servers pass a connection's bufio.Writer, whose write errors are
 // sticky and surface at the next Flush (which closes the connection),
-// so the result is not checked here.
+// so the result is not checked here. A writer with an AvailableBuffer
+// (bufio.Writer, bytes.Buffer) gets the line built in its own spare
+// capacity, which allocates nothing.
 func WriteReply(w io.Writer, r Reply) {
+	var b []byte
+	if bw, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		b = bw.AvailableBuffer()
+	}
 	switch r.Kind {
 	case ReplyHit:
-		fmt.Fprintf(w, "H %d %d %d %d %d\n", bit(r.Found), r.Hop, r.Messages, r.Visited, bit(r.CacheHit))
+		b = append(b, 'H', ' ', bit(r.Found), ' ')
+		b = strconv.AppendInt(b, int64(r.Hop), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(r.Messages), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(r.Visited), 10)
+		b = append(b, ' ', bit(r.CacheHit))
 	case ReplyShed, ReplyLimited:
-		fmt.Fprintf(w, "%c %d\n", r.Kind, r.RetryMs)
+		b = append(b, r.Kind, ' ')
+		b = strconv.AppendInt(b, r.RetryMs, 10)
 	case ReplyStatus:
-		fmt.Fprintf(w, "Z %d %d\n", r.Epoch, r.QueueDepth)
+		b = append(b, 'Z', ' ')
+		b = strconv.AppendUint(b, r.Epoch, 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, r.QueueDepth, 10)
 	default:
-		fmt.Fprintf(w, "E %s\n", r.Message)
+		b = append(b, 'E', ' ')
+		b = append(b, r.Message...)
 	}
+	w.Write(append(b, '\n'))
 }
 
-func bit(v bool) int {
+func bit(v bool) byte {
 	if v {
-		return 1
+		return '1'
 	}
-	return 0
+	return '0'
 }
 
 // ParseReply decodes one reply line (terminator optional).
