@@ -51,9 +51,9 @@ type Kernel struct {
 }
 
 // NewKernel creates a standalone kernel over g for callers outside
-// BatchRunner.Run — the serving frontend holds one Kernel per shard
-// worker and reuses it across micro-batches exactly as a batch worker
-// reuses it across its query range.
+// BatchRunner.Run — the serving frontend pools one Kernel per shard
+// and reuses each across requests exactly as a batch worker reuses it
+// across its query range.
 func NewKernel(g *graph.Graph, index int) *Kernel {
 	return &Kernel{Index: index, g: g}
 }

@@ -78,15 +78,12 @@ type slru struct {
 	prot     lruList // protected segment
 }
 
-// newSLRU sizes a cache shard. protFrac is the fraction of capacity
-// reserved for the protected segment (clamped to [0, 1); the paper-ish
-// default 0.8 leaves 20% of the shard as probation).
+// newSLRU sizes a cache shard. protFrac, in [0, 1), is the fraction of
+// capacity reserved for the protected segment (the engine's 0.8 leaves
+// 20% of the shard as probation).
 func newSLRU(capacity int, protFrac float64) *slru {
 	if capacity < 1 {
 		capacity = 1
-	}
-	if protFrac < 0 || protFrac >= 1 {
-		protFrac = 0.8
 	}
 	protCap := int(protFrac * float64(capacity))
 	if protCap >= capacity {

@@ -20,7 +20,7 @@ import (
 // Request lines:  Q <mech> <object> <ttl>\n    (object decimal or 0x hex)
 //                 Z\n                          (status probe)
 // Reply lines:    H <found> <hop> <messages> <visited> <cachehit>\n
-//                 S <retry_ms>\n   (shed: queue full)
+//                 S <retry_ms>\n   (shed: engine full)
 //                 R <retry_ms>\n   (rate limited)
 //                 E <message>\n    (bad request or failed lookup)
 //                 Z <epoch> <queue_depth>\n
@@ -122,7 +122,7 @@ func EncodeQuery(req Request) string {
 // Reply kinds: the first byte of a reply line.
 const (
 	ReplyHit     = 'H' // lookup served; the result fields are set
-	ReplyShed    = 'S' // queue full; RetryMs is set
+	ReplyShed    = 'S' // engine full; RetryMs is set
 	ReplyLimited = 'R' // rate limited; RetryMs is set
 	ReplyError   = 'E' // Message is set
 	ReplyStatus  = 'Z' // Epoch and QueueDepth are set

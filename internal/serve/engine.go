@@ -4,12 +4,11 @@
 // cache, per-client token-bucket rate limiting, and bounded-queue
 // backpressure that sheds load instead of collapsing.
 //
-// The serving kernel is the batch engine's: each shard worker owns one
-// search.Kernel (the reusable per-worker scratch bundle BatchRunner
-// gives its workers) and requests are micro-batched per shard — the
-// worker drains whatever has queued inside the admission window and
-// runs it back to back on the kernel, so steady-state misses pay the
-// same near-zero dispatch cost as a batch query.
+// The serving kernel is the batch engine's: the engine holds one
+// search.Kernel per shard (the reusable per-worker scratch bundle
+// BatchRunner gives its workers) in one engine-wide pool, and a cache
+// miss runs on the goroutine that called Lookup with whichever kernel
+// is free, so a miss never waits while a kernel sits idle.
 //
 // Determinism is the load-bearing property: a query's randomness
 // derives from (service seed, overlay epoch, request key), never from
@@ -105,7 +104,7 @@ type Response struct {
 // Errors the serving path returns. ErrOverloaded is the shed signal:
 // the frontends translate it to 429 + Retry-After.
 var (
-	ErrOverloaded = errors.New("serve: shard queue full, request shed")
+	ErrOverloaded = errors.New("serve: engine full, request shed")
 	ErrClosed     = errors.New("serve: engine closed")
 	ErrNoABF      = errors.New("serve: no identifier index loaded (start with ABF routing state for mech=abf)")
 )
@@ -117,27 +116,21 @@ type Config struct {
 	Store *content.Store
 	ABF   *search.ABFNetwork
 
-	// Shards is the worker/queue/cache-partition count (default
-	// GOMAXPROCS). Requests hash to a shard by key, so one key always
-	// lands on one worker and one cache partition.
+	// Shards is the cache-partition count and the number of search
+	// kernels (default GOMAXPROCS). Requests hash to a shard by key, so
+	// one key always lands on one cache partition and one singleflight
+	// table; a miss runs on any free kernel.
 	Shards int
-	// QueueDepth bounds each shard's admission queue; a request
-	// arriving at a full queue is shed with ErrOverloaded. The default
-	// (4× the window) keeps worst-case queue wait within a few
-	// micro-batches — the shed-vs-queue policy is "queue briefly, then
-	// refuse", never "queue unboundedly" (see DESIGN).
+	// QueueDepth is how many misses per kernel may wait for one: a miss
+	// that would make more than Shards × (QueueDepth+1) executions
+	// running or waiting is shed with ErrOverloaded (default 128). The
+	// shed-vs-queue policy is "queue briefly, then refuse", never
+	// "queue unboundedly" (see DESIGN).
 	QueueDepth int
-	// Window is the micro-batch admission window: the most queued
-	// requests one worker drains and runs back to back on its kernel
-	// (default 32).
-	Window int
 
 	// CacheCapacity is the total result-cache entry budget, split
 	// evenly across shards; 0 disables the cache.
 	CacheCapacity int
-	// CacheProtectedFrac is the protected-segment fraction of each
-	// cache shard (default 0.8).
-	CacheProtectedFrac float64
 
 	// Seed drives all per-query randomness (with the epoch and request
 	// key); equal seeds serve bit-identical results.
@@ -147,13 +140,9 @@ type Config struct {
 	// disables instrumentation at the usual one-branch cost.
 	Metrics *obs.Registry
 
-	// testDelay throttles every computed (non-cached) query by this
-	// much inside the worker. Test hook: makes saturation deterministic
-	// for the load-shed tests without relying on machine speed.
-	testDelay time.Duration
-	// testOnExecute is called inside the shard worker immediately
-	// before a kernel execution. Test hook: the singleflight test uses
-	// it to count kernel calls and to hold the worker at a known point.
+	// testOnExecute is called with a kernel held, immediately before
+	// its execution. Test hook: the singleflight and load-shed tests use
+	// it to count kernel calls and to hold an execution at a known point.
 	testOnExecute func(Request)
 }
 
@@ -167,38 +156,32 @@ type snapshot struct {
 	abf   *search.ABFNetwork
 }
 
-// pending is one admitted request waiting for its shard worker.
-type pending struct {
-	req      Request
-	key      uint64
-	enqueued time.Time // zero unless queue-wait observation is on
-	done     chan Response
-}
-
-var pendingPool = sync.Pool{
-	New: func() any { return &pending{done: make(chan Response, 1)} },
-}
-
 // flight is one in-progress kernel execution a group of identical-key
-// lookups shares: the first miss (the leader) enqueues the work, later
-// misses for the same key park on done instead of enqueuing a
-// duplicate. Safe because a response is a pure function of
-// (seed, epoch, key) — every waiter would have computed the identical
-// result, so handing them the leader's answer is value-neutral.
+// lookups shares: the first miss (the leader) runs the query, later
+// misses for the same key park on done instead of running a duplicate.
+// Safe because a response is a pure function of (seed, epoch, key) —
+// every waiter would have computed the identical result, so handing
+// them the leader's answer is value-neutral.
 type flight struct {
 	done chan struct{} // closed by the leader once resp/err are set
 	resp Response
 	err  error
 }
 
-// shard is one serving lane: a bounded queue, a worker-owned kernel
-// (created inside the worker goroutine), a cache partition, and the
-// in-flight table for miss coalescing.
+// shard is one key partition: a cache partition and the in-flight
+// table for miss coalescing.
 type shard struct {
-	queue   chan *pending
 	mu      sync.Mutex         // guards cache and flights
 	cache   *slru              // nil when caching is off
 	flights map[uint64]*flight // key -> in-progress computation
+}
+
+// kernel is one pooled search kernel: the scratch, the rng a query
+// re-seeds, and the snapshot the scratch was built over.
+type kernel struct {
+	k    *search.Kernel
+	rng  *rand.Rand
+	snap *snapshot
 }
 
 // Engine is the query-serving core. Frontends (HTTP, TCP line
@@ -209,10 +192,17 @@ type Engine struct {
 	snap   atomic.Pointer[snapshot]
 	snapMu sync.Mutex // serializes UpdateSnapshot's epoch bump
 	shards []*shard
+	// kernels holds the free kernels. A miss takes one, and when none is
+	// free it blocks on the receive, where Go serves waiters in arrival
+	// order.
+	kernels chan *kernel
+	leaders atomic.Int64 // misses running or waiting for a kernel
+	waiting atomic.Int64 // misses waiting for a kernel
+	limit   int64        // leaders beyond which a miss is shed
 
-	mu     sync.RWMutex // guards closed vs in-flight enqueues
+	mu     sync.RWMutex // guards closed vs admitting a miss
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // admitted misses, which Close waits for
 
 	requests  *obs.Counter
 	hits      *obs.Counter
@@ -222,13 +212,20 @@ type Engine struct {
 	errs      *obs.Counter
 	latency   *obs.Histogram
 	queueWait *obs.Histogram
-	batchSize *obs.Histogram
 	epochG    *obs.Gauge
 	cacheLen  *obs.Gauge
 }
 
-// New validates cfg, starts the shard workers, and returns the engine
-// at epoch 0.
+const (
+	// defaultQueueDepth is Config.QueueDepth's default.
+	defaultQueueDepth = 128
+	// cacheProtectedFrac is the protected-segment share of each cache
+	// shard: only a key requested twice can displace the hot set
+	// (DESIGN "Query-serving frontend").
+	cacheProtectedFrac = 0.8
+)
+
+// New validates cfg and returns the engine at epoch 0.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Graph == nil || cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Graph and Config.Store are required")
@@ -242,13 +239,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards()
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 32
-	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Window
+		cfg.QueueDepth = defaultQueueDepth
 	}
-	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	e := &Engine{
+		cfg:     cfg,
+		shards:  make([]*shard, cfg.Shards),
+		kernels: make(chan *kernel, cfg.Shards),
+		limit:   int64(cfg.Shards * (cfg.QueueDepth + 1)),
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		e.kernels <- &kernel{rng: rand.New(search.NewQuerySource())}
+	}
 	if reg := cfg.Metrics; reg != nil {
 		e.requests = reg.Counter("serve.requests")
 		e.hits = reg.Counter("serve.cache_hits")
@@ -258,7 +260,6 @@ func New(cfg Config) (*Engine, error) {
 		e.errs = reg.Counter("serve.errors")
 		e.latency = reg.Histogram("serve.latency_ns")
 		e.queueWait = reg.Histogram("serve.queue_wait_ns")
-		e.batchSize = reg.Histogram("serve.batch_size")
 		e.epochG = reg.Gauge("serve.epoch")
 		e.cacheLen = reg.Gauge("serve.cache_entries")
 	}
@@ -270,17 +271,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	for i := range e.shards {
-		sh := &shard{queue: make(chan *pending, cfg.QueueDepth), flights: make(map[uint64]*flight)}
+		sh := &shard{flights: make(map[uint64]*flight)}
 		if perShard > 0 {
-			sh.cache = newSLRU(perShard, cfg.CacheProtectedFrac)
+			sh.cache = newSLRU(perShard, cacheProtectedFrac)
 		}
 		e.shards[i] = sh
 	}
 	e.snap.Store(&snapshot{epoch: 0, g: cfg.Graph, store: cfg.Store, abf: cfg.ABF})
-	for i, sh := range e.shards {
-		e.wg.Add(1)
-		go e.worker(i, sh)
-	}
 	return e, nil
 }
 
@@ -310,11 +307,11 @@ func (e *Engine) CacheSize() int {
 // UpdateSnapshot installs a new serving snapshot — the overlay changed
 // (churn, heal, re-placement) — and bumps the epoch, which invalidates
 // every cached result: entries are epoch-stamped, so stale hits are
-// impossible the instant the pointer swaps, and each shard's stale
-// entries are purged as its worker notices the new epoch. Safe to call
-// from any number of goroutines: updates are serialized so every
-// snapshot gets a distinct epoch (a shared epoch across two graphs
-// would let one graph's cached results pass the other's epoch check).
+// impossible the instant the pointer swaps, and the stale entries are
+// then purged shard by shard. Safe to call from any number of
+// goroutines: updates are serialized so every snapshot gets a distinct
+// epoch (a shared epoch across two graphs would let one graph's cached
+// results pass the other's epoch check).
 func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *search.ABFNetwork) error {
 	if g == nil || store == nil {
 		return fmt.Errorf("serve: nil snapshot")
@@ -341,13 +338,12 @@ func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *searc
 }
 
 // Lookup serves one request: validate, consult the shard's cache, and
-// on a miss run it through the shard worker's kernel — unless an
-// identical-key miss is already in flight, in which case this call
-// parks on it and shares the one kernel execution (singleflight miss
-// coalescing). Blocks until the result is ready; sheds with
-// ErrOverloaded when the shard queue is full. A coalesced group sheds
-// together: if the leader's enqueue is refused, every waiter gets
-// ErrOverloaded too.
+// on a miss run it on the calling goroutine with any free kernel —
+// unless an identical-key miss is already in flight, in which case this
+// call parks on it and shares the one kernel execution (singleflight
+// miss coalescing). Blocks until the result is ready; sheds with
+// ErrOverloaded when the engine already holds Shards × (QueueDepth+1)
+// misses, running or waiting for a kernel.
 func (e *Engine) Lookup(req Request) (Response, error) {
 	snap := e.snap.Load()
 	if err := e.validate(&req, snap); err != nil {
@@ -401,53 +397,79 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 	f := &flight{done: make(chan struct{})}
 	sh.flights[key] = f
 	sh.mu.Unlock()
-	p := pendingPool.Get().(*pending)
-	p.req = req
-	p.key = key
-	if e.queueWait != nil {
-		p.enqueued = time.Now()
-	} else {
-		p.enqueued = time.Time{}
+	e.wg.Add(1)
+	e.mu.RUnlock()
+	defer e.wg.Done()
+	res, ok := e.run(snap, req, key)
+	// Publish: fill the cache and drop the flight in one critical
+	// section, so late arrivals hit, then release the waiters. A result
+	// whose snapshot was replaced meanwhile is not cached: it could never
+	// hit, only evict current entries. A coalesced group sheds together:
+	// if the leader is refused, every waiter gets ErrOverloaded too.
+	sh.mu.Lock()
+	if ok && sh.cache != nil && snap == e.snap.Load() {
+		sh.cache.put(key, snap.epoch, res)
 	}
-	select {
-	case sh.queue <- p:
-		e.mu.RUnlock()
-	default:
-		e.mu.RUnlock()
-		pendingPool.Put(p)
+	delete(sh.flights, key)
+	sh.mu.Unlock()
+	if !ok {
 		e.shed.Inc()
-		sh.mu.Lock()
-		delete(sh.flights, key)
-		sh.mu.Unlock()
 		f.err = ErrOverloaded
 		close(f.done)
 		return Response{}, ErrOverloaded
 	}
-	resp := <-p.done
-	pendingPool.Put(p)
-	// Publish to waiters: drop the flight first (the result is already
-	// in the cache, so late arrivals hit), then release them.
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	sh.mu.Unlock()
-	f.resp = resp
+	f.resp = Response{Result: res, Epoch: snap.epoch}
 	close(f.done)
 	if e.latency != nil {
 		e.latency.Since(start)
 	}
-	return resp, nil
+	return f.resp, nil
 }
 
-// QueueDepth returns the total number of admitted-but-unserved
-// requests across all shard queues — the saturation signal /healthz
-// and the TCP Z status line expose to the gateway health checker.
-func (e *Engine) QueueDepth() int {
-	total := 0
-	for _, sh := range e.shards {
-		total += len(sh.queue)
+// run executes one miss on a pooled kernel, waiting for one if all are
+// busy, or reports false when the engine already holds as many misses
+// as it admits. The kernel's scratch is rebuilt when the snapshot
+// changed since its last execution.
+func (e *Engine) run(snap *snapshot, req Request, key uint64) (search.Result, bool) {
+	var queued time.Time
+	if e.queueWait != nil {
+		queued = time.Now()
 	}
-	return total
+	// Admit by compare-and-swap rather than add-then-undo, so a transient
+	// overcount never sheds a miss the bound would admit.
+	for {
+		n := e.leaders.Load()
+		if n >= e.limit {
+			return search.Result{}, false
+		}
+		if e.leaders.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	var kn *kernel
+	select {
+	case kn = <-e.kernels:
+	default:
+		e.waiting.Add(1)
+		kn = <-e.kernels
+		e.waiting.Add(-1)
+	}
+	if e.queueWait != nil {
+		e.queueWait.Since(queued)
+	}
+	if kn.snap != snap {
+		kn.k, kn.snap = search.NewKernel(snap.g, 0), snap
+	}
+	res := e.execute(kn.k, snap, req, key, kn.rng)
+	e.kernels <- kn
+	e.leaders.Add(-1)
+	return res, true
 }
+
+// QueueDepth returns the number of misses waiting for a kernel — the
+// saturation signal /healthz and the TCP Z status line expose to the
+// gateway health checker.
+func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
 
 // The walker count for MechWalk and the clamps on request budgets. A
 // client-chosen TTL is clamped, not refused: the budget is a cost cap,
@@ -486,61 +508,7 @@ func (e *Engine) validate(req *Request, snap *snapshot) error {
 	return nil
 }
 
-// worker is one shard's serving loop: take one request, drain the
-// admission window, execute the micro-batch on the shard kernel, fill
-// the cache, reply. The kernel is rebuilt whenever the snapshot
-// changed since the last batch.
-func (e *Engine) worker(index int, sh *shard) {
-	defer e.wg.Done()
-	var (
-		kern     *search.Kernel
-		lastSnap *snapshot
-		rng      = rand.New(search.NewQuerySource())
-		batch    = make([]*pending, 0, e.cfg.Window)
-	)
-	for {
-		p, ok := <-sh.queue
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], p)
-	drain:
-		for len(batch) < e.cfg.Window {
-			select {
-			case p2, ok := <-sh.queue:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, p2)
-			default:
-				break drain
-			}
-		}
-		snap := e.snap.Load()
-		if snap != lastSnap {
-			kern = search.NewKernel(snap.g, index)
-			lastSnap = snap
-		}
-		e.batchSize.Observe(int64(len(batch)))
-		for _, p := range batch {
-			if e.queueWait != nil && !p.enqueued.IsZero() {
-				e.queueWait.Since(p.enqueued)
-			}
-			res := e.execute(kern, snap, p.req, p.key, rng)
-			if e.cfg.testDelay > 0 {
-				time.Sleep(e.cfg.testDelay)
-			}
-			if sh.cache != nil {
-				sh.mu.Lock()
-				sh.cache.put(p.key, snap.epoch, res)
-				sh.mu.Unlock()
-			}
-			p.done <- Response{Result: res, CacheHit: false, Epoch: snap.epoch}
-		}
-	}
-}
-
-// execute runs one query on the shard kernel. The source node and the
+// execute runs one query on a kernel. The source node and the
 // rng stream derive from (seed, epoch, key) only, so the result is a
 // pure function of the request and the overlay epoch — the property
 // every cache guarantee rests on.
@@ -575,18 +543,12 @@ func (e *Engine) syncCacheLen() {
 // defaultShards resolves the shard count to GOMAXPROCS.
 func defaultShards() int { return runtime.GOMAXPROCS(0) }
 
-// Close drains and stops the shard workers. In-flight requests get
-// real responses; Lookup calls after Close fail with ErrClosed.
+// Close refuses new lookups and waits for the misses already admitted,
+// which get real responses; Lookup calls after Close fail with
+// ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
 	e.closed = true
-	for _, sh := range e.shards {
-		close(sh.queue)
-	}
 	e.mu.Unlock()
 	e.wg.Wait()
 }

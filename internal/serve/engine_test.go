@@ -3,8 +3,10 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"makalu/internal/content"
 	"makalu/internal/graph"
@@ -229,6 +231,64 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestStaleExecutionNotCached pins that a miss whose snapshot is
+// replaced while it runs answers under its own epoch but leaves nothing
+// in the cache, and that the new epoch's results still cache and hit.
+func TestStaleExecutionNotCached(t *testing.T) {
+	g, store := testOverlay(t, 300, 30)
+	parked := Request{Mech: MechFlood, Object: store.Objects()[0], TTL: 4}
+	running, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e, err := New(Config{
+		Graph: g, Store: store, Shards: 2, Seed: 9, CacheCapacity: 64,
+		testOnExecute: func(req Request) {
+			if req == parked {
+				once.Do(func() {
+					close(running)
+					<-release
+				})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	done := make(chan Response, 1)
+	go func() {
+		resp, err := e.Lookup(parked)
+		if err != nil {
+			t.Errorf("parked lookup: %v", err)
+		}
+		done <- resp
+	}()
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("parked request never reached execute")
+	}
+	if err := e.UpdateSnapshot(g, store, nil); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if resp := <-done; resp.Epoch != 0 {
+		t.Fatalf("parked execution answered under epoch %d, want 0", resp.Epoch)
+	}
+	if n := e.CacheSize(); n != 0 {
+		t.Fatalf("a superseded epoch's result was cached: %d entries", n)
+	}
+	for i, wantHit := range []bool{false, true} {
+		resp, err := e.Lookup(parked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit != wantHit || resp.Epoch != 1 {
+			t.Fatalf("lookup %d under the new epoch: hit %v epoch %d, want hit %v epoch 1",
+				i, resp.CacheHit, resp.Epoch, wantHit)
+		}
+	}
+}
+
 func TestLookupValidation(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
 	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 1})
@@ -253,12 +313,28 @@ func TestLookupValidation(t *testing.T) {
 	}
 }
 
+// TestEngineClose pins Close: an execution running when Close is called
+// finishes with its real response, Close returns only after it, and
+// every lookup after Close is refused.
 func TestEngineClose(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, Seed: 1, CacheCapacity: 64})
+	parked := Request{Mech: MechFlood, Object: store.Objects()[2], TTL: 4}
+	running, release := make(chan struct{}), make(chan struct{})
+	e, err := New(Config{
+		Graph: g, Store: store, Shards: 2, Seed: 1, CacheCapacity: 64,
+		testOnExecute: func(req Request) {
+			if req == parked {
+				close(running)
+				<-release
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var relOnce sync.Once
+	releaseParked := func() { relOnce.Do(func() { close(release) }) }
+	defer releaseParked()
 	req := Request{Mech: MechFlood, Object: store.Objects()[0], TTL: 4}
 	if _, err := e.Lookup(req); err != nil {
 		t.Fatal(err)
@@ -266,7 +342,62 @@ func TestEngineClose(t *testing.T) {
 	if resp, err := e.Lookup(req); err != nil || !resp.CacheHit {
 		t.Fatalf("second lookup should be a cache hit, got %+v err %v", resp, err)
 	}
-	e.Close()
+
+	type outcome struct {
+		resp Response
+		err  error
+	}
+	parkedOut := make(chan outcome, 1)
+	go func() {
+		resp, err := e.Lookup(parked)
+		parkedOut <- outcome{resp, err}
+	}()
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("parked request never reached execute")
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	// Once a lookup is refused, Close has begun; it must still be
+	// waiting for the parked execution.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := e.Lookup(req); err == ErrClosed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never started refusing lookups")
+		}
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an execution was still running")
+	default:
+	}
+	releaseParked()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close never returned after the execution finished")
+	}
+	out := <-parkedOut
+	ref, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.Lookup(parked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.err != nil || out.resp.Result != want.Result {
+		t.Fatalf("execution parked at Close: %+v err %v, want %+v", out.resp, out.err, want)
+	}
 	e.Close() // idempotent
 	// ErrClosed covers the cache-hit fast path too: a request whose
 	// result is resident must still be refused after Close.
@@ -337,11 +468,11 @@ func TestRequestKeyStability(t *testing.T) {
 	}
 }
 
-// A shard worker loads its kernel's target set per request; the set
-// must follow the snapshot. After a swap to a placement that does not
-// hold the object at all, a lookup for it finds nothing — a target
-// set surviving from the old snapshot would still match its replicas
-// — and every answer equals a fresh engine's over the new snapshot.
+// A kernel loads its target set per request; the set must follow the
+// snapshot. After a swap to a placement that does not hold the object
+// at all, a lookup for it finds nothing — a target set surviving from
+// the old snapshot would still match its replicas — and every answer
+// equals a fresh engine's over the new snapshot.
 func TestSnapshotSwapReplacesTargetSet(t *testing.T) {
 	g, store := testOverlay(t, 400, 50)
 	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})

@@ -140,8 +140,8 @@ func TestHTTPShed429(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 1, QueueDepth: 1, Window: 1, Seed: 3,
-		testDelay: 50 * time.Millisecond,
+		Shards: 1, QueueDepth: 1, Seed: 3,
+		testOnExecute: func(Request) { time.Sleep(50 * time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestHTTPShed429(t *testing.T) {
 	srv := httptest.NewServer(NewHTTPHandler(HTTPConfig{Engine: e}))
 	defer func() { srv.Close(); e.Close() }()
 
-	// Distinct objects so nothing is served from cache; with one shard,
-	// one queue slot, and 50ms service, a burst of 8 must shed.
+	// Distinct objects so nothing is served from cache; with one kernel,
+	// one waiting slot, and 50ms service, a burst of 8 must shed.
 	type out struct {
 		status int
 		retry  string

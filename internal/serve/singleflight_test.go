@@ -15,11 +15,11 @@ import (
 // response. Run under -race in CI.
 //
 // Determinism scheme: a blocker request on a different key holds the
-// single shard worker inside execute (the testOnExecute hook blocks on
-// a channel), the N same-key lookups are fired and observed to have
+// engine's single kernel inside execute (the testOnExecute hook blocks
+// on a channel), the N same-key lookups are fired and observed to have
 // coalesced via the serve.coalesced counter, and only then is the
-// worker released — so all N provably arrived while the key was
-// un-cached and at most one could have enqueued.
+// kernel released — so all N provably arrived while the key was
+// un-cached and at most one could have become a leader.
 func TestSingleflightCoalescing(t *testing.T) {
 	g, store := testOverlay(t, 300, 30)
 	objs := store.Objects()
@@ -40,7 +40,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 1, Window: 1, QueueDepth: 64,
+		Shards: 1, QueueDepth: 64,
 		CacheCapacity: 64, Seed: 17,
 		Metrics:       reg,
 		testOnExecute: countExec,
@@ -50,8 +50,8 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 	defer e.Close()
 	// Registered after the Close defer so it runs first: Close waits for
-	// the shard worker, which is parked on release — a t.Fatal below
-	// would otherwise wedge the deferred Close until the package
+	// the blocker's execution, which is parked on release — a t.Fatal
+	// below would otherwise wedge the deferred Close until the package
 	// timeout instead of failing cleanly.
 	var relOnce sync.Once
 	releaseWorker := func() { relOnce.Do(func() { close(release) }) }
@@ -69,7 +69,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 		}
 	}()
 	select {
-	case <-blockerunning: // worker is now parked inside execute
+	case <-blockerunning: // the kernel is now parked inside execute
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker never reached execute")
 	}
@@ -125,7 +125,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 }
 
 // TestSingleflightShedCleanup pins the shed interaction: a leader
-// whose enqueue is refused fails its flight with ErrOverloaded and
+// whose admission is refused fails its flight with ErrOverloaded and
 // removes it — a retry after the shed must start a fresh computation,
 // never park on a flight that will never run.
 func TestSingleflightShedCleanup(t *testing.T) {
@@ -137,7 +137,7 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	var once sync.Once
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 1, Window: 1, QueueDepth: 1,
+		Shards: 1, QueueDepth: 1,
 		Seed: 17,
 		testOnExecute: func(req Request) {
 			once.Do(func() {
@@ -150,9 +150,10 @@ func TestSingleflightShedCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// Runs before the deferred Close (LIFO): Close waits for the shard
-	// worker, which is parked on release — without this a t.Fatal below
-	// would wedge until the package timeout instead of failing cleanly.
+	// Runs before the deferred Close (LIFO): Close waits for the
+	// blocker's execution, which is parked on release — without this a
+	// t.Fatal below would wedge until the package timeout instead of
+	// failing cleanly.
 	var relOnce sync.Once
 	releaseWorker := func() { relOnce.Do(func() { close(release) }) }
 	defer releaseWorker()
@@ -161,7 +162,7 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.Lookup(Request{Mech: MechFlood, Object: objs[0], TTL: 4}) // occupies the worker
+		e.Lookup(Request{Mech: MechFlood, Object: objs[0], TTL: 4}) // occupies the kernel
 	}()
 	select {
 	case <-blockerunning:
@@ -171,7 +172,7 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.Lookup(Request{Mech: MechFlood, Object: objs[1], TTL: 4}) // occupies the queue slot
+		e.Lookup(Request{Mech: MechFlood, Object: objs[1], TTL: 4}) // waits for the kernel
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for e.QueueDepth() < 1 {
