@@ -16,8 +16,9 @@ import (
 // injector: converge, hard-kill 30% of the nodes (no Bye, no FIN) and
 // black-hole 10% of the surviving links, then watch the survivors'
 // liveness machinery evict the dead and re-knit the overlay. It emits
-// the same snapshot timeline as `makalu-sim -churn`, so live and
-// simulated fault-tolerance curves are directly comparable.
+// the simulator's snapshot timeline (sim.Snapshot, the columns
+// examples/churn prints), so live and simulated fault-tolerance curves
+// are directly comparable.
 func runLiveChurn(nodes int, seed int64, reg *obs.Registry, trace *obs.EventLog) error {
 	if nodes < 10 {
 		nodes = 10

@@ -1,6 +1,7 @@
 // Command makalu-experiments regenerates the paper's tables and
-// figures (DESIGN.md experiments E1–E11). Each experiment prints a
-// paper-style text table; figures print their data series.
+// figures (DESIGN.md experiments E1–E16) and the two sweeps beyond the
+// paper, scale and stream. Each experiment prints a paper-style text
+// table; figures print their data series.
 //
 // Usage:
 //
@@ -10,7 +11,9 @@
 // Experiments: paths (E1), spectrum (E2), fig1 (E3), table1 (E4),
 // duplicates (E5), fig2 (E6), fig3 (E7), fig4 (E8), abf-vs-dht (E9),
 // table2 (E10), resilience (E11), expansion (E12), low-replication
-// (E13), strategies (E14), convergence (E15), ratings (E16), all.
+// (E13), strategies (E14), convergence (E15), ratings (E16), and all of
+// them with all. scale (sizes from -scale-sizes, up to 10⁷ nodes) and
+// stream (chunked transfers under churn) run only when named.
 //
 // -workers bounds the goroutines used for query batches and the
 // experiment-cell scheduler (0 = GOMAXPROCS, 1 = sequential); results
@@ -20,7 +23,8 @@
 // -live-churn skips the experiments and runs the live TCP
 // fault-injection scenario: a real in-process network under the
 // faultnet injector is hard-killed and partitioned, and the recovery
-// is reported as the same snapshot timeline `makalu-sim -churn` emits.
+// is reported as the snapshot timeline of the simulator's churn runs
+// (examples/churn).
 //
 // -metrics-json <path> writes the obs registry (counters, gauges,
 // per-query and wire histograms) as JSON at exit; -trace <path> writes
@@ -36,6 +40,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"makalu/internal/experiments"
@@ -91,9 +96,33 @@ func writeObs(reg *obs.Registry, trace *obs.EventLog, metricsPath, tracePath str
 	}
 }
 
+// renderer is what every experiment returns: a paper-style table.
+type renderer interface{ Render() string }
+
+// experiment is one -exp id. An entry with inAll false runs only when
+// named: it has its own size knobs and is too slow for the default.
+type experiment struct {
+	id    string
+	inAll bool
+	run   func() (renderer, error)
+}
+
+// expUsage lists the -exp ids in table order, for the flag's usage
+// string and the unknown-id error.
+func expUsage(table []experiment) string {
+	ids := []string{"all"}
+	var alone []string
+	for _, e := range table {
+		ids = append(ids, e.id)
+		if !e.inAll {
+			alone = append(alone, e.id)
+		}
+	}
+	return fmt.Sprintf("one of %s (all runs every id except %s)", strings.Join(ids, ", "), strings.Join(alone, ", "))
+}
+
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (paths, spectrum, fig1, table1, duplicates, fig2, fig3, fig4, abf-vs-dht, table2, resilience, expansion, low-replication, strategies, convergence, ratings, all)")
 		n           = flag.Int("n", 2000, "network size (paper scale: 100000)")
 		queries     = flag.Int("queries", 300, "queries per measurement point")
 		seed        = flag.Int64("seed", 1, "master random seed")
@@ -110,13 +139,40 @@ func main() {
 		scaleSizes  = flag.String("scale-sizes", "10000,50000,200000,1000000,10000000", "comma-separated network sizes for -exp scale")
 		scaleJSON   = flag.String("scale-json", "", "write the -exp scale sweep as JSON to this path")
 		scaleLand   = flag.Int("scale-landmarks", 64, "landmark BFS sources for the sampled path length in -exp scale")
-		streamXfers = flag.Int("stream-transfers", 0, "downloads per -exp stream scenario (0 = default 24)")
 	)
+	// The table's closures read opt and reg, which are set once the
+	// flags are parsed.
+	var opt experiments.Options
+	var reg *obs.Registry
+	table := []experiment{
+		{"paths", true, func() (renderer, error) { return experiments.RunPaths(opt, *sources) }},
+		{"spectrum", true, func() (renderer, error) { return experiments.RunConnectivity(opt) }},
+		{"fig1", true, func() (renderer, error) { return experiments.RunFigure1(opt) }},
+		{"table1", true, func() (renderer, error) { return experiments.RunTable1(opt) }},
+		{"duplicates", true, func() (renderer, error) { return experiments.RunDuplicates(opt, 4, 0.01) }},
+		{"fig2", true, func() (renderer, error) { return experiments.RunFigure2(opt) }},
+		{"fig3", true, func() (renderer, error) { return experiments.RunFigure3(opt) }},
+		{"fig4", true, func() (renderer, error) { return experiments.RunFigure4(opt) }},
+		{"abf-vs-dht", true, func() (renderer, error) { return experiments.RunABFvsDHT(opt, 0.01) }},
+		{"table2", true, func() (renderer, error) { return experiments.RunTable2(opt) }},
+		{"resilience", true, func() (renderer, error) { return experiments.RunResilience(opt) }},
+		{"expansion", true, func() (renderer, error) { return experiments.RunExpansion(opt) }},
+		{"low-replication", true, func() (renderer, error) { return experiments.RunLowReplication(opt) }},
+		{"strategies", true, func() (renderer, error) { return experiments.RunStrategies(opt) }},
+		{"convergence", true, func() (renderer, error) { return experiments.RunConvergence(opt, 10) }},
+		{"ratings", true, func() (renderer, error) { return experiments.RunRatings(opt) }},
+		{"scale", false, func() (renderer, error) { return runScale(*scaleSizes, *scaleLand, *seed, *scaleJSON) }},
+		{"stream", false, func() (renderer, error) {
+			so := experiments.DefaultStreamOptions(opt.N, opt.Seed)
+			so.Obs = reg
+			return experiments.RunStream(so)
+		}},
+	}
+	exp := flag.String("exp", "all", "experiment id: "+expUsage(table))
 	flag.Parse()
 	// One registry and one event log for the whole run, whichever mode
 	// executes; nil-safe handles make this free when no flag asks for
 	// observability.
-	var reg *obs.Registry
 	var trace *obs.EventLog
 	obsOn := *metricsJSON != "" || *tracePath != "" || *metricsDump
 	if obsOn {
@@ -160,26 +216,7 @@ func main() {
 		}
 		return
 	}
-	if *exp == "scale" {
-		// The scale sweep is size-parameterized (-scale-sizes), runs up
-		// to 10⁶ nodes and is deliberately excluded from -exp all.
-		if err := runScale(*scaleSizes, *scaleLand, *seed, *scaleJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment scale failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "stream" {
-		// The streaming sweep drives the chunked-transfer scheduler
-		// under churn plus a kill wave; like scale it has its own knobs,
-		// so it is excluded from -exp all.
-		if err := runStream(*n, *seed, *streamXfers, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment stream failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	opt := experiments.Options{N: *n, Queries: *queries, Seed: *seed, Workers: *workers}
+	opt = experiments.Options{N: *n, Queries: *queries, Seed: *seed, Workers: *workers}
 	if obsOn {
 		opt.Obs = &search.BatchObs{
 			Latency:  reg.Histogram(mQueryLatency),
@@ -188,32 +225,9 @@ func main() {
 		}
 	}
 
-	type runner struct {
-		id  string
-		run func() (interface{ Render() string }, error)
-	}
-	runners := []runner{
-		{"paths", func() (interface{ Render() string }, error) { return experiments.RunPaths(opt, *sources) }},
-		{"spectrum", func() (interface{ Render() string }, error) { return experiments.RunConnectivity(opt) }},
-		{"fig1", func() (interface{ Render() string }, error) { return experiments.RunFigure1(opt) }},
-		{"table1", func() (interface{ Render() string }, error) { return experiments.RunTable1(opt) }},
-		{"duplicates", func() (interface{ Render() string }, error) { return experiments.RunDuplicates(opt, 4, 0.01) }},
-		{"fig2", func() (interface{ Render() string }, error) { return experiments.RunFigure2(opt) }},
-		{"fig3", func() (interface{ Render() string }, error) { return experiments.RunFigure3(opt) }},
-		{"fig4", func() (interface{ Render() string }, error) { return experiments.RunFigure4(opt) }},
-		{"abf-vs-dht", func() (interface{ Render() string }, error) { return experiments.RunABFvsDHT(opt, 0.01) }},
-		{"table2", func() (interface{ Render() string }, error) { return experiments.RunTable2(opt) }},
-		{"resilience", func() (interface{ Render() string }, error) { return experiments.RunResilience(opt) }},
-		{"expansion", func() (interface{ Render() string }, error) { return experiments.RunExpansion(opt) }},
-		{"low-replication", func() (interface{ Render() string }, error) { return experiments.RunLowReplication(opt) }},
-		{"strategies", func() (interface{ Render() string }, error) { return experiments.RunStrategies(opt) }},
-		{"convergence", func() (interface{ Render() string }, error) { return experiments.RunConvergence(opt, 10) }},
-		{"ratings", func() (interface{ Render() string }, error) { return experiments.RunRatings(opt) }},
-	}
-
 	matched := false
-	for _, r := range runners {
-		if *exp != "all" && *exp != r.id {
+	for _, r := range table {
+		if *exp != r.id && (*exp != "all" || !r.inAll) {
 			continue
 		}
 		matched = true
@@ -240,7 +254,7 @@ func main() {
 		fmt.Printf("[%s completed in %v]\n\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q: want %s\n", *exp, expUsage(table))
 		flag.Usage()
 		os.Exit(2)
 	}

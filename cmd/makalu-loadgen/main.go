@@ -61,7 +61,6 @@ func realMain() int {
 		ttl      = flag.Int("ttl", 4, "query TTL")
 		zipf     = flag.Float64("zipf", 1.2, "Zipf exponent of the object popularity skew (0 = uniform)")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		rate     = flag.Float64("rate", 0, "target offered load in queries/second (0 = closed loop, as fast as the daemon answers)")
 		label    = flag.String("label", "", "row label (e.g. cache-on)")
 		jsonOut  = flag.String("json", "", "write the result row as JSON to this path")
 		verOut   = flag.String("verify-out", "", "record accepted answers (found/hop/messages/visited per object) into this JSON file")
@@ -116,7 +115,7 @@ func realMain() int {
 		work[i] = objects[ev.Object]
 	}
 
-	res, err := run(*proto, httpAddrs, tcpAddrs, work, mech, *ttl, *conns, *rate)
+	res, err := run(*proto, httpAddrs, tcpAddrs, work, mech, *ttl, *conns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -224,7 +223,9 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.Mechanism, ttl, conns int, rate float64) (*result, error) {
+// run replays work closed-loop: each of conns workers sends its next
+// query as soon as the previous one is answered.
+func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.Mechanism, ttl, conns int) (*result, error) {
 	type shard struct {
 		lats                                     []time.Duration
 		ok, shed, limited, errorsN, hits, foundN int
@@ -308,13 +309,6 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 			sh := &shards[w]
 			sh.answers = make(map[uint64]answer)
 			for i := w; i < len(work); i += conns {
-				if rate > 0 {
-					// Open loop: request i is due at i/rate seconds.
-					due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-					if d := time.Until(due); d > 0 {
-						time.Sleep(d)
-					}
-				}
 				t0 := time.Now()
 				reply, err := send(work[i])
 				if err != nil {

@@ -63,8 +63,7 @@ func realMain() int {
 		joinTimeout = flag.Duration("join-timeout", 30*time.Second, "total budget for bootstrap retries before giving up")
 		metricsPath = flag.String("metrics-json", "", "write a status snapshot (identity, neighbors, obs metrics) as JSON to this path at exit")
 		metricsIvl  = flag.Duration("metrics-interval", 0, "additionally rewrite -metrics-json this often while running (0 = only at exit)")
-		denyFlag    = flag.String("deny", "", "comma-separated peer addresses to refuse (never dialed or accepted)")
-		denyFile    = flag.String("deny-file", "", "file with one denied peer address per line (# comments ok); reloaded on SIGHUP")
+		denyFile    = flag.String("deny-file", "", "file with one peer address per line (# comments ok) to refuse, never dialed or accepted; reloaded on SIGHUP")
 	)
 	var sf serveFlags
 	registerServeFlags(&sf)
@@ -97,7 +96,7 @@ func realMain() int {
 			return 2
 		}
 	}
-	denied, err := resolveDeny(*denyFlag, *denyFile)
+	denied, err := resolveDeny(*denyFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deny list: %v\n", err)
 		return 2
@@ -128,7 +127,6 @@ func realMain() int {
 		reg:        reg,
 		seed:       eff,
 		statusPath: *metricsPath,
-		denyFlag:   *denyFlag,
 		denyFile:   *denyFile,
 		sigs:       make(chan os.Signal, 2),
 	}
@@ -181,7 +179,6 @@ type app struct {
 	reg        *obs.Registry
 	seed       int64
 	statusPath string
-	denyFlag   string
 	denyFile   string
 	sigs       chan os.Signal
 	statusTick <-chan time.Time // nil when periodic snapshots are off
@@ -191,7 +188,7 @@ type app struct {
 // keeps running; SIGINT/SIGTERM request shutdown.
 func (a *app) handleSig(s os.Signal) (down bool) {
 	if s == syscall.SIGHUP {
-		denied, err := resolveDeny(a.denyFlag, a.denyFile)
+		denied, err := resolveDeny(a.denyFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deny reload: %v\n", err)
 			return false
@@ -365,35 +362,22 @@ func parseIDList(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// parseAddrList splits a comma-separated address list, dropping blank
-// tokens.
-func parseAddrList(s string) []string {
-	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok != "" {
-			out = append(out, tok)
-		}
-	}
-	return out
-}
-
-// resolveDeny merges the -deny flag with the current -deny-file
-// contents (one address per line, blank lines and # comments
-// ignored). A missing deny file is an empty list, not an error: the
-// driver creates the file only when it first partitions the node.
-func resolveDeny(flagList, file string) ([]string, error) {
-	out := parseAddrList(flagList)
+// resolveDeny reads the current -deny-file contents (one address per
+// line, blank lines and # comments ignored). A missing deny file is an
+// empty list, not an error: the driver creates the file only when it
+// first partitions the node.
+func resolveDeny(file string) ([]string, error) {
 	if file == "" {
-		return out, nil
+		return nil, nil
 	}
 	data, err := os.ReadFile(file)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return out, nil
+			return nil, nil
 		}
 		return nil, err
 	}
+	var out []string
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -81,24 +83,16 @@ func TestParseIDList(t *testing.T) {
 	}
 }
 
-func TestParseAddrList(t *testing.T) {
-	got := parseAddrList(" 127.0.0.1:1 ,, 127.0.0.1:2, ")
-	if len(got) != 2 || got[0] != "127.0.0.1:1" || got[1] != "127.0.0.1:2" {
-		t.Fatalf("parseAddrList = %v", got)
-	}
-	if got := parseAddrList(""); got != nil {
-		t.Fatalf("parseAddrList(\"\") = %v, want nil", got)
-	}
-}
-
 func TestResolveDeny(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "deny.txt")
 
+	if got, err := resolveDeny(""); err != nil || got != nil {
+		t.Fatalf("resolveDeny without a file = %v, %v", got, err)
+	}
 	// Missing file is an empty list, not an error: the testnet driver
 	// creates deny files only when it first partitions a node.
-	got, err := resolveDeny("127.0.0.1:9", path)
-	if err != nil || len(got) != 1 || got[0] != "127.0.0.1:9" {
+	if got, err := resolveDeny(path); err != nil || len(got) != 0 {
 		t.Fatalf("resolveDeny with missing file = %v, %v", got, err)
 	}
 
@@ -106,11 +100,11 @@ func TestResolveDeny(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = resolveDeny("127.0.0.1:9", path)
+	got, err := resolveDeny(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"127.0.0.1:9", "127.0.0.1:10", "127.0.0.1:11"}
+	want := []string{"127.0.0.1:10", "127.0.0.1:11"}
 	if len(got) != len(want) {
 		t.Fatalf("resolveDeny = %v, want %v", got, want)
 	}
@@ -239,5 +233,89 @@ func TestTwoProcessSocketSmoke(t *testing.T) {
 	}
 	if st.Metrics.Counters["peer.joins"] == 0 {
 		t.Fatalf("seed metrics recorded no joins: %+v", st.Metrics.Counters)
+	}
+}
+
+// TestServeModeABFAndRateLimit is the caller of -serve-abf, -serve-rate
+// and makalu-loadgen's -mech: a 2000-node daemon with the identifier
+// index and a per-client limit of 20 queries/s (burst 40) gets 400 abf
+// lookups over one TCP connection. The first answers are abf hits and
+// the rest are refused with R, never with an error reply.
+func TestServeModeABFAndRateLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir, "makalu/cmd/makalu-node", "makalu/cmd/makalu-loadgen")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	httpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	tcpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	node := exec.Command(filepath.Join(dir, "makalu-node"),
+		"-serve-http", httpAddr, "-serve-tcp", tcpAddr,
+		"-serve-nodes", "2000", "-serve-objects", "200",
+		"-serve-abf", "-serve-rate", "20", "-rng-seed", "1",
+	)
+	var nodeOut strings.Builder
+	node.Stdout = &nodeOut
+	node.Stderr = &nodeOut
+	if err := node.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Process.Kill()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		resp, err := http.Get("http://" + httpAddr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never became healthy:\n%s", nodeOut.String())
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+
+	rowPath := filepath.Join(dir, "row.json")
+	loadgen := exec.Command(filepath.Join(dir, "makalu-loadgen"),
+		"-http", httpAddr, "-tcp", tcpAddr, "-proto", "tcp",
+		"-mech", "abf", "-ttl", "25", "-queries", "400", "-conns", "1", "-seed", "1",
+		"-json", rowPath,
+	)
+	if out, err := loadgen.CombinedOutput(); err != nil {
+		t.Fatalf("loadgen: %v\n%s\ndaemon:\n%s", err, out, nodeOut.String())
+	}
+	data, err := os.ReadFile(rowPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Rows []struct {
+			Mech        string  `json:"mech"`
+			OK          int     `json:"ok"`
+			RateLimited int     `json:"rate_limited"`
+			Errors      int     `json:"errors"`
+			FoundRate   float64 `json:"found_rate"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Rows) != 1 {
+		t.Fatalf("row %s: %v", data, err)
+	}
+	r := rep.Rows[0]
+	if r.Mech != "abf" || r.OK == 0 || r.FoundRate == 0 || r.Errors != 0 {
+		t.Errorf("want abf answers and no error replies, got %+v", r)
+	}
+	if r.RateLimited == 0 || r.OK+r.RateLimited != 400 || r.OK > 100 {
+		t.Errorf("want about 40 answers and the rest refused with R at 20/s, got %+v", r)
+	}
+
+	if err := node.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Wait(); err != nil {
+		t.Fatalf("daemon exited %v after SIGTERM:\n%s", err, nodeOut.String())
 	}
 }

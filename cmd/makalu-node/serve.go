@@ -19,30 +19,33 @@ import (
 // search kernels. This is the daemon the load generator
 // (cmd/makalu-loadgen) and the CI serve smoke drive.
 type serveFlags struct {
-	httpAddr    string
-	tcpAddr     string
-	nodes       int
-	objects     int
-	replication float64
-	joinWave    int
-	cache       int
-	abf         bool
-	rate        float64
-	burst       float64
-	debug       bool
+	httpAddr string
+	tcpAddr  string
+	nodes    int
+	objects  int
+	cache    int
+	abf      bool
+	rate     float64
+	debug    bool
 }
+
+// Service-mode constants: each object is replicated on 1% of the
+// nodes, the overlay is built in join waves of 4096, and a rate-limited
+// client may burst to twice its per-second rate.
+const (
+	serveReplication = 0.01
+	serveJoinWave    = 4096
+	serveBurstFactor = 2
+)
 
 func registerServeFlags(sf *serveFlags) {
 	flag.StringVar(&sf.httpAddr, "serve-http", "", "serve HTTP lookups on this address (service mode)")
 	flag.StringVar(&sf.tcpAddr, "serve-tcp", "", "serve raw line-protocol lookups on this address (service mode)")
 	flag.IntVar(&sf.nodes, "serve-nodes", 50000, "service mode: overlay size to build")
 	flag.IntVar(&sf.objects, "serve-objects", 10000, "service mode: distinct objects to place")
-	flag.Float64Var(&sf.replication, "serve-replication", 0.01, "service mode: replica fraction per object")
-	flag.IntVar(&sf.joinWave, "serve-join-wave", 4096, "service mode: batched join wave size (<=1 = sequential build)")
 	flag.IntVar(&sf.cache, "serve-cache", 4096, "service mode: result cache capacity (0 = cache off)")
 	flag.BoolVar(&sf.abf, "serve-abf", false, "service mode: build the attenuated-Bloom identifier index (mech=abf)")
-	flag.Float64Var(&sf.rate, "serve-rate", 0, "service mode: per-client tokens/second (0 = unlimited)")
-	flag.Float64Var(&sf.burst, "serve-burst", 0, "service mode: per-client burst (0 = 2x rate)")
+	flag.Float64Var(&sf.rate, "serve-rate", 0, "service mode: per-client tokens/second, burst twice that (0 = unlimited)")
 	flag.BoolVar(&sf.debug, "serve-debug", false, "service mode: expose /debug/metrics and /debug/pprof over HTTP")
 }
 
@@ -53,13 +56,13 @@ func (sf *serveFlags) active() bool { return sf.httpAddr != "" || sf.tcpAddr != 
 func serveMain(sf *serveFlags, seed int64) int {
 	reg := obs.NewRegistry()
 	t0 := time.Now()
-	fmt.Printf("building %d-node overlay (join wave %d, seed %d)...\n", sf.nodes, sf.joinWave, seed)
-	ov, err := makalu.New(makalu.Config{Nodes: sf.nodes, Seed: seed, JoinWave: sf.joinWave})
+	fmt.Printf("building %d-node overlay (join wave %d, seed %d)...\n", sf.nodes, serveJoinWave, seed)
+	ov, err := makalu.New(makalu.Config{Nodes: sf.nodes, Seed: seed, JoinWave: serveJoinWave})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	content, err := ov.PlaceContent(sf.objects, sf.replication)
+	content, err := ov.PlaceContent(sf.objects, serveReplication)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -83,11 +86,7 @@ func serveMain(sf *serveFlags, seed int64) int {
 	fmt.Printf("overlay ready in %v: %d nodes, %d objects, cache %d, %d shards\n",
 		time.Since(t0).Round(time.Millisecond), ov.Nodes(), sf.objects, sf.cache, eng.Shards())
 
-	burst := sf.burst
-	if burst == 0 {
-		burst = 2 * sf.rate
-	}
-	lim := serve.NewLimiter(sf.rate, burst) // nil (off) when rate is 0
+	lim := serve.NewLimiter(sf.rate, serveBurstFactor*sf.rate) // nil (off) when rate is 0
 
 	handler := serve.NewHTTPHandler(serve.HTTPConfig{Engine: eng, Limiter: lim, Metrics: reg, Debug: sf.debug})
 	err = serve.RunFrontends(sf.httpAddr, handler, sf.tcpAddr, func(addr string) (*serve.TCPServer, error) {

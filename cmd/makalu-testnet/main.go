@@ -39,15 +39,10 @@ func main() {
 		dir       = flag.String("dir", "", "run directory for logs/status/deny files (empty = temp dir, removed unless -keep)")
 		keep      = flag.Bool("keep", false, "keep the run directory for post-mortem")
 		manage    = flag.Duration("manage-interval", 500*time.Millisecond, "per-node management period")
-		snapshot  = flag.Duration("snapshot-interval", 0, "per-node status snapshot period (0 = manage interval)")
-		batch     = flag.Int("spawn-batch", 25, "processes spawned per stagger step")
-		stagger   = flag.Duration("spawn-stagger", 200*time.Millisecond, "pause between spawn batches")
-		fanout    = flag.Int("seed-fanout", 8, "bootstrap seed pool size (joiners pick among the first N nodes)")
 		converge  = flag.Duration("converge-timeout", 3*time.Minute, "bound on the convergence wait")
 		settle    = flag.Duration("settle-timeout", 2*time.Minute, "bound on the post-kill eviction watch / partition heal")
 		queries   = flag.Int("queries", 50, "queries per measurement phase")
 		ttl       = flag.Int("ttl", 6, "query TTL")
-		queryWait = flag.Duration("query-timeout", 5*time.Second, "per-query wait for the first hit")
 		partition = flag.Float64("partition", 0, "fraction to cut off via deny lists before the kill wave (0 = no partition phase)")
 		hold      = flag.Duration("partition-hold", 10*time.Second, "how long the partition holds before healing")
 		jsonOut   = flag.String("json", "", "write the report row as JSON to this path")
@@ -64,6 +59,10 @@ func main() {
 			*manage)
 	}
 
+	// Snapshot period, spawn pacing, seed fan-out and the per-query wait
+	// are testnet.Config's defaults: a snapshot every manage interval, 25
+	// processes per 200 ms step, joiners bootstrapping off the first 8
+	// nodes, 5 s for a query's first hit.
 	cfg := testnet.Config{
 		Nodes:             *nodes,
 		Capacity:          *capacity,
@@ -73,15 +72,10 @@ func main() {
 		Bin:               *bin,
 		Dir:               *dir,
 		ManageInterval:    *manage,
-		SnapshotInterval:  *snapshot,
-		SpawnBatch:        *batch,
-		SpawnStagger:      *stagger,
-		SeedFanout:        *fanout,
 		ConvergeTimeout:   *converge,
 		SettleTimeout:     *settle,
 		Queries:           *queries,
 		QueryTTL:          *ttl,
-		QueryTimeout:      *queryWait,
 		PartitionFraction: *partition,
 		PartitionHold:     *hold,
 		Logf: func(format string, args ...any) {
