@@ -96,15 +96,12 @@ func writeObs(reg *obs.Registry, trace *obs.EventLog, metricsPath, tracePath str
 	}
 }
 
-// renderer is what every experiment returns: a paper-style table.
-type renderer interface{ Render() string }
-
 // experiment is one -exp id. An entry with inAll false runs only when
 // named: it has its own size knobs and is too slow for the default.
 type experiment struct {
 	id    string
 	inAll bool
-	run   func() (renderer, error)
+	run   func() (experiments.Renderer, error)
 }
 
 // expUsage lists the -exp ids in table order, for the flag's usage
@@ -141,34 +138,25 @@ func main() {
 		scaleLand   = flag.Int("scale-landmarks", 64, "landmark BFS sources for the sampled path length in -exp scale")
 	)
 	// The table's closures read opt and reg, which are set once the
-	// flags are parsed.
+	// flags are parsed; -sources is read then too, so the usage string
+	// is built from table(0).
 	var opt experiments.Options
 	var reg *obs.Registry
-	table := []experiment{
-		{"paths", true, func() (renderer, error) { return experiments.RunPaths(opt, *sources) }},
-		{"spectrum", true, func() (renderer, error) { return experiments.RunConnectivity(opt) }},
-		{"fig1", true, func() (renderer, error) { return experiments.RunFigure1(opt) }},
-		{"table1", true, func() (renderer, error) { return experiments.RunTable1(opt) }},
-		{"duplicates", true, func() (renderer, error) { return experiments.RunDuplicates(opt, 4, 0.01) }},
-		{"fig2", true, func() (renderer, error) { return experiments.RunFigure2(opt) }},
-		{"fig3", true, func() (renderer, error) { return experiments.RunFigure3(opt) }},
-		{"fig4", true, func() (renderer, error) { return experiments.RunFigure4(opt) }},
-		{"abf-vs-dht", true, func() (renderer, error) { return experiments.RunABFvsDHT(opt, 0.01) }},
-		{"table2", true, func() (renderer, error) { return experiments.RunTable2(opt) }},
-		{"resilience", true, func() (renderer, error) { return experiments.RunResilience(opt) }},
-		{"expansion", true, func() (renderer, error) { return experiments.RunExpansion(opt) }},
-		{"low-replication", true, func() (renderer, error) { return experiments.RunLowReplication(opt) }},
-		{"strategies", true, func() (renderer, error) { return experiments.RunStrategies(opt) }},
-		{"convergence", true, func() (renderer, error) { return experiments.RunConvergence(opt, 10) }},
-		{"ratings", true, func() (renderer, error) { return experiments.RunRatings(opt) }},
-		{"scale", false, func() (renderer, error) { return runScale(*scaleSizes, *scaleLand, *seed, *scaleJSON) }},
-		{"stream", false, func() (renderer, error) {
-			so := experiments.DefaultStreamOptions(opt.N, opt.Seed)
-			so.Obs = reg
-			return experiments.RunStream(so)
-		}},
+	table := func(sources int) []experiment {
+		var t []experiment
+		for _, e := range experiments.Suite(sources) {
+			t = append(t, experiment{e.ID, true, func() (experiments.Renderer, error) { return e.Run(opt) }})
+		}
+		return append(t,
+			experiment{"scale", false, func() (experiments.Renderer, error) { return runScale(*scaleSizes, *scaleLand, *seed, *scaleJSON) }},
+			experiment{"stream", false, func() (experiments.Renderer, error) {
+				so := experiments.DefaultStreamOptions(opt.N, opt.Seed)
+				so.Obs = reg
+				return experiments.RunStream(so)
+			}},
+		)
 	}
-	exp := flag.String("exp", "all", "experiment id: "+expUsage(table))
+	exp := flag.String("exp", "all", "experiment id: "+expUsage(table(0)))
 	flag.Parse()
 	// One registry and one event log for the whole run, whichever mode
 	// executes; nil-safe handles make this free when no flag asks for
@@ -226,7 +214,7 @@ func main() {
 	}
 
 	matched := false
-	for _, r := range table {
+	for _, r := range table(*sources) {
 		if *exp != r.id && (*exp != "all" || !r.inAll) {
 			continue
 		}
@@ -254,7 +242,7 @@ func main() {
 		fmt.Printf("[%s completed in %v]\n\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q: want %s\n", *exp, expUsage(table))
+		fmt.Fprintf(os.Stderr, "unknown experiment %q: want %s\n", *exp, expUsage(table(0)))
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -87,10 +87,10 @@ type Config struct {
 	fullRecomputePrune func(o *Overlay, u int, dropped []int32) []int32
 	// Workers bounds the worker pool used by the parallel read-only
 	// phases (the ManageRound view-exchange sweep, RateAll, and the
-	// wave builder's walk and prune-decision passes). 0 uses one
-	// worker per CPU; 1 forces fully sequential execution. Results are
-	// independent of the worker count — phases shard per node with a
-	// deterministic merge order — so this only trades wall clock.
+	// wave builder's walk and prune-decision passes). 0 or less uses
+	// GOMAXPROCS workers; 1 forces fully sequential execution. Results
+	// are independent of the worker count — phases shard per node with
+	// a deterministic merge order — so this only trades wall clock.
 	Workers int
 	// JoinWave switches construction to batched join waves: up to
 	// JoinWave nodes are admitted per epoch, their candidate walks run

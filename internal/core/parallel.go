@@ -1,27 +1,15 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-)
+import "makalu/internal/par"
 
 // This file implements the overlay's parallel read-only phases. The
 // Makalu rules are purely local — a node's rating depends only on its
 // neighbors' views — so the snapshot sweeps (refreshView) and batch
 // rating passes shard perfectly across workers. Mutating protocol
 // steps (join, connect, prune) stay on the single construction
-// goroutine; workers only ever write state indexed by their own node
-// shard, which keeps fixed-seed runs bit-identical regardless of
-// worker count or scheduling.
-
-// workerCount resolves Config.Workers: 0 means one worker per CPU,
-// anything else is taken literally (1 = fully sequential).
-func (o *Overlay) workerCount() int {
-	if w := o.cfg.Workers; w > 0 {
-		return w
-	}
-	return runtime.NumCPU()
-}
+// goroutine; workers only ever write state indexed by their own item,
+// which keeps fixed-seed runs bit-identical regardless of worker count
+// or scheduling.
 
 // scratchFor returns worker i's private rating scratch. Worker 0 uses
 // the overlay's own scratch; higher workers get pool entries created
@@ -36,45 +24,20 @@ func (o *Overlay) scratchFor(i int) *ratingScratch {
 	return o.scratchPool[i-1]
 }
 
-// forEachNode runs fn(s, u) for every node u in [0, N), sharding
-// contiguous node ranges across the worker pool. Each worker owns a
-// private scratch; fn must only write state indexed by u (views[u],
-// out[u], ...), which makes the result independent of scheduling —
-// the deterministic merge order the golden tests assert. With one
-// worker (or tiny overlays) it degenerates to a plain loop.
-func (o *Overlay) forEachNode(fn func(s *ratingScratch, u int)) {
-	n := o.g.N()
-	workers := o.workerCount()
-	if workers > n {
-		workers = n
+// forEach runs fn(s, i) for every i in [0, k) over par.For at
+// Config.Workers, s being the private scratch of the worker making the
+// call. fn must only write state owned by item i (views[u], out[u], a
+// wave slot), which makes the result independent of worker count and
+// scheduling — the deterministic merge order the golden tests assert.
+// A non-nil tracer forces one worker because walk probes trace inline.
+func (o *Overlay) forEach(k int, fn func(s *ratingScratch, i int)) {
+	workers := o.cfg.Workers
+	if o.cfg.Tracer != nil {
+		workers = 1
 	}
-	if workers <= 1 {
-		s := o.scratchFor(0)
-		for u := 0; u < n; u++ {
-			fn(s, u)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s *ratingScratch, lo, hi int) {
-			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				fn(s, u)
-			}
-		}(o.scratchFor(i), lo, hi)
-	}
-	wg.Wait()
+	workers = par.Workers(workers, k)
+	o.scratchFor(workers - 1) // grow the pool before the workers read it
+	par.For(workers, k, func(w, i int) { fn(o.scratchFor(w), i) })
 }
 
 // RateAll rates every alive node's neighbors in one batched read-only
@@ -91,7 +54,7 @@ func (o *Overlay) RateAll(out [][]RatingInfo) [][]RatingInfo {
 		out = grown
 	}
 	out = out[:n]
-	if w := o.workerCount(); w <= 1 || n <= 1 {
+	if par.Workers(o.cfg.Workers, n) == 1 {
 		// Sequential fast path: no closure, no goroutines — with warm
 		// per-node buffers a full sweep allocates nothing (pinned by
 		// the AllocsPerRun tests).
@@ -105,7 +68,7 @@ func (o *Overlay) RateAll(out [][]RatingInfo) [][]RatingInfo {
 		}
 		return out
 	}
-	o.forEachNode(func(s *ratingScratch, u int) {
+	o.forEach(n, func(s *ratingScratch, u int) {
 		if !o.alive[u] {
 			out[u] = out[u][:0]
 			return
@@ -122,7 +85,7 @@ func (o *Overlay) refreshAllViews() {
 	if o.cfg.Views != ProtocolViews {
 		return
 	}
-	o.forEachNode(func(_ *ratingScratch, u int) {
+	o.forEach(o.g.N(), func(_ *ratingScratch, u int) {
 		if o.alive[u] {
 			o.refreshView(u)
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // This file implements batched join-wave construction, selected with
 // Config.JoinWave > 1. The sequential build admits one node at a time:
 // walk, dial, prune, repeat — a long dependency chain of scattered
@@ -161,48 +159,6 @@ func (w *waveState) resetOver() {
 	w.over = w.over[:0]
 }
 
-// forEachSlot runs fn(s, i) for every slot i in [0, k), sharding
-// contiguous slot ranges across the worker pool; fn must only write
-// state owned by slot i (and its private scratch), which makes the
-// result independent of worker count and scheduling. A non-nil tracer
-// forces sequential execution because walk probes trace inline.
-func (o *Overlay) forEachSlot(k int, fn func(s *ratingScratch, i int)) {
-	workers := o.workerCount()
-	if o.cfg.Tracer != nil {
-		workers = 1
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		s := o.scratchFor(0)
-		for i := 0; i < k; i++ {
-			fn(s, i)
-		}
-		return
-	}
-	chunk := (k + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s *ratingScratch, lo, hi int) {
-			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				fn(s, j)
-			}
-		}(o.scratchFor(i), lo, hi)
-	}
-	wg.Wait()
-}
-
 // buildWaves is the wave-mode body of Build: a sequential bootstrap
 // wave (the overlay needs a walkable core before walks parallelize),
 // then batched join waves, then ManageRounds batched management rounds
@@ -277,7 +233,7 @@ func (o *Overlay) joinWave(order []int, pos int, final bool) {
 	// W1: concurrent candidate walks against the wave-start overlay.
 	// Nothing mutates the graph until the commit below, so the live
 	// adjacency is the snapshot.
-	o.forEachSlot(k, func(s *ratingScratch, i int) {
+	o.forEach(k, func(s *ratingScratch, i int) {
 		sl := &w.slots[i]
 		sl.cands, sl.fb = o.walkCandidatesOn(s, &sl.rng, int(sl.node), int(sl.seed), sl.cands[:0], sl.fb[:0])
 	})
@@ -406,7 +362,7 @@ func (o *Overlay) wavePrune() {
 	for len(w.plans) < m {
 		w.plans = append(w.plans, nil)
 	}
-	o.forEachSlot(m, func(s *ratingScratch, i int) {
+	o.forEach(m, func(s *ratingScratch, i int) {
 		w.plans[i] = o.pruneVictimsOn(s, int(over[i]), w.plans[i][:0])
 	})
 	for i, ui := range over {
@@ -470,7 +426,7 @@ func (o *Overlay) manageChunk(nodes []int32, base int64, probes, minDeficit int)
 	if k == 0 {
 		return
 	}
-	o.forEachSlot(k, func(s *ratingScratch, i int) {
+	o.forEach(k, func(s *ratingScratch, i int) {
 		sl := &w.slots[i]
 		u := int(nodes[i])
 		sl.node = nodes[i]

@@ -1,18 +1,13 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "makalu/internal/par"
 
-// RunCells evaluates n independent experiment cells concurrently over
-// a pool of `workers` goroutines (0 = GOMAXPROCS, 1 = sequential).
-// Cells are claimed by atomic work-stealing — cell cost varies wildly
-// across a (topology, TTL, replication) grid, so static sharding would
-// leave workers idle — and each cell writes only its own output slot,
-// so results are deterministic and independent of scheduling. The
-// first error in cell order is returned.
+// RunCells evaluates n independent experiment cells over par.For at
+// `workers` (0 = GOMAXPROCS, 1 = sequential). Cell cost varies wildly
+// across a (topology, TTL, replication) grid, so workers claim cells as
+// they come free; each cell writes only its own output slot, so results
+// are deterministic and independent of scheduling. Every cell runs, and
+// the first error in cell order is returned.
 //
 // Cells must be genuinely independent: they may share read-only inputs
 // (frozen graphs, content stores) but must not mutate shared state.
@@ -20,41 +15,8 @@ import (
 // cell's index or parameters, never from a shared rng, so a cell
 // computes the same numbers whether it runs first, last, or alone.
 func RunCells(workers, n int, cell func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := cell(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(workers, n, func(_, i int) { errs[i] = cell(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -3,8 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"makalu/internal/par"
 )
 
 // PathStats summarizes shortest-path structure over a set of source
@@ -77,61 +77,48 @@ func (g *Graph) pathStats(sources []int) PathStats {
 	if n == 0 || len(sources) == 0 {
 		return PathStats{}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sources) {
-		workers = len(sources)
+	// Each worker owns one accumulator and its BFS/Dijkstra scratch;
+	// everything an accumulator sums is an integer or a maximum.
+	type pathWorker struct {
+		pathAccum
+		bfs      *BFSScratch
+		costDist []float64
 	}
-	work := make(chan int, workers)
-	accums := make([]pathAccum, workers)
+	workers := make([]pathWorker, par.Workers(0, len(sources)))
 	// Float addition is not associative, so each source's cost sum is
 	// kept apart and folded in sources order below: which worker took
 	// which source must not show in MeanCost.
 	costSums := make([]float64, len(sources))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(acc *pathAccum) {
-			defer wg.Done()
-			scratch := NewBFSScratch(n)
-			var costDist []float64
+	par.For(len(workers), len(sources), func(w, i int) {
+		pw := &workers[w]
+		if pw.bfs == nil {
+			pw.bfs = NewBFSScratch(n)
 			if g.Weights != nil {
-				costDist = make([]float64, n)
+				pw.costDist = make([]float64, n)
 			}
-			for i := range work {
-				src := sources[i]
-				ecc, reached, sum := g.BFSStats(src, scratch)
-				if ecc > acc.hopDiameter {
-					acc.hopDiameter = ecc
-				}
-				acc.hopSum += sum
-				acc.hopPairs += reached
-				acc.unreached += int64(n-1) - reached
-				if costDist != nil {
-					wecc := g.Dijkstra(src, costDist)
-					if wecc > acc.costDiameter {
-						acc.costDiameter = wecc
-					}
-					cost := 0.0
-					for v, d := range costDist {
-						if v != src && !math.IsInf(d, 1) {
-							cost += d
-							acc.costPairs++
-						}
-					}
-					costSums[i] = cost
+		}
+		src := sources[i]
+		ecc, reached, sum := g.BFSStats(src, pw.bfs)
+		pw.hopDiameter = max(pw.hopDiameter, ecc)
+		pw.hopSum += sum
+		pw.hopPairs += reached
+		pw.unreached += int64(n-1) - reached
+		if pw.costDist != nil {
+			pw.costDiameter = max(pw.costDiameter, g.Dijkstra(src, pw.costDist))
+			cost := 0.0
+			for v, d := range pw.costDist {
+				if v != src && !math.IsInf(d, 1) {
+					cost += d
+					pw.costPairs++
 				}
 			}
-		}(&accums[w])
-	}
-	for i := range sources {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+			costSums[i] = cost
+		}
+	})
 
 	var total pathAccum
-	for i := range accums {
-		total.merge(&accums[i])
+	for i := range workers {
+		total.merge(&workers[i].pathAccum)
 	}
 	costSum := 0.0
 	for _, c := range costSums {

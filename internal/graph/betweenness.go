@@ -2,8 +2,8 @@ package graph
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"makalu/internal/par"
 )
 
 // BetweennessCentrality estimates node betweenness — the fraction of
@@ -15,7 +15,10 @@ import (
 // overlay a handful of nodes carry most shortest paths, while Makalu
 // spreads them.
 //
-// Sources are processed in parallel across GOMAXPROCS workers.
+// Sources run over par.For in fixed blocks of betweennessBlock, each
+// block summing its sources' dependencies in source order into its own
+// partial vector; the partials are folded in block order. So the float
+// sums, and the scores, are the same bits at any GOMAXPROCS.
 func (g *Graph) BetweennessCentrality(sources int, rng *rand.Rand) []float64 {
 	n := g.N()
 	score := make([]float64, n)
@@ -28,33 +31,19 @@ func (g *Graph) BetweennessCentrality(sources int, rng *rand.Rand) []float64 {
 	} else {
 		srcList = rng.Perm(n)[:sources]
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(srcList) {
-		workers = len(srcList)
-	}
-	work := make(chan int, workers)
-	partial := make([][]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		partial[w] = make([]float64, n)
-		wg.Add(1)
-		go func(acc []float64) {
-			defer wg.Done()
-			// Brandes per-source state, reused across sources.
-			dist := make([]int32, n)
-			sigma := make([]float64, n) // shortest-path counts
-			delta := make([]float64, n) // dependency accumulation
-			order := make([]int32, 0, n)
-			for s := range work {
-				brandesFromSource(g, s, dist, sigma, delta, &order, acc)
-			}
-		}(partial[w])
-	}
-	for _, s := range srcList {
-		work <- s
-	}
-	close(work)
-	wg.Wait()
+	partial := make([][]float64, (len(srcList)+betweennessBlock-1)/betweennessBlock)
+	scratch := make([]brandesScratch, par.Workers(0, len(partial)))
+	par.For(len(scratch), len(partial), func(w, b int) {
+		sc := &scratch[w]
+		if sc.dist == nil {
+			*sc = brandesScratch{dist: make([]int32, n), sigma: make([]float64, n), delta: make([]float64, n)}
+		}
+		acc := make([]float64, n)
+		for _, s := range srcList[b*betweennessBlock : min((b+1)*betweennessBlock, len(srcList))] {
+			sc.add(g, s, acc)
+		}
+		partial[b] = acc
+	})
 	for _, p := range partial {
 		for i, v := range p {
 			score[i] += v
@@ -71,16 +60,29 @@ func (g *Graph) BetweennessCentrality(sources int, rng *rand.Rand) []float64 {
 	return score
 }
 
-// brandesFromSource runs one BFS stage of Brandes' algorithm and adds
-// the source's dependencies into acc.
-func brandesFromSource(g *Graph, s int, dist []int32, sigma, delta []float64, orderBuf *[]int32, acc []float64) {
-	n := g.N()
-	for i := 0; i < n; i++ {
+// betweennessBlock is the number of sources BetweennessCentrality sums
+// into one partial vector. It is fixed, never derived from the worker
+// count, because it decides the order of the float additions.
+const betweennessBlock = 16
+
+// brandesScratch is one worker's per-source Brandes state, reused
+// across sources.
+type brandesScratch struct {
+	dist         []int32
+	sigma, delta []float64 // shortest-path counts, dependency accumulation
+	order        []int32
+}
+
+// add runs one BFS stage of Brandes' algorithm from s and adds the
+// source's dependencies into acc.
+func (sc *brandesScratch) add(g *Graph, s int, acc []float64) {
+	dist, sigma, delta := sc.dist, sc.sigma, sc.delta
+	for i := range dist {
 		dist[i] = -1
 		sigma[i] = 0
 		delta[i] = 0
 	}
-	order := (*orderBuf)[:0]
+	order := sc.order[:0]
 	dist[s] = 0
 	sigma[s] = 1
 	order = append(order, int32(s))
@@ -109,5 +111,5 @@ func brandesFromSource(g *Graph, s int, dist []int32, sigma, delta []float64, or
 		}
 		acc[w] += delta[w]
 	}
-	*orderBuf = order
+	sc.order = order
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -91,5 +92,35 @@ func TestBetweennessSampledApproximatesExact(t *testing.T) {
 func TestBetweennessEmptyGraph(t *testing.T) {
 	if got := NewMutable(0).Freeze(nil).BetweennessCentrality(0, nil); len(got) != 0 {
 		t.Fatal("empty graph should give empty scores")
+	}
+}
+
+// TestBetweennessBitIdentical sweeps GOMAXPROCS over one sampled
+// betweenness run: every score must come out the same bits each time,
+// so a ranking by score (an adaptive attack's target order) does not
+// depend on the machine. Summing per-worker partials in worker order
+// failed this in most runs.
+func TestBetweennessBitIdentical(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(11))
+	m := NewMutable(n)
+	for e := 0; e < 4*n; e++ {
+		m.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	g := m.Freeze(nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []float64
+	for i, procs := range []int{1, 2, 4, 3, 2, 4, 1, 3, 4, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		got := g.BetweennessCentrality(200, rand.New(rand.NewSource(5)))
+		if i == 0 {
+			want = got
+			continue
+		}
+		for u := range got {
+			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+				t.Fatalf("run %d at GOMAXPROCS %d: node %d scores %v, first run %v", i, procs, u, got[u], want[u])
+			}
+		}
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"makalu/internal/bloom"
 	"makalu/internal/content"
 	"makalu/internal/graph"
+	"makalu/internal/par"
 )
 
 // ABFConfig parameterizes attenuated-Bloom-filter identifier search
@@ -149,7 +148,7 @@ func newHostedIdentifiers(g *graph.Graph, store *content.Store, cfg ABFConfig) *
 }
 
 // or sets the bits of the listed identifiers in a level-h filter's
-// words: the build's inner loop. Inlined into buildRows, gc keeps its
+// words: the build's inner loop. Inlined into buildRow, gc keeps its
 // loop counters in stack slots and the build runs 1.4-1.9x slower.
 //
 //go:noinline
@@ -164,8 +163,8 @@ func (ids *hostedIdentifiers) or(level []uint64, h int, list []int32) {
 
 // BuildABFNetwork computes every node's hierarchy with an exact
 // distance-limited BFS: node u inserts, at level h, the identifiers
-// hosted by each node exactly h hops away. Construction parallelizes
-// across nodes.
+// hosted by each node exactly h hops away. Construction runs one node's
+// rows per item of par.For.
 func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFNetwork, error) {
 	cfg, err := cfg.resolved(g, store)
 	if err != nil {
@@ -177,55 +176,54 @@ func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFN
 	}
 	ids := newHostedIdentifiers(g, store, cfg)
 
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (g.N() + workers - 1) / workers
-	for lo := 0; lo < g.N(); lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			net.buildRows(lo, hi, ids)
-		}(lo, min(lo+chunk, g.N()))
-	}
-	wg.Wait()
+	// Each worker keeps its own BFS scratch: dist is -1 everywhere
+	// between rows.
+	type bfsScratch struct{ dist, queue []int32 }
+	scratch := make([]bfsScratch, par.Workers(0, g.N()))
+	par.For(len(scratch), g.N(), func(w, u int) {
+		sc := &scratch[w]
+		if sc.dist == nil {
+			sc.dist = make([]int32, g.N())
+			for i := range sc.dist {
+				sc.dist[i] = -1
+			}
+			sc.queue = make([]int32, 0, 4096)
+		}
+		sc.queue = net.buildRow(u, ids, sc.dist, sc.queue)
+	})
 	return net, nil
 }
 
-// buildRows fills rows lo..hi-1, each by a distance-limited BFS from
-// its node: a node first reached at distance h has its identifiers set
-// in level h, there and then.
-func (n *ABFNetwork) buildRows(lo, hi int, ids *hostedIdentifiers) {
+// buildRow fills u's rows by a distance-limited BFS from u: a node
+// first reached at distance h has its identifiers set in level h, there
+// and then. dist must be -1 everywhere and is left so; the grown queue
+// is returned for the next row.
+func (n *ABFNetwork) buildRow(u int, ids *hostedIdentifiers, dist, queue []int32) []int32 {
 	g := n.g
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, 4096)
-	for u := lo; u < hi; u++ {
-		queue = append(queue[:0], int32(u))
-		dist[u] = 0
-		ids.or(n.level(0, u), 0, ids.byNode[ids.nodeFirst[u]:ids.nodeFirst[u+1]])
-		for head := 0; head < len(queue); head++ {
-			x := queue[head]
-			h := int(dist[x]) + 1
-			if h > n.cfg.Depth {
-				break // BFS order: the rest of the queue is at the horizon too
-			}
-			level := n.level(h, u)
-			for e := g.Offsets[x]; e < g.Offsets[x+1]; e++ {
-				if v := g.Edges[e]; dist[v] == -1 {
-					dist[v] = int32(h)
-					queue = append(queue, v)
-					ids.or(level, h, ids.byEdge[ids.edgeFirst[e]:ids.edgeFirst[e+1]])
-				}
+	queue = append(queue[:0], int32(u))
+	dist[u] = 0
+	ids.or(n.level(0, u), 0, ids.byNode[ids.nodeFirst[u]:ids.nodeFirst[u+1]])
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		h := int(dist[x]) + 1
+		if h > n.cfg.Depth {
+			break // BFS order: the rest of the queue is at the horizon too
+		}
+		level := n.level(h, u)
+		for e := g.Offsets[x]; e < g.Offsets[x+1]; e++ {
+			if v := g.Edges[e]; dist[v] == -1 {
+				dist[v] = int32(h)
+				queue = append(queue, v)
+				ids.or(level, h, ids.byEdge[ids.edgeFirst[e]:ids.edgeFirst[e+1]])
 			}
 		}
-		// The queue is the touched set, so only its entries of dist
-		// are reset.
-		for _, x := range queue {
-			dist[x] = -1
-		}
 	}
+	// The queue is the touched set, so only its entries of dist are
+	// reset.
+	for _, x := range queue {
+		dist[x] = -1
+	}
+	return queue
 }
 
 // minLevelIdentifiers floors the identifiers a level is sized for, so a

@@ -2,18 +2,18 @@ package search
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
 	"makalu/internal/graph"
 	"makalu/internal/obs"
+	"makalu/internal/par"
 )
 
-// This file is the parallel query-batch engine: a BatchRunner shards a
-// batch of N independent queries across a fixed worker pool, each
-// worker owning one reusable scratch Kernel, and merges the per-worker
-// aggregates in worker order. Per-query randomness is derived
+// This file is the parallel query-batch engine: a BatchRunner runs a
+// batch of N independent queries over par.For, each worker owning one
+// reusable scratch Kernel, and merges the per-worker aggregates, whose
+// sums are all integers. Per-query randomness is derived
 // deterministically from (batch seed, query index), so the aggregate a
 // batch produces is *identical* at any worker count — Workers=1 is the
 // sequential oracle, Workers=8 the parallel run, and the golden tests
@@ -234,24 +234,22 @@ type BatchRunner struct {
 // the query count, never less than 1. Exposed so callers can size
 // per-worker side state before Run.
 func (br *BatchRunner) WorkerCount(queries int) int {
-	w := br.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > queries {
-		w = queries
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return par.Workers(br.Workers, queries)
 }
 
-// Run executes queries 0..queries-1 via fn, sharding contiguous index
-// ranges over the worker pool, and returns the merged aggregate.
-// Per-worker aggregates are merged in worker order; together with the
-// per-query seed derivation this makes the output independent of the
-// worker count and of goroutine scheduling.
+// batchWorker is one worker's share of a batch: its kernel and its
+// private aggregate and histograms.
+type batchWorker struct {
+	kern *Kernel
+	agg  *Aggregate
+	obs  workerObs
+}
+
+// Run executes queries 0..queries-1 via fn over par.For and returns
+// the merged aggregate. Every query is seeded from (Seed, q) and the
+// per-worker aggregates hold only integer sums and counts, so their
+// merge is exact and the output is independent of the worker count
+// and of which worker ran which query.
 func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 	if queries <= 0 {
 		return NewAggregate()
@@ -264,66 +262,39 @@ func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 	} else if pool.g != br.Graph {
 		panic("search: batch over one graph given the kernel pool of another")
 	}
-	workers := br.WorkerCount(queries)
-	if workers == 1 {
-		agg, o := br.runRange(pool, 0, 0, queries, fn)
-		br.Obs.merge(o)
-		return agg
+	workers := make([]batchWorker, br.WorkerCount(queries))
+	for w := range workers {
+		workers[w] = batchWorker{agg: NewAggregate(), obs: br.Obs.worker()}
 	}
-	aggs := make([]*Aggregate, workers)
-	wobs := make([]workerObs, workers)
-	per := (queries + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > queries {
-			hi = queries
+	par.For(len(workers), queries, func(w, q int) {
+		bw := &workers[w]
+		if bw.kern == nil {
+			// Drawn on the worker's first query: a worker that finds no
+			// work left takes no kernel from the pool.
+			bw.kern = pool.get(w)
+			if bw.kern.rng == nil {
+				bw.kern.rng = rand.New(NewQuerySource())
+			}
 		}
-		if lo >= hi {
-			aggs[w] = NewAggregate()
-			continue
+		bw.kern.rng.Seed(QuerySeed(br.Seed, q))
+		start := bw.obs.start()
+		r := fn(bw.kern, q, bw.kern.rng)
+		bw.obs.observe(start, r)
+		bw.agg.Add(r)
+	})
+	// The kernels go back to the pool only when every query returned,
+	// so a panicking QueryFunc cannot leave half-reset scratch for a
+	// later batch to find. The side histograms merge after the
+	// aggregate, which never sees them.
+	total := workers[0].agg
+	for w := range workers {
+		if workers[w].kern != nil {
+			pool.put(workers[w].kern)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			aggs[w], wobs[w] = br.runRange(pool, w, lo, hi, fn)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := NewAggregate()
-	for _, a := range aggs {
-		if a != nil {
-			total.Merge(a)
+		if w > 0 {
+			total.Merge(workers[w].agg)
 		}
-	}
-	// Worker-order merge of the side histograms, after the aggregate:
-	// determinism of the Aggregate is enforced by construction (it
-	// never sees the histograms at all).
-	for w := range wobs {
-		br.Obs.merge(wobs[w])
+		br.Obs.merge(workers[w].obs)
 	}
 	return total
-}
-
-// runRange is worker w's share of a batch: queries lo..hi-1 on one
-// kernel, each on a freshly seeded stream. The kernel goes back to the
-// pool only when every query returned, so a panicking QueryFunc cannot
-// leave half-reset scratch for a later batch to find.
-func (br *BatchRunner) runRange(pool *KernelPool, w, lo, hi int, fn QueryFunc) (*Aggregate, workerObs) {
-	kern := pool.get(w)
-	if kern.rng == nil {
-		kern.rng = rand.New(NewQuerySource())
-	}
-	agg := NewAggregate()
-	o := br.Obs.worker()
-	for q := lo; q < hi; q++ {
-		kern.rng.Seed(QuerySeed(br.Seed, q))
-		start := o.start()
-		r := fn(kern, q, kern.rng)
-		o.observe(start, r)
-		agg.Add(r)
-	}
-	pool.put(kern)
-	return agg, o
 }

@@ -20,11 +20,6 @@ type Result struct {
 	Success       bool // at least one matching node reached
 	FirstMatchHop int  // hop count of the first match; -1 when none
 	MatchesFound  int  // matching nodes reached
-	// FirstMatchLatency is the accumulated link latency along the
-	// flood tree to the first match — the query's one-way response
-	// time on the physical network. Zero unless the graph carries
-	// edge weights and the query succeeded beyond the source.
-	FirstMatchLatency float64
 }
 
 // Matcher decides whether a node satisfies the query. A query whose
@@ -45,7 +40,6 @@ type Flooder struct {
 	g         *graph.Graph
 	visited   []uint64 // bit v set while the current query has reached v
 	queue     []visit  // discovery order; kept at full length, Flood tracks the tail
-	chain     []int32  // first-match latency scratch: queue indices match -> source
 	kept      []int32  // a block's rows as a forwarding rule narrowed them
 	touchSink int32    // keeps the row-gather loads live
 
@@ -106,8 +100,8 @@ func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 }
 
 // FloodTargets is Flood matched against the set t: the Result is
-// Flood(src, ttl, t.Matcher())'s field for field, latency bits
-// included, but no node is asked about. Each level tests the members
+// Flood(src, ttl, t.Matcher())'s field for field, but no node is asked
+// about. Each level tests the members
 // against the visited bitmap, and the last level only sets bits.
 func (f *Flooder) FloodTargets(src, ttl int, t *Targets) Result {
 	return f.flood(src, ttl, nil, nil, t)
@@ -135,7 +129,6 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 	offsets, visited, queue := f.g.Offsets, f.visited, f.queue
 	queue[0] = visit{int32(src), -1}
 	visited[src>>6] |= 1 << (uint(src) & 63)
-	first := -1 // queue index of the first match beyond the source
 	head, tail := 0, 1
 	// A set flood's last level over whole rows only sets bits: bitsFrom
 	// is its frontier's start and swept the edges it swept, which is what
@@ -244,7 +237,6 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 					if !res.Success {
 						res.Success = true
 						res.FirstMatchHop = hop
-						first = i
 					}
 				}
 			}
@@ -256,26 +248,11 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 		if found > 0 && !res.Success {
 			res.Success = true
 			res.FirstMatchHop = hop
-			// Only the latency walk needs to know which member came
-			// first; a bits-only level has no entries and is re-scanned
-			// after the loop instead.
-			if f.g.Weights != nil && !bitsOnly {
-				for first = levelEnd; !set.has(int(queue[first].node)); first++ {
-				}
-			}
 		}
 		res.MatchesFound += found
 	}
 	f.queue = queue
 	res.Messages = sent
-	if f.g.Weights != nil {
-		switch {
-		case first >= 0:
-			res.FirstMatchLatency = f.pathLatency(first)
-		case res.FirstMatchHop > 0:
-			res.FirstMatchLatency = f.edgeLatency(bitsFrom, tail, set)
-		}
-	}
 	res.Visited = f.reset(tail, bitsFrom, swept)
 	res.Duplicates = sent - (res.Visited - 1)
 	return res
@@ -313,47 +290,4 @@ func (f *Flooder) reset(tail, bitsFrom, swept int) int {
 		}
 	}
 	return reached
-}
-
-// edgeLatency is pathLatency for the first member a bits-only level
-// reached from the frontier queue[from:to]. No member was reached
-// before that level, so the first edge into one, in sweep order, is the
-// one that discovered it.
-func (f *Flooder) edgeLatency(from, to int, t *Targets) float64 {
-	g := f.g
-	for i := from; i < to; i++ {
-		u := f.queue[i].node
-		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			if t.has(int(g.Edges[e])) {
-				return f.pathLatency(i) + g.Weights[e]
-			}
-		}
-	}
-	return 0 // not reached: the level found a member
-}
-
-// pathLatency sums the edge weights along the flood tree from the
-// source to queue entry i. The sum runs source-first, the order in
-// which a per-node running total would have accumulated it, so the
-// float result is the same as carrying latency through the flood.
-func (f *Flooder) pathLatency(i int) float64 {
-	queue := f.queue
-	chain := f.chain[:0]
-	for ; queue[i].from >= 0; i = int(queue[i].from) {
-		chain = append(chain, int32(i))
-	}
-	f.chain = chain
-	g := f.g
-	lat := 0.0
-	for k := len(chain) - 1; k >= 0; k-- {
-		c := queue[chain[k]]
-		u, v := queue[c.from].node, c.node
-		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			if g.Edges[e] == v {
-				lat += g.Weights[e]
-				break
-			}
-		}
-	}
-	return lat
 }

@@ -68,10 +68,9 @@ func twoTierParams(n int, qrp bool, ultras ...int) []byte {
 // three forwarding rules, and plain flooding against a target set, on
 // arbitrary small graphs, over consecutive queries so scratch left dirty
 // by one query is caught by the next. Plain flooding must match whole
-// Result, latency bits and matcher call sequence; a set flood whole
-// Result and latency bits; gossip whole Result but latency, call
-// sequence and rng stream; two-tier whole Result but latency, and the
-// set of nodes matched.
+// Result and matcher call sequence; a set flood whole Result; gossip
+// whole Result, call sequence and rng stream; two-tier whole Result and
+// the set of nodes matched.
 func FuzzFloodMatchesOracle(f *testing.F) {
 	ring := func(n int) (edges [][2]int) {
 		for i := 0; i < n; i++ {

@@ -12,33 +12,27 @@ import (
 	"makalu/internal/graph"
 )
 
-// oracleFlooder is the array-based flood Flooder.Flood replaced: four
-// n-sized scratch arrays stamped per visit and a running per-node
-// latency. It is kept verbatim as the reference the bitmap kernel must
-// reproduce field for field.
+// oracleFlooder is the array-based flood Flooder.Flood replaced: three
+// n-sized scratch arrays stamped per visit. It is kept as the reference
+// the bitmap kernel must reproduce field for field.
 type oracleFlooder struct {
 	g       *graph.Graph
 	epoch   int32
-	visited []int32   // epoch when node was first reached
-	hop     []int32   // hop at which node was first reached
-	parent  []int32   // node the query arrived from
-	lat     []float64 // accumulated latency along the flood tree
+	visited []int32 // epoch when node was first reached
+	hop     []int32 // hop at which node was first reached
+	parent  []int32 // node the query arrived from
 	queue   []int32
 }
 
 func newOracleFlooder(g *graph.Graph) *oracleFlooder {
 	n := g.N()
-	f := &oracleFlooder{
+	return &oracleFlooder{
 		g:       g,
 		visited: make([]int32, n),
 		hop:     make([]int32, n),
 		parent:  make([]int32, n),
 		queue:   make([]int32, 0, 1024),
 	}
-	if g.Weights != nil {
-		f.lat = make([]float64, n)
-	}
-	return f
 }
 
 func (f *oracleFlooder) Flood(src, ttl int, match Matcher) Result {
@@ -49,9 +43,6 @@ func (f *oracleFlooder) Flood(src, ttl int, match Matcher) Result {
 	f.visited[src] = ep
 	f.hop[src] = 0
 	f.parent[src] = -1
-	if f.lat != nil {
-		f.lat[src] = 0
-	}
 	res.Visited = 1
 	if match(src) {
 		res.Success = true
@@ -84,18 +75,12 @@ func (f *oracleFlooder) Flood(src, ttl int, match Matcher) Result {
 			f.visited[v] = ep
 			f.hop[v] = hu + 1
 			f.parent[v] = u
-			if f.lat != nil {
-				f.lat[v] = f.lat[u] + f.g.Weights[i]
-			}
 			res.Visited++
 			if match(int(v)) {
 				res.MatchesFound++
 				if !res.Success {
 					res.Success = true
 					res.FirstMatchHop = int(hu + 1)
-					if f.lat != nil {
-						res.FirstMatchLatency = f.lat[v]
-					}
 				}
 			}
 			queue = append(queue, v)
@@ -144,17 +129,12 @@ func recording(target func(int) bool, calls *[]int) Matcher {
 }
 
 // checkAgainstOracle runs the same query on both kernels and compares
-// the whole Result (latency bit for bit) and the matcher call order.
+// the whole Result and the matcher call order.
 func checkAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleFlooder, src, ttl int, target func(int) bool) {
 	t.Helper()
 	var gotCalls, wantCalls []int
 	got := f.Flood(src, ttl, recording(target, &gotCalls))
 	want := o.Flood(src, ttl, recording(target, &wantCalls))
-	if math.Float64bits(got.FirstMatchLatency) != math.Float64bits(want.FirstMatchLatency) {
-		t.Fatalf("%s: latency %v (%#x) != oracle %v (%#x)", label,
-			got.FirstMatchLatency, math.Float64bits(got.FirstMatchLatency),
-			want.FirstMatchLatency, math.Float64bits(want.FirstMatchLatency))
-	}
 	if got != want {
 		t.Fatalf("%s: result %+v != oracle %+v", label, got, want)
 	}
@@ -222,8 +202,8 @@ func TestFloodMatchesOracle(t *testing.T) {
 }
 
 // TestFloodLongChainLatency floods a weighted 300-node path end to
-// end: the first match sits 299 hops from the source, so the lazy
-// latency walk needs a chain as long as the TTL, not a fixed buffer.
+// end: the first match sits 299 hops from the source, the deepest flood
+// tree 300 nodes can make.
 func TestFloodLongChainLatency(t *testing.T) {
 	m := graph.NewMutable(300)
 	for i := 0; i+1 < 300; i++ {
@@ -238,12 +218,12 @@ func TestFloodLongChainLatency(t *testing.T) {
 
 // checkSetAgainstOracle loads members into set and compares a set flood
 // with the oracle's flood under target, the same membership, on the
-// whole Result, latency bit for bit.
+// whole Result.
 func checkSetAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleFlooder, set *Targets, src, ttl int, members []int32, target func(int) bool) {
 	t.Helper()
 	got := f.FloodTargets(src, ttl, set.Set(members))
 	want := o.Flood(src, ttl, target)
-	if math.Float64bits(got.FirstMatchLatency) != math.Float64bits(want.FirstMatchLatency) || got != want {
+	if got != want {
 		t.Fatalf("%s members=%v: set flood %+v != oracle %+v", label, members, got, want)
 	}
 }
@@ -365,7 +345,7 @@ func resetBranch(g *graph.Graph, src, ttl int, set bool) string {
 
 // TestFloodResetMatchesOracle drives both of the bitmap reset's
 // branches, which compute Visited, against the oracle on the whole
-// Result, latency bits included: the replay scenarios, then plain and
+// Result: the replay scenarios, then plain and
 // set floods at TTL 0–3 on sparse 5000-node graphs (79 words), where
 // small reaches replay and large ones walk every word. It counts the
 // floods on each branch and fails if one was never taken.

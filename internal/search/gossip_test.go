@@ -22,8 +22,8 @@ func TestGossipDegeneratesToFloodAtP1(t *testing.T) {
 }
 
 // At p = 0 nothing is forwarded past the boundary, so gossip is a flood
-// whose TTL is the boundary, field for field (latency included) on a
-// weighted graph with matches at every depth.
+// whose TTL is the boundary, field for field on a weighted graph with
+// matches at every depth.
 func TestGossipDegeneratesToBoundaryFloodAtP0(t *testing.T) {
 	g := randomGraph(300, 4, true, 5)
 	fl := NewFlooder(g)

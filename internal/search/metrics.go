@@ -15,7 +15,6 @@ type Aggregate struct {
 	TotalMessages   int64
 	TotalDuplicates int64
 	TotalVisited    int64
-	TotalLatency    float64        // summed first-match latency over successes
 	Hops            *stats.Counter // first-match hops over successful queries
 	Msgs            *stats.Counter // messages per query (for quantiles)
 }
@@ -35,7 +34,6 @@ func (a *Aggregate) Add(r Result) {
 	if r.Success {
 		a.Successes++
 		a.Hops.Add(r.FirstMatchHop)
-		a.TotalLatency += r.FirstMatchLatency
 	}
 }
 
@@ -46,7 +44,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.TotalMessages += b.TotalMessages
 	a.TotalDuplicates += b.TotalDuplicates
 	a.TotalVisited += b.TotalVisited
-	a.TotalLatency += b.TotalLatency
 	for _, v := range b.Hops.Values() {
 		a.Hops.AddN(v, b.Hops.Count(v))
 	}
@@ -91,17 +88,6 @@ func (a *Aggregate) DuplicateRatio() float64 {
 // MeanHops returns the mean hop count of first matches over
 // successful queries.
 func (a *Aggregate) MeanHops() float64 { return a.Hops.Mean() }
-
-// MeanLatency returns the mean physical-network latency to the first
-// match over successful queries (0 when the graph carried no weights
-// or nothing succeeded) — the query response-time proxy the paper's
-// introduction motivates.
-func (a *Aggregate) MeanLatency() float64 {
-	if a.Successes == 0 {
-		return 0
-	}
-	return a.TotalLatency / float64(a.Successes)
-}
 
 // String renders the aggregate on one line.
 func (a *Aggregate) String() string {

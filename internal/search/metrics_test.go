@@ -29,10 +29,6 @@ func TestAggregateMergePropertyQuantiles(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				r.Success = true
 				r.FirstMatchHop = rng.Intn(8)
-				// Small integers sum exactly in float64 regardless of
-				// association, so the shard split cannot introduce
-				// rounding differences the property is not about.
-				r.FirstMatchLatency = float64(rng.Intn(1000))
 			}
 			results[i] = r
 		}
@@ -63,8 +59,7 @@ func TestAggregateMergePropertyQuantiles(t *testing.T) {
 			merged.Successes != seq.Successes ||
 			merged.TotalMessages != seq.TotalMessages ||
 			merged.TotalDuplicates != seq.TotalDuplicates ||
-			merged.TotalVisited != seq.TotalVisited ||
-			merged.TotalLatency != seq.TotalLatency {
+			merged.TotalVisited != seq.TotalVisited {
 			return false
 		}
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0} {

@@ -58,7 +58,6 @@ func expandingRing(f *Flooder, src int, cfg RingConfig, match Matcher, set *Targ
 			total.Success = true
 			total.FirstMatchHop = r.FirstMatchHop
 			total.MatchesFound = r.MatchesFound
-			total.FirstMatchLatency = r.FirstMatchLatency
 			return total
 		}
 		if ttl >= cfg.MaxTTL {
