@@ -219,15 +219,16 @@ func BenchmarkAblationSearchMechanisms(b *testing.B) {
 	})
 	b.Run("expanding-ring", func(b *testing.B) {
 		fl := search.NewFlooder(g)
-		cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: 4}
-		run(b, func(src int, obj uint64, rng *rand.Rand) search.Result {
-			return search.ExpandingRing(fl, src, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
+		run(b, func(src int, obj uint64, _ *rand.Rand) search.Result {
+			return search.ExpandingRing(4, func(ttl int) search.Result {
+				return fl.Flood(src, ttl, func(u int) bool { return store.Has(u, obj) })
+			})
 		})
 	})
 	b.Run("random-walk", func(b *testing.B) {
-		cfg := search.DefaultWalkConfig()
+		w, cfg := search.NewWalker(g), search.DefaultWalkConfig()
 		run(b, func(src int, obj uint64, rng *rand.Rand) search.Result {
-			return search.RandomWalk(g, src, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
+			return w.Random(src, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
 		})
 	})
 	b.Run("abf-identifier", func(b *testing.B) {

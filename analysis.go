@@ -52,7 +52,7 @@ func (ov *Overlay) Profile(sources, maxHop int) StructureProfile {
 // large cut in duplicate messages once the flood passes the
 // convergence boundary.
 func (ov *Overlay) GossipFlood(src, ttl, boundaryHops int, probability float64, match func(node int) bool, seed int64) SearchResult {
-	if !ov.core.Alive(src) {
+	if !ov.canSearchFrom(src) {
 		return SearchResult{FirstMatchHop: -1}
 	}
 	cfg := search.GossipConfig{BoundaryHops: boundaryHops, Probability: probability}

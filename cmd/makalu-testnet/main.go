@@ -42,7 +42,6 @@ func main() {
 		converge  = flag.Duration("converge-timeout", 3*time.Minute, "bound on the convergence wait")
 		settle    = flag.Duration("settle-timeout", 2*time.Minute, "bound on the post-kill eviction watch / partition heal")
 		queries   = flag.Int("queries", 50, "queries per measurement phase")
-		ttl       = flag.Int("ttl", 6, "query TTL")
 		partition = flag.Float64("partition", 0, "fraction to cut off via deny lists before the kill wave (0 = no partition phase)")
 		hold      = flag.Duration("partition-hold", 10*time.Second, "how long the partition holds before healing")
 		jsonOut   = flag.String("json", "", "write the report row as JSON to this path")
@@ -59,10 +58,11 @@ func main() {
 			*manage)
 	}
 
-	// Snapshot period, spawn pacing, seed fan-out and the per-query wait
-	// are testnet.Config's defaults: a snapshot every manage interval, 25
-	// processes per 200 ms step, joiners bootstrapping off the first 8
-	// nodes, 5 s for a query's first hit.
+	// Snapshot period, spawn pacing, seed fan-out, query TTL and the
+	// per-query wait are testnet.Config's defaults: a snapshot every
+	// manage interval, 25 processes per 200 ms step, joiners
+	// bootstrapping off the first 8 nodes, TTL 6, 5 s for a query's
+	// first hit.
 	cfg := testnet.Config{
 		Nodes:             *nodes,
 		Capacity:          *capacity,
@@ -75,7 +75,6 @@ func main() {
 		ConvergeTimeout:   *converge,
 		SettleTimeout:     *settle,
 		Queries:           *queries,
-		QueryTTL:          *ttl,
 		PartitionFraction: *partition,
 		PartitionHold:     *hold,
 		Logf: func(format string, args ...any) {

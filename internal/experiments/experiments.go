@@ -142,7 +142,7 @@ func TwoTierFloodBatch(g *graph.Graph, isUltra []bool, store *content.Store, ttl
 	agg := br.Run(queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return k.Flooder().TwoTier(src, ttl, layout, obj, k.Targets(store.Replicas(obj)).Matcher())
+		return k.Flooder().TwoTier(src, ttl, layout, obj, k.Targets(store.Replicas(obj)))
 	})
 	return agg, nil
 }

@@ -47,7 +47,6 @@ func RunStrategies(opt Options) (*StrategiesResult, error) {
 	res := &StrategiesResult{N: opt.N, Queries: opt.Queries}
 	walkCfg := search.DefaultWalkConfig()
 	walkCfg.MaxSteps = 4 * 256
-	ringCfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: 6}
 	type strategy struct {
 		name string
 		run  func(k *search.Kernel, src int, match search.Matcher, rng *rand.Rand) search.Result
@@ -62,8 +61,9 @@ func RunStrategies(opt Options) (*StrategiesResult, error) {
 		{"degree-biased", func(k *search.Kernel, src int, match search.Matcher, rng *rand.Rand) search.Result {
 			return k.Walker().DegreeBiased(src, 1024, match, rng)
 		}},
-		{"expanding-ring", func(k *search.Kernel, src int, match search.Matcher, rng *rand.Rand) search.Result {
-			return search.ExpandingRing(k.Flooder(), src, ringCfg, match, rng)
+		{"expanding-ring", func(k *search.Kernel, src int, match search.Matcher, _ *rand.Rand) search.Result {
+			f := k.Flooder()
+			return search.ExpandingRing(6, func(ttl int) search.Result { return f.Flood(src, ttl, match) })
 		}},
 	}
 	for _, nw := range nets {

@@ -99,9 +99,8 @@ func (p *KernelPool) put(k *Kernel) {
 }
 
 // Flooder returns the worker's reusable flooding kernel. The same
-// instance runs gossip and two-tier queries and backs expanding-ring
-// batches (ExpandingRing takes a *Flooder), so they all reuse the
-// flood scratch.
+// instance runs gossip and two-tier queries and the floods of an
+// expanding ring, so they all reuse the flood scratch.
 func (k *Kernel) Flooder() *Flooder {
 	if k.flooder == nil {
 		k.flooder = NewFlooder(k.g)

@@ -103,11 +103,12 @@ func TestBatchExpandingRingParallelMatchesSequential(t *testing.T) {
 	const n = 600
 	g := testGraph(n)
 	store := testStore(t, n)
-	cfg := RingConfig{StartTTL: 1, Step: 1, MaxTTL: 6, RandomizedStart: true}
 	runBoth(t, g, 200, func(k *Kernel, q int, rng *rand.Rand) Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
-		return ExpandingRing(k.Flooder(), src, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
+		return ExpandingRing(6, func(ttl int) Result {
+			return k.Flooder().Flood(src, ttl, func(u int) bool { return store.Has(u, obj) })
+		})
 	})
 }
 
@@ -131,7 +132,7 @@ func TestBatchTwoTierParallelMatchesSequential(t *testing.T) {
 	runBoth(t, g, 150, func(k *Kernel, q int, rng *rand.Rand) Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
-		return k.Flooder().TwoTier(src, 3, layout, obj, func(u int) bool { return store.Has(u, obj) })
+		return k.Flooder().TwoTier(src, 3, layout, obj, k.Targets(store.Replicas(obj)))
 	})
 }
 
@@ -175,7 +176,7 @@ func TestBatchGossipParallelMatchesSequential(t *testing.T) {
 	const n = 600
 	g := testGraph(n)
 	store := testStore(t, n)
-	cfg := DefaultGossipConfig()
+	cfg := GossipConfig{BoundaryHops: 2, Probability: 0.5}
 	runBoth(t, g, 150, func(k *Kernel, q int, rng *rand.Rand) Result {
 		obj := store.RandomObject(rng)
 		src := rng.Intn(n)
@@ -286,7 +287,8 @@ func TestKernelTargetsZeroAllocSteadyState(t *testing.T) {
 		k.Flooder().FloodTargets(rng.Intn(n), 1+rng.Intn(6), k.Targets(store.Replicas(store.RandomObject(rng))))
 	}
 	ring := func() {
-		ExpandingRingTargets(k.Flooder(), rng.Intn(n), DefaultRingConfig(), k.Targets(store.Replicas(store.RandomObject(rng))), rng)
+		f, src, t := k.Flooder(), rng.Intn(n), k.Targets(store.Replicas(store.RandomObject(rng)))
+		ExpandingRing(8, func(ttl int) Result { return f.FloodTargets(src, ttl, t) })
 	}
 	walk := func() {
 		k.Walker().Random(rng.Intn(n), cfg, k.Targets(store.Replicas(store.RandomObject(rng))).Matcher(), rng)
@@ -300,32 +302,12 @@ func TestKernelTargetsZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"Flooder.Flood with a Targets matcher", flood},
 		{"Flooder.FloodTargets", set},
-		{"ExpandingRingTargets", ring},
+		{"ExpandingRing over FloodTargets", ring},
 		{"Walker.Random with a Targets matcher", walk},
 	} {
 		if avg := testing.AllocsPerRun(50, c.run); avg != 0 {
 			t.Fatalf("%s allocates %.1f/op in steady state, want 0", c.name, avg)
 		}
-	}
-}
-
-// Free-function wrappers must behave exactly like a fresh kernel.
-func TestWalkWrappersMatchKernel(t *testing.T) {
-	const n = 500
-	g := testGraph(n)
-	store := testStore(t, n)
-	cfg := WalkConfig{Walkers: 8, MaxSteps: 200, CheckInterval: 4}
-	obj := store.Objects()[0]
-	match := func(u int) bool { return store.Has(u, obj) }
-	a := RandomWalk(g, 3, cfg, match, rand.New(rand.NewSource(11)))
-	b := NewWalker(g).Random(3, cfg, match, rand.New(rand.NewSource(11)))
-	if a != b {
-		t.Fatalf("RandomWalk wrapper diverged: %+v vs %+v", a, b)
-	}
-	c := DegreeBiasedWalk(g, 3, 200, match, rand.New(rand.NewSource(12)))
-	d := NewWalker(g).DegreeBiased(3, 200, match, rand.New(rand.NewSource(12)))
-	if c != d {
-		t.Fatalf("DegreeBiasedWalk wrapper diverged: %+v vs %+v", c, d)
 	}
 }
 

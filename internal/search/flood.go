@@ -96,7 +96,7 @@ func NewFlooder(g *graph.Graph) *Flooder {
 // messages a level sends are its rows' lengths less one per forwarder,
 // counted without looking at the edges.
 func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
-	return f.flood(src, ttl, nil, match, nil)
+	return f.matchReached(f.flood(src, ttl, nil, nil), match)
 }
 
 // FloodTargets is Flood matched against the set t: the Result is
@@ -104,30 +104,49 @@ func (f *Flooder) Flood(src, ttl int, match Matcher) Result {
 // about. Each level tests the members
 // against the visited bitmap, and the last level only sets bits.
 func (f *Flooder) FloodTargets(src, ttl int, t *Targets) Result {
-	return f.flood(src, ttl, nil, nil, t)
+	return f.flood(src, ttl, nil, t)
+}
+
+// matchReached asks match about every node of the flood that returned
+// res, source first, in discovery order, and adds what it answers to
+// res. That flood ran without a set, so its queue holds every node it
+// reached; an entry opens the next level exactly when its sender lies
+// in the current one, which is the hop count with no scratch.
+func (f *Flooder) matchReached(res Result, match Matcher) Result {
+	hop, level := 0, 0 // level: queue index of the current level's first entry
+	for i, e := range f.queue[:res.Visited] {
+		if int(e.from) >= level {
+			hop, level = hop+1, i
+		}
+		if match(int(e.node)) {
+			res.MatchesFound++
+			if !res.Success {
+				res.Success, res.FirstMatchHop = true, hop
+			}
+		}
+	}
+	return res
 }
 
 // flood is the frontier loop behind every flood-family search: at most
 // levels levels from src, each node forwarding its whole row or, where
-// rule narrows, the neighbours rule keeps. It matches through match or,
-// when set is not nil, against set.
-func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *Targets) Result {
+// rule narrows, the neighbours rule keeps. It matches against set; with
+// no set it matches nothing, and its queue then holds every node it
+// reached.
+func (f *Flooder) flood(src, levels int, rule forwardRule, set *Targets) Result {
 	res := Result{FirstMatchHop: -1}
-	if set != nil {
-		match = set.match
-	}
-	if match(src) {
+	if set != nil && set.has(src) {
 		res.Success = true
 		res.FirstMatchHop = 0
 		res.MatchesFound++
 	}
+	f.queue[0] = visit{int32(src), -1}
 	if levels <= 0 {
 		res.Visited = 1
 		return res
 	}
 
 	offsets, visited, queue := f.g.Offsets, f.visited, f.queue
-	queue[0] = visit{int32(src), -1}
 	visited[src>>6] |= 1 << (uint(src) & 63)
 	head, tail := 0, 1
 	// A set flood's last level over whole rows only sets bits: bitsFrom
@@ -228,28 +247,17 @@ func (f *Flooder) flood(src, levels int, rule forwardRule, match Matcher, set *T
 			}
 			head += block
 		}
-		if set == nil {
-			// Matching runs once per level over the nodes it discovered:
-			// the same calls in the same order as matching at discovery.
-			for i := levelEnd; i < tail; i++ {
-				if match(int(queue[i].node)) {
-					res.MatchesFound++
-					if !res.Success {
-						res.Success = true
-						res.FirstMatchHop = hop
-					}
-				}
+		if set != nil {
+			// A member is reached once its bit is set, so the members
+			// this level discovered are the growth in the count of set
+			// ones.
+			found := set.countIn(visited) - res.MatchesFound
+			if found > 0 && !res.Success {
+				res.Success = true
+				res.FirstMatchHop = hop
 			}
-			continue
+			res.MatchesFound += found
 		}
-		// A member is reached once its bit is set, so the members this
-		// level discovered are the growth in the count of set ones.
-		found := set.countIn(visited) - res.MatchesFound
-		if found > 0 && !res.Success {
-			res.Success = true
-			res.FirstMatchHop = hop
-		}
-		res.MatchesFound += found
 	}
 	f.queue = queue
 	res.Messages = sent

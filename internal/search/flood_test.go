@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"makalu/internal/graph"
@@ -198,7 +199,7 @@ func TestRandomWalkFindsNearbyMatch(t *testing.T) {
 	g := cycle(30)
 	rng := rand.New(rand.NewSource(1))
 	cfg := WalkConfig{Walkers: 4, MaxSteps: 200, CheckInterval: 4}
-	r := RandomWalk(g, 0, cfg, func(u int) bool { return u == 5 || u == 25 }, rng)
+	r := NewWalker(g).Random(0, cfg, func(u int) bool { return u == 5 || u == 25 }, rng)
 	if !r.Success {
 		t.Fatalf("walk failed: %+v", r)
 	}
@@ -211,7 +212,7 @@ func TestRandomWalkRespectsBudget(t *testing.T) {
 	g := cycle(1000)
 	rng := rand.New(rand.NewSource(2))
 	cfg := WalkConfig{Walkers: 2, MaxSteps: 10, CheckInterval: 4}
-	r := RandomWalk(g, 0, cfg, func(u int) bool { return u == 500 }, rng)
+	r := NewWalker(g).Random(0, cfg, func(u int) bool { return u == 500 }, rng)
 	if r.Success {
 		t.Fatal("cannot reach node 500 in 10 steps")
 	}
@@ -221,14 +222,14 @@ func TestRandomWalkRespectsBudget(t *testing.T) {
 }
 
 func TestRandomWalkSourceMatch(t *testing.T) {
-	r := RandomWalk(cycle(5), 2, DefaultWalkConfig(), func(u int) bool { return u == 2 }, rand.New(rand.NewSource(3)))
+	r := NewWalker(cycle(5)).Random(2, DefaultWalkConfig(), func(u int) bool { return u == 2 }, rand.New(rand.NewSource(3)))
 	if !r.Success || r.FirstMatchHop != 0 || r.Messages != 0 {
 		t.Fatalf("%+v", r)
 	}
 }
 
 func TestRandomWalkDegenerateConfig(t *testing.T) {
-	r := RandomWalk(cycle(5), 0, WalkConfig{}, noMatch, rand.New(rand.NewSource(4)))
+	r := NewWalker(cycle(5)).Random(0, WalkConfig{}, noMatch, rand.New(rand.NewSource(4)))
 	if r.Success || r.Messages != 0 {
 		t.Fatalf("%+v", r)
 	}
@@ -240,7 +241,7 @@ func TestRandomWalkStopsAfterCheckpoint(t *testing.T) {
 	g := complete(50)
 	rng := rand.New(rand.NewSource(5))
 	cfg := WalkConfig{Walkers: 8, MaxSteps: 10000, CheckInterval: 4}
-	r := RandomWalk(g, 0, cfg, func(u int) bool { return u == 7 }, rng)
+	r := NewWalker(g).Random(0, cfg, func(u int) bool { return u == 7 }, rng)
 	if !r.Success {
 		t.Fatal("walk should find node 7 on K50")
 	}
@@ -251,9 +252,7 @@ func TestRandomWalkStopsAfterCheckpoint(t *testing.T) {
 
 func TestExpandingRingStopsEarly(t *testing.T) {
 	f := NewFlooder(path(30))
-	rng := rand.New(rand.NewSource(6))
-	cfg := RingConfig{StartTTL: 1, Step: 1, MaxTTL: 10}
-	r := ExpandingRing(f, 0, cfg, func(u int) bool { return u == 3 }, rng)
+	r := ExpandingRing(10, func(ttl int) Result { return f.Flood(0, ttl, func(u int) bool { return u == 3 }) })
 	if !r.Success || r.FirstMatchHop != 3 {
 		t.Fatalf("%+v", r)
 	}
@@ -263,37 +262,37 @@ func TestExpandingRingStopsEarly(t *testing.T) {
 	}
 }
 
-func TestExpandingRingGivesUp(t *testing.T) {
-	f := NewFlooder(path(30))
-	rng := rand.New(rand.NewSource(7))
-	cfg := RingConfig{StartTTL: 1, Step: 2, MaxTTL: 5}
-	r := ExpandingRing(f, 0, cfg, func(u int) bool { return u == 20 }, rng)
-	if r.Success {
-		t.Fatal("target beyond MaxTTL should fail")
-	}
-	// Attempts at TTL 1, 3, 5: messages 1+3+5 = 9.
-	if r.Messages != 9 {
-		t.Fatalf("messages = %d, want 9", r.Messages)
-	}
+// ringTTLs runs an expanding ring from node 0 of f's graph for target
+// and returns its Result and the TTL of every flood it ran.
+func ringTTLs(f *Flooder, maxTTL, target int) (Result, []int) {
+	var ttls []int
+	r := ExpandingRing(maxTTL, func(ttl int) Result {
+		ttls = append(ttls, ttl)
+		return f.Flood(0, ttl, func(u int) bool { return u == target })
+	})
+	return r, ttls
 }
 
-func TestExpandingRingRandomizedStart(t *testing.T) {
-	f := NewFlooder(path(30))
-	cfg := RingConfig{StartTTL: 4, Step: 1, MaxTTL: 10, RandomizedStart: true}
-	// Whatever TTL it starts from, it must still succeed.
-	for seed := int64(0); seed < 10; seed++ {
-		r := ExpandingRing(f, 0, cfg, func(u int) bool { return u == 6 }, rand.New(rand.NewSource(seed)))
-		if !r.Success {
-			t.Fatalf("seed %d: randomized ring failed: %+v", seed, r)
-		}
+func TestExpandingRingGivesUp(t *testing.T) {
+	r, ttls := ringTTLs(NewFlooder(path(30)), 5, 20)
+	if r.Success {
+		t.Fatal("target beyond maxTTL should fail")
+	}
+	if !slices.Equal(ttls, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("flooded at TTLs %v, want 1 through 5", ttls)
+	}
+	// Messages 1+2+3+4+5 = 15 on a path.
+	if r.Messages != 15 || r.Visited != 6 {
+		t.Fatalf("messages = %d visited = %d, want 15 and 6", r.Messages, r.Visited)
 	}
 }
 
 func TestExpandingRingDegenerateConfig(t *testing.T) {
-	f := NewFlooder(path(5))
-	r := ExpandingRing(f, 0, RingConfig{StartTTL: -3, Step: 0, MaxTTL: -1}, func(u int) bool { return u == 1 }, rand.New(rand.NewSource(8)))
-	if !r.Success {
-		t.Fatalf("clamped config should still flood once: %+v", r)
+	for _, maxTTL := range []int{0, -1} {
+		r, ttls := ringTTLs(NewFlooder(path(5)), maxTTL, 1)
+		if !r.Success || !slices.Equal(ttls, []int{1}) {
+			t.Fatalf("maxTTL %d should flood once at TTL 1: %+v at TTLs %v", maxTTL, r, ttls)
+		}
 	}
 }
 

@@ -19,21 +19,16 @@ type GossipConfig struct {
 	Probability  float64 // per-link forwarding probability past the boundary
 }
 
-// DefaultGossipConfig floods two hops (within the expanding phase of
-// the paper's TTL-4 operating point) and gossips at p = 0.5 beyond.
-func DefaultGossipConfig() GossipConfig {
-	return GossipConfig{BoundaryHops: 2, Probability: 0.5}
-}
-
 // Gossip issues a flood-then-gossip query from src with the given TTL:
 // nodes fewer than cfg.BoundaryHops hops from src forward to every
 // neighbor but their sender, nodes past it to each such neighbor with
 // probability cfg.Probability, clamped to [0, 1]: one rng draw per
 // such neighbor, in queue order and row order. Counting and matching
-// are Flood's, so results compare directly.
+// are Flood's, so results compare directly; every draw is made before
+// match is first called.
 func (f *Flooder) Gossip(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
 	f.gossip = gossipRule{boundary: cfg.BoundaryHops, p: min(max(cfg.Probability, 0), 1), rng: rng}
-	return f.flood(src, ttl, &f.gossip, match, nil)
+	return f.matchReached(f.flood(src, ttl, &f.gossip, nil), match)
 }
 
 // gossipRule is the epidemic rule past the boundary.

@@ -59,7 +59,7 @@ func TestGossipInvalidProbabilityClamps(t *testing.T) {
 func TestGossipMatchAtSourceAndZeroTTL(t *testing.T) {
 	fl := NewFlooder(cycle(10))
 	rng := rand.New(rand.NewSource(3))
-	r := fl.Gossip(4, 0, DefaultGossipConfig(), func(u int) bool { return u == 4 }, rng)
+	r := fl.Gossip(4, 0, GossipConfig{BoundaryHops: 2, Probability: 0.5}, func(u int) bool { return u == 4 }, rng)
 	if !r.Success || r.FirstMatchHop != 0 || r.Messages != 0 {
 		t.Fatalf("%+v", r)
 	}
@@ -137,11 +137,11 @@ func TestRulesZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	gossip := func() {
 		obj := st.RandomObject(rng)
-		k.Flooder().Gossip(rng.Intn(n), 5, DefaultGossipConfig(), k.Targets(st.Replicas(obj)).Matcher(), rng)
+		k.Flooder().Gossip(rng.Intn(n), 5, GossipConfig{BoundaryHops: 2, Probability: 0.5}, k.Targets(st.Replicas(obj)).Matcher(), rng)
 	}
 	twoTier := func() {
 		obj := st.RandomObject(rng)
-		k.Flooder().TwoTier(rng.Intn(n), 3, layout, obj, k.Targets(st.Replicas(obj)).Matcher())
+		k.Flooder().TwoTier(rng.Intn(n), 3, layout, obj, k.Targets(st.Replicas(obj)))
 	}
 	k.Flooder().Flood(0, n, noMatch) // size the queue for any reach
 	for i := 0; i < 20; i++ {

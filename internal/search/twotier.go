@@ -47,10 +47,10 @@ func NewTwoTierLayout(g *graph.Graph, isUltra []bool, qrp []*content.QRPTable) (
 //
 // ttl bounds the ultrapeer-to-ultrapeer hops; the leaf→ultrapeer
 // injection and ultrapeer→leaf delivery do not consume TTL, matching
-// deployed Gnutella. match decides actual content hits (QRP tables
-// only gate which leaves are bothered). Counting and matching are
-// Flood's; match sees each level's nodes in row order.
-func (f *Flooder) TwoTier(src, ttl int, l *TwoTierLayout, obj uint64, match Matcher) Result {
+// deployed Gnutella. The nodes that actually hold obj are the set t
+// (QRP tables only gate which leaves are bothered). Counting and
+// matching are FloodTargets'.
+func (f *Flooder) TwoTier(src, ttl int, l *TwoTierLayout, obj uint64, t *Targets) Result {
 	if len(l.isUltra) != f.g.N() {
 		panic("search: two-tier query over a layout of another graph")
 	}
@@ -60,7 +60,7 @@ func (f *Flooder) TwoTier(src, ttl int, l *TwoTierLayout, obj uint64, match Matc
 	}
 	f.twoTier = twoTierRule{TwoTierLayout: l, obj: obj, core: core}
 	// The ultrapeers reached last still deliver to their leaves.
-	return f.flood(src, core+1, &f.twoTier, match, nil)
+	return f.flood(src, core+1, &f.twoTier, t)
 }
 
 // twoTierRule is v0.6 routing over a layout: core is the hop count

@@ -66,14 +66,14 @@ func TestTwoTierValidation(t *testing.T) {
 			t.Fatal("a two-node layout was accepted on a three-node graph")
 		}
 	}()
-	NewFlooder(path(3)).TwoTier(0, 1, l, 0, noMatch)
+	NewFlooder(path(3)).TwoTier(0, 1, l, 0, nil)
 }
 
 func TestTwoTierLeafInjection(t *testing.T) {
 	f, l, st, obj := buildTwoTierFixture(t)
 	// Query from leaf 2: injection to UP 0 (1 msg), UP0 -> UP1 (1 msg),
 	// plus QRP-gated leaf deliveries.
-	r := f.TwoTier(2, 2, l, obj, func(u int) bool { return st.Has(u, obj) })
+	r := f.TwoTier(2, 2, l, obj, NewTargets(st.N()).Set(st.Replicas(obj)))
 	if r.Messages < 2 {
 		t.Fatalf("expected at least injection + core flood, got %+v", r)
 	}
@@ -88,7 +88,7 @@ func TestTwoTierLeavesDoNotForward(t *testing.T) {
 	// to matching leaves. Leaf 4 gets the query from UP1 directly but
 	// never forwards anywhere.
 	f, l, st, obj := buildTwoTierFixture(t)
-	r := f.TwoTier(1, 1, l, obj, func(u int) bool { return st.Has(u, obj) })
+	r := f.TwoTier(1, 1, l, obj, NewTargets(st.N()).Set(st.Replicas(obj)))
 	// Upper bound: UP1->UP0, UP1->leaf4, UP0->leaf2, UP0->leaf3 = 4.
 	if r.Messages > 4 {
 		t.Fatalf("too many messages (%d): leaves must not forward", r.Messages)
@@ -101,7 +101,7 @@ func TestTwoTierQRPShieldsLeaves(t *testing.T) {
 	// almost all leaf deliveries (false positives aside, with 512-bit
 	// tables and 1 insertion they are essentially impossible).
 	missing := obj ^ 0xdeadbeef
-	r := f.TwoTier(0, 2, l, missing, func(u int) bool { return st.Has(u, missing) })
+	r := f.TwoTier(0, 2, l, missing, NewTargets(st.N()).Set(st.Replicas(missing)))
 	if r.Success {
 		t.Fatal("missing object cannot be found")
 	}
@@ -125,11 +125,12 @@ func TestTwoTierTTLBoundsCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFlooder(fr)
-	r := f.TwoTier(0, 2, l, 0, func(u int) bool { return u == 3 })
+	three := NewTargets(4).Set([]int32{3})
+	r := f.TwoTier(0, 2, l, 0, three)
 	if r.Success {
 		t.Fatal("TTL 2 cannot reach UP 3 hops away")
 	}
-	r = f.TwoTier(0, 3, l, 0, func(u int) bool { return u == 3 })
+	r = f.TwoTier(0, 3, l, 0, three)
 	if !r.Success || r.FirstMatchHop != 3 {
 		t.Fatalf("TTL 3 should reach: %+v", r)
 	}
@@ -155,11 +156,11 @@ func TestTwoTierOnGeneratedTopology(t *testing.T) {
 	}
 	fl := NewFlooder(fr)
 	rng := rand.New(rand.NewSource(4))
-	agg := NewAggregate()
+	agg, set := NewAggregate(), NewTargets(n)
 	for q := 0; q < 100; q++ {
 		obj := st.RandomObject(rng)
 		src := rng.Intn(n)
-		agg.Add(fl.TwoTier(src, 3, l, obj, func(u int) bool { return st.Has(u, obj) }))
+		agg.Add(fl.TwoTier(src, 3, l, obj, set.Set(st.Replicas(obj))))
 	}
 	// 1% replication with TTL 3 over a 30-degree ultrapeer core should
 	// resolve essentially everything.

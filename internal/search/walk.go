@@ -194,16 +194,3 @@ func (w *Walker) DegreeBiased(src, maxSteps int, match Matcher, rng *rand.Rand) 
 	}
 	return res
 }
-
-// RandomWalk runs a one-off k-walker search, allocating a fresh
-// Walker. Batch callers should hold a Walker (or use a Kernel) so the
-// scratch is reused.
-func RandomWalk(g *graph.Graph, src int, cfg WalkConfig, match Matcher, rng *rand.Rand) Result {
-	return NewWalker(g).Random(src, cfg, match, rng)
-}
-
-// DegreeBiasedWalk runs a one-off degree-biased walk, allocating a
-// fresh Walker.
-func DegreeBiasedWalk(g *graph.Graph, src, maxSteps int, match Matcher, rng *rand.Rand) Result {
-	return NewWalker(g).DegreeBiased(src, maxSteps, match, rng)
-}

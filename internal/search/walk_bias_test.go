@@ -20,14 +20,14 @@ func TestDegreeBiasedWalkSeeksHub(t *testing.T) {
 	}
 	fr := g.Freeze(nil)
 	rng := rand.New(rand.NewSource(1))
-	r := DegreeBiasedWalk(fr, 0, 20, func(u int) bool { return u == 3 }, rng)
+	r := NewWalker(fr).DegreeBiased(0, 20, func(u int) bool { return u == 3 }, rng)
 	if !r.Success || r.FirstMatchHop != 3 || r.Messages != 3 {
 		t.Fatalf("hub-seeking walk: %+v", r)
 	}
 }
 
 func TestDegreeBiasedWalkSourceMatch(t *testing.T) {
-	r := DegreeBiasedWalk(cycle(5), 2, 10, func(u int) bool { return u == 2 }, rand.New(rand.NewSource(2)))
+	r := NewWalker(cycle(5)).DegreeBiased(2, 10, func(u int) bool { return u == 2 }, rand.New(rand.NewSource(2)))
 	if !r.Success || r.FirstMatchHop != 0 || r.Messages != 0 {
 		t.Fatalf("%+v", r)
 	}
@@ -35,7 +35,7 @@ func TestDegreeBiasedWalkSourceMatch(t *testing.T) {
 
 func TestDegreeBiasedWalkRespectsBudget(t *testing.T) {
 	g := cycle(100)
-	r := DegreeBiasedWalk(g, 0, 10, func(u int) bool { return u == 50 }, rand.New(rand.NewSource(3)))
+	r := NewWalker(g).DegreeBiased(0, 10, func(u int) bool { return u == 50 }, rand.New(rand.NewSource(3)))
 	if r.Success || r.Messages > 10 {
 		t.Fatalf("budget violated: %+v", r)
 	}
@@ -44,7 +44,7 @@ func TestDegreeBiasedWalkRespectsBudget(t *testing.T) {
 func TestDegreeBiasedWalkIsolatedSource(t *testing.T) {
 	g := graph.NewMutable(3)
 	g.AddEdge(1, 2)
-	r := DegreeBiasedWalk(g.Freeze(nil), 0, 10, noMatch, rand.New(rand.NewSource(4)))
+	r := NewWalker(g.Freeze(nil)).DegreeBiased(0, 10, noMatch, rand.New(rand.NewSource(4)))
 	if r.Success || r.Messages != 0 {
 		t.Fatalf("isolated walk: %+v", r)
 	}
@@ -54,7 +54,7 @@ func TestDegreeBiasedWalkEscapesSaturation(t *testing.T) {
 	// On a tiny complete graph every neighbor is visited quickly; the
 	// walk must keep moving via random fallback rather than stall.
 	g := complete(4)
-	r := DegreeBiasedWalk(g, 0, 50, func(u int) bool { return false }, rand.New(rand.NewSource(5)))
+	r := NewWalker(g).DegreeBiased(0, 50, func(u int) bool { return false }, rand.New(rand.NewSource(5)))
 	if r.Messages != 50 {
 		t.Fatalf("walk stalled at %d messages", r.Messages)
 	}
@@ -77,7 +77,7 @@ func TestDegreeBiasedWalkEffectiveOnPowerLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	succ := 0
 	for q := 0; q < 50; q++ {
-		r := DegreeBiasedWalk(g, rng.Intn(3000), 200, func(u int) bool { return targets[u] }, rng)
+		r := NewWalker(g).DegreeBiased(rng.Intn(3000), 200, func(u int) bool { return targets[u] }, rng)
 		if r.Success {
 			succ++
 		}

@@ -216,7 +216,10 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 	if probes <= 0 {
 		return 0
 	}
-	g := o.Freeze() // dead nodes are isolated, so floods skip them
+	// Dead nodes are isolated in the snapshot and every source is alive,
+	// so a flood reaches only alive nodes, and every replica it reaches
+	// is an alive one.
+	g := o.Freeze()
 	br := &search.BatchRunner{Graph: g, Workers: workers, Seed: seed}
 	agg := br.Run(probes, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		src := -1
@@ -231,8 +234,7 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 			return search.Result{FirstMatchHop: -1} // counts as a failed probe
 		}
 		obj := store.RandomObject(rng)
-		hosts := k.Targets(store.Replicas(obj)).Matcher()
-		return k.Flooder().Flood(src, ttl, func(u int) bool { return o.Alive(u) && hosts(u) })
+		return k.Flooder().FloodTargets(src, ttl, k.Targets(store.Replicas(obj)))
 	})
 	return agg.SuccessRate()
 }

@@ -230,7 +230,7 @@ func TestSingleQuerySearchReusesScratch(t *testing.T) {
 	if again != first {
 		t.Fatalf("repeated flood changed its answer: %+v then %+v", first, again)
 	}
-	ring := ov.ExpandingRingSearch(1, 6, match, 13)
+	ring := ov.ExpandingRingSearch(1, 6, match)
 	if !first.Found || !ring.Found || ov.Flood(1, 4, match) != first {
 		t.Fatalf("searches sharing the scratch disturbed each other: flood %+v ring %+v", first, ring)
 	}
@@ -279,9 +279,56 @@ func TestRandomWalkAndExpandingRing(t *testing.T) {
 	if !rw.Found {
 		t.Fatalf("random walk failed: %+v", rw)
 	}
-	er := ov.ExpandingRingSearch(1, 6, c.Matcher(obj), 13)
+	er := ov.ExpandingRingSearch(1, 6, c.Matcher(obj))
 	if !er.Found {
 		t.Fatalf("expanding ring failed: %+v", er)
+	}
+}
+
+// TestSearchFromUnusableSource: a failed source, or one that is no
+// node at all, finds nothing, whichever search is asked, even when the
+// failed node hosts the object.
+func TestSearchFromUnusableSource(t *testing.T) {
+	ov := newSmall(t, 400, 14)
+	c, err := ov.PlaceContent(10, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := c.Objects()[0]
+	match := c.Matcher(obj)
+	ix, err := ov.BuildIdentifierIndex(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := c.Replicas(obj)[0]
+	ov.Fail(host)
+	searches := []struct {
+		name string
+		run  func(src int) SearchResult
+	}{
+		{"Flood", func(src int) SearchResult { return ov.Flood(src, 4, match) }},
+		{"GossipFlood", func(src int) SearchResult { return ov.GossipFlood(src, 4, 2, 0.5, match, 1) }},
+		{"RandomWalkSearch", func(src int) SearchResult { return ov.RandomWalkSearch(src, 8, 200, match, 1) }},
+		{"ExpandingRingSearch", func(src int) SearchResult { return ov.ExpandingRingSearch(src, 6, match) }},
+		{"IdentifierIndex.Lookup", func(src int) SearchResult { return ix.Lookup(src, obj, 25) }},
+	}
+	for _, s := range searches {
+		sources := []int{-1, ov.Nodes(), host}
+		if s.name == "IdentifierIndex.Lookup" {
+			sources = sources[:2] // the index keeps the overlay it was built on
+		}
+		for _, src := range sources {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s from %d panics: %v", s.name, src, p)
+					}
+				}()
+				if got := s.run(src); got != (SearchResult{FirstMatchHop: -1}) {
+					t.Errorf("%s from %d: %+v, want nothing found", s.name, src, got)
+				}
+			}()
+		}
 	}
 }
 

@@ -36,28 +36,42 @@ func fromInternal(r search.Result) SearchResult {
 // the node predicate (use Content.Matcher or Content.WildcardMatcher).
 // Flood, GossipFlood, RandomWalkSearch and ExpandingRingSearch reuse
 // one scratch kernel per overlay snapshot, so call them from one
-// goroutine at a time; the Batch variants are the parallel path.
+// goroutine at a time; the Batch variants are the parallel path. Each
+// finds nothing from a failed source or one outside [0, Nodes()).
 func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
-	if !ov.core.Alive(src) {
+	if !ov.canSearchFrom(src) {
 		return SearchResult{FirstMatchHop: -1}
 	}
 	return fromInternal(ov.searchKernel().Flooder().Flood(src, ttl, search.Matcher(match)))
 }
 
+// canSearchFrom reports whether src is a node of the overlay that has
+// not failed.
+func (ov *Overlay) canSearchFrom(src int) bool {
+	return src >= 0 && src < ov.core.N() && ov.core.Alive(src)
+}
+
 // RandomWalkSearch runs a k-walker random walk from src (the
 // related-work baseline of Lv et al.).
 func (ov *Overlay) RandomWalkSearch(src, walkers, maxSteps int, match func(node int) bool, seed int64) SearchResult {
+	if !ov.canSearchFrom(src) {
+		return SearchResult{FirstMatchHop: -1}
+	}
 	cfg := search.WalkConfig{Walkers: walkers, MaxSteps: maxSteps, CheckInterval: 4}
 	rng := rand.New(rand.NewSource(seed))
 	return fromInternal(ov.searchKernel().Walker().Random(src, cfg, search.Matcher(match), rng))
 }
 
-// ExpandingRingSearch repeats floods with growing TTL until the query
-// resolves (TTL-control per Chang & Liu).
-func (ov *Overlay) ExpandingRingSearch(src, maxTTL int, match func(node int) bool, seed int64) SearchResult {
-	cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: maxTTL}
-	rng := rand.New(rand.NewSource(seed))
-	return fromInternal(search.ExpandingRing(ov.searchKernel().Flooder(), src, cfg, search.Matcher(match), rng))
+// ExpandingRingSearch floods from src with TTL 1, 2, … up to maxTTL
+// until the query resolves (TTL-control per Chang & Liu).
+func (ov *Overlay) ExpandingRingSearch(src, maxTTL int, match func(node int) bool) SearchResult {
+	if !ov.canSearchFrom(src) {
+		return SearchResult{FirstMatchHop: -1}
+	}
+	f := ov.searchKernel().Flooder()
+	return fromInternal(search.ExpandingRing(maxTTL, func(ttl int) search.Result {
+		return f.Flood(src, ttl, search.Matcher(match))
+	}))
 }
 
 // BatchOptions sizes a parallel query batch. Queries are sharded over
@@ -168,13 +182,13 @@ func (ov *Overlay) RandomWalkBatch(c *Content, walkers, maxSteps int, opt BatchO
 // current overlay snapshot.
 func (ov *Overlay) ExpandingRingBatch(c *Content, maxTTL int, opt BatchOptions) BatchStats {
 	g := ov.graphSnapshot()
-	cfg := search.RingConfig{StartTTL: 1, Step: 1, MaxTTL: maxTTL}
 	o := opt.obs()
 	br := &search.BatchRunner{Graph: g, Workers: opt.Workers, Seed: opt.Seed, Obs: o, Kernels: ov.kernels}
 	return statsFrom(br.Run(opt.Queries, func(k *search.Kernel, q int, rng *rand.Rand) search.Result {
 		obj := c.store.RandomObject(rng)
 		src := rng.Intn(g.N())
-		return search.ExpandingRingTargets(k.Flooder(), src, cfg, k.Targets(c.store.Replicas(obj)), rng)
+		f, t := k.Flooder(), k.Targets(c.store.Replicas(obj))
+		return search.ExpandingRing(maxTTL, func(ttl int) search.Result { return f.FloodTargets(src, ttl, t) })
 	}), o)
 }
 
@@ -214,7 +228,11 @@ func (ov *Overlay) BuildIdentifierIndex(c *Content) (*IdentifierIndex, error) {
 
 // Lookup routes an exact-identifier query from src with the given hop
 // budget, following the Bloom-filter potential function at each hop.
+// A source that was not a node when the index was built finds nothing.
 func (ix *IdentifierIndex) Lookup(src int, obj uint64, ttl int) SearchResult {
+	if src < 0 || src >= ix.g.N() {
+		return SearchResult{FirstMatchHop: -1}
+	}
 	return fromInternal(ix.router.Lookup(src, obj, ttl, ix.rng))
 }
 
