@@ -124,7 +124,11 @@ func liveDownload() {
 		size>>10, man.NumChunks(), len(replicas), victim.Addr())
 
 	var once sync.Once
+	// One request per source at a time, so the victim still owes a
+	// chunk when it dies: at the default window of 4 per source, all 8
+	// chunks would be in flight before the kill.
 	got, stats, err := client.DownloadBlob(man, sources, peer.DownloadConfig{
+		Window: 1,
 		OnChunk: func(c int, from string) {
 			if from == victim.Addr() {
 				once.Do(victim.Kill) // crash: no FIN, sockets left dangling

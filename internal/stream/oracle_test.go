@@ -101,8 +101,8 @@ func (o *stallOracle) reconcile(now float64, executed uint64) {
 // liveProgress reports whether any chunk is in flight on a live
 // source.
 func (o *stallOracle) liveProgress(tr *Transfer) bool {
-	for i, n := range tr.inflight {
-		if n > 0 && o.s.live.Alive(tr.sources[i]) {
+	for i, n := range tr.sched.inflight {
+		if n > 0 && o.s.live.Alive(tr.sched.sources[i]) {
 			return true
 		}
 	}

@@ -262,19 +262,19 @@ func TestAbortActive(t *testing.T) {
 
 	tr := sw.Start(0, mustManifest(t, 1, 1000, 100), nil)
 	eng.RunUntil(50)
-	if tr.Done() {
+	if tr.done {
 		t.Fatal("transfer finished against a dead replica")
 	}
 	if len(tr.ActiveSources()) != 1 || tr.ActiveSources()[0] != 1 {
 		t.Fatalf("active sources = %v", tr.ActiveSources())
 	}
 	sw.AbortActive()
-	if !tr.Done() || tr.Result().Completed {
-		t.Fatalf("abort did not fail the transfer: %+v", tr.Result())
+	if !tr.done || tr.res.Completed {
+		t.Fatalf("abort did not fail the transfer: %+v", tr.res)
 	}
 	// Stalled from the first (dropped) delivery event through the
 	// abort at t=50; only the short pre-first-event window is exempt.
-	if got := tr.Result().StallTime; got < 40 || got > 50 {
+	if got := tr.res.StallTime; got < 40 || got > 50 {
 		t.Fatalf("stall time = %v, want ~(50 - first delivery)", got)
 	}
 }
@@ -315,7 +315,7 @@ func TestStallFollowsLiveness(t *testing.T) {
 	eng.Schedule(30, func() { live.revive(1) })
 	eng.RunUntil(40)
 	sw.AbortActive()
-	if got := tr.Result().StallTime; got != 20 {
+	if got := tr.res.StallTime; got != 20 {
 		t.Fatalf("stall time = %v, want exactly 20 (dead from t=10 to t=30)", got)
 	}
 }

@@ -102,16 +102,7 @@ type Transfer struct {
 	client int
 	man    content.Manifest
 	onDone func(TransferResult)
-
-	delivered []bool
-	assigned  []int // chunk -> current source, -1 when unassigned
-	attempt   []int // per-chunk attempt epoch; stale events carry an old value
-	pending   []int // unassigned, undelivered chunk indices (FIFO)
-	remaining int
-
-	sources  []int        // active sources, in discovery order
-	inflight []int        // outstanding chunk count, parallel to sources
-	evicted  map[int]bool // sources dropped for missing a deadline
+	sched  Sched // sources are node ids, in discovery order
 
 	slot, seq     int // index in Swarm.active; start order
 	rediscovering bool
@@ -121,23 +112,11 @@ type Transfer struct {
 	res           TransferResult
 }
 
-// Client returns the downloading node.
-func (tr *Transfer) Client() int { return tr.client }
-
-// Object returns the object being fetched.
-func (tr *Transfer) Object() uint64 { return tr.man.Object }
-
-// Done reports whether the transfer has finished (either way).
-func (tr *Transfer) Done() bool { return tr.done }
-
-// Result returns the outcome; only meaningful once Done.
-func (tr *Transfer) Result() TransferResult { return tr.res }
-
 // ActiveSources returns the replicas the transfer is currently pulling
 // from, in discovery order. Kill-wave experiments use it to remove a
 // source that is verifiably mid-transfer.
 func (tr *Transfer) ActiveSources() []int {
-	return append([]int(nil), tr.sources...)
+	return append([]int(nil), tr.sched.sources...)
 }
 
 // Start begins a transfer of man at client. onDone (may be nil) fires
@@ -145,21 +124,12 @@ func (tr *Transfer) ActiveSources() []int {
 func (s *Swarm) Start(client int, man content.Manifest, onDone func(TransferResult)) *Transfer {
 	n := man.NumChunks()
 	tr := &Transfer{
-		client:    client,
-		man:       man,
-		onDone:    onDone,
-		delivered: make([]bool, n),
-		assigned:  make([]int, n),
-		attempt:   make([]int, n),
-		pending:   make([]int, n),
-		remaining: n,
-		evicted:   make(map[int]bool),
-		slot:      len(s.active),
-		seq:       len(s.active) + len(s.results), // every earlier transfer is in one of the two
-	}
-	for i := range tr.assigned {
-		tr.assigned[i] = -1
-		tr.pending[i] = i
+		client: client,
+		man:    man,
+		onDone: onDone,
+		sched:  NewSched(n, s.cfg.PerSourceWindow),
+		slot:   len(s.active),
+		seq:    len(s.active) + len(s.results), // every earlier transfer is in one of the two
 	}
 	tr.res = TransferResult{
 		Object: man.Object,
@@ -179,9 +149,9 @@ func (s *Swarm) Start(client int, man content.Manifest, onDone func(TransferResu
 		})
 	}
 	for _, u := range s.loc.Locate(client, man.Object, s.cfg.MaxSources, tr.skipSet()) {
-		s.addSource(tr, u)
+		tr.sched.AddSource(u)
 	}
-	if len(tr.sources) == 0 {
+	if len(tr.sched.sources) == 0 {
 		s.scheduleRediscover(tr)
 	} else {
 		s.grant(tr)
@@ -192,50 +162,29 @@ func (s *Swarm) Start(client int, man content.Manifest, onDone func(TransferResu
 // skipSet is the exclusion list handed to the locator: the client,
 // current sources, and everything already evicted.
 func (tr *Transfer) skipSet() map[int]bool {
-	skip := make(map[int]bool, len(tr.evicted)+len(tr.sources)+1)
+	skip := make(map[int]bool, len(tr.sched.evicted)+len(tr.sched.sources)+1)
 	skip[tr.client] = true
-	for u := range tr.evicted {
+	for u := range tr.sched.evicted {
 		skip[u] = true
 	}
-	for _, u := range tr.sources {
+	for _, u := range tr.sched.sources {
 		skip[u] = true
 	}
 	return skip
 }
 
-func (s *Swarm) addSource(tr *Transfer, u int) {
-	if u == tr.client || tr.evicted[u] || slices.Contains(tr.sources, u) {
-		return
-	}
-	tr.sources = append(tr.sources, u)
-	tr.inflight = append(tr.inflight, 0)
-}
-
 // grant fills every source's window with pending chunks.
 func (s *Swarm) grant(tr *Transfer) {
-	if tr.done {
-		return
-	}
-	for i, src := range tr.sources {
-		for tr.inflight[i] < s.cfg.PerSourceWindow && len(tr.pending) > 0 {
-			c := tr.pending[0]
-			tr.pending = tr.pending[1:]
-			if tr.delivered[c] || tr.assigned[c] >= 0 {
-				continue
-			}
-			tr.inflight[i]++
-			s.request(tr, src, c)
-		}
+	if !tr.done {
+		tr.sched.Grant(func(src, c, att int) { s.request(tr, src, c, att) })
 	}
 }
 
-// request sends chunk c to src: the request propagates one latency,
-// queues behind src's earlier uploads, transmits at src's bandwidth,
-// and the payload propagates back. A timeout event guards the attempt.
-func (s *Swarm) request(tr *Transfer, src, c int) {
-	tr.assigned[c] = src
-	tr.attempt[c]++
-	att := tr.attempt[c]
+// request sends attempt att of chunk c to src: the request propagates
+// one latency, queues behind src's earlier uploads, transmits at src's
+// bandwidth, and the payload propagates back. A timeout event guards
+// the attempt.
+func (s *Swarm) request(tr *Transfer, src, c, att int) {
 	s.obs.ChunksRequested.Inc()
 
 	now := s.eng.Now()
@@ -260,17 +209,11 @@ func (s *Swarm) request(tr *Transfer, src, c int) {
 // died in flight (a dead source's bytes never arrive; the timeout
 // recovers the chunk).
 func (s *Swarm) deliver(tr *Transfer, src, c, att int, rtt float64) {
-	if tr.done || tr.delivered[c] || tr.attempt[c] != att {
-		return
-	}
-	if !s.live.Alive(src) {
+	if tr.done || tr.sched.Expired(c, att) < 0 || !s.live.Alive(src) {
 		return
 	}
 	s.touched = append(s.touched, tr)
-	tr.delivered[c] = true
-	tr.assigned[c] = -1
-	tr.inflight[slices.Index(tr.sources, src)]--
-	tr.remaining--
+	tr.sched.Deliver(c)
 	tr.res.Delivered++
 	tr.res.Bytes += int64(tr.man.ChunkLen(c))
 	s.obs.ChunksDelivered.Inc()
@@ -279,7 +222,7 @@ func (s *Swarm) deliver(tr *Transfer, src, c, att int, rtt float64) {
 		tr.res.TTFB = s.eng.Now() - tr.res.Start
 		s.obs.TTFB.Observe(toMicros(tr.res.TTFB))
 	}
-	if tr.remaining == 0 {
+	if tr.sched.remaining == 0 {
 		s.finish(tr)
 		return
 	}
@@ -291,47 +234,29 @@ func (s *Swarm) deliver(tr *Transfer, src, c, att int, rtt float64) {
 // from the survivors — or fall back to re-discovery when the source
 // set drained.
 func (s *Swarm) timeout(tr *Transfer, c, att int) {
-	if tr.done || tr.delivered[c] || tr.attempt[c] != att {
+	if tr.done {
 		return
 	}
-	src := tr.assigned[c]
+	src := tr.sched.Expired(c, att)
 	if src < 0 {
 		return
 	}
 	s.touched = append(s.touched, tr)
 	tr.res.Timeouts++
 	s.obs.ChunkTimeouts.Inc()
-	s.evictSource(tr, src)
-	s.grant(tr)
-	if len(tr.sources) == 0 {
-		s.scheduleRediscover(tr)
-	}
-}
-
-// evictSource drops src from the transfer and re-queues its chunks.
-func (s *Swarm) evictSource(tr *Transfer, src int) {
-	if tr.evicted[src] {
-		return
-	}
-	tr.evicted[src] = true
-	if i := slices.Index(tr.sources, src); i >= 0 {
-		tr.sources = slices.Delete(tr.sources, i, i+1)
-		tr.inflight = slices.Delete(tr.inflight, i, i+1)
-	}
+	// A current attempt's source is never an evicted one: evicting it
+	// re-queued the chunk under a new attempt.
+	requeued, _ := tr.sched.Evict(src)
 	tr.res.SourcesEvicted++
 	s.obs.SourceEvictions.Inc()
 	if !s.live.Alive(src) {
 		tr.res.SourcesKilled++
 	}
-	for c, a := range tr.assigned {
-		if a != src || tr.delivered[c] {
-			continue
-		}
-		tr.assigned[c] = -1
-		tr.attempt[c]++ // invalidate the in-flight delivery and timeout
-		tr.pending = append(tr.pending, c)
-		tr.res.ReRequests++
-		s.obs.ReRequests.Inc()
+	tr.res.ReRequests += requeued
+	s.obs.ReRequests.Add(int64(requeued))
+	s.grant(tr)
+	if len(tr.sched.sources) == 0 {
+		s.scheduleRediscover(tr)
 	}
 }
 
@@ -357,32 +282,32 @@ func (s *Swarm) scheduleRediscover(tr *Transfer) {
 		}
 		s.touched = append(s.touched, tr)
 		tr.rediscovering = false
-		want := s.cfg.MaxSources - len(tr.sources)
+		want := s.cfg.MaxSources - len(tr.sched.sources)
 		if want <= 0 {
 			s.grant(tr)
 			return
 		}
 		srcs := s.loc.Locate(tr.client, tr.man.Object, want, tr.skipSet())
-		if len(srcs) == 0 && len(tr.evicted) > 0 {
+		if len(srcs) == 0 && len(tr.sched.evicted) > 0 {
 			// Nothing new to be found: forgive prior evictions and
 			// retry them. An evicted replica may have been a false
 			// positive (a slow but live source) or may have rejoined
 			// since — permanently banning every replica would turn one
 			// bad round into a guaranteed failure.
-			forgive := make(map[int]bool, len(tr.sources)+1)
+			forgive := make(map[int]bool, len(tr.sched.sources)+1)
 			forgive[tr.client] = true
-			for _, u := range tr.sources {
+			for _, u := range tr.sched.sources {
 				forgive[u] = true
 			}
 			srcs = s.loc.Locate(tr.client, tr.man.Object, want, forgive)
 			for _, u := range srcs {
-				delete(tr.evicted, u)
+				delete(tr.sched.evicted, u)
 			}
 		}
 		for _, u := range srcs {
-			s.addSource(tr, u)
+			tr.sched.AddSource(u)
 		}
-		if len(tr.sources) == 0 {
+		if len(tr.sched.sources) == 0 {
 			s.scheduleRediscover(tr)
 			return
 		}
@@ -446,7 +371,7 @@ func (s *Swarm) tick(now float64) {
 		if tr.done {
 			continue // retired by the event that touched it
 		}
-		stalled := !s.liveProgress(tr)
+		stalled := !tr.sched.Progress(s.live.Alive)
 		if stalled == tr.stalled {
 			continue
 		}
@@ -457,17 +382,6 @@ func (s *Swarm) tick(now float64) {
 		}
 	}
 	s.touched = s.touched[:0]
-}
-
-// liveProgress reports whether any chunk is in flight on a live
-// source.
-func (s *Swarm) liveProgress(tr *Transfer) bool {
-	for i, n := range tr.inflight {
-		if n > 0 && s.live.Alive(tr.sources[i]) {
-			return true
-		}
-	}
-	return false
 }
 
 // toMicros converts a simulated-ms duration to integer microseconds

@@ -359,6 +359,37 @@ func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 	}
 }
 
+// The host cache's eviction victim is drawn from the node's seeded rng
+// over the sorted candidates, so two nodes with one seed that learn the
+// same addresses in the same order end with the same cache.
+func TestHostCacheEvictionFollowsSeed(t *testing.T) {
+	cached := func() []string {
+		cfg := tightConfig(5)
+		cfg.ManageInterval = time.Hour
+		cfg.HostCacheCap = 8
+		nd, err := Start("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		for i := 0; i < 200; i++ {
+			nd.addToCacheLocked(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
+		}
+		var out []string
+		for a := range nd.cache {
+			out = append(out, a)
+		}
+		sort.Strings(out)
+		return out
+	}
+	a, b := cached(), cached()
+	if len(a) != 8 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("equal seeds, equal inputs, different host caches:\n%v\n%v", a, b)
+	}
+}
+
 // An address that never comes back must cost a bounded amount of state
 // and arithmetic: the retry delay settles at DialBackoffMax (the shift
 // does not grow with the failure count), and failed addresses — cached

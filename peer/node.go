@@ -719,17 +719,20 @@ func (n *Node) addToCacheLocked(addr string) {
 		return
 	}
 	if len(n.cache) >= n.cfg.HostCacheCap {
+		var cands []string
 		for a := range n.cache {
-			if _, connected := n.conns[a]; connected {
-				continue
+			if _, connected := n.conns[a]; !connected {
+				cands = append(cands, a)
 			}
-			delete(n.cache, a)
-			delete(n.backoff, a)
-			break
 		}
-		if len(n.cache) >= n.cfg.HostCacheCap {
+		if len(cands) == 0 {
 			return // cache full of live neighbors; skip
 		}
+		// Map order would discard the seed the pick draws from.
+		sort.Strings(cands)
+		victim := cands[n.rng.Intn(len(cands))]
+		delete(n.cache, victim)
+		delete(n.backoff, victim)
 	}
 	n.cache[addr] = true
 }

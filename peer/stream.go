@@ -3,9 +3,11 @@ package peer
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"makalu/internal/content"
+	"makalu/internal/stream"
 )
 
 // Chunk transfer message kinds: the streaming workload's frame pair on
@@ -153,30 +155,21 @@ type DownloadConfig struct {
 	// is dropped and its in-flight chunks are re-requested elsewhere.
 	// Default 2s.
 	ChunkTimeout time.Duration
-	// Window caps concurrently outstanding chunk requests (spread
-	// round-robin over the sources). Default 4.
+	// Window caps the chunk requests outstanding at each source, as
+	// the simulator's PerSourceWindow does. Default 4.
 	Window int
-	// MaxAttempts bounds request attempts per chunk before the
-	// download fails. Default 3 × len(sources), at least 6.
-	MaxAttempts int
 	// OnChunk, when non-nil, runs synchronously after each verified
 	// chunk with its index and serving address — tests use it to kill
 	// a replica at a precise point mid-transfer.
 	OnChunk func(chunk int, from string)
 }
 
-func (cfg DownloadConfig) withDefaults(sources int) DownloadConfig {
+func (cfg DownloadConfig) withDefaults() DownloadConfig {
 	if cfg.ChunkTimeout <= 0 {
 		cfg.ChunkTimeout = 2 * time.Second
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 4
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3 * sources
-		if cfg.MaxAttempts < 6 {
-			cfg.MaxAttempts = 6
-		}
 	}
 	return cfg
 }
@@ -186,21 +179,18 @@ type DownloadStats struct {
 	Bytes          int64
 	Elapsed        time.Duration
 	TTFB           time.Duration // -1 when no chunk ever arrived
-	ReRequests     int           // chunks re-requested after a source was dropped
+	ReRequests     int           // chunks re-queued when their source was dropped
 	SourcesDropped int
 }
 
-// inflightReq tracks one outstanding chunk request.
-type inflightReq struct {
-	src      string
-	deadline time.Time
-}
-
 // DownloadBlob fetches the object described by man from the given
-// replica addresses, pulling chunks round-robin with a bounded window,
-// verifying each against the manifest, dropping sources that miss
-// their per-chunk deadline and re-requesting their chunks from the
-// survivors. It returns the assembled, fully verified payload.
+// replica addresses under the simulator's chunk scheduler
+// (stream.Sched, a source being its position in sources): a window of
+// requests per source, each chunk verified against the manifest. A
+// source is dropped when it misses a chunk's deadline, answers a miss
+// or a corrupt chunk, or cannot be sent to, and the chunks it owed are
+// re-requested from the survivors. It returns the assembled, fully
+// verified payload, or an error once every source is dropped.
 //
 // Chunk data is content-verified, so a late reply from a dropped
 // source still counts. One DownloadBlob runs per node at a time: the
@@ -214,7 +204,7 @@ func (n *Node) DownloadBlob(man content.Manifest, sources []string, cfg Download
 	if len(sources) == 0 {
 		return nil, stats, fmt.Errorf("peer: no sources")
 	}
-	cfg = cfg.withDefaults(len(sources))
+	cfg = cfg.withDefaults()
 
 	// Drop leftovers from a previous download; hash verification makes
 	// stale replies harmless, this just keeps the buffer free.
@@ -227,121 +217,63 @@ func (n *Node) DownloadBlob(man content.Manifest, sources []string, cfg Download
 		break
 	}
 
-	nc := man.NumChunks()
 	out := make([]byte, man.Size)
-	done := make([]bool, nc)
-	attempts := make([]int, nc)
-	pending := make([]int, nc)
-	for i := range pending {
-		pending[i] = i
+	sched := stream.NewSched(man.NumChunks(), cfg.Window)
+	for i := range sources {
+		sched.AddSource(i)
 	}
-	remaining := nc
-	inflight := make(map[int]inflightReq)
-	live := append([]string(nil), sources...)
-	next := 0 // round-robin cursor over live
-
-	dropSource := func(addr string) {
-		found := false
-		for i, a := range live {
-			if a == addr {
-				live = append(live[:i], live[i+1:]...)
-				found = true
-				break
-			}
+	// Every request arms its own deadline, which posts (chunk, attempt)
+	// until the download returns; a failed send misses it at once.
+	type deadline struct{ c, att int }
+	fired, quit := make(chan deadline), make(chan struct{})
+	defer close(quit)
+	send := func(src, c, att int) {
+		wait := cfg.ChunkTimeout
+		if n.sendChunkRequest(sources[src], chunkReqPayload{
+			Object: man.Object,
+			Chunk:  uint32(c),
+			Offset: uint64(man.ChunkOffset(c)),
+			Length: uint32(man.ChunkLen(c)),
+		}) != nil {
+			wait = 0
 		}
-		if !found {
+		time.AfterFunc(wait, func() {
+			select {
+			case fired <- deadline{c, att}:
+			case <-quit:
+			}
+		})
+	}
+	drop := func(src int) { // src < 0: a stale deadline or a stranger's reply
+		if src < 0 {
 			return
 		}
-		stats.SourcesDropped++
-		if next >= len(live) {
-			next = 0
-		}
-		for c, req := range inflight {
-			if req.src == addr {
-				delete(inflight, c)
-				pending = append(pending, c)
-				stats.ReRequests++
-			}
+		if requeued, ok := sched.Evict(src); ok {
+			stats.SourcesDropped++
+			stats.ReRequests += requeued
 		}
 	}
 
-	timer := time.NewTimer(cfg.ChunkTimeout)
-	defer timer.Stop()
-
-	for remaining > 0 {
-		// Fill the window.
-		for len(inflight) < cfg.Window && len(pending) > 0 {
-			if len(live) == 0 {
-				return nil, stats, fmt.Errorf("peer: all %d sources dropped with %d chunks missing", len(sources), remaining)
-			}
-			c := pending[0]
-			pending = pending[1:]
-			if done[c] {
-				continue
-			}
-			attempts[c]++
-			if attempts[c] > cfg.MaxAttempts {
-				return nil, stats, fmt.Errorf("peer: chunk %d failed after %d attempts", c, cfg.MaxAttempts)
-			}
-			src := live[next%len(live)]
-			next++
-			err := n.sendChunkRequest(src, chunkReqPayload{
-				Object: man.Object,
-				Chunk:  uint32(c),
-				Offset: uint64(man.ChunkOffset(c)),
-				Length: uint32(man.ChunkLen(c)),
-			})
-			if err != nil {
-				pending = append(pending, c)
-				attempts[c]-- // a failed send is not a lost request
-				dropSource(src)
-				continue
-			}
-			inflight[c] = inflightReq{src: src, deadline: time.Now().Add(cfg.ChunkTimeout)}
+	for sched.Remaining() > 0 {
+		sched.Grant(send)
+		if len(sched.Sources()) == 0 {
+			return nil, stats, fmt.Errorf("peer: all %d sources dropped with %d chunks missing", len(sources), sched.Remaining())
 		}
-		if len(inflight) == 0 {
-			if len(live) == 0 || len(pending) == 0 {
-				return nil, stats, fmt.Errorf("peer: download stalled with %d chunks missing", remaining)
-			}
-			continue
-		}
-
-		// Wait for the next reply or the earliest deadline.
-		earliest := time.Time{}
-		for _, req := range inflight {
-			if earliest.IsZero() || req.deadline.Before(earliest) {
-				earliest = req.deadline
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(time.Until(earliest))
-
 		select {
 		case rep := <-n.chunks:
 			c := int(rep.Chunk)
-			if rep.Object != man.Object || c < 0 || c >= nc || done[c] {
+			if rep.Object != man.Object || c < 0 || c >= man.NumChunks() {
 				continue
 			}
 			if !rep.OK || !man.VerifyChunk(c, rep.Data) {
-				// The source answered but cannot (or corruptly) serve:
-				// re-request elsewhere.
-				if req, ok := inflight[c]; ok && req.src == rep.From {
-					delete(inflight, c)
-					pending = append(pending, c)
-					stats.ReRequests++
-					dropSource(rep.From)
-				}
+				// The source answered but cannot (or corruptly) serve.
+				drop(slices.Index(sources, rep.From))
+				continue
+			}
+			if !sched.Deliver(c) {
 				continue
 			}
 			copy(out[man.ChunkOffset(c):], rep.Data)
-			done[c] = true
-			delete(inflight, c)
-			remaining--
 			stats.Bytes += int64(len(rep.Data))
 			if stats.TTFB < 0 {
 				stats.TTFB = time.Since(start)
@@ -349,13 +281,8 @@ func (n *Node) DownloadBlob(man content.Manifest, sources []string, cfg Download
 			if cfg.OnChunk != nil {
 				cfg.OnChunk(c, rep.From)
 			}
-		case <-timer.C:
-			now := time.Now()
-			for _, req := range inflight {
-				if !req.deadline.After(now) {
-					dropSource(req.src)
-				}
-			}
+		case d := <-fired:
+			drop(sched.Expired(d.c, d.att))
 		case <-n.stop:
 			return nil, stats, fmt.Errorf("peer: node closed mid-download")
 		}

@@ -103,7 +103,6 @@ func TestDownloadSurvivesReplicaKill(t *testing.T) {
 	cfg := DownloadConfig{
 		ChunkTimeout: 300 * time.Millisecond,
 		Window:       2,
-		MaxAttempts:  64,
 		OnChunk: func(c int, from string) {
 			served[from] = true
 			// Kill the victim once it has verifiably served a chunk —
@@ -131,6 +130,35 @@ func TestDownloadSurvivesReplicaKill(t *testing.T) {
 	}
 }
 
+// TestDownloadBlobDropsRefusedSource lists a source whose listener is
+// closed, so every request to it fails to dial: the source is dropped
+// on the send error itself, long before any chunk deadline.
+func TestDownloadBlobDropsRefusedSource(t *testing.T) {
+	client, reps, man, payload := streamTestNet(t, 0xc105ed, 8_000, 1000, 1)
+	defer client.Close()
+	defer reps[0].Close()
+	gone, err := Start("127.0.0.1:0", DefaultNodeConfig(8, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+
+	const timeout = 10 * time.Second
+	got, stats, err := client.DownloadBlob(man, []string{gone.Addr(), reps[0].Addr()}, DownloadConfig{ChunkTimeout: timeout})
+	if err != nil {
+		t.Fatalf("download failed: %v (stats %+v)", err, stats)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("payload mismatch after dropping the refused source")
+	}
+	if stats.SourcesDropped != 1 || stats.ReRequests < 1 {
+		t.Fatalf("refused source not dropped with its chunks re-queued: %+v", stats)
+	}
+	if stats.Elapsed > timeout/10 {
+		t.Fatalf("download took %v: the refused source waited out a deadline", stats.Elapsed)
+	}
+}
+
 func TestDownloadBlobAllSourcesDead(t *testing.T) {
 	client, reps, man, _ := streamTestNet(t, 0xfee, 5_000, 500, 1)
 	defer client.Close()
@@ -140,7 +168,6 @@ func TestDownloadBlobAllSourcesDead(t *testing.T) {
 
 	_, stats, err := client.DownloadBlob(man, []string{victim.Addr()}, DownloadConfig{
 		ChunkTimeout: 200 * time.Millisecond,
-		MaxAttempts:  4,
 	})
 	if err == nil {
 		t.Fatal("download from a dead-only source list succeeded")
