@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -317,5 +319,28 @@ func TestServeModeABFAndRateLimit(t *testing.T) {
 	}
 	if err := node.Wait(); err != nil {
 		t.Fatalf("daemon exited %v after SIGTERM:\n%s", err, nodeOut.String())
+	}
+}
+
+// TestServeRateRejectsBadValues: a negative or non-finite -serve-rate
+// is a usage error (exit 2). Accepted, a negative rate would turn rate
+// limiting off without a word, and NaN would refuse every request.
+func TestServeRateRejectsBadValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir, "makalu/cmd/makalu-node").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, rate := range []string{"-1", "NaN", "+Inf"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, filepath.Join(dir, "makalu-node"),
+			"-serve-http", "127.0.0.1:0", "-serve-nodes", "100", "-serve-rate", rate).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-serve-rate %s: %v, want exit status 2\n%s", rate, err, out)
+		}
 	}
 }

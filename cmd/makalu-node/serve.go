@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -54,6 +55,10 @@ func (sf *serveFlags) active() bool { return sf.httpAddr != "" || sf.tcpAddr != 
 // serveMain builds the overlay + content + engine and serves until
 // SIGINT/SIGTERM. It is the whole lifecycle of service mode.
 func serveMain(sf *serveFlags, seed int64) int {
+	if sf.rate < 0 || math.IsNaN(sf.rate) || math.IsInf(sf.rate, 0) {
+		fmt.Fprintf(os.Stderr, "bad -serve-rate %v: want a finite rate >= 0\n", sf.rate)
+		return 2
+	}
 	reg := obs.NewRegistry()
 	t0 := time.Now()
 	fmt.Printf("building %d-node overlay (join wave %d, seed %d)...\n", sf.nodes, serveJoinWave, seed)

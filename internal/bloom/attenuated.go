@@ -1,7 +1,5 @@
 package bloom
 
-import "fmt"
-
 // Attenuated is an attenuated Bloom filter (Rhea–Kubiatowicz): a
 // stack of Bloom filters where Levels[i] summarizes the identifiers
 // hosted exactly i hops away from the owning node (level 0 = the
@@ -64,40 +62,4 @@ func (a *Attenuated) Score(key uint64, decay float64) float64 {
 		w *= decay
 	}
 	return score
-}
-
-// Clone deep-copies the hierarchy.
-func (a *Attenuated) Clone() *Attenuated {
-	c := &Attenuated{Levels: make([]*Filter, len(a.Levels))}
-	for i, f := range a.Levels {
-		c.Levels[i] = f.Clone()
-	}
-	return c
-}
-
-// Reset clears every level.
-func (a *Attenuated) Reset() {
-	for _, f := range a.Levels {
-		f.Reset()
-	}
-}
-
-// Shifted returns a copy of a with every level pushed one hop deeper:
-// level i of the result is level i-1 of a, level 0 empty, and the
-// deepest level of a dropped. This is the aggregation step when a
-// neighbor publishes its hierarchy to us: content i hops from the
-// neighbor is i+1 hops from us. Geometry mismatches between adjacent
-// levels are reported as an error.
-func (a *Attenuated) Shifted() (*Attenuated, error) {
-	c := &Attenuated{Levels: make([]*Filter, len(a.Levels))}
-	c.Levels[0] = New(a.Levels[0].Bits(), a.Levels[0].Hashes())
-	for i := 1; i < len(a.Levels); i++ {
-		src := a.Levels[i-1]
-		if src.Bits() != a.Levels[i].Bits() || src.Hashes() != a.Levels[i].Hashes() {
-			return nil, fmt.Errorf("bloom: Shifted needs uniform level geometry (level %d: %d vs %d bits)",
-				i, src.Bits(), a.Levels[i].Bits())
-		}
-		c.Levels[i] = src.Clone()
-	}
-	return c, nil
 }

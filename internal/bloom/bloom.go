@@ -7,9 +7,7 @@ package bloom
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/bits"
 )
 
 // Filter is a fixed-size Bloom filter over 64-bit keys. The zero
@@ -49,12 +47,6 @@ func BitsFor(items float64, k int, fpRate float64) int {
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() int { return int(f.m) }
 
-// Hashes returns the number of hash functions.
-func (f *Filter) Hashes() int { return f.k }
-
-// Insertions returns the number of Add calls (duplicates included).
-func (f *Filter) Insertions() int { return int(f.n) }
-
 // mix is splitmix64: the double-hashing basis for 64-bit keys.
 func mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -84,7 +76,8 @@ func AppendPositions(dst []uint32, key uint64, m, k int) []uint32 {
 // View returns a filter of m bits and k hashes over the caller's
 // words, which must hold (m+63)/64 of them and are shared, not copied:
 // bits set through either are seen through both. Insertions counts
-// only the view's own Add calls.
+// only the view's own Add calls. Tests read an ABF network's level
+// arenas through it.
 func View(words []uint64, m, k int) *Filter {
 	if m <= 0 || k <= 0 || len(words) != (m+63)/64 {
 		panic("bloom: view needs positive m and k and exactly (m+63)/64 words")
@@ -102,9 +95,6 @@ func (f *Filter) Add(key uint64) {
 	f.n++
 }
 
-// AddString inserts a string key (FNV-1a hashed to 64 bits).
-func (f *Filter) AddString(s string) { f.Add(HashString(s)) }
-
 // Contains reports whether key may have been inserted. False
 // positives occur at the filter's fill-dependent rate; false
 // negatives never.
@@ -117,16 +107,6 @@ func (f *Filter) Contains(key uint64) bool {
 		}
 	}
 	return true
-}
-
-// ContainsString is Contains for string keys.
-func (f *Filter) ContainsString(s string) bool { return f.Contains(HashString(s)) }
-
-// HashString maps a string to the 64-bit key space via FNV-1a.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // Union ORs other into f. Both filters must have identical geometry.
@@ -148,40 +128,4 @@ func (f *Filter) Reset() {
 		f.words[i] = 0
 	}
 	f.n = 0
-}
-
-// Clone returns a deep copy.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{words: append([]uint64(nil), f.words...), m: f.m, k: f.k, n: f.n}
-	return c
-}
-
-// PopCount returns the number of set bits.
-func (f *Filter) PopCount() int {
-	total := 0
-	for _, w := range f.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 {
-	return float64(f.PopCount()) / float64(f.m)
-}
-
-// EstimatedFPRate estimates the current false-positive probability as
-// fill^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// Empty reports whether no bits are set.
-func (f *Filter) Empty() bool {
-	for _, w := range f.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }

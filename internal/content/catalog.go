@@ -3,20 +3,11 @@ package content
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"makalu/internal/bloom"
 )
 
-// Catalog gives objects human-style names and keyword sets so the
-// flooding experiments can model wildcard/attribute searches (§1:
-// "wild card searches using flooding"), not just exact lookups. A
-// query carries a subset of an object's keywords; any object whose
-// keyword set contains all query terms matches.
+// Catalog gives objects human-style display names.
 type Catalog struct {
-	Names    []string
-	IDs      []uint64
-	keywords [][]uint64 // sorted keyword hashes per object
+	Names []string
 }
 
 var (
@@ -35,110 +26,19 @@ var (
 )
 
 // GenerateCatalog synthesizes numObjects named objects. Names look
-// like "ember classic track 0042"; keywords are the lowercase tokens
-// plus the numeric suffix, hashed to 64 bits.
+// like "ember classic track 0042".
 func GenerateCatalog(numObjects int, seed int64) (*Catalog, error) {
 	if numObjects <= 0 {
 		return nil, fmt.Errorf("content: catalog needs positive object count")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	c := &Catalog{
-		Names:    make([]string, numObjects),
-		IDs:      make([]uint64, numObjects),
-		keywords: make([][]uint64, numObjects),
-	}
+	c := &Catalog{Names: make([]string, numObjects)}
 	for i := 0; i < numObjects; i++ {
 		artist := nameArtists[rng.Intn(len(nameArtists))]
 		adj := nameAdjectives[rng.Intn(len(nameAdjectives))]
 		noun := nameNouns[rng.Intn(len(nameNouns))]
 		serial := fmt.Sprintf("%04d", i)
 		c.Names[i] = artist + " " + adj + " " + noun + " " + serial
-		c.IDs[i] = ObjectID(seed, i)
-		kws := []uint64{
-			bloom.HashString(artist),
-			bloom.HashString(adj),
-			bloom.HashString(noun),
-			bloom.HashString(serial),
-		}
-		sort.Slice(kws, func(a, b int) bool { return kws[a] < kws[b] })
-		c.keywords[i] = kws
 	}
 	return c, nil
-}
-
-// NumObjects returns the catalog size.
-func (c *Catalog) NumObjects() int { return len(c.IDs) }
-
-// Keywords returns the sorted keyword hashes of object i.
-func (c *Catalog) Keywords(i int) []uint64 { return c.keywords[i] }
-
-// Query is a wildcard search: a set of keyword terms that must all
-// appear in a matching object's keyword set.
-type Query struct {
-	Terms []uint64 // sorted keyword hashes
-}
-
-// QueryFor builds a query for object i using nTerms of its keywords
-// (clamped to the keyword count), drawn without replacement. With all
-// four keywords the query is fully specific; with fewer it behaves
-// like a wildcard search that may match several objects.
-func (c *Catalog) QueryFor(i, nTerms int, rng *rand.Rand) Query {
-	kws := c.keywords[i]
-	if nTerms >= len(kws) {
-		return Query{Terms: append([]uint64(nil), kws...)}
-	}
-	if nTerms < 1 {
-		nTerms = 1
-	}
-	perm := rng.Perm(len(kws))
-	terms := make([]uint64, 0, nTerms)
-	for _, p := range perm[:nTerms] {
-		terms = append(terms, kws[p])
-	}
-	sort.Slice(terms, func(a, b int) bool { return terms[a] < terms[b] })
-	return Query{Terms: terms}
-}
-
-// Matches reports whether object i satisfies the query (all terms
-// present in the object's keyword set).
-func (c *Catalog) Matches(i int, q Query) bool {
-	kws := c.keywords[i]
-	for _, t := range q.Terms {
-		j := sort.Search(len(kws), func(j int) bool { return kws[j] >= t })
-		if j >= len(kws) || kws[j] != t {
-			return false
-		}
-	}
-	return true
-}
-
-// MatchingObjects returns the indexes of every catalog object that
-// satisfies the query.
-func (c *Catalog) MatchingObjects(q Query) []int {
-	var out []int
-	for i := range c.keywords {
-		if c.Matches(i, q) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MatchingNodes returns the sorted, deduplicated set of nodes that
-// host at least one object matching the query, given the placement in
-// s (object i in the catalog corresponds to s.Objects()[i]; the
-// catalog and store must be built with the same size and seed).
-func (c *Catalog) MatchingNodes(q Query, s *Store) []int32 {
-	seen := map[int32]bool{}
-	for _, i := range c.MatchingObjects(q) {
-		for _, h := range s.Replicas(c.IDs[i]) {
-			seen[h] = true
-		}
-	}
-	out := make([]int32, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

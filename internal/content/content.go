@@ -108,9 +108,6 @@ func ObjectID(seed int64, i int) uint64 {
 // N returns the node count the store covers.
 func (s *Store) N() int { return s.n }
 
-// NumObjects returns the catalog size.
-func (s *Store) NumObjects() int { return len(s.objects) }
-
 // Objects returns all object ids in placement order. Callers must not
 // modify the slice.
 func (s *Store) Objects() []uint64 { return s.objects }

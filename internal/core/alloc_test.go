@@ -67,10 +67,10 @@ func TestConnectPruneZeroAlloc(t *testing.T) {
 		n := o.N()
 		// Warm the path once so one-time buffer growth is done.
 		for i := 0; i < 32; i++ {
-			o.Connect(rng.Intn(n), rng.Intn(n))
+			o.connect(rng.Intn(n), rng.Intn(n))
 		}
 		if avg := testing.AllocsPerRun(500, func() {
-			o.Connect(rng.Intn(n), rng.Intn(n))
+			o.connect(rng.Intn(n), rng.Intn(n))
 		}); avg != 0 {
 			t.Errorf("views=%v: Connect+prune allocates %.1f/op; want 0", views, avg)
 		}

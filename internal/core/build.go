@@ -152,15 +152,6 @@ func (o *Overlay) pruneDiscard(u int) {
 	o.droppedBuf = o.pruneToCapacity(u, o.droppedBuf[:0])
 }
 
-// Connect dials v from u through the paper's provisional-accept rule:
-// the edge is added unconditionally and both endpoints prune back to
-// capacity, so the link survives only if it outranks each side's worst
-// neighbor. It reports whether the edge survived. Exported for tools,
-// simulations and benchmarks that drive the protocol from outside.
-func (o *Overlay) Connect(u, v int) bool {
-	return o.connect(u, v)
-}
-
 // join brings node u into the overlay: it picks a random already
 // joined seed peer, walks the overlay for candidates, and dials
 // candidates until it has filled its capacity or exhausted the set
@@ -470,16 +461,6 @@ func (o *Overlay) fragmentLinked(u, target int) bool {
 	}
 	o.fragQueueBuf = queue
 	return false
-}
-
-// SetCapacity changes node u's capacity at runtime; a reduction
-// triggers the paper's pruning mechanism immediately.
-func (o *Overlay) SetCapacity(u, capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	o.caps[u] = capacity
-	o.pruneDiscard(u)
 }
 
 // AddNode grows the overlay by one node with the given capacity and

@@ -44,7 +44,7 @@ type Config struct {
 	Alpha, Beta float64
 	// Capacities holds each node's maximum connection count; length
 	// must equal the node count passed to Build. Nil means
-	// topology.DefaultCapacities-style uniform [8,14] drawn from Seed.
+	// capacities uniform in [8, 14] drawn from Seed.
 	Capacities []int
 	// Net supplies pairwise latencies. Required.
 	Net netmodel.Model
@@ -111,7 +111,7 @@ type Config struct {
 	Seed int64
 	// Tracer, when non-nil, observes every protocol action the
 	// overlay takes (dials, disconnects, view exchanges, walk probes)
-	// so callers can account maintenance traffic. See sim.CostModel.
+	// so callers can account maintenance traffic.
 	Tracer Tracer
 }
 
@@ -174,7 +174,6 @@ type Overlay struct {
 	scratchPool  []*ratingScratch // per-worker scratches for parallel phases
 	candBuf      []int32          // reusable candidate buffer for walks
 	fallbackBuf  []int32          // reusable boundary-fallback buffer for walks
-	leaveBuf     []int32          // reusable neighbor snapshot for Leave
 	droppedBuf   []int32          // reusable dropped-neighbor buffer for internal prunes
 	openBuf      []int32          // reusable open-slot list for pairOpenSlots
 	permBuf      []int            // reusable permutation for ManageRound ordering
@@ -350,9 +349,6 @@ func (o *Overlay) Alive(u int) bool { return o.alive[u] }
 // (the stream scheduler's stall flags) re-derives it only when the
 // counter moved. A joining node is new, not changed, and does not count.
 func (o *Overlay) LiveEpoch() uint64 { return o.liveEpoch }
-
-// Capacity returns node u's connection capacity.
-func (o *Overlay) Capacity(u int) int { return o.caps[u] }
 
 // Graph returns the live mutable topology. Callers must not mutate it.
 func (o *Overlay) Graph() *graph.Mutable { return o.g }

@@ -70,47 +70,6 @@ func (o *Overlay) FailRandom(k int) []int {
 	return ids
 }
 
-// Leave performs a graceful departure: u notifies its neighbors (so
-// each gets a Disconnect trace), its links are torn down, and the
-// former neighbors immediately look for replacements — unlike the
-// crash model of FailNodes, where survivors only recover at the next
-// management round. It reports whether u was alive.
-func (o *Overlay) Leave(u int) bool {
-	if u < 0 || u >= o.g.N() || !o.alive[u] {
-		return false
-	}
-	// Snapshot the neighbor list into a reusable buffer (the refills
-	// below mutate the adjacency under us). Leave is not reentrant, so
-	// one buffer per overlay suffices.
-	o.leaveBuf = append(o.leaveBuf[:0], o.g.Neighbors(u)...)
-	neighbors := o.leaveBuf
-	if t := o.cfg.Tracer; t != nil {
-		for _, v := range neighbors {
-			t.Disconnect(u, int(v))
-		}
-	}
-	o.alive[u] = false
-	o.liveEpoch++
-	o.nLive--
-	o.g.IsolateNode(u)
-	if o.cfg.Views == ProtocolViews {
-		o.views[u] = o.views[u][:0]
-	}
-	// The notified neighbors refill right away from their own
-	// neighborhoods (they just lost one slot each).
-	for _, v := range neighbors {
-		if !o.alive[v] {
-			continue
-		}
-		if seed := o.randomAliveNeighbor(o.rng, int(v)); seed >= 0 {
-			o.fillConnections(int(v), seed)
-		} else if seed := o.randomAliveNodeExcept(o.rng, int(v)); seed >= 0 {
-			o.fillConnections(int(v), seed)
-		}
-	}
-	return true
-}
-
 // Revive brings a previously failed node back online: it rejoins
 // through the bootstrap path like a fresh peer (churn rejoin). It
 // reports whether the node was actually dead.

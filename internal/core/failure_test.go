@@ -30,7 +30,6 @@ func TestLiveEpochCoversEveryAliveFlip(t *testing.T) {
 			{"FailNodes", func() { o.FailNodes([]int{rng.Intn(o.N()), rng.Intn(o.N()), -1}) }},
 			{"FailRandom", func() { o.FailRandom(rng.Intn(3)) }},
 			{"FailTopDegree", func() { o.FailTopDegree(rng.Intn(3)) }},
-			{"Leave", func() { o.Leave(rng.Intn(o.N())) }},
 			{"Revive", func() { o.Revive(rng.Intn(o.N())) }},
 			{"AddNode", func() { o.AddNode(8) }},
 			{"ManageRound", func() { o.ManageRound() }},
@@ -48,7 +47,7 @@ func TestLiveEpochCoversEveryAliveFlip(t *testing.T) {
 				t.Fatalf("seed %d step %d: %s changed an Alive bit and left LiveEpoch at %d", seed, i, op.name, epoch)
 			}
 		}
-		for _, name := range []string{"FailNodes", "FailRandom", "FailTopDegree", "Leave", "Revive"} {
+		for _, name := range []string{"FailNodes", "FailRandom", "FailTopDegree", "Revive"} {
 			if flips[name] == 0 {
 				t.Errorf("seed %d: no %s call flipped a bit; the sequence does not test it", seed, name)
 			}

@@ -98,7 +98,7 @@ func TestGoldenPruneDropSequence(t *testing.T) {
 	}{
 		{name: "default", net: netmodel.NewEuclidean(n, 1000, 7), minExtra: 2},
 		{name: "capacity-40", net: netmodel.NewEuclidean(n, 1000, 7), capacity: 40, minExtra: 2, wantSlots: 4096},
-		{name: "degree>64-tied", net: netmodel.Uniform{Nodes: n, Cost: 1}, minExtra: 60, wantDeg: 64},
+		{name: "degree>64-tied", net: uniformLatency{n, 1}, minExtra: 60, wantDeg: 64},
 	} {
 		for _, views := range []ViewMode{OracleViews, ProtocolViews} {
 			mk := func(full bool) *Overlay {
@@ -249,26 +249,6 @@ func TestRateAllMatchesRateNeighbors(t *testing.T) {
 		if !reflect.DeepEqual(again[u], want) {
 			t.Fatalf("node %d: reused RateAll row differs", u)
 		}
-	}
-}
-
-// TestRatingNoAlloc guards the satellite fix: Rating must reuse the
-// scratch buffer instead of allocating a RatingInfo slice per call.
-func TestRatingNoAlloc(t *testing.T) {
-	const n = 200
-	net := netmodel.NewEuclidean(n, 1000, 2)
-	o, err := Build(n, DefaultConfig(net, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := 0
-	v := int(o.g.Neighbors(u)[0])
-	o.Rating(u, v) // warm the scratch buffer
-	allocs := testing.AllocsPerRun(100, func() {
-		o.Rating(u, v)
-	})
-	if allocs != 0 {
-		t.Fatalf("Rating allocates %.1f times per call, want 0", allocs)
 	}
 }
 

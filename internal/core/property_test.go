@@ -29,7 +29,7 @@ func TestOverlayInvariantsProperty(t *testing.T) {
 		}
 		// I1: capacity respected everywhere.
 		for u := 0; u < n; u++ {
-			if o.Graph().Degree(u) > o.Capacity(u) {
+			if o.Graph().Degree(u) > o.caps[u] {
 				return false
 			}
 		}
@@ -100,7 +100,7 @@ func TestFailureInvariantsProperty(t *testing.T) {
 		// I6: recovery rounds never exceed capacities.
 		o.Recover(1)
 		for u := 0; u < n; u++ {
-			if o.Alive(u) && o.Graph().Degree(u) > o.Capacity(u) {
+			if o.Alive(u) && o.Graph().Degree(u) > o.caps[u] {
 				return false
 			}
 		}
@@ -120,25 +120,20 @@ func TestChurnCycleInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Random interleaving of leaves, crashes and revives.
+		// Random interleaving of crashes and revives.
 		ops := int(opsRaw)%40 + 10
 		x := uint64(seed)*2654435761 + 12345
 		dead := map[int]bool{}
 		for i := 0; i < ops; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			u := int(x>>33) % n
-			switch (x >> 13) % 3 {
+			switch (x >> 13) % 2 {
 			case 0:
-				if o.Leave(u) == dead[u] {
-					return false // Leave succeeds iff node was alive
-				}
-				dead[u] = true
-			case 1:
 				if o.Revive(u) != dead[u] {
 					return false // Revive succeeds iff node was dead
 				}
 				dead[u] = false
-			case 2:
+			case 1:
 				o.FailNodes([]int{u})
 				dead[u] = true
 			}
@@ -162,7 +157,7 @@ func TestChurnCycleInvariantsProperty(t *testing.T) {
 
 // AliveComponents counts on the live adjacency what the churn snapshots
 // used to count on a frozen induced copy: after every step of a random
-// fail/revive/leave sequence — crash bursts included, so the alive
+// fail/revive sequence — crash bursts included, so the alive
 // subgraph fragments — both agree on the component count and the giant.
 func TestAliveComponentsMatchesFreezeProperty(t *testing.T) {
 	fragmented := 0
@@ -177,14 +172,12 @@ func TestAliveComponentsMatchesFreezeProperty(t *testing.T) {
 		for i := int(opsRaw)%40 + 10; i > 0; i-- {
 			x = x*6364136223846793005 + 1442695040888963407
 			u := int(x>>33) % n
-			switch (x >> 13) % 4 {
+			switch (x >> 13) % 3 {
 			case 0:
-				o.Leave(u)
-			case 1:
 				o.Revive(u)
-			case 2:
+			case 1:
 				o.FailNodes([]int{u})
-			case 3:
+			case 2:
 				o.FailRandom(int(x>>40) % (n / 4))
 			}
 			sub, _ := o.FreezeAlive()

@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // ratingScratch is the working state of one rating evaluation: O(deg²)
 // with no allocation once warm, and nothing in it sized by the node
 // count. The Overlay owns one scratch for the sequential protocol
@@ -24,9 +22,8 @@ type ratingScratch struct {
 	plat  []float64
 	ident []int32
 
-	pord      []int32      // surviving positions during a multi-link prune
-	rows      [][]int32    // pre-gathered view rows (gatherViews)
-	ratingBuf []RatingInfo // reusable result buffer for Rating
+	pord []int32   // surviving positions during a multi-link prune
+	rows [][]int32 // pre-gathered view rows (gatherViews)
 
 	touchSink int32 // keeps gatherViews' prefetch loads live
 }
@@ -120,21 +117,6 @@ func (o *Overlay) rateNeighborsOn(s *ratingScratch, u int, out []RatingInfo) []R
 		out = append(out, info)
 	}
 	return out
-}
-
-// Rating returns the score of neighbor v as seen by u, or NaN when v
-// is not currently a neighbor of u. The computation reuses the
-// overlay's scratch rating buffer, so calls allocate nothing once the
-// buffer has grown to the overlay's maximum degree.
-func (o *Overlay) Rating(u, v int) float64 {
-	infos := o.RateNeighbors(u, o.scratch.ratingBuf)
-	o.scratch.ratingBuf = infos // keep any growth for reuse
-	for _, in := range infos {
-		if in.Neighbor == v {
-			return in.Score
-		}
-	}
-	return math.NaN()
 }
 
 // pruneToCapacity implements the inner loop of Manage(): while u has

@@ -112,8 +112,8 @@ func TestWaveInvariants(t *testing.T) {
 			o := buildWith(t, n, seed, views, k, 2)
 			g := o.Graph()
 			for u := 0; u < n; u++ {
-				if d := g.Degree(u); d > o.Capacity(u) {
-					t.Fatalf("k=%d views=%d: node %d degree %d over capacity %d", k, views, u, d, o.Capacity(u))
+				if d := g.Degree(u); d > o.caps[u] {
+					t.Fatalf("k=%d views=%d: node %d degree %d over capacity %d", k, views, u, d, o.caps[u])
 				} else if d == 0 {
 					t.Fatalf("k=%d views=%d: node %d isolated", k, views, u)
 				}

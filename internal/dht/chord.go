@@ -83,12 +83,6 @@ func New(n int, seed int64) (*Chord, error) {
 	return c, nil
 }
 
-// N returns the node count.
-func (c *Chord) N() int { return c.n }
-
-// ID returns node u's ring position.
-func (c *Chord) ID(u int) uint64 { return c.ids[u] }
-
 // successorNode returns the node owning the first ring id >= target
 // (wrapping past the top of the ring).
 func (c *Chord) successorNode(target uint64) int32 {
@@ -97,12 +91,6 @@ func (c *Chord) successorNode(target uint64) int32 {
 		i = 0
 	}
 	return c.ownerOf[i]
-}
-
-// Owner returns the node responsible for a key: the successor of the
-// key's ring position.
-func (c *Chord) Owner(key uint64) int {
-	return int(c.successorNode(mix64(key)))
 }
 
 // inOpenInterval reports whether x lies in the open ring interval

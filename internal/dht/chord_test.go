@@ -21,22 +21,26 @@ func TestOwnerIsSuccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		key := rng.Uint64()
-		owner := c.Owner(key)
+		owner := chordOwner(c, key)
 		target := mix64(key)
-		oid := c.ID(owner)
+		oid := c.ids[owner]
 		// No other node id may lie in (target, oid) — owner is the
 		// first node at or after the key position.
-		for u := 0; u < c.N(); u++ {
+		for u := 0; u < c.n; u++ {
 			if u == owner {
 				continue
 			}
-			if inHalfOpen(c.ID(u), target, oid) {
+			if inHalfOpen(c.ids[u], target, oid) {
 				t.Fatalf("node %d (id %x) lies between key %x and owner %x",
-					u, c.ID(u), target, oid)
+					u, c.ids[u], target, oid)
 			}
 		}
 	}
 }
+
+// chordOwner returns the node responsible for a key: the successor of
+// the key's ring position.
+func chordOwner(c *Chord, key uint64) int { return int(c.successorNode(mix64(key))) }
 
 // inHalfOpen reports x in [a, b) on the ring.
 func inHalfOpen(x, a, b uint64) bool {
@@ -57,8 +61,8 @@ func TestLookupFindsOwnerFromEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
 		key := rng.Uint64()
-		want := c.Owner(key)
-		src := rng.Intn(c.N())
+		want := chordOwner(c, key)
+		src := rng.Intn(c.n)
 		got, hops := c.Lookup(src, key)
 		if got != want {
 			t.Fatalf("lookup owner %d, want %d", got, want)
@@ -66,7 +70,7 @@ func TestLookupFindsOwnerFromEverywhere(t *testing.T) {
 		if src == want && hops != 0 {
 			t.Fatalf("lookup from the owner should be free, took %d hops", hops)
 		}
-		if hops < 0 || hops > c.N() {
+		if hops < 0 || hops > c.n {
 			t.Fatalf("absurd hop count %d", hops)
 		}
 	}
@@ -129,9 +133,9 @@ func TestOwnershipPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(key uint64, srcRaw uint8) bool {
-		src := int(srcRaw) % c.N()
+		src := int(srcRaw) % c.n
 		got, _ := c.Lookup(src, key)
-		return got == c.Owner(key)
+		return got == chordOwner(c, key)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -169,7 +173,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < 128; u++ {
-		if a.ID(u) != b.ID(u) {
+		if a.ids[u] != b.ids[u] {
 			t.Fatal("ring ids must be deterministic")
 		}
 	}

@@ -91,12 +91,6 @@ func (k *Kademlia) fillBuckets() {
 	}
 }
 
-// N returns the node count.
-func (k *Kademlia) N() int { return k.n }
-
-// ID returns node u's id.
-func (k *Kademlia) ID(u int) uint64 { return k.ids[u] }
-
 // Owner returns the node whose id is XOR-closest to the key.
 func (k *Kademlia) Owner(key uint64) int {
 	target := mix64(key)

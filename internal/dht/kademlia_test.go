@@ -22,10 +22,10 @@ func TestKademliaBucketsCoverCorrectRanges(t *testing.T) {
 	// Every bucket entry of node u must share u's prefix above bit b
 	// and differ at bit b.
 	for u := 0; u < 300; u += 17 {
-		uid := k.ID(u)
+		uid := k.ids[u]
 		for b, bucket := range k.buckets[u] {
 			for _, v := range bucket {
-				d := uid ^ k.ID(int(v))
+				d := uid ^ k.ids[int(v)]
 				if got := 63 - bits.LeadingZeros64(d); got != b {
 					t.Fatalf("node %d bucket %d holds node with top differing bit %d", u, b, got)
 				}
@@ -48,7 +48,7 @@ func TestKademliaOwnerIsXORClosest(t *testing.T) {
 		owner := k.Owner(key)
 		target := mix64(key)
 		for v := 0; v < 200; v++ {
-			if k.ID(v)^target < k.ID(owner)^target {
+			if k.ids[v]^target < k.ids[owner]^target {
 				t.Fatalf("node %d closer than owner %d", v, owner)
 			}
 		}

@@ -77,9 +77,6 @@ func RunConvergence(opt Options, rounds int) (*ConvergenceResult, error) {
 	return res, nil
 }
 
-// Churn returns a round's total topology changes.
-func (r ConvergenceRound) Churn() int { return r.Connects + r.Disconnects }
-
 // Render formats the E15 series.
 func (r *ConvergenceResult) Render() string {
 	var b strings.Builder

@@ -16,8 +16,8 @@ func TestRunConvergenceChurnDecays(t *testing.T) {
 	}
 	// The Manage() loop must settle: late-round churn well below the
 	// first round's.
-	early := res.Rounds[0].Churn()
-	late := res.Rounds[len(res.Rounds)-1].Churn()
+	early := res.Rounds[0].Connects + res.Rounds[0].Disconnects
+	late := res.Rounds[len(res.Rounds)-1].Connects + res.Rounds[len(res.Rounds)-1].Disconnects
 	if early == 0 {
 		t.Fatal("first round produced no churn — tracer broken?")
 	}

@@ -36,13 +36,6 @@ type Options struct {
 	Obs *search.BatchObs
 }
 
-// DefaultOptions returns sizes that keep the full experiment suite in
-// the minutes range on a single core. The paper-scale run uses
-// N = 100000 and Queries = 1000 × 100 runs.
-func DefaultOptions() Options {
-	return Options{N: 2000, Queries: 300, Seed: 1}
-}
-
 // TopologyName labels the overlays under comparison.
 type TopologyName string
 

@@ -88,9 +88,6 @@ func NewPool(addr string, size int, dialTimeout, readTimeout time.Duration) *Poo
 	}
 }
 
-// Addr returns the backend address the pool dials.
-func (p *Pool) Addr() string { return p.addr }
-
 // Inflight returns the calls currently awaiting replies.
 func (p *Pool) Inflight() int64 { return p.inflight.Load() }
 

@@ -141,18 +141,11 @@ func (g *Graph) pathStats(sources []int) PathStats {
 	return st
 }
 
-// Eccentricity returns the hop eccentricity of node u (0 when u is
-// isolated or alone in its component).
-func (g *Graph) Eccentricity(u int) int {
-	dist := make([]int32, g.N())
-	return int(g.BFS(u, dist, nil))
-}
-
 // HopDiameter computes the exact hop diameter with the double-sweep +
 // iFUB path (a handful of BFS runs instead of N; see diameter.go). On
 // a disconnected graph it returns the largest eccentricity within any
 // component. The all-pairs AllPathStats remains the test oracle this
 // is cross-checked against.
 func (g *Graph) HopDiameter() int {
-	return g.HopDiameterExact(nil).Diameter
+	return g.HopDiameterBudget(-1, nil).Diameter
 }

@@ -51,17 +51,10 @@ func (s *BFSScratch) grow(n int) {
 	}
 }
 
-// Dist returns the distance array of the most recent BFSStats run:
-// dist[v] is the hop distance from the source, Unreachable for nodes
-// outside its component. Only the first N entries are meaningful for
-// an N-node graph. The slice is owned by the scratch and overwritten
-// by the next traversal.
-func (s *BFSScratch) Dist() []int32 { return s.dist }
-
 // BFSStats runs a direction-optimizing BFS from src using the scratch
 // buffers and returns the source's eccentricity within its component,
 // the number of reached nodes (excluding src) and the sum of their hop
-// distances. The full distance array remains readable via s.Dist().
+// distances.
 func (g *Graph) BFSStats(src int, s *BFSScratch) (ecc int32, reached int64, sum int64) {
 	n := g.N()
 	s.grow(n)

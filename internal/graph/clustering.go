@@ -25,23 +25,3 @@ func (g *Graph) GlobalClusteringCoefficient() float64 {
 	}
 	return float64(closed) / float64(triplets)
 }
-
-// LocalClusteringCoefficient returns node u's clustering coefficient:
-// the fraction of its neighbor pairs that are themselves connected
-// (0 for degree < 2).
-func (g *Graph) LocalClusteringCoefficient(u int) float64 {
-	nb := g.Neighbors(u)
-	d := len(nb)
-	if d < 2 {
-		return 0
-	}
-	closed := 0
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			if g.HasEdge(int(nb[i]), int(nb[j])) {
-				closed++
-			}
-		}
-	}
-	return float64(closed) / float64(d*(d-1)/2)
-}

@@ -31,18 +31,13 @@ type DiameterStats struct {
 	BFSRuns  int  // BFS traversals executed
 }
 
-// HopDiameterExact computes the exact hop diameter with double-sweep
-// lower bounds + iFUB, per connected component. On a disconnected
-// graph it returns the largest eccentricity within any component,
-// matching AllPathStats.HopDiameter. Pass a scratch to reuse buffers
-// across calls, or nil to allocate one.
-func (g *Graph) HopDiameterExact(s *BFSScratch) DiameterStats {
-	return g.HopDiameterBudget(-1, s)
-}
-
-// HopDiameterBudget is HopDiameterExact under a BFS budget: at most
+// HopDiameterBudget computes the hop diameter with double-sweep lower
+// bounds + iFUB, per connected component, under a BFS budget: at most
 // budget traversals beyond the per-component double sweeps (negative
-// means unlimited). On near-regular overlays — where almost every
+// means unlimited, and the result is exact). On a disconnected graph it
+// returns the largest eccentricity within any component, matching
+// AllPathStats.HopDiameter. Pass a scratch to reuse buffers across
+// calls, or nil to allocate one. On near-regular overlays — where almost every
 // node's eccentricity equals the diameter and no bound-based exact
 // method can beat Θ(N) traversals — the budget caps the cost and the
 // result degrades to a certified [Diameter, UB] interval, typically

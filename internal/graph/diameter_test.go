@@ -88,7 +88,7 @@ func TestIFUBDiameterMatchesOracle(t *testing.T) {
 	scratch := graph.NewBFSScratch(0)
 	for name, g := range testGraphs(t) {
 		oracle := g.AllPathStats().HopDiameter
-		got := g.HopDiameterExact(scratch)
+		got := g.HopDiameterBudget(-1, scratch)
 		if got.Diameter != oracle {
 			t.Errorf("%s: iFUB diameter %d, oracle %d", name, got.Diameter, oracle)
 		}
@@ -111,7 +111,7 @@ func TestIFUBDiameterRandomized(t *testing.T) {
 		p := rng.Float64() * 6 / float64(n)
 		g := erGraph(n, p, rng.Int63()).Freeze(nil)
 		oracle := g.AllPathStats().HopDiameter
-		if got := g.HopDiameterExact(scratch).Diameter; got != oracle {
+		if got := g.HopDiameterBudget(-1, scratch).Diameter; got != oracle {
 			t.Fatalf("trial %d (n=%d p=%.4f): iFUB %d, oracle %d", trial, n, p, got, oracle)
 		}
 	}
@@ -137,7 +137,7 @@ func TestIFUBSublinearOnSkewedGraphs(t *testing.T) {
 	cases["path"] = path.Freeze(nil)
 
 	for name, g := range cases {
-		res := g.HopDiameterExact(nil)
+		res := g.HopDiameterBudget(-1, nil)
 		if res.Diameter != g.AllPathStats().HopDiameter {
 			t.Fatalf("%s: diameter mismatch: %d vs oracle", name, res.Diameter)
 		}
@@ -184,8 +184,18 @@ func TestLandmarkCICoversExactMean(t *testing.T) {
 		if !g.IsConnected() {
 			// Coverage is only guaranteed on connected graphs, where
 			// per-source means are unbiased for the pairs mean.
-			gc, _ := g.GiantComponent()
-			g = gc
+			labels, sizes := g.Components()
+			giant := 0
+			for c, size := range sizes {
+				if size > sizes[giant] {
+					giant = c
+				}
+			}
+			keep := make([]bool, g.N())
+			for u, c := range labels {
+				keep[u] = c == int32(giant)
+			}
+			g, _ = g.InducedSubgraph(keep)
 		}
 		exact := g.AllPathStats().MeanHops
 		scratch := graph.NewBFSScratch(g.N())
@@ -242,7 +252,7 @@ func TestBFSStatsMatchesPlainBFS(t *testing.T) {
 				t.Fatalf("%s src %d: reached/sum %d/%d, want %d/%d",
 					name, src, reached, sum, wantReached, wantSum)
 			}
-			for v, d := range scratch.Dist()[:n] {
+			for v, d := range graph.ScratchDist(scratch)[:n] {
 				if d != dist[v] {
 					t.Fatalf("%s src %d: dist[%d]=%d, want %d", name, src, v, d, dist[v])
 				}

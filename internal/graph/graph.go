@@ -192,19 +192,6 @@ func (g *Mutable) AddNode() int {
 	return len(g.adj) - 1
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Mutable) Clone() *Mutable {
-	c := &Mutable{
-		adj:    make([][]int32, len(g.adj)),
-		sorted: append([]bool(nil), g.sorted...),
-		m:      g.m,
-	}
-	for i, a := range g.adj {
-		c.adj[i] = append([]int32(nil), a...)
-	}
-	return c
-}
-
 // Graph is a frozen CSR (compressed sparse row) view of an undirected
 // graph, optimized for traversal. Edge weights, when present, are
 // aligned with the Edges slice.
@@ -282,20 +269,6 @@ func (g *Mutable) Freeze(latency WeightFunc) *Graph {
 	return fg
 }
 
-// Thaw converts a frozen graph back to a mutable one.
-func (g *Graph) Thaw() *Mutable {
-	n := g.N()
-	m := NewMutable(n)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			if int(v) > u {
-				m.AddEdge(u, int(v))
-			}
-		}
-	}
-	return m
-}
-
 // InducedSubgraph returns the subgraph on the nodes where keep[u] is
 // true, with nodes renumbered densely, plus the mapping from new index
 // to original index. Weights are preserved when present.
@@ -366,15 +339,6 @@ func (g *Graph) MinDegree() int {
 		}
 	}
 	return min
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for u := 0; u < g.N(); u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
 }
 
 // TopDegreeNodes returns the k nodes with the highest degree,

@@ -88,18 +88,6 @@ func TestIsolateNode(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := cycleGraph(5)
-	c := g.Clone()
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if c.M() != g.M()-1 {
-		t.Fatalf("clone M=%d original M=%d", c.M(), g.M())
-	}
-}
-
 func TestFreezeStructure(t *testing.T) {
 	g := NewMutable(4)
 	g.AddEdge(0, 2)
@@ -127,23 +115,6 @@ func TestFreezeWeights(t *testing.T) {
 			v := int(f.Edges[i])
 			if f.Weights[i] != float64(u+v) {
 				t.Fatalf("weight(%d,%d) = %v", u, v, f.Weights[i])
-			}
-		}
-	}
-}
-
-func TestThawRoundTrip(t *testing.T) {
-	g := cycleGraph(7)
-	g.AddEdge(0, 3)
-	f := g.Freeze(nil)
-	back := f.Thaw()
-	if back.N() != g.N() || back.M() != g.M() {
-		t.Fatalf("thaw N/M = %d/%d, want %d/%d", back.N(), back.M(), g.N(), g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if g.HasEdge(u, v) != back.HasEdge(u, v) {
-				t.Fatalf("edge (%d,%d) mismatch after round trip", u, v)
 			}
 		}
 	}
@@ -184,10 +155,6 @@ func TestDegreeStats(t *testing.T) {
 	}
 	if f.MeanDegree() != 1.5 {
 		t.Fatalf("mean degree = %v, want 1.5", f.MeanDegree())
-	}
-	h := f.DegreeHistogram()
-	if h[1] != 3 || h[3] != 1 {
-		t.Fatalf("degree histogram = %v", h)
 	}
 }
 
@@ -334,28 +301,6 @@ func TestComponents(t *testing.T) {
 	if f.IsConnected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	if f.ComponentCount() != 4 {
-		t.Fatalf("ComponentCount = %d", f.ComponentCount())
-	}
-}
-
-func TestGiantComponent(t *testing.T) {
-	g := NewMutable(10)
-	for i := 0; i < 6; i++ { // component of 7 nodes 0..6
-		g.AddEdge(i, i+1)
-	}
-	g.AddEdge(8, 9)
-	f := g.Freeze(nil)
-	giant, order := f.GiantComponent()
-	if giant.N() != 7 {
-		t.Fatalf("giant size = %d, want 7", giant.N())
-	}
-	if !giant.IsConnected() {
-		t.Fatal("giant component should be connected")
-	}
-	if int(order[0]) != 0 {
-		t.Fatalf("order[0] = %d", order[0])
-	}
 }
 
 func TestEmptyGraphConnected(t *testing.T) {
@@ -451,8 +396,9 @@ func TestSampledPathStatsSubsetOfExact(t *testing.T) {
 
 func TestEccentricityAndDiameter(t *testing.T) {
 	f := pathGraph(6).Freeze(nil)
-	if f.Eccentricity(0) != 5 || f.Eccentricity(2) != 3 {
-		t.Fatalf("eccentricities = %d, %d", f.Eccentricity(0), f.Eccentricity(2))
+	dist := make([]int32, 6)
+	if f.BFS(0, dist, nil) != 5 || f.BFS(2, dist, nil) != 3 {
+		t.Fatalf("eccentricities = %d, %d", f.BFS(0, dist, nil), f.BFS(2, dist, nil))
 	}
 	if f.HopDiameter() != 5 {
 		t.Fatalf("diameter = %d, want 5", f.HopDiameter())
@@ -567,7 +513,7 @@ func TestFrozenRowsSymmetricAndSimple(t *testing.T) {
 			keep[u] = rng.Intn(3) > 0
 		}
 		sub, _ := g.InducedSubgraph(keep)
-		for name, fr := range map[string]*Graph{"Freeze": g, "InducedSubgraph": sub, "Thaw→Freeze": g.Thaw().Freeze(latency)} {
+		for name, fr := range map[string]*Graph{"Freeze": g, "InducedSubgraph": sub} {
 			if bad := rowsSymmetricAndSimple(fr); bad != "" {
 				t.Logf("%s (seed %d, n %d): %s", name, seed, n, bad)
 				return false

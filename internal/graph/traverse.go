@@ -165,31 +165,8 @@ func (g *Graph) Components() (labels []int32, sizes []int) {
 	return labels, sizes
 }
 
-// ComponentCount returns the number of connected components. Isolated
-// nodes count as components of size one.
-func (g *Graph) ComponentCount() int {
-	_, sizes := g.Components()
-	return len(sizes)
-}
-
 // IsConnected reports whether the graph is a single component.
 func (g *Graph) IsConnected() bool {
-	return g.N() == 0 || g.ComponentCount() == 1
-}
-
-// GiantComponent returns the induced subgraph of the largest connected
-// component and the mapping from new index to original index.
-func (g *Graph) GiantComponent() (*Graph, []int32) {
-	labels, sizes := g.Components()
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	keep := make([]bool, g.N())
-	for u, l := range labels {
-		keep[u] = l == int32(best)
-	}
-	return g.InducedSubgraph(keep)
+	_, sizes := g.Components()
+	return len(sizes) <= 1
 }

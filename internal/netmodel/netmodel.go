@@ -9,7 +9,6 @@
 package netmodel
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -163,10 +162,6 @@ func NewTransitStub(n int, cfg TransitStubConfig) *TransitStub {
 // N returns the number of hosts.
 func (ts *TransitStub) N() int { return ts.n }
 
-// Stub returns the stub-domain id of host u (exported for tests and
-// workload generators that want locality-aware placement).
-func (ts *TransitStub) Stub(u int) int { return int(ts.stubOf[u]) }
-
 // Latency returns the hierarchical latency between hosts u and v.
 func (ts *TransitStub) Latency(u, v int) float64 {
 	if u == v {
@@ -269,9 +264,6 @@ func NewPlanetLab(n int, cfg PlanetLabConfig) *PlanetLab {
 // N returns the number of nodes.
 func (pl *PlanetLab) N() int { return len(pl.siteOf) }
 
-// Site returns the site id node u is attached to.
-func (pl *PlanetLab) Site(u int) int { return int(pl.siteOf[u]) }
-
 // Latency returns the RTT-derived latency between nodes u and v.
 func (pl *PlanetLab) Latency(u, v int) float64 {
 	if u == v {
@@ -283,55 +275,4 @@ func (pl *PlanetLab) Latency(u, v int) float64 {
 	}
 	// Group the LAN terms so the sum is bit-identical in both directions.
 	return (pl.lan[u] + pl.lan[v]) + pl.rtt[int(su)*pl.sites+int(sv)]
-}
-
-// Matrix is an explicit latency matrix, mainly for tests and tiny
-// hand-built scenarios.
-type Matrix struct {
-	n int
-	d []float64
-}
-
-// NewMatrix wraps a dense row-major n×n latency matrix. It validates
-// symmetry and zero diagonal.
-func NewMatrix(n int, d []float64) (*Matrix, error) {
-	if len(d) != n*n {
-		return nil, fmt.Errorf("netmodel: matrix needs %d entries, got %d", n*n, len(d))
-	}
-	for i := 0; i < n; i++ {
-		if d[i*n+i] != 0 {
-			return nil, fmt.Errorf("netmodel: diagonal entry %d is %v, want 0", i, d[i*n+i])
-		}
-		for j := i + 1; j < n; j++ {
-			if d[i*n+j] != d[j*n+i] {
-				return nil, fmt.Errorf("netmodel: matrix asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	return &Matrix{n: n, d: d}, nil
-}
-
-// N returns the matrix dimension.
-func (m *Matrix) N() int { return m.n }
-
-// Latency returns the stored latency.
-func (m *Matrix) Latency(u, v int) float64 { return m.d[u*m.n+v] }
-
-// Uniform is a degenerate model where every distinct pair has the same
-// latency. It isolates the connectivity term of the Makalu rating
-// function in ablation experiments (beta becomes irrelevant).
-type Uniform struct {
-	Nodes int
-	Cost  float64
-}
-
-// N returns the number of nodes.
-func (u Uniform) N() int { return u.Nodes }
-
-// Latency returns Cost for distinct nodes and 0 on the diagonal.
-func (u Uniform) Latency(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	return u.Cost
 }

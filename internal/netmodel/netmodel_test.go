@@ -101,7 +101,7 @@ func TestTransitStubHierarchy(t *testing.T) {
 	for u := 0; u < 500; u++ {
 		for v := u + 1; v < 500; v++ {
 			d := ts.Latency(u, v)
-			if ts.Stub(u) == ts.Stub(v) {
+			if ts.stubOf[u] == ts.stubOf[v] {
 				sameStub = append(sameStub, d)
 			} else {
 				crossStub = append(crossStub, d)
@@ -137,7 +137,7 @@ func TestTransitStubBalancedStubs(t *testing.T) {
 	numStubs := cfg.TransitDomains * cfg.TransitPerDomain * cfg.StubsPerTransit
 	counts := make([]int, numStubs)
 	for h := 0; h < n; h++ {
-		counts[ts.Stub(h)]++
+		counts[ts.stubOf[h]]++
 	}
 	want := n / numStubs
 	for s, c := range counts {
@@ -169,7 +169,7 @@ func TestPlanetLabClusterStructure(t *testing.T) {
 	for u := 0; u < 300; u++ {
 		for v := u + 1; v < 300; v++ {
 			d := pl.Latency(u, v)
-			if pl.Site(u) == pl.Site(v) {
+			if pl.siteOf[u] == pl.siteOf[v] {
 				sameSite = append(sameSite, d)
 			} else {
 				crossSite = append(crossSite, d)
@@ -221,33 +221,6 @@ func TestPlanetLabBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewPlanetLab(10, cfg)
-}
-
-func TestMatrixValidation(t *testing.T) {
-	if _, err := NewMatrix(2, []float64{0, 1, 1}); err == nil {
-		t.Fatal("short matrix should fail")
-	}
-	if _, err := NewMatrix(2, []float64{0, 1, 2, 0}); err == nil {
-		t.Fatal("asymmetric matrix should fail")
-	}
-	if _, err := NewMatrix(2, []float64{5, 1, 1, 0}); err == nil {
-		t.Fatal("nonzero diagonal should fail")
-	}
-	m, err := NewMatrix(2, []float64{0, 3, 3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != 2 || m.Latency(0, 1) != 3 || m.Latency(1, 0) != 3 {
-		t.Fatal("matrix lookups wrong")
-	}
-}
-
-func TestUniformModel(t *testing.T) {
-	u := Uniform{Nodes: 5, Cost: 7}
-	checkModelInvariants(t, u)
-	if u.Latency(1, 2) != 7 {
-		t.Fatal("uniform latency wrong")
-	}
 }
 
 func TestModelsSymmetryProperty(t *testing.T) {

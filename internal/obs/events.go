@@ -159,16 +159,6 @@ func (l *EventLog) Len() int {
 	return len(l.buf)
 }
 
-// Total returns the number of events ever recorded.
-func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // Overwritten returns how many old events the ring has discarded.
 func (l *EventLog) Overwritten() uint64 {
 	if l == nil {

@@ -35,8 +35,8 @@ func TestEventLogRingSemantics(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("len = %d, want capacity 4", l.Len())
 	}
-	if l.Total() != 10 || l.Overwritten() != 6 {
-		t.Fatalf("total/overwritten = %d/%d, want 10/6", l.Total(), l.Overwritten())
+	if l.next != 10 || l.Overwritten() != 6 {
+		t.Fatalf("total/overwritten = %d/%d, want 10/6", l.next, l.Overwritten())
 	}
 	evs := l.Snapshot()
 	// Newest-window semantics: events 6..9 retained, oldest first.

@@ -268,16 +268,6 @@ func (n *ABFNetwork) level(h, u int) []uint64 {
 	return n.levels[h][u*w : (u+1)*w]
 }
 
-// Filter returns node u's published hierarchy as views over the level
-// arenas (for tests/inspection; routing reads the arenas directly).
-func (n *ABFNetwork) Filter(u int) *bloom.Attenuated {
-	a := &bloom.Attenuated{Levels: make([]*bloom.Filter, len(n.levels))}
-	for h, m := range n.cfg.LevelBits {
-		a.Levels[h] = bloom.View(n.level(h, u), m, n.cfg.Hashes)
-	}
-	return a
-}
-
 // MemoryBytes returns the total filter footprint, the figure the
 // paper's feasibility argument rests on.
 func (n *ABFNetwork) MemoryBytes() int64 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"makalu/internal/bloom"
 	"makalu/internal/content"
 	"makalu/internal/graph"
 	"makalu/internal/topology"
@@ -140,4 +141,14 @@ func checkArenaAgainstOracle(t *testing.T, label string, g *graph.Graph, st *con
 	if a, b := rngA.Uint64(), rngB.Uint64(); a != b {
 		t.Fatalf("%s: rng left in a different state after 1000 lookups", label)
 	}
+}
+
+// Filter returns node u's published hierarchy as views over the level
+// arenas; routing reads the arenas directly.
+func (n *ABFNetwork) Filter(u int) *bloom.Attenuated {
+	a := &bloom.Attenuated{Levels: make([]*bloom.Filter, len(n.levels))}
+	for h, m := range n.cfg.LevelBits {
+		a.Levels[h] = bloom.View(n.level(h, u), m, n.cfg.Hashes)
+	}
+	return a
 }

@@ -228,7 +228,7 @@ func TestABFAutoSizingGrowsWithDepth(t *testing.T) {
 func TestABFLevelSizing(t *testing.T) {
 	g, st := abfBenchWorld(t, 4000)
 	expected := expectedIdentifiers(g, st, DefaultABFConfig().Depth+1)
-	catalog := make(map[uint64]bool, st.NumObjects())
+	catalog := make(map[uint64]bool, len(st.Objects()))
 	for _, obj := range st.Objects() {
 		catalog[obj] = true
 	}

@@ -58,9 +58,6 @@ func NewKernel(g *graph.Graph, index int) *Kernel {
 	return &Kernel{Index: index, g: g}
 }
 
-// Graph returns the frozen graph the kernel's engines run over.
-func (k *Kernel) Graph() *graph.Graph { return k.g }
-
 // KernelPool is a free list of kernels over one frozen graph, held by
 // whoever holds the graph and dropped with it, so that every batch
 // after the first finds its node-sized scratch ready instead of
@@ -99,7 +96,7 @@ func (p *KernelPool) put(k *Kernel) {
 }
 
 // Flooder returns the worker's reusable flooding kernel. The same
-// instance runs gossip and two-tier queries and the floods of an
+// instance runs two-tier queries and the floods of an
 // expanding ring, so they all reuse the flood scratch.
 func (k *Kernel) Flooder() *Flooder {
 	if k.flooder == nil {

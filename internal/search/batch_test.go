@@ -172,18 +172,6 @@ func TestBatchPerEdgeABFLookupParallelMatchesSequential(t *testing.T) {
 	})
 }
 
-func TestBatchGossipParallelMatchesSequential(t *testing.T) {
-	const n = 600
-	g := testGraph(n)
-	store := testStore(t, n)
-	cfg := GossipConfig{BoundaryHops: 2, Probability: 0.5}
-	runBoth(t, g, 150, func(k *Kernel, q int, rng *rand.Rand) Result {
-		obj := store.RandomObject(rng)
-		src := rng.Intn(n)
-		return k.Flooder().Gossip(src, 4, cfg, func(u int) bool { return store.Has(u, obj) }, rng)
-	})
-}
-
 // The worker count must never change the aggregate, not just 1-vs-8.
 func TestBatchWorkerCountInvariance(t *testing.T) {
 	const n = 400

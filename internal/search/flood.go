@@ -34,7 +34,7 @@ type Matcher func(node int) bool
 // index of the entry that sent it the query, so the hop count is the
 // level counter and the sender is queue[queue[i].from].node. Scratch
 // is reused between queries, so large batches stay allocation-free.
-// Gossip and TwoTier run the same loop under a forwarding rule.
+// TwoTier runs the same loop under a forwarding rule.
 // It is not safe for concurrent use; create one Flooder per worker.
 type Flooder struct {
 	g         *graph.Graph
@@ -45,7 +45,6 @@ type Flooder struct {
 
 	// The rule of the running query lives here, so that passing it to
 	// the loop allocates nothing.
-	gossip  gossipRule
 	twoTier twoTierRule
 }
 

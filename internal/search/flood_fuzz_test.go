@@ -11,11 +11,10 @@ import (
 // A fuzz input is a small flood scenario:
 //
 //	byte 0      n = 1 + b%200 nodes
-//	byte 1      bit 0: weighted graph; bits 1–2: forwarding rule (plain,
-//	            gossip, two-tier, plain against a target set)
+//	byte 1      bit 0: weighted graph; the rest mod 3: forwarding rule
+//	            (plain, two-tier, plain against a target set)
 //	byte 2      q = 1 + b%4 consecutive queries on one Flooder
 //	4 bytes × q source (mod n), TTL (mod 12), two targets (mod n; 255 = none)
-//	gossip      2 bytes: boundary hops b%6 − 1, probability (1 + b)/256
 //	two-tier    1 byte: bit 0 gives leaves QRP tables, the rest seeds the
 //	            placement they summarize; then ⌈n/8⌉ bytes of roles, node
 //	            u an ultrapeer when bit u%8 of byte u/8 is set
@@ -27,7 +26,6 @@ const none = 255
 
 const (
 	rulePlain = iota
-	ruleGossip
 	ruleTwoTier
 	ruleSet
 )
@@ -64,13 +62,12 @@ func twoTierParams(n int, qrp bool, ultras ...int) []byte {
 	return p
 }
 
-// FuzzFloodMatchesOracle holds Flooder to the verbatim oracles of its
-// three forwarding rules, and plain flooding against a target set, on
+// FuzzFloodMatchesOracle holds Flooder to the verbatim oracles of plain
+// and two-tier flooding, and plain flooding against a target set, on
 // arbitrary small graphs, over consecutive queries so scratch left dirty
 // by one query is caught by the next. Plain flooding must match whole
-// Result and matcher call sequence; a set flood whole Result; gossip
-// whole Result, call sequence and rng stream; two-tier whole Result and
-// the set of nodes matched.
+// Result and matcher call sequence; a set flood and a two-tier query
+// whole Result.
 func FuzzFloodMatchesOracle(f *testing.F) {
 	ring := func(n int) (edges [][2]int) {
 		for i := 0; i < n; i++ {
@@ -104,12 +101,14 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 	}
 	starQueries := []fuzzQuery{{0, 3, 75, 33}, {33, 4, 34, 79}, {0, 1, none, none}, {70, 2, 0, none}}
 	f.Add(fuzzFloodInput(80, true, starQueries, star))
-
-	// Gossip from the source on, past one hop, and at p = 1.
-	f.Add(fuzzRuleInput(80, true, ruleGossip, starQueries, []byte{1, 127}, star))
-	f.Add(fuzzRuleInput(80, false, ruleGossip, starQueries, []byte{0, 200}, star))
-	f.Add(fuzzRuleInput(65, true, ruleGossip,
-		[]fuzzQuery{{64, 5, 0, 32}, {0, 3, 64, none}}, []byte{3, 255}, ring(65)))
+	// The same star unweighted as a set flood, and as two tiers with the
+	// hub and nodes 71–79 ultrapeers, so every leaf hangs off the hub and
+	// one more; then an unweighted ring across a word boundary.
+	f.Add(fuzzRuleInput(80, false, ruleSet, starQueries, nil, star))
+	f.Add(fuzzRuleInput(80, false, ruleTwoTier, starQueries,
+		twoTierParams(80, true, 0, 71, 72, 73, 74, 75, 76, 77, 78, 79), star))
+	f.Add(fuzzFloodInput(65, false,
+		[]fuzzQuery{{64, 5, 0, 32}, {0, 3, 64, none}}, ring(65)))
 
 	// Two tiers on 100 nodes: ultrapeers 0–39 in a ring with chords,
 	// hub 0 linked to all 39 others (a frontier past one gather block),
@@ -158,17 +157,14 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		n, weighted, rule, nq := 1+int(data[0])%200, data[1]&1 == 1, int(data[1]>>1)&3, 1+int(data[2])%4
+		n, weighted, rule, nq := 1+int(data[0])%200, data[1]&1 == 1, int(data[1]>>1)%3, 1+int(data[2])%4
 		data = data[3:]
 		if len(data) < 4*nq {
 			return
 		}
 		queries, rest := data[:4*nq], data[4*nq:]
 		var params []byte
-		switch rule {
-		case ruleGossip:
-			params = make([]byte, 2)
-		case ruleTwoTier:
+		if rule == ruleTwoTier {
 			params = make([]byte, 1+(n+7)/8)
 		}
 		if len(rest) < len(params) {
@@ -183,12 +179,6 @@ func FuzzFloodMatchesOracle(f *testing.F) {
 		fl := NewFlooder(g)
 		var check func(label string, q, src, ttl int, members []int32, target func(int) bool)
 		switch rule {
-		case ruleGossip:
-			cfg := GossipConfig{BoundaryHops: int(params[0])%6 - 1, Probability: float64(1+int(params[1])) / 256}
-			o := newOracleGossipFlooder(g)
-			check = func(label string, q, src, ttl int, _ []int32, target func(int) bool) {
-				checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), fl, o, src, ttl, cfg, int64(q), target)
-			}
 		case ruleTwoTier:
 			isUltra := make([]bool, n)
 			for u := range isUltra {

@@ -232,8 +232,8 @@ func checkSetAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleFloo
 // a target set: n on both sides of every bitmap word boundary, TTL 0–9,
 // members listed twice, the source as a member, the isolated node as
 // the only one. One Flooder runs every query as a plain flood, a set
-// flood, a gossip and a two-tier query, in an order that rotates, so a
-// bitmap any of them leaves dirty fails the next.
+// flood and a two-tier query, in an order that rotates, so a bitmap any
+// of them leaves dirty fails the next.
 func TestSetFloodMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 130, 517} {
 		for _, weighted := range []bool{false, true} {
@@ -262,7 +262,7 @@ func TestSetFloodMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, o, og, set := NewFlooder(g), newOracleFlooder(g), newOracleGossipFlooder(g), NewTargets(n)
+				f, o, set := NewFlooder(g), newOracleFlooder(g), NewTargets(n)
 				for q := 0; q < 60; q++ {
 					src, ttl := rng.Intn(n), q%10
 					if q%10 == 0 {
@@ -283,13 +283,9 @@ func TestSetFloodMatchesOracle(t *testing.T) {
 					}
 					target := func(u int) bool { return slices.Contains(members, int32(u)) }
 					label := fmt.Sprintf("n=%d weighted=%v deg=%v q=%d src=%d ttl=%d", n, weighted, deg, q, src, ttl)
-					cfg := GossipConfig{BoundaryHops: q%6 - 1, Probability: 0.5}
 					queries := []func(){
 						func() { checkSetAgainstOracle(t, label, f, o, set, src, ttl, members, target) },
 						func() { checkAgainstOracle(t, label, f, o, src, ttl, target) },
-						func() {
-							checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), f, og, src, ttl, cfg, seed+int64(q), target)
-						},
 						func() { checkTwoTierAgainstOracle(t, label, f, ot, layout, src, ttl, 0, target) },
 					}
 					for i := range queries {

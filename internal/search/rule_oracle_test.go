@@ -3,103 +3,15 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"makalu/internal/content"
 	"makalu/internal/graph"
 )
 
-// The two FIFO loops gossip and v0.6 two-tier flooding ran on before
-// they became forwarding rules on Flooder's loop, kept verbatim (but for
-// their names) as the references the rules must reproduce.
-
-// oracleGossipFlooder runs hybrid flood/gossip queries. Like Flooder it
-// reuses scratch; not safe for concurrent use.
-type oracleGossipFlooder struct {
-	g       *graph.Graph
-	epoch   int32
-	visited []int32
-	hop     []int32
-	parent  []int32
-	queue   []int32
-}
-
-// newOracleGossipFlooder creates an oracleGossipFlooder over g.
-func newOracleGossipFlooder(g *graph.Graph) *oracleGossipFlooder {
-	n := g.N()
-	return &oracleGossipFlooder{
-		g:       g,
-		visited: make([]int32, n),
-		hop:     make([]int32, n),
-		parent:  make([]int32, n),
-		queue:   make([]int32, 0, 1024),
-	}
-}
-
-// Flood issues a query from src with the given TTL: deterministic
-// flooding for cfg.BoundaryHops hops, epidemic forwarding with
-// probability cfg.Probability afterwards. Message and duplicate
-// accounting matches Flooder, so results are directly comparable.
-func (f *oracleGossipFlooder) Flood(src, ttl int, cfg GossipConfig, match Matcher, rng *rand.Rand) Result {
-	ep := nextEpoch(f.visited, &f.epoch)
-	res := Result{FirstMatchHop: -1}
-	prob := cfg.Probability
-	if prob <= 0 || prob > 1 {
-		prob = 1
-	}
-
-	f.visited[src] = ep
-	f.hop[src] = 0
-	f.parent[src] = -1
-	res.Visited = 1
-	if match(src) {
-		res.Success = true
-		res.FirstMatchHop = 0
-		res.MatchesFound++
-	}
-	if ttl <= 0 {
-		return res
-	}
-	queue := f.queue[:0]
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		hu := f.hop[u]
-		if int(hu) >= ttl {
-			continue
-		}
-		pu := f.parent[u]
-		gossiping := int(hu) >= cfg.BoundaryHops
-		for _, v := range f.g.Neighbors(int(u)) {
-			if v == pu {
-				continue
-			}
-			if gossiping && rng.Float64() >= prob {
-				continue // epidemic rule: probabilistically skip
-			}
-			res.Messages++
-			if f.visited[v] == ep {
-				res.Duplicates++
-				continue
-			}
-			f.visited[v] = ep
-			f.hop[v] = hu + 1
-			f.parent[v] = u
-			res.Visited++
-			if match(int(v)) {
-				res.MatchesFound++
-				if !res.Success {
-					res.Success = true
-					res.FirstMatchHop = int(hu + 1)
-				}
-			}
-			queue = append(queue, v)
-		}
-	}
-	f.queue = queue
-	return res
-}
+// The FIFO loop v0.6 two-tier flooding ran on before it became a
+// forwarding rule on Flooder's loop, kept verbatim (but for its name) as
+// the reference the rule must reproduce.
 
 // oracleTwoTierFlooder simulates the modern Gnutella v0.6 query routing
 // the paper compares against (§4.2, "a modified flooding algorithm that
@@ -241,27 +153,6 @@ func (t *oracleTwoTierFlooder) Flood(src, ttl int, obj uint64, match Matcher) Re
 	return res
 }
 
-// checkGossipAgainstOracle runs one gossip query on the Flooder and on
-// the oracle, each on its own stream seeded with seed, and compares the
-// whole Result, the matcher call sequence, and
-// the next draw of each stream.
-func checkGossipAgainstOracle(t *testing.T, label string, f *Flooder, o *oracleGossipFlooder, src, ttl int, cfg GossipConfig, seed int64, target func(int) bool) {
-	t.Helper()
-	var gotCalls, wantCalls []int
-	rng, orng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	got := f.Gossip(src, ttl, cfg, recording(target, &gotCalls), rng)
-	want := o.Flood(src, ttl, cfg, recording(target, &wantCalls), orng)
-	if got != want {
-		t.Fatalf("%s: result %+v != oracle %+v", label, got, want)
-	}
-	if !reflect.DeepEqual(gotCalls, wantCalls) {
-		t.Fatalf("%s: matcher called on %v, oracle on %v", label, gotCalls, wantCalls)
-	}
-	if a, b := rng.Int63(), orng.Int63(); a != b {
-		t.Fatalf("%s: rng stream left at a different draw than the oracle's", label)
-	}
-}
-
 // checkTwoTierAgainstOracle runs one two-tier query on the Flooder,
 // matched against the set of nodes target accepts, and on the oracle,
 // matched by target, and compares the whole Result.
@@ -280,10 +171,9 @@ func checkTwoTierAgainstOracle(t *testing.T, label string, f *Flooder, o *oracle
 	}
 }
 
-// TestRulesMatchOracle is TestFloodMatchesOracle for the gossip and
-// two-tier rules: seeded random graphs, weighted and not, an isolated
-// node, every boundary from before the source to past the TTL, random
-// roles with and without QRP tables, consecutive queries on one
+// TestRulesMatchOracle is TestFloodMatchesOracle for the two-tier
+// rule: seeded random graphs, weighted and not, an isolated node,
+// random roles with and without QRP tables, consecutive queries on one
 // Flooder that also runs plain floods in between.
 func TestRulesMatchOracle(t *testing.T) {
 	for _, n := range []int{2, 65, 130, 517} {
@@ -321,7 +211,7 @@ func TestRulesMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, plain, og := NewFlooder(g), newOracleFlooder(g), newOracleGossipFlooder(g)
+				f, plain := NewFlooder(g), newOracleFlooder(g)
 				for q := 0; q < 40; q++ {
 					src, ttl := rng.Intn(n), q%8
 					if q%10 == 0 {
@@ -335,9 +225,7 @@ func TestRulesMatchOracle(t *testing.T) {
 						targets[src] = true
 					}
 					target := func(u int) bool { return targets[u] }
-					cfg := GossipConfig{BoundaryHops: q%6 - 1, Probability: []float64{0.3, 0.5, 0.9, 1}[q%4]}
 					label := fmt.Sprintf("n=%d weighted=%v deg=%v q=%d src=%d ttl=%d", n, weighted, deg, q, src, ttl)
-					checkGossipAgainstOracle(t, fmt.Sprintf("%s %+v", label, cfg), f, og, src, ttl, cfg, seed+int64(q), target)
 					obj := st.Objects()[q%4]
 					checkTwoTierAgainstOracle(t, label, f, ot, layout, src, ttl, obj, target)
 					checkAgainstOracle(t, label, f, plain, src, ttl, target)

@@ -4,9 +4,9 @@ package search
 // per-visit test a walk makes is a single load from a bitmap small
 // enough to stay cache-resident (2.5 KB at 20k nodes), and a member
 // list, so a flood can ask instead whether each member was reached
-// (Flooder.FloodTargets). Every exact-object and wildcard query in the
-// repo knows its matching nodes before the search starts
-// (content.Store.Replicas, Catalog.MatchingNodes), which is what makes
+// (Flooder.FloodTargets). Every exact-object query in the repo knows
+// its matching nodes before the search starts (content.Store.Replicas),
+// which is what makes
 // "node is in a precomputed set" a complete replacement for asking the
 // store at each visited node. Not safe for concurrent Set; floods and
 // the Matcher only read, and are valid until the next Set.

@@ -171,3 +171,35 @@ func TestTwoTierOnGeneratedTopology(t *testing.T) {
 		t.Fatal("message accounting broken")
 	}
 }
+
+// Two-tier queries reuse the Flooder's scratch like plain floods: once
+// it is sized, a query allocates nothing.
+func TestRulesZeroAllocSteadyState(t *testing.T) {
+	const n = 1500
+	tt := topology.NewTwoTier(n, topology.DefaultTwoTier())
+	g := tt.Graph.Freeze(nil)
+	st := testStore(t, n)
+	qrp := make([]*content.QRPTable, n)
+	for u := range qrp {
+		if !tt.IsUltra[u] {
+			qrp[u] = content.BuildQRPTable(st, u, 1024, 3)
+		}
+	}
+	layout, err := NewTwoTierLayout(g, tt.IsUltra, qrp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKernel(g, 0)
+	rng := rand.New(rand.NewSource(8))
+	twoTier := func() {
+		obj := st.RandomObject(rng)
+		k.Flooder().TwoTier(rng.Intn(n), 3, layout, obj, k.Targets(st.Replicas(obj)))
+	}
+	k.Flooder().Flood(0, n, noMatch) // size the queue for any reach
+	for i := 0; i < 20; i++ {
+		twoTier()
+	}
+	if avg := testing.AllocsPerRun(50, twoTier); avg != 0 {
+		t.Fatalf("Flooder.TwoTier allocates %.1f/op in steady state, want 0", avg)
+	}
+}

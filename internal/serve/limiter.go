@@ -42,9 +42,11 @@ type bucket struct {
 }
 
 // NewLimiter creates a limiter granting rate tokens/second with the
-// given burst capacity per client. rate and burst must be positive.
+// given burst capacity per client. Unless rate and burst are both
+// positive (NaN is neither) it returns nil, the limiter that admits
+// everything.
 func NewLimiter(rate, burst float64) *Limiter {
-	if rate <= 0 || burst <= 0 {
+	if !(rate > 0 && burst > 0) {
 		return nil
 	}
 	return &Limiter{
@@ -128,14 +130,4 @@ func (l *Limiter) evictStalest() {
 	if seen > 0 {
 		delete(l.clients, victim)
 	}
-}
-
-// Clients returns the tracked client count (tests, debug metrics).
-func (l *Limiter) Clients() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.clients)
 }

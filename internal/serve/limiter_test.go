@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -21,11 +22,11 @@ func TestLimiterNilAdmitsEverything(t *testing.T) {
 			t.Fatal("nil limiter must admit everything")
 		}
 	}
-	if l.Clients() != 0 {
-		t.Fatal("nil limiter tracks no clients")
-	}
 	if NewLimiter(0, 10) != nil || NewLimiter(10, 0) != nil {
 		t.Fatal("non-positive rate/burst must yield the nil (off) limiter")
+	}
+	if NewLimiter(math.NaN(), 10) != nil || NewLimiter(10, math.NaN()) != nil {
+		t.Fatal("a NaN rate or burst must yield the nil (off) limiter")
 	}
 }
 
@@ -79,8 +80,8 @@ func TestLimiterIsolatesClients(t *testing.T) {
 	if ok, _ := l.Allow("b"); !ok {
 		t.Fatal("client b charged for a's traffic")
 	}
-	if l.Clients() != 2 {
-		t.Fatalf("tracking %d clients, want 2", l.Clients())
+	if len(l.clients) != 2 {
+		t.Fatalf("tracking %d clients, want 2", len(l.clients))
 	}
 }
 
@@ -95,7 +96,7 @@ func TestLimiterSweepBoundsClientMap(t *testing.T) {
 	// arrival triggers the sweep.
 	clk.advance(time.Second)
 	l.Allow("fresh")
-	if n := l.Clients(); n != 1 {
+	if n := len(l.clients); n != 1 {
 		t.Fatalf("sweep left %d clients, want 1", n)
 	}
 	// A sweep must never drop a client mid-refill.
@@ -128,7 +129,7 @@ func TestLimiterHardCap(t *testing.T) {
 		l.Allow(fmt.Sprintf("attacker-%d", i))
 		clk.advance(time.Millisecond) // active traffic: nothing goes idle
 	}
-	if n := l.Clients(); n > l.maxClients {
+	if n := len(l.clients); n > l.maxClients {
 		t.Fatalf("client map grew to %d, cap is %d", n, l.maxClients)
 	}
 	// The cap must not lock out service: a new client is still admitted.

@@ -58,19 +58,6 @@ type ChurnConfig struct {
 	Trace *obs.EventLog
 }
 
-// DefaultChurnConfig runs 100 time units with sessions averaging 50,
-// downtimes 10, management every 5 and snapshots every 10.
-func DefaultChurnConfig(seed int64) ChurnConfig {
-	return ChurnConfig{
-		Duration:         100,
-		MeanSession:      50,
-		MeanDowntime:     10,
-		ManageInterval:   5,
-		SnapshotInterval: 10,
-		Seed:             seed,
-	}
-}
-
 // Snapshot is one sample of overlay health during churn.
 type Snapshot struct {
 	Time          float64

@@ -8,7 +8,7 @@ import (
 
 func TestChurnSearchProbesValidation(t *testing.T) {
 	o := buildOverlay(t, 100, 61)
-	cfg := DefaultChurnConfig(62)
+	cfg := defaultChurnConfig(62)
 	cfg.SearchProbes = 10 // no store
 	if _, err := RunChurn(o, cfg); err == nil {
 		t.Fatal("probes without a store should fail")
@@ -17,7 +17,7 @@ func TestChurnSearchProbesValidation(t *testing.T) {
 
 func TestSearchSuccessDisabledByDefault(t *testing.T) {
 	o := buildOverlay(t, 150, 63)
-	res, err := RunChurn(o, DefaultChurnConfig(64))
+	res, err := RunChurn(o, defaultChurnConfig(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSearchQualitySurvivesChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultChurnConfig(67)
+	cfg := defaultChurnConfig(67)
 	cfg.SearchProbes = 40
 	cfg.SearchTTL = 4
 	cfg.SearchStore = store
@@ -90,7 +90,7 @@ func TestMeasureSearchMatchesOnlyAliveReplicas(t *testing.T) {
 
 func TestRatingSnapshotsDuringChurn(t *testing.T) {
 	o := buildOverlay(t, 200, 71)
-	cfg := DefaultChurnConfig(72)
+	cfg := defaultChurnConfig(72)
 	cfg.RatingSnapshots = true
 	res, err := RunChurn(o, cfg)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestRatingSnapshotsDuringChurn(t *testing.T) {
 
 	// Off by default: the field must stay at its sentinel.
 	o2 := buildOverlay(t, 200, 71)
-	res2, err := RunChurn(o2, DefaultChurnConfig(72))
+	res2, err := RunChurn(o2, defaultChurnConfig(72))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Executed returns the number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 
-// Pending returns the number of scheduled events not yet run.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Schedule runs fn after the given delay of simulated time. Negative
 // delays are clamped to zero (run "now", after already queued events
 // at the current instant).

@@ -71,8 +71,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 4.5 {
 		t.Fatalf("clock should advance to 4.5, got %v", e.Now())
 	}
-	if e.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", e.Pending())
+	if len(e.pq) != 6 {
+		t.Fatalf("pending = %d, want 6", len(e.pq))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestChurnValidation(t *testing.T) {
 
 func TestChurnKeepsOverlayHealthy(t *testing.T) {
 	o := buildOverlay(t, 300, 2)
-	cfg := DefaultChurnConfig(3)
+	cfg := defaultChurnConfig(3)
 	res, err := RunChurn(o, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestChurnRejoinsHappen(t *testing.T) {
 func TestChurnDeterminism(t *testing.T) {
 	a := buildOverlay(t, 150, 6)
 	b := buildOverlay(t, 150, 6)
-	cfg := DefaultChurnConfig(7)
+	cfg := defaultChurnConfig(7)
 	ra, err := RunChurn(a, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +239,8 @@ func TestEngineHeapRandomizedOrdering(t *testing.T) {
 					trial, i, cur.at, cur.seq, prev.at, prev.seq)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events left pending", trial, e.Pending())
+		if len(e.pq) != 0 {
+			t.Fatalf("trial %d: %d events left pending", trial, len(e.pq))
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestFmtSentinels(t *testing.T) {
 // optional metrics are disabled.
 func TestChurnTimelineUsesSentinelsWhenOff(t *testing.T) {
 	o := buildOverlay(t, 60, 4)
-	cfg := DefaultChurnConfig(5)
+	cfg := defaultChurnConfig(5)
 	cfg.Duration = 20
 	res, err := RunChurn(o, cfg)
 	if err != nil {

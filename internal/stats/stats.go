@@ -1,11 +1,10 @@
 // Package stats provides the summary statistics used by every Makalu
 // experiment: means, variances, percentiles, confidence intervals,
-// histograms and least-squares fits. All functions are deterministic
+// an integer tally and least-squares fits. All functions are deterministic
 // and allocation-conscious so they can run inside benchmark loops.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -39,47 +38,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-// The old ±Inf sentinels broke encoding/json, which rejects
-// non-finite float64 values — a Summary holding them could never be
-// marshaled into an experiment report.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice (see
-// Min for why not -Inf).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	max := xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It copies and sorts the
@@ -173,48 +131,6 @@ func MeanCI(xs []float64) (mean, halfWidth float64) {
 	}
 	se := StdDev(xs) / math.Sqrt(float64(len(xs)))
 	return mean, crit * se
-}
-
-// Summary bundles the descriptive statistics of one metric.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P95    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    sorted[0],
-		P25:    SortedPercentile(sorted, 25),
-		Median: SortedPercentile(sorted, 50),
-		P75:    SortedPercentile(sorted, 75),
-		P95:    SortedPercentile(sorted, 95),
-		P99:    SortedPercentile(sorted, 99),
-		Max:    sorted[len(sorted)-1],
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
 // LinearFit returns the least-squares slope and intercept of y on x.

@@ -1,9 +1,9 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,22 +49,6 @@ func TestStdDevNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v, want -1/7", Min(xs), Max(xs))
-	}
-}
-
-func TestMinMaxEmpty(t *testing.T) {
-	// Regression: empty inputs used to return ±Inf, which
-	// encoding/json rejects — any struct carrying them could never be
-	// marshaled into an experiment report.
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatalf("Min/Max of empty slice = %v/%v, want 0/0", Min(nil), Max(nil))
 	}
 }
 
@@ -118,7 +102,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		}
 		p = math.Mod(math.Abs(p), 100)
 		v := Percentile(xs, p)
-		return v >= Min(xs) && v <= Max(xs)
+		return v >= slices.Min(xs) && v <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -165,46 +149,6 @@ func TestMeanCIStudentT(t *testing.T) {
 	}
 }
 
-func TestSummaryEmptyJSONRoundTrip(t *testing.T) {
-	// An empty Summary must marshal (no ±Inf fields) and round-trip.
-	s := Summarize(nil)
-	out, err := json.Marshal(s)
-	if err != nil {
-		t.Fatalf("empty Summary did not marshal: %v", err)
-	}
-	var back Summary
-	if err := json.Unmarshal(out, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back != s {
-		t.Fatalf("round trip changed the summary: %+v vs %+v", back, s)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	s := Summarize(xs)
-	if s.N != 101 || s.Min != 0 || s.Max != 100 {
-		t.Fatalf("Summary n/min/max = %d/%v/%v", s.N, s.Min, s.Max)
-	}
-	if !almostEq(s.Median, 50, 1e-9) || !almostEq(s.P95, 95, 1e-9) {
-		t.Fatalf("Summary median/p95 = %v/%v", s.Median, s.P95)
-	}
-	if s.String() == "" {
-		t.Fatal("Summary.String should not be empty")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Fatalf("empty summary N = %d", s.N)
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 2x + 1
@@ -245,85 +189,13 @@ func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", h.Total())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(99)
-	if h.Counts[0] != 1 || h.Counts[3] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(2.5)
-	h.Add(3.5)
-	cdf := h.CDF()
-	want := []float64{0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if !almostEq(cdf[i], want[i], 1e-12) {
-			t.Fatalf("CDF[%d] = %v, want %v", i, cdf[i], want[i])
-		}
-	}
-}
-
-func TestHistogramCDFEmpty(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	for _, v := range h.CDF() {
-		if v != 0 {
-			t.Fatal("empty histogram CDF should be all zero")
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(0.25)
-	if h.String() == "" {
-		t.Fatal("String should render bins")
-	}
-}
-
 func TestCounterBasic(t *testing.T) {
 	c := NewCounter()
 	c.Add(3)
 	c.Add(3)
 	c.Add(5)
-	if c.Total() != 3 || c.Count(3) != 2 || c.Count(5) != 1 || c.Count(7) != 0 {
-		t.Fatalf("counter state wrong: total=%d", c.Total())
+	if c.total != 3 || c.Count(3) != 2 || c.Count(5) != 1 || c.Count(7) != 0 {
+		t.Fatalf("counter state wrong: total=%d", c.total)
 	}
 	if got := c.Mean(); !almostEq(got, 11.0/3.0, 1e-12) {
 		t.Fatalf("Mean = %v", got)
@@ -337,30 +209,8 @@ func TestCounterBasic(t *testing.T) {
 func TestCounterAddN(t *testing.T) {
 	c := NewCounter()
 	c.AddN(2, 10)
-	if c.Total() != 10 || c.Count(2) != 10 {
+	if c.total != 10 || c.Count(2) != 10 {
 		t.Fatal("AddN miscounted")
-	}
-}
-
-func TestCounterQuantile(t *testing.T) {
-	c := NewCounter()
-	for i := 1; i <= 100; i++ {
-		c.Add(i)
-	}
-	if got := c.Quantile(0.5); got != 50 {
-		t.Fatalf("Q50 = %d, want 50", got)
-	}
-	if got := c.Quantile(0.95); got != 95 {
-		t.Fatalf("Q95 = %d, want 95", got)
-	}
-	if got := c.Quantile(1.0); got != 100 {
-		t.Fatalf("Q100 = %d, want 100", got)
-	}
-}
-
-func TestCounterQuantileEmpty(t *testing.T) {
-	if got := NewCounter().Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %d, want 0", got)
 	}
 }
 
@@ -384,29 +234,5 @@ func TestMeanCIShrinksWithSamples(t *testing.T) {
 	_, hwLarge := MeanCI(large)
 	if hwLarge >= hwSmall {
 		t.Fatalf("CI should shrink with more samples: %v vs %v", hwSmall, hwLarge)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		c := NewCounter()
-		for _, v := range vals {
-			c.Add(int(v))
-		}
-		if c.Total() == 0 {
-			return true
-		}
-		prev := c.Quantile(0.01)
-		for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			cur := c.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"math/rand"
 
-	"makalu/internal/content"
 	"makalu/internal/obs"
 	"makalu/internal/search"
 )
@@ -51,29 +50,6 @@ func NewObs(reg *obs.Registry) Obs {
 		TransferTime:       reg.Histogram("stream.transfer.time_us"),
 		GoodputBps:         reg.Histogram("stream.goodput_bps"),
 	}
-}
-
-// StoreLocator is the oracle locator: it reads replica holders straight
-// out of the content store's placement index. Tests and baselines use
-// it to isolate scheduler behavior from routing behavior.
-type StoreLocator struct {
-	Store *content.Store
-}
-
-// Locate returns the first k eligible replicas in placement order.
-func (l StoreLocator) Locate(client int, obj uint64, k int, skip map[int]bool) []int {
-	var out []int
-	for _, h := range l.Store.Replicas(obj) {
-		u := int(h)
-		if u == client || skip[u] {
-			continue
-		}
-		out = append(out, u)
-		if len(out) >= k {
-			break
-		}
-	}
-	return out
 }
 
 // ABFLocator discovers replicas with attenuated-Bloom identifier

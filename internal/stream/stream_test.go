@@ -11,6 +11,44 @@ import (
 	"makalu/internal/sim"
 )
 
+// StoreLocator is the oracle locator: it reads replica holders straight
+// out of the content store's placement index. Tests and baselines use
+// it to isolate scheduler behavior from routing behavior.
+type StoreLocator struct {
+	Store *content.Store
+}
+
+// Locate returns the first k eligible replicas in placement order.
+func (l StoreLocator) Locate(client int, obj uint64, k int, skip map[int]bool) []int {
+	var out []int
+	for _, h := range l.Store.Replicas(obj) {
+		u := int(h)
+		if u == client || skip[u] {
+			continue
+		}
+		out = append(out, u)
+		if len(out) >= k {
+			break
+		}
+	}
+	return out
+}
+
+// uniformLatency is a network model where every distinct pair has the
+// same latency.
+type uniformLatency struct {
+	nodes int
+	cost  float64
+}
+
+func (m uniformLatency) N() int { return m.nodes }
+func (m uniformLatency) Latency(u, v int) float64 {
+	if u == v {
+		return 0
+	}
+	return m.cost
+}
+
 // fixedLocator serves a static replica list, honoring skip/k — the
 // oracle form, with none of routing's noise.
 type fixedLocator struct {
@@ -66,7 +104,7 @@ func TestSteadyTransferCompletes(t *testing.T) {
 	loc := fixedLocator{replicas: map[uint64][]int{7: {1, 2}}}
 	reg := obs.NewRegistry()
 	ob := NewObs(reg)
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 3, Cost: 10}, AllAlive{}, loc, Config{}, ob)
+	sw := NewSwarm(eng, uniformLatency{3, 10}, AllAlive{}, loc, Config{}, ob)
 
 	man := mustManifest(t, 7, 256<<10, 32<<10) // 8 chunks
 	var got TransferResult
@@ -105,7 +143,7 @@ func TestUploadSerialization(t *testing.T) {
 	cfg := Config{
 		Bandwidth: func(int) float64 { return 1000 },
 	}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 0}, AllAlive{}, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 0}, AllAlive{}, loc, cfg, Obs{})
 
 	man := mustManifest(t, 1, 4000, 1000)
 	var got TransferResult
@@ -131,7 +169,7 @@ func TestSourceDeathRecovers(t *testing.T) {
 	loc := fixedLocator{replicas: map[uint64][]int{9: {1, 2}}}
 	live := newSetLive()
 	cfg := Config{ChunkTimeout: 100}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 3, Cost: 5}, live, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{3, 5}, live, loc, cfg, Obs{})
 
 	man := mustManifest(t, 9, 512<<10, 16<<10) // 32 chunks
 	var got TransferResult
@@ -164,7 +202,7 @@ func TestRediscoveryAndStall(t *testing.T) {
 	// ChunkTimeout must exceed window·tx+RTT (4·13.1+10 ≈ 62) or a
 	// healthy source's queued chunks get it falsely evicted.
 	cfg := Config{MaxSources: 1, ChunkTimeout: 100, RediscoverDelay: 25}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 3, Cost: 5}, live, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{3, 5}, live, loc, cfg, Obs{})
 
 	man := mustManifest(t, 5, 256<<10, 16<<10) // 16 chunks
 	var got TransferResult
@@ -191,7 +229,7 @@ func TestNoReplicasFails(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{}}
 	cfg := Config{MaxRediscoveries: 3, RediscoverDelay: 10}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, AllAlive{}, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, cfg, Obs{})
 
 	var got TransferResult
 	done := false
@@ -214,7 +252,7 @@ func TestDeadlineAborts(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{}}
 	cfg := Config{Deadline: 42, RediscoverDelay: 5, MaxRediscoveries: 1 << 20}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, AllAlive{}, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, cfg, Obs{})
 
 	var got TransferResult
 	sw.Start(0, mustManifest(t, 1, 1000, 100), func(r TransferResult) { got = r })
@@ -258,7 +296,7 @@ func TestAbortActive(t *testing.T) {
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
 	live := newSetLive(1) // sole replica already dead
 	cfg := Config{ChunkTimeout: 1 << 20, RediscoverDelay: 1 << 20}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, live, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 1}, live, loc, cfg, Obs{})
 
 	tr := sw.Start(0, mustManifest(t, 1, 1000, 100), nil)
 	eng.RunUntil(50)
@@ -286,7 +324,7 @@ func TestAbortActive(t *testing.T) {
 func TestActiveOrderIsTotal(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 1}, AllAlive{}, loc, Config{}, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, Config{}, Obs{})
 	man := mustManifest(t, 1, 1000, 100)
 	var started []*Transfer
 	for i := 0; i < 8; i++ {
@@ -309,7 +347,7 @@ func TestStallFollowsLiveness(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
 	live := newSetLive()
-	sw := NewSwarm(eng, netmodel.Uniform{Nodes: 2, Cost: 5}, live, loc, Config{}, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 5}, live, loc, Config{}, Obs{})
 	tr := sw.Start(0, mustManifest(t, 1, 256<<10, 16<<10), nil)
 	eng.Schedule(10, func() { live.kill(1) })
 	eng.Schedule(30, func() { live.revive(1) })

@@ -23,14 +23,6 @@ type Proc struct {
 	werr   error         // Wait's error, valid after exited closes
 }
 
-// PID returns the process id (0 before spawn).
-func (p *Proc) PID() int {
-	if p.cmd == nil || p.cmd.Process == nil {
-		return 0
-	}
-	return p.cmd.Process.Pid
-}
-
 // Exited reports whether the process has terminated.
 func (p *Proc) Exited() bool {
 	select {

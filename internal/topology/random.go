@@ -25,7 +25,7 @@ func ErdosRenyi(n, m int, seed int64) *graph.Mutable {
 // DegreeCapacities draws per-node connection capacities uniformly in
 // [min, max], modelling hosts with heterogeneous access bandwidth.
 // The paper assigns node degrees randomly with a mean of 10–12, so
-// DefaultCapacities uses [8, 14].
+// the overlay's default range is [8, 14].
 func DegreeCapacities(n, min, max int, seed int64) []int {
 	if min < 1 || max < min {
 		panic("topology: capacity range must satisfy 1 <= min <= max")
@@ -36,10 +36,4 @@ func DegreeCapacities(n, min, max int, seed int64) []int {
 		caps[i] = min + rng.Intn(max-min+1)
 	}
 	return caps
-}
-
-// DefaultCapacities returns capacities uniform in [8, 14] (mean 11),
-// matching the paper's "mean node degree of 10 to 12".
-func DefaultCapacities(n int, seed int64) []int {
-	return DegreeCapacities(n, 8, 14, seed)
 }

@@ -59,10 +59,11 @@ func TestPowerLawBasicShape(t *testing.T) {
 		t.Fatal("Connect=true should yield a connected graph")
 	}
 	// Power-law: many low-degree nodes, a few hubs.
-	hist := f.DegreeHistogram()
 	low := 0
-	for d := 1; d <= 3 && d < len(hist); d++ {
-		low += hist[d]
+	for u := 0; u < f.N(); u++ {
+		if d := f.Degree(u); d >= 1 && d <= 3 {
+			low++
+		}
 	}
 	if float64(low) < 0.6*3000 {
 		t.Fatalf("power-law graph should be dominated by low-degree nodes, got %d/3000", low)
@@ -300,7 +301,7 @@ func TestDegreeCapacitiesValidation(t *testing.T) {
 }
 
 func TestDefaultCapacitiesMeanMatchesPaper(t *testing.T) {
-	caps := DefaultCapacities(50000, 4)
+	caps := DegreeCapacities(50000, 8, 14, 4) // the overlay's default range
 	sum := 0
 	for _, c := range caps {
 		sum += c

@@ -23,20 +23,6 @@ type TrafficProfile struct {
 	NeighborCount      int     // typical neighbor count of the measured peer
 }
 
-// Gnutella2003 is the v0.4-era profile: ~60 queries/s (>400k per two
-// hours), fanout ≈ 4, >130 kbps outgoing, 3.5% success.
-func Gnutella2003() TrafficProfile {
-	return TrafficProfile{
-		Year:               2003,
-		QueriesPerSecond:   60,
-		MeanQuerySizeBytes: 106,
-		MeanFanout:         4,
-		SuccessRate:        0.035,
-		MeasuredKbps:       130,
-		NeighborCount:      8,
-	}
-}
-
 // Gnutella2006 is the v0.6 two-tier profile: 3.23 queries/s (23k per
 // two hours), fanout 38.439, 103.4 kbps outgoing, 6.9% success, up to
 // ~40 active ultrapeer neighbors.
@@ -55,12 +41,6 @@ func Gnutella2006() TrafficProfile {
 // OutgoingMessagesPerSecond returns fanout × query rate.
 func (p TrafficProfile) OutgoingMessagesPerSecond() float64 {
 	return p.QueriesPerSecond * p.MeanFanout
-}
-
-// OutgoingKbps computes outgoing query bandwidth from the rate, fanout
-// and message size (kilobits per second, 1 kbit = 1000 bits).
-func (p TrafficProfile) OutgoingKbps() float64 {
-	return p.OutgoingMessagesPerSecond() * p.MeanQuerySizeBytes * 8 / 1000
 }
 
 // BandwidthRow is one row of the paper's Table 2.

@@ -33,7 +33,6 @@ import (
 	"makalu/internal/graph"
 	"makalu/internal/netmodel"
 	"makalu/internal/search"
-	"makalu/internal/spectral"
 )
 
 // NetworkModel selects the physical latency model an overlay is built
@@ -190,10 +189,8 @@ func (ov *Overlay) graphSnapshot() *graph.Graph {
 	return ov.frozen
 }
 
-// searchKernel returns the reusable scratch behind the single-query
-// searches, so repeated Flood / GossipFlood / ExpandingRingSearch /
-// RandomWalkSearch calls on an unchanged overlay do not reallocate
-// node-sized state.
+// searchKernel returns the reusable scratch behind Flood, so repeated
+// floods on an unchanged overlay do not reallocate node-sized state.
 func (ov *Overlay) searchKernel() *search.Kernel {
 	if ov.kernel == nil {
 		ov.kernel = search.NewKernel(ov.graphSnapshot(), 0)
@@ -214,7 +211,26 @@ type NeighborRating struct {
 
 // RateNeighbors exposes the peer rating function for node u.
 func (ov *Overlay) RateNeighbors(u int) []NeighborRating {
-	infos := ov.core.RateNeighbors(u, nil)
+	return neighborRatings(ov.core.RateNeighbors(u, nil))
+}
+
+// RateAllNeighbors runs the batched whole-overlay rating pass (one
+// RateNeighbors row per node, empty for dead nodes), sharded over the
+// configured worker pool. Equivalent to calling RateNeighbors for
+// every node, but one pass over the overlay.
+func (ov *Overlay) RateAllNeighbors() [][]NeighborRating {
+	all := ov.core.RateAll(nil)
+	out := make([][]NeighborRating, len(all))
+	for u, infos := range all {
+		if len(infos) > 0 {
+			out[u] = neighborRatings(infos)
+		}
+	}
+	return out
+}
+
+// neighborRatings copies core's rating rows into the facade's type.
+func neighborRatings(infos []core.RatingInfo) []NeighborRating {
 	out := make([]NeighborRating, len(infos))
 	for i, in := range infos {
 		out[i] = NeighborRating{
@@ -229,33 +245,6 @@ func (ov *Overlay) RateNeighbors(u int) []NeighborRating {
 	return out
 }
 
-// RateAllNeighbors runs the batched whole-overlay rating pass (one
-// RateNeighbors row per node, empty for dead nodes), sharded over the
-// configured worker pool. Equivalent to calling RateNeighbors for
-// every node, but one pass over the overlay.
-func (ov *Overlay) RateAllNeighbors() [][]NeighborRating {
-	all := ov.core.RateAll(nil)
-	out := make([][]NeighborRating, len(all))
-	for u, infos := range all {
-		if len(infos) == 0 {
-			continue
-		}
-		row := make([]NeighborRating, len(infos))
-		for i, in := range infos {
-			row[i] = NeighborRating{
-				Neighbor:     in.Neighbor,
-				Unique:       in.Unique,
-				Boundary:     in.Boundary,
-				Connectivity: in.Connectivity,
-				Proximity:    in.Proximity,
-				Score:        in.Score,
-			}
-		}
-		out[u] = row
-	}
-	return out
-}
-
 // AddNode joins one new node (capacity drawn from the configured
 // range) and returns its id. The overlay must have Headroom left.
 func (ov *Overlay) AddNode() int {
@@ -263,14 +252,6 @@ func (ov *Overlay) AddNode() int {
 	rng := rand.New(rand.NewSource(ov.cfg.Seed + int64(ov.core.N())))
 	c := ov.cfg.MinCapacity + rng.Intn(ov.cfg.MaxCapacity-ov.cfg.MinCapacity+1)
 	return ov.core.AddNode(c)
-}
-
-// Fail kills the given nodes instantly and non-recoverably (until
-// Revive). Their connections vanish; analysis sees the post-failure
-// snapshot until Heal or Revive runs.
-func (ov *Overlay) Fail(nodes ...int) {
-	ov.invalidate()
-	ov.core.FailNodes(nodes)
 }
 
 // FailTopDegree kills the k best-connected alive nodes — the paper's
@@ -284,12 +265,6 @@ func (ov *Overlay) FailTopDegree(k int) []int {
 func (ov *Overlay) FailRandom(k int) []int {
 	ov.invalidate()
 	return ov.core.FailRandom(k)
-}
-
-// Revive brings a failed node back through the bootstrap path.
-func (ov *Overlay) Revive(u int) bool {
-	ov.invalidate()
-	return ov.core.Revive(u)
 }
 
 // Heal runs management rounds so survivors replace lost neighbors.
@@ -351,22 +326,6 @@ func (ov *Overlay) Stats(maxSources int) Stats {
 	return st
 }
 
-// AlgebraicConnectivity estimates λ₁ of the alive subgraph's
-// Laplacian, the paper's expansion proxy (§3.3).
-func (ov *Overlay) AlgebraicConnectivity() (float64, error) {
-	sub, _ := ov.core.FreezeAlive()
-	return spectral.AlgebraicConnectivity(sub, 200, ov.cfg.Seed+13)
-}
-
-// NormalizedSpectrum returns the ascending normalized-Laplacian
-// eigenvalues of the alive subgraph (dense; practical to a few
-// thousand nodes). Figure 1's fault-tolerance evidence is read off
-// this spectrum.
-func (ov *Overlay) NormalizedSpectrum() ([]float64, error) {
-	sub, _ := ov.core.FreezeAlive()
-	return spectral.NormalizedSpectrum(sub)
-}
-
 // Content is replicated object placement over the overlay's nodes.
 type Content struct {
 	store   *content.Store
@@ -375,8 +334,7 @@ type Content struct {
 
 // PlaceContent distributes `objects` distinct objects over the
 // overlay's nodes, each replicated on max(1, replication*N) uniform
-// random nodes. Objects also receive generated keyword names so
-// wildcard queries can be formed.
+// random nodes. Objects also receive generated display names (Name).
 func (ov *Overlay) PlaceContent(objects int, replication float64) (*Content, error) {
 	st, err := content.Place(ov.core.N(), content.PlacementConfig{
 		Objects:     objects,
@@ -414,14 +372,4 @@ func (c *Content) Replicas(obj uint64) []int {
 // membership test on the object's replica set.
 func (c *Content) Matcher(obj uint64) func(node int) bool {
 	return search.NewTargets(c.store.N()).Set(c.store.Replicas(obj)).Matcher()
-}
-
-// WildcardMatcher returns a node predicate for a keyword query built
-// from `terms` of object i's keywords — with fewer than all four
-// terms, other objects sharing those keywords also match, which is
-// what makes it a wildcard search.
-func (c *Content) WildcardMatcher(i, terms int, seed int64) func(node int) bool {
-	rng := rand.New(rand.NewSource(seed))
-	q := c.catalog.QueryFor(i, terms, rng)
-	return search.NewTargets(c.store.N()).Set(c.catalog.MatchingNodes(q, c.store)).Matcher()
 }

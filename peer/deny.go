@@ -1,7 +1,5 @@
 package peer
 
-import "sort"
-
 // This file implements runtime peer deny lists. A denied address is
 // never dialed (Connect, refill) and its inbound handshakes are
 // dropped right after the Hello reveals the dialer's listen address.
@@ -18,18 +16,6 @@ func (n *Node) isDenied(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.denied[addr]
-}
-
-// Denied returns the current deny list, sorted.
-func (n *Node) Denied() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.denied))
-	for a := range n.denied {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SetDenied replaces the deny list. Links to newly denied peers are

@@ -102,9 +102,11 @@ func TestSetDeniedCutsExistingLink(t *testing.T) {
 		t.Fatalf("denied peer reconnected: degree = %d", a.Degree())
 	}
 
-	got := a.Denied()
-	if len(got) != 1 || got[0] != b.Addr() {
-		t.Fatalf("Denied() = %v, want [%s]", got, b.Addr())
+	a.mu.Lock()
+	denied := len(a.denied) == 1 && a.denied[b.Addr()]
+	a.mu.Unlock()
+	if !denied {
+		t.Fatalf("deny list is not [%s]", b.Addr())
 	}
 
 	// Clearing the deny list lets refill re-learn the address; the two

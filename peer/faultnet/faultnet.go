@@ -99,13 +99,6 @@ func (n *Network) CutLink(a, b string) {
 	n.mu.Unlock()
 }
 
-// HealLink lifts a CutLink.
-func (n *Network) HealLink(a, b string) {
-	n.mu.Lock()
-	delete(n.cut, pairKey(a, b))
-	n.mu.Unlock()
-}
-
 // Stats reports how many frames have been dropped, duplicated and
 // delayed so far.
 func (n *Network) Stats() (dropped, duplicated, delayed uint64) {

@@ -89,14 +89,6 @@ func (c *Cluster) Kill(i int) {
 	c.nodes[i].Kill()
 }
 
-// Shutdown closes node i gracefully (Bye to every neighbor).
-func (c *Cluster) Shutdown(i int) {
-	c.mu.Lock()
-	c.down[i] = true
-	c.mu.Unlock()
-	c.nodes[i].Close()
-}
-
 // CloseAll tears the whole cluster down.
 func (c *Cluster) CloseAll() {
 	for i, nd := range c.nodes {
@@ -105,13 +97,6 @@ func (c *Cluster) CloseAll() {
 		c.mu.Unlock()
 		nd.Close() // after Kill this reaps dangling sockets
 	}
-}
-
-// Alive reports whether node i has not been killed or shut down.
-func (c *Cluster) Alive(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.down[i]
 }
 
 // AliveIndices returns the indices of nodes still running.
@@ -249,24 +234,6 @@ func (c *Cluster) probeOne(src *Node, obj uint64, ttl int, timeout time.Duration
 			return false
 		}
 	}
-}
-
-// CleanOf reports whether every live node's neighbor set is free of
-// the given addresses — i.e. the dead peers have been evicted
-// everywhere.
-func (c *Cluster) CleanOf(addrs []string) bool {
-	bad := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		bad[a] = true
-	}
-	for _, i := range c.AliveIndices() {
-		for _, nb := range c.nodes[i].Neighbors() {
-			if bad[nb] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // LiveLinks enumerates the distinct live-live links as index pairs.

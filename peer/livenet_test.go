@@ -378,3 +378,21 @@ func probeAvoiding(c *Cluster, rng *rand.Rand, probes int, cut map[[2]int]bool) 
 	}
 	return float64(found) / float64(probes)
 }
+
+// CleanOf reports whether every live node's neighbor set is free of
+// the given addresses — i.e. the dead peers have been evicted
+// everywhere.
+func (c *Cluster) CleanOf(addrs []string) bool {
+	bad := make(map[string]bool, len(addrs))
+	for _, a := range addrs {
+		bad[a] = true
+	}
+	for _, i := range c.AliveIndices() {
+		for _, nb := range c.nodes[i].Neighbors() {
+			if bad[nb] {
+				return false
+			}
+		}
+	}
+	return true
+}

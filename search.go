@@ -33,11 +33,10 @@ func fromInternal(r search.Result) SearchResult {
 
 // Flood runs a TTL-controlled flooding search from src over the alive
 // overlay: the paper's wildcard/attribute search mechanism. match is
-// the node predicate (use Content.Matcher or Content.WildcardMatcher).
-// Flood, GossipFlood, RandomWalkSearch and ExpandingRingSearch reuse
-// one scratch kernel per overlay snapshot, so call them from one
-// goroutine at a time; the Batch variants are the parallel path. Each
-// finds nothing from a failed source or one outside [0, Nodes()).
+// the node predicate (use Content.Matcher). Flood reuses one scratch
+// kernel per overlay snapshot, so call it from one goroutine at a time;
+// the Batch variants are the parallel path. It finds nothing from a
+// failed source or one outside [0, Nodes()).
 func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
 	if !ov.canSearchFrom(src) {
 		return SearchResult{FirstMatchHop: -1}
@@ -49,29 +48,6 @@ func (ov *Overlay) Flood(src, ttl int, match func(node int) bool) SearchResult {
 // not failed.
 func (ov *Overlay) canSearchFrom(src int) bool {
 	return src >= 0 && src < ov.core.N() && ov.core.Alive(src)
-}
-
-// RandomWalkSearch runs a k-walker random walk from src (the
-// related-work baseline of Lv et al.).
-func (ov *Overlay) RandomWalkSearch(src, walkers, maxSteps int, match func(node int) bool, seed int64) SearchResult {
-	if !ov.canSearchFrom(src) {
-		return SearchResult{FirstMatchHop: -1}
-	}
-	cfg := search.WalkConfig{Walkers: walkers, MaxSteps: maxSteps, CheckInterval: 4}
-	rng := rand.New(rand.NewSource(seed))
-	return fromInternal(ov.searchKernel().Walker().Random(src, cfg, search.Matcher(match), rng))
-}
-
-// ExpandingRingSearch floods from src with TTL 1, 2, … up to maxTTL
-// until the query resolves (TTL-control per Chang & Liu).
-func (ov *Overlay) ExpandingRingSearch(src, maxTTL int, match func(node int) bool) SearchResult {
-	if !ov.canSearchFrom(src) {
-		return SearchResult{FirstMatchHop: -1}
-	}
-	f := ov.searchKernel().Flooder()
-	return fromInternal(search.ExpandingRing(maxTTL, func(ttl int) search.Result {
-		return f.Flood(src, ttl, search.Matcher(match))
-	}))
 }
 
 // BatchOptions sizes a parallel query batch. Queries are sharded over

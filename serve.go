@@ -13,9 +13,8 @@ import (
 // snapshot) to enable mech=abf lookups, or nil to serve flood/walk
 // only.
 //
-// The engine captures the snapshot at call time. After overlay
-// mutations, push the new state with UpdateServeSnapshot so cached
-// results from the old epoch can never be served.
+// The engine captures the snapshot at call time and does not follow
+// later overlay mutations.
 func (ov *Overlay) ServeEngine(c *Content, ix *IdentifierIndex, cfg serve.Config) (*serve.Engine, error) {
 	if c == nil {
 		return nil, fmt.Errorf("makalu: nil content")
@@ -33,22 +32,4 @@ func (ov *Overlay) ServeEngine(c *Content, ix *IdentifierIndex, cfg serve.Config
 		cfg.Seed = ov.cfg.Seed + 29
 	}
 	return serve.New(cfg)
-}
-
-// UpdateServeSnapshot re-snapshots the overlay into a running serving
-// engine, bumping its epoch (which invalidates the result cache). Pass
-// a fresh IdentifierIndex built over the current snapshot to keep
-// mech=abf servable, or nil to drop it.
-func (ov *Overlay) UpdateServeSnapshot(eng *serve.Engine, c *Content, ix *IdentifierIndex) error {
-	if c == nil {
-		return fmt.Errorf("makalu: nil content")
-	}
-	g := ov.graphSnapshot()
-	if ix != nil {
-		if ix.g != g {
-			return fmt.Errorf("makalu: identifier index was built over a different overlay snapshot; rebuild it")
-		}
-		return eng.UpdateSnapshot(g, c.store, ix.net)
-	}
-	return eng.UpdateSnapshot(g, c.store, nil)
 }
