@@ -83,6 +83,34 @@ func TestPayloadHashMatchesChunkHash(t *testing.T) {
 	}
 }
 
+// TestBuildManifestBitIdentical holds BuildManifest to the sequential
+// loop over payloadHash, chunk by chunk, on sizes around a chunk and a
+// whole 2 MiB streaming object, in default chunks and in 1000-byte ones
+// (over two thousand chunks, enough to split across workers).
+func TestBuildManifestBitIdentical(t *testing.T) {
+	const obj = uint64(0x5eed)
+	for _, chunk := range []int{DefaultChunkSize, 1000} {
+		for _, size := range []int64{1, int64(chunk) - 1, int64(chunk), int64(chunk) + 1, 2 << 20, 2<<20 + 7} {
+			m, err := BuildManifest(obj, size, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for off := int64(0); off < size; off += int64(chunk) {
+				want = append(want, payloadHash(obj, len(want), int(min(int64(chunk), size-off))))
+			}
+			if len(m.Hashes) != len(want) {
+				t.Fatalf("size %d chunk %d: %d hashes, want %d", size, chunk, len(m.Hashes), len(want))
+			}
+			for i := range want {
+				if m.Hashes[i] != want[i] {
+					t.Fatalf("size %d chunk %d: hash %d is %#x, want %#x", size, chunk, i, m.Hashes[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkBuildManifest derives the manifest of a 2 MiB object in
 // default chunks, as the streaming workload does for every object.
 func BenchmarkBuildManifest(b *testing.B) {

@@ -2,7 +2,9 @@ package search
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -53,9 +55,13 @@ func TestABFArenaMatchesOracle(t *testing.T) {
 		{"n=1", sparseGraph(1, 0, 1)},
 		{"n=2", path(2)},
 		{"n=63", sparseGraph(63, 3, 2)},
+		{"n=64", sparseGraph(64, 4, 6)},
 		{"n=65", sparseGraph(65, 5, 3)},
+		{"n=128", sparseGraph(128, 4, 7)},
+		{"n=129", sparseGraph(129, 3, 8)},
 		{"n=517", sparseGraph(517, 6, 4)},
 		{"path", path(9)},
+		{"forest", forest(150, 9)},
 		{"kregular", kreg.Freeze(nil)},
 	}
 	oddBits := []int{65, 100, 1000, 4099, 6000}
@@ -86,6 +92,82 @@ func TestABFArenaMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	// The deepest index there is, on a path long enough to fill every
+	// level, auto-sized and with odd level sizes.
+	g := path(40)
+	st, err := content.Place(g.N(), content.PlacementConfig{Objects: 30, Replication: 0.05, MinReplicas: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sized := range []bool{false, true} {
+		cfg := ABFConfig{Depth: maxABFDepth, Hashes: 3}
+		if sized {
+			for h := 0; h <= maxABFDepth; h++ {
+				cfg.LevelBits = append(cfg.LevelBits, 65+62*h)
+			}
+		}
+		checkArenaAgainstOracle(t, fmt.Sprintf("path/depth=%d/sized=%v", maxABFDepth, sized), g, st, cfg, pick)
+	}
+}
+
+// forest draws a seeded forest on n nodes: random trees of 1 to 16
+// nodes, each node joined to a random earlier node of its own tree, so
+// no component reaches a 64-source batch and most batches span several.
+func forest(n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	m := graph.NewMutable(n)
+	for root := 0; root < n; {
+		size := min(1+rng.Intn(16), n-root)
+		for v := root + 1; v < root+size; v++ {
+			m.AddEdge(v, root+rng.Intn(v-root))
+		}
+		root += size
+	}
+	return m.Freeze(nil)
+}
+
+// FuzzABFBuildMatchesOracle holds the index build to the per-node
+// oracle on random sparse graphs, word for word:
+// n = 1 + n%300 nodes with about deg%12/2 edges per node (the last node
+// isolated), depth 1..5, 1..7 hashes, and, when sized, odd level sizes
+// drawn from seed.
+func FuzzABFBuildMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0), uint8(0), false)
+	f.Add(int64(2), uint16(63), uint8(6), uint8(2), uint8(3), true)
+	f.Add(int64(3), uint16(128), uint8(8), uint8(4), uint8(6), false)
+	f.Add(int64(4), uint16(299), uint8(3), uint8(1), uint8(1), true)
+	f.Add(int64(5), uint16(200), uint8(11), uint8(3), uint8(5), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, deg, depth, hashes uint8, sized bool) {
+		g := sparseGraph(1+int(n%300), float64(deg%12)/2, seed)
+		rng := rand.New(rand.NewSource(seed))
+		cfg := ABFConfig{Depth: 1 + int(depth%5), Hashes: 1 + int(hashes%7)}
+		if sized {
+			for h := 0; h <= cfg.Depth; h++ {
+				cfg.LevelBits = append(cfg.LevelBits, 1+2*rng.Intn(3000))
+			}
+		}
+		st, err := content.Place(g.N(), content.PlacementConfig{
+			Objects: 1 + rng.Intn(g.N()), Replication: 0.05 * rng.Float64(), MinReplicas: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := BuildABFNetwork(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildOracleABFNetwork(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < g.N(); u++ {
+			for h, lv := range want.filters[u].Levels {
+				if !bytes.Equal(filterBits(t, net.Filter(u).Levels[h]), filterBits(t, lv)) {
+					t.Fatalf("node %d level %d differs from the oracle (n=%d depth=%d hashes=%d bits=%v)",
+						u, h, g.N(), cfg.Depth, cfg.Hashes, net.cfg.LevelBits)
+				}
+			}
+		}
+	})
 }
 
 func checkArenaAgainstOracle(t *testing.T, label string, g *graph.Graph, st *content.Store, cfg ABFConfig, pick *rand.Rand) {
@@ -151,4 +233,47 @@ func (n *ABFNetwork) Filter(u int) *bloom.Attenuated {
 		a.Levels[h] = bloom.View(n.level(h, u), m, n.cfg.Hashes)
 	}
 	return a
+}
+
+// indexHash is the FNV-64a digest of an index: each level's size in
+// bits, then every word of its arena, little-endian.
+func indexHash(n *ABFNetwork) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for lv, arena := range n.levels {
+		binary.LittleEndian.PutUint64(buf[:], uint64(n.cfg.LevelBits[lv]))
+		h.Write(buf[:])
+		for _, w := range arena {
+			binary.LittleEndian.PutUint64(buf[:], w)
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestABFIndexGolden pins every word of the default depth-3 index on
+// two worlds: search_batch's (a Makalu overlay with 2000 objects at
+// 0.2% replication, here at n=2000) and churn_stream's (50 objects at
+// 2% with at least 5 replicas each, here at n=1000). The hashes were
+// taken from the per-node BFS build, before the multi-source sweep
+// replaced it.
+func TestABFIndexGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		place content.PlacementConfig
+		want  uint64
+	}{
+		{"search_batch", 2000, batchPlacement, 0x55070fe5865e025e},
+		{"churn_stream", 1000, churnPlacement, 0x64243174aaf73ede},
+	} {
+		g, st := abfWorld(t, tc.n, tc.place)
+		net, err := BuildABFNetwork(g, st, DefaultABFConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := indexHash(net); got != tc.want {
+			t.Errorf("%s n=%d: index hash %#016x, want pinned %#016x", tc.name, tc.n, got, tc.want)
+		}
+	}
 }

@@ -167,11 +167,23 @@ func BenchmarkFloodOracle(b *testing.B) {
 // geometry; 10k nodes there). oracle is the per-node bloom.Attenuated
 // index the arena replaced (abf_oracle_test.go): the "before" rows.
 func abfBenchWorld(tb testing.TB, n int) (*graph.Graph, *content.Store) {
+	return abfWorld(tb, n, batchPlacement)
+}
+
+// batchPlacement is the search_batch workload's catalog.
+var batchPlacement = content.PlacementConfig{Objects: benchObjects, Replication: 0.002, MinReplicas: 1, Seed: 18}
+
+// churnPlacement is the churn_stream workload's catalog: 50 objects at
+// 2% replication with at least 5 replicas each.
+var churnPlacement = content.PlacementConfig{Objects: 50, Replication: 0.02, MinReplicas: 5, Seed: 19}
+
+// abfWorld builds an n-node Makalu overlay and places content on it.
+func abfWorld(tb testing.TB, n int, place content.PlacementConfig) (*graph.Graph, *content.Store) {
 	ov, err := core.Build(n, core.DefaultConfig(netmodel.NewEuclidean(n, 1000, 1), 1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store, err := content.Place(n, content.PlacementConfig{Objects: benchObjects, Replication: 0.002, MinReplicas: 1, Seed: 18})
+	store, err := content.Place(n, place)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -179,13 +191,21 @@ func abfBenchWorld(tb testing.TB, n int) (*graph.Graph, *content.Store) {
 }
 
 // BenchmarkBuildABF times one whole index build and reports the arena's
-// footprint as index-MB. The n=50000 rows take ~20 s together and are
-// the EXPERIMENTS.md "Recorded at scale" entry; select them with
-// -bench 'BuildABF/n=50000' -benchtime 1x.
+// footprint as index-MB, on search_batch's world at n=10000 and 50000
+// and on churn_stream's (n=8000/churn). The n=50000 rows take ~20 s
+// together and are the EXPERIMENTS.md "Recorded at scale" entry; select
+// them with -bench 'BuildABF/n=50000' -benchtime 1x.
 func BenchmarkBuildABF(b *testing.B) {
-	for _, n := range []int{10000, 50000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g, store := abfBenchWorld(b, n)
+	for _, row := range []struct {
+		name  string
+		world func(testing.TB) (*graph.Graph, *content.Store)
+	}{
+		{"n=10000", func(tb testing.TB) (*graph.Graph, *content.Store) { return abfBenchWorld(tb, 10000) }},
+		{"n=50000", func(tb testing.TB) (*graph.Graph, *content.Store) { return abfBenchWorld(tb, 50000) }},
+		{"n=8000/churn", func(tb testing.TB) (*graph.Graph, *content.Store) { return abfWorld(tb, 8000, churnPlacement) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			g, store := row.world(b)
 			b.Run("oracle", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := buildOracleABFNetwork(g, store, DefaultABFConfig()); err != nil {

@@ -1,6 +1,9 @@
 package makalu
 
-import "testing"
+import (
+	"hash/fnv"
+	"testing"
+)
 
 func newSmall(t *testing.T, n int, seed int64) *Overlay {
 	t.Helper()
@@ -134,6 +137,30 @@ func TestAddNodeWithHeadroom(t *testing.T) {
 	}
 	if ov.Degree(id) == 0 {
 		t.Fatal("new node did not connect")
+	}
+}
+
+// TestAddNodeGoldenEdgeHash pins the edge set after 500 joins, each
+// with its capacity drawn from the stream seeded by the join's id: the
+// FNV-64a digest of every u<v edge as two little-endian uint32s.
+func TestAddNodeGoldenEdgeHash(t *testing.T) {
+	ov, err := New(Config{Nodes: 300, Seed: 11, Headroom: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		ov.AddNode()
+	}
+	h := fnv.New64a()
+	for u := 0; u < ov.Nodes(); u++ {
+		for _, v := range ov.Neighbors(u) {
+			if v > u {
+				h.Write([]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24), byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x22bb6da1744be93a); got != want {
+		t.Fatalf("edge hash after 500 joins %#016x, want pinned %#016x", got, want)
 	}
 }
 
