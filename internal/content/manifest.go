@@ -2,6 +2,8 @@ package content
 
 import (
 	"fmt"
+
+	"makalu/internal/par"
 )
 
 // A Manifest splits one object into fixed-size chunks so a transfer
@@ -26,7 +28,8 @@ const DefaultChunkSize = 64 << 10
 
 // BuildManifest derives the chunk manifest of an object. Chunk hashes
 // are computed from the synthetic chunk payloads, so VerifyChunk can
-// check delivered data end to end.
+// check delivered data end to end. Each chunk hashes on its own, so
+// they are hashed on every core, each into its own slot.
 func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 	if size <= 0 {
 		return Manifest{}, fmt.Errorf("content: manifest needs positive size, got %d", size)
@@ -37,9 +40,7 @@ func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 	m := Manifest{Object: obj, Size: size, ChunkSize: chunkSize}
 	n := m.NumChunks()
 	m.Hashes = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		m.Hashes[i] = payloadHash(obj, i, m.ChunkLen(i))
-	}
+	par.For(0, n, func(_, i int) { m.Hashes[i] = payloadHash(obj, i, m.ChunkLen(i)) })
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"makalu/internal/bloom"
@@ -104,19 +105,14 @@ func (cfg ABFConfig) resolved(g *graph.Graph, store *content.Store) (ABFConfig, 
 }
 
 // hostedIdentifiers is a placement hashed once: every identifier's bit
-// positions at every level, which the build ORs into every row within
-// Depth hops of a host instead of re-hashing per row. The hosted lists
-// are kept per half-edge as well as per node: a BFS meets a node while
-// scanning the adjacency of its discoverer, and byEdge has the node's
-// identifiers right there in scan order; fetching them per visited node
-// costs two dependent cache misses each (builds 15-20% slower).
+// positions at every level, which the build sets in the rows that reach
+// a host of it instead of re-hashing per row, and the identifiers each
+// node hosts.
 type hostedIdentifiers struct {
 	k         int        // positions per identifier per level
 	pos       [][]uint32 // pos[h][i*k:(i+1)*k]: identifier i (store.Objects order) at level h
 	byNode    []int32    // byNode[nodeFirst[x]:nodeFirst[x+1]]: the identifiers node x hosts
 	nodeFirst []int
-	byEdge    []int32 // byEdge[edgeFirst[e]:edgeFirst[e+1]]: those of node g.Edges[e]
-	edgeFirst []int
 }
 
 func newHostedIdentifiers(g *graph.Graph, store *content.Store, cfg ABFConfig) *hostedIdentifiers {
@@ -139,32 +135,13 @@ func newHostedIdentifiers(g *graph.Graph, store *content.Store, cfg ABFConfig) *
 		}
 		ids.nodeFirst = append(ids.nodeFirst, len(ids.byNode))
 	}
-	ids.edgeFirst = make([]int, 1, len(g.Edges)+1)
-	for _, v := range g.Edges {
-		ids.byEdge = append(ids.byEdge, ids.byNode[ids.nodeFirst[v]:ids.nodeFirst[v+1]]...)
-		ids.edgeFirst = append(ids.edgeFirst, len(ids.byEdge))
-	}
 	return ids
 }
 
-// or sets the bits of the listed identifiers in a level-h filter's
-// words: the build's inner loop. Inlined into buildRow, gc keeps its
-// loop counters in stack slots and the build runs 1.4-1.9x slower.
-//
-//go:noinline
-func (ids *hostedIdentifiers) or(level []uint64, h int, list []int32) {
-	pos, k := ids.pos[h], ids.k
-	for _, i := range list {
-		for _, p := range pos[int(i)*k : int(i)*k+k] {
-			level[p>>6] |= 1 << (p & 63)
-		}
-	}
-}
-
-// BuildABFNetwork computes every node's hierarchy with an exact
-// distance-limited BFS: node u inserts, at level h, the identifiers
-// hosted by each node exactly h hops away. Construction runs one node's
-// rows per item of par.For.
+// BuildABFNetwork computes every node's hierarchy exactly: node u
+// inserts, at level h, the identifiers hosted by each node exactly h
+// hops away. The rows are built 64 at a time, one par.For item per
+// batch of 64 consecutive sources (see sweep).
 func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFNetwork, error) {
 	cfg, err := cfg.resolved(g, store)
 	if err != nil {
@@ -175,55 +152,128 @@ func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFN
 		net.levels = append(net.levels, make([]uint64, g.N()*((m+63)/64)))
 	}
 	ids := newHostedIdentifiers(g, store, cfg)
-
-	// Each worker keeps its own BFS scratch: dist is -1 everywhere
-	// between rows.
-	type bfsScratch struct{ dist, queue []int32 }
-	scratch := make([]bfsScratch, par.Workers(0, g.N()))
-	par.For(len(scratch), g.N(), func(w, u int) {
+	batches := (g.N() + 63) / 64
+	scratch := make([]sweep, par.Workers(0, batches))
+	par.For(len(scratch), batches, func(w, b int) {
 		sc := &scratch[w]
-		if sc.dist == nil {
-			sc.dist = make([]int32, g.N())
-			for i := range sc.dist {
-				sc.dist[i] = -1
-			}
-			sc.queue = make([]int32, 0, 4096)
+		if sc.words == nil {
+			sc.words = make([]reachWords, g.N())
+			sc.acc = make([]uint64, len(store.Objects()))
 		}
-		sc.queue = net.buildRow(u, ids, sc.dist, sc.queue)
+		sc.run(net, ids, 64*b, min(64*b+64, g.N()))
 	})
 	return net, nil
 }
 
-// buildRow fills u's rows by a distance-limited BFS from u: a node
-// first reached at distance h has its identifiers set in level h, there
-// and then. dist must be -1 everywhere and is left so; the grown queue
-// is returned for the next row.
-func (n *ABFNetwork) buildRow(u int, ids *hostedIdentifiers, dist, queue []int32) []int32 {
-	g := n.g
-	queue = append(queue[:0], int32(u))
-	dist[u] = 0
-	ids.or(n.level(0, u), 0, ids.byNode[ids.nodeFirst[u]:ids.nodeFirst[u+1]])
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		h := int(dist[x]) + 1
-		if h > n.cfg.Depth {
-			break // BFS order: the rest of the queue is at the horizon too
-		}
-		level := n.level(h, u)
-		for e := g.Offsets[x]; e < g.Offsets[x+1]; e++ {
-			if v := g.Edges[e]; dist[v] == -1 {
-				dist[v] = int32(h)
-				queue = append(queue, v)
-				ids.or(level, h, ids.byEdge[ids.edgeFirst[e]:ids.edgeFirst[e+1]])
+// reachWords is one node's state in a sweep, bit i standing for source
+// lo+i: the sources that have reached it, and those that first reach it
+// at the level being built. They share a cache line, since the frontier
+// scan reads the one and writes the other.
+type reachWords struct{ seen, next uint64 }
+
+// reached is a frontier entry: a node and the sources it was first
+// reached by at the frontier's level.
+type reached struct {
+	v    int32
+	from uint64
+}
+
+// sweep is one worker's scratch for a multi-source BFS (Then et al.,
+// PVLDB 8(4), 2014): up to 64 sources advance one level together, so a
+// frontier node's adjacency is read once for every source that reached
+// it at that level, and a source's bit first reaches a node at exactly
+// their hop distance. words and the per-identifier acc are zero between
+// batches.
+type sweep struct {
+	words       []reachWords // per node
+	front, grow []reached    // the frontier and the next level's
+	cand        []int32      // nodes whose next went non-zero at this level
+	touched     []int32      // nodes whose seen went non-zero, for the reset
+	acc         []uint64     // per identifier: sources reaching a host of it at this level
+	ids         []int32      // identifiers whose acc went non-zero at this level
+}
+
+// run fills the rows of sources lo..hi-1 (hi-lo <= 64). At each level a
+// newly reached node ORs its new bits into the accumulator of every
+// identifier it hosts, and each such identifier then sets its positions
+// once in the row of every source in its accumulator: a row is the OR
+// of the same (identifier, exact distance) pairs a per-source BFS
+// inserts, each set once however many hosts of it the level holds.
+func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int) {
+	g, words := net.g, sc.words
+	sc.front, sc.touched = sc.front[:0], sc.touched[:0]
+	for u := lo; u < hi; u++ {
+		from := uint64(1) << (u - lo)
+		words[u].seen = from
+		sc.touched = append(sc.touched, int32(u))
+		sc.front = append(sc.front, reached{int32(u), from})
+		sc.host(ids, int32(u), from)
+	}
+	sc.flush(net, ids, 0, lo)
+	for h := 1; h <= net.cfg.Depth && len(sc.front) > 0; h++ {
+		sc.cand = sc.cand[:0]
+		for _, f := range sc.front {
+			for _, v := range g.Edges[g.Offsets[f.v]:g.Offsets[f.v+1]] {
+				w := &words[v]
+				if d := f.from &^ w.seen; d != 0 {
+					if w.next == 0 {
+						sc.cand = append(sc.cand, v)
+					}
+					w.next |= d
+				}
 			}
 		}
+		last := h == net.cfg.Depth
+		sc.grow = sc.grow[:0]
+		for _, v := range sc.cand {
+			w := &words[v]
+			from := w.next
+			w.next = 0
+			sc.host(ids, v, from)
+			if last {
+				continue // nothing is expanded from the horizon
+			}
+			if w.seen == 0 {
+				sc.touched = append(sc.touched, v)
+			}
+			w.seen |= from
+			sc.grow = append(sc.grow, reached{v, from})
+		}
+		sc.flush(net, ids, h, lo)
+		sc.front, sc.grow = sc.grow, sc.front
 	}
-	// The queue is the touched set, so only its entries of dist are
-	// reset.
-	for _, x := range queue {
-		dist[x] = -1
+	for _, v := range sc.touched {
+		words[v].seen = 0
 	}
-	return queue
+}
+
+// host adds the sources in from to the accumulator of every identifier
+// node v hosts.
+func (sc *sweep) host(ids *hostedIdentifiers, v int32, from uint64) {
+	for _, i := range ids.byNode[ids.nodeFirst[v]:ids.nodeFirst[v+1]] {
+		if sc.acc[i] == 0 {
+			sc.ids = append(sc.ids, i)
+		}
+		sc.acc[i] |= from
+	}
+}
+
+// flush sets, for every accumulated identifier, its level-h positions
+// in the row of each source lo+i whose bit i it has, and clears the
+// accumulators.
+func (sc *sweep) flush(net *ABFNetwork, ids *hostedIdentifiers, h, lo int) {
+	arena, w, k := net.levels[h], (net.cfg.LevelBits[h]+63)/64, ids.k
+	for _, i := range sc.ids {
+		pos := ids.pos[h][int(i)*k : int(i)*k+k]
+		for from := sc.acc[i]; from != 0; from &= from - 1 {
+			row := arena[(lo+bits.TrailingZeros64(from))*w:]
+			for _, p := range pos {
+				row[p>>6] |= 1 << (p & 63)
+			}
+		}
+		sc.acc[i] = 0
+	}
+	sc.ids = sc.ids[:0]
 }
 
 // minLevelIdentifiers floors the identifiers a level is sized for, so a

@@ -88,6 +88,7 @@ type Overlay struct {
 	frozen  *graph.Graph       // invalidated on mutation
 	kernel  *search.Kernel     // single-query search scratch over frozen; dropped with it
 	kernels *search.KernelPool // batch workers' scratch over frozen; made and dropped with it
+	joins   *rand.Rand         // AddNode's capacity draw, re-seeded per join
 }
 
 // New builds a Makalu overlay: nodes join one at a time through
@@ -148,7 +149,7 @@ func New(cfg Config) (*Overlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Overlay{cfg: cfg, core: o}, nil
+	return &Overlay{cfg: cfg, core: o, joins: rand.New(search.NewQuerySource())}, nil
 }
 
 // Nodes returns the total node count, dead nodes included.
@@ -249,8 +250,8 @@ func neighborRatings(infos []core.RatingInfo) []NeighborRating {
 // range) and returns its id. The overlay must have Headroom left.
 func (ov *Overlay) AddNode() int {
 	ov.invalidate()
-	rng := rand.New(rand.NewSource(ov.cfg.Seed + int64(ov.core.N())))
-	c := ov.cfg.MinCapacity + rng.Intn(ov.cfg.MaxCapacity-ov.cfg.MinCapacity+1)
+	ov.joins.Seed(ov.cfg.Seed + int64(ov.core.N()))
+	c := ov.cfg.MinCapacity + ov.joins.Intn(ov.cfg.MaxCapacity-ov.cfg.MinCapacity+1)
 	return ov.core.AddNode(c)
 }
 
