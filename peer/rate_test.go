@@ -91,3 +91,48 @@ func TestRateMatchesCoreRating(t *testing.T) {
 		t.Fatalf("compared %d scores and %d minima: too few to test anything", compared, argmins)
 	}
 }
+
+// BenchmarkLivePruneDecision times one prune decision of a live node:
+// the first victim among the 14 neighbors of a degree-14 node of a
+// 2000-node core overlay, loaded as socketless links with their views
+// and link latencies, on a capacity-8 node.
+func BenchmarkLivePruneDecision(b *testing.B) {
+	const n = 2000
+	lat := netmodel.NewEuclidean(n, 1000, 5)
+	ov, err := core.Build(n, core.DefaultConfig(lat, 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ov.Graph()
+	u := 0
+	for g.Degree(u) != 14 {
+		u++
+	}
+	nd := startSocketless(b, 8, 1, 1)
+	defer nd.Close()
+	name := func(v int32) string {
+		if int(v) == u {
+			return nd.Addr()
+		}
+		return net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+int(v)))
+	}
+	var log closeLog
+	old := time.Now().Add(-5 * time.Hour)
+	nd.mu.Lock()
+	for _, w := range g.Neighbors(u) {
+		a := name(w)
+		nd.addSocketless(a, old, &log)
+		nd.rtt[a] = lat.Latency(u, int(w))
+		for _, x := range g.Neighbors(int(w)) {
+			nd.views[a] = append(nd.views[a], name(x))
+		}
+	}
+	nd.mu.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if nd.selectPruneVictim() == nil {
+			b.Fatal("no victim")
+		}
+	}
+}
