@@ -114,7 +114,7 @@ func (s *rateOracle) rateNeighbors(o *Overlay, u int, out []RatingInfo) []Rating
 			Latency:    d,
 			MaxLatency: dmax,
 		}
-		info.Connectivity, info.Proximity = o.scoreTerms(unique, boundary, d, dmax, dmin)
+		info.Connectivity, info.Proximity = o.weights().scoreTerms(unique, boundary, d, dmax, dmin)
 		info.Score = info.Connectivity + info.Proximity
 		out = append(out, info)
 	}

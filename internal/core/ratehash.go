@@ -19,9 +19,10 @@ import (
 // are those of the paper-literal oracle in oracle_test.go bit for bit
 // (the golden tests pin this).
 //
-// Two victim kernels run on it. rateLoad/rateWorst/rateDrop keep the
-// full incremental state (sighting counts and owner sums) and serve
-// RateNeighbors, every multi-link prune and the wave planner.
+// Two victim kernels run on it. sweep/rateWorst/rateDrop keep the full
+// incremental state (sighting counts and owner sums) and serve
+// RateNeighbors, every multi-link prune, the wave planner and the live
+// node's Rater.
 // pruneVictimHash serves the overwhelmingly common prune, excess == 1:
 // nothing reads the state after the one removal, so it parks the owner
 // in 8-byte slots and skips the counts. Folding it into the counting
@@ -158,17 +159,14 @@ func (o *Overlay) gatherViews(s *ratingScratch, nb []int32) (rows [][]int32, nee
 }
 
 // rateLoad builds the rating state of u over its neighbors nb and
-// their gathered view rows (kept in s.rows) in one fused sweep, and
-// returns |∂Γ(u)|.
+// returns |∂Γ(u)|: it gathers their view rows, marks u and nb in the
+// table while reading the raw link latencies, and sweeps the rows.
 // On return puniq[p] is |R(u, nb[p])| and plat[p] the raw d(u, nb[p]),
 // both indexed by position in nb — so the only random memory a call
 // touches outside the table is the row contents and one coordinate
-// pair per neighbor. Members of Γ(u) ∪ {u} are counted too (with pos
-// as the exclusion mark), because a pruned neighbor leaves the
-// excluded set and its boundary membership is then read off its count.
-// The caller owns the table until it calls clear.
+// pair per neighbor. The caller owns the table until it calls clear.
 func (o *Overlay) rateLoad(s *ratingScratch, u int, nb []int32) (boundary int) {
-	rows, need := o.gatherViews(s, nb)
+	_, need := o.gatherViews(s, nb)
 	s.reserve(need, len(nb))
 	s.lookup(int32(u)).pos = cellSelf
 	for pw, w := range nb {
@@ -176,11 +174,24 @@ func (o *Overlay) rateLoad(s *ratingScratch, u int, nb []int32) (boundary int) {
 		s.puniq[pw] = 0
 		s.plat[pw] = o.lat(u, int(w))
 	}
+	return s.sweep()
+}
+
+// sweep counts the view rows s.rows (row p is the view of the neighbor
+// at position p) into the table in one fused pass and returns the
+// boundary size. The caller has reserved the table, marked the rated
+// node (cellSelf) and its neighbors (their positions) in it and zeroed
+// puniq; on return puniq[p] is |R(u, p)|. Members of Γ(u) ∪ {u} are
+// counted too (with pos as the exclusion mark), because a pruned
+// neighbor leaves the excluded set and its boundary membership is then
+// read off its count. A row must not repeat an entry: the second
+// sighting would revoke the first's unique credit.
+func (s *ratingScratch) sweep() (boundary int) {
 	// The probe loop is s.lookup by hand: a call per view entry costs
 	// the sequential build several percent.
 	tab, shift, mask := s.tab, s.shift, uint32(len(s.tab)-1)
 	used, puniq := s.used, s.puniq
-	for pw, row := range rows {
+	for pw, row := range s.rows {
 		for _, x := range row {
 			h := rateHash(x, shift)
 			k := x + 1
@@ -210,7 +221,10 @@ func (o *Overlay) rateLoad(s *ratingScratch, u int, nb []int32) (boundary int) {
 }
 
 // latExtremes returns d_max and the floored d_min over the neighbors
-// at positions ord.
+// at positions ord. An unmeasured latency is +Inf: it never sets d_min,
+// so its link's proximity d_min/d is 0. When every latency is
+// unmeasured d_min is +Inf too, and d_max comes back 0, which turns
+// the proximity term off rather than scoring Inf/Inf = NaN.
 func (s *ratingScratch) latExtremes(ord []int32) (dmax, dmin float64) {
 	dmin = math.Inf(1)
 	for _, pw := range ord {
@@ -224,23 +238,25 @@ func (s *ratingScratch) latExtremes(ord []int32) (dmax, dmin float64) {
 	}
 	if dmin < minPositiveLatency {
 		dmin = minPositiveLatency
+	} else if dmin > math.MaxFloat64 { // +Inf; math.IsInf would stop latExtremes inlining
+		dmax = 0
 	}
 	return dmax, dmin
 }
 
-// rateWorst scores the surviving neighbors — positions ord, in the
-// order ties must break — from the loaded state and returns the index
-// in ord of the lowest-rated one.
-func (o *Overlay) rateWorst(s *ratingScratch, ord []int32, boundary int) int {
-	dmax, dmin := s.latExtremes(ord)
+// rateWorst scores the neighbors at positions cand, in the order ties
+// must break, from the loaded state and returns the index in cand of
+// the lowest-rated one. dmax and dmin are latExtremes over all the
+// survivors, of which cand may be a subset.
+func (s *ratingScratch) rateWorst(w weights, cand []int32, boundary int, dmax, dmin float64) int {
 	worst := 0
 	worstScore := math.Inf(1)
-	for i, pw := range ord {
+	for i, pw := range cand {
 		d := s.plat[pw]
 		if d < minPositiveLatency { // the builtin max costs the single-victim prune ~4%
 			d = minPositiveLatency
 		}
-		conn, prox := o.scoreTerms(int(s.puniq[pw]), boundary, d, dmax, dmin)
+		conn, prox := w.scoreTerms(int(s.puniq[pw]), boundary, d, dmax, dmin)
 		if score := conn + prox; score < worstScore {
 			worst, worstScore = i, score
 		}
@@ -349,5 +365,7 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
 		wh[i] = whEntry{}
 	}
 	s.used = used[:0]
-	return int(nb[o.rateWorst(s, s.ident[:len(nb)], boundary)])
+	ord := s.ident[:len(nb)]
+	dmax, dmin := s.latExtremes(ord)
+	return int(nb[s.rateWorst(o.weights(), ord, boundary, dmax, dmin)])
 }

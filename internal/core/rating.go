@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // ratingScratch is the working state of one rating evaluation: O(deg²)
 // with no allocation once warm, and nothing in it sized by the node
 // count. The Overlay owns one scratch for the sequential protocol
@@ -23,7 +25,7 @@ type ratingScratch struct {
 	ident []int32
 
 	pord []int32   // surviving positions during a multi-link prune
-	rows [][]int32 // pre-gathered view rows (gatherViews)
+	rows [][]int32 // view rows: pre-gathered (gatherViews) or a Rater's
 
 	touchSink int32 // keeps gatherViews' prefetch loads live
 }
@@ -63,19 +65,31 @@ type RatingInfo struct {
 // do not produce an infinite proximity score.
 const minPositiveLatency = 1e-9
 
+// weights are the rating's parameters: alpha and beta, and whether
+// proximity is the raw d_max/d(u,v) or the normalized d_min/d(u,v).
+type weights struct {
+	alpha, beta float64
+	raw         bool
+}
+
+// weights returns the overlay's rating parameters.
+func (o *Overlay) weights() weights {
+	return weights{alpha: o.cfg.Alpha, beta: o.cfg.Beta, raw: o.cfg.RawProximity}
+}
+
 // scoreTerms computes the two rating terms from their ingredients.
-// Every kernel and the test oracle route through this one function so
+// Every kernel and the test oracles route through this one function so
 // their scores are bitwise identical — the property the golden
 // determinism tests rely on.
-func (o *Overlay) scoreTerms(unique, boundary int, d, dmax, dmin float64) (conn, prox float64) {
+func (w weights) scoreTerms(unique, boundary int, d, dmax, dmin float64) (conn, prox float64) {
 	if boundary > 0 {
-		conn = o.cfg.Alpha * float64(unique) / float64(boundary)
+		conn = w.alpha * float64(unique) / float64(boundary)
 	}
 	if dmax > 0 {
-		if o.cfg.RawProximity {
-			prox = o.cfg.Beta * dmax / d
+		if w.raw {
+			prox = w.beta * dmax / d
 		} else {
-			prox = o.cfg.Beta * dmin / d
+			prox = w.beta * dmin / d
 		}
 	}
 	return conn, prox
@@ -104,6 +118,7 @@ func (o *Overlay) rateNeighborsOn(s *ratingScratch, u int, out []RatingInfo) []R
 	boundary := o.rateLoad(s, u, nb)
 	s.clear()
 	dmax, dmin := s.latExtremes(s.ident[:len(nb)])
+	wt := o.weights()
 	for pw, w := range nb {
 		info := RatingInfo{
 			Neighbor:   int(w),
@@ -112,7 +127,7 @@ func (o *Overlay) rateNeighborsOn(s *ratingScratch, u int, out []RatingInfo) []R
 			Latency:    max(s.plat[pw], minPositiveLatency),
 			MaxLatency: dmax,
 		}
-		info.Connectivity, info.Proximity = o.scoreTerms(info.Unique, boundary, info.Latency, dmax, dmin)
+		info.Connectivity, info.Proximity = wt.scoreTerms(info.Unique, boundary, info.Latency, dmax, dmin)
 		info.Score = info.Connectivity + info.Proximity
 		out = append(out, info)
 	}
@@ -145,6 +160,7 @@ func (o *Overlay) pruneToCapacity(u int, dropped []int32) []int32 {
 	}
 	nb := o.g.Neighbors(u)
 	boundary := o.rateLoad(s, u, nb)
+	w := o.weights()
 	for ; excess > 0; excess-- {
 		// Ties break in adjacency order, and the graph's edge removal
 		// reorders the survivors (swap-remove below degree 64,
@@ -156,7 +172,8 @@ func (o *Overlay) pruneToCapacity(u int, dropped []int32) []int32 {
 			ord = append(ord, s.lookup(w).pos)
 		}
 		s.pord = ord
-		i := o.rateWorst(s, ord, boundary)
+		dmax, dmin := s.latExtremes(ord)
+		i := s.rateWorst(w, ord, boundary, dmax, dmin)
 		v := nb[i]
 		if excess > 1 { // nothing reads the state after the last removal
 			boundary = s.rateDrop(ord[i], v, boundary)
@@ -176,4 +193,69 @@ func (o *Overlay) disconnect(u, v int) {
 	}
 	o.refreshView(u)
 	o.refreshView(v)
+}
+
+// Rater picks prune victims on a neighborhood described by a local
+// view rather than by an Overlay: the rating rule a live node applies
+// to what its neighbors told it. It runs the same kernel as the
+// overlay's prune (sweep, rateWorst, rateDrop), so a neighborhood rates
+// the same whether it lives in the simulator or on sockets. A Rater
+// owns its scratch and is not safe for concurrent use.
+type Rater struct {
+	w    weights
+	s    ratingScratch
+	cand []int32
+}
+
+// NewRater returns a Rater with weights alpha and beta and normalized
+// proximity d_min/d(u,v), the overlay's default form.
+func NewRater(alpha, beta float64) *Rater {
+	return &Rater{w: weights{alpha: alpha, beta: beta}}
+}
+
+// Victims returns, worst-first and appended to out, the positions of
+// the up to excess neighbors the rated node drops, re-rating the
+// survivors after every drop as pruneToCapacity does. Ids are small
+// non-negative integers: the neighbor at position p is id p, the rated
+// node is id len(views), and any other node has an id above that.
+// views[p] is neighbor p's view, which must not repeat an id. lat[p] is
+// the latency to neighbor p, or math.Inf(1) when it is unmeasured: an
+// unmeasured link gets no proximity credit and does not set d_min. A
+// neighbor whose protected[p] is true (protected may be nil) counts in
+// every rating but is never a victim, so fewer than excess victims come
+// back when too few are unprotected. Ties break by position.
+func (r *Rater) Victims(views [][]int32, lat []float64, protected []bool, excess int, out []int) []int {
+	deg := len(views)
+	s := &r.s
+	need := deg + 1
+	for _, row := range views {
+		need += len(row)
+	}
+	s.reserve(need, deg)
+	s.rows = append(s.rows[:0], views...)
+	s.lookup(int32(deg)).pos = cellSelf
+	cand := r.cand[:0]
+	for p := range views {
+		s.lookup(int32(p)).pos = int32(p)
+		s.puniq[p] = 0
+		s.plat[p] = lat[p]
+		if protected == nil || !protected[p] {
+			cand = append(cand, int32(p))
+		}
+	}
+	boundary := s.sweep()
+	ord := append(s.pord[:0], s.ident[:deg]...)
+	for ; excess > 0 && len(cand) > 0; excess-- {
+		dmax, dmin := s.latExtremes(ord)
+		i := s.rateWorst(r.w, cand, boundary, dmax, dmin)
+		vp := cand[i]
+		out = append(out, int(vp))
+		boundary = s.rateDrop(vp, vp, boundary)
+		cand = slices.Delete(cand, i, i+1)
+		j, _ := slices.BinarySearch(ord, vp)
+		ord = slices.Delete(ord, j, j+1)
+	}
+	s.clear()
+	s.pord, r.cand = ord[:0], cand[:0]
+	return out
 }

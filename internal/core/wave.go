@@ -396,8 +396,10 @@ func (o *Overlay) pruneVictimsOn(s *ratingScratch, u int, out []int32) []int32 {
 	}
 	boundary := o.rateLoad(s, u, nb)
 	ord := append(s.pord[:0], s.ident[:len(nb)]...)
+	w := o.weights()
 	for ; excess > 0; excess-- {
-		i := o.rateWorst(s, ord, boundary)
+		dmax, dmin := s.latExtremes(ord)
+		i := s.rateWorst(w, ord, boundary, dmax, dmin)
 		vp := ord[i]
 		out = append(out, nb[vp])
 		if excess > 1 {

@@ -523,7 +523,7 @@ func TestSeededTiesIgnoreMapOrder(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(3000+i))
 	}
-	decide := func(order []string) (victim string, dialed []string) {
+	decide := func(order []string) (victims, dialed []string) {
 		tr := &recordingTransport{}
 		nd, err := Start("127.0.0.1:0", Config{Capacity: 2, ManageInterval: time.Hour, Seed: 77, Transport: tr})
 		if err != nil {
@@ -552,25 +552,26 @@ func TestSeededTiesIgnoreMapOrder(t *testing.T) {
 		for _, a := range order[:4] {
 			nd.conns[a] = &link{addr: a, born: old}
 		}
-		nd.mu.Unlock()
-		victim = nd.selectPruneVictim().addr
-		nd.mu.Lock()
+		calm, _ := nd.pruneVictimsLocked()
+		for _, l := range calm {
+			victims = append(victims, l.addr)
+		}
 		for _, a := range order[:4] {
 			delete(nd.conns, a)
 		}
 		nd.mu.Unlock()
-		return victim, dialed
+		return victims, dialed
 	}
-	wantVictim, wantDialed := decide(addrs)
+	wantVictims, wantDialed := decide(addrs)
 	for trial := 0; trial < 5; trial++ {
 		order := append([]string(nil), addrs[:4]...)
 		rand.New(rand.NewSource(int64(trial))).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for i := len(addrs) - 1; i >= 4; i-- {
 			order = append(order, addrs[i])
 		}
-		victim, dialed := decide(order)
-		if victim != wantVictim {
-			t.Fatalf("trial %d: prune victim %s, first build picked %s", trial, victim, wantVictim)
+		victims, dialed := decide(order)
+		if len(victims) != 2 || !reflect.DeepEqual(victims, wantVictims) {
+			t.Fatalf("trial %d: prune victims %v, first build picked %v", trial, victims, wantVictims)
 		}
 		if !reflect.DeepEqual(dialed, wantDialed) {
 			t.Fatalf("trial %d: refill dialed %v, first build dialed %v", trial, dialed, wantDialed)

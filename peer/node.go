@@ -3,12 +3,14 @@ package peer
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"makalu/internal/core"
 	"makalu/internal/obs"
 )
 
@@ -156,6 +158,7 @@ type Node struct {
 	hits   chan Hit
 	chunks chan ChunkReply // inbound chunk responses for DownloadBlob
 	abf    *abfState       // attenuated-filter routing state (§4.6)
+	rater  *core.Rater     // prune decisions (guarded by mu)
 	met    nodeMetrics     // resolved observability handles (all nil when disabled)
 	rng    *rand.Rand
 	wg     sync.WaitGroup
@@ -236,6 +239,7 @@ func Start(addr string, cfg Config) (*Node, error) {
 		hits:    make(chan Hit, 256),
 		chunks:  make(chan ChunkReply, 1024),
 		abf:     newABFState(),
+		rater:   core.NewRater(cfg.Alpha, cfg.Beta),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		stop:    make(chan struct{}),
 		kick:    make(chan struct{}, 1),
@@ -737,115 +741,109 @@ func (n *Node) addToCacheLocked(addr string) {
 	n.cache[addr] = true
 }
 
-// pruneIfNeeded applies the Makalu rating function and disconnects
-// the lowest-rated neighbors while over capacity.
+// pruneIfNeeded drops pruneVictimsLocked's picks one at a time while
+// the node is still over capacity (calm) or more than two over (storm).
+// Links that died meanwhile count, and a dead victim is skipped.
 func (n *Node) pruneIfNeeded() {
-	for {
-		victim := n.selectPruneVictim()
-		if victim == nil {
+	n.mu.Lock()
+	calm, storm := n.pruneVictimsLocked()
+	n.mu.Unlock()
+	n.shed(calm, 0)
+	n.shed(storm, 2)
+}
+
+// shed is pruneIfNeeded's drop loop over one list of victims.
+func (n *Node) shed(victims []*link, slack int) {
+	for _, l := range victims {
+		n.mu.Lock()
+		if len(n.conns)-n.cfg.Capacity <= slack {
+			n.mu.Unlock()
 			return
 		}
-		n.mu.Lock()
-		victim.byManager = true
+		live := n.conns[l.addr] == l
+		if live {
+			l.byManager = true
+		}
 		n.mu.Unlock()
-		n.met.prunes.Inc()
-		n.met.trace.Record(obs.EvPrune, n.Addr(), victim.addr, 0)
-		victim.send(msgBye, nil)
-		n.dropLink(victim)
+		if live {
+			n.met.prunes.Inc()
+			n.met.trace.Record(obs.EvPrune, n.Addr(), l.addr, 0)
+			l.send(msgBye, nil)
+			n.dropLink(l)
+		}
 	}
 }
 
-// selectPruneVictim returns the lowest-rated link when over capacity.
-// Fresh links (younger than two management intervals) are protected:
-// they have not exchanged views or measured RTT yet, so their rating
-// would be spuriously zero and newcomers could never join a network
-// of full nodes. The grace is waived when the node is far over
-// capacity (a dial storm).
-func (n *Node) selectPruneVictim() *link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// pruneVictimsLocked rates the neighbors with core's F(u,v) and returns
+// the links to drop, worst-first: calm, up to the excess, spares links
+// younger than two management intervals (with no views or RTTs yet
+// they rate spuriously low, and newcomers could never join full nodes);
+// storm, if the node is still more than two over (a dial storm), sheds
+// the worst young links down to two over. Callers hold n.mu.
+func (n *Node) pruneVictimsLocked() (calm, storm []*link) {
 	over := len(n.conns) - n.cfg.Capacity
 	if over <= 0 {
-		return nil
+		return nil, nil
 	}
-	grace := 2 * n.cfg.ManageInterval
-	now := time.Now()
-	scores := n.rateLocked()
-	pick := func(includeYoung bool) *link {
-		var worst *link
-		worstScore := 0.0
-		for addr, s := range scores {
-			l := n.conns[addr]
-			if !includeYoung && now.Sub(l.born) < grace {
-				continue
-			}
-			// Ties (every link scores 0 before views and RTTs arrive)
-			// break by address, not by map order.
-			if worst == nil || s < worstScore || (s == worstScore && addr < worst.addr) {
-				worst = l
-				worstScore = s
-			}
+	links := make([]*link, 0, len(n.conns))
+	for _, l := range n.conns {
+		links = append(links, l)
+	}
+	// Positions in address order: ties break by address.
+	sort.Slice(links, func(i, j int) bool { return links[i].addr < links[j].addr })
+	young := make([]bool, len(links))
+	var youngLinks []*link
+	for p, l := range links {
+		young[p] = time.Since(l.born) < 2*n.cfg.ManageInterval
+		if young[p] {
+			youngLinks = append(youngLinks, l)
 		}
-		return worst
 	}
-	if v := pick(false); v != nil {
-		return v
+	calm = n.rankLocked(links, young, over)
+	if rest := over - len(calm) - 2; rest > 0 {
+		storm = n.rankLocked(youngLinks, nil, rest)
 	}
-	if over > 2 {
-		return pick(true) // dial storm: shed someone regardless
-	}
-	return nil // everyone is in grace; tolerate transient overrun
+	return calm, storm
 }
 
-// rateLocked computes the rating of every neighbor from the exchanged
-// views and measured RTTs — exactly the simulator's F(u,v) with
-// normalized proximity. Callers hold n.mu.
-func (n *Node) rateLocked() map[string]float64 {
-	self := n.Addrlocked()
-	// Count, over all views, how many neighbors can reach each node.
-	reach := make(map[string]int)
-	for _, view := range n.views {
-		for _, a := range view {
-			if a == self {
-				continue
+// rankLocked renders links, each at its index, as core.Rater's local
+// view, deduplicating each view and leaving a link with no RTT sample
+// unmeasured, and returns up to excess unprotected victims, worst-first.
+// Callers hold n.mu.
+func (n *Node) rankLocked(links []*link, protected []bool, excess int) []*link {
+	deg := len(links)
+	ids := make(map[string]int32, deg*deg) // a view holds about deg addresses
+	for p, l := range links {
+		ids[l.addr] = int32(p)
+	}
+	ids[n.Addrlocked()] = int32(deg)
+	last := make([]int32, deg+1, deg*deg) // by id: 1 + the last position whose view holds it
+	views := make([][]int32, deg)
+	lat := make([]float64, deg)
+	for p, l := range links {
+		views[p] = make([]int32, 0, len(n.views[l.addr]))
+		for _, a := range n.views[l.addr] {
+			id, ok := ids[a]
+			if !ok {
+				id = int32(len(last))
+				ids[a] = id
+				last = append(last, 0)
 			}
-			if _, isNeighbor := n.conns[a]; isNeighbor {
-				continue
+			if last[id] != int32(p)+1 {
+				last[id] = int32(p) + 1
+				views[p] = append(views[p], id)
 			}
-			reach[a]++
+		}
+		lat[p] = math.Inf(1)
+		if rtt, ok := n.rtt[l.addr]; ok {
+			lat[p] = rtt
 		}
 	}
-	boundary := len(reach)
-	dmin := 0.0
-	for _, l := range n.conns {
-		if r, ok := n.rtt[l.addr]; ok && (dmin == 0 || r < dmin) {
-			dmin = r
-		}
+	out := make([]*link, 0, excess)
+	for _, p := range n.rater.Victims(views, lat, protected, excess, nil) {
+		out = append(out, links[p])
 	}
-	scores := make(map[string]float64, len(n.conns))
-	for addr := range n.conns {
-		unique := 0
-		for _, a := range n.views[addr] {
-			if a == self {
-				continue
-			}
-			if _, isNeighbor := n.conns[a]; isNeighbor {
-				continue
-			}
-			if reach[a] == 1 {
-				unique++
-			}
-		}
-		score := 0.0
-		if boundary > 0 {
-			score += n.cfg.Alpha * float64(unique) / float64(boundary)
-		}
-		if r, ok := n.rtt[addr]; ok && r > 0 && dmin > 0 {
-			score += n.cfg.Beta * dmin / r
-		}
-		scores[addr] = score
-	}
-	return scores
+	return out
 }
 
 // Addrlocked returns the listen address without locking (safe: the
