@@ -11,25 +11,38 @@ import (
 // last-level miss once the overlay outgrew the cache (~deg² random
 // cells of an n-sized array per call, ~70% of construction — the
 // super-linear build wall) and cost every worker 36 B/node of scratch.
-// The state lives instead in one open-addressing table per scratch:
-// keyed on node id, probed linearly, wiped between calls by zeroing
-// only the slots a call used, and doubled on demand, so there is no
-// input it cannot serve. At the default capacities it stays at its
-// initial 16 KB, L1-resident. Integers, scoreTerms floats and victims
-// are those of the paper-literal oracle in oracle_test.go bit for bit
-// (the golden tests pin this).
+// The state lives instead in open-addressing tables per scratch: keyed
+// on node id, probed linearly and doubled on demand, so there is no
+// input they cannot serve. At the default capacities they stay at their
+// initial 1 024 slots, L1-resident. Integers, scoreTerms floats and
+// victims are those of the paper-literal oracle in oracle_test.go bit
+// for bit (the golden tests pin this).
 //
-// Two victim kernels run on it. sweep/rateWorst/rateDrop keep the full
-// incremental state (sighting counts and owner sums) and serve
-// RateNeighbors, every multi-link prune, the wave planner and the live
-// node's Rater.
+// Two victim kernels run on them. sweep/rateWorst/rateDrop keep the
+// full incremental state (sighting counts and owner sums) in the
+// counting table and serve RateNeighbors, every multi-link prune, the
+// wave planner and the live node's Rater; lookup and sweep record the
+// slots they fill in used, and clear zeroes those slots.
 // pruneVictimHash serves the overwhelmingly common prune, excess == 1:
 // nothing reads the state after the one removal, so it parks the owner
-// in 8-byte slots and skips the counts. Folding it into the counting
-// kernel measured +10–15% on the sequential build (bench/ workload
-// `build`, build_seq_s), which is why it stays; the choice is made from
-// the observed excess, and `build` has both sides of it (sequential
-// accepts are excess 1, wave drains are not).
+// in a slot of its own table and skips the counts. Folding it into the
+// counting kernel measured +10–15% on the sequential build (bench/
+// workload `build`, build_seq_s), which is why it stays; the choice is
+// made from the observed excess, and `build` has both sides of it
+// (sequential accepts are excess 1, wave drains are not).
+//
+// The single-victim kernel runs ≈ 15 times per joined node over ≈ 140
+// view entries, so it neither records nor wipes slots: every call takes
+// a new generation (nextGen), stamps it into each slot it fills, and
+// reads a slot stamped by an earlier call as empty. The table is wiped
+// only when the 32-bit counter wraps, and a regrow starts it empty. A
+// row's first sightings are counted in a register and credited once.
+// On a 2-CPU host that took a sequential 10k build from 418 to 381 ms
+// and the single-victim decision on cold neighborhoods
+// (BenchmarkPruneToCapacity/default-caps/excess=1/cycled) from 1.82 to
+// 1.66 µs (medians of 10 and 8 alternating process pairs). The
+// counting table keeps its wipe: in a profile of that build its clears
+// take no samples.
 
 // rateSlots is the initial slot count of a scratch's tables. A call
 // reserves twice the entries it can insert, so load stays under 50%
@@ -55,10 +68,13 @@ const (
 )
 
 // whEntry is one slot of the single-victim kernel's table: the node id
-// (biased by +1 so the zero value means empty) and the owner tag.
+// under the generation of the call that filled it, and the owner tag.
+// Generations only grow between wipes, so a slot whose tag is below
+// the running call's generation is empty: a call starts on a table no
+// one wiped (nextGen), and one compare tells a hit.
 type whEntry struct {
-	key int32 // node id + 1; 0 = empty slot
-	own int32 // >=0: owner's position in nb; whMulti / whExcluded
+	tag uint64 // generation<<32 | node id; 0 = never filled
+	own int32  // >=0: owner's position in nb; whMulti / whExcluded
 }
 
 const (
@@ -74,9 +90,10 @@ func rateHash(x int32, shift uint32) uint32 {
 }
 
 // reserve sizes both tables for a call that inserts at most need
-// entries over deg neighbors. The tables are empty between calls, so
+// entries over deg neighbors. Between calls the counting table is
+// empty and the single-victim table holds only stale generations, so
 // growing is a plain reallocation. Kernels must call it before caching
-// tab/shift/mask in locals.
+// tab/wh/shift/mask in locals.
 func (s *ratingScratch) reserve(need, deg int) {
 	size := max(len(s.tab), rateSlots)
 	for size < 2*need {
@@ -303,27 +320,24 @@ func (s *ratingScratch) rateDrop(vp, v int32, boundary int) int {
 // planner records it). One fused pass credits the first non-excluded
 // sighting of x to its owner and revokes the credit on the second; the
 // owner is parked in the slot (whMulti once multi-owned), so there are
-// no counts, owner sums or subtraction bookkeeping.
+// no counts, owner sums or subtraction bookkeeping. A slot belongs to
+// this call only if it carries the call's generation, so nothing is
+// recorded for a wipe and nothing is wiped on return.
 func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
 	nb := o.g.Neighbors(u)
 	rows, need := o.gatherViews(s, nb)
 	s.reserve(need, len(nb))
+	base := uint64(s.nextGen()) << 32
 	wh, shift, mask := s.wh, s.shift, uint32(len(s.wh)-1)
-	used, puniq := s.used, s.puniq
+	puniq := s.puniq
 
 	insertExcluded := func(x int32) {
 		h := rateHash(x, shift)
-		k := x + 1
+		tag := base | uint64(x)
 		for {
 			e := &wh[h]
-			if e.key == 0 {
-				e.key = k
-				e.own = whExcluded
-				used = append(used, int32(h))
-				return
-			}
-			if e.key == k {
-				e.own = whExcluded
+			if e.tag < base || e.tag == tag {
+				*e = whEntry{tag: tag, own: whExcluded}
 				return
 			}
 			h = (h + 1) & mask
@@ -332,25 +346,25 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
 	insertExcluded(int32(u))
 	for pw, w := range nb {
 		insertExcluded(w)
-		puniq[pw] = 0
 		s.plat[pw] = o.lat(u, int(w))
 	}
-	boundary := 0
+	boundary := int32(0)
 	for pw, row := range rows {
+		// A row never repeats an entry, so no later sighting in it can
+		// revoke one of its own first sightings: they are counted here
+		// and credited once.
+		fresh := int32(0)
 		for _, x := range row {
 			h := rateHash(x, shift)
-			k := x + 1
+			tag := base | uint64(x)
 			for {
 				e := &wh[h]
-				if e.key == 0 {
-					e.key = k
-					e.own = int32(pw)
-					used = append(used, int32(h))
-					puniq[pw]++
-					boundary++
+				if e.tag < base {
+					*e = whEntry{tag: tag, own: int32(pw)}
+					fresh++
 					break
 				}
-				if e.key == k {
+				if e.tag == tag {
 					if e.own >= 0 {
 						puniq[e.own]--
 						e.own = whMulti
@@ -360,12 +374,21 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
 				h = (h + 1) & mask
 			}
 		}
+		puniq[pw] = fresh
+		boundary += fresh
 	}
-	for _, i := range used {
-		wh[i] = whEntry{}
-	}
-	s.used = used[:0]
 	ord := s.ident[:len(nb)]
 	dmax, dmin := s.latExtremes(ord)
-	return int(nb[s.rateWorst(o.weights(), ord, boundary, dmax, dmin)])
+	return int(nb[s.rateWorst(o.weights(), ord, int(boundary), dmax, dmin)])
+}
+
+// nextGen starts a single-victim call: it returns a generation above
+// every tag in s.wh, wiping the table only when the counter wraps.
+func (s *ratingScratch) nextGen() uint32 {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.wh)
+		s.gen = 1
+	}
+	return s.gen
 }

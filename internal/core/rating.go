@@ -10,12 +10,14 @@ import "slices"
 // single-owner state: it is never shared between goroutines. The zero
 // value is ready to use.
 type ratingScratch struct {
-	// The rating table, the single-victim kernel's slimmer table on
-	// the same slot count, and the slots in use (ratehash.go).
+	// The rating table and the slots in use, the single-victim
+	// kernel's slimmer table on the same slot count and the generation
+	// of its latest call (ratehash.go).
 	tab   []rateCell
-	wh    []whEntry
-	shift uint32
 	used  []int32
+	wh    []whEntry
+	gen   uint32
+	shift uint32
 
 	// Indexed by position in the rated node's neighbor list: |R(u,w)|,
 	// the raw link latency d(u,w) (invariant across removals), and the

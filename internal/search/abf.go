@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"makalu/internal/bloom"
@@ -143,33 +142,40 @@ func newHostedIdentifiers(g *graph.Graph, store *content.Store, cfg ABFConfig) *
 // hops away. The rows are built 64 at a time, one par.For item per
 // batch of 64 consecutive sources (see sweep).
 func BuildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig) (*ABFNetwork, error) {
+	return buildABFNetwork(g, store, cfg, pullHorizon)
+}
+
+// buildABFNetwork is BuildABFNetwork with the rule that picks the
+// horizon level's direction (sweep.run) as a parameter, so tests can
+// hold both directions to the same rows.
+func buildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig, rule func(frontEdges, m int) bool) (*ABFNetwork, error) {
 	cfg, err := cfg.resolved(g, store)
 	if err != nil {
 		return nil, err
 	}
 	net := &ABFNetwork{g: g, store: store, cfg: cfg, table: scoreTable(len(cfg.LevelBits), cfg.Decay)}
+	maxWords := 0
 	for _, m := range cfg.LevelBits {
 		net.levels = append(net.levels, make([]uint64, g.N()*((m+63)/64)))
+		maxWords = max(maxWords, (m+63)/64)
 	}
 	ids := newHostedIdentifiers(g, store, cfg)
 	batches := (g.N() + 63) / 64
 	scratch := make([]sweep, par.Workers(0, batches))
 	par.For(len(scratch), batches, func(w, b int) {
 		sc := &scratch[w]
-		if sc.words == nil {
-			sc.words = make([]reachWords, g.N())
+		if sc.seen == nil {
+			sc.seen = make([]uint64, g.N())
+			sc.next = make([]uint64, g.N())
 			sc.acc = make([]uint64, len(store.Objects()))
+			sc.ids = make([]int32, len(store.Objects())+1) // host writes one past the last kept
+			sc.slices = make([]uint64, 64*maxWords)
+			sc.dirty = make([]bool, maxWords)
 		}
-		sc.run(net, ids, 64*b, min(64*b+64, g.N()))
+		sc.run(net, ids, 64*b, min(64*b+64, g.N()), rule)
 	})
 	return net, nil
 }
-
-// reachWords is one node's state in a sweep, bit i standing for source
-// lo+i: the sources that have reached it, and those that first reach it
-// at the level being built. They share a cache line, since the frontier
-// scan reads the one and writes the other.
-type reachWords struct{ seen, next uint64 }
 
 // reached is a frontier entry: a node and the sources it was first
 // reached by at the frontier's level.
@@ -182,98 +188,236 @@ type reached struct {
 // PVLDB 8(4), 2014): up to 64 sources advance one level together, so a
 // frontier node's adjacency is read once for every source that reached
 // it at that level, and a source's bit first reaches a node at exactly
-// their hop distance. words and the per-identifier acc are zero between
-// batches.
+// their hop distance. seen, next, acc, slices and dirty are zero
+// between batches.
 type sweep struct {
-	words       []reachWords // per node
-	front, grow []reached    // the frontier and the next level's
-	cand        []int32      // nodes whose next went non-zero at this level
-	touched     []int32      // nodes whose seen went non-zero, for the reset
-	acc         []uint64     // per identifier: sources reaching a host of it at this level
-	ids         []int32      // identifiers whose acc went non-zero at this level
+	seen        []uint64  // per node, bit i for source lo+i: the sources that have reached it
+	next        []uint64  // per node: the sources first reaching it at this level
+	front, grow []reached // the frontier and the next level's
+	cand        []int32   // nodes whose next went non-zero at this level
+	touched     []int32   // nodes whose seen went non-zero, for the reset
+	acc         []uint64  // per identifier: sources reaching a host of it at this level
+	ids         []int32   // ids[:nids]: identifiers whose acc went non-zero at this level
+	nids        int
+	slices      []uint64 // per bit position of the level: the sources whose row sets it
+	dirty       []bool   // per 64-position block of slices: set once it is non-zero
 }
 
 // run fills the rows of sources lo..hi-1 (hi-lo <= 64). At each level a
 // newly reached node ORs its new bits into the accumulator of every
-// identifier it hosts, and each such identifier then sets its positions
-// once in the row of every source in its accumulator: a row is the OR
-// of the same (identifier, exact distance) pairs a per-source BFS
-// inserts, each set once however many hosts of it the level holds.
-func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int) {
-	g, words := net.g, sc.words
+// identifier it hosts, and flush turns the accumulators into rows: a
+// row is the OR of the same (identifier, exact distance) pairs a
+// per-source BFS inserts, each set once however many hosts of it the
+// level holds. The levels below the horizon are pushed from the
+// frontier. The horizon, where the frontier is widest and nothing is
+// expanded, is pulled instead when rule says so given the frontier's
+// edge count and the graph's.
+func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule func(frontEdges, m int) bool) {
+	g, seen, next, depth := net.g, sc.seen, sc.next, net.cfg.Depth
 	sc.front, sc.touched = sc.front[:0], sc.touched[:0]
 	for u := lo; u < hi; u++ {
 		from := uint64(1) << (u - lo)
-		words[u].seen = from
+		seen[u] = from
 		sc.touched = append(sc.touched, int32(u))
 		sc.front = append(sc.front, reached{int32(u), from})
 		sc.host(ids, int32(u), from)
 	}
-	sc.flush(net, ids, 0, lo)
-	for h := 1; h <= net.cfg.Depth && len(sc.front) > 0; h++ {
-		sc.cand = sc.cand[:0]
-		for _, f := range sc.front {
-			for _, v := range g.Edges[g.Offsets[f.v]:g.Offsets[f.v+1]] {
-				w := &words[v]
-				if d := f.from &^ w.seen; d != 0 {
-					if w.next == 0 {
-						sc.cand = append(sc.cand, v)
-					}
-					w.next |= d
-				}
-			}
-		}
-		last := h == net.cfg.Depth
+	sc.flush(net, ids, 0, lo, hi)
+	for h := 1; h < depth && len(sc.front) > 0; h++ {
+		sc.push(g)
 		sc.grow = sc.grow[:0]
 		for _, v := range sc.cand {
-			w := &words[v]
-			from := w.next
-			w.next = 0
+			from := next[v]
+			next[v] = 0
 			sc.host(ids, v, from)
-			if last {
-				continue // nothing is expanded from the horizon
-			}
-			if w.seen == 0 {
+			if seen[v] == 0 {
 				sc.touched = append(sc.touched, v)
 			}
-			w.seen |= from
+			seen[v] |= from
 			sc.grow = append(sc.grow, reached{v, from})
 		}
-		sc.flush(net, ids, h, lo)
+		sc.flush(net, ids, h, lo, hi)
 		sc.front, sc.grow = sc.grow, sc.front
 	}
-	for _, v := range sc.touched {
-		words[v].seen = 0
+	if len(sc.front) > 0 {
+		frontEdges := 0
+		for _, f := range sc.front {
+			frontEdges += int(g.Offsets[f.v+1] - g.Offsets[f.v])
+		}
+		if rule(frontEdges, len(g.Edges)) {
+			sc.pull(g, ids)
+		} else {
+			sc.push(g)
+			for _, v := range sc.cand {
+				sc.host(ids, v, next[v])
+				next[v] = 0
+			}
+		}
+		sc.flush(net, ids, depth, lo, hi)
 	}
+	for _, v := range sc.touched {
+		seen[v] = 0
+	}
+}
+
+// push advances the frontier one level along its own edges: every
+// neighbor a frontier node reaches first gets the new sources in next
+// and, the first time, a place in cand.
+func (sc *sweep) push(g *graph.Graph) {
+	seen, next := sc.seen, sc.next
+	sc.cand = sc.cand[:0]
+	for _, f := range sc.front {
+		for _, v := range g.Edges[g.Offsets[f.v]:g.Offsets[f.v+1]] {
+			if d := f.from &^ seen[v]; d != 0 {
+				if next[v] == 0 {
+					sc.cand = append(sc.cand, v)
+				}
+				next[v] |= d
+			}
+		}
+	}
+}
+
+// pull builds the horizon level from the other side: each frontier
+// node's sources are parked in its next word, and every node, in node
+// order, ORs its neighbors' next words and hosts the sources it has not
+// seen — one pass over all edges with no candidate list, where pushing
+// would scatter writes over most of the nodes anyway. The graph is
+// undirected, so a node's neighbors include every frontier node that
+// reaches it.
+func (sc *sweep) pull(g *graph.Graph, ids *hostedIdentifiers) {
+	seen, next := sc.seen, sc.next
+	for _, f := range sc.front {
+		next[f.v] = f.from
+	}
+	for v := range next {
+		var from uint64
+		for _, u := range g.Edges[g.Offsets[v]:g.Offsets[v+1]] {
+			from |= next[u]
+		}
+		if from &^= seen[v]; from != 0 {
+			sc.host(ids, int32(v), from)
+		}
+	}
+	for _, f := range sc.front {
+		next[f.v] = 0
+	}
+}
+
+// pullHorizon reports whether the horizon is pulled: once the
+// frontier's edges are at least a fifth of the graph's. Measured with
+// BenchmarkBuildABF's worlds (search_batch's catalog, mean degree ≈ 11,
+// depth 3) on a 2-CPU host, every batch forced one way: at n = 10k the
+// depth-2 frontier of a batch holds ≈ 52% of the edges, and pulling
+// took the build from ≈ 136 to ≈ 95 ms; at n = 50k it holds ≈ 14%, and
+// pulling read ≈ 1.46 s against ≈ 1.41 s pushed. A fifth sits between
+// the two.
+func pullHorizon(frontEdges, m int) bool {
+	return 5*frontEdges >= m
 }
 
 // host adds the sources in from to the accumulator of every identifier
 // node v hosts.
 func (sc *sweep) host(ids *hostedIdentifiers, v int32, from uint64) {
+	acc, list, n := sc.acc, sc.ids, sc.nids
 	for _, i := range ids.byNode[ids.nodeFirst[v]:ids.nodeFirst[v+1]] {
-		if sc.acc[i] == 0 {
-			sc.ids = append(sc.ids, i)
+		// Listed every time, kept only the first: no branch to mispredict.
+		list[n] = i
+		if acc[i] == 0 {
+			n++
 		}
-		sc.acc[i] |= from
+		acc[i] |= from
 	}
+	sc.nids = n
 }
 
-// flush sets, for every accumulated identifier, its level-h positions
-// in the row of each source lo+i whose bit i it has, and clears the
-// accumulators.
-func (sc *sweep) flush(net *ABFNetwork, ids *hostedIdentifiers, h, lo int) {
+// flush writes level h of the rows of sources lo..hi-1 from the
+// accumulators, bit-sliced: every accumulated identifier ORs its
+// sources into the slice word of each of its level-h positions, so
+// word p holds, bit i for source lo+i, whether row lo+i sets position
+// p. Each block of 64 positions is then a 64×64 bit matrix whose
+// transpose is word p>>6 of the 64 rows, stored whole (a batch flushes
+// each level once, so nothing is there yet); blocks no identifier
+// touched stay zero in every row and are skipped. The accumulators,
+// slices and dirty marks are left zero.
+func (sc *sweep) flush(net *ABFNetwork, ids *hostedIdentifiers, h, lo, hi int) {
 	arena, w, k := net.levels[h], (net.cfg.LevelBits[h]+63)/64, ids.k
-	for _, i := range sc.ids {
-		pos := ids.pos[h][int(i)*k : int(i)*k+k]
-		for from := sc.acc[i]; from != 0; from &= from - 1 {
-			row := arena[(lo+bits.TrailingZeros64(from))*w:]
-			for _, p := range pos {
-				row[p>>6] |= 1 << (p & 63)
-			}
+	slices, dirty, pos := sc.slices, sc.dirty, ids.pos[h]
+	for _, i := range sc.ids[:sc.nids] {
+		from := sc.acc[i]
+		for _, p := range pos[int(i)*k : int(i)*k+k] {
+			slices[p] |= from
+			dirty[p>>6] = true
 		}
 		sc.acc[i] = 0
 	}
-	sc.ids = sc.ids[:0]
+	sc.nids = 0
+	rows := arena[lo*w : hi*w]
+	for b, d := range dirty[:w] {
+		if !d {
+			continue
+		}
+		block := (*[64]uint64)(slices[b<<6:])
+		transpose64(block)
+		for i, j := 0, b; j < len(rows); i, j = i+1, j+w {
+			rows[j] = block[i]
+		}
+		*block = [64]uint64{}
+		dirty[b] = false
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place, row r being
+// a[r] and column c its bit c: afterwards bit c of a[r] is what bit r
+// of a[c] was. Six rounds each swap the off-diagonal quadrants of every
+// 2j×2j block (Warren, Hacker's Delight, §7-3), for j = 32 down to 1.
+// They run as two passes of three rounds over eight rows held in
+// registers: rows 8 apart for j = 32, 16, 8, then adjacent rows for
+// j = 4, 2, 1. That costs half the loads and stores of six
+// whole-matrix passes and reads 0.25 µs a call against 0.75 for them.
+func transpose64(a *[64]uint64) {
+	const m32, m16, m8 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	const m4, m2, m1 = 0x0F0F0F0F0F0F0F0F, 0x3333333333333333, 0x5555555555555555
+	for r := 0; r < 8; r++ {
+		x0, x1, x2, x3, x4, x5, x6, x7 := a[r], a[r+8], a[r+16], a[r+24], a[r+32], a[r+40], a[r+48], a[r+56]
+		x0, x4 = swapBits(x0, x4, 32, m32)
+		x1, x5 = swapBits(x1, x5, 32, m32)
+		x2, x6 = swapBits(x2, x6, 32, m32)
+		x3, x7 = swapBits(x3, x7, 32, m32)
+		x0, x2 = swapBits(x0, x2, 16, m16)
+		x1, x3 = swapBits(x1, x3, 16, m16)
+		x4, x6 = swapBits(x4, x6, 16, m16)
+		x5, x7 = swapBits(x5, x7, 16, m16)
+		x0, x1 = swapBits(x0, x1, 8, m8)
+		x2, x3 = swapBits(x2, x3, 8, m8)
+		x4, x5 = swapBits(x4, x5, 8, m8)
+		x6, x7 = swapBits(x6, x7, 8, m8)
+		a[r], a[r+8], a[r+16], a[r+24], a[r+32], a[r+40], a[r+48], a[r+56] = x0, x1, x2, x3, x4, x5, x6, x7
+	}
+	for k := 0; k < 8; k++ {
+		b := (*[8]uint64)(a[8*k:])
+		x0, x1, x2, x3, x4, x5, x6, x7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+		x0, x4 = swapBits(x0, x4, 4, m4)
+		x1, x5 = swapBits(x1, x5, 4, m4)
+		x2, x6 = swapBits(x2, x6, 4, m4)
+		x3, x7 = swapBits(x3, x7, 4, m4)
+		x0, x2 = swapBits(x0, x2, 2, m2)
+		x1, x3 = swapBits(x1, x3, 2, m2)
+		x4, x6 = swapBits(x4, x6, 2, m2)
+		x5, x7 = swapBits(x5, x7, 2, m2)
+		x0, x1 = swapBits(x0, x1, 1, m1)
+		x2, x3 = swapBits(x2, x3, 1, m1)
+		x4, x5 = swapBits(x4, x5, 1, m1)
+		x6, x7 = swapBits(x6, x7, 1, m1)
+		b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = x0, x1, x2, x3, x4, x5, x6, x7
+	}
+}
+
+// swapBits exchanges the bits of x at positions c+j with those of y at
+// positions c, for every c in m. Inlined with constant j and m.
+func swapBits(x, y uint64, j uint, m uint64) (uint64, uint64) {
+	t := (x>>j ^ y) & m
+	return x ^ t<<j, y ^ t
 }
 
 // minLevelIdentifiers floors the identifiers a level is sized for, so a

@@ -137,6 +137,11 @@ func FuzzABFBuildMatchesOracle(f *testing.F) {
 	f.Add(int64(3), uint16(128), uint8(8), uint8(4), uint8(6), false)
 	f.Add(int64(4), uint16(299), uint8(3), uint8(1), uint8(1), true)
 	f.Add(int64(5), uint16(200), uint8(11), uint8(3), uint8(5), true)
+	// Dense and deep: about 5.5 edges per node at depth 5, so every
+	// batch pulls its horizon, and, sized, levels of up to 5 707 bits
+	// put dozens of 64×64 blocks per level through the sliced flush.
+	f.Add(int64(6), uint16(299), uint8(11), uint8(4), uint8(3), false)
+	f.Add(int64(7), uint16(299), uint8(11), uint8(4), uint8(3), true)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, deg, depth, hashes uint8, sized bool) {
 		g := sparseGraph(1+int(n%300), float64(deg%12)/2, seed)
 		rng := rand.New(rand.NewSource(seed))
