@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"makalu/internal/bloom"
@@ -167,6 +168,7 @@ func buildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig, rule f
 		if sc.seen == nil {
 			sc.seen = make([]uint64, g.N())
 			sc.next = make([]uint64, g.N())
+			sc.marks = make([]uint64, (g.N()+63)/64)
 			sc.acc = make([]uint64, len(store.Objects()))
 			sc.ids = make([]int32, len(store.Objects())+1) // host writes one past the last kept
 			sc.slices = make([]uint64, 64*maxWords)
@@ -188,13 +190,13 @@ type reached struct {
 // PVLDB 8(4), 2014): up to 64 sources advance one level together, so a
 // frontier node's adjacency is read once for every source that reached
 // it at that level, and a source's bit first reaches a node at exactly
-// their hop distance. seen, next, acc, slices and dirty are zero
-// between batches.
+// their hop distance. seen, next, marks, acc, slices and dirty are
+// zero between batches.
 type sweep struct {
 	seen        []uint64  // per node, bit i for source lo+i: the sources that have reached it
 	next        []uint64  // per node: the sources first reaching it at this level
 	front, grow []reached // the frontier and the next level's
-	cand        []int32   // nodes whose next went non-zero at this level
+	marks       []uint64  // bit v: next[v] went non-zero at this level
 	touched     []int32   // nodes whose seen went non-zero, for the reset
 	acc         []uint64  // per identifier: sources reaching a host of it at this level
 	ids         []int32   // ids[:nids]: identifiers whose acc went non-zero at this level
@@ -226,15 +228,19 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 	for h := 1; h < depth && len(sc.front) > 0; h++ {
 		sc.push(g)
 		sc.grow = sc.grow[:0]
-		for _, v := range sc.cand {
-			from := next[v]
-			next[v] = 0
-			sc.host(ids, v, from)
-			if seen[v] == 0 {
-				sc.touched = append(sc.touched, v)
+		for i, m := range sc.marks {
+			for ; m != 0; m &= m - 1 {
+				v := int32(i<<6 + bits.TrailingZeros64(m))
+				from := next[v]
+				next[v] = 0
+				sc.host(ids, v, from)
+				if seen[v] == 0 {
+					sc.touched = append(sc.touched, v)
+				}
+				seen[v] |= from
+				sc.grow = append(sc.grow, reached{v, from})
 			}
-			seen[v] |= from
-			sc.grow = append(sc.grow, reached{v, from})
+			sc.marks[i] = 0
 		}
 		sc.flush(net, ids, h, lo, hi)
 		sc.front, sc.grow = sc.grow, sc.front
@@ -248,9 +254,13 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 			sc.pull(g, ids)
 		} else {
 			sc.push(g)
-			for _, v := range sc.cand {
-				sc.host(ids, v, next[v])
-				next[v] = 0
+			for i, m := range sc.marks {
+				for ; m != 0; m &= m - 1 {
+					v := i<<6 + bits.TrailingZeros64(m)
+					sc.host(ids, int32(v), next[v])
+					next[v] = 0
+				}
+				sc.marks[i] = 0
 			}
 		}
 		sc.flush(net, ids, depth, lo, hi)
@@ -262,17 +272,20 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 
 // push advances the frontier one level along its own edges: every
 // neighbor a frontier node reaches first gets the new sources in next
-// and, the first time, a place in cand.
+// and its bit in marks. The caller visits the marked nodes in node
+// order, so their words, identifier lists and, through the next
+// frontier, adjacency rows are read in order rather than in the order
+// the edges found them: at n = 50k, where a level's nodes are scattered
+// over the graph, that took the build from 1.26 to 0.92 s against a
+// list in discovery order, and at n = 10k from 101 to 91 ms (one
+// process, builds alternating).
 func (sc *sweep) push(g *graph.Graph) {
-	seen, next := sc.seen, sc.next
-	sc.cand = sc.cand[:0]
+	seen, next, marks := sc.seen, sc.next, sc.marks
 	for _, f := range sc.front {
 		for _, v := range g.Edges[g.Offsets[f.v]:g.Offsets[f.v+1]] {
 			if d := f.from &^ seen[v]; d != 0 {
-				if next[v] == 0 {
-					sc.cand = append(sc.cand, v)
-				}
 				next[v] |= d
+				marks[v>>6] |= 1 << (v & 63)
 			}
 		}
 	}
@@ -281,8 +294,8 @@ func (sc *sweep) push(g *graph.Graph) {
 // pull builds the horizon level from the other side: each frontier
 // node's sources are parked in its next word, and every node, in node
 // order, ORs its neighbors' next words and hosts the sources it has not
-// seen — one pass over all edges with no candidate list, where pushing
-// would scatter writes over most of the nodes anyway. The graph is
+// seen — one pass over all edges, where pushing would scatter writes
+// over most of the nodes anyway. The graph is
 // undirected, so a node's neighbors include every frontier node that
 // reaches it.
 func (sc *sweep) pull(g *graph.Graph, ids *hostedIdentifiers) {
@@ -305,13 +318,14 @@ func (sc *sweep) pull(g *graph.Graph, ids *hostedIdentifiers) {
 }
 
 // pullHorizon reports whether the horizon is pulled: once the
-// frontier's edges are at least a fifth of the graph's. Measured with
-// BenchmarkBuildABF's worlds (search_batch's catalog, mean degree ≈ 11,
-// depth 3) on a 2-CPU host, every batch forced one way: at n = 10k the
-// depth-2 frontier of a batch holds ≈ 52% of the edges, and pulling
-// took the build from ≈ 136 to ≈ 95 ms; at n = 50k it holds ≈ 14%, and
-// pulling read ≈ 1.46 s against ≈ 1.41 s pushed. A fifth sits between
-// the two.
+// frontier's edges are at least a fifth of the graph's. Measured in one
+// process, builds alternating with every batch forced one way, on
+// BenchmarkBuildABF's worlds (mean degree ≈ 11, depth 3): at n = 10k a
+// batch's depth-2 frontier holds ≈ 52% of the edges, and pulling read
+// 91.8 ms against 96.6 pushed (60 builds a side; 32.8 against 37.2 ms
+// on churn_stream's n = 8000 world); at n = 50k it holds ≈ 14%, and
+// pulling read 1.33 s against 0.92 s pushed. A fifth sits between the
+// two.
 func pullHorizon(frontEdges, m int) bool {
 	return 5*frontEdges >= m
 }
@@ -413,8 +427,8 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// swapBits exchanges the bits of x at positions c+j with those of y at
-// positions c, for every c in m. Inlined with constant j and m.
+// swapBits exchanges bit c+j of x with bit c of y for every bit c set
+// in m. Its callers pass constants, which it needs inlined to be fast.
 func swapBits(x, y uint64, j uint, m uint64) (uint64, uint64) {
 	t := (x>>j ^ y) & m
 	return x ^ t<<j, y ^ t
