@@ -225,13 +225,7 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 		sc.host(ids, int32(u), from)
 	}
 	sc.flush(net, ids, 0, lo, hi)
-	for h := 1; h <= depth && len(sc.front) > 0; h++ {
-		last := h == depth
-		if last && rule(sc.frontEdges(g), len(g.Edges)) {
-			sc.pull(g, ids)
-			sc.flush(net, ids, h, lo, hi)
-			break
-		}
+	for h := 1; h < depth && len(sc.front) > 0; h++ {
 		sc.push(g)
 		sc.grow = sc.grow[:0]
 		for i, m := range sc.marks {
@@ -240,9 +234,6 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 				from := next[v]
 				next[v] = 0
 				sc.host(ids, v, from)
-				if last {
-					continue // nothing is expanded from the horizon
-				}
 				if seen[v] == 0 {
 					sc.touched = append(sc.touched, v)
 				}
@@ -254,18 +245,32 @@ func (sc *sweep) run(net *ABFNetwork, ids *hostedIdentifiers, lo, hi int, rule f
 		sc.flush(net, ids, h, lo, hi)
 		sc.front, sc.grow = sc.grow, sc.front
 	}
+	if len(sc.front) > 0 {
+		frontEdges := 0
+		for _, f := range sc.front {
+			frontEdges += int(g.Offsets[f.v+1] - g.Offsets[f.v])
+		}
+		if rule(frontEdges, len(g.Edges)) {
+			sc.pull(g, ids)
+		} else {
+			// Not folded into the level loop above behind a last-level
+			// test: that read 7–12% slower at n = 50k, where every
+			// horizon is pushed (one process, builds alternating).
+			sc.push(g)
+			for i, m := range sc.marks {
+				for ; m != 0; m &= m - 1 {
+					v := i<<6 + bits.TrailingZeros64(m)
+					sc.host(ids, int32(v), next[v])
+					next[v] = 0
+				}
+				sc.marks[i] = 0
+			}
+		}
+		sc.flush(net, ids, depth, lo, hi)
+	}
 	for _, v := range sc.touched {
 		seen[v] = 0
 	}
-}
-
-// frontEdges returns the number of edges leaving the frontier.
-func (sc *sweep) frontEdges(g *graph.Graph) int {
-	n := 0
-	for _, f := range sc.front {
-		n += int(g.Offsets[f.v+1] - g.Offsets[f.v])
-	}
-	return n
 }
 
 // push advances the frontier one level along its own edges: every
@@ -301,7 +306,15 @@ func (sc *sweep) pull(g *graph.Graph, ids *hostedIdentifiers) {
 	for _, f := range sc.front {
 		next[f.v] = f.from
 	}
+	first := ids.nodeFirst
 	for v := range next {
+		if first[v] == first[v+1] {
+			// Hosts nothing, and nothing is expanded from the horizon.
+			// A third of churn_stream's world is such nodes: skipping
+			// them took its build from 37.3 to 31.1 ms (one process,
+			// builds alternating; search_batch's, where few are, 1% off).
+			continue
+		}
 		var from uint64
 		for _, u := range g.Edges[g.Offsets[v]:g.Offsets[v+1]] {
 			from |= next[u]
