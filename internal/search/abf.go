@@ -298,9 +298,8 @@ func (sc *sweep) push(g *graph.Graph) {
 // node's sources are parked in its next word, and every node, in node
 // order, ORs its neighbors' next words and hosts the sources it has not
 // seen — one pass over all edges, where pushing would scatter writes
-// over most of the nodes anyway. The graph is
-// undirected, so a node's neighbors include every frontier node that
-// reaches it.
+// over most of the nodes anyway. The graph is undirected, so a node's
+// neighbors include every frontier node that reaches it.
 func (sc *sweep) pull(g *graph.Graph, ids *hostedIdentifiers) {
 	seen, next := sc.seen, sc.next
 	for _, f := range sc.front {
