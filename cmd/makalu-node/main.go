@@ -245,7 +245,7 @@ func (a *app) bootstrap(seedAddr string, budget time.Duration) (bool, int) {
 	delay := 250 * time.Millisecond
 	const maxDelay = 4 * time.Second
 	for attempt := 1; ; attempt++ {
-		err := a.node.Bootstrap(seedAddr, 3*time.Second)
+		err := a.node.Bootstrap(seedAddr)
 		if err == nil {
 			return true, 0
 		}

@@ -35,7 +35,7 @@ func main() {
 	// over: neighbor-list exchange, RTT pings, rating-based pruning.
 	seed := net[0].Addr()
 	for i := 1; i < nodes; i++ {
-		if err := net[i].Bootstrap(seed, 2*time.Second); err != nil {
+		if err := net[i].Bootstrap(seed); err != nil {
 			log.Fatalf("node %d bootstrap: %v", i, err)
 		}
 	}

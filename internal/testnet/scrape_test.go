@@ -71,6 +71,29 @@ func TestSummarizeDegrees(t *testing.T) {
 	}
 }
 
+func TestConvergedCriterion(t *testing.T) {
+	// 20 nodes at capacity 10 against a simulator mean of 9.5.
+	ok := DegreeSummary{Sampled: 20, Mean: 9.6, P10: 9, P50: 10, P90: 10, Min: 8, Max: 10}
+	if !converged(ok, 20, 10, 9.5) {
+		t.Fatalf("in range, all reporting, none above capacity: %+v", ok)
+	}
+	for name, sum := range map[string]DegreeSummary{
+		"one node above capacity": {Sampled: 20, Mean: 9.6, P10: 9, P50: 10, P90: 10, Min: 8, Max: 11},
+		"mean below range":        {Sampled: 20, Mean: 8.5, P10: 7, P50: 9, P90: 10, Min: 6, Max: 10},
+		"too few reporting":       {Sampled: 17, Mean: 9.6, P10: 9, P50: 10, P90: 10, Min: 8, Max: 10},
+	} {
+		if converged(sum, 20, 10, 9.5) {
+			t.Errorf("%s: converged %+v", name, sum)
+		}
+	}
+	if converged(ok, 20, 10, 8) {
+		t.Error("converged with the mean above 110% of the simulator's")
+	}
+	if converged(ok, 20, 10, 0) {
+		t.Error("converged without a simulator reference")
+	}
+}
+
 func TestCleanOfAndCrossEdges(t *testing.T) {
 	dead := map[string]bool{"a": true}
 	if CleanOf(NodeStatus{Neighbors: []string{"b", "a"}}, dead) {

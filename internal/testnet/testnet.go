@@ -316,9 +316,8 @@ func spawnAll(cfg Config, sup *Supervisor) error {
 	return nil
 }
 
-// waitConverge polls the status snapshots until the live mean degree
-// is within 10% of the simulator's (and ≥90% of nodes report), or the
-// degree has been stable for five polls, or the timeout passes.
+// waitConverge polls the status snapshots until they meet converged,
+// or the degree has been stable for five polls, or the timeout passes.
 func waitConverge(cfg Config, sup *Supervisor, simRef float64) (DegreeSummary, bool) {
 	poll := cfg.SnapshotInterval
 	if poll < 500*time.Millisecond {
@@ -330,26 +329,34 @@ func waitConverge(cfg Config, sup *Supervisor, simRef float64) (DegreeSummary, b
 	for {
 		snap := sup.Scrape(sup.LiveIndices())
 		sum := SummarizeDegrees(snap)
-		within := simRef > 0 && sum.Mean >= 0.9*simRef && sum.Mean <= 1.1*simRef
-		reporting := float64(sum.Sampled) >= 0.9*float64(cfg.Nodes)
-		if reporting && within {
+		if converged(sum, cfg.Nodes, cfg.Capacity, simRef) {
 			return sum, true
 		}
+		reporting := float64(sum.Sampled) >= 0.9*float64(cfg.Nodes)
 		if reporting && last.Sampled > 0 && sum.Mean > 0 &&
 			sum.Mean > 0.99*last.Mean && sum.Mean < 1.01*last.Mean {
 			stable++
 			if stable >= 5 {
-				return sum, within
+				return sum, false
 			}
 		} else {
 			stable = 0
 		}
 		last = sum
 		if time.Now().After(deadline) {
-			return sum, within
+			return sum, false
 		}
 		time.Sleep(poll)
 	}
+}
+
+// converged is waitConverge's criterion: at least 90% of the nodes
+// report, their mean degree is within 10% of the simulator's, and no
+// node is above capacity (one that is has not finished pruning).
+func converged(sum DegreeSummary, nodes, capacity int, simRef float64) bool {
+	return float64(sum.Sampled) >= 0.9*float64(nodes) &&
+		simRef > 0 && sum.Mean >= 0.9*simRef && sum.Mean <= 1.1*simRef &&
+		sum.Max <= capacity
 }
 
 // measureQueries joins a fresh driver-side peer to the network over
@@ -376,7 +383,7 @@ func measureQueries(cfg Config, sup *Supervisor, live []int, phase uint64) (floa
 			return 0, nil, fmt.Errorf("testnet: driver bootstrap: %w", bootErr)
 		}
 		boot := cfg.Addr(live[int(mix64(cfg.Seed, phase<<8|attempt)%uint64(len(live)))])
-		if bootErr = driver.Bootstrap(boot, 10*time.Second); bootErr == nil {
+		if bootErr = driver.Bootstrap(boot); bootErr == nil {
 			break
 		}
 		bootErr = fmt.Errorf("via %s: %w", boot, bootErr)

@@ -92,13 +92,37 @@ func TestIdentifierLookupLocal(t *testing.T) {
 
 func TestIdentifierLookupRoutesAcrossNetwork(t *testing.T) {
 	nodes := startNodes(t, 8, 4)
-	// Let filters propagate depth-3 information: a few manage rounds.
-	time.Sleep(1200 * time.Millisecond)
 	const obj = uint64(0xabc123)
 	nodes[7].AddObject(obj)
-	// Wait until the object is visible somewhere in node 1's received
-	// hierarchies (propagation needs one push round per hop).
-	time.Sleep(1200 * time.Millisecond)
+	// Wait until the hierarchies route to it: every link carries one
+	// that places the object at its far end's current distance from
+	// node 7 (so node 1's received hierarchies show it, and each hop
+	// descends), and the route outlasts the lookup. Propagation needs
+	// one push round per hop.
+	waitFor(t, 10*time.Second, func() bool {
+		if !noneOver(nodes, 4) {
+			return false
+		}
+		dist := hops(nodes, nodes[7])
+		for _, u := range nodes {
+			for _, v := range nodes {
+				if !connected(u, v) {
+					continue
+				}
+				want := -1
+				if d, ok := dist[v]; ok && d < abfLevels {
+					want = d
+				}
+				u.abf.mu.Lock()
+				f := u.abf.received[v.Addr()]
+				u.abf.mu.Unlock()
+				if f == nil || f.MatchLevel(obj) != want {
+					return false
+				}
+			}
+		}
+		return true
+	}, "the received hierarchies never described the overlay")
 	id := nodes[1].IdentifierLookup(obj, 10)
 	select {
 	case h := <-nodes[1].Hits():
@@ -112,7 +136,10 @@ func TestIdentifierLookupRoutesAcrossNetwork(t *testing.T) {
 
 func TestIdentifierLookupMissingObject(t *testing.T) {
 	nodes := startNodes(t, 4, 3)
-	time.Sleep(600 * time.Millisecond)
+	// The window below means something only if the lookup can reach
+	// every node.
+	waitFor(t, 1400*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) },
+		"overlay never reached every node within the lookup's TTL")
 	nodes[0].IdentifierLookup(0xdead0000, 5)
 	select {
 	case h := <-nodes[0].Hits():

@@ -299,9 +299,9 @@ func cachesSpare(nd *Node, avoid map[string]bool) bool {
 
 // TestIsolatedNodeRejoinsAfterRestore: a partition that outlasts the
 // whole backoff ladder must not turn into amnesia. One node of a full
-// mesh is black-holed for 6 s — every side evicts the other and keeps
-// failing to re-dial — and then restored: the addresses were kept, so
-// the next retry at DialBackoffMax cadence re-knits the overlay.
+// mesh is black-holed until every side has evicted the other and is
+// re-dialing it at DialBackoffMax, and then restored: the addresses
+// were kept, so the next retry at that cadence re-knits the overlay.
 func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live-network integration test")
@@ -329,8 +329,37 @@ func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
 	waitCluster(t, c, 15*time.Second, func(s ClusterSnapshot) bool { return s.MeanDegree == 3 })
 
 	x := c.Node(3)
+	evs := cfg.Trace.Snapshot()
+	from := evs[len(evs)-1].Seq + 1 // the joins are in the log
 	fn.Isolate(x.Addr())
-	time.Sleep(6 * time.Second)
+	budget := time.Now().Add(6 * time.Second)
+	waitCluster(t, c, time.Until(budget), func(s ClusterSnapshot) bool {
+		return x.Degree() == 0 && s.Components == 2
+	})
+	// A failed dial deepens the backoff (EvDialBackoff's value grows)
+	// until the delay reaches DialBackoffMax; a retry at the cap repeats
+	// the value. Wait until x and each survivor retry each other there.
+	waitFor(t, time.Until(budget), func() bool {
+		last := make(map[[2]string]int64)
+		capped := make(map[[2]string]bool)
+		for _, e := range cfg.Trace.Snapshot() {
+			if e.Seq < from || e.Type != obs.EvDialBackoff {
+				continue
+			}
+			k := [2]string{e.Node, e.Peer}
+			if v, ok := last[k]; ok && v == e.Value {
+				capped[k] = true
+			}
+			last[k] = e.Value
+		}
+		for i := 0; i < 3; i++ {
+			o := c.Node(i).Addr()
+			if !capped[[2]string{x.Addr(), o}] || !capped[[2]string{o, x.Addr()}] {
+				return false
+			}
+		}
+		return true
+	}, "the two sides never retried each other at DialBackoffMax")
 	if s := c.Snapshot(); x.Degree() != 0 || s.Components != 2 {
 		dumpCluster(t, c)
 		t.Fatalf("isolation did not take: x has %d links, %+v", x.Degree(), s)

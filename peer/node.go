@@ -850,18 +850,15 @@ func (n *Node) rankLocked(links []*link, protected []bool, excess int) []*link {
 // listener address is immutable after Start).
 func (n *Node) Addrlocked() string { return n.ln.Addr().String() }
 
-// Bootstrap joins the network through a seed peer: connect to the
-// seed, then run the management loop's own refill — the seed's
-// neighbor push feeds the host cache — until the node reaches its
-// capacity or settle runs out.
-func (n *Node) Bootstrap(seed string, settle time.Duration) error {
+// Bootstrap joins the network through a seed peer (§2.2): connect to
+// the seed and kick a management round. The seed's neighbor push
+// feeds the host cache, and each round's refill dials from it, so
+// Bootstrap returns once the seed link is up and the degree grows
+// round by round.
+func (n *Node) Bootstrap(seed string) error {
 	if err := n.Connect(seed); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(settle)
-	for n.Degree() < n.cfg.Capacity && time.Now().Before(deadline) {
-		n.refillFromCache()
-		time.Sleep(20 * time.Millisecond)
-	}
+	n.kickManage()
 	return nil
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // startNodes launches n live nodes on loopback and bootstraps nodes
-// 1..n-1 off node 0. Cleanup closes everything.
+// 1..n-1 off node 0. It returns once every joiner holds its seed link;
+// the management loops fill the rest. Cleanup closes everything.
 func startNodes(t *testing.T, n, capacity int) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
@@ -26,11 +27,68 @@ func startNodes(t *testing.T, n, capacity int) []*Node {
 	})
 	seed := nodes[0].Addr()
 	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(seed, 2*time.Second); err != nil {
+		if err := nodes[i].Bootstrap(seed); err != nil {
 			t.Fatalf("node %d bootstrap: %v", i, err)
 		}
 	}
 	return nodes
+}
+
+// hops maps each node of nodes that src reaches over the live
+// overlay to its hop distance from src, following connected links.
+func hops(nodes []*Node, src *Node) map[*Node]int {
+	dist := map[*Node]int{src: 0}
+	for frontier := []*Node{src}; len(frontier) > 0; {
+		var next []*Node
+		for _, u := range frontier {
+			for _, v := range nodes {
+				if _, seen := dist[v]; !seen && connected(u, v) {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+// connected reports whether u and v hold the two ends of one
+// connection. One end alone is not a link: the node that accepted it
+// may still prune it, and of two simultaneous dials each end keeps the
+// connection the other has already closed.
+func connected(u, v *Node) bool {
+	u.mu.Lock()
+	lu := u.conns[v.Addr()]
+	u.mu.Unlock()
+	v.mu.Lock()
+	lv := v.conns[u.Addr()]
+	v.mu.Unlock()
+	return lu != nil && lv != nil && lu.c.LocalAddr().String() == lv.c.RemoteAddr().String()
+}
+
+// reachesAll reports whether every node is within ttl hops of src, so
+// that a query src sends with that TTL can reach each of them.
+func reachesAll(nodes []*Node, src *Node, ttl int) bool {
+	dist := hops(nodes, src)
+	for _, nd := range nodes {
+		if d, ok := dist[nd]; !ok || d > ttl {
+			return false
+		}
+	}
+	return true
+}
+
+// noneOver reports whether every node is within capacity. A node above
+// it is about to prune one of its links, which a message in flight may
+// be crossing.
+func noneOver(nodes []*Node, capacity int) bool {
+	for _, nd := range nodes {
+		if nd.Degree() > capacity {
+			return false
+		}
+	}
+	return true
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -149,6 +207,8 @@ func TestHandshakeAndNeighborExchange(t *testing.T) {
 	}
 }
 
+// Bootstrap returns with the seed link only, so this pins that the
+// management loop alone fills the joiners.
 func TestBootstrapFillsCapacity(t *testing.T) {
 	nodes := startNodes(t, 8, 3)
 	waitFor(t, 3*time.Second, func() bool {
@@ -183,8 +243,11 @@ func TestCapacityPruning(t *testing.T) {
 
 func TestQueryFloodFindsRemoteObject(t *testing.T) {
 	nodes := startNodes(t, 10, 4)
-	// Give the network a moment to settle and exchange views.
-	time.Sleep(300 * time.Millisecond)
+	// The path must also outlast the query.
+	waitFor(t, 5300*time.Millisecond, func() bool {
+		d, ok := hops(nodes, nodes[1])[nodes[9]]
+		return ok && d <= 6 && noneOver(nodes, 4)
+	}, "node 9 never came within 6 hops of node 1 with no node above capacity")
 	const obj = uint64(0xabcdef)
 	nodes[9].AddObject(obj)
 	id := nodes[1].Query(obj, 6)
@@ -221,7 +284,10 @@ func TestQueryLocalHitImmediate(t *testing.T) {
 
 func TestQueryMissingObjectNoHit(t *testing.T) {
 	nodes := startNodes(t, 5, 3)
-	time.Sleep(200 * time.Millisecond)
+	// The window below means something only if the query can reach
+	// every node.
+	waitFor(t, 900*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) },
+		"overlay never reached every node within the query's TTL")
 	nodes[0].Query(0xdead, 5)
 	select {
 	case hit := <-nodes[0].Hits():
@@ -232,7 +298,9 @@ func TestQueryMissingObjectNoHit(t *testing.T) {
 
 func TestDuplicateSuppressionBoundsLoad(t *testing.T) {
 	nodes := startNodes(t, 6, 5)
-	time.Sleep(300 * time.Millisecond)
+	// "At most once" is checked where the query reaches every node.
+	waitFor(t, 800*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 10) },
+		"overlay never reached every node within the query's TTL")
 	nodes[0].Query(1, 10) // generous TTL on a tiny, cyclic network
 	time.Sleep(500 * time.Millisecond)
 	// Each node processes a query at most once; with 1 query issued,

@@ -34,6 +34,9 @@ func streamTestNet(t *testing.T, obj uint64, size int64, chunk int, replicas int
 		}
 		reps = append(reps, r)
 	}
+	// A replica serves once it reads the link: wait for each one's
+	// answer to the ping Connect sent.
+	waitFor(t, 2*time.Second, func() bool { return client.Stats().RTTs == replicas }, "a replica never answered a ping")
 	return client, reps, man, payload
 }
 
