@@ -1,7 +1,10 @@
 package makalu
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -161,6 +164,68 @@ func TestAddNodeGoldenEdgeHash(t *testing.T) {
 	}
 	if got, want := h.Sum64(), uint64(0x22bb6da1744be93a); got != want {
 		t.Fatalf("edge hash after 500 joins %#016x, want pinned %#016x", got, want)
+	}
+}
+
+// statsBits renders every field of a Stats, floats as their IEEE-754
+// bits, so a pinned string fails on the last bit of any of them.
+func statsBits(st Stats) string {
+	return fmt.Sprintf("nodes=%d live=%d edges=%d meandeg=%#x maxdeg=%d comps=%d giant=%#x diam=%d hops=%#x cost=%#x sources=%d",
+		st.Nodes, st.Live, st.Edges, math.Float64bits(st.MeanDegree), st.MaxDegree, st.Components,
+		math.Float64bits(st.GiantFraction), st.Diameter, math.Float64bits(st.MeanHops),
+		math.Float64bits(st.MeanPathCost), st.SampleSources)
+}
+
+// TestOverlayStatsGolden pins every field of the sampled and the exact
+// Stats on a fully alive overlay and again after a random failure, so
+// both the whole-overlay freeze and the induced subgraph on survivors
+// are covered.
+func TestOverlayStatsGolden(t *testing.T) {
+	ov := newSmall(t, 600, 3)
+	want := []string{
+		"nodes=600 live=600 edges=3286 meandeg=0x4025e81b4e81b4e8 maxdeg=14 comps=1 giant=0x3ff0000000000000 diam=5 hops=0x4008709d46847ccb cost=0x40846090345e0478 sources=16",
+		"nodes=600 live=600 edges=3286 meandeg=0x4025e81b4e81b4e8 maxdeg=14 comps=1 giant=0x3ff0000000000000 diam=5 hops=0x400831f6a4ac05dc cost=0x408420d9bec50f56 sources=600",
+		"nodes=600 live=420 edges=1625 meandeg=0x401ef3cf3cf3cf3d maxdeg=14 comps=1 giant=0x3ff0000000000000 diam=6 hops=0x400a6656c24a8a15 cost=0x4086da7ce277e027 sources=16",
+		"nodes=600 live=420 edges=1625 meandeg=0x401ef3cf3cf3cf3d maxdeg=14 comps=1 giant=0x3ff0000000000000 diam=6 hops=0x400a4fd89e39d9d7 cost=0x4086983a6f9daa88 sources=420",
+	}
+	var got []string
+	for phase := 0; phase < 2; phase++ {
+		if phase == 1 {
+			ov.FailRandom(180)
+		}
+		got = append(got, statsBits(ov.Stats(16)), statsBits(ov.Stats(0)))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("stats %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRateAllNeighborsGolden pins the whole-overlay rating pass: the
+// FNV-64a digest of every row's length and of each entry's neighbor,
+// unique count, boundary and the bits of its three score terms.
+func TestRateAllNeighborsGolden(t *testing.T) {
+	ov := newSmall(t, 2000, 7)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, row := range ov.RateAllNeighbors() {
+		put(uint64(len(row)))
+		for _, r := range row {
+			put(uint64(r.Neighbor))
+			put(uint64(r.Unique))
+			put(uint64(r.Boundary))
+			put(math.Float64bits(r.Connectivity))
+			put(math.Float64bits(r.Proximity))
+			put(math.Float64bits(r.Score))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xb71beb45ebf1246b); got != want {
+		t.Fatalf("rating digest %#016x, want pinned %#016x", got, want)
 	}
 }
 
