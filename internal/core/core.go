@@ -361,9 +361,19 @@ func (o *Overlay) Freeze() *graph.Graph {
 }
 
 // FreezeAlive returns the frozen subgraph induced on alive nodes plus
-// the mapping from new ids to original ids.
+// the mapping from new ids to original ids. When every node is alive
+// that subgraph is the whole freeze, returned with the identity order
+// rather than copied.
 func (o *Overlay) FreezeAlive() (*graph.Graph, []int32) {
-	return o.Freeze().InducedSubgraph(o.alive)
+	g := o.Freeze()
+	if o.nLive < o.g.N() {
+		return g.InducedSubgraph(o.alive)
+	}
+	order := make([]int32, o.g.N())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return g, order
 }
 
 // MeanDegree returns the mean degree over alive nodes.

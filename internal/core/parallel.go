@@ -46,6 +46,9 @@ func (o *Overlay) forEach(k int, fn func(s *ratingScratch, i int)) {
 // previous result back in to reuse its per-node buffers. The output is
 // identical to calling RateNeighbors node by node — workers write only
 // their own shard's rows, so worker count never changes the result.
+// Rows that arrive without capacity are carved from one slice sized by
+// the alive degrees, capped so that a reused row which outgrows its
+// capacity reallocates alone.
 func (o *Overlay) RateAll(out [][]RatingInfo) [][]RatingInfo {
 	n := o.g.N()
 	if cap(out) < n {
@@ -54,6 +57,21 @@ func (o *Overlay) RateAll(out [][]RatingInfo) [][]RatingInfo {
 		out = grown
 	}
 	out = out[:n]
+	need := 0
+	for u := 0; u < n; u++ {
+		if o.alive[u] && cap(out[u]) == 0 {
+			need += o.g.Degree(u)
+		}
+	}
+	if need > 0 {
+		rows, off := make([]RatingInfo, need), 0
+		for u := 0; u < n; u++ {
+			if d := o.g.Degree(u); o.alive[u] && cap(out[u]) == 0 && d > 0 {
+				out[u] = rows[off : off : off+d]
+				off += d
+			}
+		}
+	}
 	if par.Workers(o.cfg.Workers, n) == 1 {
 		// Sequential fast path: no closure, no goroutines — with warm
 		// per-node buffers a full sweep allocates nothing (pinned by

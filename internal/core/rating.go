@@ -56,7 +56,7 @@ type RatingInfo struct {
 	Neighbor     int
 	Unique       int     // |R(u,v)|: nodes reachable from u only via v
 	Boundary     int     // |∂Γ(u)|: node boundary of u's neighborhood
-	Latency      float64 // d(u,v)
+	Latency      float64 // d(u,v), floored at minPositiveLatency (1e-9)
 	MaxLatency   float64 // d_max over u's neighbors
 	Connectivity float64 // alpha * Unique/Boundary
 	Proximity    float64 // beta * MaxLatency/Latency

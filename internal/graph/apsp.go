@@ -77,8 +77,9 @@ func (g *Graph) pathStats(sources []int) PathStats {
 	if n == 0 || len(sources) == 0 {
 		return PathStats{}
 	}
-	// Each worker owns one accumulator and its BFS/Dijkstra scratch;
-	// everything an accumulator sums is an integer or a maximum.
+	// Each worker owns one accumulator and its BFS/Dijkstra scratch
+	// (distances, frontiers and priority queue), so a source allocates
+	// nothing; everything an accumulator sums is an integer or a maximum.
 	type pathWorker struct {
 		pathAccum
 		bfs      *BFSScratch
@@ -104,7 +105,7 @@ func (g *Graph) pathStats(sources []int) PathStats {
 		pw.hopPairs += reached
 		pw.unreached += int64(n-1) - reached
 		if pw.costDist != nil {
-			pw.costDiameter = max(pw.costDiameter, g.Dijkstra(src, pw.costDist))
+			pw.costDiameter = max(pw.costDiameter, g.Dijkstra(src, pw.costDist, pw.bfs))
 			cost := 0.0
 			for v, d := range pw.costDist {
 				if v != src && !math.IsInf(d, 1) {

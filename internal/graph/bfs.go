@@ -26,28 +26,32 @@ const (
 	bfsBeta  = 24
 )
 
-// BFSScratch holds the reusable buffers for BFSStats traversals. One
-// scratch serves any number of sequential traversals over graphs of up
-// to its capacity (it grows as needed); it must not be shared between
-// concurrent goroutines.
+// BFSScratch holds the reusable buffers for BFSStats traversals and
+// Dijkstra's priority queue. One scratch serves any number of
+// sequential traversals over graphs of up to its capacity (it grows as
+// needed); it must not be shared between concurrent goroutines.
 type BFSScratch struct {
 	dist     []int32
 	frontier []int32
 	next     []int32
+	heap     dijkstraHeap
 }
 
 // NewBFSScratch returns a scratch sized for n-node graphs.
 func NewBFSScratch(n int) *BFSScratch {
-	return &BFSScratch{
-		dist:     make([]int32, n),
-		frontier: make([]int32, 0, 1024),
-		next:     make([]int32, 0, 1024),
-	}
+	s := &BFSScratch{}
+	s.grow(n)
+	return s
 }
 
+// grow sizes the buffers for n-node graphs. A frontier never holds
+// more than n nodes, so neither frontier buffer grows during a
+// traversal.
 func (s *BFSScratch) grow(n int) {
 	if len(s.dist) < n {
 		s.dist = make([]int32, n)
+		s.frontier = make([]int32, 0, n)
+		s.next = make([]int32, 0, n)
 	}
 }
 
@@ -121,8 +125,6 @@ func (g *Graph) BFSStats(src int, s *BFSScratch) (ecc int32, reached int64, sum 
 		}
 		frontier, next = next, frontier
 	}
-	// Persist any buffer growth for the next traversal.
-	s.frontier, s.next = frontier, next
 	return ecc, reached, sum
 }
 

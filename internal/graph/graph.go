@@ -271,39 +271,51 @@ func (g *Mutable) Freeze(latency WeightFunc) *Graph {
 
 // InducedSubgraph returns the subgraph on the nodes where keep[u] is
 // true, with nodes renumbered densely, plus the mapping from new index
-// to original index. Weights are preserved when present.
+// to original index. Weights are preserved when present. A counting
+// pass sizes every slice, so each is allocated once.
 func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
 	if len(keep) != g.N() {
 		panic(fmt.Sprintf("graph: keep mask has %d entries for %d nodes", len(keep), g.N()))
 	}
 	newID := make([]int32, g.N())
-	var order []int32
-	for u := range keep {
-		if keep[u] {
-			newID[u] = int32(len(order))
-			order = append(order, int32(u))
-		} else {
-			newID[u] = -1
+	kept := int32(0)
+	for u, k := range keep {
+		newID[u] = -1
+		if k {
+			newID[u] = kept
+			kept++
 		}
 	}
-	offsets := make([]int32, len(order)+1)
-	var edges []int32
-	var weights []float64
-	for i, old := range order {
-		for j := g.Offsets[old]; j < g.Offsets[old+1]; j++ {
-			v := g.Edges[j]
+	order := make([]int32, kept)
+	offsets := make([]int32, kept+1)
+	for u, id := range newID {
+		if id < 0 {
+			continue
+		}
+		order[id] = int32(u)
+		deg := int32(0)
+		for _, v := range g.Neighbors(u) {
 			if keep[v] {
-				edges = append(edges, newID[v])
-				if g.Weights != nil {
-					weights = append(weights, g.Weights[j])
-				}
+				deg++
 			}
 		}
-		offsets[i+1] = int32(len(edges))
+		offsets[id+1] = offsets[id] + deg
 	}
-	sub := &Graph{Offsets: offsets, Edges: edges}
+	sub := &Graph{Offsets: offsets, Edges: make([]int32, offsets[kept])}
 	if g.Weights != nil {
-		sub.Weights = weights
+		sub.Weights = make([]float64, len(sub.Edges))
+	}
+	for i, old := range order {
+		at := offsets[i]
+		for j := g.Offsets[old]; j < g.Offsets[old+1]; j++ {
+			if v := g.Edges[j]; keep[v] {
+				sub.Edges[at] = newID[v]
+				if sub.Weights != nil {
+					sub.Weights[at] = g.Weights[j]
+				}
+				at++
+			}
+		}
 	}
 	return sub, order
 }

@@ -238,7 +238,7 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	hop := make([]int32, 60)
 	w := make([]float64, 60)
 	f.BFS(0, hop, nil)
-	f.Dijkstra(0, w)
+	f.Dijkstra(0, w, nil)
 	for i := range hop {
 		if hop[i] == Unreachable {
 			if !math.IsInf(w[i], 1) {
@@ -265,7 +265,7 @@ func TestDijkstraWeightedShortcut(t *testing.T) {
 		return 1
 	})
 	dist := make([]float64, 3)
-	ecc := f.Dijkstra(0, dist)
+	ecc := f.Dijkstra(0, dist, nil)
 	if dist[2] != 2 {
 		t.Fatalf("dist[2] = %v, want 2 via middle node", dist[2])
 	}
@@ -281,7 +281,7 @@ func TestDijkstraRequiresWeights(t *testing.T) {
 		}
 	}()
 	f := pathGraph(3).Freeze(nil)
-	f.Dijkstra(0, make([]float64, 3))
+	f.Dijkstra(0, make([]float64, 3), nil)
 }
 
 func TestComponents(t *testing.T) {
@@ -353,6 +353,27 @@ func TestPathStatsMeanCostBitIdentical(t *testing.T) {
 			t.Fatalf("run %d at GOMAXPROCS %d: MeanCost %v (%#x), first run %v (%#x)",
 				i, procs, st.MeanCost, got, math.Float64frombits(want), want)
 		}
+	}
+}
+
+// TestSampledPathStatsAllocsFlat pins that a path-statistics source
+// allocates nothing: the allocations of one SampledPathStats call (the
+// permutation, the per-worker scratch and the result slices) are the
+// same on a 500- and a 4 000-node weighted graph, however many heap
+// pushes the Dijkstra runs make.
+func TestSampledPathStatsAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		rng := rand.New(rand.NewSource(int64(n)))
+		m := NewMutable(n)
+		for m.M() < 5*n {
+			m.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		g := m.Freeze(func(u, v int) float64 { return 1 + float64((u*v)%97) })
+		g.SampledPathStats(16, rng) // warm
+		return testing.AllocsPerRun(5, func() { g.SampledPathStats(16, rng) })
+	}
+	if small, large := allocs(500), allocs(4000); small != large {
+		t.Fatalf("SampledPathStats(16) allocates %.1f at n=500 but %.1f at n=4000", small, large)
 	}
 }
 

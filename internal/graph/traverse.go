@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Unreachable marks nodes not reached by a BFS.
 const Unreachable = int32(-1)
@@ -83,37 +80,65 @@ type dijkstraItem struct {
 	dist float64
 }
 
+// dijkstraHeap is a binary min-heap on dist. push and pop follow
+// container/heap's sift rules, so entries leave in the same order they
+// would through that package, without boxing each one in an interface.
 type dijkstraHeap []dijkstraItem
 
-func (h dijkstraHeap) Len() int            { return len(h) }
-func (h dijkstraHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h dijkstraHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dijkstraHeap) Push(x interface{}) { *h = append(*h, x.(dijkstraItem)) }
-func (h *dijkstraHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *dijkstraHeap) push(it dijkstraItem) {
+	*h = append(*h, it)
+	q, j := *h, len(*h)-1
+	for j > 0 && it.dist < q[(j-1)/2].dist {
+		q[j], j = q[(j-1)/2], (j-1)/2
+	}
+	q[j] = it
+}
+
+func (h *dijkstraHeap) pop() dijkstraItem {
+	q := *h
+	top, n := q[0], len(q)-1
+	last, i := q[n], 0
+	*h = q[:n]
+	for j := 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && q[j+1].dist < q[j].dist {
+			j++
+		}
+		if !(q[j].dist < last.dist) {
+			break
+		}
+		q[i] = q[j]
+	}
+	q[i] = last // when n is 0 this rewrites the popped slot, now past len
+	return top
 }
 
 // Dijkstra computes weighted shortest-path distances from src into
 // dist (length N, unreached nodes get +Inf). The graph must have
 // Weights; all weights must be non-negative. It returns the largest
-// finite distance (the weighted eccentricity of src).
-func (g *Graph) Dijkstra(src int, dist []float64) float64 {
+// finite distance (the weighted eccentricity of src). The priority
+// queue lives in s, so a sweep of traversals on one scratch allocates
+// nothing after the first; pass nil to allocate one.
+func (g *Graph) Dijkstra(src int, dist []float64, s *BFSScratch) float64 {
 	if g.Weights == nil {
 		panic("graph: Dijkstra requires edge weights")
 	}
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
+	if s == nil {
+		s = &BFSScratch{}
+	}
+	if cap(s.heap) < g.N() {
+		// Stale entries stay queued, so the heap can outgrow N; it then
+		// grows by append and the scratch keeps the larger buffer.
+		s.heap = make(dijkstraHeap, 0, g.N())
+	}
+	h := s.heap[:0]
 	dist[src] = 0
-	h := make(dijkstraHeap, 0, 64)
-	heap.Push(&h, dijkstraItem{int32(src), 0})
+	h.push(dijkstraItem{int32(src), 0})
 	var ecc float64
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(dijkstraItem)
+	for len(h) > 0 {
+		it := h.pop()
 		u := it.node
 		if it.dist > dist[u] {
 			continue // stale entry
@@ -126,10 +151,11 @@ func (g *Graph) Dijkstra(src int, dist []float64) float64 {
 			nd := it.dist + g.Weights[i]
 			if nd < dist[v] {
 				dist[v] = nd
-				heap.Push(&h, dijkstraItem{v, nd})
+				h.push(dijkstraItem{v, nd})
 			}
 		}
 	}
+	s.heap = h
 	return ecc
 }
 

@@ -199,20 +199,17 @@ func (ov *Overlay) searchKernel() *search.Kernel {
 	return ov.kernel
 }
 
-// NeighborRating describes how node u currently rates neighbor v
-// (paper §2.1).
-type NeighborRating struct {
-	Neighbor     int     // the rated neighbor
-	Unique       int     // nodes reachable from u only through it
-	Boundary     int     // |∂Γ(u)|, the neighborhood's node boundary
-	Connectivity float64 // alpha-weighted connectivity term
-	Proximity    float64 // beta-weighted proximity term
-	Score        float64 // total rating
-}
+// NeighborRating is how node u currently rates neighbor v (paper
+// §2.1). Neighbor is v. Unique counts the nodes reachable from u only
+// through v, and Boundary is |∂Γ(u)|, the node boundary of u's
+// neighborhood. Latency is d(u,v), floored at 1e-9, and MaxLatency is
+// d_max over u's neighbors. Connectivity and Proximity are the alpha-
+// and beta-weighted terms, and Score is their sum.
+type NeighborRating = core.RatingInfo
 
 // RateNeighbors exposes the peer rating function for node u.
 func (ov *Overlay) RateNeighbors(u int) []NeighborRating {
-	return neighborRatings(ov.core.RateNeighbors(u, nil))
+	return ov.core.RateNeighbors(u, nil)
 }
 
 // RateAllNeighbors runs the batched whole-overlay rating pass (one
@@ -220,30 +217,7 @@ func (ov *Overlay) RateNeighbors(u int) []NeighborRating {
 // configured worker pool. Equivalent to calling RateNeighbors for
 // every node, but one pass over the overlay.
 func (ov *Overlay) RateAllNeighbors() [][]NeighborRating {
-	all := ov.core.RateAll(nil)
-	out := make([][]NeighborRating, len(all))
-	for u, infos := range all {
-		if len(infos) > 0 {
-			out[u] = neighborRatings(infos)
-		}
-	}
-	return out
-}
-
-// neighborRatings copies core's rating rows into the facade's type.
-func neighborRatings(infos []core.RatingInfo) []NeighborRating {
-	out := make([]NeighborRating, len(infos))
-	for i, in := range infos {
-		out[i] = NeighborRating{
-			Neighbor:     in.Neighbor,
-			Unique:       in.Unique,
-			Boundary:     in.Boundary,
-			Connectivity: in.Connectivity,
-			Proximity:    in.Proximity,
-			Score:        in.Score,
-		}
-	}
-	return out
+	return ov.core.RateAll(nil)
 }
 
 // AddNode joins one new node (capacity drawn from the configured
@@ -292,8 +266,9 @@ type Stats struct {
 }
 
 // Stats computes structural statistics over the alive subgraph,
-// using up to maxSources BFS/Dijkstra sources (0 = exact all-pairs,
-// which is O(N²) and only sensible for small overlays).
+// using up to maxSources BFS/Dijkstra sources. 0, or any maxSources at
+// or above the live count, is exact all-pairs, which is O(N²) and only
+// sensible for small overlays.
 func (ov *Overlay) Stats(maxSources int) Stats {
 	sub, _ := ov.core.FreezeAlive()
 	_, sizes := sub.Components()

@@ -229,6 +229,19 @@ func TestRateAllNeighborsGolden(t *testing.T) {
 	}
 }
 
+// TestRateAllNeighborsAllocsBounded pins that the whole-overlay rating
+// pass hands back one answer: the row table and one slice its rows are
+// carved from, not a growing slice per node or a second copy.
+func TestRateAllNeighborsAllocsBounded(t *testing.T) {
+	for _, n := range []int{300, 3000} {
+		ov := newSmall(t, n, 5)
+		ov.RateAllNeighbors() // warm
+		if avg := testing.AllocsPerRun(3, func() { ov.RateAllNeighbors() }); avg > 3 {
+			t.Errorf("n=%d: RateAllNeighbors allocates %.1f per call; want <= 3", n, avg)
+		}
+	}
+}
+
 func TestPlaceContentAndMatchers(t *testing.T) {
 	ov := newSmall(t, 300, 8)
 	c, err := ov.PlaceContent(20, 0.02)
