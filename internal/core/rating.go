@@ -51,7 +51,7 @@ func (o *Overlay) refreshView(v int) {
 }
 
 // RatingInfo is the decomposition of one neighbor's rating, exposed
-// for analysis and tests.
+// for analysis and tests, and as makalu.NeighborRating.
 type RatingInfo struct {
 	Neighbor     int
 	Unique       int     // |R(u,v)|: nodes reachable from u only via v
