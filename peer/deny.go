@@ -11,39 +11,9 @@ package peer
 // machinery (backoff, refill) runs exactly as it would for a real
 // partition.
 
-// isDenied reports whether addr is on the deny list.
-func (n *Node) isDenied(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.denied[addr]
-}
-
 // SetDenied replaces the deny list. Links to newly denied peers are
 // cut immediately — without a Bye, so the remote side sees a network
 // failure, not a clean departure. Clearing an address from the list
 // does not redial it; the management loop's refill will rediscover it
 // through neighbor views (its backoff state, if any, still applies).
-func (n *Node) SetDenied(addrs []string) {
-	next := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		if a != "" {
-			next[a] = true
-		}
-	}
-	n.mu.Lock()
-	n.denied = next
-	var victims []*link
-	for addr, l := range n.conns {
-		if next[addr] && !l.byManager {
-			l.byManager = true
-			victims = append(victims, l)
-		}
-	}
-	n.mu.Unlock()
-	for _, l := range victims {
-		n.dropLink(l)
-	}
-	if len(victims) > 0 {
-		n.kickManage()
-	}
-}
+func (n *Node) SetDenied(addrs []string) { n.do(evDeny{addrs: addrs}) }

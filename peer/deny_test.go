@@ -103,7 +103,7 @@ func TestSetDeniedCutsExistingLink(t *testing.T) {
 	}
 
 	a.mu.Lock()
-	denied := len(a.denied) == 1 && a.denied[b.Addr()]
+	denied := len(a.st.denied) == 1 && a.st.denied[b.Addr()]
 	a.mu.Unlock()
 	if !denied {
 		t.Fatalf("deny list is not [%s]", b.Addr())

@@ -78,20 +78,28 @@ func FuzzSeenAccounting(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpret the input as a stream of (possibly repeating) query
 		// ids drawn from a small space so collisions are common.
-		n := &Node{seen: make(map[uint64]bool)}
+		ids := make([]uint64, len(data))
 		for i, b := range data {
-			n.markSeenLocked(uint64(b) % 97)
-			if len(n.seen) != len(n.seenQ) {
-				t.Fatalf("after %d marks: len(seen)=%d len(seenQ)=%d", i+1, len(n.seen), len(n.seenQ))
-			}
-			if len(n.seenQ) > seenCap {
-				t.Fatalf("seen queue overflow: %d", len(n.seenQ))
-			}
+			ids[i] = uint64(b) % 97
 		}
-		for _, id := range n.seenQ {
-			if !n.seen[id] {
-				t.Fatalf("id %d queued but missing from map", id)
-			}
-		}
+		markAll(t, ids)
 	})
+}
+
+// markAll marks ids in order on a fresh seen cache and fails as soon as
+// the map and the FIFO disagree or the FIFO outgrows seenCap.
+func markAll(t *testing.T, ids []uint64) {
+	t.Helper()
+	s := &state{seen: make(map[uint64]bool)}
+	for i, id := range ids {
+		s.markSeen(id)
+		if len(s.seen) != len(s.seenQ) || len(s.seenQ) > seenCap {
+			t.Fatalf("after %d marks: len(seen)=%d len(seenQ)=%d, cap %d", i+1, len(s.seen), len(s.seenQ), seenCap)
+		}
+	}
+	for _, id := range s.seenQ {
+		if !s.seen[id] {
+			t.Fatalf("id %d queued but missing from map", id)
+		}
+	}
 }

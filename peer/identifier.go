@@ -3,16 +3,13 @@ package peer
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-
-	"makalu/internal/bloom"
 )
 
-// This file implements §4.6 on the wire: each node maintains an
-// attenuated Bloom filter hierarchy over its neighborhood's content,
-// pushes it to neighbors in the management round, and routes
-// exact-identifier queries greedily along the filter gradient with a
-// per-query visited list for loop avoidance.
+// This file holds §4.6's wire side. Each node's state (step.go)
+// maintains an attenuated Bloom filter hierarchy over its
+// neighborhood's content, pushes it to neighbors in the management
+// round, and routes exact-identifier queries greedily along the filter
+// gradient with a per-query visited list for loop avoidance.
 
 // Filter geometry for live nodes: uniform level sizes so hierarchies
 // shift and union across peers (the gossip construction).
@@ -29,99 +26,12 @@ const (
 	msgDirectedQuery = byte(10) // greedy identifier query
 )
 
-// abfState is a node's identifier-routing state.
-type abfState struct {
-	mu       sync.Mutex
-	own      *bloom.Attenuated            // published hierarchy
-	received map[string]*bloom.Attenuated // neighbor addr -> their last push
-}
-
-func newABFState() *abfState {
-	return &abfState{
-		own:      bloom.NewAttenuated(uniformLevels(), abfHashes),
-		received: make(map[string]*bloom.Attenuated),
-	}
-}
-
 func uniformLevels() []int {
 	levels := make([]int, abfLevels)
 	for i := range levels {
 		levels[i] = abfLevelBits
 	}
 	return levels
-}
-
-// rebuildOwn recomputes the published hierarchy: level 0 from the
-// local store; level i is the union of each neighbor's level i-1 as
-// last received — content i-1 hops from a neighbor is i hops from us.
-func (n *Node) rebuildOwn() {
-	n.mu.Lock()
-	objs := make([]uint64, 0, len(n.store))
-	for o := range n.store {
-		objs = append(objs, o)
-	}
-	neighborFilters := make([]*bloom.Attenuated, 0, len(n.conns))
-	n.abf.mu.Lock()
-	for addr := range n.conns {
-		if f := n.abf.received[addr]; f != nil {
-			neighborFilters = append(neighborFilters, f)
-		}
-	}
-	n.abf.mu.Unlock()
-	n.mu.Unlock()
-
-	fresh := bloom.NewAttenuated(uniformLevels(), abfHashes)
-	for _, o := range objs {
-		fresh.Add(0, o)
-	}
-	for _, nf := range neighborFilters {
-		for lvl := 1; lvl < abfLevels; lvl++ {
-			fresh.UnionLevel(lvl, nf.Levels[lvl-1])
-		}
-	}
-	n.abf.mu.Lock()
-	n.abf.own = fresh
-	n.abf.mu.Unlock()
-}
-
-// pushFilters sends the published hierarchy to every neighbor.
-func (n *Node) pushFilters() {
-	n.abf.mu.Lock()
-	blob, err := n.abf.own.MarshalBinary()
-	n.abf.mu.Unlock()
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	links := make([]*link, 0, len(n.conns))
-	for _, l := range n.conns {
-		links = append(links, l)
-	}
-	n.mu.Unlock()
-	for _, l := range links {
-		l.send(msgFilterPush, blob)
-	}
-}
-
-// handleFilterPush stores a neighbor's hierarchy. The registration
-// check (under the node lock, same order as rebuildOwn) keeps a push
-// racing the link's eviction from resurrecting an entry dropLink just
-// cleaned.
-func (n *Node) handleFilterPush(l *link, payload []byte) {
-	var f bloom.Attenuated
-	if err := f.UnmarshalBinary(payload); err != nil {
-		return
-	}
-	if f.Depth() != abfLevels {
-		return
-	}
-	n.mu.Lock()
-	if cur, ok := n.conns[l.addr]; ok && cur == l {
-		n.abf.mu.Lock()
-		n.abf.received[l.addr] = &f
-		n.abf.mu.Unlock()
-	}
-	n.mu.Unlock()
 }
 
 // directedQueryPayload is the greedy identifier query: object, hop
@@ -190,84 +100,5 @@ func decodeDirectedQuery(b []byte) (directedQueryPayload, error) {
 // gradient with the given hop budget. The hit (if any) arrives on
 // Hits(). Returns the query id.
 func (n *Node) IdentifierLookup(obj uint64, ttl int) uint64 {
-	ttl = clampTTL(ttl)
-	n.mu.Lock()
-	id := n.rng.Uint64()
-	hasLocal := n.store[obj]
-	n.mu.Unlock()
-	if hasLocal {
-		select {
-		case n.hits <- Hit{QueryID: id, Object: obj, Holder: n.Addr()}:
-		default:
-		}
-		return id
-	}
-	if ttl <= 0 {
-		return id
-	}
-	n.forwardDirected(directedQueryPayload{
-		QueryID:    id,
-		TTL:        uint8(ttl),
-		Object:     obj,
-		Originator: n.Addr(),
-		Visited:    []string{n.Addr()},
-	})
-	return id
-}
-
-// handleDirectedQuery processes a greedy identifier query: local
-// store check, then forward along the gradient.
-func (n *Node) handleDirectedQuery(q directedQueryPayload) {
-	n.mu.Lock()
-	hasIt := n.store[q.Object]
-	n.mu.Unlock()
-	if hasIt {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.deliverHit(q.Originator, hitPayload{
-				QueryID: q.QueryID, Object: q.Object, Holder: n.Addr(),
-			})
-		}()
-		return
-	}
-	if q.TTL <= 1 {
-		return
-	}
-	q.TTL--
-	q.Visited = append(q.Visited, n.Addr())
-	n.forwardDirected(q)
-}
-
-// forwardDirected sends the query to the unvisited neighbor whose
-// received hierarchy scores highest for the object; with no filter
-// signal it falls back to an arbitrary unvisited neighbor.
-func (n *Node) forwardDirected(q directedQueryPayload) {
-	visited := make(map[string]bool, len(q.Visited))
-	for _, v := range q.Visited {
-		visited[v] = true
-	}
-	n.mu.Lock()
-	var best *link
-	bestScore := -1.0
-	n.abf.mu.Lock()
-	for addr, l := range n.conns {
-		if visited[addr] {
-			continue
-		}
-		score := 0.0
-		if f := n.abf.received[addr]; f != nil {
-			score = f.Score(q.Object, abfDecay)
-		}
-		if score > bestScore {
-			bestScore = score
-			best = l
-		}
-	}
-	n.abf.mu.Unlock()
-	n.mu.Unlock()
-	if best == nil {
-		return // dead end: all neighbors visited
-	}
-	best.send(msgDirectedQuery, encodeDirectedQuery(q))
+	return n.ask(evQuery{obj: obj, ttl: clampTTL(ttl), directed: true})
 }

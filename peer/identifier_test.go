@@ -59,16 +59,16 @@ func TestFilterPushAndRebuild(t *testing.T) {
 	// After a couple of management rounds, a must hold b's hierarchy
 	// showing the object at level 0.
 	waitFor(t, 3*time.Second, func() bool {
-		a.abf.mu.Lock()
-		defer a.abf.mu.Unlock()
-		f := a.abf.received[b.Addr()]
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		f := a.st.received[b.Addr()]
 		return f != nil && f.MatchLevel(obj) == 0
 	}, "filter push never arrived or lost the object")
 	// And a's own published hierarchy must advertise it at level 1.
 	waitFor(t, 3*time.Second, func() bool {
-		a.abf.mu.Lock()
-		defer a.abf.mu.Unlock()
-		return a.abf.own.MatchLevel(obj) == 1
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.st.own.MatchLevel(obj) == 1
 	}, "rebuild did not shift neighbor content to level 1")
 }
 
@@ -113,9 +113,9 @@ func TestIdentifierLookupRoutesAcrossNetwork(t *testing.T) {
 				if d, ok := dist[v]; ok && d < abfLevels {
 					want = d
 				}
-				u.abf.mu.Lock()
-				f := u.abf.received[v.Addr()]
-				u.abf.mu.Unlock()
+				u.mu.Lock()
+				f := u.st.received[v.Addr()]
+				u.mu.Unlock()
 				if f == nil || f.MatchLevel(obj) != want {
 					return false
 				}

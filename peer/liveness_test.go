@@ -2,11 +2,9 @@ package peer
 
 import (
 	"bufio"
-	"errors"
 	"math/rand"
 	"net"
 	"reflect"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -26,7 +24,6 @@ type fakePeer struct {
 	wmu  sync.Mutex // the test and the pong loop share the writer
 	w    *bufio.Writer
 	pong atomic.Bool // answer pings
-	done chan struct{}
 }
 
 // dialFakePeer handshakes with nd and starts a background reader that
@@ -41,7 +38,7 @@ func dialFakePeer(t *testing.T, nd *Node, pong bool) *fakePeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := &fakePeer{t: t, ln: ln, c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), done: make(chan struct{})}
+	fp := &fakePeer{t: t, ln: ln, c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
 	fp.pong.Store(pong)
 	t.Cleanup(fp.close)
 	if err := writeFrame(fp.w, msgHello, encodeHello(helloPayload{Addr: fp.addr()})); err != nil {
@@ -73,7 +70,6 @@ func (fp *fakePeer) goSilent() { fp.pong.Store(false) }
 func (fp *fakePeer) speakAgain() { fp.pong.Store(true) }
 
 func (fp *fakePeer) readAndMaybePong() {
-	defer close(fp.done)
 	for {
 		f, err := readFrame(fp.r)
 		if err != nil {
@@ -231,33 +227,31 @@ func TestMidFrameStallEvictedByReadDeadline(t *testing.T) {
 }
 
 // Regression for unbounded host-cache growth: a peer flooding neighbor
-// lists full of fresh addresses must not grow the cache past
-// HostCacheCap.
+// lists full of fresh addresses, between management rounds whose dials
+// from the cache all fail, must not grow the cache past HostCacheCap.
 func TestHostCacheBounded(t *testing.T) {
 	cfg := tightConfig(5)
 	cfg.HostCacheCap = 8
-	// Keep the node from dialing the junk addresses during the test.
-	cfg.DialTimeout = 50 * time.Millisecond
-	nd, err := Start("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	fp := dialFakePeer(t, nd, true)
+	cfg.PingTimeout = time.Hour
+	s := newTestState("127.0.0.1:1", cfg)
+	const fp = "127.0.0.3:1"
+	now := time.Unix(1e9, 0)
+	s.step(now, evUp{link: 1, addr: fp}, nil)
 	for batch := 0; batch < 10; batch++ {
 		addrs := make([]string, 20)
 		for i := range addrs {
 			addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(1000+batch*20+i))
 		}
-		fp.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: addrs}))
-	}
-	// The pushes above race the management loop; poll until quiescent.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := nd.Stats(); st.HostCache > cfg.HostCacheCap {
-			t.Fatalf("host cache exceeded cap: %+v", st)
+		s.step(now, evFrame{link: 1, addr: fp, msg: msgNeighbors, payload: encodeNeighbors(neighborsPayload{Addrs: addrs})}, nil)
+		now = now.Add(cfg.ManageInterval)
+		for _, a := range s.step(now, evTick{}, nil) {
+			if a.kind == actDial {
+				s.step(now, evDialFailed{addr: a.addr}, nil)
+			}
 		}
-		time.Sleep(25 * time.Millisecond)
+		if len(s.cache) > cfg.HostCacheCap || s.conns[fp] == nil {
+			t.Fatalf("batch %d: host cache %d (cap %d), link to the flooding peer %v", batch, len(s.cache), cfg.HostCacheCap, s.conns[fp])
+		}
 	}
 }
 
@@ -265,31 +259,12 @@ func TestHostCacheBounded(t *testing.T) {
 // id must not append a second FIFO entry. The map and queue stay the
 // same size under any interleaving of fresh and duplicate ids.
 func TestSeenAccountingInvariant(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", DefaultNodeConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
 	rng := rand.New(rand.NewSource(7))
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	for i := 0; i < 3*seenCap; i++ {
-		// ~50% duplicates drawn from a small id space.
-		nd.markSeenLocked(uint64(rng.Intn(seenCap)))
-		if len(nd.seen) != len(nd.seenQ) {
-			t.Fatalf("after %d marks: len(seen)=%d len(seenQ)=%d", i+1, len(nd.seen), len(nd.seenQ))
-		}
-		if len(nd.seenQ) > seenCap {
-			t.Fatalf("queue overflow: %d", len(nd.seenQ))
-		}
+	ids := make([]uint64, 3*seenCap)
+	for i := range ids {
+		ids[i] = uint64(rng.Intn(seenCap)) // ~50% duplicates drawn from a small id space
 	}
-	// Every queued id must still be present in the map (no eviction of
-	// an id that remains queued).
-	for _, id := range nd.seenQ {
-		if !nd.seen[id] {
-			t.Fatalf("id %d queued but not in map", id)
-		}
-	}
+	markAll(t, ids)
 }
 
 // Regression for the uint8 TTL wrap: a TTL above 255 used to truncate
@@ -313,53 +288,25 @@ func TestTTLClampNoWrap(t *testing.T) {
 // DialBackoffMax cadence, until the HostCacheCap bound evicts it.
 func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 	cfg := tightConfig(6)
-	cfg.ManageInterval = time.Hour // only the test drives the backoff state
 	cfg.DialBackoffBase = 100 * time.Millisecond
-	nd, err := Start("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
+	s := newTestState("127.0.0.1:1", cfg)
 	const dead = "127.0.0.2:444"
-	nd.mu.Lock()
-	nd.addToCacheLocked(dead)
-	nd.mu.Unlock()
-
-	nd.noteDialFailure(dead)
-	nd.mu.Lock()
-	b := nd.backoff[dead]
-	inCache := nd.cache[dead]
-	canNow := nd.canDialLocked(dead, time.Now())
-	canLater := nd.canDialLocked(dead, time.Now().Add(time.Second))
-	nd.mu.Unlock()
-	if b == nil || b.fails != 1 || !inCache {
-		t.Fatalf("first failure: backoff=%+v inCache=%v", b, inCache)
+	now := time.Unix(1e9, 0)
+	s.addToCache(dead)
+	s.dialFailed(now, dead)
+	if b := s.backoff[dead]; b == nil || b.fails != 1 || !s.cache[dead] {
+		t.Fatalf("first failure: backoff=%+v inCache=%v", b, s.cache[dead])
 	}
-	if canNow {
-		t.Fatal("address dialable while inside its backoff window")
+	if s.canDial(dead, now) || !s.canDial(dead, now.Add(time.Second)) {
+		t.Fatalf("dialable now %v, a second later %v: want a backoff window that expires", s.canDial(dead, now), s.canDial(dead, now.Add(time.Second)))
 	}
-	if !canLater {
-		t.Fatal("backoff window never expires")
+	s.dialFailed(now, dead)
+	s.dialFailed(now, dead) // third strike: still remembered
+	if s.backoff[dead] == nil || !s.cache[dead] || !s.canDial(dead, now.Add(s.cfg.DialBackoffMax)) {
+		t.Fatalf("dead address forgotten after 3 failures (backoff=%+v cached=%v)", s.backoff[dead], s.cache[dead])
 	}
-
-	nd.noteDialFailure(dead)
-	nd.noteDialFailure(dead) // third strike: still remembered
-	nd.mu.Lock()
-	_, stillBackoff := nd.backoff[dead]
-	stillCached := nd.cache[dead]
-	canLater = nd.canDialLocked(dead, time.Now().Add(nd.cfg.DialBackoffMax))
-	nd.mu.Unlock()
-	if !stillBackoff || !stillCached || !canLater {
-		t.Fatalf("dead address forgotten after 3 failures (backoff=%v cached=%v dialable after DialBackoffMax=%v)",
-			stillBackoff, stillCached, canLater)
-	}
-
-	// A success wipes the slate.
-	nd.noteDialSuccess(dead)
-	nd.mu.Lock()
-	_, hasBackoff := nd.backoff[dead]
-	nd.mu.Unlock()
-	if hasBackoff {
+	// A successful dial wipes the slate.
+	if s.step(now, evUp{link: 1, addr: dead, out: true}, nil); s.backoff[dead] != nil {
 		t.Fatal("successful dial did not clear backoff state")
 	}
 }
@@ -368,26 +315,14 @@ func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 // over the sorted candidates, so two nodes with one seed that learn the
 // same addresses in the same order end with the same cache.
 func TestHostCacheEvictionFollowsSeed(t *testing.T) {
-	cached := func() []string {
+	cached := func() map[string]bool {
 		cfg := tightConfig(5)
-		cfg.ManageInterval = time.Hour
 		cfg.HostCacheCap = 8
-		nd, err := Start("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
+		s := newTestState("127.0.0.1:1", cfg)
 		for i := 0; i < 200; i++ {
-			nd.addToCacheLocked(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
+			s.addToCache(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
 		}
-		var out []string
-		for a := range nd.cache {
-			out = append(out, a)
-		}
-		sort.Strings(out)
-		return out
+		return s.cache
 	}
 	a, b := cached(), cached()
 	if len(a) != 8 || !reflect.DeepEqual(a, b) {
@@ -401,51 +336,39 @@ func TestHostCacheEvictionFollowsSeed(t *testing.T) {
 // beforehand or not — are bounded by HostCacheCap in both maps.
 func TestDialBackoffStaysBounded(t *testing.T) {
 	cfg := tightConfig(9)
-	cfg.ManageInterval = time.Hour
 	cfg.DialBackoffBase = 100 * time.Millisecond
 	cfg.HostCacheCap = 32
-	nd, err := Start("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
+	s := newTestState("127.0.0.1:1", cfg)
 	const dead = "127.0.0.2:444"
-	for i := 0; i < 9999; i++ {
-		nd.noteDialFailure(dead)
+	now := time.Unix(1e9, 0)
+	for i := 0; i < 10000; i++ {
+		s.dialFailed(now, dead)
 	}
-	before := time.Now()
-	nd.noteDialFailure(dead)
-	after := time.Now()
-	nd.mu.Lock()
-	b, cached := nd.backoff[dead], nd.cache[dead]
-	nd.mu.Unlock()
-	maxDelay := nd.cfg.DialBackoffMax
-	if !cached || b == nil {
-		t.Fatalf("address forgotten after 10000 failures (backoff=%+v cached=%v)", b, cached)
+	b, maxDelay := s.backoff[dead], s.cfg.DialBackoffMax
+	if !s.cache[dead] || b == nil {
+		t.Fatalf("address forgotten after 10000 failures (backoff=%+v cached=%v)", b, s.cache[dead])
 	}
-	if b.until.Before(before.Add(maxDelay/2)) || b.until.After(after.Add(maxDelay)) {
-		t.Fatalf("retry %v after the 10000th failure, want within [%v, %v]", b.until.Sub(before), maxDelay/2, maxDelay)
+	if b.until.Before(now.Add(maxDelay/2)) || b.until.After(now.Add(maxDelay)) {
+		t.Fatalf("retry %v after the 10000th failure, want within [%v, %v]", b.until.Sub(now), maxDelay/2, maxDelay)
 	}
 
 	for i := 0; i < cfg.HostCacheCap+100; i++ {
-		nd.noteDialFailure(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
+		s.dialFailed(now, net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
 	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if len(nd.backoff) > len(nd.cache) || len(nd.cache) > cfg.HostCacheCap {
-		t.Fatalf("backoff %d, cache %d, cap %d: want backoff <= cache <= cap", len(nd.backoff), len(nd.cache), cfg.HostCacheCap)
+	if len(s.backoff) > len(s.cache) || len(s.cache) > cfg.HostCacheCap {
+		t.Fatalf("backoff %d, cache %d, cap %d: want backoff <= cache <= cap", len(s.backoff), len(s.cache), cfg.HostCacheCap)
 	}
-	for a := range nd.backoff {
-		if !nd.cache[a] {
+	for a := range s.backoff {
+		if !s.cache[a] {
 			t.Fatalf("%s on backoff but not cached", a)
 		}
 	}
 }
 
 // The property local repair rests on: whatever sequence of learned
-// addresses, dial failures, dial successes and elapsed time a node has
-// seen, once it has heard of anyone it can dial someone within
-// DialBackoffMax. No sockets: the test drives the bookkeeping directly.
+// addresses, dial failures, successful links that later leave cleanly
+// and elapsed time a node has seen, once it has heard of anyone it can
+// dial someone within DialBackoffMax.
 func TestDialCandidateNeverRunsOut(t *testing.T) {
 	pool := make([]string, 8)
 	for i := range pool {
@@ -456,118 +379,71 @@ func TestDialCandidateNeverRunsOut(t *testing.T) {
 		// peers is the one a forgetful cache strands.
 		pool := pool[:seed]
 		cfg := tightConfig(seed)
-		cfg.ManageInterval = time.Hour
 		cfg.DialBackoffBase = time.Millisecond
 		cfg.DialBackoffMax = 4 * time.Millisecond
 		cfg.HostCacheCap = 4 // below the pool, so the cap evicts too
-		nd, err := Start("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nd.Close)
+		s := newTestState("127.0.0.1:1", cfg)
+		now := time.Unix(1e9, 0)
 		rng := rand.New(rand.NewSource(seed))
 		heard := false
 		for op := 0; op < 200; op++ {
 			a := pool[rng.Intn(len(pool))]
 			switch rng.Intn(5) {
 			case 0:
-				nd.mu.Lock()
-				nd.addToCacheLocked(a)
-				nd.mu.Unlock()
+				s.addToCache(a)
 				heard = true
 			case 1, 2:
-				nd.noteDialFailure(a)
+				s.dialFailed(now, a)
 			case 3:
-				nd.noteDialSuccess(a)
+				s.step(now, evUp{link: linkID(op), addr: a, out: true}, nil)
+				s.step(now, evFrame{link: linkID(op), addr: a, msg: msgBye}, nil)
 			case 4:
-				time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
+				now = now.Add(time.Duration(rng.Intn(1500)) * time.Microsecond)
 			}
 			if !heard {
 				continue
 			}
-			horizon := time.Now().Add(cfg.DialBackoffMax)
 			dialable := 0
-			nd.mu.Lock()
-			for c := range nd.cache {
-				if nd.canDialLocked(c, horizon) {
+			for c := range s.cache {
+				if s.canDial(c, now.Add(cfg.DialBackoffMax)) {
 					dialable++
 				}
 			}
-			cache, backoff := len(nd.cache), len(nd.backoff)
-			nd.mu.Unlock()
 			if dialable == 0 {
-				t.Fatalf("seed %d op %d: no dial candidate within DialBackoffMax (cache %d, backoff %d)", seed, op, cache, backoff)
+				t.Fatalf("seed %d op %d: no dial candidate within DialBackoffMax (cache %d, backoff %d)", seed, op, len(s.cache), len(s.backoff))
 			}
 		}
 	}
 }
 
-// recordingTransport listens for real but refuses every dial, noting
-// the address: refill decisions become observable without a network.
-type recordingTransport struct {
-	mu     sync.Mutex
-	dialed []string
-}
-
-func (r *recordingTransport) Listen(network, address string) (net.Listener, error) {
-	return net.Listen(network, address)
-}
-
-func (r *recordingTransport) DialTimeout(_, address string, _ time.Duration) (net.Conn, error) {
-	r.mu.Lock()
-	r.dialed = append(r.dialed, address)
-	r.mu.Unlock()
-	return nil, errors.New("recordingTransport: no network")
-}
-
-// Same seed, same contents, different insertion order: the prune
-// victim among equal scores and the refill candidates must not depend
+// Same seed, same contents, different insertion order: the refill
+// candidates and the prune victims among equal scores must not depend
 // on map iteration order.
 func TestSeededTiesIgnoreMapOrder(t *testing.T) {
 	addrs := make([]string, 8)
 	for i := range addrs {
 		addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(3000+i))
 	}
+	now := time.Unix(1e9, 0)
 	decide := func(order []string) (victims, dialed []string) {
-		tr := &recordingTransport{}
-		nd, err := Start("127.0.0.1:0", Config{Capacity: 2, ManageInterval: time.Hour, Seed: 77, Transport: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
-		nd.mu.Lock()
+		s := newTestState("127.0.0.1:1", Config{Capacity: 2, ManageInterval: time.Hour, Seed: 77})
 		for _, a := range order {
-			nd.addToCacheLocked(a)
+			s.addToCache(a)
 		}
-		nd.mu.Unlock()
-		nd.refillFromCache() // no links, capacity 2: two candidates
-		waitFor(t, 2*time.Second, func() bool {
-			tr.mu.Lock()
-			defer tr.mu.Unlock()
-			return len(tr.dialed) == 2
-		}, "refill did not dial two candidates")
-		dialed = append(dialed, tr.dialed...)
-		sort.Strings(dialed)
-
-		// Four socketless links, all scoring 0 and out of grace, on a
-		// capacity-2 node. They leave the table again before Close,
-		// which would write a Bye to them.
-		old := time.Now().Add(-5 * time.Hour)
-		nd.mu.Lock()
+		// No links, capacity 2: two candidates.
+		for _, a := range s.refill(now, nil) {
+			dialed = append(dialed, a.addr)
+		}
+		// Four links, all scoring 0 and out of grace, on a capacity-2 node.
 		for _, a := range order[:4] {
-			nd.conns[a] = &link{addr: a, born: old}
+			s.conns[a] = &nbr{born: now.Add(-5 * time.Hour)}
 		}
-		calm, _ := nd.pruneVictimsLocked()
-		for _, l := range calm {
-			victims = append(victims, l.addr)
-		}
-		for _, a := range order[:4] {
-			delete(nd.conns, a)
-		}
-		nd.mu.Unlock()
-		return victims, dialed
+		return s.victims(now), dialed
 	}
 	wantVictims, wantDialed := decide(addrs)
+	if len(wantDialed) != 2 {
+		t.Fatalf("refill dialed %v, want two candidates", wantDialed)
+	}
 	for trial := 0; trial < 5; trial++ {
 		order := append([]string(nil), addrs[:4]...)
 		rand.New(rand.NewSource(int64(trial))).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })

@@ -41,10 +41,10 @@ func dumpCluster(t *testing.T, c *Cluster) {
 		nd := c.Node(i)
 		var cache, backoff []string
 		nd.mu.Lock()
-		for a := range nd.cache {
+		for a := range nd.st.cache {
 			cache = append(cache, a)
 		}
-		for a, b := range nd.backoff {
+		for a, b := range nd.st.backoff {
 			backoff = append(backoff, fmt.Sprintf("%s x%d +%v", a, b.fails, time.Until(b.until).Round(time.Millisecond)))
 		}
 		nd.mu.Unlock()
@@ -280,8 +280,7 @@ func TestClusterSurvivesMassFailure(t *testing.T) {
 func linked(a, b *Node) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, ok := a.conns[b.Addr()]
-	return ok
+	return a.st.conns[b.Addr()] != nil
 }
 
 // cachesSpare reports whether nd caches an address it could re-attach
@@ -289,8 +288,8 @@ func linked(a, b *Node) bool {
 func cachesSpare(nd *Node, avoid map[string]bool) bool {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	for a := range nd.cache {
-		if _, linked := nd.conns[a]; !linked && !avoid[a] {
+	for a := range nd.st.cache {
+		if nd.st.conns[a] == nil && !avoid[a] {
 			return true
 		}
 	}

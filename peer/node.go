@@ -3,14 +3,10 @@ package peer
 import (
 	"bufio"
 	"fmt"
-	"math"
-	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"makalu/internal/core"
 	"makalu/internal/obs"
 )
 
@@ -130,68 +126,41 @@ type Hit struct {
 	Holder  string // listen address of the node hosting the object
 }
 
-// Node is a live Makalu peer speaking the wire protocol over TCP.
+// Node is a live Makalu peer speaking the wire protocol over TCP. Its
+// decisions are a state (step.go) under one mutex: the node reads
+// sockets and timers, steps the state with each event stamped by the
+// wall clock, and performs the actions outside the lock.
 type Node struct {
 	cfg Config
 	tr  Transport
 	ln  net.Listener
 
 	mu        sync.Mutex
-	conns     map[string]*link        // by remote listen address
-	cache     map[string]bool         // host cache: bounded sample of learned addresses
-	views     map[string][]string     // last neighbor list pushed by each peer
-	rtt       map[string]float64      // measured RTT seconds
-	pingT     map[uint64]pingRef      // outstanding ping nonces
-	backoff   map[string]*dialBackoff // per-address re-dial state
-	dialing   map[string]bool         // dials in flight (refill dedup)
-	denied    map[string]bool         // peers we refuse to dial or accept
-	store     map[uint64]bool         // hosted objects
-	blobs     map[uint64][]byte       // hosted blob payloads for chunk serving
-	seen      map[uint64]bool         // query-id duplicate suppression
-	seenQ     []uint64                // FIFO for seen eviction
-	queries   uint64                  // queries forwarded (stats)
-	evictions uint64                  // links dropped for liveness (stats)
+	st        *state
+	links     map[linkID]*link // every connection past its Hello
+	lastID    linkID
 	closed    bool
 	killed    bool       // Kill() was called: crash semantics, no FIN
 	deadConns []net.Conn // connections left dangling by Kill, reaped by Close
 
 	hits   chan Hit
 	chunks chan ChunkReply // inbound chunk responses for DownloadBlob
-	abf    *abfState       // attenuated-filter routing state (§4.6)
-	rater  *core.Rater     // prune decisions (guarded by mu)
 	met    nodeMetrics     // resolved observability handles (all nil when disabled)
-	rng    *rand.Rand
 	wg     sync.WaitGroup
 	stop   chan struct{}
 	kick   chan struct{} // eviction happened: run a management round now
 }
 
-type pingRef struct {
-	addr string
-	at   time.Time
-}
-
-// dialBackoff tracks consecutive dial failures to one address.
-type dialBackoff struct {
-	fails int // saturates once the delay has reached DialBackoffMax
-	until time.Time
-}
-
-// link is one established neighbor connection.
+// link is the socket side of one connection.
 type link struct {
+	id       linkID
 	addr     string // remote listen address (its identity)
 	c        net.Conn
 	w        *bufio.Writer
 	wmu      sync.Mutex
 	wtimeout time.Duration
 	met      *nodeMetrics // owning node's instruments (never nil; handles may be)
-	born     time.Time    // registration time, for the pruning grace period
-
-	// Liveness state, guarded by the owning Node's mu.
-	missed    int  // consecutive expired ping nonces
-	suspect   bool // missed >= SuspectMisses
-	byManager bool // dropped by prune/sweep; readLoop must not re-account it
-	dying     bool // Kill() fired: the readLoop must exit, not re-arm its deadline
+	dying    bool         // Kill() fired: the readLoop must exit, not re-arm its deadline (guarded by Node.mu)
 }
 
 func (l *link) send(kind byte, payload []byte) error {
@@ -205,9 +174,102 @@ func (l *link) send(kind byte, payload []byte) error {
 	return err
 }
 
-// newLink wraps an established connection.
+// newLink files a connection past its Hello under a fresh id, or
+// returns nil once the node is closed.
 func (n *Node) newLink(addr string, c net.Conn) *link {
-	return &link{addr: addr, c: c, w: bufio.NewWriter(c), wtimeout: n.cfg.DialTimeout, met: &n.met}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	n.lastID++
+	l := &link{id: n.lastID, addr: addr, c: c, w: bufio.NewWriter(c), wtimeout: n.cfg.DialTimeout, met: &n.met}
+	n.links[l.id] = l
+	return l
+}
+
+// linkTo returns the registered link to addr, or nil.
+func (n *Node) linkTo(addr string) *link {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if nb := n.st.conns[addr]; nb != nil {
+		return n.links[nb.id]
+	}
+	return nil
+}
+
+// closeLink closes link id; after Kill the connection is left open
+// (crash semantics — no FIN) and reaped by Close.
+func (n *Node) closeLink(id linkID) {
+	n.mu.Lock()
+	l, killed := n.links[id], n.killed
+	delete(n.links, id)
+	if l != nil && killed {
+		n.deadConns = append(n.deadConns, l.c)
+	}
+	n.mu.Unlock()
+	if l != nil && !killed {
+		l.c.Close()
+	}
+}
+
+// step applies ev, stamped with the wall clock, and returns its
+// actions. A closed node takes no more events.
+func (n *Node) step(ev event) []action {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	return n.st.step(time.Now(), ev, nil)
+}
+
+// do steps ev and performs its actions.
+func (n *Node) do(ev event) { n.perform(n.step(ev)) }
+
+// perform carries out actions in order, outside the lock.
+func (n *Node) perform(acts []action) {
+	for _, a := range acts {
+		switch a.kind {
+		case actSend:
+			n.mu.Lock()
+			l := n.links[a.link]
+			n.mu.Unlock()
+			if l != nil {
+				l.send(a.msg, a.payload)
+			}
+		case actClose:
+			n.closeLink(a.link)
+		case actDial:
+			// Asynchronous: the management loop must not block on a
+			// partitioned address.
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				n.dial(a.addr)
+			}()
+		case actHit:
+			if a.addr != "" {
+				n.wg.Add(1)
+				go func() {
+					defer n.wg.Done()
+					n.deliverHit(a.addr, a.hit)
+				}()
+				break
+			}
+			select {
+			case n.hits <- a.hit:
+			default: // originator not draining; drop
+			}
+		case actChunk:
+			select {
+			case n.chunks <- a.chunk:
+			default: // downloader not draining; the chunk timeout recovers
+			}
+		case actKick:
+			n.kickManage()
+		}
+	}
 }
 
 // Start launches a node listening on addr (use "127.0.0.1:0" for an
@@ -222,34 +284,17 @@ func Start(addr string, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
-		tr:      cfg.Transport,
-		ln:      ln,
-		conns:   make(map[string]*link),
-		cache:   make(map[string]bool),
-		views:   make(map[string][]string),
-		rtt:     make(map[string]float64),
-		pingT:   make(map[uint64]pingRef),
-		backoff: make(map[string]*dialBackoff),
-		dialing: make(map[string]bool),
-		denied:  make(map[string]bool),
-		store:   make(map[uint64]bool),
-		blobs:   make(map[uint64][]byte),
-		seen:    make(map[uint64]bool),
-		hits:    make(chan Hit, 256),
-		chunks:  make(chan ChunkReply, 1024),
-		abf:     newABFState(),
-		rater:   core.NewRater(cfg.Alpha, cfg.Beta),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		stop:    make(chan struct{}),
-		kick:    make(chan struct{}, 1),
+		cfg:    cfg,
+		tr:     cfg.Transport,
+		ln:     ln,
+		links:  make(map[linkID]*link),
+		hits:   make(chan Hit, 256),
+		chunks: make(chan ChunkReply, 1024),
+		met:    newNodeMetrics(cfg.Metrics, cfg.Trace),
+		stop:   make(chan struct{}),
+		kick:   make(chan struct{}, 1),
 	}
-	for _, a := range cfg.DenyPeers {
-		if a != "" {
-			n.denied[a] = true
-		}
-	}
-	n.met = newNodeMetrics(cfg.Metrics, cfg.Trace)
+	n.st = newState(ln.Addr().String(), cfg, &n.met)
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.manageLoop()
@@ -263,32 +308,23 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 func (n *Node) Hits() <-chan Hit { return n.hits }
 
 // AddObject stores an object locally.
-func (n *Node) AddObject(obj uint64) {
-	n.mu.Lock()
-	n.store[obj] = true
-	n.mu.Unlock()
-}
+func (n *Node) AddObject(obj uint64) { n.do(evStore{obj: obj}) }
 
 // Neighbors returns the current neighbor addresses, sorted.
 func (n *Node) Neighbors() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.conns))
-	for a := range n.conns {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	return n.st.neighbors()
 }
 
 // Degree returns the current neighbor count.
 func (n *Node) Degree() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.conns)
+	return len(n.st.conns)
 }
 
-// Close shuts the node down, sending Bye to every neighbor. Calling
+// Close shuts the node down, sending Bye on every connection. Calling
 // Close after Kill reaps the connections Kill left dangling.
 func (n *Node) Close() {
 	n.mu.Lock()
@@ -302,8 +338,8 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
-	links := make([]*link, 0, len(n.conns))
-	for _, l := range n.conns {
+	links := make([]*link, 0, len(n.links))
+	for _, l := range n.links {
 		links = append(links, l)
 	}
 	n.mu.Unlock()
@@ -332,38 +368,27 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// handleInbound performs the accept side of the handshake, then reads
-// frames until the connection dies.
+// handleInbound performs the accept side of the handshake — the state
+// decides on the Hello before any ack — then reads frames until the
+// connection dies.
 func (n *Node) handleInbound(c net.Conn) {
 	r := bufio.NewReader(c)
 	c.SetReadDeadline(time.Now().Add(n.cfg.DialTimeout))
+	var hello helloPayload
 	f, err := readFrame(r)
-	if err != nil || f.kind != msgHello {
-		c.Close()
-		return
+	if err == nil && f.kind == msgHello {
+		hello, err = decodeHello(f.payload)
 	}
-	hello, err := decodeHello(f.payload)
 	if err != nil || hello.Addr == "" {
-		c.Close()
-		return
-	}
-	if n.isDenied(hello.Addr) {
 		c.Close()
 		return
 	}
 	if hello.Addr == transientAddr {
 		// One-shot hit delivery: read the single hit frame, surface
 		// it, and close without registering a neighbor.
-		if hf, err := readFrame(r); err == nil && hf.kind == msgQueryHit {
-			if h, err := decodeHit(hf.payload); err == nil {
-				n.met.frameIn(len(hf.payload))
-				n.met.queryHits.Inc()
-				n.met.trace.Record(obs.EvQueryHit, n.Addr(), h.Holder, int64(h.QueryID))
-				select {
-				case n.hits <- Hit{QueryID: h.QueryID, Object: h.Object, Holder: h.Holder}:
-				default:
-				}
-			}
+		if f, err := readFrame(r); err == nil && f.kind == msgQueryHit {
+			n.met.frameIn(len(f.payload))
+			n.do(evFrame{addr: transientAddr, msg: f.kind, payload: f.payload})
 		}
 		c.Close()
 		return
@@ -372,63 +397,76 @@ func (n *Node) handleInbound(c net.Conn) {
 	// per-link fault rules (and future per-peer policies) apply.
 	tagConn(c, hello.Addr)
 	l := n.newLink(hello.Addr, c)
-	if err := l.send(msgHelloAck, nil); err != nil {
+	if l == nil {
 		c.Close()
 		return
 	}
-	if !n.register(l) {
-		c.Close()
+	if acts := n.step(evHello{link: l.id, addr: hello.Addr}); len(acts) != 1 || acts[0].msg != msgHelloAck {
+		n.perform(acts) // refused
+		n.closeLink(l.id)
 		return
 	}
-	n.afterConnect(l)
+	if l.send(msgHelloAck, nil) != nil {
+		n.closeLink(l.id)
+		return
+	}
+	n.do(evUp{link: l.id, addr: hello.Addr})
 	n.readLoop(l, r)
 }
 
 // Connect dials a peer at addr, performs the handshake and registers
-// the link. Connecting to a known neighbor or to ourselves is a no-op.
-// Failures feed the re-dial backoff so the management loop retries
-// with capped exponential delays instead of hammering or forgetting
-// the address.
+// the link. Connecting to a known neighbor, or to one a dial is already
+// under way to, is a no-op, and so is a dial the peer refuses because
+// it keeps its own connection to us. Failures feed the re-dial backoff
+// so the management loop retries with capped exponential delays
+// instead of hammering or forgetting the address.
 func (n *Node) Connect(addr string) error {
 	if addr == n.Addr() {
 		return fmt.Errorf("peer: refusing self-connection")
 	}
 	n.mu.Lock()
-	_, known := n.conns[addr]
-	denied := n.denied[addr]
+	denied := n.st.denied[addr]
 	n.mu.Unlock()
 	if denied {
 		return fmt.Errorf("peer: %s is denied", addr)
 	}
-	if known {
+	if len(n.step(evConnect{addr: addr})) == 0 {
 		return nil
 	}
+	return n.dial(addr)
+}
+
+// dial connects to addr and runs the dial side of the handshake, then
+// reports the link up or the dial failed. A Bye in place of the ack is
+// a refusal (see state.hello).
+func (n *Node) dial(addr string) error {
 	c, err := n.tr.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
-		n.noteDialFailure(addr)
+		n.do(evDialFailed{addr: addr})
 		return err
 	}
 	tagConn(c, addr)
 	l := n.newLink(addr, c)
-	if err := l.send(msgHello, encodeHello(helloPayload{Addr: n.Addr()})); err != nil {
-		c.Close()
-		n.noteDialFailure(addr)
-		return err
-	}
-	r := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(n.cfg.DialTimeout))
-	f, err := readFrame(r)
-	if err != nil || f.kind != msgHelloAck {
-		c.Close()
-		n.noteDialFailure(addr)
-		return fmt.Errorf("peer: handshake with %s failed", addr)
-	}
-	if !n.register(l) {
+	if l == nil {
 		c.Close()
 		return nil
 	}
-	n.noteDialSuccess(addr)
-	n.afterConnect(l)
+	r := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(n.cfg.DialTimeout))
+	f, err := frame{}, l.send(msgHello, encodeHello(helloPayload{Addr: n.Addr()}))
+	if err == nil {
+		f, err = readFrame(r)
+	}
+	if err != nil || f.kind != msgHelloAck {
+		n.closeLink(l.id)
+		refused := err == nil && f.kind == msgBye
+		n.do(evDialFailed{addr: addr, refused: refused})
+		if refused {
+			return nil
+		}
+		return fmt.Errorf("peer: handshake with %s failed", addr)
+	}
+	n.do(evUp{link: l.id, addr: addr, out: true})
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -437,50 +475,11 @@ func (n *Node) Connect(addr string) error {
 	return nil
 }
 
-// register adds the link to the neighbor table. It returns false when
-// the node is closed or the peer is already connected (simultaneous
-// dials race; the loser is dropped).
-func (n *Node) register(l *link) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return false
-	}
-	if _, dup := n.conns[l.addr]; dup {
-		return false
-	}
-	l.born = time.Now()
-	n.conns[l.addr] = l
-	n.addToCacheLocked(l.addr)
-	n.met.joins.Inc()
-	n.met.links.Add(1)
-	n.met.trace.Record(obs.EvJoin, n.Addrlocked(), l.addr, 0)
-	return true
-}
-
-// afterConnect pushes our neighbor list and a ping on the fresh link,
-// then prunes if we are over capacity.
-func (n *Node) afterConnect(l *link) {
-	l.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: n.Neighbors()}))
-	n.sendPing(l)
-	n.pruneIfNeeded()
-}
-
-// readLoop dispatches inbound frames for one link until it dies. A
-// link that ends without a Bye — read error, stall past IdleTimeout —
-// is treated as a peer failure: the address is put on dial backoff
-// and an immediate management round re-fills the neighborhood.
+// readLoop steps every frame read from l until the link ends: after a
+// Bye, or on a read error or a stall past IdleTimeout, which the state
+// treats as a peer failure.
 func (n *Node) readLoop(l *link, r *bufio.Reader) {
-	clean := false
-	defer func() {
-		n.dropLink(l)
-		n.mu.Lock()
-		skip := clean || n.closed || l.byManager
-		n.mu.Unlock()
-		if !skip {
-			n.noteEviction(l.addr)
-		}
-	}()
+	defer n.closeLink(l.id)
 	for {
 		// Arm the idle deadline under the lock: Kill sets l.dying and an
 		// immediate deadline in one critical section, so we either see
@@ -498,125 +497,19 @@ func (n *Node) readLoop(l *link, r *bufio.Reader) {
 		}
 		f, err := readFrame(r)
 		if err != nil {
+			n.do(evDown{link: l.id, addr: l.addr})
 			return
 		}
 		n.met.frameIn(len(f.payload))
-		switch f.kind {
-		case msgNeighbors:
-			if p, err := decodeNeighbors(f.payload); err == nil {
-				n.mu.Lock()
-				// Only account registered links: a frame processed
-				// after the link was pruned must not resurrect state
-				// that dropLink already cleaned (the views/rtt leak).
-				if cur, ok := n.conns[l.addr]; ok && cur == l {
-					n.views[l.addr] = p.Addrs
-					for _, a := range p.Addrs {
-						n.addToCacheLocked(a)
-					}
-				}
-				n.mu.Unlock()
-			}
-		case msgQuery:
-			if q, err := decodeQuery(f.payload); err == nil {
-				n.handleQuery(q, l.addr)
-			}
-		case msgQueryHit:
-			if h, err := decodeHit(f.payload); err == nil {
-				n.met.queryHits.Inc()
-				n.met.trace.Record(obs.EvQueryHit, n.Addr(), h.Holder, int64(h.QueryID))
-				select {
-				case n.hits <- Hit{QueryID: h.QueryID, Object: h.Object, Holder: h.Holder}:
-				default: // originator not draining; drop
-				}
-			}
-		case msgPing:
-			if p, err := decodePing(f.payload); err == nil {
-				l.send(msgPong, encodePing(p))
-			}
-		case msgPong:
-			if p, err := decodePing(f.payload); err == nil {
-				n.mu.Lock()
-				if ref, ok := n.pingT[p.Nonce]; ok && ref.addr == l.addr {
-					delete(n.pingT, p.Nonce)
-					// Same guard as above: a pong racing the link's
-					// eviction must not resurrect a stale RTT entry.
-					if cur, ok := n.conns[l.addr]; ok && cur == l {
-						rtt := time.Since(ref.at)
-						n.rtt[l.addr] = rtt.Seconds()
-						n.met.pingRTT.ObserveDuration(rtt)
-						l.missed = 0
-						l.suspect = false
-					}
-				}
-				n.mu.Unlock()
-			}
-		case msgChunkRequest:
-			if q, err := decodeChunkReq(f.payload); err == nil {
-				n.handleChunkRequest(l, q)
-			}
-		case msgChunkResponse:
-			if p, err := decodeChunkResp(f.payload); err == nil {
-				select {
-				case n.chunks <- ChunkReply{From: l.addr, Object: p.Object, Chunk: p.Chunk, OK: p.Status == chunkOK, Data: p.Data}:
-				default: // downloader not draining; the chunk timeout recovers
-				}
-			}
-		case msgFilterPush:
-			n.handleFilterPush(l, f.payload)
-		case msgDirectedQuery:
-			if q, err := decodeDirectedQuery(f.payload); err == nil {
-				n.handleDirectedQuery(q)
-			}
-		case msgBye:
-			clean = true
+		n.do(evFrame{link: l.id, addr: l.addr, msg: f.kind, payload: f.payload})
+		if f.kind == msgBye {
 			return
 		}
 	}
 }
 
-// dropLink removes a dead or pruned link and every piece of per-peer
-// state tied to it: neighbor view, RTT, outstanding ping nonces and
-// the received filter hierarchy. After Kill the raw connection is left
-// open (crash semantics — no FIN) and reaped by Close.
-func (n *Node) dropLink(l *link) {
-	n.mu.Lock()
-	if cur, ok := n.conns[l.addr]; ok && cur == l {
-		delete(n.conns, l.addr)
-		delete(n.views, l.addr)
-		delete(n.rtt, l.addr)
-		for nonce, ref := range n.pingT {
-			if ref.addr == l.addr {
-				delete(n.pingT, nonce)
-			}
-		}
-		n.met.links.Add(-1)
-	}
-	killed := n.killed
-	if killed {
-		n.deadConns = append(n.deadConns, l.c)
-	}
-	n.mu.Unlock()
-	n.abf.mu.Lock()
-	delete(n.abf.received, l.addr)
-	n.abf.mu.Unlock()
-	if !killed {
-		l.c.Close()
-	}
-}
-
-// sendPing issues a latency/liveness probe on the link.
-func (n *Node) sendPing(l *link) {
-	n.mu.Lock()
-	nonce := n.rng.Uint64()
-	n.pingT[nonce] = pingRef{addr: l.addr, at: time.Now()}
-	n.mu.Unlock()
-	l.send(msgPing, encodePing(pingPayload{Nonce: nonce}))
-}
-
-// manageLoop is the periodic management round: sweep liveness, push
-// neighbor lists, refresh pings, refill, prune. An eviction elsewhere
-// kicks an immediate extra round so recovery does not wait a full
-// interval.
+// manageLoop runs the periodic management round. An eviction kicks an
+// immediate extra round so recovery does not wait a full interval.
 func (n *Node) manageLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.ManageInterval)
@@ -628,227 +521,19 @@ func (n *Node) manageLoop() {
 		case <-t.C:
 		case <-n.kick:
 		}
-		n.manageRound()
+		n.do(evTick{})
 	}
 }
 
-// manageRound runs one management round.
-func (n *Node) manageRound() {
-	n.sweepLiveness()
-	nb := encodeNeighbors(neighborsPayload{Addrs: n.Neighbors()})
-	n.mu.Lock()
-	links := make([]*link, 0, len(n.conns))
-	for _, l := range n.conns {
-		links = append(links, l)
-	}
-	n.mu.Unlock()
-	for _, l := range links {
-		l.send(msgNeighbors, nb)
-		n.sendPing(l)
-	}
-	n.refillFromCache()
-	n.pruneIfNeeded()
-	// §4.6 maintenance: refresh and push the attenuated filter
-	// hierarchy after the topology settles this round.
-	n.rebuildOwn()
-	n.pushFilters()
-}
-
-// refillFromCache dials host-cache candidates while the node is under
-// capacity — the self-healing a pruned or orphaned peer relies on.
-// Dials run asynchronously (the management loop must not block on a
-// partitioned address) and respect the per-address backoff.
-func (n *Node) refillFromCache() {
-	n.mu.Lock()
-	want := n.cfg.Capacity - len(n.conns)
-	var cands []string
-	if want > 0 {
-		now := time.Now()
-		for a := range n.cache {
-			if n.canDialLocked(a, now) {
-				cands = append(cands, a)
-			}
-		}
-		// Map order would discard the seed the shuffle draws from.
-		sort.Strings(cands)
-		n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		if len(cands) > want {
-			cands = cands[:want]
-		}
-		for _, a := range cands {
-			n.dialing[a] = true
-		}
-	}
-	n.mu.Unlock()
-	for _, a := range cands {
-		addr := a
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.Connect(addr) // success/failure bookkeeping inside
-			n.mu.Lock()
-			delete(n.dialing, addr)
-			n.mu.Unlock()
-		}()
+// kickManage requests an immediate management round without waiting
+// for the next tick. Non-blocking; extra kicks while one is pending
+// coalesce.
+func (n *Node) kickManage() {
+	select {
+	case n.kick <- struct{}{}:
+	default:
 	}
 }
-
-// canDialLocked reports whether addr is a refill candidate right now:
-// not us, not connected, no dial in flight, not inside its backoff
-// window. Callers hold n.mu.
-func (n *Node) canDialLocked(addr string, now time.Time) bool {
-	if addr == n.Addrlocked() {
-		return false
-	}
-	if _, connected := n.conns[addr]; connected {
-		return false
-	}
-	if n.denied[addr] {
-		return false
-	}
-	if n.dialing[addr] {
-		return false
-	}
-	if b, ok := n.backoff[addr]; ok && now.Before(b.until) {
-		return false
-	}
-	return true
-}
-
-// addToCacheLocked inserts a learned address into the bounded host
-// cache, evicting a random non-neighbor entry when full. Callers hold
-// n.mu.
-func (n *Node) addToCacheLocked(addr string) {
-	if addr == "" || addr == n.Addrlocked() || n.cache[addr] {
-		return
-	}
-	if len(n.cache) >= n.cfg.HostCacheCap {
-		var cands []string
-		for a := range n.cache {
-			if _, connected := n.conns[a]; !connected {
-				cands = append(cands, a)
-			}
-		}
-		if len(cands) == 0 {
-			return // cache full of live neighbors; skip
-		}
-		// Map order would discard the seed the pick draws from.
-		sort.Strings(cands)
-		victim := cands[n.rng.Intn(len(cands))]
-		delete(n.cache, victim)
-		delete(n.backoff, victim)
-	}
-	n.cache[addr] = true
-}
-
-// pruneIfNeeded drops pruneVictimsLocked's picks one at a time while
-// the node is still over capacity (calm) or more than two over (storm).
-// Links that died meanwhile count, and a dead victim is skipped.
-func (n *Node) pruneIfNeeded() {
-	n.mu.Lock()
-	calm, storm := n.pruneVictimsLocked()
-	n.mu.Unlock()
-	n.shed(calm, 0)
-	n.shed(storm, 2)
-}
-
-// shed is pruneIfNeeded's drop loop over one list of victims.
-func (n *Node) shed(victims []*link, slack int) {
-	for _, l := range victims {
-		n.mu.Lock()
-		if len(n.conns)-n.cfg.Capacity <= slack {
-			n.mu.Unlock()
-			return
-		}
-		live := n.conns[l.addr] == l
-		if live {
-			l.byManager = true
-		}
-		n.mu.Unlock()
-		if live {
-			n.met.prunes.Inc()
-			n.met.trace.Record(obs.EvPrune, n.Addr(), l.addr, 0)
-			l.send(msgBye, nil)
-			n.dropLink(l)
-		}
-	}
-}
-
-// pruneVictimsLocked rates the neighbors with core's F(u,v) and returns
-// the links to drop, worst-first: calm, up to the excess, spares links
-// younger than two management intervals (with no views or RTTs yet
-// they rate spuriously low, and newcomers could never join full nodes);
-// storm, if the node is still more than two over (a dial storm), sheds
-// the worst young links down to two over. Callers hold n.mu.
-func (n *Node) pruneVictimsLocked() (calm, storm []*link) {
-	over := len(n.conns) - n.cfg.Capacity
-	if over <= 0 {
-		return nil, nil
-	}
-	links := make([]*link, 0, len(n.conns))
-	for _, l := range n.conns {
-		links = append(links, l)
-	}
-	// Positions in address order: ties break by address.
-	sort.Slice(links, func(i, j int) bool { return links[i].addr < links[j].addr })
-	young := make([]bool, len(links))
-	var youngLinks []*link
-	for p, l := range links {
-		young[p] = time.Since(l.born) < 2*n.cfg.ManageInterval
-		if young[p] {
-			youngLinks = append(youngLinks, l)
-		}
-	}
-	calm = n.rankLocked(links, young, over)
-	if rest := over - len(calm) - 2; rest > 0 {
-		storm = n.rankLocked(youngLinks, nil, rest)
-	}
-	return calm, storm
-}
-
-// rankLocked renders links, each at its index, as core.Rater's local
-// view, deduplicating each view and leaving a link with no RTT sample
-// unmeasured, and returns up to excess unprotected victims, worst-first.
-// Callers hold n.mu.
-func (n *Node) rankLocked(links []*link, protected []bool, excess int) []*link {
-	deg := len(links)
-	ids := make(map[string]int32, deg*deg) // a view holds about deg addresses
-	for p, l := range links {
-		ids[l.addr] = int32(p)
-	}
-	ids[n.Addrlocked()] = int32(deg)
-	last := make([]int32, deg+1, deg*deg) // by id: 1 + the last position whose view holds it
-	views := make([][]int32, deg)
-	lat := make([]float64, deg)
-	for p, l := range links {
-		views[p] = make([]int32, 0, len(n.views[l.addr]))
-		for _, a := range n.views[l.addr] {
-			id, ok := ids[a]
-			if !ok {
-				id = int32(len(last))
-				ids[a] = id
-				last = append(last, 0)
-			}
-			if last[id] != int32(p)+1 {
-				last[id] = int32(p) + 1
-				views[p] = append(views[p], id)
-			}
-		}
-		lat[p] = math.Inf(1)
-		if rtt, ok := n.rtt[l.addr]; ok {
-			lat[p] = rtt
-		}
-	}
-	out := make([]*link, 0, excess)
-	for _, p := range n.rater.Victims(views, lat, protected, excess, nil) {
-		out = append(out, links[p])
-	}
-	return out
-}
-
-// Addrlocked returns the listen address without locking (safe: the
-// listener address is immutable after Start).
-func (n *Node) Addrlocked() string { return n.ln.Addr().String() }
 
 // Bootstrap joins the network through a seed peer (§2.2): connect to
 // the seed and kick a management round. The seed's neighbor push

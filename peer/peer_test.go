@@ -58,12 +58,7 @@ func hops(nodes []*Node, src *Node) map[*Node]int {
 // may still prune it, and of two simultaneous dials each end keeps the
 // connection the other has already closed.
 func connected(u, v *Node) bool {
-	u.mu.Lock()
-	lu := u.conns[v.Addr()]
-	u.mu.Unlock()
-	v.mu.Lock()
-	lv := v.conns[u.Addr()]
-	v.mu.Unlock()
+	lu, lv := u.linkTo(v.Addr()), v.linkTo(u.Addr())
 	return lu != nil && lv != nil && lu.c.LocalAddr().String() == lv.c.RemoteAddr().String()
 }
 
@@ -341,18 +336,9 @@ func TestViewsPropagate(t *testing.T) {
 }
 
 func TestSeenCacheEviction(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", DefaultNodeConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]uint64, seenCap+100)
+	for i := range ids {
+		ids[i] = uint64(i)
 	}
-	defer nd.Close()
-	nd.mu.Lock()
-	for i := 0; i < seenCap+100; i++ {
-		nd.markSeenLocked(uint64(i))
-	}
-	size := len(nd.seen)
-	nd.mu.Unlock()
-	if size > seenCap {
-		t.Fatalf("seen cache grew to %d (cap %d)", size, seenCap)
-	}
+	markAll(t, ids) // fails once the cache outgrows seenCap
 }

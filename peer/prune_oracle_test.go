@@ -1,12 +1,12 @@
 package peer
 
 import (
-	"errors"
+	"maps"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 )
@@ -14,43 +14,24 @@ import (
 // This file holds the live prune decision's reference implementation:
 // the address-map rating and victim scan the node shipped before it
 // pruned through core's rating kernel, kept verbatim on a snapshot of
-// the node's neighbor table, and a fuzz target that holds the node's
-// victim sequence to it on socketless links.
+// the node's neighbor table, and a fuzz target that holds the state's
+// victim sequence to it.
 
-// pruneOracle is the slice of the node's state the old rating read.
+// pruneOracle is the slice of the node's state the old rating read, at
+// the time now.
 type pruneOracle struct {
-	mu    sync.Mutex
 	cfg   Config
 	self  string
-	conns map[string]*link
+	now   time.Time
+	conns map[string]*nbr
 	views map[string][]string
 	rtt   map[string]float64
 }
 
-// newPruneOracle snapshots n's neighbor table.
-func newPruneOracle(n *Node) *pruneOracle {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	o := &pruneOracle{
-		cfg:   n.cfg,
-		self:  n.Addrlocked(),
-		conns: make(map[string]*link),
-		views: make(map[string][]string),
-		rtt:   make(map[string]float64),
-	}
-	for a, l := range n.conns {
-		o.conns[a] = l
-	}
-	for a, v := range n.views {
-		o.views[a] = v
-	}
-	for a, r := range n.rtt {
-		o.rtt[a] = r
-	}
-	return o
+// newPruneOracle snapshots s's neighbor table at now.
+func newPruneOracle(s *state, now time.Time) *pruneOracle {
+	return &pruneOracle{cfg: s.cfg, self: s.self, now: now, conns: maps.Clone(s.conns), views: maps.Clone(s.views), rtt: maps.Clone(s.rtt)}
 }
-
-func (n *pruneOracle) Addrlocked() string { return n.self }
 
 // victims is the old pruneIfNeeded loop with its Bye and dropLink
 // replaced by what dropLink does to the state the rating reads.
@@ -58,13 +39,13 @@ func (n *pruneOracle) victims() []string {
 	var out []string
 	for {
 		victim := n.selectPruneVictim()
-		if victim == nil {
+		if victim == "" {
 			return out
 		}
-		out = append(out, victim.addr)
-		delete(n.conns, victim.addr)
-		delete(n.views, victim.addr)
-		delete(n.rtt, victim.addr)
+		out = append(out, victim)
+		delete(n.conns, victim)
+		delete(n.views, victim)
+		delete(n.rtt, victim)
 	}
 }
 
@@ -74,47 +55,44 @@ func (n *pruneOracle) victims() []string {
 // would be spuriously zero and newcomers could never join a network
 // of full nodes. The grace is waived when the node is far over
 // capacity (a dial storm).
-func (n *pruneOracle) selectPruneVictim() *link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *pruneOracle) selectPruneVictim() string {
 	over := len(n.conns) - n.cfg.Capacity
 	if over <= 0 {
-		return nil
+		return ""
 	}
 	grace := 2 * n.cfg.ManageInterval
-	now := time.Now()
 	scores := n.rateLocked()
-	pick := func(includeYoung bool) *link {
-		var worst *link
+	pick := func(includeYoung bool) string {
+		worst := ""
 		worstScore := 0.0
 		for addr, s := range scores {
 			l := n.conns[addr]
-			if !includeYoung && now.Sub(l.born) < grace {
+			if !includeYoung && n.now.Sub(l.born) < grace {
 				continue
 			}
 			// Ties (every link scores 0 before views and RTTs arrive)
 			// break by address, not by map order.
-			if worst == nil || s < worstScore || (s == worstScore && addr < worst.addr) {
-				worst = l
+			if worst == "" || s < worstScore || (s == worstScore && addr < worst) {
+				worst = addr
 				worstScore = s
 			}
 		}
 		return worst
 	}
-	if v := pick(false); v != nil {
+	if v := pick(false); v != "" {
 		return v
 	}
 	if over > 2 {
 		return pick(true) // dial storm: shed someone regardless
 	}
-	return nil // everyone is in grace; tolerate transient overrun
+	return "" // everyone is in grace; tolerate transient overrun
 }
 
 // rateLocked computes the rating of every neighbor from the exchanged
 // views and measured RTTs — exactly the simulator's F(u,v) with
 // normalized proximity. Callers hold n.mu.
 func (n *pruneOracle) rateLocked() map[string]float64 {
-	self := n.Addrlocked()
+	self := n.self
 	// Count, over all views, how many neighbors can reach each node.
 	reach := make(map[string]int)
 	for _, view := range n.views {
@@ -130,8 +108,8 @@ func (n *pruneOracle) rateLocked() map[string]float64 {
 	}
 	boundary := len(reach)
 	dmin := 0.0
-	for _, l := range n.conns {
-		if r, ok := n.rtt[l.addr]; ok && (dmin == 0 || r < dmin) {
+	for addr := range n.conns {
+		if r, ok := n.rtt[addr]; ok && (dmin == 0 || r < dmin) {
 			dmin = r
 		}
 	}
@@ -161,91 +139,6 @@ func (n *pruneOracle) rateLocked() map[string]float64 {
 	return scores
 }
 
-// socketless is a Transport with no network under it: Listen returns
-// a listener that never accepts, and every dial fails. A node started
-// on it runs its real prune path against socketlessConn links.
-type socketless struct{}
-
-func (socketless) Listen(_, address string) (net.Listener, error) {
-	addr, err := net.ResolveTCPAddr("tcp", address)
-	if err != nil {
-		return nil, err
-	}
-	return &socketlessListener{addr: addr, done: make(chan struct{})}, nil
-}
-
-func (socketless) DialTimeout(_, address string, _ time.Duration) (net.Conn, error) {
-	return nil, errors.New("socketless: no network")
-}
-
-type socketlessListener struct {
-	addr *net.TCPAddr
-	once sync.Once
-	done chan struct{}
-}
-
-func (l *socketlessListener) Accept() (net.Conn, error) {
-	<-l.done
-	return nil, net.ErrClosed
-}
-
-func (l *socketlessListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *socketlessListener) Addr() net.Addr { return l.addr }
-
-// closeLog records the order in which socketless links are closed,
-// which on a node that only prunes is its victim order.
-type closeLog struct {
-	mu    sync.Mutex
-	addrs []string
-}
-
-func (c *closeLog) take() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.addrs
-	c.addrs = nil
-	return out
-}
-
-// socketlessConn discards every write and logs its Close.
-type socketlessConn struct {
-	net.Conn // nil: any method not below panics
-	addr     string
-	log      *closeLog
-}
-
-func (c *socketlessConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *socketlessConn) SetWriteDeadline(time.Time) error { return nil }
-func (c *socketlessConn) Close() error {
-	c.log.mu.Lock()
-	c.log.addrs = append(c.log.addrs, c.addr)
-	c.log.mu.Unlock()
-	return nil
-}
-
-// startSocketless starts a node on the socketless transport. Its
-// management loop never ticks, so only the test prunes.
-func startSocketless(t testing.TB, capacity int, alpha, beta float64) *Node {
-	t.Helper()
-	nd, err := Start("10.9.9.9:9", Config{Capacity: capacity, Alpha: alpha, Beta: beta, ManageInterval: time.Hour, Transport: socketless{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nd
-}
-
-// addSocketless registers a socketless link to addr born at born.
-// Callers hold n.mu.
-func (n *Node) addSocketless(addr string, born time.Time, log *closeLog) {
-	l := n.newLink(addr, &socketlessConn{addr: addr, log: log})
-	l.born = born
-	n.conns[addr] = l
-}
-
 // fuzzBytes hands out the fuzz input one byte at a time, zeros once
 // it runs out.
 type fuzzBytes []byte
@@ -259,14 +152,15 @@ func (b *fuzzBytes) next() byte {
 	return c
 }
 
-// FuzzPruneMatchesOracle loads a socketless node with 1–40 neighbors,
-// a capacity of 1..deg, views of 0–30 entries mixing neighbors, the
-// node itself and outsiders, RTTs in [1 µs, 2 s] or unmeasured and
-// links young or old (ages either side of the grace), runs the node's prune and holds the order in
-// which it dropped links to the old rating's victims, worst-first. The
-// generator leaves out repeated view entries and RTT samples of 0, the
-// two inputs on which the kernel knowingly departs from the old
-// rating (a repeated entry is counted once; a zero RTT is floored).
+// FuzzPruneMatchesOracle loads a state with 1–40 neighbors, a
+// capacity of 1..deg, views of 0–30 entries mixing neighbors, the node
+// itself and outsiders, RTTs in [1 µs, 2 s] or unmeasured and links
+// young or old (ages either side of the grace), runs the state's prune
+// and holds the order in which it closed links to the old rating's
+// victims, worst-first. The generator leaves out repeated view entries
+// and RTT samples of 0, the two inputs on which the kernel knowingly
+// departs from the old rating (a repeated entry is counted once; a zero
+// RTT is floored).
 func FuzzPruneMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 2, 1, 5, 2, 1, 5, 9, 2, 5, 6, 9})
@@ -286,23 +180,21 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 		deg := 1 + int(in.next())%40
 		capacity := 1 + int(in.next())%deg
 		w := weights[in.next()%4]
-		nd := startSocketless(t, capacity, w[0], w[1])
-		defer nd.Close()
-		var log closeLog
-		nbr := func(i int) string { return net.JoinHostPort("10.0.0.1", strconv.Itoa(2000+i)) }
+		s := newTestState("10.9.9.9:9", Config{Capacity: capacity, Alpha: w[0], Beta: w[1], ManageInterval: time.Hour})
+		// Neighbor i is link i+1.
+		peerAddr := func(i int) string { return net.JoinHostPort("10.0.0.1", strconv.Itoa(2000+i)) }
 		outsider := func(i int) string { return net.JoinHostPort("10.0.2.1", strconv.Itoa(3000+i)) }
-		now := time.Now()
-		nd.mu.Lock()
+		now := time.Unix(1e9, 0)
 		for i := 0; i < deg; i++ {
-			a := nbr(i)
+			a := peerAddr(i)
 			flags := in.next()
-			nd.addSocketless(a, now.Add(-ages[flags&3]), &log)
+			s.conns[a] = &nbr{id: linkID(i + 1), born: now.Add(-ages[flags&3])}
 			switch (flags >> 2) & 3 {
 			case 1:
-				nd.rtt[a] = coarse[in.next()%4]
+				s.rtt[a] = coarse[in.next()%4]
 			case 2, 3:
 				v := uint16(in.next())<<8 | uint16(in.next())
-				nd.rtt[a] = 1e-6 + float64(v)/65535*(2-1e-6)
+				s.rtt[a] = 1e-6 + float64(v)/65535*(2-1e-6)
 			}
 			var view []string
 			for k := int(in.next()) % 31; k > 0; k-- {
@@ -310,29 +202,26 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 				var x string
 				switch e % 4 {
 				case 0:
-					x = nd.Addrlocked()
+					x = s.self
 				case 1:
-					x = nbr((e >> 2) % deg)
+					x = peerAddr((e >> 2) % deg)
 				default:
 					x = outsider((e >> 2) % 24)
 				}
-				dup := false
-				for _, y := range view {
-					dup = dup || y == x
-				}
-				if !dup {
+				if !slices.Contains(view, x) {
 					view = append(view, x)
 				}
 			}
-			nd.views[a] = view
+			s.views[a] = view
 		}
-		nd.mu.Unlock()
 
-		want := newPruneOracle(nd).victims()
-		nd.pruneIfNeeded()
-		got := log.take()
+		want := newPruneOracle(s, now).victims()
+		var got []string
+		for _, id := range closed(s.prune(now, nil)) {
+			got = append(got, peerAddr(int(id)-1))
+		}
 		if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
-			t.Fatalf("deg %d, capacity %d, weights %v: node dropped %v, oracle %v", deg, capacity, w, got, want)
+			t.Fatalf("deg %d, capacity %d, weights %v: state dropped %v, oracle %v", deg, capacity, w, got, want)
 		}
 	})
 }

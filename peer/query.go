@@ -2,10 +2,7 @@ package peer
 
 import (
 	"bufio"
-	"net"
 	"time"
-
-	"makalu/internal/obs"
 )
 
 // seenCap bounds the query-ID cache; the oldest entries are evicted
@@ -16,136 +13,38 @@ const seenCap = 4096
 // query id. Results arrive asynchronously on Hits(); local store hits
 // are delivered immediately.
 func (n *Node) Query(obj uint64, ttl int) uint64 {
-	ttl = clampTTL(ttl)
+	return n.ask(evQuery{obj: obj, ttl: clampTTL(ttl)})
+}
+
+// ask steps a local query and returns the id the state drew for it.
+func (n *Node) ask(q evQuery) uint64 {
 	n.mu.Lock()
-	id := n.rng.Uint64()
-	n.markSeenLocked(id)
-	hasLocal := n.store[obj]
-	links := make([]*link, 0, len(n.conns))
-	for _, l := range n.conns {
-		links = append(links, l)
-	}
+	acts := n.st.step(time.Now(), q, nil)
+	id := n.st.qid
 	n.mu.Unlock()
-	n.met.queriesStarted.Inc()
-	n.met.trace.Record(obs.EvQueryStart, n.Addr(), "", int64(ttl))
-	if hasLocal {
-		n.met.queryHits.Inc()
-		n.met.trace.Record(obs.EvQueryHit, n.Addr(), n.Addr(), int64(id))
-		select {
-		case n.hits <- Hit{QueryID: id, Object: obj, Holder: n.Addr()}:
-		default:
-		}
-	}
-	if ttl <= 0 {
-		return id
-	}
-	payload := encodeQuery(queryPayload{
-		QueryID:    id,
-		TTL:        uint8(ttl),
-		Object:     obj,
-		Originator: n.Addr(),
-	})
-	for _, l := range links {
-		l.send(msgQuery, payload)
-	}
+	n.perform(acts)
 	return id
 }
 
-// handleQuery processes a query received from neighbor `from`:
-// duplicate-suppress, check the local store (hit goes straight to the
-// originator), and forward to every other neighbor while TTL remains.
-func (n *Node) handleQuery(q queryPayload, from string) {
-	n.mu.Lock()
-	if n.seen[q.QueryID] {
-		n.mu.Unlock()
-		return
-	}
-	n.markSeenLocked(q.QueryID)
-	n.queries++
-	n.met.queriesForwarded.Inc()
-	hasIt := n.store[q.Object]
-	var links []*link
-	if q.TTL > 1 {
-		links = make([]*link, 0, len(n.conns))
-		for addr, l := range n.conns {
-			if addr != from && addr != q.Originator {
-				links = append(links, l)
-			}
-		}
-	}
-	n.mu.Unlock()
-
-	if hasIt {
-		// Deliver the hit straight to the originator on a transient
-		// connection, as Gnutella's out-of-band hit delivery does.
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.deliverHit(q.Originator, hitPayload{
-				QueryID: q.QueryID, Object: q.Object, Holder: n.Addr(),
-			})
-		}()
-	}
-	if q.TTL <= 1 {
-		return
-	}
-	fwd := encodeQuery(queryPayload{
-		QueryID:    q.QueryID,
-		TTL:        q.TTL - 1,
-		Object:     q.Object,
-		Originator: q.Originator,
-	})
-	for _, l := range links {
-		l.send(msgQuery, fwd)
-	}
-}
-
 // deliverHit opens a short-lived connection to the originator and
-// sends the hit frame. Failures are dropped silently (the originator
-// may have left).
-func (n *Node) deliverHit(addr string, h hitPayload) {
-	if addr == n.Addr() {
-		n.met.queryHits.Inc()
-		n.met.trace.Record(obs.EvQueryHit, n.Addr(), h.Holder, int64(h.QueryID))
-		select {
-		case n.hits <- Hit{QueryID: h.QueryID, Object: h.Object, Holder: h.Holder}:
-		default:
-		}
-		return
-	}
-	// Prefer an existing link.
-	n.mu.Lock()
-	l, ok := n.conns[addr]
-	n.mu.Unlock()
-	if ok {
-		l.send(msgQueryHit, encodeHit(h))
-		return
-	}
-	// Dial through the node's transport so fault injection applies to
-	// out-of-band hit delivery too.
+// writes the transient framing the accept path understands: a Hello
+// carrying the reserved transient address, then the hit frame, then
+// close. No ack is awaited, and failures are dropped silently (the
+// originator may have left). The dial goes through the node's
+// transport so fault injection applies to out-of-band hit delivery too.
+func (n *Node) deliverHit(addr string, h Hit) {
 	c, err := n.tr.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
 		return
 	}
 	defer c.Close()
 	tagConn(c, addr)
-	n.oneShotHit(c, h)
-}
-
-// oneShotHit writes the hit on a raw connection using the transient
-// framing the accept path understands: a Hello carrying the reserved
-// transient address, followed by the hit frame, then close. No ack is
-// awaited.
-func (n *Node) oneShotHit(c net.Conn, h hitPayload) {
 	w := bufio.NewWriter(c)
 	c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	hello := encodeHello(helloPayload{Addr: transientAddr})
-	hit := encodeHit(h)
-	if writeFrame(w, msgHello, hello) == nil {
-		n.met.frameOut(len(hello))
-	}
-	if writeFrame(w, msgQueryHit, hit) == nil {
-		n.met.frameOut(len(hit))
+	for _, f := range []frame{{msgHello, encodeHello(helloPayload{Addr: transientAddr})}, {msgQueryHit, encodeHit(h)}} {
+		if writeFrame(w, f.kind, f.payload) == nil {
+			n.met.frameOut(len(f.payload))
+		}
 	}
 }
 
@@ -153,29 +52,10 @@ func (n *Node) oneShotHit(c net.Conn, h hitPayload) {
 // closes; the accept path must not register it as a neighbor.
 const transientAddr = "!transient"
 
-// markSeenLocked records a query id with FIFO eviction. It is
-// idempotent: marking an id already in the cache must not append a
-// second FIFO entry, or len(seenQ) drifts past len(seen) and a later
-// eviction of the duplicate deletes the map entry while the id still
-// sits in the queue — the accounting skew the seen/seenQ invariant
-// test guards against. Callers hold n.mu.
-func (n *Node) markSeenLocked(id uint64) {
-	if n.seen[id] {
-		return
-	}
-	if len(n.seenQ) >= seenCap {
-		old := n.seenQ[0]
-		n.seenQ = n.seenQ[1:]
-		delete(n.seen, old)
-	}
-	n.seen[id] = true
-	n.seenQ = append(n.seenQ, id)
-}
-
 // QueriesForwarded reports how many distinct queries this node has
 // processed (the per-node load metric of Table 2).
 func (n *Node) QueriesForwarded() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.queries
+	return n.st.queries
 }

@@ -22,16 +22,17 @@ func (m constLatency) Latency(u, v int) float64 { return 0.01 }
 
 // TestRateMatchesCoreRating holds the live prune decision to the
 // simulator's rating. For every node u of 200-node overlays (Euclidean
-// latencies, and one constant latency that makes ties common), a
-// socketless node one over capacity is loaded with u's neighborhood:
-// each neighbor named so that address order is u's adjacency order,
-// each view its adjacency list, each RTT the link latency. It must drop
-// the neighbor core's RateNeighbors rates lowest, ties going to the
-// first in adjacency order. Each node is checked again with one
-// neighbor unmeasured, against RateNeighbors' terms with that
-// neighbor's proximity removed and d_min taken over the others.
+// latencies, and one constant latency that makes ties common), a state
+// one over capacity is loaded with u's neighborhood: each neighbor named
+// so that address order is u's adjacency order, each view its adjacency
+// list, each RTT the link latency. It must drop the neighbor core's
+// RateNeighbors rates lowest, ties going to the first in adjacency
+// order. Each node is checked again with one neighbor unmeasured,
+// against RateNeighbors' terms with that neighbor's proximity removed
+// and d_min taken over the others.
 func TestRateMatchesCoreRating(t *testing.T) {
 	const n = 200
+	now := time.Unix(1e9, 0)
 	for _, net := range []netmodel.Model{netmodel.NewEuclidean(n, 1000, 11), constLatency(n)} {
 		cfg := core.DefaultConfig(net, 11)
 		ov, err := core.Build(n, cfg)
@@ -45,10 +46,10 @@ func TestRateMatchesCoreRating(t *testing.T) {
 			if len(nb) < 2 {
 				continue
 			}
-			nd := startSocketless(t, len(nb)-1, cfg.Alpha, cfg.Beta)
+			s := newTestState("127.0.0.1:1", Config{Capacity: len(nb) - 1, Alpha: cfg.Alpha, Beta: cfg.Beta, ManageInterval: time.Hour})
 			name := func(v int32) string {
 				if int(v) == u {
-					return nd.Addr()
+					return s.self
 				}
 				if p := slices.Index(nb, v); p >= 0 {
 					return "127.0.0.2:" + strconv.Itoa(1000+p)
@@ -57,22 +58,18 @@ func TestRateMatchesCoreRating(t *testing.T) {
 			}
 			infos := ov.RateNeighbors(u, nil)
 			for _, unmeasured := range []int{-1, u % len(nb)} {
-				old := time.Now().Add(-5 * time.Hour)
-				nd.mu.Lock()
+				s.conns, s.views, s.rtt = map[string]*nbr{}, map[string][]string{}, map[string]float64{}
 				for p, w := range nb {
 					a := name(w)
-					nd.conns[a] = &link{addr: a, born: old}
+					s.conns[a] = &nbr{id: linkID(p + 1), born: now.Add(-5 * time.Hour)}
 					if p != unmeasured {
-						nd.rtt[a] = net.Latency(u, int(w))
+						s.rtt[a] = net.Latency(u, int(w))
 					}
 					for _, x := range g.Neighbors(int(w)) {
-						nd.views[a] = append(nd.views[a], name(x))
+						s.views[a] = append(s.views[a], name(x))
 					}
 				}
-				calm, storm := nd.pruneVictimsLocked()
-				// Empty the table again: Close would say Bye on these links.
-				nd.conns, nd.views, nd.rtt = map[string]*link{}, map[string][]string{}, map[string]float64{}
-				nd.mu.Unlock()
+				dropped := closed(s.prune(now, nil))
 
 				dmin := math.Inf(1)
 				for p, in := range infos {
@@ -97,15 +94,14 @@ func TestRateMatchesCoreRating(t *testing.T) {
 						tied = true
 					}
 				}
-				if len(calm) != 1 || len(storm) != 0 || calm[0].addr != name(nb[worst]) {
-					t.Fatalf("node %d, unmeasured %d: live victims %v %v, core %s (scores %v)", u, unmeasured, calm, storm, name(nb[worst]), scores)
+				if len(dropped) != 1 || dropped[0] != linkID(worst+1) {
+					t.Fatalf("node %d, unmeasured %d: live victims %v, core link %d (scores %v)", u, unmeasured, dropped, worst+1, scores)
 				}
 				checked++
 				if tied {
 					ties++
 				}
 			}
-			nd.Close()
 		}
 		t.Logf("%T: %d decisions, %d with a tied minimum", net, checked, ties)
 		if checked < 300 {
@@ -122,20 +118,15 @@ func TestRateMatchesCoreRating(t *testing.T) {
 // both score 1/2. The tie drops Q, whose address sorts first. Counting
 // P's second X as a second sighting would score P 0 and drop P.
 func TestRepeatedViewEntryCountsOnce(t *testing.T) {
-	nd := startSocketless(t, 1, 1, 1)
-	defer nd.Close()
+	s := newTestState("127.0.0.1:1", Config{Capacity: 1, ManageInterval: time.Hour})
 	p, q := "10.0.0.2:1", "10.0.0.1:1"
-	old := time.Now().Add(-5 * time.Hour)
-	var log closeLog
-	nd.mu.Lock()
-	nd.addSocketless(p, old, &log)
-	nd.addSocketless(q, old, &log)
-	nd.views[p] = []string{"10.0.0.9:1", "10.0.0.9:1"}
-	nd.views[q] = []string{"10.0.0.8:1"}
-	nd.mu.Unlock()
-	nd.pruneIfNeeded()
-	if got := log.take(); !reflect.DeepEqual(got, []string{q}) {
-		t.Fatalf("dropped %v, want [%s]", got, q)
+	now := time.Unix(1e9, 0)
+	s.conns[p] = &nbr{id: 1, born: now.Add(-5 * time.Hour)}
+	s.conns[q] = &nbr{id: 2, born: now.Add(-5 * time.Hour)}
+	s.views[p] = []string{"10.0.0.9:1", "10.0.0.9:1"}
+	s.views[q] = []string{"10.0.0.8:1"}
+	if got := closed(s.prune(now, nil)); !reflect.DeepEqual(got, []linkID{2}) {
+		t.Fatalf("closed links %v, want [2] (%s)", got, q)
 	}
 }
 
@@ -155,37 +146,31 @@ func BenchmarkLivePruneDecision(b *testing.B) {
 	for g.Degree(u) != 14 {
 		u++
 	}
+	now := time.Unix(1e9, 0)
 	for _, capacity := range []int{13, 8} {
 		b.Run("capacity="+strconv.Itoa(capacity), func(b *testing.B) {
-			nd := startSocketless(b, capacity, 1, 1)
-			defer nd.Close()
+			s := newTestState("127.0.0.1:1", Config{Capacity: capacity, ManageInterval: time.Hour})
 			name := func(v int32) string {
 				if int(v) == u {
-					return nd.Addr()
+					return s.self
 				}
 				return "127.0.0.3:" + strconv.Itoa(1000+int(v))
 			}
-			var log closeLog
-			old := time.Now().Add(-5 * time.Hour)
-			nd.mu.Lock()
-			defer nd.mu.Unlock()
 			for _, w := range g.Neighbors(u) {
 				a := name(w)
-				nd.addSocketless(a, old, &log)
-				nd.rtt[a] = lat.Latency(u, int(w))
+				s.conns[a] = &nbr{born: now.Add(-5 * time.Hour)}
+				s.rtt[a] = lat.Latency(u, int(w))
 				for _, x := range g.Neighbors(int(w)) {
-					nd.views[a] = append(nd.views[a], name(x))
+					s.views[a] = append(s.views[a], name(x))
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if calm, _ := nd.pruneVictimsLocked(); len(calm) != 14-capacity {
-					b.Fatalf("%d victims", len(calm))
+				if v := s.victims(now); len(v) != 14-capacity {
+					b.Fatalf("%d victims", len(v))
 				}
 			}
-			b.StopTimer()
-			nd.conns = map[string]*link{}
 		})
 	}
 }

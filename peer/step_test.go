@@ -1,0 +1,254 @@
+package peer
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"makalu/internal/bloom"
+)
+
+// newTestState returns a node's decision state with no node around it.
+func newTestState(self string, cfg Config) *state {
+	return newState(self, cfg.withDefaults(), &nodeMetrics{})
+}
+
+// closed lists the links acts close, in order.
+func closed(acts []action) []linkID {
+	var out []linkID
+	for _, a := range acts {
+		if a.kind == actClose {
+			out = append(out, a.link)
+		}
+	}
+	return out
+}
+
+// step.go is the decision core: it reads no clock and does no I/O.
+func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "step.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		switch p, _ := strconv.Unquote(imp.Path.Value); p {
+		case "net", "sync", "bufio", "os":
+			t.Errorf("step.go imports %s", p)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
+				t.Errorf("step.go calls time.%s", sel.Sel.Name)
+			}
+		}
+		return true
+	})
+}
+
+// TestStepReplaysIdentically feeds one seeded script of events — link
+// ups and downs, neighbor lists, pongs to the state's own pings, ticks
+// with advancing time, dial failures, floods, identifier queries whose
+// candidates tie, filter pushes and deny updates — into two fresh states
+// and requires the same actions from both: nothing may follow Go's map
+// order. It also pins that an identifier route takes the lower address
+// between tied scores.
+func TestStepReplaysIdentically(t *testing.T) {
+	cfg := Config{Capacity: 4, ManageInterval: 100 * time.Millisecond, HostCacheCap: 12, EvictMisses: 2}
+	peer := func(i int) string { return "10.0.0." + strconv.Itoa(1+i) + ":1" }
+	blob, _ := bloom.NewAttenuated(uniformLevels(), abfHashes).MarshalBinary()
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg.Seed = seed
+		a := newTestState("10.0.0.99:1", cfg)
+		rng := rand.New(rand.NewSource(seed))
+		now := time.Unix(1e9, 0)
+		var script []event
+		var times []time.Time
+		var want []action
+		var pongs []evFrame // answers to the pings a sent
+		upAddr := map[linkID]string{}
+		timed := 0
+		for i := 0; i < 600; i++ {
+			nbrs := a.neighbors()
+			on := func(msg byte, payload []byte) event {
+				if len(nbrs) == 0 {
+					return evTick{}
+				}
+				addr := nbrs[rng.Intn(len(nbrs))]
+				return evFrame{link: a.conns[addr].id, addr: addr, msg: msg, payload: payload}
+			}
+			var ev event
+			switch rng.Intn(13) {
+			case 0, 1:
+				upAddr[linkID(i)] = peer(rng.Intn(12))
+				ev = evUp{link: linkID(i), addr: upAddr[linkID(i)], out: rng.Intn(2) == 0}
+			case 2:
+				ev = on(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: []string{peer(rng.Intn(16)), peer(rng.Intn(16)), a.self}}))
+			case 3:
+				if len(pongs) > 0 {
+					p := pongs[rng.Intn(len(pongs))]
+					if a.current(p.addr, p.link) {
+						timed++
+					}
+					ev = p
+				}
+			case 4:
+				now = now.Add(time.Duration(rng.Intn(150)) * time.Millisecond)
+				ev = evTick{}
+			case 5:
+				ev = evDialFailed{addr: peer(rng.Intn(16)), refused: rng.Intn(3) == 0}
+			case 6:
+				ev = on(msgQuery, encodeQuery(queryPayload{QueryID: uint64(rng.Intn(8)), TTL: 3, Object: 7, Originator: peer(rng.Intn(16))}))
+			case 7:
+				ev = evQuery{obj: uint64(rng.Intn(12)), ttl: 3, directed: rng.Intn(2) == 0}
+			case 8:
+				ev = on(msgDirectedQuery, encodeDirectedQuery(directedQueryPayload{QueryID: 5, TTL: 4, Object: 9, Originator: peer(14), Visited: []string{peer(rng.Intn(12))}}))
+			case 9:
+				ev = on(msgFilterPush, blob)
+			case 10:
+				ev = evDeny{addrs: []string{peer(rng.Intn(12)), peer(rng.Intn(12))}}
+			case 11:
+				if addr := peer(rng.Intn(12)); rng.Intn(2) == 0 && a.conns[addr] != nil {
+					ev = evDown{link: a.conns[addr].id, addr: addr}
+				} else {
+					ev = evHello{link: linkID(i), addr: addr}
+				}
+			}
+			if ev == nil {
+				ev = evStore{obj: uint64(rng.Intn(12))}
+			}
+			script, times = append(script, ev), append(times, now)
+			for _, act := range a.step(now, ev, nil) {
+				if want = append(want, act); act.msg == msgPing {
+					pongs = append(pongs, evFrame{link: act.link, addr: upAddr[act.link], msg: msgPong, payload: act.payload})
+				}
+			}
+		}
+		b := newTestState(a.self, cfg)
+		var got []action
+		for i, ev := range script {
+			got = b.step(times[i], ev, got)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: the replay's %d actions differ from the first run's %d", seed, len(got), len(want))
+		}
+		// The script must reach every decision it is there to check.
+		made := map[string]bool{}
+		for _, act := range want {
+			made[fmt.Sprint(act.kind, act.msg)] = true
+		}
+		for _, k := range []action{{kind: actDial}, {kind: actClose}, {kind: actKick}, {kind: actHit}, send(0, msgQuery, nil), send(0, msgDirectedQuery, nil), send(0, msgBye, nil), send(0, msgFilterPush, nil)} {
+			if !made[fmt.Sprint(k.kind, k.msg)] {
+				t.Errorf("seed %d: no action %+v among %d", seed, k, len(want))
+			}
+		}
+		if timed == 0 || a.evictions == 0 {
+			t.Errorf("seed %d: %d pongs timed, %d links evicted", seed, timed, a.evictions)
+		}
+	}
+
+	// Tied scores: none of three neighbors has pushed a filter (all 0),
+	// then the two higher ones push the same hierarchy holding the object.
+	s := newTestState("10.0.0.99:1", Config{Capacity: 4})
+	now := time.Unix(1e9, 0)
+	for i := 3; i >= 1; i-- {
+		s.step(now, evUp{link: linkID(i), addr: peer(i), out: true}, nil)
+	}
+	holder := bloom.NewAttenuated(uniformLevels(), abfHashes)
+	holder.Add(0, 9)
+	held, _ := holder.MarshalBinary()
+	for want, push := range []bool{false, true} {
+		for i := 2; push && i <= 3; i++ {
+			s.step(now, evFrame{link: linkID(i), addr: peer(i), msg: msgFilterPush, payload: held}, nil)
+		}
+		acts := s.step(now, evQuery{obj: 9, ttl: 4, directed: true}, nil)
+		if len(acts) != 1 || acts[0].msg != msgDirectedQuery || acts[0].link != linkID(want+1) {
+			t.Fatalf("tie (filters pushed %v): routed %+v, want link %d (%s)", push, acts, want+1, peer(want+1))
+		}
+	}
+}
+
+// Two states dial each other at once, and each sees the other's Hello
+// while its own dial is pending. Whichever Hello lands first, both keep
+// the connection the lower address dialled, and neither counts a failed
+// dial, a backoff entry or an eviction.
+func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
+	const lo, hi = "10.0.0.1:1", "10.0.0.2:1"
+	const cLo, cHi = linkID(1), linkID(2) // each dial's connection, one id at both ends
+	now := time.Unix(1e9, 0)
+	for _, loFirst := range []bool{true, false} {
+		a, b := newTestState(lo, Config{Capacity: 4}), newTestState(hi, Config{Capacity: 4})
+		a.step(now, evConnect{addr: hi}, nil)
+		b.step(now, evConnect{addr: lo}, nil)
+		refuse := func() []action { // a refuses b's dial before any ack
+			defer b.step(now, evDialFailed{addr: lo, refused: true}, nil)
+			return a.step(now, evHello{link: cHi, addr: hi}, nil)
+		}
+		var refused []action
+		if !loFirst {
+			refused = refuse()
+		}
+		accepted := b.step(now, evHello{link: cLo, addr: lo}, nil)
+		b.step(now, evUp{link: cLo, addr: lo}, nil)
+		a.step(now, evUp{link: cLo, addr: hi, out: true}, nil)
+		if loFirst {
+			refused = refuse()
+		}
+		if len(accepted) != 1 || accepted[0].msg != msgHelloAck || !reflect.DeepEqual(refused, []action{send(cHi, msgBye, nil), {kind: actClose, link: cHi}}) {
+			t.Fatalf("lo first %v: the higher end answered with %+v, the lower end with %+v", loFirst, accepted, refused)
+		}
+		for s, peer := range map[*state]string{a: hi, b: lo} {
+			if nb := s.conns[peer]; len(s.conns) != 1 || nb == nil || nb.id != cLo || s.evictions != 0 || len(s.backoff)+len(s.dialing) != 0 {
+				t.Fatalf("lo first %v, %s: links %v, evictions %d, backoff %d, dialing %v", loFirst, s.self, s.conns, s.evictions, len(s.backoff), s.dialing)
+			}
+		}
+	}
+}
+
+// TestSimultaneousDialsKeepOneLink: in each of 100 pairs both nodes
+// Connect to the other at once. Every pair must end sharing one
+// connection, with no eviction on either end.
+func TestSimultaneousDialsKeepOneLink(t *testing.T) {
+	nodes := make([]*Node, 200)
+	for i := range nodes {
+		nd, err := Start("127.0.0.1:0", Config{Capacity: 4, ManageInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		nodes[i] = nd
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			nd.Connect(nodes[i^1].Addr())
+		}()
+	}
+	close(start)
+	wg.Wait()
+	ok := func(a, b *Node) bool { return connected(a, b) && a.Stats().Evictions+b.Stats().Evictions == 0 }
+	deadline := time.Now().Add(2 * time.Second)
+	for p := 0; p < len(nodes); p += 2 {
+		for !ok(nodes[p], nodes[p+1]) && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// A loser closed without a Bye would show up a little later.
+	time.Sleep(50 * time.Millisecond)
+	for p := 0; p < len(nodes); p += 2 {
+		if a, b := nodes[p], nodes[p+1]; !ok(a, b) {
+			t.Fatalf("pair %d: connected %v, evictions %d and %d", p/2, connected(a, b), a.Stats().Evictions, b.Stats().Evictions)
+		}
+	}
+}

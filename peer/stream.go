@@ -106,43 +106,17 @@ type ChunkReply struct {
 // AddBlob hosts a blob for chunk serving and announces the object in
 // the node's store (so floods and identifier routing find it, exactly
 // like AddObject).
-func (n *Node) AddBlob(obj uint64, data []byte) {
-	n.mu.Lock()
-	n.blobs[obj] = data
-	n.store[obj] = true
-	n.mu.Unlock()
-}
-
-// handleChunkRequest answers one chunk fetch from the hosted blob.
-func (n *Node) handleChunkRequest(l *link, q chunkReqPayload) {
-	n.mu.Lock()
-	blob, ok := n.blobs[q.Object]
-	n.mu.Unlock()
-	resp := chunkRespPayload{Object: q.Object, Chunk: q.Chunk, Status: chunkMissing}
-	if ok && q.Length > 0 && q.Length <= maxChunkData {
-		end := q.Offset + uint64(q.Length)
-		if end <= uint64(len(blob)) && q.Offset <= end {
-			resp.Status = chunkOK
-			resp.Data = blob[q.Offset:end]
-		}
-	}
-	l.send(msgChunkResponse, encodeChunkResp(resp))
-}
+func (n *Node) AddBlob(obj uint64, data []byte) { n.do(evStore{obj: obj, blob: data}) }
 
 // sendChunkRequest issues a chunk fetch to the neighbor at addr,
 // dialing it first if no link exists.
 func (n *Node) sendChunkRequest(addr string, q chunkReqPayload) error {
-	n.mu.Lock()
-	l := n.conns[addr]
-	n.mu.Unlock()
+	l := n.linkTo(addr)
 	if l == nil {
 		if err := n.Connect(addr); err != nil {
 			return err
 		}
-		n.mu.Lock()
-		l = n.conns[addr]
-		n.mu.Unlock()
-		if l == nil {
+		if l = n.linkTo(addr); l == nil {
 			return fmt.Errorf("peer: no link to %s", addr)
 		}
 	}

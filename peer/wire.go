@@ -179,11 +179,7 @@ func decodeQuery(b []byte) (queryPayload, error) {
 }
 
 // hitPayload reports a match directly to the query originator.
-type hitPayload struct {
-	QueryID uint64
-	Object  uint64
-	Holder  string
-}
+type hitPayload = Hit
 
 func encodeHit(h hitPayload) []byte {
 	out := make([]byte, 16)
