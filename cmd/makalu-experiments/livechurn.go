@@ -12,8 +12,8 @@ import (
 )
 
 // runLiveChurn drives a live in-process TCP network — not the
-// simulator — through a scripted failure scenario under the faultnet
-// injector: converge, hard-kill 30% of the nodes (no Bye, no FIN) and
+// simulator — through a scripted failure scenario under faultnet's
+// black holes: converge, hard-kill 30% of the nodes (no Bye, no FIN) and
 // black-hole 10% of the surviving links, then watch the survivors'
 // liveness machinery evict the dead and re-knit the overlay. It emits
 // the simulator's snapshot timeline (sim.Snapshot, the columns
@@ -24,7 +24,7 @@ func runLiveChurn(nodes int, seed int64, reg *obs.Registry, trace *obs.EventLog)
 		nodes = 10
 	}
 	const interval = 250 * time.Millisecond
-	fn := faultnet.New(faultnet.Config{Seed: seed})
+	fn := faultnet.New()
 	cfg := peer.Config{
 		Capacity:        4,
 		ManageInterval:  interval,
@@ -118,7 +118,5 @@ func runLiveChurn(nodes int, seed int64, reg *obs.Registry, trace *obs.EventLog)
 	sum := sim.SummarizeTimeline(timeline)
 	fmt.Printf("summary: giant min %.1f%% mean %.1f%%, search mean %s over %d snapshots\n",
 		100*sum.MinGiant, 100*sum.MeanGiant, sim.FmtPercent(sum.MeanSearchSuccess), sum.Samples)
-	dropped, duplicated, delayed := fn.Stats()
-	fmt.Printf("faultnet: %d frames dropped, %d duplicated, %d delayed\n", dropped, duplicated, delayed)
 	return nil
 }

@@ -12,16 +12,8 @@ func denyTestConfig(seed int64) Config {
 // TestDenyBlocksDial: Connect to a denied address must fail without
 // touching the wire, and the refill loop must never dial it.
 func TestDenyBlocksDial(t *testing.T) {
-	a, err := Start("127.0.0.1:0", denyTestConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", denyTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := startNode(t, denyTestConfig(1))
+	b := startNode(t, denyTestConfig(2))
 
 	a.SetDenied([]string{b.Addr()})
 	if err := a.Connect(b.Addr()); err == nil {
@@ -35,16 +27,8 @@ func TestDenyBlocksDial(t *testing.T) {
 // TestDenyBlocksAccept: an inbound handshake from a denied address is
 // dropped after the Hello.
 func TestDenyBlocksAccept(t *testing.T) {
-	a, err := Start("127.0.0.1:0", denyTestConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", denyTestConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := startNode(t, denyTestConfig(3))
+	b := startNode(t, denyTestConfig(4))
 
 	a.SetDenied([]string{b.Addr()})
 	// b's dial either errors at handshake or registers a link that a
@@ -62,62 +46,66 @@ func TestDenyBlocksAccept(t *testing.T) {
 	}
 }
 
-// TestSetDeniedCutsExistingLink: denying a connected peer severs the
-// link on both ends without a Bye — the remote side must go through
-// its failure path (the link just disappears), not the clean-departure
-// path.
 func TestSetDeniedCutsExistingLink(t *testing.T) {
-	a, err := Start("127.0.0.1:0", denyTestConfig(5))
-	if err != nil {
-		t.Fatal(err)
+	w := newSwitch(t, 5)
+	a, b := w.add(denyTestConfig(5)), w.add(denyTestConfig(6))
+	w.connect(a, b)
+	if len(a.st.conns) != 1 {
+		t.Fatalf("degree = %d before deny, want 1", len(a.st.conns))
 	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", denyTestConfig(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if a.Degree() != 1 {
-		t.Fatalf("degree = %d before deny, want 1", a.Degree())
-	}
-	a.SetDenied([]string{b.Addr()})
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.Degree() == 0 && b.Degree() == 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if a.Degree() != 0 || b.Degree() != 0 {
-		t.Fatalf("link survived deny: a=%d b=%d neighbors", a.Degree(), b.Degree())
+	w.do(a, evDeny{addrs: []string{b.addr}})
+	if !w.waitFor(3*time.Second, func() bool { return len(a.st.conns)+len(b.st.conns) == 0 }) {
+		t.Fatalf("link survived deny: a=%d b=%d neighbors", len(a.st.conns), len(b.st.conns))
 	}
 	// b keeps retrying (failure semantics put a on backoff, not out of
 	// the cache immediately) but a refuses; the cut must hold.
-	time.Sleep(300 * time.Millisecond)
-	if a.Degree() != 0 {
-		t.Fatalf("denied peer reconnected: degree = %d", a.Degree())
+	w.runFor(300 * time.Millisecond)
+	if len(a.st.conns) != 0 {
+		t.Fatalf("denied peer reconnected: degree = %d", len(a.st.conns))
 	}
-
-	a.mu.Lock()
-	denied := len(a.st.denied) == 1 && a.st.denied[b.Addr()]
-	a.mu.Unlock()
-	if !denied {
-		t.Fatalf("deny list is not [%s]", b.Addr())
+	if len(a.st.denied) != 1 || !a.st.denied[b.addr] {
+		t.Fatalf("deny list is not [%s]", b.addr)
 	}
 
 	// Clearing the deny list lets refill re-learn the address; the two
 	// should eventually re-link (b still caches a's address).
-	a.SetDenied(nil)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.Degree() == 1 && b.Degree() == 1 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
+	w.do(a, evDeny{})
+	if !w.waitFor(5*time.Second, func() bool { return joined(a, b) }) {
+		t.Fatalf("link did not heal after deny cleared: a=%d b=%d", len(a.st.conns), len(b.st.conns))
 	}
-	t.Fatalf("link did not heal after deny cleared: a=%d b=%d", a.Degree(), b.Degree())
+}
+
+// A SetDenied that lands after a node acked a Hello and before that
+// link comes up must not let the link register: it is cut, without a
+// Bye, as deny cuts a link it holds, and the far end loses it too.
+func TestDenyRacingInboundHandshake(t *testing.T) {
+	w := newSwitch(t, 7)
+	a, b := w.add(denyTestConfig(7)), w.add(denyTestConfig(8))
+	acked := false
+	w.onStep = func(nd *swNode, ev event, acts []action) {
+		_, hello := ev.(evHello)
+		acked = acked || nd == a && hello && len(acts) == 1 && acts[0].msg == msgHelloAck
+	}
+	w.do(b, evConnect{addr: a.addr})
+	if !w.stepUntil(func() bool { return acked }) {
+		t.Fatal("a never acked b's Hello")
+	}
+	w.do(a, evDeny{addrs: []string{b.addr}})
+	w.runFor(time.Second)
+	if len(a.st.conns)+len(b.st.conns) != 0 {
+		t.Fatalf("a link outlived the deny: a=%v b=%v", a.st.neighbors(), b.st.neighbors())
+	}
+}
+
+// A SetDenied that lands while a node's own dial to that address is in
+// flight must not let the dial's link register when it comes up.
+func TestDenyRacingOutboundDial(t *testing.T) {
+	w := newSwitch(t, 9)
+	a, b := w.add(denyTestConfig(9)), w.add(denyTestConfig(10))
+	w.do(a, evConnect{addr: b.addr})
+	w.do(a, evDeny{addrs: []string{b.addr}})
+	w.runFor(time.Second)
+	if len(a.st.conns)+len(b.st.conns)+len(a.st.dialing) != 0 {
+		t.Fatalf("a link outlived the deny: a=%v (dialing %v) b=%v", a.st.neighbors(), a.st.dialing, b.st.neighbors())
+	}
 }

@@ -41,43 +41,27 @@ func TestDirectedQueryCodec(t *testing.T) {
 }
 
 func TestFilterPushAndRebuild(t *testing.T) {
-	a, err := Start("127.0.0.1:0", DefaultNodeConfig(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", DefaultNodeConfig(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	w := newSwitch(t, 1)
+	a, b := w.add(DefaultNodeConfig(4, 1)), w.add(DefaultNodeConfig(4, 2))
 	const obj = uint64(0x777)
-	b.AddObject(obj)
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	w.do(b, evStore{obj: obj})
+	w.connect(a, b)
 	// After a couple of management rounds, a must hold b's hierarchy
 	// showing the object at level 0.
-	waitFor(t, 3*time.Second, func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		f := a.st.received[b.Addr()]
+	if !w.waitFor(3*time.Second, func() bool {
+		f := a.st.received[b.addr]
 		return f != nil && f.MatchLevel(obj) == 0
-	}, "filter push never arrived or lost the object")
+	}) {
+		t.Fatal("filter push never arrived or lost the object")
+	}
 	// And a's own published hierarchy must advertise it at level 1.
-	waitFor(t, 3*time.Second, func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.st.own.MatchLevel(obj) == 1
-	}, "rebuild did not shift neighbor content to level 1")
+	if !w.waitFor(3*time.Second, func() bool { return a.st.own.MatchLevel(obj) == 1 }) {
+		t.Fatal("rebuild did not shift neighbor content to level 1")
+	}
 }
 
 func TestIdentifierLookupLocal(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", DefaultNodeConfig(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
+	nd := startNode(t, DefaultNodeConfig(4, 1))
 	nd.AddObject(5)
 	id := nd.IdentifierLookup(5, 0)
 	select {
@@ -91,59 +75,57 @@ func TestIdentifierLookupLocal(t *testing.T) {
 }
 
 func TestIdentifierLookupRoutesAcrossNetwork(t *testing.T) {
-	nodes := startNodes(t, 8, 4)
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(8, 4)
 	const obj = uint64(0xabc123)
-	nodes[7].AddObject(obj)
+	w.do(nodes[7], evStore{obj: obj})
 	// Wait until the hierarchies route to it: every link carries one
-	// that places the object at its far end's current distance from
-	// node 7 (so node 1's received hierarchies show it, and each hop
-	// descends), and the route outlasts the lookup. Propagation needs
-	// one push round per hop.
-	waitFor(t, 10*time.Second, func() bool {
-		if !noneOver(nodes, 4) {
+	// that places the object at its far end's distance from node 7 (so
+	// node 1's received hierarchies show it, and each hop descends), and
+	// that still holds with everything in flight delivered. Propagation
+	// needs one push round per hop.
+	described := func() bool {
+		if !noneOver(nodes) {
 			return false
 		}
 		dist := hops(nodes, nodes[7])
 		for _, u := range nodes {
 			for _, v := range nodes {
-				if !connected(u, v) {
+				if !joined(u, v) {
 					continue
 				}
 				want := -1
 				if d, ok := dist[v]; ok && d < abfLevels {
 					want = d
 				}
-				u.mu.Lock()
-				f := u.st.received[v.Addr()]
-				u.mu.Unlock()
-				if f == nil || f.MatchLevel(obj) != want {
+				if f := u.st.received[v.addr]; f == nil || f.MatchLevel(obj) != want {
 					return false
 				}
 			}
 		}
 		return true
-	}, "the received hierarchies never described the overlay")
-	id := nodes[1].IdentifierLookup(obj, 10)
-	select {
-	case h := <-nodes[1].Hits():
-		if h.QueryID != id || h.Object != obj || h.Holder != nodes[7].Addr() {
-			t.Fatalf("wrong hit: %+v", h)
-		}
-	case <-time.After(8 * time.Second):
-		t.Fatal("identifier lookup found nothing")
+	}
+	if !w.settle(10*time.Second, described) {
+		t.Fatal("the received hierarchies never described the overlay")
+	}
+	w.do(nodes[1], evQuery{obj: obj, ttl: 10, directed: true})
+	id := nodes[1].st.qid
+	w.quiesce()
+	if h := nodes[1].hits; len(h) != 1 || h[0].QueryID != id || h[0].Object != obj || h[0].Holder != nodes[7].addr {
+		t.Fatalf("hits %+v, want query %d for %x from %s", h, id, obj, nodes[7].addr)
 	}
 }
 
 func TestIdentifierLookupMissingObject(t *testing.T) {
-	nodes := startNodes(t, 4, 3)
-	// The window below means something only if the lookup can reach
-	// every node.
-	waitFor(t, 1400*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) },
-		"overlay never reached every node within the lookup's TTL")
-	nodes[0].IdentifierLookup(0xdead0000, 5)
-	select {
-	case h := <-nodes[0].Hits():
-		t.Fatalf("phantom hit: %+v", h)
-	case <-time.After(800 * time.Millisecond):
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(4, 3)
+	// No hit means something only if the lookup can reach every node.
+	if !w.settle(1400*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) }) {
+		t.Fatal("overlay never reached every node within the lookup's TTL")
+	}
+	w.do(nodes[0], evQuery{obj: 0xdead0000, ttl: 5, directed: true})
+	w.quiesce()
+	if len(nodes[0].hits) != 0 {
+		t.Fatalf("phantom hit: %+v", nodes[0].hits)
 	}
 }

@@ -56,7 +56,10 @@ type LinkStats struct {
 func (n *Node) Stats() LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := n.st
+	return n.st.stats()
+}
+
+func (s *state) stats() LinkStats {
 	st := LinkStats{
 		Links:            len(s.conns),
 		OutstandingPings: len(s.pingT),

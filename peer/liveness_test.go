@@ -1,99 +1,14 @@
 package peer
 
 import (
-	"bufio"
 	"math/rand"
 	"net"
 	"reflect"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// fakePeer is a raw-wire test double: it completes the handshake with
-// a node under test and then misbehaves on command (stays silent,
-// stalls mid-frame, floods neighbor lists) without running any of the
-// real node machinery.
-type fakePeer struct {
-	t    *testing.T
-	ln   net.Listener // its claimed listen address (identity)
-	c    net.Conn
-	r    *bufio.Reader
-	wmu  sync.Mutex // the test and the pong loop share the writer
-	w    *bufio.Writer
-	pong atomic.Bool // answer pings
-}
-
-// dialFakePeer handshakes with nd and starts a background reader that
-// discards frames (ponging only if pong is set).
-func dialFakePeer(t *testing.T, nd *Node, pong bool) *fakePeer {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := net.Dial("tcp", nd.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := &fakePeer{t: t, ln: ln, c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
-	fp.pong.Store(pong)
-	t.Cleanup(fp.close)
-	if err := writeFrame(fp.w, msgHello, encodeHello(helloPayload{Addr: fp.addr()})); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	f, err := readFrame(fp.r)
-	if err != nil || f.kind != msgHelloAck {
-		t.Fatalf("handshake: kind=%v err=%v", f.kind, err)
-	}
-	c.SetReadDeadline(time.Time{})
-	go fp.readAndMaybePong()
-	return fp
-}
-
-func (fp *fakePeer) addr() string { return fp.ln.Addr().String() }
-
-func (fp *fakePeer) close() {
-	fp.c.Close()
-	fp.ln.Close()
-}
-
-// goSilent stops answering pings (the reader keeps draining so TCP
-// backpressure never masks the silence — the peer is alive at the
-// transport layer but dead at the protocol layer).
-func (fp *fakePeer) goSilent() { fp.pong.Store(false) }
-
-// speakAgain resumes answering pings.
-func (fp *fakePeer) speakAgain() { fp.pong.Store(true) }
-
-func (fp *fakePeer) readAndMaybePong() {
-	for {
-		f, err := readFrame(fp.r)
-		if err != nil {
-			return
-		}
-		if f.kind == msgPing && fp.pong.Load() {
-			if p, err := decodePing(f.payload); err == nil {
-				fp.wmu.Lock()
-				writeFrame(fp.w, msgPong, encodePing(p))
-				fp.wmu.Unlock()
-			}
-		}
-	}
-}
-
-func (fp *fakePeer) send(kind byte, payload []byte) {
-	fp.t.Helper()
-	fp.wmu.Lock()
-	err := writeFrame(fp.w, kind, payload)
-	fp.wmu.Unlock()
-	if err != nil {
-		fp.t.Fatal(err)
-	}
-}
 
 // tightConfig returns a liveness-aggressive config for fast tests.
 func tightConfig(seed int64) Config {
@@ -113,20 +28,19 @@ func tightConfig(seed int64) Config {
 // a pong or expires; a healthy long-lived link must not accumulate
 // outstanding entries.
 func TestPingNoncesDoNotAccumulate(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", tightConfig(1))
-	if err != nil {
-		t.Fatal(err)
+	w := newSwitch(t, 1)
+	nd, p := w.add(tightConfig(1)), w.add(tightConfig(2))
+	w.connect(p, nd)
+	if !w.waitFor(2*time.Second, func() bool { return nd.st.stats().RTTs == 1 }) {
+		t.Fatal("no RTT sample from a ponging peer")
 	}
-	defer nd.Close()
-	dialFakePeer(t, nd, true) // answers pings
-	waitFor(t, 2*time.Second, func() bool { return nd.Stats().RTTs == 1 }, "no RTT sample from a ponging peer")
 	// Let a dozen ping rounds pass; outstanding nonces must stay
 	// bounded (pre-fix they leaked one per round once a pong was lost).
-	time.Sleep(12 * 100 * time.Millisecond)
-	if st := nd.Stats(); st.OutstandingPings > 3 {
+	w.runFor(12 * 100 * time.Millisecond)
+	if st := nd.st.stats(); st.OutstandingPings > 3 {
 		t.Fatalf("ping nonces accumulating: %+v", st)
 	}
-	if st := nd.Stats(); st.Suspects != 0 || st.Evictions != 0 {
+	if st := nd.st.stats(); st.Suspects != 0 || st.Evictions != 0 {
 		t.Fatalf("healthy link marked unhealthy: %+v", st)
 	}
 }
@@ -136,23 +50,21 @@ func TestPingNoncesDoNotAccumulate(t *testing.T) {
 // eviction purges its view, RTT sample and outstanding nonces — and
 // none of that state is resurrected by stale frames afterwards.
 func TestSilentPeerSuspectedEvictedAndPurged(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", tightConfig(2))
-	if err != nil {
-		t.Fatal(err)
+	w := newSwitch(t, 2)
+	nd, p := w.add(tightConfig(2)), w.add(tightConfig(3))
+	w.connect(p, nd)
+	if !w.waitFor(2*time.Second, func() bool {
+		st := nd.st.stats()
+		return st.Links == 1 && st.RTTs == 1 && st.Views == 1
+	}) {
+		t.Fatalf("link never became healthy: %+v", nd.st.stats())
 	}
-	defer nd.Close()
-	fp := dialFakePeer(t, nd, true)
-	fp.send(msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: []string{"127.0.0.2:1"}}))
-	waitFor(t, 2*time.Second, func() bool {
-		st := nd.Stats()
-		return nd.Degree() == 1 && st.RTTs == 1 && st.Views == 1
-	}, "link never became healthy")
 
-	fp.goSilent()
-	// The link leaves the table before the eviction is counted: wait
-	// for the count, which comes last.
-	waitFor(t, 3*time.Second, func() bool { return nd.Stats().Evictions > 0 }, "silent peer never evicted")
-	st := nd.Stats()
+	w.silence(p, nd, true)
+	if !w.waitFor(3*time.Second, func() bool { return nd.st.evictions > 0 }) {
+		t.Fatal("silent peer never evicted")
+	}
+	st := nd.st.stats()
 	if st.Links != 0 {
 		t.Fatalf("evicted link still registered: %+v", st)
 	}
@@ -165,12 +77,13 @@ func TestSilentPeerSuspectedEvictedAndPurged(t *testing.T) {
 	if st.BackoffEntries == 0 {
 		t.Fatalf("evicted peer not placed on dial backoff: %+v", st)
 	}
-	// The fake peer's reader is still draining: give any in-flight
-	// frames time to land, then confirm nothing resurrected the state
+	// The peer now answers no Hello either, as a wedged process would:
+	// let what it sent land, then confirm nothing resurrected the state
 	// (pre-fix, a late pong or neighbors push re-created rtt/views for
 	// the dropped link).
-	time.Sleep(300 * time.Millisecond)
-	if st := nd.Stats(); st.Views != 0 || st.RTTs != 0 {
+	w.kill(p)
+	w.runFor(300 * time.Millisecond)
+	if st := nd.st.stats(); st.Views != 0 || st.RTTs != 0 {
 		t.Fatalf("stale frames resurrected per-peer state: %+v", st)
 	}
 }
@@ -180,20 +93,23 @@ func TestSilentPeerSuspectedEvictedAndPurged(t *testing.T) {
 func TestSuspectLinkRecoversOnPong(t *testing.T) {
 	cfg := tightConfig(3)
 	cfg.EvictMisses = 50 // suspect fires, eviction effectively never
-	nd, err := Start("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
+	w := newSwitch(t, 3)
+	nd, p := w.add(cfg), w.add(tightConfig(4))
+	w.connect(p, nd)
+	if !w.waitFor(2*time.Second, func() bool { return len(nd.st.conns) == 1 }) {
+		t.Fatal("link never registered")
 	}
-	defer nd.Close()
-	fp := dialFakePeer(t, nd, true)
-	waitFor(t, 2*time.Second, func() bool { return nd.Degree() == 1 }, "link never registered")
-	fp.goSilent()
-	waitFor(t, 3*time.Second, func() bool { return nd.Stats().Suspects == 1 }, "missed pongs never marked the link suspect")
-	fp.speakAgain()
-	waitFor(t, 3*time.Second, func() bool {
-		st := nd.Stats()
+	w.silence(p, nd, true)
+	if !w.waitFor(3*time.Second, func() bool { return nd.st.stats().Suspects == 1 }) {
+		t.Fatal("missed pongs never marked the link suspect")
+	}
+	w.silence(p, nd, false)
+	if !w.waitFor(3*time.Second, func() bool {
+		st := nd.st.stats()
 		return st.Suspects == 0 && st.Links == 1
-	}, "recovered link stayed suspect")
+	}) {
+		t.Fatalf("recovered link stayed suspect: %+v", nd.st.stats())
+	}
 }
 
 // Regression for the reader-goroutine hang: a peer that stalls
@@ -205,21 +121,19 @@ func TestMidFrameStallEvictedByReadDeadline(t *testing.T) {
 	cfg := tightConfig(4)
 	cfg.PingTimeout = time.Hour // nonces never expire
 	cfg.IdleTimeout = 400 * time.Millisecond
-	nd, err := Start("127.0.0.1:0", cfg)
-	if err != nil {
+	nd := startNode(t, cfg)
+	// The peer sends nothing after its handshake, and dies with a frame
+	// header on the wire: 3 of the 64 bytes it promises. The node's
+	// reader is then blocked mid-frame — only its read deadline can save
+	// it.
+	p := startNode(t, Config{Capacity: 4, ManageInterval: time.Hour})
+	if err := p.Connect(nd.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close()
-	// pong=false: nothing else may write after the partial frame, or the
-	// stray bytes would complete the stalled frame by accident.
-	fp := dialFakePeer(t, nd, false)
 	waitFor(t, 2*time.Second, func() bool { return nd.Degree() == 1 }, "link never registered")
-	// Header claims a 64-byte frame; send 3 bytes and stall. The node's
-	// reader is now blocked mid-frame — only its read deadline can save it.
-	fp.wmu.Lock()
-	fp.w.Write([]byte{64, 0, 0, 0, msgQuery, 1, 2, 3})
-	fp.w.Flush()
-	fp.wmu.Unlock()
+	l := p.linkTo(nd.Addr())
+	p.Kill()
+	l.c.Write([]byte{64, 0, 0, 0, msgQuery, 1, 2, 3})
 	waitFor(t, 3*time.Second, func() bool { return nd.Stats().Evictions > 0 }, "mid-frame stall never evicted (reader hung)")
 	if st := nd.Stats(); st.Evictions != 1 || st.Links != 0 {
 		t.Fatalf("stall eviction not accounted: %+v", st)
@@ -463,24 +377,38 @@ func TestSeededTiesIgnoreMapOrder(t *testing.T) {
 // Kill leaves sockets dangling (crash semantics) and a later Close
 // must reap them without panicking or double-closing.
 func TestKillThenCloseReapsConnections(t *testing.T) {
-	a, err := Start("127.0.0.1:0", tightConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Start("127.0.0.1:0", tightConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := startNode(t, tightConfig(7))
+	b := startNode(t, tightConfig(8))
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return a.Degree() == 1 && b.Degree() == 1 }, "connect failed")
+	// Stats is read concurrently with the eviction: every snapshot must
+	// be internally consistent, and the reads clean under -race.
+	done := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if s := b.Stats(); s.Suspects > s.Links || s.Views > s.Links || s.RTTs > s.Links {
+				t.Errorf("inconsistent snapshot: %+v", s)
+				return
+			}
+		}
+	}()
 	a.Kill()
 	a.Kill() // idempotent
 	// b eventually notices the silent death (over plain TCP the socket
 	// is still open — only liveness can detect it).
 	waitFor(t, 3*time.Second, func() bool { return b.Degree() == 0 }, "survivor never evicted the killed peer")
+	close(done)
+	reads.Wait()
 	a.Close() // reaps the dangling conns
 	a.Close() // idempotent
 }

@@ -3,6 +3,7 @@ package peer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -38,10 +39,10 @@ type Cluster struct {
 
 // StartCluster launches n live nodes. transport(i) supplies each
 // node's Transport (nil means plain TCP — pass a faultnet Endpoint to
-// inject faults); cfg seeds are varied per node. Every node past the
-// first connects to two earlier nodes; the management loop's refill
-// then grows the overlay to capacity, so the caller should wait for
-// convergence via Snapshot.
+// black-hole nodes and links); cfg seeds are varied per node. Every
+// node past the first connects to two earlier nodes; the management
+// loop's refill then grows the overlay to capacity, so the caller
+// should wait for convergence via Snapshot.
 func StartCluster(n int, cfg Config, transport func(i int) Transport) (*Cluster, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("peer: cluster needs at least 2 nodes")
@@ -128,25 +129,29 @@ func (c *Cluster) PlaceObjects(base uint64) {
 // SearchSuccess is the simulator's -1 sentinel.
 func (c *Cluster) Snapshot() ClusterSnapshot {
 	alive := c.AliveIndices()
-	snap := ClusterSnapshot{
-		Time:          time.Since(c.start).Seconds(),
-		Live:          len(alive),
-		SearchSuccess: -1,
+	nbrs := make(map[string][]string, len(alive))
+	for _, i := range alive {
+		nbrs[c.nodes[i].Addr()] = c.nodes[i].Neighbors()
 	}
-	if len(alive) == 0 {
+	snap := overlayHealth(nbrs)
+	snap.Time = time.Since(c.start).Seconds()
+	return snap
+}
+
+// overlayHealth samples an overlay from each live node's neighbor
+// list: a link to an address outside nbrs counts for the degree but
+// joins no component.
+func overlayHealth(nbrs map[string][]string) ClusterSnapshot {
+	snap := ClusterSnapshot{Live: len(nbrs), SearchSuccess: -1}
+	if len(nbrs) == 0 {
 		return snap
 	}
-	addrIdx := make(map[string]int, len(alive))
-	for _, i := range alive {
-		addrIdx[c.nodes[i].Addr()] = i
+	// Union-find over live-live edges.
+	parent := make(map[string]string, len(nbrs))
+	for a := range nbrs {
+		parent[a] = a
 	}
-	// Union-find over live-live edges from the current neighbor sets.
-	parent := make(map[int]int, len(alive))
-	for _, i := range alive {
-		parent[i] = i
-	}
-	var find func(x int) int
-	find = func(x int) int {
+	find := func(x string) string {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -154,27 +159,24 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 		return x
 	}
 	degSum := 0
-	for _, i := range alive {
-		nbs := c.nodes[i].Neighbors()
+	for a, nbs := range nbrs {
 		degSum += len(nbs)
-		for _, a := range nbs {
-			if j, ok := addrIdx[a]; ok {
-				parent[find(i)] = find(j)
+		for _, b := range nbs {
+			if _, ok := nbrs[b]; ok {
+				parent[find(a)] = find(b)
 			}
 		}
 	}
-	sizes := make(map[int]int)
+	sizes := make(map[string]int)
 	giant := 0
-	for _, i := range alive {
-		r := find(i)
+	for a := range nbrs {
+		r := find(a)
 		sizes[r]++
-		if sizes[r] > giant {
-			giant = sizes[r]
-		}
+		giant = max(giant, sizes[r])
 	}
 	snap.Components = len(sizes)
-	snap.GiantFraction = float64(giant) / float64(len(alive))
-	snap.MeanDegree = float64(degSum) / float64(len(alive))
+	snap.GiantFraction = float64(giant) / float64(len(nbrs))
+	snap.MeanDegree = float64(degSum) / float64(len(nbrs))
 	return snap
 }
 
@@ -199,7 +201,7 @@ func (c *Cluster) ProbeQueries(probes, ttl int, timeout time.Duration, rng *rand
 	}
 	// Deterministic object order for the seeded rng (map iteration is
 	// randomized).
-	sortUint64s(liveObjs)
+	slices.Sort(liveObjs)
 	found := 0
 	for q := 0; q < probes; q++ {
 		src := c.nodes[alive[rng.Intn(len(alive))]]
@@ -262,12 +264,4 @@ func (c *Cluster) LiveLinks() [][2]int {
 		}
 	}
 	return out
-}
-
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

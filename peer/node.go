@@ -25,8 +25,9 @@ type Config struct {
 	// Seed drives the node's local randomness.
 	Seed int64
 
-	// Transport abstracts the network; nil means plain TCP. Tests
-	// inject peer/faultnet here.
+	// Transport abstracts the network; nil means plain TCP.
+	// makalu-experiments -live-churn passes peer/faultnet endpoints
+	// here, to black-hole nodes and links.
 	Transport Transport
 	// DialTimeout bounds connection dials, handshake reads and frame
 	// writes. Default 3s.
@@ -394,7 +395,7 @@ func (n *Node) handleInbound(c net.Conn) {
 		return
 	}
 	// Label the transport connection with the dialer's identity so
-	// per-link fault rules (and future per-peer policies) apply.
+	// per-link black holes apply.
 	tagConn(c, hello.Addr)
 	l := n.newLink(hello.Addr, c)
 	if l == nil {

@@ -7,52 +7,6 @@ import (
 	"time"
 )
 
-// startNodes launches n live nodes on loopback and bootstraps nodes
-// 1..n-1 off node 0. It returns once every joiner holds its seed link;
-// the management loops fill the rest. Cleanup closes everything.
-func startNodes(t *testing.T, n, capacity int) []*Node {
-	t.Helper()
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nd, err := Start("127.0.0.1:0", DefaultNodeConfig(capacity, int64(i+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	seed := nodes[0].Addr()
-	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(seed); err != nil {
-			t.Fatalf("node %d bootstrap: %v", i, err)
-		}
-	}
-	return nodes
-}
-
-// hops maps each node of nodes that src reaches over the live
-// overlay to its hop distance from src, following connected links.
-func hops(nodes []*Node, src *Node) map[*Node]int {
-	dist := map[*Node]int{src: 0}
-	for frontier := []*Node{src}; len(frontier) > 0; {
-		var next []*Node
-		for _, u := range frontier {
-			for _, v := range nodes {
-				if _, seen := dist[v]; !seen && connected(u, v) {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
-}
-
 // connected reports whether u and v hold the two ends of one
 // connection. One end alone is not a link: the node that accepted it
 // may still prune it, and of two simultaneous dials each end keeps the
@@ -62,28 +16,15 @@ func connected(u, v *Node) bool {
 	return lu != nil && lv != nil && lu.c.LocalAddr().String() == lv.c.RemoteAddr().String()
 }
 
-// reachesAll reports whether every node is within ttl hops of src, so
-// that a query src sends with that TTL can reach each of them.
-func reachesAll(nodes []*Node, src *Node, ttl int) bool {
-	dist := hops(nodes, src)
-	for _, nd := range nodes {
-		if d, ok := dist[nd]; !ok || d > ttl {
-			return false
-		}
+// startNode starts a node on loopback that the test closes at its end.
+func startNode(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	nd, err := Start("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
-}
-
-// noneOver reports whether every node is within capacity. A node above
-// it is about to prune one of its links, which a message in flight may
-// be crossing.
-func noneOver(nodes []*Node, capacity int) bool {
-	for _, nd := range nodes {
-		if nd.Degree() > capacity {
-			return false
-		}
-	}
-	return true
+	t.Cleanup(nd.Close)
+	return nd
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -174,16 +115,8 @@ func TestStartValidation(t *testing.T) {
 }
 
 func TestHandshakeAndNeighborExchange(t *testing.T) {
-	a, err := Start("127.0.0.1:0", DefaultNodeConfig(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", DefaultNodeConfig(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := startNode(t, DefaultNodeConfig(4, 1))
+	b := startNode(t, DefaultNodeConfig(4, 2))
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -205,66 +138,66 @@ func TestHandshakeAndNeighborExchange(t *testing.T) {
 // Bootstrap returns with the seed link only, so this pins that the
 // management loop alone fills the joiners.
 func TestBootstrapFillsCapacity(t *testing.T) {
-	nodes := startNodes(t, 8, 3)
-	waitFor(t, 3*time.Second, func() bool {
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(8, 3)
+	if !w.waitFor(3*time.Second, func() bool {
 		for _, nd := range nodes[1:] {
-			if nd.Degree() < 2 {
+			if len(nd.st.conns) < 2 {
 				return false
 			}
 		}
 		return true
-	}, "bootstrap left nodes under-connected")
+	}) {
+		t.Fatal("bootstrap left nodes under-connected")
+	}
 }
 
 func TestCapacityPruning(t *testing.T) {
 	// A 1-capacity hub dialed by several peers must prune down.
-	hub, err := Start("127.0.0.1:0", DefaultNodeConfig(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	var others []*Node
+	w := newSwitch(t, 1)
+	hub := w.add(DefaultNodeConfig(1, 1))
 	for i := 0; i < 4; i++ {
-		nd, err := Start("127.0.0.1:0", DefaultNodeConfig(3, int64(i+2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
-		others = append(others, nd)
-		nd.Connect(hub.Addr())
+		w.connect(w.add(DefaultNodeConfig(3, int64(i+2))), hub)
 	}
-	waitFor(t, 3*time.Second, func() bool { return hub.Degree() <= 1 }, "hub never pruned to capacity")
+	if !w.waitFor(3*time.Second, func() bool { return len(hub.st.conns) <= 1 }) {
+		t.Fatal("hub never pruned to capacity")
+	}
 }
 
+// A flood along a line of three nodes whose hit travels back out of
+// band: the holder is no neighbor of the originator, so it dials it on
+// a transient connection. No management round runs, so the line stays
+// a line.
 func TestQueryFloodFindsRemoteObject(t *testing.T) {
-	nodes := startNodes(t, 10, 4)
-	// The path must also outlast the query.
-	waitFor(t, 5300*time.Millisecond, func() bool {
-		d, ok := hops(nodes, nodes[1])[nodes[9]]
-		return ok && d <= 6 && noneOver(nodes, 4)
-	}, "node 9 never came within 6 hops of node 1 with no node above capacity")
-	const obj = uint64(0xabcdef)
-	nodes[9].AddObject(obj)
-	id := nodes[1].Query(obj, 6)
-	select {
-	case hit := <-nodes[1].Hits():
-		if hit.QueryID != id || hit.Object != obj {
-			t.Fatalf("wrong hit: %+v", hit)
+	var line []*Node
+	for i := 0; i < 3; i++ {
+		nd := startNode(t, Config{Capacity: 2, ManageInterval: time.Hour, Seed: int64(i + 1)})
+		line = append(line, nd)
+	}
+	for i := 1; i < 3; i++ {
+		if err := line[i].Connect(line[i-1].Addr()); err != nil {
+			t.Fatal(err)
 		}
-		if hit.Holder != nodes[9].Addr() {
-			t.Fatalf("hit from %s, want %s", hit.Holder, nodes[9].Addr())
+	}
+	waitFor(t, 2*time.Second, func() bool { return connected(line[0], line[1]) && connected(line[1], line[2]) }, "the line never formed")
+	const obj = uint64(0xabcdef)
+	line[2].AddObject(obj)
+	id := line[0].Query(obj, 2)
+	select {
+	case hit := <-line[0].Hits():
+		if hit.QueryID != id || hit.Object != obj || hit.Holder != line[2].Addr() {
+			t.Fatalf("wrong hit: %+v, want query %d for %x from %s", hit, id, obj, line[2].Addr())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no hit within 5s")
 	}
+	if line[0].linkTo(line[2].Addr()) != nil {
+		t.Fatal("originator and holder are neighbors: the hit did not travel out of band")
+	}
 }
 
 func TestQueryLocalHitImmediate(t *testing.T) {
-	nd, err := Start("127.0.0.1:0", DefaultNodeConfig(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
+	nd := startNode(t, DefaultNodeConfig(3, 1))
 	nd.AddObject(5)
 	id := nd.Query(5, 0)
 	select {
@@ -278,45 +211,39 @@ func TestQueryLocalHitImmediate(t *testing.T) {
 }
 
 func TestQueryMissingObjectNoHit(t *testing.T) {
-	nodes := startNodes(t, 5, 3)
-	// The window below means something only if the query can reach
-	// every node.
-	waitFor(t, 900*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) },
-		"overlay never reached every node within the query's TTL")
-	nodes[0].Query(0xdead, 5)
-	select {
-	case hit := <-nodes[0].Hits():
-		t.Fatalf("phantom hit: %+v", hit)
-	case <-time.After(700 * time.Millisecond):
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(5, 3)
+	// No hit means something only if the query reaches every node.
+	if !w.settle(900*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 5) }) {
+		t.Fatal("overlay never reached every node within the query's TTL")
+	}
+	w.do(nodes[0], evQuery{obj: 0xdead, ttl: 5})
+	w.quiesce()
+	if len(nodes[0].hits) != 0 {
+		t.Fatalf("phantom hit: %+v", nodes[0].hits)
 	}
 }
 
 func TestDuplicateSuppressionBoundsLoad(t *testing.T) {
-	nodes := startNodes(t, 6, 5)
-	// "At most once" is checked where the query reaches every node.
-	waitFor(t, 800*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 10) },
-		"overlay never reached every node within the query's TTL")
-	nodes[0].Query(1, 10) // generous TTL on a tiny, cyclic network
-	time.Sleep(500 * time.Millisecond)
-	// Each node processes a query at most once; with 1 query issued,
-	// QueriesForwarded must be <= 1 everywhere.
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(6, 5)
+	// "Exactly once" is checked where the query reaches every node.
+	if !w.settle(800*time.Millisecond, func() bool { return reachesAll(nodes, nodes[0], 10) }) {
+		t.Fatal("overlay never reached every node within the query's TTL")
+	}
+	w.do(nodes[0], evQuery{obj: 1, ttl: 10}) // generous TTL on a tiny, cyclic network
+	w.quiesce()
+	// Each node processes a query once, and the originator not at all.
 	for i, nd := range nodes {
-		if nd.QueriesForwarded() > 1 {
-			t.Fatalf("node %d processed the query %d times", i, nd.QueriesForwarded())
+		if want := min(i, 1); nd.st.queries != uint64(want) {
+			t.Fatalf("node %d processed the query %d times, want %d", i, nd.st.queries, want)
 		}
 	}
 }
 
 func TestByeRemovesNeighbor(t *testing.T) {
-	a, err := Start("127.0.0.1:0", DefaultNodeConfig(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Start("127.0.0.1:0", DefaultNodeConfig(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := startNode(t, DefaultNodeConfig(3, 1))
+	b := startNode(t, DefaultNodeConfig(3, 2))
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +253,14 @@ func TestByeRemovesNeighbor(t *testing.T) {
 }
 
 func TestViewsPropagate(t *testing.T) {
-	nodes := startNodes(t, 5, 4)
-	waitFor(t, 3*time.Second, func() bool {
-		// Node 1 should eventually know peers beyond its direct
-		// neighbors or have everyone as a neighbor (neighbors are
-		// cached too, so the host cache counts both).
-		return nodes[1].Stats().HostCache >= 3
-	}, "neighbor views never propagated")
+	w := newSwitch(t, 1)
+	nodes := w.startNodes(5, 4)
+	// Node 1 should eventually know peers beyond its direct neighbors or
+	// have everyone as a neighbor (neighbors are cached too, so the host
+	// cache counts both).
+	if !w.waitFor(3*time.Second, func() bool { return len(nodes[1].st.cache) >= 3 }) {
+		t.Fatal("neighbor views never propagated")
+	}
 }
 
 func TestSeenCacheEviction(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
 
 	"makalu/internal/bloom"
@@ -245,7 +246,9 @@ func (s *state) hello(e evHello, out []action) []action {
 }
 
 // up registers a finished handshake, pushes our neighbor list and a ping
-// on it, and prunes if we are over capacity. A second connection to a
+// on it, and prunes if we are over capacity. A handshake that finishes
+// after SetDenied named its address is closed without a Bye instead, as
+// deny cuts a registered link. A second connection to a
 // held address replaces the first unless the first is the one the lower
 // address dialled (see hello); the loser closes with a Bye, so neither
 // end counts an eviction.
@@ -254,6 +257,9 @@ func (s *state) up(now time.Time, e evUp, out []action) []action {
 		delete(s.dialing, e.addr)
 		delete(s.backoff, e.addr)
 		s.met.backoffEntries.Set(int64(len(s.backoff)))
+	}
+	if s.denied[e.addr] {
+		return append(out, action{kind: actClose, link: e.link})
 	}
 	if old := s.conns[e.addr]; old != nil {
 		if old.out != e.out && old.out == (s.self < e.addr) {
@@ -375,15 +381,20 @@ func (s *state) manage(now time.Time, out []action) []action {
 }
 
 // sweep expires outstanding ping nonces past PingTimeout, advances the
-// per-link missed counters, and evicts the links that reached
-// EvictMisses, in address order. No Bye: the peer is presumed dead.
+// per-link missed counters in address order, and evicts the links that
+// reached EvictMisses. No Bye: the peer is presumed dead.
 func (s *state) sweep(now time.Time, out []action) []action {
-	var victims []string
+	var expired []pingRef
 	for nonce, ref := range s.pingT {
-		if now.Sub(ref.at) <= s.cfg.PingTimeout {
-			continue
+		if now.Sub(ref.at) > s.cfg.PingTimeout {
+			delete(s.pingT, nonce)
+			expired = append(expired, ref)
 		}
-		delete(s.pingT, nonce)
+	}
+	// Address order: the suspect events go out in it.
+	slices.SortFunc(expired, func(a, b pingRef) int { return strings.Compare(a.addr, b.addr) })
+	var victims []string
+	for _, ref := range expired {
 		nb := s.conns[ref.addr]
 		nb.missed++
 		if nb.missed >= s.cfg.SuspectMisses && !nb.suspect {
@@ -396,7 +407,6 @@ func (s *state) sweep(now time.Time, out []action) []action {
 			victims = append(victims, ref.addr)
 		}
 	}
-	slices.Sort(victims)
 	for _, a := range victims {
 		out = s.evict(now, a, s.drop(a, out))
 	}

@@ -7,7 +7,9 @@ import (
 	"go/token"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,26 +33,33 @@ func closed(acts []action) []linkID {
 	return out
 }
 
-// step.go is the decision core: it reads no clock and does no I/O.
+// step.go is the decision core: it reads no clock and does no I/O. The
+// switch that drives states in tests neither sleeps nor reads the
+// clock, so its schedules run in virtual time only.
 func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "step.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range f.Imports {
-		switch p, _ := strconv.Unquote(imp.Path.Value); p {
-		case "net", "sync", "bufio", "os":
-			t.Errorf("step.go imports %s", p)
+	for file, banned := range map[string][]string{
+		"step.go":        {"Now", "Since"},
+		"switch_test.go": {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
-				t.Errorf("step.go calls time.%s", sel.Sel.Name)
+		for _, imp := range f.Imports {
+			switch p, _ := strconv.Unquote(imp.Path.Value); p {
+			case "net", "sync", "bufio", "os":
+				t.Errorf("%s imports %s", file, p)
 			}
 		}
-		return true
-	})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && slices.Contains(banned, sel.Sel.Name) {
+					t.Errorf("%s calls time.%s", file, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // TestStepReplaysIdentically feeds one seeded script of events — link
@@ -175,40 +184,53 @@ func TestStepReplaysIdentically(t *testing.T) {
 	}
 }
 
-// Two states dial each other at once, and each sees the other's Hello
-// while its own dial is pending. Whichever Hello lands first, both keep
-// the connection the lower address dialled, and neither counts a failed
-// dial, a backoff entry or an eviction.
+// Two nodes dial each other at once, on the switch. Over per-direction
+// delays of 1–3 ms and start offsets of 0–3 ms, every order of the two
+// Hellos and the two dial results comes up, and in each both nodes end
+// sharing the connection the lower address dialled, with no failure,
+// backoff or eviction.
 func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
-	const lo, hi = "10.0.0.1:1", "10.0.0.2:1"
-	const cLo, cHi = linkID(1), linkID(2) // each dial's connection, one id at both ends
-	now := time.Unix(1e9, 0)
-	for _, loFirst := range []bool{true, false} {
-		a, b := newTestState(lo, Config{Capacity: 4}), newTestState(hi, Config{Capacity: 4})
-		a.step(now, evConnect{addr: hi}, nil)
-		b.step(now, evConnect{addr: lo}, nil)
-		refuse := func() []action { // a refuses b's dial before any ack
-			defer b.step(now, evDialFailed{addr: lo, refused: true}, nil)
-			return a.step(now, evHello{link: cHi, addr: hi}, nil)
+	const ms = time.Millisecond
+	orders := map[string]bool{}
+	for run := 0; run < 3*3*3*3*4; run++ {
+		// Delays there and back on the lower node's dial, then the higher's.
+		delays := []time.Duration{ms * time.Duration(1+run%3), ms * time.Duration(1+run/3%3), ms * time.Duration(1+run/9%3), ms * time.Duration(1+run/27%3)}
+		offset := ms * time.Duration(run/81)
+		w := newSwitch(t, 1)
+		w.delay = func() time.Duration {
+			d := delays[0]
+			delays = delays[1:]
+			return d
 		}
-		var refused []action
-		if !loFirst {
-			refused = refuse()
-		}
-		accepted := b.step(now, evHello{link: cLo, addr: lo}, nil)
-		b.step(now, evUp{link: cLo, addr: lo}, nil)
-		a.step(now, evUp{link: cLo, addr: hi, out: true}, nil)
-		if loFirst {
-			refused = refuse()
-		}
-		if len(accepted) != 1 || accepted[0].msg != msgHelloAck || !reflect.DeepEqual(refused, []action{send(cHi, msgBye, nil), {kind: actClose, link: cHi}}) {
-			t.Fatalf("lo first %v: the higher end answered with %+v, the lower end with %+v", loFirst, accepted, refused)
-		}
-		for s, peer := range map[*state]string{a: hi, b: lo} {
-			if nb := s.conns[peer]; len(s.conns) != 1 || nb == nil || nb.id != cLo || s.evictions != 0 || len(s.backoff)+len(s.dialing) != 0 {
-				t.Fatalf("lo first %v, %s: links %v, evictions %d, backoff %d, dialing %v", loFirst, s.self, s.conns, s.evictions, len(s.backoff), s.dialing)
+		lo, hi := w.add(Config{Capacity: 4, ManageInterval: time.Hour}), w.add(Config{Capacity: 4, ManageInterval: time.Hour})
+		var order []string
+		w.onStep = func(nd *swNode, ev event, _ []action) {
+			// H: the other's Hello reaches nd; R: nd's own dial ends.
+			up, _ := ev.(evUp)
+			_, failed := ev.(evDialFailed)
+			if _, hello := ev.(evHello); hello {
+				order = append(order, "H@"+nd.addr)
+			} else if up.out || failed {
+				order = append(order, "R@"+nd.addr)
 			}
 		}
+		w.do(lo, evConnect{addr: hi.addr})
+		w.after(offset, func() { w.do(hi, evConnect{addr: lo.addr}) })
+		w.quiesce()
+		if len(order) == 4 {
+			orders[strings.Join(order, " ")] = true
+		}
+		for _, nd := range []*swNode{lo, hi} {
+			s := nd.st
+			if len(s.conns) != 1 || !joined(lo, hi) || s.conns[w.nodes[1-nd.i].addr].id != 1 || s.evictions != 0 || len(s.backoff)+len(s.dialing) != 0 {
+				t.Fatalf("order %v: %s holds %v, evictions %d, backoff %d, dialing %v", order, nd.addr, s.neighbors(), s.evictions, len(s.backoff), s.dialing)
+			}
+		}
+	}
+	// Of the four events, the lower node's Hello precedes its result and
+	// the higher's precedes its own: six orders.
+	if len(orders) != 6 {
+		t.Fatalf("%d orders of the two Hellos and the two results came up, want 6: %v", len(orders), orders)
 	}
 }
 
@@ -218,11 +240,7 @@ func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
 func TestSimultaneousDialsKeepOneLink(t *testing.T) {
 	nodes := make([]*Node, 200)
 	for i := range nodes {
-		nd, err := Start("127.0.0.1:0", Config{Capacity: 4, ManageInterval: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
+		nd := startNode(t, Config{Capacity: 4, ManageInterval: time.Hour})
 		nodes[i] = nd
 	}
 	var wg sync.WaitGroup

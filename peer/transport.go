@@ -6,9 +6,9 @@ import (
 )
 
 // Transport abstracts the network a Node runs over. The default is
-// plain TCP; tests inject peer/faultnet to simulate partitions,
-// latency, frame loss and silent node death without touching the
-// protocol code.
+// plain TCP; makalu-experiments -live-churn runs nodes over
+// peer/faultnet, whose black holes partition links and silence nodes
+// without touching the protocol code.
 type Transport interface {
 	// Listen opens the node's accept socket.
 	Listen(network, address string) (net.Listener, error)
@@ -32,7 +32,7 @@ func (tcpTransport) DialTimeout(network, address string, timeout time.Duration) 
 // node labels inbound connections as soon as the Hello reveals the
 // dialer's listen address; outbound connections are labeled by the
 // transport itself at dial time. faultnet uses the label to apply
-// per-link fault rules symmetrically.
+// per-link black holes symmetrically.
 type peerTagger interface {
 	SetPeer(addr string)
 }
