@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -255,12 +254,17 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 					return
 				}
 				defer conn.Close()
+				// The request is encoded into one buffer and the reply
+				// read in place, so the generator makes no garbage of its
+				// own inside the latencies it reports.
 				r := bufio.NewReaderSize(conn, 16<<10)
+				var buf []byte
 				send = func(obj uint64) (serve.Reply, error) {
-					if _, err := io.WriteString(conn, serve.EncodeQuery(serve.Request{Mech: mech, Object: obj, TTL: ttl})); err != nil {
+					buf = serve.AppendQuery(buf[:0], serve.Request{Mech: mech, Object: obj, TTL: ttl})
+					if _, err := conn.Write(buf); err != nil {
 						return serve.Reply{}, err
 					}
-					line, err := r.ReadString('\n')
+					line, err := r.ReadSlice('\n')
 					if err != nil {
 						return serve.Reply{}, err
 					}
@@ -307,6 +311,7 @@ func run(proto string, httpAddrs, tcpAddrs []string, work []uint64, mech serve.M
 				}
 			}
 			sh := &shards[w]
+			sh.lats = make([]time.Duration, 0, len(work)/conns+1)
 			sh.answers = make(map[uint64]answer)
 			for i := w; i < len(work); i += conns {
 				t0 := time.Now()

@@ -107,6 +107,7 @@ type Gateway struct {
 	randCtr      atomic.Uint64 // RouteRandom pick stream
 	hedgeDelayNs atomic.Int64
 	fwdCount     atomic.Uint64 // triggers periodic p99 refresh
+	fwdPool      sync.Pool     // idle *forwarder
 
 	forwards  *obs.Counter
 	retries   *obs.Counter
@@ -225,39 +226,73 @@ func (g *Gateway) Inflight() int64 {
 	return n
 }
 
-// targets resolves the attempt order for a key: under RouteHash the
-// ring successors (primary owns the key; later entries are the hedge/
-// failover chain in inheritance order), under RouteRandom a uniform
-// pick with the remaining healthy backends as fallbacks.
-func (g *Gateway) targets(key uint64) []*Backend {
+// route resolves the attempt order for a key into f.targets: under
+// RouteHash the ring successors (primary owns the key; later entries
+// are the hedge/failover chain in inheritance order), under RouteRandom
+// a uniform pick with the remaining healthy backends as fallbacks.
+func (g *Gateway) route(f *forwarder, key uint64) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := g.ring.Len()
-	if n == 0 {
-		return nil
-	}
-	var ids []string
-	if g.cfg.Route == RouteRandom {
-		members := g.ring.Members()
+	ids := f.ids[:0]
+	if members := g.ring.members; g.cfg.Route == RouteRandom && len(members) > 0 {
 		first := int(mix64(g.randCtr.Add(1)) % uint64(len(members)))
-		ids = append(ids, members[first])
-		ids = append(ids, members[first+1:]...)
-		ids = append(ids, members[:first]...)
+		ids = append(append(ids, members[first:]...), members[:first]...)
 	} else {
-		ids = g.ring.Successors(key, n)
+		ids = g.ring.AppendSuccessors(ids, key, len(members))
 	}
-	out := make([]*Backend, len(ids))
-	for i, id := range ids {
-		out[i] = g.byID[id]
+	f.ids, f.targets = ids, f.targets[:0]
+	for _, id := range ids {
+		f.targets = append(f.targets, g.byID[id])
 	}
-	return out
 }
 
-type fwdRes struct {
-	line   string
-	err    error
-	b      *Backend
-	hedged bool
+// forwarder is the reusable state of one forward: the line, the attempt
+// order, one call per target and the channel the pool finishes them on,
+// and the hedge timer. Forwarders are pooled, and one goes back to the
+// pool only when none of its calls is in flight: a late reply is then
+// always written into a forwarder no later request can hold.
+type forwarder struct {
+	line    []byte
+	ids     []string
+	targets []*Backend
+	calls   []call      // calls[i] is the attempt on targets[i]
+	done    chan *call  // buffered to len(calls): the pool never blocks on it
+	hedge   *time.Timer // stopped and drained whenever the forwarder is idle
+	issued  int
+	hedged  int // the attempt the hedge issued, or -1
+	pending int // calls started and not yet received from done
+}
+
+func (g *Gateway) getForwarder() *forwarder {
+	if f, ok := g.fwdPool.Get().(*forwarder); ok {
+		return f
+	}
+	n := len(g.backends)
+	f := &forwarder{calls: make([]call, n), done: make(chan *call, n)}
+	for i := range f.calls {
+		f.calls[i].done = f.done
+	}
+	return f
+}
+
+// putForwarder recycles f unless a call of it is still in flight.
+func (g *Gateway) putForwarder(f *forwarder) {
+	if f.pending == 0 {
+		g.fwdPool.Put(f)
+	}
+}
+
+// issue starts the next attempt.
+func (f *forwarder) issue() {
+	b, cl := f.targets[f.issued], &f.calls[f.issued]
+	f.issued++
+	f.pending++
+	cl.line = f.line
+	b.forwardsC.Inc()
+	if b.inflightG != nil {
+		b.inflightG.Set(b.pool.Inflight() + 1)
+	}
+	b.pool.start(cl)
 }
 
 // Forward routes one request line (complete, '\n'-terminated) by key
@@ -267,66 +302,91 @@ type fwdRes struct {
 // race safe. Returns ErrNoBackends when no healthy backend remains,
 // else the last attempt's error once every target has failed.
 func (g *Gateway) Forward(key uint64, line string) (string, error) {
-	targets := g.targets(key)
-	if len(targets) == 0 {
+	f := g.getForwarder()
+	f.line = append(f.line[:0], line...)
+	reply, err := g.forward(f, key)
+	out := string(reply)
+	g.putForwarder(f)
+	return out, err
+}
+
+// forward runs Forward's attempts for the line in f.line. The reply it
+// returns is the winning call's buffer, valid until f is put back.
+func (g *Gateway) forward(f *forwarder, key uint64) ([]byte, error) {
+	g.route(f, key)
+	if len(f.targets) == 0 {
 		g.errs.Inc()
-		return "", ErrNoBackends
+		return nil, ErrNoBackends
 	}
 	g.forwards.Inc()
 	start := time.Now()
-	resCh := make(chan fwdRes, len(targets))
-	issued, outstanding := 0, 0
-	issue := func(hedged bool) {
-		b := targets[issued]
-		issued++
-		outstanding++
-		b.forwardsC.Inc()
-		if b.inflightG != nil {
-			b.inflightG.Set(b.pool.Inflight() + 1)
-		}
-		go func() {
-			reply, err := b.pool.Do(line)
-			if b.inflightG != nil {
-				b.inflightG.Set(b.pool.Inflight())
-			}
-			resCh <- fwdRes{line: reply, err: err, b: b, hedged: hedged}
-		}()
-	}
-	issue(false)
+	f.issued, f.hedged = 0, -1
+	f.issue()
 	var hedgeC <-chan time.Time
-	if issued < len(targets) {
-		t := time.NewTimer(g.hedgeDelay())
-		defer t.Stop()
-		hedgeC = t.C
+	if f.issued < len(f.targets) {
+		if f.hedge == nil {
+			f.hedge = time.NewTimer(g.hedgeDelay())
+		} else {
+			f.hedge.Reset(g.hedgeDelay())
+		}
+		hedgeC = f.hedge.C
 	}
 	var lastErr error
 	for {
 		select {
-		case r := <-resCh:
-			outstanding--
-			if r.err == nil {
+		case cl := <-f.done:
+			f.pending--
+			i := f.index(cl)
+			b := f.targets[i]
+			if b.inflightG != nil {
+				b.inflightG.Set(b.pool.Inflight())
+			}
+			if cl.err == nil {
+				f.disarm(hedgeC)
 				g.observeLatency(time.Since(start))
-				if r.hedged {
+				if i == f.hedged {
 					g.hedgeWins.Inc()
 				}
-				return r.line, nil
+				return cl.reply, nil
 			}
-			lastErr = r.err
-			g.onForwardFailure(r.b)
-			if issued < len(targets) {
+			lastErr = cl.err
+			g.onForwardFailure(b)
+			if f.issued < len(f.targets) {
 				g.retries.Inc()
-				issue(false)
-			} else if outstanding == 0 {
+				f.issue()
+			} else if f.pending == 0 {
+				f.disarm(hedgeC)
 				g.errs.Inc()
-				return "", lastErr
+				return nil, lastErr
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if issued < len(targets) {
+			if f.issued < len(f.targets) {
 				g.hedges.Inc()
-				issue(true)
+				f.hedged = f.issued
+				f.issue()
 			}
 		}
+	}
+}
+
+// index returns the position of cl in f.calls.
+func (f *forwarder) index(cl *call) int {
+	for i := range f.calls {
+		if &f.calls[i] == cl {
+			return i
+		}
+	}
+	panic("gateway: call finished on a forwarder that does not own it")
+}
+
+// disarm stops the hedge timer if it is still armed (hedgeC != nil),
+// draining a tick that fired unread, so the next Reset starts clean.
+// This is the pre-Go 1.23 timer contract, which go.mod's version
+// selects: Reset only a stopped timer with an empty channel.
+func (f *forwarder) disarm(hedgeC <-chan time.Time) {
+	if hedgeC != nil && !f.hedge.Stop() {
+		<-f.hedge.C
 	}
 }
 

@@ -267,6 +267,14 @@ func fakeBackend(t *testing.T, delay time.Duration) (addr string, served *atomic
 	}), served
 }
 
+// primaryAddr returns the backend gw tries first for key.
+func primaryAddr(gw *Gateway, key uint64) string {
+	f := gw.getForwarder()
+	defer gw.putForwarder(f)
+	gw.route(f, key)
+	return f.targets[0].Addr()
+}
+
 // TestPoolPipelining drives many concurrent calls through a single
 // pipelined connection and checks every caller gets its own reply —
 // the FIFO write-order/read-order pairing the pool depends on.
@@ -341,7 +349,7 @@ func TestPoolBoundsReplyLine(t *testing.T) {
 	}
 	defer gw.Close()
 	key := uint64(0)
-	for gw.targets(key)[0].Addr() != endless {
+	for primaryAddr(gw, key) != endless {
 		key++
 	}
 	if reply, err := gw.Forward(key, "Q flood 7 4\n"); err != nil || reply != "H 1 1 7 1 0\n" {
@@ -371,7 +379,7 @@ func TestGatewayHedging(t *testing.T) {
 	defer gw.Close()
 	// Find a key the ring assigns to the SLOW backend.
 	key := uint64(0)
-	for gw.targets(key)[0].Addr() != slowAddr {
+	for primaryAddr(gw, key) != slowAddr {
 		key++
 	}
 	start := time.Now()

@@ -47,19 +47,26 @@ type Pool struct {
 // backend can never wedge a sender holding the write lock.
 const pipelineDepth = 512
 
+// call is one request line in flight. start sends the call on done
+// exactly once, after it has set reply (a copy of the reply line, in
+// the call's own reused buffer) or err.
 type call struct {
-	line string // complete request line, '\n' included
-	ch   chan callResult
+	line  []byte // complete request line, '\n' included
+	reply []byte
+	err   error
+	done  chan<- *call
 }
 
-type callResult struct {
-	line string
-	err  error
+// finish records the outcome and hands the call back to its owner.
+func (cl *call) finish(err error) {
+	cl.err = err
+	cl.done <- cl
 }
 
 // pconn is one pipelined connection: writers append to inflight and
 // write under wmu; readLoop pops in FIFO order and delivers replies.
 type pconn struct {
+	p        *Pool
 	nc       net.Conn
 	w        *bufio.Writer
 	wmu      sync.Mutex
@@ -96,25 +103,40 @@ func (p *Pool) Inflight() int64 { return p.inflight.Load() }
 // one reply line (Q and Z both do). Connection failures fail every
 // call in flight on that connection; the caller retries elsewhere.
 func (p *Pool) Do(line string) (string, error) {
+	done := make(chan *call, 1)
+	cl := &call{line: []byte(line), done: done}
+	p.start(cl)
+	<-done
+	return string(cl.reply), cl.err
+}
+
+// start sends cl's line on the least-loaded connection and returns
+// without waiting: the connection's reader finishes the call when its
+// reply arrives, and a call that cannot be sent is finished at once
+// with the error.
+func (p *Pool) start(cl *call) {
+	cl.reply, cl.err = cl.reply[:0], nil
 	c, err := p.pick()
 	if err != nil {
-		return "", err
+		cl.finish(err)
+		return
 	}
-	cl := &call{line: line, ch: make(chan callResult, 1)}
 	c.wmu.Lock()
 	if c.dead.Load() {
 		c.wmu.Unlock()
-		return "", errors.New("gateway: connection lost")
+		cl.finish(errors.New("gateway: connection lost"))
+		return
 	}
 	select {
 	case c.inflight <- cl:
 	default:
 		c.wmu.Unlock()
-		return "", errBusy
+		cl.finish(errBusy)
+		return
 	}
 	c.n.Add(1)
 	p.inflight.Add(1)
-	_, werr := c.w.WriteString(line)
+	_, werr := c.w.Write(cl.line)
 	if werr == nil {
 		werr = c.w.Flush()
 	}
@@ -124,10 +146,6 @@ func (p *Pool) Do(line string) (string, error) {
 		// the FIFO (including this call) with the error.
 		c.kill(werr)
 	}
-	res := <-cl.ch
-	c.n.Add(-1)
-	p.inflight.Add(-1)
-	return res.line, res.err
 }
 
 // pick returns the live connection with the fewest calls in flight,
@@ -168,6 +186,7 @@ func (p *Pool) pick() (*pconn, error) {
 		return nil, err
 	}
 	c := &pconn{
+		p:        p,
 		nc:       nc,
 		w:        bufio.NewWriterSize(nc, 16<<10),
 		inflight: make(chan *call, pipelineDepth),
@@ -198,11 +217,12 @@ func (c *pconn) readLoop(readTimeout time.Duration) {
 			c.nc.SetReadDeadline(time.Now().Add(readTimeout))
 			line, err := r.ReadSlice('\n')
 			if err != nil {
-				cl.ch <- callResult{err: err}
+				c.finish(cl, err)
 				c.kill(err)
 				return
 			}
-			cl.ch <- callResult{line: string(line)}
+			cl.reply = append(cl.reply, line...)
+			c.finish(cl, nil)
 		}
 	}
 }
@@ -221,12 +241,19 @@ func (c *pconn) kill(err error) {
 	for {
 		select {
 		case cl := <-c.inflight:
-			cl.ch <- callResult{err: err}
+			c.finish(cl, err)
 		default:
 			c.wmu.Unlock()
 			return
 		}
 	}
+}
+
+// finish finishes a call this connection had in flight.
+func (c *pconn) finish(cl *call, err error) {
+	c.n.Add(-1)
+	c.p.inflight.Add(-1)
+	cl.finish(err)
 }
 
 // Close kills every connection; subsequent Do calls fail.

@@ -18,6 +18,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -82,13 +83,6 @@ func (r *Ring) Remove(id string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the members in sorted order (a copy).
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 func (r *Ring) rebuild() {
 	r.points = r.points[:0]
 	for _, id := range r.members {
@@ -121,32 +115,23 @@ func (r *Ring) Lookup(key uint64) string {
 	return r.points[r.search(mix64(key))].id
 }
 
-// Successors returns up to k distinct members in ring order starting
-// at key's owner — the primary first, then the hedge/failover targets
-// in the order a membership change would inherit the key.
-func (r *Ring) Successors(key uint64, k int) []string {
+// AppendSuccessors appends up to k distinct members to dst in ring
+// order starting at key's owner — the primary first, then the hedge/
+// failover targets in the order a membership change would inherit the
+// key — and returns the extended slice.
+func (r *Ring) AppendSuccessors(dst []string, key uint64, k int) []string {
 	if len(r.points) == 0 || k <= 0 {
-		return nil
+		return dst
 	}
-	if k > len(r.members) {
-		k = len(r.members)
-	}
-	out := make([]string, 0, k)
+	k = min(k, len(r.members))
+	base := len(dst)
 	start := r.search(mix64(key))
-	for i := 0; len(out) < k && i < len(r.points); i++ {
-		id := r.points[(start+i)%len(r.points)].id
-		dup := false
-		for _, have := range out {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, id)
+	for i := 0; len(dst)-base < k && i < len(r.points); i++ {
+		if id := r.points[(start+i)%len(r.points)].id; !slices.Contains(dst[base:], id) {
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // search returns the index of the first point with hash >= h, wrapping

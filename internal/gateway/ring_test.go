@@ -126,7 +126,7 @@ func TestRingSuccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		key := rng.Uint64()
-		succ := r.Successors(key, 3)
+		succ := r.AppendSuccessors(nil, key, 3)
 		if len(succ) != 3 {
 			t.Fatalf("key %#x: %d successors, want 3", key, len(succ))
 		}
@@ -146,14 +146,18 @@ func TestRingSuccessors(t *testing.T) {
 		}
 		r.Add(succ[0])
 	}
-	if got := r.Successors(12345, 10); len(got) != 3 {
+	if got := r.AppendSuccessors(nil, 12345, 10); len(got) != 3 {
 		t.Fatalf("k beyond membership: %d successors, want 3", len(got))
 	}
 	empty := NewRing(8)
 	if got := empty.Lookup(1); got != "" {
 		t.Fatalf("empty ring Lookup = %q, want empty", got)
 	}
-	if got := empty.Successors(1, 2); got != nil {
-		t.Fatalf("empty ring Successors = %v, want nil", got)
+	if got := empty.AppendSuccessors(nil, 1, 2); got != nil {
+		t.Fatalf("empty ring AppendSuccessors = %v, want nil", got)
+	}
+	// Appending keeps what dst held and dedups only the new entries.
+	if got := r.AppendSuccessors([]string{"x"}, 7, 3); len(got) != 4 || got[0] != "x" || got[1] != r.Lookup(7) {
+		t.Fatalf("AppendSuccessors onto [x] = %v", got)
 	}
 }

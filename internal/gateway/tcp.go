@@ -36,10 +36,12 @@ func (h gatewayLines) Status() (uint64, int64) { return h.gw.Epoch(), h.gw.Infli
 func (h gatewayLines) Lookup(w *bufio.Writer, _ string, req serve.Request) {
 	// Canonical re-serialization: the backend parses exactly what the
 	// gateway keyed on, so gateway and backend agree on Request.Key.
-	reply, err := h.gw.Forward(req.Key(), serve.EncodeQuery(req))
-	if err != nil {
+	f := h.gw.getForwarder()
+	f.line = serve.AppendQuery(f.line[:0], req)
+	if reply, err := h.gw.forward(f, req.Key()); err != nil {
 		serve.WriteReply(w, serve.Reply{Kind: serve.ReplyError, Message: "gateway: " + err.Error()})
-		return
+	} else {
+		w.Write(reply)
 	}
-	w.WriteString(reply)
+	h.gw.putForwarder(f)
 }

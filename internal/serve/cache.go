@@ -20,11 +20,15 @@ import "makalu/internal/search"
 // randomness from (service seed, epoch, key), so a cached Result is
 // bit-identical to recomputation; the equivalence test pins this.
 //
+// Evicted and purged entries go to a free list that later inserts
+// reuse, so a cache at capacity allocates nothing per miss.
+//
 // The cache is sharded by the engine (one slru per shard, guarded by
 // the shard mutex); a single slru is not safe for concurrent use.
 
 // cacheEntry is one resident result, threaded on its segment's
-// doubly-linked list.
+// doubly-linked list; a free entry is threaded on the free list by
+// next.
 type cacheEntry struct {
 	key        uint64
 	epoch      uint64
@@ -74,8 +78,9 @@ type slru struct {
 	capacity int
 	protCap  int
 	entries  map[uint64]*cacheEntry
-	prob     lruList // probationary segment
-	prot     lruList // protected segment
+	prob     lruList     // probationary segment
+	prot     lruList     // protected segment
+	free     *cacheEntry // removed entries, for put to reuse
 }
 
 // newSLRU sizes a cache shard. protFrac, in [0, 1), is the fraction of
@@ -144,7 +149,13 @@ func (c *slru) put(key, epoch uint64, res search.Result) (evicted uint64, didEvi
 		e.epoch = epoch
 		return 0, false
 	}
-	e := &cacheEntry{key: key, epoch: epoch, res: res}
+	e := c.free
+	if e != nil {
+		c.free = e.next
+	} else {
+		e = new(cacheEntry)
+	}
+	*e = cacheEntry{key: key, epoch: epoch, res: res}
 	c.entries[key] = e
 	c.prob.pushFront(e)
 	if len(c.entries) <= c.capacity {
@@ -157,11 +168,12 @@ func (c *slru) put(key, epoch uint64, res search.Result) (evicted uint64, didEvi
 	if victim == nil {
 		victim = c.prot.back()
 	}
+	evicted = victim.key
 	c.removeEntry(victim)
-	return victim.key, true
+	return evicted, true
 }
 
-// removeEntry unlinks e from its segment and the index.
+// removeEntry unlinks e from its segment and the index and frees it.
 func (c *slru) removeEntry(e *cacheEntry) {
 	if e.protected {
 		c.prot.remove(e)
@@ -169,13 +181,26 @@ func (c *slru) removeEntry(e *cacheEntry) {
 		c.prob.remove(e)
 	}
 	delete(c.entries, e.key)
+	c.release(e)
+}
+
+// release puts an unlinked entry on the free list.
+func (c *slru) release(e *cacheEntry) {
+	*e = cacheEntry{next: c.free}
+	c.free = e
 }
 
 // purge drops every entry (explicit invalidation; the lazy epoch check
-// already guarantees correctness, purge just returns the memory).
+// already guarantees correctness, purge frees the entries for reuse).
 func (c *slru) purge() {
-	c.prob.init()
-	c.prot.init()
+	for _, l := range [...]*lruList{&c.prob, &c.prot} {
+		for e := l.root.next; e != &l.root; {
+			next := e.next
+			c.release(e)
+			e = next
+		}
+		l.init()
+	}
 	clear(c.entries)
 }
 

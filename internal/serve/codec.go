@@ -36,10 +36,16 @@ const StatusLine = "Z\n"
 // pure — the fuzz harness drives it with arbitrary bytes. It splits
 // the line into fields as strings.Fields does, without allocating the
 // slice of them.
-func ParseQueryLine(line string) (req Request, ok bool, err error) {
-	var fields [4]string
+func ParseQueryLine(line string) (req Request, ok bool, err error) { return parseQueryLine(line) }
+
+// text is what the parser reads: a string, or a line server's []byte
+// line in place. Neither is copied, and no error keeps the line.
+type text interface{ string | []byte }
+
+func parseQueryLine[T text](line T) (req Request, ok bool, err error) {
+	var fields [4]T
 	nf := 0
-	for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
+	for f, rest := nextField(line); len(f) != 0; f, rest = nextField(rest) {
 		if nf < len(fields) {
 			fields[nf] = f
 		}
@@ -48,10 +54,10 @@ func ParseQueryLine(line string) (req Request, ok bool, err error) {
 	if nf == 0 {
 		return Request{}, false, nil // blank line: ignore
 	}
-	if fields[0] != "Q" || nf != len(fields) {
+	if string(fields[0]) != "Q" || nf != len(fields) {
 		return Request{}, false, fmt.Errorf("bad request line (want: Q <mech> <object> <ttl>)")
 	}
-	mech, err := ParseMechanism(fields[1])
+	mech, err := parseMechanism(fields[1])
 	if err != nil {
 		return Request{}, false, err
 	}
@@ -59,7 +65,7 @@ func ParseQueryLine(line string) (req Request, ok bool, err error) {
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad object id: %s", err)
 	}
-	ttl, err := strconv.Atoi(fields[3])
+	ttl, err := strconv.Atoi(string(fields[3]))
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad ttl: %s", err)
 	}
@@ -71,7 +77,7 @@ func ParseQueryLine(line string) (req Request, ok bool, err error) {
 // runes that are not unicode.IsSpace, the split strings.Fields makes;
 // bytes that are not valid UTF-8 are not space. ASCII is decided by a
 // table lookup, inline; only a rune past it takes a call.
-func nextField(s string) (field, rest string) {
+func nextField[T text](s T) (field, rest T) {
 	i := 0
 	for i < len(s) {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -106,8 +112,9 @@ var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': t
 
 // leadingSpace reports whether s starts with a white space rune, and
 // that rune's width.
-func leadingSpace(s string) (space bool, size int) {
-	r, size := utf8.DecodeRuneInString(s)
+func leadingSpace[T text](s T) (space bool, size int) {
+	var buf [utf8.UTFMax]byte
+	r, size := utf8.DecodeRune(buf[:copy(buf[:], s)])
 	return unicode.IsSpace(r), size
 }
 
@@ -115,8 +122,18 @@ func leadingSpace(s string) (space bool, size int) {
 // included. Canonical means ParseQueryLine maps it back to req, so a
 // gateway that forwards the canonical form of what it parsed hands the
 // backend exactly the request it keyed on.
-func EncodeQuery(req Request) string {
-	return fmt.Sprintf("Q %s %d %d\n", req.Mech, req.Object, req.TTL)
+func EncodeQuery(req Request) string { return string(AppendQuery(nil, req)) }
+
+// AppendQuery appends EncodeQuery(req) to dst and returns the extended
+// slice; into a buffer with room it allocates nothing.
+func AppendQuery(dst []byte, req Request) []byte {
+	dst = append(dst, "Q "...)
+	dst = append(dst, req.Mech.String()...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, req.Object, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(req.TTL), 10)
+	return append(dst, '\n')
 }
 
 // Reply kinds: the first byte of a reply line.
@@ -189,35 +206,43 @@ func bit(v bool) byte {
 	return '0'
 }
 
-// ParseReply decodes one reply line (terminator optional).
-func ParseReply(line string) (Reply, error) {
-	f := strings.Fields(line)
-	if len(f) == 0 || len(f[0]) != 1 {
-		return Reply{}, fmt.Errorf("bad reply %q", line)
+// ParseReply decodes one reply line (terminator optional), a string or
+// a reader's []byte line in place. Only an E reply's message is copied.
+func ParseReply[T string | []byte](line T) (Reply, error) {
+	var f [6]T
+	nf := 0
+	for w, rest := nextField(line); len(w) != 0; w, rest = nextField(rest) {
+		if nf < len(f) {
+			f[nf] = w
+		}
+		nf++
+	}
+	if nf == 0 || len(f[0]) != 1 {
+		return Reply{}, fmt.Errorf("bad reply %q", string(line))
 	}
 	r := Reply{Kind: f[0][0]}
 	var err error
 	switch {
-	case r.Kind == ReplyHit && len(f) == 6:
-		r.Found, r.CacheHit = f[1] == "1", f[5] == "1"
-		for i, dst := range []*int{&r.Hop, &r.Messages, &r.Visited} {
-			if *dst, err = strconv.Atoi(f[2+i]); err != nil {
+	case r.Kind == ReplyHit && nf == 6:
+		r.Found, r.CacheHit = string(f[1]) == "1", string(f[5]) == "1"
+		for i, dst := range [...]*int{&r.Hop, &r.Messages, &r.Visited} {
+			if *dst, err = strconv.Atoi(string(f[2+i])); err != nil {
 				break
 			}
 		}
-	case (r.Kind == ReplyShed || r.Kind == ReplyLimited) && len(f) == 2:
-		r.RetryMs, err = strconv.ParseInt(f[1], 10, 64)
+	case (r.Kind == ReplyShed || r.Kind == ReplyLimited) && nf == 2:
+		r.RetryMs, err = strconv.ParseInt(string(f[1]), 10, 64)
 	case r.Kind == ReplyError:
-		r.Message = strings.TrimSpace(strings.TrimSpace(line)[1:])
-	case r.Kind == ReplyStatus && len(f) == 3:
-		if r.Epoch, err = strconv.ParseUint(f[1], 10, 64); err == nil {
-			r.QueueDepth, err = strconv.ParseInt(f[2], 10, 64)
+		r.Message = strings.TrimSpace(strings.TrimSpace(string(line))[1:])
+	case r.Kind == ReplyStatus && nf == 3:
+		if r.Epoch, err = strconv.ParseUint(string(f[1]), 10, 64); err == nil {
+			r.QueueDepth, err = strconv.ParseInt(string(f[2]), 10, 64)
 		}
 	default:
 		err = fmt.Errorf("unknown kind or wrong field count")
 	}
 	if err != nil {
-		return Reply{}, fmt.Errorf("bad reply %q: %v", line, err)
+		return Reply{}, fmt.Errorf("bad reply %q: %v", string(line), err)
 	}
 	return r, nil
 }

@@ -36,6 +36,63 @@ func oracleParseQueryLine(line string) (req Request, ok bool, err error) {
 	return Request{Mech: mech, Object: obj, TTL: ttl}, true, nil
 }
 
+// oracleParseReply is ParseReply as it was before it read []byte lines
+// too: strings.Fields, kept verbatim as the reference.
+func oracleParseReply(line string) (Reply, error) {
+	f := strings.Fields(line)
+	if len(f) == 0 || len(f[0]) != 1 {
+		return Reply{}, fmt.Errorf("bad reply %q", line)
+	}
+	r := Reply{Kind: f[0][0]}
+	var err error
+	switch {
+	case r.Kind == ReplyHit && len(f) == 6:
+		r.Found, r.CacheHit = f[1] == "1", f[5] == "1"
+		for i, dst := range []*int{&r.Hop, &r.Messages, &r.Visited} {
+			if *dst, err = strconv.Atoi(f[2+i]); err != nil {
+				break
+			}
+		}
+	case (r.Kind == ReplyShed || r.Kind == ReplyLimited) && len(f) == 2:
+		r.RetryMs, err = strconv.ParseInt(f[1], 10, 64)
+	case r.Kind == ReplyError:
+		r.Message = strings.TrimSpace(strings.TrimSpace(line)[1:])
+	case r.Kind == ReplyStatus && len(f) == 3:
+		if r.Epoch, err = strconv.ParseUint(f[1], 10, 64); err == nil {
+			r.QueueDepth, err = strconv.ParseInt(f[2], 10, 64)
+		}
+	default:
+		err = fmt.Errorf("unknown kind or wrong field count")
+	}
+	if err != nil {
+		return Reply{}, fmt.Errorf("bad reply %q: %v", line, err)
+	}
+	return r, nil
+}
+
+// FuzzParseReplyMatchesOracle holds ParseReply, on strings and on
+// []byte lines, to the strings.Fields decoder: same reply, same error
+// text.
+func FuzzParseReplyMatchesOracle(f *testing.F) {
+	for _, seed := range []string{"H 1 3 1742 913 0\n", "H 0 -1 20 7 1", "S 1\n", "R 250", "E  bad\tline \n", "Z 18446744073709551615 12\n",
+		"", "\n", "H 1 2 3", "H 1 x 3 4 0", "H 1 2 3 4 5 6 7", "Z -1 0", "X 1", "HH 1 2 3 4 0", "\u00a0Z\u20001 2\u3000", "E\x85x", "R 99999999999999999999"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		want, werr := oracleParseReply(line)
+		r1, err1 := ParseReply(line)
+		r2, err2 := ParseReply([]byte(line))
+		for _, got := range [...]struct {
+			r   Reply
+			err error
+		}{{r1, err1}, {r2, err2}} {
+			if got.r != want || (got.err == nil) != (werr == nil) || (got.err != nil && got.err.Error() != werr.Error()) {
+				t.Fatalf("%q: decoded %+v, %v; oracle %+v, %v", line, got.r, got.err, want, werr)
+			}
+		}
+	})
+}
+
 // oracleWriteReply is WriteReply as it was before it appended into the
 // writer's buffer: one fmt.Fprintf per kind.
 func oracleWriteReply(w io.Writer, r Reply) {
@@ -57,9 +114,9 @@ func oracleWriteReply(w io.Writer, r Reply) {
 	}
 }
 
-// FuzzParseQueryLineMatchesOracle holds ParseQueryLine to the
-// strings.Fields parser on arbitrary bytes: same request, same ok, same
-// error text. The seeds separate the fields by ASCII and Unicode white
+// FuzzParseQueryLineMatchesOracle holds ParseQueryLine, and the []byte
+// parse the line servers run, to the strings.Fields parser on arbitrary
+// bytes: same request, same ok, same error text. The seeds separate the fields by ASCII and Unicode white
 // space, and by what is not space to strings.Fields: a byte order mark,
 // a zero-width space, and the bytes of U+0085 and U+00A0 outside UTF-8.
 func FuzzParseQueryLineMatchesOracle(f *testing.F) {
@@ -79,6 +136,10 @@ func FuzzParseQueryLineMatchesOracle(f *testing.F) {
 		wreq, wok, werr := oracleParseQueryLine(line)
 		if req != wreq || ok != wok || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 			t.Fatalf("%q: parsed %+v, %v, %v; oracle %+v, %v, %v", line, req, ok, err, wreq, wok, werr)
+		}
+		breq, bok, berr := parseQueryLine([]byte(line))
+		if breq != wreq || bok != wok || (berr == nil) != (werr == nil) || (berr != nil && berr.Error() != werr.Error()) {
+			t.Fatalf("%q as []byte: parsed %+v, %v, %v; oracle %+v, %v, %v", line, breq, bok, berr, wreq, wok, werr)
 		}
 	})
 }
@@ -126,6 +187,33 @@ func TestCodecAllocatesNothing(t *testing.T) {
 	}
 	if req.TTL != 4 {
 		t.Fatalf("last line parsed as %+v", req)
+	}
+	// The line servers parse the read buffer's bytes in place.
+	bufs := make([][]byte, len(lines))
+	for i, l := range lines {
+		bufs[i] = []byte(l)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, b := range bufs {
+			req, _, _ = parseQueryLine(b)
+		}
+	}); avg != 0 {
+		t.Errorf("parseQueryLine([]byte) allocates %.1f per 3 lines, want 0", avg)
+	}
+	if req.TTL != 4 {
+		t.Fatalf("last []byte line parsed as %+v", req)
+	}
+	replies := [][]byte{[]byte("H 1 3 1742 913 0\n"), []byte("Z 1099511627776 300\n"), []byte("R 1000\n")}
+	var reply Reply
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, l := range replies {
+			reply, _ = ParseReply(l)
+		}
+	}); avg != 0 {
+		t.Errorf("ParseReply([]byte) allocates %.1f per 3 replies, want 0", avg)
+	}
+	if reply.RetryMs != 1000 {
+		t.Fatalf("last reply parsed as %+v", reply)
 	}
 	bw := bufio.NewWriter(io.Discard)
 	if avg := testing.AllocsPerRun(100, func() {

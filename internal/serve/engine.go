@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +62,10 @@ func (m Mechanism) String() string {
 }
 
 // ParseMechanism inverts String.
-func ParseMechanism(s string) (Mechanism, error) {
-	switch s {
+func ParseMechanism(s string) (Mechanism, error) { return parseMechanism(s) }
+
+func parseMechanism[T text](s T) (Mechanism, error) {
+	switch string(s) {
 	case "flood":
 		return MechFlood, nil
 	case "walk":
@@ -70,7 +73,9 @@ func ParseMechanism(s string) (Mechanism, error) {
 	case "abf":
 		return MechABF, nil
 	}
-	return 0, fmt.Errorf("serve: unknown mechanism %q (want flood|walk|abf)", s)
+	// The error quotes a copy: s may be a slice of a connection's
+	// read buffer, which must not escape.
+	return 0, fmt.Errorf("serve: unknown mechanism %q (want flood|walk|abf)", strings.Clone(string(s)))
 }
 
 // Request is one lookup: find Object with the given mechanism and
@@ -162,26 +167,35 @@ type snapshot struct {
 // Safe because a response is a pure function of (seed, epoch, key) —
 // every waiter would have computed the identical result, so handing
 // them the leader's answer is value-neutral.
+//
+// A flight no waiter joined goes back to its shard's free list when the
+// leader publishes. One a waiter joined is never reused: the waiter
+// reads resp after the leader has returned, so reuse could hand it a
+// later request's answer.
 type flight struct {
-	done chan struct{} // closed by the leader once resp/err are set
+	done chan struct{} // made by the first waiter; closed by the leader once resp/err are set
 	resp Response
 	err  error
+	next *flight // free-list link
 }
 
 // shard is one key partition: a cache partition and the in-flight
 // table for miss coalescing.
 type shard struct {
-	mu      sync.Mutex         // guards cache and flights
+	mu      sync.Mutex         // guards cache, flights and free
 	cache   *slru              // nil when caching is off
 	flights map[uint64]*flight // key -> in-progress computation
+	free    *flight            // flights no waiter saw, ready for reuse
 }
 
 // kernel is one pooled search kernel: the scratch, the rng a query
-// re-seeds, and the snapshot the scratch was built over.
+// re-seeds, and the graph and identifier index the scratch was built
+// over. An epoch bump that keeps both keeps the scratch.
 type kernel struct {
-	k    *search.Kernel
-	rng  *rand.Rand
-	snap *snapshot
+	k   *search.Kernel
+	rng *rand.Rand
+	g   *graph.Graph
+	abf *search.ABFNetwork
 }
 
 // Engine is the query-serving core. Frontends (HTTP, TCP line
@@ -385,16 +399,26 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 		// epoch the leader's execution ran under, which (as for any
 		// request racing a snapshot swap) may trail the epoch this
 		// caller observed.
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		sh.mu.Unlock()
 		e.mu.RUnlock()
 		e.coalesced.Inc()
-		<-f.done
+		<-done
 		if e.latency != nil {
 			e.latency.Since(start)
 		}
 		return f.resp, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := sh.free
+	if f != nil {
+		sh.free = f.next
+		f.next = nil
+	} else {
+		f = new(flight)
+	}
 	sh.flights[key] = f
 	sh.mu.Unlock()
 	e.wg.Add(1)
@@ -411,25 +435,32 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 		sh.cache.put(key, snap.epoch, res)
 	}
 	delete(sh.flights, key)
+	done := f.done // final: no waiter can join once the flight is gone
+	if done == nil {
+		f.next, sh.free = sh.free, f
+	}
 	sh.mu.Unlock()
+	resp, err := Response{Result: res, Epoch: snap.epoch}, error(nil)
 	if !ok {
 		e.shed.Inc()
-		f.err = ErrOverloaded
-		close(f.done)
-		return Response{}, ErrOverloaded
+		resp, err = Response{}, ErrOverloaded
 	}
-	f.resp = Response{Result: res, Epoch: snap.epoch}
-	close(f.done)
-	if e.latency != nil {
+	if done != nil {
+		f.resp, f.err = resp, err
+		close(done)
+	}
+	if ok && e.latency != nil {
 		e.latency.Since(start)
 	}
-	return f.resp, nil
+	return resp, err
 }
 
 // run executes one miss on a pooled kernel, waiting for one if all are
 // busy, or reports false when the engine already holds as many misses
-// as it admits. The kernel's scratch is rebuilt when the snapshot
-// changed since its last execution.
+// as it admits. The kernel's scratch is rebuilt when the snapshot's
+// graph or identifier index differs from the one it was built over
+// (Kernel.ABF keeps a router per index it has seen, so reusing it
+// across indexes would pin every old one).
 func (e *Engine) run(snap *snapshot, req Request, key uint64) (search.Result, bool) {
 	var queued time.Time
 	if e.queueWait != nil {
@@ -457,8 +488,8 @@ func (e *Engine) run(snap *snapshot, req Request, key uint64) (search.Result, bo
 	if e.queueWait != nil {
 		e.queueWait.Since(queued)
 	}
-	if kn.snap != snap {
-		kn.k, kn.snap = search.NewKernel(snap.g, 0), snap
+	if kn.g != snap.g || kn.abf != snap.abf {
+		kn.k, kn.g, kn.abf = search.NewKernel(snap.g, 0), snap.g, snap.abf
 	}
 	res := e.execute(kn.k, snap, req, key, kn.rng)
 	e.kernels <- kn

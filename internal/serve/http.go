@@ -248,9 +248,9 @@ func serveLookup(cfg HTTPConfig, w http.ResponseWriter, r *http.Request) {
 
 // parseObjectID accepts decimal or 0x-prefixed hex object ids, the
 // same forms makalu-node's -store flag takes.
-func parseObjectID(s string) (uint64, error) {
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		return strconv.ParseUint(s[2:], 16, 64)
+func parseObjectID[T text](s T) (uint64, error) {
+	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
+		return strconv.ParseUint(string(s[2:]), 16, 64)
 	}
-	return strconv.ParseUint(s, 10, 64)
+	return strconv.ParseUint(string(s), 10, 64)
 }

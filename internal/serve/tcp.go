@@ -2,9 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -140,7 +140,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, deadline expired, or closed
 		}
-		s.serveLine(w, client, string(line))
+		s.serveLine(w, client, line)
 		// Flush only when the read side has no pipelined request
 		// waiting: batch replies to a batch of requests in one write.
 		if r.Buffered() == 0 {
@@ -155,13 +155,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // status probe, a malformed line is answered locally with E (a gateway
 // never forwards one), a blank line is ignored, and a Q line goes to
 // the handler already parsed.
-func (s *TCPServer) serveLine(w *bufio.Writer, client, line string) {
-	if strings.TrimSpace(line) == "Z" {
+// The line is the read buffer's, valid until the next read.
+func (s *TCPServer) serveLine(w *bufio.Writer, client string, line []byte) {
+	if string(bytes.TrimSpace(line)) == "Z" {
 		epoch, depth := s.handle.Status()
 		WriteReply(w, Reply{Kind: ReplyStatus, Epoch: epoch, QueueDepth: depth})
 		return
 	}
-	req, ok, err := ParseQueryLine(line)
+	req, ok, err := parseQueryLine(line)
 	if err != nil {
 		WriteReply(w, Reply{Kind: ReplyError, Message: err.Error()})
 		return

@@ -90,15 +90,15 @@ func FuzzSeenAccounting(f *testing.F) {
 // the map and the FIFO disagree or the FIFO outgrows seenCap.
 func markAll(t *testing.T, ids []uint64) {
 	t.Helper()
-	s := &state{seen: make(map[uint64]bool)}
+	s := &state{seen: make(map[uint64]uint8)}
 	for i, id := range ids {
-		s.markSeen(id)
+		s.markSeen(id, uint8(i))
 		if len(s.seen) != len(s.seenQ) || len(s.seenQ) > seenCap {
 			t.Fatalf("after %d marks: len(seen)=%d len(seenQ)=%d, cap %d", i+1, len(s.seen), len(s.seenQ), seenCap)
 		}
 	}
 	for _, id := range s.seenQ {
-		if !s.seen[id] {
+		if _, ok := s.seen[id]; !ok {
 			t.Fatalf("id %d queued but missing from map", id)
 		}
 	}

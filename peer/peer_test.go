@@ -263,6 +263,53 @@ func TestViewsPropagate(t *testing.T) {
 	}
 }
 
+// TestFloodReachesPastAFasterLongerCopy is the short-circuit of a
+// duplicate check that ignores TTL, on a hand-built ring: s reaches x
+// over a fast four-hop arc and over a slow one-hop chord, and h hangs
+// off x, two hops from s. A TTL-4 flood's copy over the arc reaches x
+// first with TTL 1 left and the chord's later with 4; x must forward
+// the second, or h is never asked. x, which holds an object too, must
+// answer its own query once however many copies reach it.
+func TestFloodReachesPastAFasterLongerCopy(t *testing.T) {
+	w := newSwitch(t, 1)
+	w.still = true // no management rounds: the links stay as built
+	var ring []*swNode
+	for i := range 5 {
+		ring = append(ring, w.add(DefaultNodeConfig(8, int64(i+1))))
+	}
+	s, x := ring[0], ring[4]
+	h := w.add(DefaultNodeConfig(8, 6))
+	for i, nd := range ring[1:] {
+		w.setDelay(ring[i], nd, time.Millisecond)
+		w.connect(ring[i], nd)
+	}
+	w.setDelay(s, x, 50*time.Millisecond)
+	w.connect(s, x)
+	w.setDelay(x, h, time.Millisecond)
+	w.connect(x, h)
+	w.quiesce()
+	if d := hops(w.nodes, s); d[x] != 1 || d[h] != 2 || d[ring[3]] != 2 {
+		t.Fatalf("the ring is not as built: hops from s %v", d)
+	}
+	w.do(h, evStore{obj: 7})
+	w.do(x, evStore{obj: 8})
+	if !w.probe(s, 7, 4, time.Second) {
+		t.Fatal("a TTL-4 flood missed a holder 2 hops away behind a faster, longer copy")
+	}
+	w.probe(s, 8, 4, time.Second)
+	id := s.st.qid
+	w.quiesce()
+	n := 0
+	for _, hit := range s.hits {
+		if hit.QueryID == id {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("x answered one query %d times", n)
+	}
+}
+
 func TestSeenCacheEviction(t *testing.T) {
 	ids := make([]uint64, seenCap+100)
 	for i := range ids {

@@ -136,7 +136,7 @@ type state struct {
 	denied    map[string]bool              // peers we refuse to dial or accept
 	store     map[uint64]bool              // hosted objects
 	blobs     map[uint64][]byte            // hosted blob payloads for chunk serving
-	seen      map[uint64]bool              // query-id duplicate suppression
+	seen      map[uint64]uint8             // query id -> the most TTL a copy of it arrived with
 	seenQ     []uint64                     // FIFO for seen eviction
 	own       *bloom.Attenuated            // published filter hierarchy (§4.6)
 	received  map[string]*bloom.Attenuated // each neighbor's last push
@@ -161,7 +161,7 @@ func newState(self string, cfg Config, met *nodeMetrics) *state {
 		dialing:  make(map[string]bool),
 		store:    make(map[uint64]bool),
 		blobs:    make(map[uint64][]byte),
-		seen:     make(map[uint64]bool),
+		seen:     make(map[uint64]uint8),
 		own:      bloom.NewAttenuated(uniformLevels(), abfHashes),
 		received: make(map[string]*bloom.Attenuated),
 		rater:    core.NewRater(cfg.Alpha, cfg.Beta),
@@ -593,19 +593,21 @@ func (s *state) rank(addrs []string, protected []bool, excess int) []string {
 	return out
 }
 
-// markSeen records a query id with FIFO eviction. It is idempotent:
-// marking an id already in the cache must not append a second FIFO
-// entry, or len(seenQ) drifts past len(seen) and a later eviction of the
-// duplicate deletes the map entry while the id still sits in the queue.
-func (s *state) markSeen(id uint64) {
-	if s.seen[id] {
+// markSeen records that a copy of query id arrived with ttl left,
+// keeping the most TTL seen per id, with FIFO eviction. An id already
+// in the cache keeps its FIFO place: a second entry would let len(seenQ)
+// drift past len(seen), and a later eviction of the duplicate would
+// delete the map entry while the id still sits in the queue.
+func (s *state) markSeen(id uint64, ttl uint8) {
+	if best, ok := s.seen[id]; ok {
+		s.seen[id] = max(best, ttl)
 		return
 	}
 	if len(s.seenQ) >= seenCap {
 		delete(s.seen, s.seenQ[0])
 		s.seenQ = s.seenQ[1:]
 	}
-	s.seen[id] = true
+	s.seen[id] = ttl
 	s.seenQ = append(s.seenQ, id)
 }
 
@@ -624,7 +626,7 @@ func (s *state) query(e evQuery, out []action) []action {
 		}
 		return s.forwardDirected(directedQueryPayload{QueryID: id, TTL: uint8(e.ttl), Object: e.obj, Originator: s.self, Visited: []string{s.self}}, out)
 	}
-	s.markSeen(id)
+	s.markSeen(id, uint8(e.ttl))
 	s.met.queriesStarted.Inc()
 	s.met.trace.Record(obs.EvQueryStart, s.self, "", int64(e.ttl))
 	if s.store[e.obj] {
@@ -643,15 +645,23 @@ func (s *state) query(e evQuery, out []action) []action {
 // handleQuery processes a query received from neighbor from:
 // duplicate-suppress, check the local store (a hit goes straight to the
 // originator), and forward to every other neighbor while TTL remains.
+// A copy is a duplicate unless it carries more TTL than every earlier
+// copy of its id: a copy that took a faster, longer path must not stop
+// one with more TTL left from reaching the nodes within the query's
+// reach. Such a copy is forwarded again, but its hit is not delivered
+// twice.
 func (s *state) handleQuery(q queryPayload, from string, out []action) []action {
-	if s.seen[q.QueryID] {
+	best, seen := s.seen[q.QueryID]
+	if seen && q.TTL <= best {
 		return out
 	}
-	s.markSeen(q.QueryID)
-	s.queries++
-	s.met.queriesForwarded.Inc()
-	if s.store[q.Object] {
-		out = s.deliver(q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
+	s.markSeen(q.QueryID, q.TTL)
+	if !seen {
+		s.queries++
+		s.met.queriesForwarded.Inc()
+		if s.store[q.Object] {
+			out = s.deliver(q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
+		}
 	}
 	if q.TTL <= 1 {
 		return out

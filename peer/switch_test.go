@@ -58,6 +58,7 @@ type swNet struct {
 	still    bool               // management rounds are stopped
 	inflight int                // deliveries, link-ups and kicks queued
 	delay    func() time.Duration
+	fixed    map[[2]string]time.Duration // per-link delay, both ways, set before the dial
 	onStep   func(nd *swNode, ev event, acts []action)
 	steps    int
 	sum      uint64 // FNV-1a over every step's time, node and actions
@@ -71,6 +72,7 @@ func newSwitch(t testing.TB, seed int64) *swNet {
 		conns:  make(map[linkID]*swConn),
 		holes:  make(map[[2]string]bool),
 		silent: make(map[[2]string]bool),
+		fixed:  make(map[[2]string]time.Duration),
 		sum:    14695981039346656037,
 	}
 	w.delay = func() time.Duration { return time.Millisecond + time.Duration(w.rng.Int63n(int64(4*time.Millisecond))) }
@@ -316,6 +318,9 @@ func (w *swNet) dial(nd *swNode, addr string) {
 	c := &swConn{id: linkID(len(w.conns) + 1), ends: [2]*swNode{nd, to}}
 	c.delay[0] = w.delay()
 	c.delay[1] = w.delay()
+	if d, ok := w.fixed[swPair(nd.addr, addr)]; ok {
+		c.delay = [2]time.Duration{d, d}
+	}
 	w.conns[c.id] = c
 	w.carry(c, 0, func() { w.hello(c) })
 	w.after(timeout, func() {
@@ -362,6 +367,10 @@ func (w *swNet) kill(nd *swNode)    { nd.dead = true }
 func (w *swNet) isolate(nd *swNode) { w.holes[[2]string{nd.addr, ""}] = true }
 func (w *swNet) restore(nd *swNode) { delete(w.holes, [2]string{nd.addr, ""}) }
 func (w *swNet) cut(a, b *swNode)   { w.holes[swPair(a.addr, b.addr)] = true }
+
+// setDelay fixes the delay of the links dialled between a and b from
+// now on, in both directions, in place of the seeded one.
+func (w *swNet) setDelay(a, b *swNode, d time.Duration) { w.fixed[swPair(a.addr, b.addr)] = d }
 
 // silence stops delivering from's pongs to to, which then sees a peer
 // that is alive on the wire and dead to its liveness probes.
