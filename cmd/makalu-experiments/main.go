@@ -20,11 +20,11 @@
 // are identical at any setting. -cpuprofile/-memprofile write pprof
 // profiles of the run (see DESIGN.md's profiling note).
 //
-// -live-churn skips the experiments and runs the live TCP
-// fault-injection scenario: a real in-process network under the
-// faultnet injector is hard-killed and partitioned, and the recovery
-// is reported as the snapshot timeline of the simulator's churn runs
-// (examples/churn).
+// -live-churn skips the experiments and runs peer.MassFailure: the
+// live nodes' decisions in virtual time, hard-killed and partitioned,
+// with the recovery reported as the snapshot timeline of the
+// simulator's churn runs (examples/churn) and the run's action hash.
+// One seed prints the same bytes on every run.
 //
 // -metrics-json <path> writes the obs registry (counters, gauges,
 // per-query and wire histograms) as JSON at exit; -trace <path> writes
@@ -128,7 +128,7 @@ func main() {
 		plotDir     = flag.String("plot", "", "write gnuplot .dat/.gp files for figures to this directory")
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-		liveChurn   = flag.Bool("live-churn", false, "run the live TCP fault-injection scenario instead of experiments (uses -seed; scale with -live-nodes)")
+		liveChurn   = flag.Bool("live-churn", false, "run the live peers' mass-failure storm in virtual time instead of experiments (uses -seed; scale with -live-nodes)")
 		liveNodes   = flag.Int("live-nodes", 24, "node count for -live-churn")
 		metricsJSON = flag.String("metrics-json", "", "write the metrics registry (counters, gauges, histograms) as JSON to this path at exit")
 		tracePath   = flag.String("trace", "", "write the overlay event trace as JSON lines to this path at exit")
@@ -198,7 +198,7 @@ func main() {
 		}()
 	}
 	if *liveChurn {
-		if err := runLiveChurn(*liveNodes, *seed, reg, trace); err != nil {
+		if _, err := runLiveChurn(os.Stdout, *liveNodes, *seed, reg, trace); err != nil {
 			fmt.Fprintf(os.Stderr, "live churn failed: %v\n", err)
 			os.Exit(1)
 		}

@@ -2,8 +2,8 @@
 // networks: hundreds of real makalu-node processes on one machine,
 // speaking real TCP, driven through staged kill waves and deny-list
 // partitions, with per-node metrics scraped from the status snapshots
-// each process writes. It is the bridge from the in-process
-// peer.Cluster (same kernel, fake scheduling) to production claims:
+// each process writes. It is the bridge from peer.MassFailure (the
+// same decisions, in virtual time in one process) to production claims:
 // here every node is its own OS process with its own sockets, its own
 // GC, and its own death semantics (SIGKILL really is a silent crash).
 package testnet

@@ -25,24 +25,20 @@ func TestDenyBlocksDial(t *testing.T) {
 }
 
 // TestDenyBlocksAccept: an inbound handshake from a denied address is
-// dropped after the Hello.
+// closed after the Hello, and the dialer's Connect fails.
 func TestDenyBlocksAccept(t *testing.T) {
 	a := startNode(t, denyTestConfig(3))
 	b := startNode(t, denyTestConfig(4))
 
 	a.SetDenied([]string{b.Addr()})
-	// b's dial either errors at handshake or registers a link that a
-	// never reciprocates; a must end with no neighbors either way.
-	b.Connect(a.Addr())
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.Degree() == 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	// a closes a denied Hello without a Bye (state.hello), so b's dial
+	// reads EOF in place of the ack and fails. a stepped the Hello
+	// before it closed, so no link is left on either side.
+	if err := b.Connect(a.Addr()); err == nil {
+		t.Fatal("Connect to a peer that denies us succeeded")
 	}
-	if got := a.Degree(); got != 0 {
-		t.Fatalf("denied inbound registered: degree = %d, want 0", got)
+	if da, db := a.Degree(), b.Degree(); da+db != 0 {
+		t.Fatalf("denied inbound registered: degrees a=%d b=%d, want 0", da, db)
 	}
 }
 
@@ -81,8 +77,9 @@ func TestSetDeniedCutsExistingLink(t *testing.T) {
 func TestDenyRacingInboundHandshake(t *testing.T) {
 	w := newSwitch(t, 7)
 	a, b := w.add(denyTestConfig(7)), w.add(denyTestConfig(8))
-	acked := false
+	acked, check := false, w.onStep
 	w.onStep = func(nd *swNode, ev event, acts []action) {
+		check(nd, ev, acts)
 		_, hello := ev.(evHello)
 		acked = acked || nd == a && hello && len(acts) == 1 && acts[0].msg == msgHelloAck
 	}

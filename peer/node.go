@@ -25,10 +25,6 @@ type Config struct {
 	// Seed drives the node's local randomness.
 	Seed int64
 
-	// Transport abstracts the network; nil means plain TCP.
-	// makalu-experiments -live-churn passes peer/faultnet endpoints
-	// here, to black-hole nodes and links.
-	Transport Transport
 	// DialTimeout bounds connection dials, handshake reads and frame
 	// writes. Default 3s.
 	DialTimeout time.Duration
@@ -67,8 +63,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the node's runtime instruments:
 	// frames/bytes in and out, the ping RTT histogram, suspect/evict
 	// transition counters, dial-backoff state and query activity.
-	// Several nodes may share one registry (peer.Cluster does); the
-	// counters then aggregate cluster-wide. Nil disables metrics at
+	// Several nodes may share one registry (MassFailure's do); the
+	// counters then aggregate across them. Nil disables metrics at
 	// the cost of one branch per instrumentation point.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives typed overlay lifecycle events
@@ -84,9 +80,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.ManageInterval <= 0 {
 		cfg.ManageInterval = 200 * time.Millisecond
-	}
-	if cfg.Transport == nil {
-		cfg.Transport = tcpTransport{}
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 3 * time.Second
@@ -133,7 +126,6 @@ type Hit struct {
 // wall clock, and performs the actions outside the lock.
 type Node struct {
 	cfg Config
-	tr  Transport
 	ln  net.Listener
 
 	mu        sync.Mutex
@@ -280,13 +272,12 @@ func Start(addr string, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("peer: capacity must be >= 1")
 	}
 	cfg = cfg.withDefaults()
-	ln, err := cfg.Transport.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
 		cfg:    cfg,
-		tr:     cfg.Transport,
 		ln:     ln,
 		links:  make(map[linkID]*link),
 		hits:   make(chan Hit, 256),
@@ -394,9 +385,6 @@ func (n *Node) handleInbound(c net.Conn) {
 		c.Close()
 		return
 	}
-	// Label the transport connection with the dialer's identity so
-	// per-link black holes apply.
-	tagConn(c, hello.Addr)
 	l := n.newLink(hello.Addr, c)
 	if l == nil {
 		c.Close()
@@ -441,12 +429,11 @@ func (n *Node) Connect(addr string) error {
 // reports the link up or the dial failed. A Bye in place of the ack is
 // a refusal (see state.hello).
 func (n *Node) dial(addr string) error {
-	c, err := n.tr.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
 		n.do(evDialFailed{addr: addr})
 		return err
 	}
-	tagConn(c, addr)
 	l := n.newLink(addr, c)
 	if l == nil {
 		c.Close()

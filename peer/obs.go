@@ -12,8 +12,8 @@ import (
 // internal/search).
 //
 // Metric names are stable identifiers — the -metrics-json consumers
-// key on them. Several nodes may share one Registry (peer.Cluster
-// does): counters and histograms then aggregate cluster-wide, while
+// key on them. Several nodes may share one Registry (MassFailure's
+// do): counters and histograms then aggregate across them, while
 // the event log keeps per-node attribution through Event.Node.
 const (
 	mFramesIn     = "peer.frames_in"

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"bufio"
+	"net"
 	"time"
 )
 
@@ -30,15 +31,13 @@ func (n *Node) ask(q evQuery) uint64 {
 // writes the transient framing the accept path understands: a Hello
 // carrying the reserved transient address, then the hit frame, then
 // close. No ack is awaited, and failures are dropped silently (the
-// originator may have left). The dial goes through the node's
-// transport so fault injection applies to out-of-band hit delivery too.
+// originator may have left).
 func (n *Node) deliverHit(addr string, h Hit) {
-	c, err := n.tr.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
 		return
 	}
 	defer c.Close()
-	tagConn(c, addr)
 	w := bufio.NewWriter(c)
 	c.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	for _, f := range []frame{{msgHello, encodeHello(helloPayload{Addr: transientAddr})}, {msgQueryHit, encodeHit(h)}} {

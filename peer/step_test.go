@@ -34,11 +34,14 @@ func closed(acts []action) []linkID {
 }
 
 // step.go is the decision core: it reads no clock and does no I/O. The
-// switch that drives states in tests neither sleeps nor reads the
-// clock, so its schedules run in virtual time only.
+// switch that drives states, its storm and the tests' helpers on it
+// neither sleep nor read the clock, so their schedules run in virtual
+// time only.
 func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
 	for file, banned := range map[string][]string{
 		"step.go":        {"Now", "Since"},
+		"switch.go":      {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"storm.go":       {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
 		"switch_test.go": {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
 	} {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
@@ -204,7 +207,9 @@ func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
 		}
 		lo, hi := w.add(Config{Capacity: 4, ManageInterval: time.Hour}), w.add(Config{Capacity: 4, ManageInterval: time.Hour})
 		var order []string
-		w.onStep = func(nd *swNode, ev event, _ []action) {
+		check := w.onStep
+		w.onStep = func(nd *swNode, ev event, acts []action) {
+			check(nd, ev, acts)
 			// H: the other's Hello reaches nd; R: nd's own dial ends.
 			up, _ := ev.(evUp)
 			_, failed := ev.(evDialFailed)
