@@ -56,11 +56,14 @@ func BenchmarkRateAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf [][]RatingInfo
+	var buf *Ratings
+	var sum float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = o.RateAll(buf)
+		sum += buf.At(i%2000, 0).Score
 	}
+	_ = sum
 }
 
 // benchPrune times pruneToCapacity draining `excess` links from node u

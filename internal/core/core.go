@@ -103,10 +103,6 @@ type Config struct {
 	// are a different (batched) protocol schedule, so their edge sets
 	// differ from the sequential build's. See wave.go and DESIGN.md.
 	JoinWave int
-	// Obs, when non-nil, records construction metrics (join counter,
-	// wave and management-pass durations, build throughput). Nil costs
-	// one predictable branch per instrumentation point.
-	Obs *BuildObs
 	// Seed drives all randomness in construction.
 	Seed int64
 	// Tracer, when non-nil, observes every protocol action the
@@ -183,7 +179,7 @@ type Overlay struct {
 	seenGen      int32
 	fragQueueBuf []int32 // reusable BFS queue for fragmentLinked
 
-	wave *waveState // batched join-wave machinery (nil until first wave build)
+	wave *waveState // the wave builder's scratch, set only while buildWaves runs
 }
 
 // resolveLatency devirtualizes the network model's Latency method.
@@ -303,8 +299,6 @@ func Build(n int, cfg Config) (*Overlay, error) {
 		return o, nil
 	}
 
-	buildStart := buildClock(cfg.Obs)
-
 	// Join phase: nodes join one at a time, in random order so physical
 	// locality does not correlate with join time. The permutation fills
 	// the reusable permBuf instead of allocating a fresh O(n) slice per
@@ -319,19 +313,15 @@ func Build(n int, cfg Config) (*Overlay, error) {
 	for _, u := range order {
 		o.join(u, joined)
 		joined = append(joined, int32(u))
-		cfg.Obs.join()
 	}
 	// Management phase.
 	for r := 0; r < cfg.ManageRounds; r++ {
-		ms := buildClock(cfg.Obs)
 		o.ManageRound()
-		cfg.Obs.managePass(ms)
 	}
 	// The paper's Manage() loop runs until disconnect; emulate the
 	// steady state by letting stray fragments (usually none, at most a
 	// node pair that formed in the last round) bootstrap back in.
 	o.RejoinFragments(3)
-	cfg.Obs.buildDone(buildStart, n)
 	return o, nil
 }
 

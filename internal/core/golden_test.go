@@ -207,6 +207,32 @@ func TestGoldenParallelBuild(t *testing.T) {
 	}
 }
 
+// sameRatings fails t unless every alive node's row of r holds, field
+// for field, what RateNeighbors returns, and every dead row is empty.
+func sameRatings(t *testing.T, o *Overlay, r *Ratings, what string) {
+	t.Helper()
+	if r.N() != o.N() {
+		t.Fatalf("%s: %d rows, want %d", what, r.N(), o.N())
+	}
+	for u := 0; u < o.N(); u++ {
+		if !o.Alive(u) {
+			if r.Len(u) != 0 {
+				t.Fatalf("%s: dead node %d has %d ratings", what, u, r.Len(u))
+			}
+			continue
+		}
+		want := o.RateNeighbors(u, nil)
+		if r.Len(u) != len(want) {
+			t.Fatalf("%s: node %d has %d ratings, want %d", what, u, r.Len(u), len(want))
+		}
+		for i, w := range want {
+			if got := r.At(u, i); got != w {
+				t.Fatalf("%s: node %d rating %d = %+v, want %+v", what, u, i, got, w)
+			}
+		}
+	}
+}
+
 // TestRateAllMatchesRateNeighbors asserts the batched parallel rating
 // pass returns exactly what per-node RateNeighbors calls return, row
 // by row (this is also the -race exercise for the worker pool).
@@ -221,34 +247,28 @@ func TestRateAllMatchesRateNeighbors(t *testing.T) {
 	}
 	o.FailRandom(n / 20) // dead rows must come back empty
 	all := o.RateAll(nil)
-	if len(all) != n {
-		t.Fatalf("RateAll returned %d rows, want %d", len(all), n)
-	}
-	for u := 0; u < n; u++ {
-		if !o.Alive(u) {
-			if len(all[u]) != 0 {
-				t.Fatalf("dead node %d has %d ratings", u, len(all[u]))
-			}
-			continue
-		}
-		want := o.RateNeighbors(u, nil)
-		if len(want) == 0 && len(all[u]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(all[u], want) {
-			t.Fatalf("node %d: RateAll row differs from RateNeighbors", u)
-		}
-	}
+	sameRatings(t, o, all, "fresh")
 	// Buffer reuse must not corrupt results.
-	again := o.RateAll(all)
-	for u := 0; u < n; u++ {
-		want := o.RateNeighbors(u, nil)
-		if len(want) == 0 && len(again[u]) == 0 {
-			continue
+	sameRatings(t, o, o.RateAll(all), "reused")
+}
+
+// TestRateAllWorkerInvariance asserts that the pass is the same at one
+// worker and at eight, and that a pass reused after a failure wave
+// equals a fresh one.
+func TestRateAllWorkerInvariance(t *testing.T) {
+	const n = 3000
+	for _, seed := range []int64{1, 2} {
+		o := buildWith(t, n, seed, OracleViews, 0, 1)
+		prev := o.RateAll(nil)
+		o.FailRandom(n / 10)
+		reused := o.RateAll(prev)
+		fresh := o.RateAll(nil)
+		o.cfg.Workers = 8
+		wide := o.RateAll(nil)
+		if !reflect.DeepEqual(reused, fresh) || !reflect.DeepEqual(wide, fresh) {
+			t.Fatalf("seed %d: reused, one-worker and eight-worker passes differ", seed)
 		}
-		if !reflect.DeepEqual(again[u], want) {
-			t.Fatalf("node %d: reused RateAll row differs", u)
-		}
+		sameRatings(t, o, fresh, "after FailRandom")
 	}
 }
 

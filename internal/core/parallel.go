@@ -1,6 +1,10 @@
 package core
 
-import "makalu/internal/par"
+import (
+	"math"
+
+	"makalu/internal/par"
+)
 
 // This file implements the overlay's parallel read-only phases. The
 // Makalu rules are purely local — a node's rating depends only on its
@@ -40,60 +44,110 @@ func (o *Overlay) forEach(k int, fn func(s *ratingScratch, i int)) {
 	par.For(workers, k, func(w, i int) { fn(o.scratchFor(w), i) })
 }
 
+// Ratings is one whole-overlay rating pass in compressed rows, held in
+// one slab of words: a 3-word row for each node and one past the last
+// (the offset of its first entry and |∂Γ(u)| in one word, then d_max
+// and d_min), then a 2-word entry per half-edge (the neighbor and
+// |R(u,v)| in one word, then the raw d(u,v)). At builds a neighbor's
+// RatingInfo on read, so a per-node constant is stored once and a
+// derived score not at all: 16 bytes a link where a RatingInfo takes
+// 64. Offsets are 32 bits wide, which holds 2³²−1 half-edges.
+type Ratings struct {
+	w     weights
+	n     int
+	words []uint64
+}
+
+const rowWords, entryWords = 3, 2
+
+// pair packs two 32-bit fields into one word, a in the low half.
+func pair(a, b uint32) uint64 { return uint64(a) | uint64(b)<<32 }
+
+// N returns the number of nodes rated, alive or not.
+func (r *Ratings) N() int { return r.n }
+
+// Len returns how many neighbors node u has rated: its degree when it
+// is alive, 0 when it is dead.
+func (r *Ratings) Len(u int) int { return r.off(u+1) - r.off(u) }
+
+func (r *Ratings) off(u int) int { return int(uint32(r.words[rowWords*u])) }
+
+// entries returns the k entry words from entry index off on.
+func (r *Ratings) entries(off, k int) []uint64 {
+	return r.words[rowWords*(r.n+1)+entryWords*off:][:entryWords*k]
+}
+
+// At returns u's rating of its i-th neighbor in adjacency order, field
+// for field what RateNeighbors(u) returns at index i.
+func (r *Ratings) At(u, i int) RatingInfo {
+	row := r.words[rowWords*u:][:rowWords]
+	e := r.entries(int(uint32(row[0]))+i, 1)
+	return r.w.info(int(int32(e[0])), int(int32(e[0]>>32)), int(int32(row[0]>>32)),
+		math.Float64frombits(e[1]), math.Float64frombits(row[1]), math.Float64frombits(row[2]))
+}
+
 // RateAll rates every alive node's neighbors in one batched read-only
-// pass, sharded across the worker pool. out[u] holds u's RatingInfo
-// slice in adjacency order (empty for dead or isolated nodes); pass a
-// previous result back in to reuse its per-node buffers. The output is
-// identical to calling RateNeighbors node by node — workers write only
-// their own shard's rows, so worker count never changes the result.
-// Rows that arrive without capacity are carved from one slice sized by
-// the alive degrees, capped so that a reused row which outgrows its
-// capacity reallocates alone.
-func (o *Overlay) RateAll(out [][]RatingInfo) [][]RatingInfo {
-	n := o.g.N()
-	if cap(out) < n {
-		grown := make([][]RatingInfo, n)
-		copy(grown, out)
-		out = grown
+// pass, sharded across the worker pool, into into's slab (nil
+// allocates one) and returns it. Offsets are laid out first, so each
+// node writes only its own row and entries and the worker count never
+// changes the result.
+func (o *Overlay) RateAll(into *Ratings) *Ratings {
+	r := into
+	if r == nil {
+		r = &Ratings{}
 	}
-	out = out[:n]
-	need := 0
+	n := o.g.N()
+	r.w, r.n = o.weights(), n
+	half := 0
 	for u := 0; u < n; u++ {
-		if o.alive[u] && cap(out[u]) == 0 {
-			need += o.g.Degree(u)
+		if o.alive[u] {
+			half += o.g.Degree(u)
 		}
 	}
-	if need > 0 {
-		rows, off := make([]RatingInfo, need), 0
-		for u := 0; u < n; u++ {
-			if d := o.g.Degree(u); o.alive[u] && cap(out[u]) == 0 && d > 0 {
-				out[u] = rows[off : off : off+d]
-				off += d
-			}
+	size := rowWords*(n+1) + entryWords*half
+	if cap(r.words) < size {
+		r.words = make([]uint64, size)
+	}
+	r.words = r.words[:size]
+	off := 0
+	for u := 0; u <= n; u++ {
+		r.words[rowWords*u] = uint64(off)
+		if u < n && o.alive[u] {
+			off += o.g.Degree(u)
 		}
 	}
 	if par.Workers(o.cfg.Workers, n) == 1 {
-		// Sequential fast path: no closure, no goroutines — with warm
-		// per-node buffers a full sweep allocates nothing (pinned by
-		// the AllocsPerRun tests).
+		// Sequential fast path: no closure, no goroutines — with a warm
+		// slab a full sweep allocates nothing (pinned by the
+		// AllocsPerRun tests).
 		s := o.scratchFor(0)
 		for u := 0; u < n; u++ {
-			if !o.alive[u] {
-				out[u] = out[u][:0]
-				continue
-			}
-			out[u] = o.rateNeighborsOn(s, u, out[u])
+			o.rateInto(s, r, u)
 		}
-		return out
+		return r
 	}
-	o.forEach(n, func(s *ratingScratch, u int) {
-		if !o.alive[u] {
-			out[u] = out[u][:0]
-			return
-		}
-		out[u] = o.rateNeighborsOn(s, u, out[u])
-	})
-	return out
+	o.forEach(n, func(s *ratingScratch, u int) { o.rateInto(s, r, u) })
+	return r
+}
+
+// rateInto fills u's row and entries of r; a node with nothing to rate
+// gets a zero row, so a reused pass equals a fresh one.
+func (o *Overlay) rateInto(s *ratingScratch, r *Ratings, u int) {
+	nb := o.g.Neighbors(u)
+	row := r.words[rowWords*u:][:rowWords]
+	if !o.alive[u] || len(nb) == 0 {
+		row[1], row[2] = 0, 0
+		return
+	}
+	boundary, dmax, dmin := o.rateRowOn(s, u, nb)
+	off := uint32(row[0])
+	row[0] = pair(off, uint32(boundary))
+	row[1], row[2] = math.Float64bits(dmax), math.Float64bits(dmin)
+	e := r.entries(int(off), len(nb))
+	for p, v := range nb {
+		e[entryWords*p] = pair(uint32(v), uint32(s.puniq[p]))
+		e[entryWords*p+1] = math.Float64bits(s.plat[p])
+	}
 }
 
 // refreshAllViews re-snapshots every alive node's exchanged view (the

@@ -97,6 +97,16 @@ func (w weights) scoreTerms(unique, boundary int, d, dmax, dmin float64) (conn, 
 	return conn, prox
 }
 
+// info assembles one neighbor's RatingInfo from its rating
+// ingredients, flooring d(u,v) at minPositiveLatency. RateNeighbors and
+// Ratings.At both build through it, so their fields are bitwise equal.
+func (w weights) info(v, unique, boundary int, lat, dmax, dmin float64) RatingInfo {
+	in := RatingInfo{Neighbor: v, Unique: unique, Boundary: boundary, Latency: max(lat, minPositiveLatency), MaxLatency: dmax}
+	in.Connectivity, in.Proximity = w.scoreTerms(unique, boundary, in.Latency, dmax, dmin)
+	in.Score = in.Connectivity + in.Proximity
+	return in
+}
+
 // RateNeighbors computes the Makalu rating of every current neighbor
 // of u, in adjacency order. The slice is reused scratch owned by the
 // caller via append semantics (pass nil to allocate).
@@ -106,34 +116,28 @@ func (w weights) scoreTerms(unique, boundary int, d, dmax, dmin float64) (conn, 
 // through another neighbor; the node boundary ∂Γ(u) is the union of
 // all views minus Γ(u) ∪ {u}.
 func (o *Overlay) RateNeighbors(u int, out []RatingInfo) []RatingInfo {
-	return o.rateNeighborsOn(&o.scratch, u, out)
-}
-
-// rateNeighborsOn is RateNeighbors on an explicit scratch, so the
-// parallel RateAll workers can rate without sharing state.
-func (o *Overlay) rateNeighborsOn(s *ratingScratch, u int, out []RatingInfo) []RatingInfo {
 	nb := o.g.Neighbors(u)
 	out = out[:0]
 	if len(nb) == 0 {
 		return out
 	}
-	boundary := o.rateLoad(s, u, nb)
-	s.clear()
-	dmax, dmin := s.latExtremes(s.ident[:len(nb)])
+	s := &o.scratch
+	boundary, dmax, dmin := o.rateRowOn(s, u, nb)
 	wt := o.weights()
 	for pw, w := range nb {
-		info := RatingInfo{
-			Neighbor:   int(w),
-			Unique:     int(s.puniq[pw]),
-			Boundary:   boundary,
-			Latency:    max(s.plat[pw], minPositiveLatency),
-			MaxLatency: dmax,
-		}
-		info.Connectivity, info.Proximity = wt.scoreTerms(info.Unique, boundary, info.Latency, dmax, dmin)
-		info.Score = info.Connectivity + info.Proximity
-		out = append(out, info)
+		out = append(out, wt.info(int(w), int(s.puniq[pw]), boundary, s.plat[pw], dmax, dmin))
 	}
 	return out
+}
+
+// rateRowOn rates u's neighbors nb on s: it returns |∂Γ(u)| and the
+// latency extremes, and leaves |R(u,w)| and the raw d(u,w) of the
+// neighbor at position p in s.puniq[p] and s.plat[p].
+func (o *Overlay) rateRowOn(s *ratingScratch, u int, nb []int32) (boundary int, dmax, dmin float64) {
+	boundary = o.rateLoad(s, u, nb)
+	s.clear()
+	dmax, dmin = s.latExtremes(s.ident[:len(nb)])
+	return boundary, dmax, dmin
 }
 
 // pruneToCapacity implements the inner loop of Manage(): while u has

@@ -103,8 +103,8 @@ type waveSlot struct {
 
 // waveState owns the reusable buffers of the wave builder: the slot
 // pool (one per in-flight item, reused across waves and chunks), the
-// generation-stamped affected/over-capacity sets, and the per-node
-// prune plans.
+// generation-stamped affected/over-capacity sets, and the arena the
+// prune plans are written into. It lives only as long as buildWaves.
 type waveState struct {
 	slots  []waveSlot
 	joined []int32 // committed nodes in join order (walk seed pool)
@@ -117,8 +117,9 @@ type waveState struct {
 	overMark []int32
 	overGen  int32
 
-	plans [][]int32 // per-over-node prune victim lists
-	chunk []int32   // reusable node-id list for chunked passes
+	plans   []int32 // prune victims of every over node, back to back
+	planOff []int32 // over node i's victims are plans[planOff[i]:planOff[i+1]]
+	chunk   []int32 // reusable node-id list for chunked passes
 
 	wavesSincePrune int // join waves committed since the last drain
 }
@@ -165,7 +166,6 @@ func (w *waveState) resetOver() {
 // over the whole overlay, then the usual fragment rejoin.
 func (o *Overlay) buildWaves(n int) {
 	cfg := &o.cfg
-	buildStart := buildClock(cfg.Obs)
 	k := cfg.JoinWave
 	if k > n {
 		k = n
@@ -184,7 +184,6 @@ func (o *Overlay) buildWaves(n int) {
 	for _, u := range order[:boot] {
 		o.join(u, w.joined)
 		w.joined = append(w.joined, int32(u))
-		cfg.Obs.join()
 	}
 	// Waves ramp up to the configured size, never admitting more
 	// joiners than the overlay already holds: a wave much larger than
@@ -199,19 +198,15 @@ func (o *Overlay) buildWaves(n int) {
 		if pos+wk > n {
 			wk = n - pos
 		}
-		ws := buildClock(cfg.Obs)
 		o.joinWave(order[pos:pos+wk], pos, pos+wk == n)
 		pos += wk
-		cfg.Obs.wave(ws)
 	}
 	for r := 0; r < cfg.ManageRounds; r++ {
-		ms := buildClock(cfg.Obs)
 		o.waveManageRound(r)
-		cfg.Obs.managePass(ms)
 	}
 	o.wavePrune() // drain any undrained W5 fallout (e.g. ManageRounds=0)
 	o.RejoinFragments(3)
-	cfg.Obs.buildDone(buildStart, n)
+	o.wave = nil // nothing after the build reads the builder's scratch
 }
 
 // joinWave admits one wave of joiners: parallel walks, sequential
@@ -256,7 +251,6 @@ func (o *Overlay) joinWave(order []int, pos int, final bool) {
 			o.waveAccept(u, int(sl.seed))
 		}
 		w.joined = append(w.joined, sl.node)
-		o.cfg.Obs.join()
 	}
 	// W3+W4: batched prune of everyone the commits pushed over,
 	// deferred across waves so the stacking can amortize.
@@ -359,15 +353,23 @@ func (o *Overlay) wavePrune() {
 		return
 	}
 	over := w.over[:m]
-	for len(w.plans) < m {
-		w.plans = append(w.plans, nil)
+	// A plan is exactly Degree − cap victims long, so the plans are laid
+	// out in one arena before planning and each node fills its own span.
+	off := append(w.planOff[:0], 0)
+	for i, ui := range over {
+		off = append(off, off[i]+int32(o.g.Degree(int(ui))-o.caps[ui]))
 	}
+	w.planOff = off
+	if total := int(off[m]); cap(w.plans) < total {
+		w.plans = make([]int32, total)
+	}
+	plan := func(i int) []int32 { return w.plans[off[i]:off[i+1]:off[i+1]] }
 	o.forEach(m, func(s *ratingScratch, i int) {
-		w.plans[i] = o.pruneVictimsOn(s, int(over[i]), w.plans[i][:0])
+		o.pruneVictimsOn(s, int(over[i]), plan(i)[:0])
 	})
 	for i, ui := range over {
 		u := int(ui)
-		for _, v := range w.plans[i] {
+		for _, v := range plan(i) {
 			if o.g.Degree(u) <= o.caps[u] {
 				break
 			}

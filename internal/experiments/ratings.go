@@ -49,14 +49,14 @@ func RunRatings(opt Options) (*RatingsResult, error) {
 	var connSum, proxSum, worstSum float64
 	zeroUnique := 0
 	nodesWithLinks := 0
-	for u := range all {
-		infos := all[u]
-		if len(infos) == 0 {
+	for u := 0; u < all.N(); u++ {
+		if all.Len(u) == 0 {
 			continue
 		}
 		nodesWithLinks++
-		worst := infos[0].Score
-		for _, in := range infos {
+		worst := all.At(u, 0).Score
+		for i := 0; i < all.Len(u); i++ {
+			in := all.At(u, i)
 			scores = append(scores, in.Score)
 			connSum += in.Connectivity
 			proxSum += in.Proximity

@@ -54,10 +54,11 @@ func (t EventType) String() string {
 	return "unknown"
 }
 
-// Event is one overlay lifecycle event. Wall is real time (UnixNano);
-// Sim carries the simulated clock for events emitted by the
-// discrete-event engine (-1 for live events, where no simulated time
-// exists). Value is type-specific: consecutive failures for
+// Event is one overlay lifecycle event. Wall is the UnixNano of the
+// clock the event was recorded on: real time, or a live node's virtual
+// clock when it runs on a switch. Sim carries the simulated clock for
+// events emitted by the discrete-event engine (-1 for live events,
+// where no simulated time exists). Value is type-specific: consecutive failures for
 // dial-backoff, TTL for query-start, hop/free-form payload elsewhere.
 type Event struct {
 	Seq   uint64    `json:"seq"`
@@ -120,12 +121,14 @@ func NewEventLog(capacity int) *EventLog {
 	return &EventLog{buf: make([]Event, 0, capacity)}
 }
 
-// Record appends a live event (Sim = LiveSim).
-func (l *EventLog) Record(t EventType, node, peer string, value int64) {
+// RecordAt appends a live event (Sim = LiveSim) stamped with the clock
+// reading at: the wall clock on sockets, the virtual now on a switch,
+// so a replayed run writes the same trace.
+func (l *EventLog) RecordAt(at time.Time, t EventType, node, peer string, value int64) {
 	if l == nil {
 		return
 	}
-	l.record(Event{Wall: time.Now().UnixNano(), Sim: LiveSim, Type: t, Node: node, Peer: peer, Value: value})
+	l.record(Event{Wall: at.UnixNano(), Sim: LiveSim, Type: t, Node: node, Peer: peer, Value: value})
 }
 
 // RecordSim appends an event stamped with simulated time.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestEventTypeNames(t *testing.T) {
@@ -30,7 +31,7 @@ func TestEventTypeNames(t *testing.T) {
 func TestEventLogRingSemantics(t *testing.T) {
 	l := NewEventLog(4)
 	for i := 0; i < 10; i++ {
-		l.Record(EvJoin, fmt.Sprintf("n%d", i), "", int64(i))
+		l.RecordAt(time.Now(), EvJoin, fmt.Sprintf("n%d", i), "", int64(i))
 	}
 	if l.Len() != 4 {
 		t.Fatalf("len = %d, want capacity 4", l.Len())
@@ -52,7 +53,7 @@ func TestEventLogRingSemantics(t *testing.T) {
 
 func TestEventLogPartialFill(t *testing.T) {
 	l := NewEventLog(8)
-	l.Record(EvSuspect, "a", "b", 1)
+	l.RecordAt(time.Now(), EvSuspect, "a", "b", 1)
 	l.RecordSim(3.5, EvEvict, "a", "b", 2)
 	evs := l.Snapshot()
 	if len(evs) != 2 || evs[0].Type != EvSuspect || evs[1].Type != EvEvict {
@@ -75,7 +76,7 @@ func TestEventLogDefaultCapacity(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	l := NewEventLog(16)
-	l.Record(EvQueryStart, "127.0.0.1:9", "", 4)
+	l.RecordAt(time.Now(), EvQueryStart, "127.0.0.1:9", "", 4)
 	l.RecordSim(7, EvQueryHit, "127.0.0.1:9", "127.0.0.1:10", 2)
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf); err != nil {

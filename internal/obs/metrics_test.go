@@ -38,7 +38,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(5)
 	h.ObserveDuration(time.Second)
-	l.Record(EvJoin, "a", "b", 0)
+	l.RecordAt(time.Now(), EvJoin, "a", "b", 0)
 	l.RecordSim(1, EvEvict, "a", "b", 0)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || l.Len() != 0 {
 		t.Fatal("nil instruments must read as zero")
@@ -230,7 +230,7 @@ func BenchmarkEventLogRecord(b *testing.B) {
 	l := NewEventLog(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Record(EvQueryStart, "127.0.0.1:1", "127.0.0.1:2", 4)
+		l.RecordAt(time.Now(), EvQueryStart, "127.0.0.1:1", "127.0.0.1:2", 4)
 	}
 }
 

@@ -165,7 +165,7 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 		cfg.SearchTTL = 4
 	}
 	probeRng := rand.New(rand.NewSource(cfg.Seed + 7))
-	var rateBuf [][]core.RatingInfo // reused across snapshots
+	var rateBuf *core.Ratings // reused across snapshots
 	snapshot := func() {
 		snap := takeSnapshot(o, eng.Now())
 		snap.SearchSuccess = SentinelOff
@@ -228,12 +228,12 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 
 // meanRating averages the link scores of a RateAll pass; 0 when the
 // overlay has no live links.
-func meanRating(all [][]core.RatingInfo) float64 {
+func meanRating(all *core.Ratings) float64 {
 	var sum float64
 	links := 0
-	for _, infos := range all {
-		for _, in := range infos {
-			sum += in.Score
+	for u := 0; u < all.N(); u++ {
+		for i := 0; i < all.Len(u); i++ {
+			sum += all.At(u, i).Score
 			links++
 		}
 	}

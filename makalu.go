@@ -212,11 +212,16 @@ func (ov *Overlay) RateNeighbors(u int) []NeighborRating {
 	return ov.core.RateNeighbors(u, nil)
 }
 
-// RateAllNeighbors runs the batched whole-overlay rating pass (one
-// RateNeighbors row per node, empty for dead nodes), sharded over the
-// configured worker pool. Equivalent to calling RateNeighbors for
-// every node, but one pass over the overlay.
-func (ov *Overlay) RateAllNeighbors() [][]NeighborRating {
+// NeighborRatings is one whole-overlay rating pass: Len(u) is how many
+// neighbors node u rated (0 for a dead node) and At(u, i) is its
+// NeighborRating of the i-th, in adjacency order.
+type NeighborRatings = core.Ratings
+
+// RateAllNeighbors runs the batched whole-overlay rating pass, sharded
+// over the configured worker pool. At(u, i) equals RateNeighbors(u)[i]
+// field for field, but the pass stores 16 bytes per link and a 24-byte
+// row per node, and builds each NeighborRating on read.
+func (ov *Overlay) RateAllNeighbors() *NeighborRatings {
 	return ov.core.RateAll(nil)
 }
 

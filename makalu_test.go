@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -213,9 +214,11 @@ func TestRateAllNeighborsGolden(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, row := range ov.RateAllNeighbors() {
-		put(uint64(len(row)))
-		for _, r := range row {
+	all := ov.RateAllNeighbors()
+	for u := 0; u < all.N(); u++ {
+		put(uint64(all.Len(u)))
+		for i := 0; i < all.Len(u); i++ {
+			r := all.At(u, i)
 			put(uint64(r.Neighbor))
 			put(uint64(r.Unique))
 			put(uint64(r.Boundary))
@@ -230,14 +233,36 @@ func TestRateAllNeighborsGolden(t *testing.T) {
 }
 
 // TestRateAllNeighborsAllocsBounded pins that the whole-overlay rating
-// pass hands back one answer: the row table and one slice its rows are
-// carved from, not a growing slice per node or a second copy.
+// pass hands back one answer: the result, its row table and its entry
+// slice, not a slice per node or a second copy.
 func TestRateAllNeighborsAllocsBounded(t *testing.T) {
 	for _, n := range []int{300, 3000} {
 		ov := newSmall(t, n, 5)
 		ov.RateAllNeighbors() // warm
 		if avg := testing.AllocsPerRun(3, func() { ov.RateAllNeighbors() }); avg > 3 {
 			t.Errorf("n=%d: RateAllNeighbors allocates %.1f per call; want <= 3", n, avg)
+		}
+	}
+}
+
+// TestRateAllNeighborsBytesBounded pins the pass's footprint: at most
+// 16 bytes per half-edge, 32 per node and 4 KiB besides, at the
+// default worker count.
+func TestRateAllNeighborsBytesBounded(t *testing.T) {
+	for _, n := range []int{2000, 6000} {
+		ov := newSmall(t, n, 5)
+		ov.RateAllNeighbors() // warm
+		halfEdges := 0
+		for u := 0; u < n; u++ {
+			halfEdges += len(ov.Neighbors(u))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ov.RateAllNeighbors()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if want := uint64(16*halfEdges + 32*n + 4096); got > want {
+			t.Errorf("n=%d: RateAllNeighbors allocated %d bytes for %d half-edges; want <= %d", n, got, halfEdges, want)
 		}
 	}
 }

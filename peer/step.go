@@ -202,7 +202,7 @@ func (s *state) step(now time.Time, ev event, out []action) []action {
 			out = append(out, action{kind: actDial, addr: e.addr})
 		}
 	case evQuery:
-		out = s.query(e, out)
+		out = s.query(now, e, out)
 	case evStore:
 		s.store[e.obj] = true
 		if e.blob != nil {
@@ -271,7 +271,7 @@ func (s *state) up(now time.Time, e evUp, out []action) []action {
 	s.addToCache(e.addr)
 	s.met.joins.Inc()
 	s.met.links.Add(1)
-	s.met.trace.Record(obs.EvJoin, s.self, e.addr, 0)
+	s.met.trace.RecordAt(now, obs.EvJoin, s.self, e.addr, 0)
 	out = append(out, send(e.link, msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: s.neighbors()})))
 	return s.prune(now, s.ping(now, e.addr, out))
 }
@@ -307,11 +307,11 @@ func (s *state) frame(now time.Time, e evFrame, out []action) []action {
 		}
 	case msgQuery:
 		if q, err := decodeQuery(e.payload); err == nil {
-			out = s.handleQuery(q, e.addr, out)
+			out = s.handleQuery(now, q, e.addr, out)
 		}
 	case msgQueryHit:
 		if h, err := decodeHit(e.payload); err == nil {
-			out = s.deliver(s.self, h, out)
+			out = s.deliver(now, s.self, h, out)
 		}
 	case msgPing:
 		if p, err := decodePing(e.payload); err == nil {
@@ -343,7 +343,7 @@ func (s *state) frame(now time.Time, e evFrame, out []action) []action {
 		}
 	case msgDirectedQuery:
 		if q, err := decodeDirectedQuery(e.payload); err == nil {
-			out = s.handleDirected(q, out)
+			out = s.handleDirected(now, q, out)
 		}
 	case msgBye:
 		out = s.drop(e.addr, out)
@@ -400,7 +400,7 @@ func (s *state) sweep(now time.Time, out []action) []action {
 		if nb.missed >= s.cfg.SuspectMisses && !nb.suspect {
 			nb.suspect = true
 			s.met.suspects.Inc()
-			s.met.trace.Record(obs.EvSuspect, s.self, ref.addr, int64(nb.missed))
+			s.met.trace.RecordAt(now, obs.EvSuspect, s.self, ref.addr, int64(nb.missed))
 		}
 		// A link reaches the threshold once: at it, the sweep evicts it.
 		if nb.missed == s.cfg.EvictMisses {
@@ -422,7 +422,7 @@ func (s *state) evict(now time.Time, addr string, out []action) []action {
 	s.dialFailed(now, addr)
 	s.evictions++
 	s.met.evictions.Inc()
-	s.met.trace.Record(obs.EvEvict, s.self, addr, 0)
+	s.met.trace.RecordAt(now, obs.EvEvict, s.self, addr, 0)
 	return append(out, action{kind: actKick})
 }
 
@@ -451,7 +451,7 @@ func (s *state) dialFailed(now time.Time, addr string) {
 	} else {
 		b.fails++
 	}
-	s.met.trace.Record(obs.EvDialBackoff, s.self, addr, int64(b.fails))
+	s.met.trace.RecordAt(now, obs.EvDialBackoff, s.self, addr, int64(b.fails))
 	// Jitter in [delay/2, delay]: de-synchronizes a cohort of survivors
 	// all retrying the same dead peer.
 	b.until = now.Add(delay/2 + time.Duration(s.rng.Int63n(int64(delay/2)+1)))
@@ -520,7 +520,7 @@ func (s *state) addToCache(addr string) {
 func (s *state) prune(now time.Time, out []action) []action {
 	for _, a := range s.victims(now) {
 		s.met.prunes.Inc()
-		s.met.trace.Record(obs.EvPrune, s.self, a, 0)
+		s.met.trace.RecordAt(now, obs.EvPrune, s.self, a, 0)
 		out = s.drop(a, append(out, send(s.conns[a].id, msgBye, nil)))
 	}
 	return out
@@ -613,13 +613,13 @@ func (s *state) markSeen(id uint64, ttl uint8) {
 
 // query starts a local flood, or with directed an identifier lookup
 // along the filter gradient, and leaves the id it drew in qid.
-func (s *state) query(e evQuery, out []action) []action {
+func (s *state) query(now time.Time, e evQuery, out []action) []action {
 	id := s.rng.Uint64()
 	s.qid = id
 	local := Hit{QueryID: id, Object: e.obj, Holder: s.self}
 	if e.directed {
 		if s.store[e.obj] {
-			return s.deliver(s.self, local, out)
+			return s.deliver(now, s.self, local, out)
 		}
 		if e.ttl <= 0 {
 			return out
@@ -628,9 +628,9 @@ func (s *state) query(e evQuery, out []action) []action {
 	}
 	s.markSeen(id, uint8(e.ttl))
 	s.met.queriesStarted.Inc()
-	s.met.trace.Record(obs.EvQueryStart, s.self, "", int64(e.ttl))
+	s.met.trace.RecordAt(now, obs.EvQueryStart, s.self, "", int64(e.ttl))
 	if s.store[e.obj] {
-		out = s.deliver(s.self, local, out)
+		out = s.deliver(now, s.self, local, out)
 	}
 	if e.ttl <= 0 {
 		return out
@@ -650,7 +650,7 @@ func (s *state) query(e evQuery, out []action) []action {
 // one with more TTL left from reaching the nodes within the query's
 // reach. Such a copy is forwarded again, but its hit is not delivered
 // twice.
-func (s *state) handleQuery(q queryPayload, from string, out []action) []action {
+func (s *state) handleQuery(now time.Time, q queryPayload, from string, out []action) []action {
 	best, seen := s.seen[q.QueryID]
 	if seen && q.TTL <= best {
 		return out
@@ -660,7 +660,7 @@ func (s *state) handleQuery(q queryPayload, from string, out []action) []action 
 		s.queries++
 		s.met.queriesForwarded.Inc()
 		if s.store[q.Object] {
-			out = s.deliver(q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
+			out = s.deliver(now, q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
 		}
 	}
 	if q.TTL <= 1 {
@@ -679,10 +679,10 @@ func (s *state) handleQuery(q queryPayload, from string, out []action) []action 
 // deliver routes a hit to the originator to: to Hits() when that is us,
 // on the link to it when one exists, else out of band on a transient
 // connection, as Gnutella's hit delivery does.
-func (s *state) deliver(to string, h Hit, out []action) []action {
+func (s *state) deliver(now time.Time, to string, h Hit, out []action) []action {
 	if to == s.self {
 		s.met.queryHits.Inc()
-		s.met.trace.Record(obs.EvQueryHit, s.self, h.Holder, int64(h.QueryID))
+		s.met.trace.RecordAt(now, obs.EvQueryHit, s.self, h.Holder, int64(h.QueryID))
 		return append(out, action{kind: actHit, hit: h})
 	}
 	if nb := s.conns[to]; nb != nil {
@@ -693,9 +693,9 @@ func (s *state) deliver(to string, h Hit, out []action) []action {
 
 // handleDirected processes a greedy identifier query: local store
 // check, then forward along the gradient.
-func (s *state) handleDirected(q directedQueryPayload, out []action) []action {
+func (s *state) handleDirected(now time.Time, q directedQueryPayload, out []action) []action {
 	if s.store[q.Object] {
-		return s.deliver(q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
+		return s.deliver(now, q.Originator, Hit{QueryID: q.QueryID, Object: q.Object, Holder: s.self}, out)
 	}
 	if q.TTL <= 1 {
 		return out

@@ -28,7 +28,8 @@ type Storm struct {
 	Hash     uint64 // FNV-1a over every step's time, node and actions
 }
 
-// MassFailure runs n nodes in virtual time from seed, then hard-kills
+// MassFailure runs n nodes in virtual time from seed until they form
+// one component and know spare addresses, then hard-kills
 // every third node up to 30% (no Bye, nothing delivered) and
 // black-holes 10% of the surviving links, and records the recovery.
 // It fails if a survivor keeps a dead neighbor 5 management intervals
@@ -49,9 +50,10 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 	nodes := w.cluster(n, cfg)
 
 	// The claim under test is that a converged overlay re-knits itself,
-	// so the storm may only land once every survivor-to-be caches an
-	// address that survives it: not in the kill set, and not a current
-	// neighbor (the cut below can only take a node's own links).
+	// so the storm may only land once the overlay is one component and
+	// every survivor-to-be caches an address that survives it: not in
+	// the kill set, and not a current neighbor (the cut below can only
+	// take a node's own links).
 	dead := make(map[string]bool)
 	for i := 0; len(dead) < (n*3+9)/10; i += 3 {
 		dead[nodes[i].addr] = true
@@ -73,9 +75,9 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 				return false
 			}
 		}
-		return true
+		return w.snapshot().Components == 1
 	}) {
-		return Storm{}, fmt.Errorf("some survivor-to-be never learned an address outside the kill set and its own links")
+		return Storm{}, fmt.Errorf("the overlay never became one component with every survivor-to-be knowing an address outside the kill set and its own links")
 	}
 	for i, nd := range nodes {
 		w.do(nd, evStore{obj: 1000 + uint64(i)})

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -123,11 +124,29 @@ func massFailure(t *testing.T, n int, seed int64) (uint64, []obs.Event) {
 	if snap.Histograms["peer.ping_rtt_ns"].Count == 0 {
 		t.Errorf("seed %d: ping RTT histogram recorded no samples", seed)
 	}
-	evs := trace.Snapshot()
-	for i := range evs {
-		evs[i].Wall = 0
+	return w.sum, trace.Snapshot()
+}
+
+// TestMassFailureTraceReplays: a switch run stamps every event with the
+// virtual now its step was handed, so two runs of one seed write the
+// same JSONL trace byte for byte.
+func TestMassFailureTraceReplays(t *testing.T) {
+	var out [2]bytes.Buffer
+	for i := range out {
+		trace := obs.NewEventLog(0)
+		if _, err := MassFailure(24, 7, nil, trace); err != nil {
+			t.Fatal(err)
+		}
+		if trace.Len() == 0 {
+			t.Fatal("the storm recorded no events")
+		}
+		if err := trace.WriteJSONL(&out[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return w.sum, evs
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatalf("two runs of one seed wrote different traces (%d and %d bytes)", out[0].Len(), out[1].Len())
+	}
 }
 
 // TestIsolatedNodeRejoinsAfterRestore: a partition that outlasts the
