@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,49 +19,63 @@ import (
 	"makalu/internal/serve"
 )
 
-// testBackends builds k in-process serve backends over the SAME graph,
-// store, and seed — replicas in the exact sense the serving tier
-// assumes: any of them answers any key with bit-identical results
-// (serve's purity contract). Returns the line-protocol addrs.
-func testBackends(t *testing.T, k int) (addrs []string, engines []*serve.Engine, servers []*serve.TCPServer) {
+// testOverlay is the replicas' overlay: a 400-node circulant graph
+// with steps 1, 7, 31 and extra (0: none), and a store over it.
+func testOverlay(t *testing.T, extra int) (*graph.Graph, *content.Store) {
 	t.Helper()
 	const n = 400
 	m := graph.NewMutable(n)
 	for i := 0; i < n; i++ {
-		m.AddEdge(i, (i+1)%n)
-		m.AddEdge(i, (i+7)%n)
-		m.AddEdge(i, (i+31)%n)
+		for _, step := range []int{1, 7, 31, extra} {
+			if step > 0 {
+				m.AddEdge(i, (i+step)%n)
+			}
+		}
 	}
-	g := m.Freeze(nil)
 	store, err := content.Place(n, content.PlacementConfig{
 		Objects: 60, Replication: 0.02, MinReplicas: 2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
+	return m.Freeze(nil), store
+}
+
+// testEngines builds k in-process serve engines over the SAME graph,
+// store, and seed — replicas in the exact sense the serving tier
+// assumes: any of them answers any key with bit-identical results
+// (serve's purity contract).
+func testEngines(t *testing.T, k int) []*serve.Engine {
+	t.Helper()
+	g, store := testOverlay(t, 0)
+	engines := make([]*serve.Engine, k)
+	for i := range engines {
 		eng, err := serve.New(serve.Config{
 			Graph: g, Store: store, Shards: 2, Seed: 42, CacheCapacity: 512,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(eng.Close)
+		engines[i] = eng
+	}
+	return engines
+}
+
+// testBackends serves k testEngines replicas on line-protocol sockets
+// and returns their addrs.
+func testBackends(t *testing.T, k int) (addrs []string, engines []*serve.Engine, servers []*serve.TCPServer) {
+	t.Helper()
+	engines = testEngines(t, k)
+	for _, eng := range engines {
 		srv, err := serve.NewTCPServer("127.0.0.1:0", eng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, eng)
+		t.Cleanup(srv.Close)
 		servers = append(servers, srv)
 		addrs = append(addrs, srv.Addr())
 	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, e := range engines {
-			e.Close()
-		}
-	})
 	return addrs, engines, servers
 }
 
@@ -114,7 +129,7 @@ func TestGatewayBitIdenticalAndAffinity(t *testing.T) {
 	for i, a := range addrs {
 		specs[i] = BackendSpec{Addr: a}
 	}
-	gw, err := New(Config{Backends: specs, Route: RouteHash, HealthInterval: time.Hour})
+	gw, err := newGateway(Config{Backends: specs, Route: RouteHash}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +184,7 @@ func TestGatewayBitIdenticalAndAffinity(t *testing.T) {
 
 // TestGatewayFailover kills one of three backends mid-stream and
 // demands zero client-visible errors: in-flight forwards retry on the
-// next ring replica (pool failure -> fail over), the health path
+// next ring replica (pool failure -> fail over), the failure streak
 // evicts the dead backend, and answers stay bit-identical throughout.
 func TestGatewayFailover(t *testing.T) {
 	addrs, engines, servers := testBackends(t, 3)
@@ -177,10 +192,7 @@ func TestGatewayFailover(t *testing.T) {
 	for i, a := range addrs {
 		specs[i] = BackendSpec{Addr: a}
 	}
-	gw, err := New(Config{
-		Backends: specs, Route: RouteHash,
-		HealthInterval: 25 * time.Millisecond, FailThreshold: 2,
-	})
+	gw, err := New(Config{Backends: specs, Route: RouteHash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +238,10 @@ func TestGatewayFailover(t *testing.T) {
 			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for gw.Healthy() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("healthy = %d, want 2 after killing one backend", gw.Healthy())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The dead backend's forwards failed twice in a row long before the
+	// rounds ended, which evicts it without waiting for a probe.
+	if h := gw.Healthy(); h != 2 {
+		t.Fatalf("healthy = %d, want 2 after killing one backend", h)
 	}
 }
 
@@ -269,10 +279,9 @@ func fakeBackend(t *testing.T, delay time.Duration) (addr string, served *atomic
 
 // primaryAddr returns the backend gw tries first for key.
 func primaryAddr(gw *Gateway, key uint64) string {
-	f := gw.getForwarder()
-	defer gw.putForwarder(f)
-	gw.route(f, key)
-	return f.targets[0].Addr()
+	var f attempts
+	gw.order(&f, key)
+	return f.targets[0].spec.Addr
 }
 
 // TestPoolPipelining drives many concurrent calls through a single
@@ -313,8 +322,9 @@ func TestPoolPipelining(t *testing.T) {
 // TestPoolBoundsReplyLine pins the unbounded-reply fix: a backend that
 // streams reply bytes without ever sending a newline must cost the pool
 // one fixed read buffer and a dead connection — every call in flight
-// fails promptly with the transport error, and through the gateway the
-// request fails over to the next replica like after any other one.
+// fails promptly with the transport error. Through the gateway that is
+// a torn reply, which the virtual schedules fail over
+// (TestGatewaySchedules).
 func TestPoolBoundsReplyLine(t *testing.T) {
 	endless := startFake(t, func(w *bufio.Writer, _ serve.Request) {
 		w.WriteString(strings.Repeat("H", 4*maxReplyLine))
@@ -336,135 +346,68 @@ func TestPoolBoundsReplyLine(t *testing.T) {
 		t.Fatalf("err = %v, want bufio.ErrBufferFull", err)
 	}
 
-	good, _ := fakeBackend(t, 0)
-	gw, err := New(Config{
-		Backends:       []BackendSpec{{Addr: endless}, {Addr: good}},
-		HedgeMin:       time.Hour, // the rescue below must be failover, not a hedge
-		HedgeMax:       time.Hour,
-		HealthInterval: time.Hour,
-		FailThreshold:  1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	key := uint64(0)
-	for primaryAddr(gw, key) != endless {
-		key++
-	}
-	if reply, err := gw.Forward(key, "Q flood 7 4\n"); err != nil || reply != "H 1 1 7 1 0\n" {
-		t.Fatalf("forward past the endless backend: %q, %v", reply, err)
-	}
 }
 
-// TestGatewayHedging pins tail tolerance: a key whose primary is slow
-// gets re-issued to the next ring replica after the hedge delay, and
-// the fast replica's (bit-identical) answer wins well before the
-// primary would have replied.
-func TestGatewayHedging(t *testing.T) {
-	slowAddr, _ := fakeBackend(t, 300*time.Millisecond)
-	fastAddr, fastServed := fakeBackend(t, 0)
-	gw, err := New(Config{
-		Backends:       []BackendSpec{{Addr: slowAddr}, {Addr: fastAddr}},
-		Route:          RouteHash,
-		HedgeMin:       5 * time.Millisecond,
-		HedgeMax:       5 * time.Millisecond,
-		HealthInterval: time.Hour,
-		FailThreshold:  1000, // keep eviction out of this test
-		Metrics:        nil,
-	})
+// TestHedgeDelayAdaptsWithoutMetrics: the hedge delay comes from the
+// forwards' own latency whether or not a registry is attached, so a
+// gateway without metrics hedges at its p99 too, not at the 50 ms cap.
+func TestHedgeDelayAdaptsWithoutMetrics(t *testing.T) {
+	a, _ := fakeBackend(t, 0)
+	b, _ := fakeBackend(t, 0)
+	gw, err := New(Config{Backends: []BackendSpec{{Addr: a}, {Addr: b}}, Metrics: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	// Find a key the ring assigns to the SLOW backend.
-	key := uint64(0)
-	for primaryAddr(gw, key) != slowAddr {
-		key++
-	}
-	start := time.Now()
-	reply, err := gw.Forward(key, "Q flood 1 4\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if reply != "H 1 1 1 1 0\n" {
-		t.Fatalf("reply %q", reply)
-	}
-	if elapsed >= 300*time.Millisecond {
-		t.Fatalf("hedge did not rescue the request: took %v (primary delay is 300ms)", elapsed)
-	}
-	if fastServed.Load() == 0 {
-		t.Fatal("fast replica never served — the winning answer came from nowhere")
-	}
-}
-
-// TestGatewayHealthEvictRejoin flips a backend's /healthz between
-// healthy and failing and pins the ring membership lifecycle: evicted
-// after FailThreshold consecutive bad probes, rejoined after one good
-// probe. Also pins stale-epoch eviction: a backend reporting an older
-// overlay epoch than its peers is unhealthy even though it is up.
-func TestGatewayHealthEvictRejoin(t *testing.T) {
-	tcpA, _ := fakeBackend(t, 0)
-	tcpB, _ := fakeBackend(t, 0)
-	var healthyB, epochB atomic.Int64
-	healthyB.Store(1)
-	mkHealth := func(healthy *atomic.Int64, epoch *atomic.Int64) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if healthy != nil && healthy.Load() == 0 {
-				http.Error(w, "down", http.StatusServiceUnavailable)
-				return
-			}
-			var e int64
-			if epoch != nil {
-				e = epoch.Load()
-			}
-			fmt.Fprintf(w, `{"ok":true,"epoch":%d,"shards":2,"queue_depth":0}`, e)
-		}))
-	}
-	srvA := mkHealth(nil, nil)
-	defer srvA.Close()
-	srvB := mkHealth(&healthyB, &epochB)
-	defer srvB.Close()
-	strip := func(u string) string { return strings.TrimPrefix(u, "http://") }
-	gw, err := New(Config{
-		Backends: []BackendSpec{
-			{Addr: tcpA, HTTP: strip(srvA.URL)},
-			{Addr: tcpB, HTTP: strip(srvB.URL)},
-		},
-		HealthInterval:   10 * time.Millisecond,
-		FailThreshold:    2,
-		StaleEpochEvicts: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
-	waitHealthy := func(want int, why string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for gw.Healthy() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: healthy = %d, want %d", why, gw.Healthy(), want)
-			}
-			time.Sleep(2 * time.Millisecond)
+	for i := 0; i < 256; i++ {
+		if _, err := gw.Forward(uint64(i), fmt.Sprintf("Q flood %d 4\n", i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	waitHealthy(2, "startup")
-	healthyB.Store(0)
-	waitHealthy(1, "after B starts failing probes")
-	healthyB.Store(1)
-	waitHealthy(2, "after B recovers")
-
-	// Stale epoch: A moves to epoch 1 (fake always reports 0)... flip
-	// roles: B reports epoch 1, A stays at 0 -> A is stale and evicted.
-	epochB.Store(1)
-	waitHealthy(1, "after B advances the epoch (A stale)")
-	backA := gw.Backends()[0]
-	if backA.Up() {
-		t.Fatal("stale-epoch backend still in the ring")
+	if d := gw.hedgeDelay(); d >= 50*time.Millisecond {
+		t.Fatalf("hedge delay %v after 256 fast forwards, want the p99 below 50ms", d)
 	}
-	epochB.Store(0)
-	waitHealthy(2, "after epochs re-agree")
+}
+
+// TestObjectsSkipsStalledBackend: a backend whose /objects never
+// answers costs the proxy one client timeout, after which the next
+// backend serves the catalog.
+func TestObjectsSkipsStalledBackend(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(stalled.Close)
+	served := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "[1,2,3]")
+	}))
+	t.Cleanup(served.Close)
+	t.Cleanup(func() { close(release) })
+	host := func(s *httptest.Server) string { return strings.TrimPrefix(s.URL, "http://") }
+	gw, err := newGateway(Config{Backends: []BackendSpec{
+		{Addr: "127.0.0.2:1", HTTP: host(stalled)},
+		{Addr: "127.0.0.3:1", HTTP: host(served)},
+	}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	front := httptest.NewServer(NewHTTPHandler(HTTPConfig{Gateway: gw}))
+	defer front.Close()
+	start := time.Now()
+	resp, err := http.Get(front.URL + "/objects")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != "[1,2,3]" {
+		t.Fatalf("/objects: status %d, body %q; want the second backend's catalog", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 2*httpClient.Timeout {
+		t.Fatalf("/objects took %v, want about one client timeout (%v)", took, httpClient.Timeout)
+	}
 }

@@ -30,7 +30,7 @@ func tcpTiers(t *testing.T, cfg TCPConfig) (addrs map[string]string, obj uint64)
 		t.Fatal(err)
 	}
 	t.Cleanup(direct.Close)
-	gw, err := New(Config{Backends: []BackendSpec{{Addr: backendAddrs[0]}}, HealthInterval: time.Hour})
+	gw, err := newGateway(Config{Backends: []BackendSpec{{Addr: backendAddrs[0]}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTCPIdleReaped(t *testing.T) {
 // before any handler runs, and requests within the cap are served.
 func TestHTTPBodyLimit(t *testing.T) {
 	addrs, engines, _ := testBackends(t, 1)
-	gw, err := New(Config{Backends: []BackendSpec{{Addr: addrs[0]}}, HealthInterval: time.Hour})
+	gw, err := newGateway(Config{Backends: []BackendSpec{{Addr: addrs[0]}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

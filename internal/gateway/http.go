@@ -41,41 +41,43 @@ func NewHTTPHandler(cfg HTTPConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		g := cfg.Gateway
-		rows := make([]backendHealth, 0, len(g.Backends()))
-		for _, b := range g.Backends() {
-			row := backendHealth{
-				Addr: b.Addr(), Up: b.Up(),
-				Epoch: b.Epoch(), QueueDepth: b.QueueDepth(),
+		rows := make([]backendHealth, 0, len(g.backends))
+		g.mu.RLock()
+		for _, b := range g.backends {
+			row := backendHealth{Addr: b.spec.Addr, Up: b.up, Epoch: b.epoch, QueueDepth: b.queueDepth}
+			if b.lastErr != nil {
+				row.Error = b.lastErr.Error()
 			}
-			b.lastProbeMu.Lock()
-			if b.lastProbe != nil {
-				row.Error = b.lastProbe.Error()
-			}
-			b.lastProbeMu.Unlock()
 			rows = append(rows, row)
 		}
+		g.mu.RUnlock()
 		serve.WriteJSON(w, http.StatusOK, struct {
 			OK       bool            `json:"ok"`
 			Route    string          `json:"route"`
 			Epoch    uint64          `json:"epoch"`
 			Healthy  int             `json:"healthy"`
 			Backends []backendHealth `json:"backends"`
-		}{g.Healthy() > 0, g.cfg.Route, g.Epoch(), g.Healthy(), rows})
+		}{g.Healthy() > 0, g.route, g.Epoch(), g.Healthy(), rows})
 	})
 	mux.HandleFunc("/objects", func(w http.ResponseWriter, r *http.Request) {
 		g := cfg.Gateway
-		for _, b := range g.Backends() {
-			if !b.Up() || b.spec.HTTP == "" {
-				continue
+		var addrs []string
+		g.mu.RLock()
+		for _, b := range g.backends {
+			if b.up && b.spec.HTTP != "" {
+				addrs = append(addrs, b.spec.HTTP)
 			}
-			resp, err := http.Get("http://" + b.spec.HTTP + "/objects")
+		}
+		g.mu.RUnlock()
+		for _, addr := range addrs {
+			resp, err := httpClient.Get("http://" + addr + "/objects")
 			if err != nil {
 				continue
 			}
-			defer resp.Body.Close()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(resp.StatusCode)
 			io.Copy(w, resp.Body)
+			resp.Body.Close()
 			return
 		}
 		http.Error(w, `{"error":"no healthy backend with an HTTP address"}`, http.StatusServiceUnavailable)

@@ -28,7 +28,7 @@ var (
 //
 // Connections dial lazily and are replaced lazily after failure, so an
 // unreachable backend costs each attempt one dial error and nothing
-// else (the health checker stops routing there after FailThreshold).
+// else (two failures in a row take it out of the ring).
 type Pool struct {
 	addr        string
 	size        int
@@ -47,11 +47,15 @@ type Pool struct {
 // backend can never wedge a sender holding the write lock.
 const pipelineDepth = 512
 
+// defaultReadTimeout is how long a connection waits for a reply line.
+const defaultReadTimeout = 30 * time.Second
+
 // call is one request line in flight. start sends the call on done
 // exactly once, after it has set reply (a copy of the reply line, in
 // the call's own reused buffer) or err.
 type call struct {
 	line  []byte // complete request line, '\n' included
+	i     int    // the attempt the call carries, for its forwarder
 	reply []byte
 	err   error
 	done  chan<- *call
@@ -77,7 +81,7 @@ type pconn struct {
 }
 
 // NewPool sizes a pool for one backend address. size <= 0 gets 4
-// connections; timeouts <= 0 get 2s dial / 30s read defaults.
+// connections; timeouts <= 0 get a 2s dial and the default read deadline.
 func NewPool(addr string, size int, dialTimeout, readTimeout time.Duration) *Pool {
 	if size <= 0 {
 		size = 4
@@ -86,7 +90,7 @@ func NewPool(addr string, size int, dialTimeout, readTimeout time.Duration) *Poo
 		dialTimeout = 2 * time.Second
 	}
 	if readTimeout <= 0 {
-		readTimeout = 30 * time.Second
+		readTimeout = defaultReadTimeout
 	}
 	return &Pool{
 		addr: addr, size: size,

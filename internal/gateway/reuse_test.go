@@ -13,16 +13,13 @@ import (
 // TestReuseCachedLookupAllocatesNothing: a cached lookup from the
 // gateway's socket through a backend's socket and back allocates
 // nothing anywhere in the process once pools, forwarders and caches
-// are warm. The health interval is long so that no probe runs.
+// are warm. The gateway runs no health checker, so no probe allocates.
 func TestReuseCachedLookupAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
 	addrs, engines, _ := testBackends(t, 2)
-	gw, err := New(Config{
-		Backends:       []BackendSpec{{Addr: addrs[0]}, {Addr: addrs[1]}},
-		HealthInterval: time.Hour,
-	})
+	gw, err := newGateway(Config{Backends: []BackendSpec{{Addr: addrs[0]}, {Addr: addrs[1]}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +63,12 @@ func TestReuseCachedLookupAllocatesNothing(t *testing.T) {
 
 // TestReuseLateHedgeLoser: a slow primary's reply that arrives after
 // its hedge won lands in a forwarder no later request holds, so the
-// forwards that follow on other keys each get their own answer.
+// forwards that follow on other keys each get their own answer. The
+// slow primary answers after hedgeMax, so every slow forward is hedged.
 func TestReuseLateHedgeLoser(t *testing.T) {
-	slowAddr, _ := fakeBackend(t, 40*time.Millisecond)
+	slowAddr, _ := fakeBackend(t, hedgeMax+10*time.Millisecond)
 	fastAddr, _ := fakeBackend(t, time.Millisecond)
-	gw, err := New(Config{
-		Backends:       []BackendSpec{{Addr: slowAddr}, {Addr: fastAddr}},
-		HedgeMin:       5 * time.Millisecond,
-		HedgeMax:       5 * time.Millisecond,
-		HealthInterval: time.Hour,
-		FailThreshold:  1000,
-	})
+	gw, err := newGateway(Config{Backends: []BackendSpec{{Addr: slowAddr}, {Addr: fastAddr}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
