@@ -3,6 +3,7 @@ package peer
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -146,6 +147,61 @@ func TestMassFailureTraceReplays(t *testing.T) {
 	}
 	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
 		t.Fatalf("two runs of one seed wrote different traces (%d and %d bytes)", out[0].Len(), out[1].Len())
+	}
+}
+
+// TestMassFailureGolden pins MassFailure(200, seed) at seeds 1 and 2 to
+// the bit: the step count, the action hash and every timeline row
+// (floats as their IEEE bits). The storm runs the same state as a
+// socket node, so a change to any decision a node makes, or to a
+// default it makes it with, moves these numbers.
+func TestMassFailureGolden(t *testing.T) {
+	type row struct {
+		time              uint64
+		live, components  int
+		giant, mean, srch uint64
+		rating            uint64
+	}
+	golden := []struct {
+		seed  int64
+		steps int
+		hash  uint64
+		rows  []row
+	}{
+		{1, 59492, 0x5245c338c6aba1c, []row{
+			{0x3fcc28f5c28f5c29, 200, 1, 0x3ff0000000000000, 0x4010ae147ae147ae, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3fe3333333333333, 140, 3, 0x3fef8af8af8af8b0, 0x401041d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3feb333333333333, 140, 1, 0x3ff0000000000000, 0x400e492492492492, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff199999999999a, 140, 1, 0x3ff0000000000000, 0x400f075075075075, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff599999999999a, 140, 1, 0x3ff0000000000000, 0x400f5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff970a3d70a3d70, 140, 1, 0x3ff0000000000000, 0x401083a83a83a83b, 0x3ff0000000000000, 0xbff0000000000000},
+		}},
+		{2, 60105, 0x1fb981352c5f956a, []row{
+			{0x3fd0a3d70a3d70a4, 200, 1, 0x3ff0000000000000, 0x4011800000000000, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3fe3d70a3d70a3d7, 140, 3, 0x3fef507507507507, 0x400fe2be2be2be2c, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3febd70a3d70a3d7, 140, 4, 0x3feedb6db6db6db7, 0x400e750750750750, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff1eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400f5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff5eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400f41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff9eb851eb851ec, 140, 2, 0x3fefc57c57c57c58, 0x4010333333333333, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ffca3d70a3d70a4, 140, 1, 0x3ff0000000000000, 0x4011075075075075, 0x3ff0000000000000, 0xbff0000000000000},
+		}},
+	}
+	for _, g := range golden {
+		s, err := MassFailure(200, g.seed, nil, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", g.seed, err)
+		}
+		if s.Steps != g.steps || s.Hash != g.hash {
+			t.Errorf("seed %d: %d steps, hash %#x; want %d, %#x", g.seed, s.Steps, s.Hash, g.steps, g.hash)
+		}
+		var got []row
+		for _, r := range s.Timeline {
+			got = append(got, row{math.Float64bits(r.Time), r.Live, r.Components, math.Float64bits(r.GiantFraction),
+				math.Float64bits(r.MeanDegree), math.Float64bits(r.SearchSuccess), math.Float64bits(r.MeanRating)})
+		}
+		if !reflect.DeepEqual(got, g.rows) {
+			t.Errorf("seed %d: timeline\n%#v\nwant\n%#v", g.seed, got, g.rows)
+		}
 	}
 }
 
