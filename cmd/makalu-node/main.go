@@ -108,8 +108,6 @@ func realMain() int {
 	}
 	cfg := peer.Config{
 		Capacity:       *capacity,
-		Alpha:          1,
-		Beta:           1,
 		ManageInterval: *manage,
 		Seed:           eff,
 		Metrics:        reg,

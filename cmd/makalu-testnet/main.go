@@ -59,8 +59,8 @@ func main() {
 	}
 
 	// Snapshot period, spawn pacing, seed fan-out, query TTL and the
-	// per-query wait are testnet.Config's defaults: a snapshot every
-	// manage interval, 25 processes per 200 ms step, joiners
+	// per-query wait are constants of internal/testnet: a snapshot
+	// every manage interval, 25 processes per 200 ms step, joiners
 	// bootstrapping off the first 8 nodes, TTL 6, 5 s for a query's
 	// first hit.
 	cfg := testnet.Config{

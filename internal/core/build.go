@@ -12,9 +12,17 @@ const graphUnreachable = graph.Unreachable
 // Manage() loop that prunes over-capacity neighbor sets with the
 // rating function.
 
-// randomWalkCandidates performs a random walk of cfg.WalkLength steps
+// The candidate walk of §2.2: walkLength steps gather up to
+// candidateSetSize distinct candidates for a joining or under-capacity
+// node to dial.
+const (
+	walkLength       = 24
+	candidateSetSize = 12
+)
+
+// randomWalkCandidates performs a random walk of walkLength steps
 // starting at seed over alive nodes and collects up to
-// cfg.CandidateSetSize distinct visited nodes (excluding u and u's
+// candidateSetSize distinct visited nodes (excluding u and u's
 // current neighbors). A walk that hits a dead end (isolated node)
 // restarts from the seed.
 //
@@ -58,7 +66,7 @@ const (
 // change while candidates are gathered, so the set stays valid.
 func (o *Overlay) walkCandidatesOn(s *ratingScratch, rng intner, u, seed int, out, fallback []int32) (cands, fb []int32) {
 	rows, need := o.gatherViews(s, o.g.Neighbors(u))
-	s.reserve(need+o.cfg.WalkLength, 0) // the walk marks at most 1 + WalkLength/2 more
+	s.reserve(need+walkLength, 0) // the walk marks at most 1 + walkLength/2 more
 	for _, row := range rows {
 		for _, y := range row {
 			s.lookup(y).count = walkBoundary
@@ -81,7 +89,7 @@ func (o *Overlay) walkCandidatesOn(s *ratingScratch, rng intner, u, seed int, ou
 	}
 	cur := seed
 	maybeAdd(cur)
-	for step := 0; step < o.cfg.WalkLength && len(out) < o.cfg.CandidateSetSize; step++ {
+	for step := 0; step < walkLength && len(out) < candidateSetSize; step++ {
 		nb := o.g.Neighbors(cur)
 		// Walk only over alive neighbors.
 		next := -1
@@ -108,7 +116,7 @@ func (o *Overlay) walkCandidatesOn(s *ratingScratch, rng intner, u, seed int, ou
 	}
 	// Top up with boundary nodes when fresh reach was scarce.
 	for _, f := range fallback {
-		if len(out) >= o.cfg.CandidateSetSize {
+		if len(out) >= candidateSetSize {
 			break
 		}
 		out = append(out, f)

@@ -48,12 +48,6 @@ type Config struct {
 	Capacities []int
 	// Net supplies pairwise latencies. Required.
 	Net netmodel.Model
-	// WalkLength is the length of the random walk used to gather
-	// candidate peers on join (paper §2.2).
-	WalkLength int
-	// CandidateSetSize is how many distinct candidates a joining or
-	// under-capacity node gathers before dialing.
-	CandidateSetSize int
 	// ManageRounds is the number of post-join management rounds in
 	// which every node re-evaluates its neighbors (paper: the repeat
 	// loop of Manage()).
@@ -130,15 +124,13 @@ type Tracer interface {
 // (mean ≈ 11), modest candidate sets and four management rounds.
 func DefaultConfig(net netmodel.Model, seed int64) Config {
 	return Config{
-		Alpha:            1,
-		Beta:             1,
-		Net:              net,
-		WalkLength:       24,
-		CandidateSetSize: 12,
-		ManageRounds:     4,
-		ProbesPerRound:   1,
-		Views:            OracleViews,
-		Seed:             seed,
+		Alpha:          1,
+		Beta:           1,
+		Net:            net,
+		ManageRounds:   4,
+		ProbesPerRound: 1,
+		Views:          OracleViews,
+		Seed:           seed,
 	}
 }
 
@@ -227,12 +219,6 @@ func Build(n int, cfg Config) (*Overlay, error) {
 	}
 	if cfg.Alpha < 0 || cfg.Beta < 0 || cfg.Alpha+cfg.Beta == 0 {
 		return nil, fmt.Errorf("core: rating weights must be non-negative and not both zero")
-	}
-	if cfg.WalkLength <= 0 {
-		cfg.WalkLength = 24
-	}
-	if cfg.CandidateSetSize <= 0 {
-		cfg.CandidateSetSize = 12
 	}
 	o := &Overlay{
 		cfg:   cfg,

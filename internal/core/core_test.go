@@ -120,8 +120,7 @@ func ratingFixture(t *testing.T, alpha, beta float64, lat []float64) *Overlay {
 	t.Helper()
 	n := 6
 	cfg := Config{
-		Alpha: alpha, Beta: beta, Net: latencyMatrix{n, lat}, Seed: 1,
-		WalkLength: 1, CandidateSetSize: 1, ManageRounds: 0,
+		Alpha: alpha, Beta: beta, Net: latencyMatrix{n, lat}, Seed: 1, ManageRounds: 0,
 	}
 	cfg.Capacities = []int{10, 10, 10, 10, 10, 10}
 	o, err := Build(6, cfg)
@@ -306,7 +305,7 @@ func TestPruneDropsLowestRated(t *testing.T) {
 	n := 7
 	lat := uniformMatrix(n, 10)
 	lat[0*n+3], lat[3*n+0] = 90, 90
-	cfg := Config{Alpha: 1, Beta: 1, Net: latencyMatrix{n, lat}, Seed: 1, WalkLength: 1, CandidateSetSize: 1}
+	cfg := Config{Alpha: 1, Beta: 1, Net: latencyMatrix{n, lat}, Seed: 1}
 	cfg.Capacities = []int{2, 9, 9, 9, 9, 9, 9}
 	o, err := Build(n, cfg)
 	if err != nil {
@@ -547,7 +546,7 @@ func TestRandomWalkCandidatesExcludesSelfAndNeighbors(t *testing.T) {
 			t.Fatal("walk returned an existing neighbor")
 		}
 	}
-	if len(cands) > o.cfg.CandidateSetSize {
-		t.Fatalf("gathered %d candidates, cap %d", len(cands), o.cfg.CandidateSetSize)
+	if len(cands) > candidateSetSize {
+		t.Fatalf("gathered %d candidates, cap %d", len(cands), candidateSetSize)
 	}
 }

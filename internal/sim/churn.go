@@ -35,13 +35,6 @@ type ChurnConfig struct {
 	SearchProbes int
 	SearchTTL    int
 	SearchStore  *content.Store
-	// SearchWorkers bounds the goroutines each snapshot's probe batch
-	// fans out over (0 = GOMAXPROCS, 1 = sequential). The overlay is
-	// quiescent while a snapshot runs — the event loop is
-	// single-threaded — so concurrent probes only read shared state,
-	// and per-probe seeding keeps the measured rate identical at any
-	// worker count.
-	SearchWorkers int
 
 	// RatingSnapshots, when true, records the mean §2.1 link rating at
 	// every snapshot via the batched RateAll pass — churn-time
@@ -173,7 +166,7 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 			// One seed per snapshot, drawn from the probe stream; the
 			// batch derives per-probe seeds from it.
 			eng.Emit(obs.EvQueryStart, "sim", "", int64(cfg.SearchProbes))
-			snap.SearchSuccess = measureSearch(o, cfg.SearchStore, cfg.SearchProbes, cfg.SearchTTL, cfg.SearchWorkers, probeRng.Int63())
+			snap.SearchSuccess = measureSearch(o, cfg.SearchStore, cfg.SearchProbes, cfg.SearchTTL, 0, probeRng.Int63())
 			eng.Emit(obs.EvQueryHit, "sim", "", int64(snap.SearchSuccess*float64(cfg.SearchProbes)+0.5))
 		}
 		snap.MeanRating = SentinelOff
@@ -197,8 +190,11 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 
 // measureSearch floods from random alive sources for random objects,
 // matching only ALIVE replicas (dead hosts cannot answer), and
-// returns the success rate. Probes run as one parallel batch over the
-// frozen snapshot graph; the overlay is only read, never mutated.
+// returns the success rate. Probes run as one parallel batch of up to
+// workers goroutines (0 = GOMAXPROCS, which the churn snapshots use)
+// over the frozen snapshot graph; the overlay is only read, never
+// mutated, and per-probe seeding keeps the rate identical at any
+// worker count.
 func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers int, seed int64) float64 {
 	if probes <= 0 {
 		return 0

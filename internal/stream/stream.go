@@ -73,23 +73,20 @@ type Config struct {
 	// scheduler's analogue of the live layer's EvictMisses) and
 	// re-requests every chunk that was in flight there (default 1000).
 	ChunkTimeout float64
-	// RediscoverDelay is the cost of one replica re-discovery round
-	// when the active source set drains (default 100) — the identifier
-	// lookup's round trips collapsed to one configurable charge.
-	RediscoverDelay float64
-	// MaxRediscoveries bounds consecutive empty discovery rounds before
-	// the transfer fails (default 16).
-	MaxRediscoveries int
 	// Deadline, when positive, fails any transfer still incomplete this
 	// long after its start.
 	Deadline float64
-	// Bandwidth returns a node's upload bandwidth in bytes per time
-	// unit; nil means a uniform 1250 bytes/ms (10 Mbit/s). A source
-	// serializes its uploads — concurrent chunks queue behind each
-	// other — which is the trace model's bandwidth accounting applied
-	// per node.
-	Bandwidth func(node int) float64
 }
+
+const (
+	// rediscoverDelay is the cost of one replica re-discovery round
+	// when the active source set drains — the identifier lookup's
+	// round trips collapsed to one charge.
+	rediscoverDelay = 100
+	// maxRediscoveries bounds consecutive empty discovery rounds
+	// before the transfer fails.
+	maxRediscoveries = 16
+)
 
 // withDefaults fills zero-valued knobs.
 func (cfg Config) withDefaults() Config {
@@ -102,17 +99,13 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ChunkTimeout <= 0 {
 		cfg.ChunkTimeout = 1000
 	}
-	if cfg.RediscoverDelay <= 0 {
-		cfg.RediscoverDelay = 100
-	}
-	if cfg.MaxRediscoveries <= 0 {
-		cfg.MaxRediscoveries = 16
-	}
 	return cfg
 }
 
-// DefaultBandwidth is the uniform upload rate used when Config.Bandwidth
-// is nil: 1250 bytes per simulated millisecond = 10 Mbit/s.
+// DefaultBandwidth is every node's upload rate: 1250 bytes per
+// simulated millisecond = 10 Mbit/s. A source serializes its uploads —
+// concurrent chunks queue behind each other — which is the trace
+// model's bandwidth accounting applied per node.
 const DefaultBandwidth = 1250.0
 
 // TransferResult is the outcome of one chunked transfer.

@@ -135,17 +135,14 @@ func TestSteadyTransferCompletes(t *testing.T) {
 }
 
 // TestUploadSerialization pins the bandwidth model: one source at
-// 1000 bytes/ms serving four 1000-byte chunks back to back must take
-// exactly 4 time units with zero latency.
+// DefaultBandwidth serving four DefaultBandwidth-byte chunks back to
+// back must take exactly 4 time units with zero latency.
 func TestUploadSerialization(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
-	cfg := Config{
-		Bandwidth: func(int) float64 { return 1000 },
-	}
-	sw := NewSwarm(eng, uniformLatency{2, 0}, AllAlive{}, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 0}, AllAlive{}, loc, Config{}, Obs{})
 
-	man := mustManifest(t, 1, 4000, 1000)
+	man := mustManifest(t, 1, 4*DefaultBandwidth, DefaultBandwidth)
 	var got TransferResult
 	sw.Start(0, man, func(r TransferResult) { got = r })
 	eng.Run()
@@ -156,8 +153,8 @@ func TestUploadSerialization(t *testing.T) {
 	if got.Elapsed() != 4 {
 		t.Fatalf("elapsed = %v, want exactly 4 (serialized uploads)", got.Elapsed())
 	}
-	if got.Goodput() != 1000 {
-		t.Fatalf("goodput = %v, want 1000 bytes/unit", got.Goodput())
+	if got.Goodput() != DefaultBandwidth {
+		t.Fatalf("goodput = %v, want %v bytes/unit", got.Goodput(), DefaultBandwidth)
 	}
 }
 
@@ -201,7 +198,7 @@ func TestRediscoveryAndStall(t *testing.T) {
 	live := newSetLive()
 	// ChunkTimeout must exceed window·tx+RTT (4·13.1+10 ≈ 62) or a
 	// healthy source's queued chunks get it falsely evicted.
-	cfg := Config{MaxSources: 1, ChunkTimeout: 100, RediscoverDelay: 25}
+	cfg := Config{MaxSources: 1, ChunkTimeout: 100}
 	sw := NewSwarm(eng, uniformLatency{3, 5}, live, loc, cfg, Obs{})
 
 	man := mustManifest(t, 5, 256<<10, 16<<10) // 16 chunks
@@ -228,8 +225,7 @@ func TestRediscoveryAndStall(t *testing.T) {
 func TestNoReplicasFails(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{}}
-	cfg := Config{MaxRediscoveries: 3, RediscoverDelay: 10}
-	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, cfg, Obs{})
+	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, Config{}, Obs{})
 
 	var got TransferResult
 	done := false
@@ -239,26 +235,27 @@ func TestNoReplicasFails(t *testing.T) {
 	if !done || got.Completed {
 		t.Fatalf("transfer should have failed: done=%v %+v", done, got)
 	}
-	if got.Rediscoveries != 3 {
-		t.Fatalf("rediscoveries = %d, want 3", got.Rediscoveries)
+	if got.Rediscoveries != maxRediscoveries {
+		t.Fatalf("rediscoveries = %d, want %d", got.Rediscoveries, maxRediscoveries)
 	}
 	if got.Delivered != 0 || got.Bytes != 0 {
 		t.Fatalf("phantom delivery: %+v", got)
 	}
 }
 
-// TestDeadlineAborts pins Config.Deadline.
+// TestDeadlineAborts pins Config.Deadline: four rediscovery rounds in,
+// long before maxRediscoveries rounds would fail the transfer.
 func TestDeadlineAborts(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{}}
-	cfg := Config{Deadline: 42, RediscoverDelay: 5, MaxRediscoveries: 1 << 20}
+	cfg := Config{Deadline: 4.2 * rediscoverDelay}
 	sw := NewSwarm(eng, uniformLatency{2, 1}, AllAlive{}, loc, cfg, Obs{})
 
 	var got TransferResult
 	sw.Start(0, mustManifest(t, 1, 1000, 100), func(r TransferResult) { got = r })
 	eng.Run()
 
-	if got.Completed || got.End != 42 {
+	if got.Completed || got.End != cfg.Deadline {
 		t.Fatalf("deadline abort missing: %+v", got)
 	}
 }
@@ -295,7 +292,7 @@ func TestAbortActive(t *testing.T) {
 	eng := &sim.Engine{}
 	loc := fixedLocator{replicas: map[uint64][]int{1: {1}}}
 	live := newSetLive(1) // sole replica already dead
-	cfg := Config{ChunkTimeout: 1 << 20, RediscoverDelay: 1 << 20}
+	cfg := Config{ChunkTimeout: 1 << 20}
 	sw := NewSwarm(eng, uniformLatency{2, 1}, live, loc, cfg, Obs{})
 
 	tr := sw.Start(0, mustManifest(t, 1, 1000, 100), nil)

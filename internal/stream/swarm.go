@@ -88,15 +88,6 @@ func (s *Swarm) AbortActive() {
 	}
 }
 
-func (s *Swarm) bandwidth(u int) float64 {
-	if s.cfg.Bandwidth != nil {
-		if b := s.cfg.Bandwidth(u); b > 0 {
-			return b
-		}
-	}
-	return DefaultBandwidth
-}
-
 // A Transfer is one in-flight chunked download.
 type Transfer struct {
 	client int
@@ -193,7 +184,7 @@ func (s *Swarm) request(tr *Transfer, src, c, att int) {
 	if b := s.busy[src]; b > startTx {
 		startTx = b
 	}
-	doneTx := startTx + float64(tr.man.ChunkLen(c))/s.bandwidth(src)
+	doneTx := startTx + float64(tr.man.ChunkLen(c))/DefaultBandwidth
 	s.busy[src] = doneTx
 	arrive := doneTx + lat
 
@@ -264,19 +255,19 @@ func (s *Swarm) timeout(tr *Transfer, c, att int) {
 // for fresh replicas, excluding everything already evicted. Discovery
 // may well return nodes that are currently dead — the index is stale
 // by design — in which case their chunks time out and the next round
-// runs; MaxRediscoveries bounds the spiral.
+// runs; maxRediscoveries bounds the spiral.
 func (s *Swarm) scheduleRediscover(tr *Transfer) {
 	if tr.done || tr.rediscovering {
 		return
 	}
-	if tr.res.Rediscoveries >= s.cfg.MaxRediscoveries {
+	if tr.res.Rediscoveries >= maxRediscoveries {
 		s.fail(tr)
 		return
 	}
 	tr.rediscovering = true
 	tr.res.Rediscoveries++
 	s.obs.Rediscoveries.Inc()
-	s.eng.Schedule(s.cfg.RediscoverDelay, func() {
+	s.eng.Schedule(rediscoverDelay, func() {
 		if tr.done {
 			return
 		}

@@ -35,14 +35,9 @@ func TestHarnessEndToEnd(t *testing.T) {
 		// don't collide on listen ports.
 		BasePort:          23000 + (os.Getpid()%200)*40,
 		ManageInterval:    150 * time.Millisecond,
-		SpawnBatch:        4,
-		SpawnStagger:      100 * time.Millisecond,
-		SeedFanout:        3,
 		ConvergeTimeout:   45 * time.Second,
 		SettleTimeout:     30 * time.Second,
 		Queries:           8,
-		QueryTTL:          5,
-		QueryTimeout:      3 * time.Second,
 		PartitionFraction: 0.5,
 		PartitionHold:     3 * time.Second,
 		Logf:              logf,

@@ -47,24 +47,9 @@ type Config struct {
 
 	// ManageInterval is each node's management period (default 500ms;
 	// the in-process tests use 200ms, but hundreds of processes on one
-	// machine want a calmer cadence). SnapshotInterval is how often
-	// each node rewrites its status file (default = ManageInterval).
-	ManageInterval   time.Duration
-	SnapshotInterval time.Duration
-
-	// Spawn pacing: SpawnBatch processes per SpawnStagger step
-	// (defaults 25 and 200ms), bootstrapping through the first
-	// SeedFanout nodes (default 8).
-	SpawnBatch   int
-	SpawnStagger time.Duration
-	SeedFanout   int
-
-	// JoinTimeout is each node's bootstrap-retry budget (default 30s).
-	JoinTimeout time.Duration
-	// RunFor is the -run duration handed to every node; it only needs
-	// to outlive the scenario (default 1h — StopAll terminates the
-	// processes long before).
-	RunFor time.Duration
+	// machine want a calmer cadence). Each node rewrites its status
+	// file at the same period.
+	ManageInterval time.Duration
 
 	// ConvergeTimeout bounds the wait for the overlay to reach the
 	// simulator's mean degree (default 3m). SettleTimeout bounds the
@@ -72,12 +57,9 @@ type Config struct {
 	ConvergeTimeout time.Duration
 	SettleTimeout   time.Duration
 
-	// Query load: Queries per measurement phase (default 50), flooded
-	// with QueryTTL (default 6), each waiting QueryTimeout for its
-	// first hit (default 5s).
-	Queries      int
-	QueryTTL     int
-	QueryTimeout time.Duration
+	// Queries per measurement phase (default 50), each flooded with
+	// queryTTL and waiting queryTimeout for its first hit.
+	Queries int
 
 	// PartitionFraction > 0 inserts a deny-list partition phase before
 	// the kill wave: that fraction of nodes is cut from the rest for
@@ -89,6 +71,23 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// Spawn pacing: spawnBatch processes per spawnStagger step,
+	// bootstrapping through the first seedFanout nodes.
+	spawnBatch   = 25
+	spawnStagger = 200 * time.Millisecond
+	seedFanout   = 8
+	// joinTimeout is each node's bootstrap-retry budget; runFor the
+	// -run duration handed to every node, which only needs to outlive
+	// the scenario (StopAll terminates the processes long before).
+	joinTimeout = 30 * time.Second
+	runFor      = time.Hour
+	// A driver query floods with queryTTL and waits queryTimeout for
+	// its first hit.
+	queryTTL     = 6
+	queryTimeout = 5 * time.Second
+)
+
 func (cfg Config) withDefaults() Config {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 10
@@ -99,24 +98,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ManageInterval <= 0 {
 		cfg.ManageInterval = 500 * time.Millisecond
 	}
-	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = cfg.ManageInterval
-	}
-	if cfg.SpawnBatch <= 0 {
-		cfg.SpawnBatch = 25
-	}
-	if cfg.SpawnStagger <= 0 {
-		cfg.SpawnStagger = 200 * time.Millisecond
-	}
-	if cfg.SeedFanout <= 0 {
-		cfg.SeedFanout = 8
-	}
-	if cfg.JoinTimeout <= 0 {
-		cfg.JoinTimeout = 30 * time.Second
-	}
-	if cfg.RunFor <= 0 {
-		cfg.RunFor = time.Hour
-	}
 	if cfg.ConvergeTimeout <= 0 {
 		cfg.ConvergeTimeout = 3 * time.Minute
 	}
@@ -125,12 +106,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Queries == 0 {
 		cfg.Queries = 50
-	}
-	if cfg.QueryTTL <= 0 {
-		cfg.QueryTTL = 6
-	}
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = 5 * time.Second
 	}
 	if cfg.PartitionHold <= 0 {
 		cfg.PartitionHold = 10 * time.Second
@@ -291,22 +266,22 @@ func spawnAll(cfg Config, sup *Supervisor) error {
 			"-capacity", strconv.Itoa(cfg.Capacity),
 			"-rng-seed", strconv.FormatInt(NodeSeed(cfg.Seed, i), 10),
 			"-manage-interval", cfg.ManageInterval.String(),
-			"-metrics-interval", cfg.SnapshotInterval.String(),
+			"-metrics-interval", cfg.ManageInterval.String(),
 			"-store", strconv.FormatUint(ObjectOf(i), 10),
-			"-run", cfg.RunFor.String(),
-			"-join-timeout", cfg.JoinTimeout.String(),
+			"-run", runFor.String(),
+			"-join-timeout", joinTimeout.String(),
 		}
-		if s := SeedPeer(cfg.Seed, i, cfg.SeedFanout); s >= 0 {
+		if s := SeedPeer(cfg.Seed, i, seedFanout); s >= 0 {
 			args = append(args, "-seed", cfg.Addr(s))
 		}
 		if _, err := sup.Spawn(i, cfg.Addr(i), args); err != nil {
 			return err
 		}
-		if (i+1)%cfg.SpawnBatch == 0 {
-			time.Sleep(cfg.SpawnStagger)
+		if (i+1)%spawnBatch == 0 {
+			time.Sleep(spawnStagger)
 		}
 	}
-	time.Sleep(cfg.SpawnStagger)
+	time.Sleep(spawnStagger)
 	for i := 0; i < cfg.Nodes; i++ {
 		if p := sup.Proc(i); p.Exited() {
 			return fmt.Errorf("testnet: node %d (%s) exited during spawn: %s",
@@ -319,7 +294,7 @@ func spawnAll(cfg Config, sup *Supervisor) error {
 // waitConverge polls the status snapshots until they meet converged,
 // or the degree has been stable for five polls, or the timeout passes.
 func waitConverge(cfg Config, sup *Supervisor, simRef float64) (DegreeSummary, bool) {
-	poll := cfg.SnapshotInterval
+	poll := cfg.ManageInterval
 	if poll < 500*time.Millisecond {
 		poll = 500 * time.Millisecond
 	}
@@ -396,8 +371,8 @@ func measureQueries(cfg Config, sup *Supervisor, live []int, phase uint64) (floa
 		obj := ObjectOf(target)
 		drainHits(driver)
 		t0 := time.Now()
-		id := driver.Query(obj, cfg.QueryTTL)
-		if awaitHit(driver, id, obj, cfg.QueryTimeout) {
+		id := driver.Query(obj, queryTTL)
+		if awaitHit(driver, id, obj, queryTimeout) {
 			ok++
 			lat = append(lat, float64(time.Since(t0))/float64(time.Millisecond))
 		}
@@ -439,7 +414,7 @@ func watchEvictions(cfg Config, sup *Supervisor, dead map[string]bool, tKill tim
 	deadline := time.Now().Add(window + cfg.SettleTimeout)
 	survivors := sup.LiveIndices()
 	cleanAt := make(map[int]time.Time, len(survivors))
-	poll := cfg.SnapshotInterval
+	poll := cfg.ManageInterval
 	if poll < 200*time.Millisecond {
 		poll = 200 * time.Millisecond
 	}
@@ -524,7 +499,7 @@ func runPartition(cfg Config, sup *Supervisor) (*PartitionResult, error) {
 		if cross == 0 {
 			break
 		}
-		time.Sleep(cfg.SnapshotInterval)
+		time.Sleep(cfg.ManageInterval)
 	}
 	if cross != 0 {
 		cross = CrossEdges(sup.Scrape(sup.LiveIndices()), group)
@@ -548,7 +523,7 @@ func runPartition(cfg Config, sup *Supervisor) (*PartitionResult, error) {
 		if pr.CrossEdgesHeal > 0 {
 			break
 		}
-		time.Sleep(cfg.SnapshotInterval)
+		time.Sleep(cfg.ManageInterval)
 	}
 	pr.HealedOK = pr.CrossEdgesHeal > 0
 	pr.HealWaitSeconds = time.Since(healStart).Seconds()

@@ -43,10 +43,10 @@ func (n *Node) Kill() {
 // machinery, for tests and operational introspection.
 type LinkStats struct {
 	Links            int    // current neighbor count
-	Suspects         int    // links with >= SuspectMisses missed pongs
+	Suspects         int    // links with >= suspectMisses missed pongs
 	OutstandingPings int    // ping nonces awaiting a pong
 	Evictions        uint64 // links dropped for liveness since start
-	HostCache        int    // host cache size (bounded by HostCacheCap)
+	HostCache        int    // host cache size (bounded by hostCacheCap)
 	BackoffEntries   int    // addresses in a dial-backoff window
 	Views            int    // stored neighbor views (== Links when healthy)
 	RTTs             int    // stored RTT samples (<= Links when healthy)

@@ -18,9 +18,7 @@ func tightConfig(seed int64) Config {
 		Seed:           seed,
 		DialTimeout:    500 * time.Millisecond,
 		PingTimeout:    100 * time.Millisecond,
-		SuspectMisses:  1,
 		EvictMisses:    2,
-		IdleTimeout:    5 * time.Second,
 	}
 }
 
@@ -114,13 +112,13 @@ func TestSuspectLinkRecoversOnPong(t *testing.T) {
 
 // Regression for the reader-goroutine hang: a peer that stalls
 // mid-frame (header promising bytes that never come) used to wedge the
-// reader forever because reads had no deadline. The IdleTimeout
-// backstop must detect the stall and evict. Ping-based eviction is
-// disabled so only the read deadline can fire.
+// reader forever because reads had no deadline. The read deadline
+// (ten management intervals) must detect the stall and evict.
+// Ping-based eviction is disabled so only the read deadline can fire.
 func TestMidFrameStallEvictedByReadDeadline(t *testing.T) {
 	cfg := tightConfig(4)
-	cfg.PingTimeout = time.Hour // nonces never expire
-	cfg.IdleTimeout = 400 * time.Millisecond
+	cfg.ManageInterval = 40 * time.Millisecond // a 400 ms read deadline
+	cfg.PingTimeout = time.Hour                // nonces never expire
 	nd := startNode(t, cfg)
 	// The peer sends nothing after its handshake, and dies with a frame
 	// header on the wire: 3 of the 64 bytes it promises. The node's
@@ -142,19 +140,18 @@ func TestMidFrameStallEvictedByReadDeadline(t *testing.T) {
 
 // Regression for unbounded host-cache growth: a peer flooding neighbor
 // lists full of fresh addresses, between management rounds whose dials
-// from the cache all fail, must not grow the cache past HostCacheCap.
+// from the cache all fail, must not grow the cache past hostCacheCap.
 func TestHostCacheBounded(t *testing.T) {
 	cfg := tightConfig(5)
-	cfg.HostCacheCap = 8
 	cfg.PingTimeout = time.Hour
 	s := newTestState("127.0.0.1:1", cfg)
 	const fp = "127.0.0.3:1"
 	now := time.Unix(1e9, 0)
 	s.step(now, evUp{link: 1, addr: fp}, nil)
 	for batch := 0; batch < 10; batch++ {
-		addrs := make([]string, 20)
+		addrs := make([]string, 60) // 600 in all, past the cap
 		for i := range addrs {
-			addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(1000+batch*20+i))
+			addrs[i] = net.JoinHostPort("127.0.0.2", strconv.Itoa(1000+batch*60+i))
 		}
 		s.step(now, evFrame{link: 1, addr: fp, msg: msgNeighbors, payload: encodeNeighbors(neighborsPayload{Addrs: addrs})}, nil)
 		now = now.Add(cfg.ManageInterval)
@@ -163,8 +160,8 @@ func TestHostCacheBounded(t *testing.T) {
 				s.step(now, evDialFailed{addr: a.addr}, nil)
 			}
 		}
-		if len(s.cache) > cfg.HostCacheCap || s.conns[fp] == nil {
-			t.Fatalf("batch %d: host cache %d (cap %d), link to the flooding peer %v", batch, len(s.cache), cfg.HostCacheCap, s.conns[fp])
+		if len(s.cache) > hostCacheCap || s.conns[fp] == nil {
+			t.Fatalf("batch %d: host cache %d (cap %d), link to the flooding peer %v", batch, len(s.cache), hostCacheCap, s.conns[fp])
 		}
 	}
 }
@@ -199,10 +196,9 @@ func TestTTLClampNoWrap(t *testing.T) {
 
 // Dial backoff: failures space out retries exponentially, and a dead
 // address is never dropped — it stays a refill candidate, retried at
-// DialBackoffMax cadence, until the HostCacheCap bound evicts it.
+// dialBackoffMax cadence, until the hostCacheCap bound evicts it.
 func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 	cfg := tightConfig(6)
-	cfg.DialBackoffBase = 100 * time.Millisecond
 	s := newTestState("127.0.0.1:1", cfg)
 	const dead = "127.0.0.2:444"
 	now := time.Unix(1e9, 0)
@@ -216,7 +212,7 @@ func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 	}
 	s.dialFailed(now, dead)
 	s.dialFailed(now, dead) // third strike: still remembered
-	if s.backoff[dead] == nil || !s.cache[dead] || !s.canDial(dead, now.Add(s.cfg.DialBackoffMax)) {
+	if s.backoff[dead] == nil || !s.cache[dead] || !s.canDial(dead, now.Add(s.cfg.dialBackoffMax())) {
 		t.Fatalf("dead address forgotten after 3 failures (backoff=%+v cached=%v)", s.backoff[dead], s.cache[dead])
 	}
 	// A successful dial wipes the slate.
@@ -230,35 +226,30 @@ func TestDialBackoffKeepsDeadAddress(t *testing.T) {
 // same addresses in the same order end with the same cache.
 func TestHostCacheEvictionFollowsSeed(t *testing.T) {
 	cached := func() map[string]bool {
-		cfg := tightConfig(5)
-		cfg.HostCacheCap = 8
-		s := newTestState("127.0.0.1:1", cfg)
-		for i := 0; i < 200; i++ {
+		s := newTestState("127.0.0.1:1", tightConfig(5))
+		for i := 0; i < hostCacheCap+192; i++ {
 			s.addToCache(net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
 		}
 		return s.cache
 	}
 	a, b := cached(), cached()
-	if len(a) != 8 || !reflect.DeepEqual(a, b) {
+	if len(a) != hostCacheCap || !reflect.DeepEqual(a, b) {
 		t.Fatalf("equal seeds, equal inputs, different host caches:\n%v\n%v", a, b)
 	}
 }
 
 // An address that never comes back must cost a bounded amount of state
-// and arithmetic: the retry delay settles at DialBackoffMax (the shift
+// and arithmetic: the retry delay settles at dialBackoffMax (the shift
 // does not grow with the failure count), and failed addresses — cached
-// beforehand or not — are bounded by HostCacheCap in both maps.
+// beforehand or not — are bounded by hostCacheCap in both maps.
 func TestDialBackoffStaysBounded(t *testing.T) {
-	cfg := tightConfig(9)
-	cfg.DialBackoffBase = 100 * time.Millisecond
-	cfg.HostCacheCap = 32
-	s := newTestState("127.0.0.1:1", cfg)
+	s := newTestState("127.0.0.1:1", tightConfig(9))
 	const dead = "127.0.0.2:444"
 	now := time.Unix(1e9, 0)
 	for i := 0; i < 10000; i++ {
 		s.dialFailed(now, dead)
 	}
-	b, maxDelay := s.backoff[dead], s.cfg.DialBackoffMax
+	b, maxDelay := s.backoff[dead], s.cfg.dialBackoffMax()
 	if !s.cache[dead] || b == nil {
 		t.Fatalf("address forgotten after 10000 failures (backoff=%+v cached=%v)", b, s.cache[dead])
 	}
@@ -266,11 +257,11 @@ func TestDialBackoffStaysBounded(t *testing.T) {
 		t.Fatalf("retry %v after the 10000th failure, want within [%v, %v]", b.until.Sub(now), maxDelay/2, maxDelay)
 	}
 
-	for i := 0; i < cfg.HostCacheCap+100; i++ {
+	for i := 0; i < hostCacheCap+100; i++ {
 		s.dialFailed(now, net.JoinHostPort("127.0.0.3", strconv.Itoa(1000+i)))
 	}
-	if len(s.backoff) > len(s.cache) || len(s.cache) > cfg.HostCacheCap {
-		t.Fatalf("backoff %d, cache %d, cap %d: want backoff <= cache <= cap", len(s.backoff), len(s.cache), cfg.HostCacheCap)
+	if len(s.backoff) > len(s.cache) || len(s.cache) > hostCacheCap {
+		t.Fatalf("backoff %d, cache %d, cap %d: want backoff <= cache <= cap", len(s.backoff), len(s.cache), hostCacheCap)
 	}
 	for a := range s.backoff {
 		if !s.cache[a] {
@@ -282,7 +273,7 @@ func TestDialBackoffStaysBounded(t *testing.T) {
 // The property local repair rests on: whatever sequence of learned
 // addresses, dial failures, successful links that later leave cleanly
 // and elapsed time a node has seen, once it has heard of anyone it can
-// dial someone within DialBackoffMax.
+// dial someone within dialBackoffMax.
 func TestDialCandidateNeverRunsOut(t *testing.T) {
 	pool := make([]string, 8)
 	for i := range pool {
@@ -293,10 +284,17 @@ func TestDialCandidateNeverRunsOut(t *testing.T) {
 		// peers is the one a forgetful cache strands.
 		pool := pool[:seed]
 		cfg := tightConfig(seed)
-		cfg.DialBackoffBase = time.Millisecond
-		cfg.DialBackoffMax = 4 * time.Millisecond
-		cfg.HostCacheCap = 4 // below the pool, so the cap evicts too
+		cfg.ManageInterval = 250 * time.Microsecond // backoff cap 4 ms
+		// Links to hostCacheCap-4 peers outside the pool leave the cache
+		// four free slots, below the pool, so the cap evicts too; linked,
+		// they are never dial candidates, and a capacity above them keeps
+		// prune from dropping them.
+		cfg.Capacity = hostCacheCap
 		s := newTestState("127.0.0.1:1", cfg)
+		for i := 0; i < hostCacheCap-4; i++ {
+			a := net.JoinHostPort("127.0.0.4", strconv.Itoa(1000+i))
+			s.conns[a], s.cache[a] = &nbr{id: linkID(1<<20 + i)}, true
+		}
 		now := time.Unix(1e9, 0)
 		rng := rand.New(rand.NewSource(seed))
 		heard := false
@@ -319,12 +317,12 @@ func TestDialCandidateNeverRunsOut(t *testing.T) {
 			}
 			dialable := 0
 			for c := range s.cache {
-				if s.canDial(c, now.Add(cfg.DialBackoffMax)) {
+				if s.canDial(c, now.Add(cfg.dialBackoffMax())) {
 					dialable++
 				}
 			}
 			if dialable == 0 {
-				t.Fatalf("seed %d op %d: no dial candidate within DialBackoffMax (cache %d, backoff %d)", seed, op, len(s.cache), len(s.backoff))
+				t.Fatalf("seed %d op %d: no dial candidate within dialBackoffMax (cache %d, backoff %d)", seed, op, len(s.cache), len(s.backoff))
 			}
 		}
 	}

@@ -13,14 +13,12 @@ import (
 // Config parameterizes a live node.
 type Config struct {
 	// Capacity is the maximum neighbor count; the rating function
-	// prunes beyond it.
+	// (α = β = 1, as in the simulator) prunes beyond it.
 	Capacity int
-	// Alpha and Beta weight connectivity and proximity, as in the
-	// simulator. Defaults 1 and 1.
-	Alpha, Beta float64
 	// ManageInterval is the period of the management loop (neighbor
 	// pushes, pings, liveness sweep, pruning). Default 200ms — fast,
-	// suited to tests; a deployment would use tens of seconds.
+	// suited to tests; a deployment would use tens of seconds. The
+	// read deadline and the re-dial backoff scale with it.
 	ManageInterval time.Duration
 	// Seed drives the node's local randomness.
 	Seed int64
@@ -33,26 +31,10 @@ type Config struct {
 	// its pong before counting as a missed probe. Default
 	// 2×ManageInterval.
 	PingTimeout time.Duration
-	// SuspectMisses consecutive missed pongs mark a link suspect;
-	// EvictMisses evict it (the peer is presumed dead — no Bye is
-	// sent) and trigger an immediate refill. Defaults 1 and 3.
-	SuspectMisses, EvictMisses int
-	// IdleTimeout is the per-read deadline: a link with no inbound
-	// traffic at all for this long is considered stalled mid-frame and
-	// evicted. Healthy links carry management traffic every interval,
-	// so the default of 10×ManageInterval only fires on real stalls.
-	IdleTimeout time.Duration
-
-	// Re-dial backoff: a failed dial to addr is retried no sooner than
-	// base<<(fails-1) later (capped at DialBackoffMax, jittered). A
-	// failing address is never forgotten, only retried at the capped
-	// cadence. Defaults: ManageInterval, 16×base.
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
-	// HostCacheCap bounds the host cache; beyond it a random
-	// non-neighbor entry is evicted per insertion — the only way an
-	// address ever leaves the cache. Default 512.
-	HostCacheCap int
+	// EvictMisses consecutive missed pongs evict a link (the peer is
+	// presumed dead — no Bye is sent) and trigger an immediate refill.
+	// Default 3.
+	EvictMisses int
 
 	// DenyPeers lists peer listen addresses this node refuses to dial
 	// or accept. The testnet harness uses deny lists to create
@@ -73,11 +55,29 @@ type Config struct {
 	Trace *obs.EventLog
 }
 
+const (
+	// suspectMisses consecutive missed pongs mark a link suspect.
+	suspectMisses = 1
+	// hostCacheCap bounds the host cache; beyond it a random
+	// non-neighbor entry is evicted per insertion — the only way an
+	// address ever leaves the cache.
+	hostCacheCap = 512
+)
+
+// idleTimeout is the per-read deadline: a link with no inbound traffic
+// at all for this long is considered stalled mid-frame and evicted.
+// Healthy links carry management traffic every interval, so ten
+// intervals only fire on real stalls.
+func (cfg Config) idleTimeout() time.Duration { return 10 * cfg.ManageInterval }
+
+// dialBackoffMax caps the re-dial delay: a failed dial to addr is
+// retried no sooner than ManageInterval<<(fails-1) later, capped here
+// (both jittered). A failing address is never forgotten, only retried
+// at the capped cadence.
+func (cfg Config) dialBackoffMax() time.Duration { return 16 * cfg.ManageInterval }
+
 // withDefaults fills the zero-valued knobs.
 func (cfg Config) withDefaults() Config {
-	if cfg.Alpha == 0 && cfg.Beta == 0 {
-		cfg.Alpha, cfg.Beta = 1, 1
-	}
 	if cfg.ManageInterval <= 0 {
 		cfg.ManageInterval = 200 * time.Millisecond
 	}
@@ -87,30 +87,15 @@ func (cfg Config) withDefaults() Config {
 	if cfg.PingTimeout <= 0 {
 		cfg.PingTimeout = 2 * cfg.ManageInterval
 	}
-	if cfg.SuspectMisses <= 0 {
-		cfg.SuspectMisses = 1
-	}
 	if cfg.EvictMisses <= 0 {
 		cfg.EvictMisses = 3
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 10 * cfg.ManageInterval
-	}
-	if cfg.DialBackoffBase <= 0 {
-		cfg.DialBackoffBase = cfg.ManageInterval
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = 16 * cfg.DialBackoffBase
-	}
-	if cfg.HostCacheCap <= 0 {
-		cfg.HostCacheCap = 512
 	}
 	return cfg
 }
 
 // DefaultNodeConfig returns a small-capacity test-friendly config.
 func DefaultNodeConfig(capacity int, seed int64) Config {
-	return Config{Capacity: capacity, Alpha: 1, Beta: 1, ManageInterval: 200 * time.Millisecond, Seed: seed}
+	return Config{Capacity: capacity, ManageInterval: 200 * time.Millisecond, Seed: seed}
 }
 
 // Hit is one query result delivered to the originator.
@@ -464,7 +449,7 @@ func (n *Node) dial(addr string) error {
 }
 
 // readLoop steps every frame read from l until the link ends: after a
-// Bye, or on a read error or a stall past IdleTimeout, which the state
+// Bye, or on a read error or a stall past idleTimeout, which the state
 // treats as a peer failure.
 func (n *Node) readLoop(l *link, r *bufio.Reader) {
 	defer n.closeLink(l.id)
@@ -477,7 +462,7 @@ func (n *Node) readLoop(l *link, r *bufio.Reader) {
 		n.mu.Lock()
 		dying := l.dying
 		if !dying {
-			l.c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
+			l.c.SetReadDeadline(time.Now().Add(n.cfg.idleTimeout()))
 		}
 		n.mu.Unlock()
 		if dying {

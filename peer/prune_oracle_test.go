@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"makalu/internal/core"
 )
 
 // This file holds the live prune decision's reference implementation:
@@ -20,17 +22,19 @@ import (
 // pruneOracle is the slice of the node's state the old rating read, at
 // the time now.
 type pruneOracle struct {
-	cfg   Config
-	self  string
-	now   time.Time
-	conns map[string]*nbr
-	views map[string][]string
-	rtt   map[string]float64
+	cfg         Config
+	alpha, beta float64
+	self        string
+	now         time.Time
+	conns       map[string]*nbr
+	views       map[string][]string
+	rtt         map[string]float64
 }
 
-// newPruneOracle snapshots s's neighbor table at now.
-func newPruneOracle(s *state, now time.Time) *pruneOracle {
-	return &pruneOracle{cfg: s.cfg, self: s.self, now: now, conns: maps.Clone(s.conns), views: maps.Clone(s.views), rtt: maps.Clone(s.rtt)}
+// newPruneOracle snapshots s's neighbor table at now, rated with
+// weights alpha and beta.
+func newPruneOracle(s *state, now time.Time, alpha, beta float64) *pruneOracle {
+	return &pruneOracle{cfg: s.cfg, alpha: alpha, beta: beta, self: s.self, now: now, conns: maps.Clone(s.conns), views: maps.Clone(s.views), rtt: maps.Clone(s.rtt)}
 }
 
 // victims is the old pruneIfNeeded loop with its Bye and dropLink
@@ -129,10 +133,10 @@ func (n *pruneOracle) rateLocked() map[string]float64 {
 		}
 		score := 0.0
 		if boundary > 0 {
-			score += n.cfg.Alpha * float64(unique) / float64(boundary)
+			score += n.alpha * float64(unique) / float64(boundary)
 		}
 		if r, ok := n.rtt[addr]; ok && r > 0 && dmin > 0 {
-			score += n.cfg.Beta * dmin / r
+			score += n.beta * dmin / r
 		}
 		scores[addr] = score
 	}
@@ -180,7 +184,8 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 		deg := 1 + int(in.next())%40
 		capacity := 1 + int(in.next())%deg
 		w := weights[in.next()%4]
-		s := newTestState("10.9.9.9:9", Config{Capacity: capacity, Alpha: w[0], Beta: w[1], ManageInterval: time.Hour})
+		s := newTestState("10.9.9.9:9", Config{Capacity: capacity, ManageInterval: time.Hour})
+		s.rater = core.NewRater(w[0], w[1])
 		// Neighbor i is link i+1.
 		peerAddr := func(i int) string { return net.JoinHostPort("10.0.0.1", strconv.Itoa(2000+i)) }
 		outsider := func(i int) string { return net.JoinHostPort("10.0.2.1", strconv.Itoa(3000+i)) }
@@ -215,7 +220,7 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 			s.views[a] = view
 		}
 
-		want := newPruneOracle(s, now).victims()
+		want := newPruneOracle(s, now, w[0], w[1]).victims()
 		var got []string
 		for _, id := range closed(s.prune(now, nil)) {
 			got = append(got, peerAddr(int(id)-1))

@@ -46,7 +46,7 @@ func TestRateMatchesCoreRating(t *testing.T) {
 			if len(nb) < 2 {
 				continue
 			}
-			s := newTestState("127.0.0.1:1", Config{Capacity: len(nb) - 1, Alpha: cfg.Alpha, Beta: cfg.Beta, ManageInterval: time.Hour})
+			s := newTestState("127.0.0.1:1", Config{Capacity: len(nb) - 1, ManageInterval: time.Hour})
 			name := func(v int32) string {
 				if int(v) == u {
 					return s.self

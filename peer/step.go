@@ -108,7 +108,7 @@ type nbr struct {
 	out     bool      // this node dialled it
 	born    time.Time // registration, for the pruning grace period
 	missed  int       // consecutive expired ping nonces
-	suspect bool      // missed >= SuspectMisses
+	suspect bool      // missed >= suspectMisses
 }
 
 type pingRef struct {
@@ -118,7 +118,7 @@ type pingRef struct {
 
 // dialBackoff tracks consecutive dial failures to one address.
 type dialBackoff struct {
-	fails int // saturates once the delay has reached DialBackoffMax
+	fails int // saturates once the delay has reached dialBackoffMax
 	until time.Time
 }
 
@@ -164,7 +164,7 @@ func newState(self string, cfg Config, met *nodeMetrics) *state {
 		seen:     make(map[uint64]uint8),
 		own:      bloom.NewAttenuated(uniformLevels(), abfHashes),
 		received: make(map[string]*bloom.Attenuated),
-		rater:    core.NewRater(cfg.Alpha, cfg.Beta),
+		rater:    core.NewRater(1, 1),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		met:      met,
 	}
@@ -397,7 +397,7 @@ func (s *state) sweep(now time.Time, out []action) []action {
 	for _, ref := range expired {
 		nb := s.conns[ref.addr]
 		nb.missed++
-		if nb.missed >= s.cfg.SuspectMisses && !nb.suspect {
+		if nb.missed >= suspectMisses && !nb.suspect {
 			nb.suspect = true
 			s.met.suspects.Inc()
 			s.met.trace.RecordAt(now, obs.EvSuspect, s.self, ref.addr, int64(nb.missed))
@@ -428,7 +428,7 @@ func (s *state) evict(now time.Time, addr string, out []action) []action {
 
 // dialFailed records one more consecutive failure for addr and schedules
 // the next retry with capped exponential backoff plus jitter. The
-// address is never forgotten (HostCacheCap is the only eviction): a node
+// address is never forgotten (hostCacheCap is the only eviction): a node
 // cut off from everyone it knows must still have a next dial when the
 // partition lifts. An address not cached yet (a dead bootstrap seed) is
 // cached first, so backoff ⊆ cache and the cap bounds both maps.
@@ -445,9 +445,10 @@ func (s *state) dialFailed(now time.Time, addr string) {
 	}
 	// fails stops counting once the delay has reached the cap, so the
 	// shift stays small however long the address stays dead.
-	delay := s.cfg.DialBackoffBase << uint(b.fails)
-	if delay >= s.cfg.DialBackoffMax || delay <= 0 {
-		delay = s.cfg.DialBackoffMax
+	ceil := s.cfg.dialBackoffMax()
+	delay := s.cfg.ManageInterval << uint(b.fails)
+	if delay >= ceil || delay <= 0 {
+		delay = ceil
 	} else {
 		b.fails++
 	}
@@ -497,7 +498,7 @@ func (s *state) addToCache(addr string) {
 	if addr == "" || addr == s.self || s.cache[addr] {
 		return
 	}
-	if len(s.cache) >= s.cfg.HostCacheCap {
+	if len(s.cache) >= hostCacheCap {
 		var cands []string
 		for a := range s.cache {
 			if s.conns[a] == nil {

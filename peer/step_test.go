@@ -73,12 +73,21 @@ func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
 // order. It also pins that an identifier route takes the lower address
 // between tied scores.
 func TestStepReplaysIdentically(t *testing.T) {
-	cfg := Config{Capacity: 4, ManageInterval: 100 * time.Millisecond, HostCacheCap: 12, EvictMisses: 2}
+	cfg := Config{Capacity: 4, ManageInterval: 100 * time.Millisecond, EvictMisses: 2}
 	peer := func(i int) string { return "10.0.0." + strconv.Itoa(1+i) + ":1" }
+	// Strangers fill the host cache to 12 free slots, fewer than the
+	// 16 peers the script names, so learning an address evicts.
+	fresh := func() *state {
+		s := newTestState("10.0.0.99:1", cfg)
+		for i := 0; i < hostCacheCap-12; i++ {
+			s.addToCache("10.1." + strconv.Itoa(i/250) + "." + strconv.Itoa(1+i%250) + ":1")
+		}
+		return s
+	}
 	blob, _ := bloom.NewAttenuated(uniformLevels(), abfHashes).MarshalBinary()
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg.Seed = seed
-		a := newTestState("10.0.0.99:1", cfg)
+		a := fresh()
 		rng := rand.New(rand.NewSource(seed))
 		now := time.Unix(1e9, 0)
 		var script []event
@@ -143,7 +152,7 @@ func TestStepReplaysIdentically(t *testing.T) {
 				}
 			}
 		}
-		b := newTestState(a.self, cfg)
+		b := fresh()
 		var got []action
 		for i, ev := range script {
 			got = b.step(times[i], ev, got)

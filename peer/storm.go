@@ -45,7 +45,7 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 	// A ping unanswered for one interval is one miss, two misses evict.
 	cfg := Config{
 		Capacity: 4, ManageInterval: interval, Seed: seed, DialTimeout: 2 * interval,
-		PingTimeout: interval, SuspectMisses: 1, EvictMisses: 2, Metrics: reg, Trace: trace,
+		PingTimeout: interval, EvictMisses: 2, Metrics: reg, Trace: trace,
 	}
 	nodes := w.cluster(n, cfg)
 

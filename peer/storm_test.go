@@ -208,13 +208,14 @@ func TestMassFailureGolden(t *testing.T) {
 // TestIsolatedNodeRejoinsAfterRestore: a partition that outlasts the
 // whole backoff ladder must not turn into amnesia. One node of a full
 // mesh is black-holed until every side has evicted the other and is
-// re-dialing it at DialBackoffMax, and then restored: the addresses
+// re-dialing it at dialBackoffMax, and then restored: the addresses
 // were kept, so the next retry at that cadence re-knits the overlay.
 func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
-	const interval = 100 * time.Millisecond
 	trace := obs.NewEventLog(1 << 14)
 	cfg := tightConfig(5)
-	cfg.Capacity, cfg.DialTimeout, cfg.DialBackoffMax, cfg.Trace = 3, 200*time.Millisecond, 4*interval, trace
+	// A 25 ms management interval puts the backoff cap at 400 ms, so
+	// the ladder tops out well inside the isolation window.
+	cfg.Capacity, cfg.ManageInterval, cfg.DialTimeout, cfg.Trace = 3, 25*time.Millisecond, 200*time.Millisecond, trace
 	w := newSwitch(t, 5)
 	nodes := w.cluster(4, cfg)
 	if !w.waitFor(15*time.Second, func() bool { return w.snapshot().MeanDegree == 3 }) {
@@ -229,7 +230,7 @@ func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
 		t.Fatalf("isolation never split the overlay: x has %d links, %+v", len(x.st.conns), w.snapshot())
 	}
 	// A failed dial deepens the backoff (EvDialBackoff's value grows)
-	// until the delay reaches DialBackoffMax; a retry at the cap repeats
+	// until the delay reaches dialBackoffMax; a retry at the cap repeats
 	// the value. Wait until x and each survivor retry each other there.
 	if !w.waitFor(end-w.elapsed(), func() bool {
 		last := make(map[[2]string]int64)
@@ -251,7 +252,7 @@ func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
 		}
 		return true
 	}) {
-		t.Fatal("the two sides never retried each other at DialBackoffMax")
+		t.Fatal("the two sides never retried each other at dialBackoffMax")
 	}
 	if s := w.snapshot(); len(x.st.conns) != 0 || s.Components != 2 {
 		t.Fatalf("isolation did not take: x has %d links, %+v", len(x.st.conns), s)
@@ -261,7 +262,7 @@ func TestIsolatedNodeRejoinsAfterRestore(t *testing.T) {
 	if !w.waitFor(5*time.Second, func() bool { return w.snapshot().GiantFraction == 1 }) {
 		t.Fatalf("x never rejoined after restore: %+v", w.snapshot())
 	}
-	t.Logf("rejoined %v after restore (DialBackoffMax %v)", w.elapsed()-restored, cfg.DialBackoffMax)
+	t.Logf("rejoined %v after restore (dialBackoffMax %v)", w.elapsed()-restored, cfg.dialBackoffMax())
 }
 
 // TestStatsConsistentDuringEvictions: silent crashes staggered across

@@ -22,7 +22,7 @@ import (
 // close without a Bye is evDown at the far end; a Bye's reader closes
 // its end. An out-of-band hit is a transient evFrame. Kicks coalesce;
 // ticks start at seeded phases. Black holes swallow frames, closes and
-// dials; a killed node sends and receives nothing. IdleTimeout (a
+// dials; a killed node sends and receives nothing. idleTimeout (a
 // socket deadline) and chunk transfers are left to the socket tests.
 
 type swNode struct {

@@ -122,8 +122,8 @@ func noneOver(nodes []*swNode) bool {
 // checkState holds the bookkeeping of one state to its links: views,
 // RTTs, received hierarchies and ping nonces name registered links
 // only, no link is to a denied address, a link is suspect exactly when
-// it has missed SuspectMisses pongs in a row, backoff ⊆ host cache ≤
-// HostCacheCap, and the duplicate-suppression map and its FIFO have one
+// it has missed suspectMisses pongs in a row, backoff ⊆ host cache ≤
+// hostCacheCap, and the duplicate-suppression map and its FIFO have one
 // size.
 func checkState(s *state) error {
 	for what, a := range map[string]string{"a view from": unlinked(s, s.views), "an RTT for": unlinked(s, s.rtt), "a hierarchy from": unlinked(s, s.received)} {
@@ -137,7 +137,7 @@ func checkState(s *state) error {
 		}
 	}
 	for a, nb := range s.conns {
-		if s.denied[a] || nb.suspect != (nb.missed >= s.cfg.SuspectMisses) {
+		if s.denied[a] || nb.suspect != (nb.missed >= suspectMisses) {
 			return fmt.Errorf("link to %s: denied %v, suspect %v after %d missed pongs", a, s.denied[a], nb.suspect, nb.missed)
 		}
 	}
@@ -146,8 +146,8 @@ func checkState(s *state) error {
 			return fmt.Errorf("%s on backoff but not cached", a)
 		}
 	}
-	if len(s.cache) > s.cfg.HostCacheCap || len(s.seen) != len(s.seenQ) {
-		return fmt.Errorf("host cache %d (cap %d), seen %d ids and its FIFO %d", len(s.cache), s.cfg.HostCacheCap, len(s.seen), len(s.seenQ))
+	if len(s.cache) > hostCacheCap || len(s.seen) != len(s.seenQ) {
+		return fmt.Errorf("host cache %d (cap %d), seen %d ids and its FIFO %d", len(s.cache), hostCacheCap, len(s.seen), len(s.seenQ))
 	}
 	return nil
 }
