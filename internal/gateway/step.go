@@ -21,6 +21,9 @@ import (
 // re-issued to the next replica and the first reply wins. The delay is
 // the p99 of successful forwards, clamped to [hedgeMin, hedgeMax] and
 // re-derived every hedgeRefresh of them; until then it is hedgeMax.
+// Each re-derivation halves the weight of every forward before it, so a
+// slow spell leaves the estimate within a few hundred forwards of its
+// end.
 const (
 	hedgeMin       = time.Millisecond
 	hedgeMax       = 50 * time.Millisecond
@@ -57,8 +60,8 @@ type core struct {
 	ring     *Ring         // the backends that are up
 	picks    atomic.Uint64 // RouteRandom's pick stream
 
-	lat     obs.Histogram  // successful forward latency, always on
-	latency *obs.Histogram // the registry's mirror of lat
+	lat     obs.Histogram  // successful forward latency, always on, halved at each hedge refresh
+	latency *obs.Histogram // the registry's cumulative mirror of lat
 	wins    atomic.Uint64  // successful forwards
 	hedgeNs atomic.Int64   // the hedge delay
 
@@ -230,11 +233,13 @@ func (c *core) fail(b *backend, cause error) {
 func (c *core) hedgeDelay() time.Duration { return time.Duration(c.hedgeNs.Load()) }
 
 // observe records a successful forward's latency and re-derives the
-// hedge delay every hedgeRefresh of them.
+// hedge delay every hedgeRefresh of them, then halves the estimate's
+// histogram so older forwards count for less.
 func (c *core) observe(d time.Duration) {
 	c.lat.ObserveDuration(d)
 	c.latency.ObserveDuration(d)
 	if c.wins.Add(1)%hedgeRefresh == 0 {
 		c.hedgeNs.Store(int64(min(max(time.Duration(c.lat.Quantile(0.99)), hedgeMin), hedgeMax)))
+		c.lat.Halve()
 	}
 }

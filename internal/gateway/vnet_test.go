@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -401,6 +402,52 @@ func TestGatewaySchedules(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGatewayHedgeDelayForgets replays a slow spell on three replicas:
+// backend 1 replies in 80 ms from t = 0.3 s to 1.5 s, then as fast as
+// before. During the spell the hedge delay sits at hedgeMax; after it,
+// within 8·hedgeRefresh successful forwards of the recovery, the delay
+// must be back at the estimate fast replies alone give — the upper edge
+// of the slowest replica's histogram bucket, clamped — and stay there.
+// The bound: each re-derivation halves the weight of every earlier
+// forward, so after k windows of hedgeRefresh fast forwards the spell's
+// share of the histogram is at most 2^-k; the p99 needs it under 1%,
+// which k = 7 gives, plus the window the recovery lands in.
+func TestGatewayHedgeDelayForgets(t *testing.T) {
+	const spell, recovery, bound = 300 * time.Millisecond, 1500 * time.Millisecond, 8 * hedgeRefresh
+	for seed := int64(1); seed <= 3; seed++ {
+		w := newVnet(t, seed, testEngines(t, 3))
+		fast, slowest := w.backs[1].delay, time.Duration(0)
+		for _, vb := range w.backs {
+			slowest = max(slowest, vb.delay)
+		}
+		want := min(max(time.Duration(obs.BucketUpper(bits.Len64(uint64(slowest)))), hedgeMin), hedgeMax)
+		var during time.Duration
+		var recovered uint64
+		back := -1 // successful forwards from the recovery until the delay is want
+		w.at(spell, func() { w.backs[1].delay = 80 * time.Millisecond })
+		w.at(recovery, func() { w.backs[1].delay, during, recovered = fast, w.c.hedgeDelay(), w.c.wins.Load() })
+		check := w.eng.TickHook
+		w.eng.TickHook = func(now float64, n uint64) {
+			check(now, n)
+			switch d := w.c.hedgeDelay(); {
+			case back < 0 && recovered > 0 && d == want:
+				back = int(w.c.wins.Load() - recovered)
+			case back >= 0 && d != want:
+				t.Fatalf("seed %d: t=%v: the delay left %v for %v after it had come back", seed, w.elapsed(), want, d)
+			}
+		}
+		w.run(6 * time.Second)
+		w.verify(testEngines(t, 1))
+		if during != hedgeMax {
+			t.Fatalf("seed %d: delay %v at the end of the spell, want hedgeMax", seed, during)
+		}
+		if back < 0 || back > bound {
+			t.Fatalf("seed %d: delay %v at the end, back at %v after %d forwards; want within %d", seed, w.c.hedgeDelay(), want, back, bound)
+		}
+		t.Logf("seed %d: back at %v %d successful forwards after the recovery", seed, want, back)
 	}
 }
 

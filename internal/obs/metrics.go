@@ -225,6 +225,36 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
+// Halve halves every bucket and the sum, so each sample's weight in
+// Quantile and Mean halves at every call: a histogram halved once per k
+// samples estimates from the last few k of them. Max keeps the
+// all-time value. Each bucket halves by one compare-and-swap and the
+// count drops by what the buckets lost, so concurrent Observes are
+// neither lost nor double-counted; a Quantile that runs during a Halve
+// may read the count before that drop.
+func (h *Histogram) Halve() {
+	if h == nil {
+		return
+	}
+	var lost uint64
+	for i := range h.buckets {
+		for b := &h.buckets[i]; ; {
+			v := b.Load()
+			if b.CompareAndSwap(v, v/2) {
+				lost += v - v/2
+				break
+			}
+		}
+	}
+	h.count.Add(-lost)
+	for {
+		s := h.sum.Load()
+		if h.sum.CompareAndSwap(s, s/2) {
+			return
+		}
+	}
+}
+
 // HistogramSnapshot is a point-in-time plain-value view of a
 // Histogram, safe to marshal (no NaN/Inf fields ever).
 type HistogramSnapshot struct {

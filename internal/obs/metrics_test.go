@@ -38,6 +38,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(5)
 	h.ObserveDuration(time.Second)
+	h.Halve()
 	l.RecordAt(time.Now(), EvJoin, "a", "b", 0)
 	l.RecordSim(1, EvEvict, "a", "b", 0)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || l.Len() != 0 {
@@ -170,6 +171,55 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if h.Max() != goroutines*per-1 {
 		t.Fatalf("max = %d, want %d", h.Max(), goroutines*per-1)
+	}
+}
+
+// TestHistogramHalve: a halving halves each bucket (rounding down) and
+// the sum, keeps the max and the count equal to the buckets' total —
+// also against concurrent Observes — and allocates nothing.
+func TestHistogramHalve(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 200; i++ {
+		h.Observe(100)
+	}
+	for i := 0; i < 3; i++ {
+		h.Observe(100000)
+	}
+	if h.Quantile(0.99) != 100000 {
+		t.Fatalf("p99 = %v before halving, want the slow sample", h.Quantile(0.99))
+	}
+	h.Halve()
+	fast, slow := h.buckets[bucketOf(100)].Load(), h.buckets[bucketOf(100000)].Load()
+	if h.Count() != 101 || fast != 100 || slow != 1 || h.Sum() != (200*100+3*100000)/2 || h.Max() != 100000 {
+		t.Fatalf("after one halving: count %d, buckets %d and %d, sum %d, max %d", h.Count(), fast, slow, h.Sum(), h.Max())
+	}
+	if h.Quantile(0.99) != BucketUpper(bucketOf(100)) {
+		t.Fatalf("p99 = %v after halving, want the fast bucket's edge", h.Quantile(0.99))
+	}
+	if allocs := testing.AllocsPerRun(100, h.Halve); allocs != 0 {
+		t.Fatalf("Halve allocates %.1f times", allocs)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20000; i++ {
+				h.Observe(int64(i))
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		h.Halve()
+	}
+	wg.Wait()
+	var total uint64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
+	if total != h.Count() {
+		t.Fatalf("buckets hold %d samples, count says %d", total, h.Count())
 	}
 }
 

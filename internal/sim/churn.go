@@ -41,14 +41,6 @@ type ChurnConfig struct {
 	// maintenance visibility into how far the rating engine's steering
 	// signal degrades between management rounds.
 	RatingSnapshots bool
-
-	// Trace, when non-nil, receives the churn process's lifecycle
-	// events stamped with simulated time: a departure is an evict, a
-	// rejoin is a join, and each snapshot's probe batch is one
-	// query-start (value = probes issued) followed by one query-hit
-	// (value = probes that succeeded). The taxonomy matches the live
-	// peer layer's, so the same trace tooling reads both.
-	Trace *obs.EventLog
 }
 
 // Snapshot is one sample of overlay health during churn.
@@ -83,7 +75,7 @@ func (c *Churn) Snapshot() { c.snapshot() }
 // RunChurn executes the churn process on the overlay and returns the
 // health timeline. The overlay is mutated in place.
 func RunChurn(o *core.Overlay, cfg ChurnConfig) (*ChurnResult, error) {
-	eng := &Engine{Trace: cfg.Trace}
+	eng := &Engine{}
 	c, err := StartChurn(eng, o, cfg)
 	if err != nil {
 		return nil, err
@@ -98,8 +90,12 @@ func RunChurn(o *core.Overlay, cfg ChurnConfig) (*ChurnResult, error) {
 // because other workloads (chunked transfers, query load) share the
 // same timeline. Departure/rejoin cycles self-perpetuate indefinitely;
 // management rounds and periodic snapshots stop at cfg.Duration, and
-// the caller bounds the run with RunUntil. When the engine has no
-// trace sink yet, cfg.Trace is installed on it.
+// the caller bounds the run with RunUntil. The process emits its
+// lifecycle events on eng, stamped with simulated time: a departure is
+// an evict, a rejoin is a join, and each snapshot's probe batch is one
+// query-start (value = probes issued) followed by one query-hit (value
+// = probes that succeeded). The taxonomy matches the live peer layer's,
+// so the same trace tooling reads both.
 func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 	if cfg.Duration <= 0 || cfg.MeanSession <= 0 || cfg.MeanDowntime <= 0 {
 		return nil, fmt.Errorf("sim: churn durations must be positive: %+v", cfg)
@@ -114,9 +110,6 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 	}
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = cfg.Duration / 10
-	}
-	if eng.Trace == nil {
-		eng.Trace = cfg.Trace
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &ChurnResult{}

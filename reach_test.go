@@ -21,6 +21,11 @@ import (
 // program, one per line with the reason it is kept.
 const reachAllowlist = "testdata/unlinked.txt"
 
+// optionsLedger names every field of every exported …Config struct, one
+// per line with the non-test file that sets it or the reason it stays
+// settable.
+const optionsLedger = "testdata/options.txt"
+
 // programDirs hold the programs; their own functions are not checked.
 var programDirs = map[string]bool{"cmd": true, "examples": true, "bench": true}
 
@@ -75,7 +80,7 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 
 	declared := declaredFuncs(t)
-	allowed := readAllowlist(t)
+	allowed := readLedger(t, reachAllowlist)
 	var unlinked []string
 	for name, pos := range declared {
 		if !linked[name] && allowed[name] == "" {
@@ -97,19 +102,81 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	t.Logf("%d functions declared, %d allowlisted", len(declared), len(allowed))
 }
 
-// declaredFuncs returns every function and method declared in a non-test
-// file outside the programs, under the name go tool nm gives it
-// (makalu/pkg.F, makalu/pkg.T.M, makalu/pkg.(*T).M), mapped to its
-// position. init functions are skipped; closures are not declarations.
-func declaredFuncs(t *testing.T) map[string]string {
-	decls := map[string]string{}
+// TestEveryOptionHasACaller fails when a field of an exported struct
+// type whose name ends in Config, declared in a non-test file outside
+// bench/, is not listed in the options ledger, or when an entry there
+// names a field that is gone. Each entry gives the repo-relative
+// non-test Go file that sets the field, which must exist and name it,
+// or one of the reasons "deployment setting" and "test hook", so a knob
+// that only a test sets is justified in review:
+// go test -tags reach -run TestEveryOptionHasACaller .
+func TestEveryOptionHasACaller(t *testing.T) {
+	declared := map[string]string{}
+	parseSources(t, map[string]bool{"bench": true}, func(pkg string, fset *token.FileSet, file *ast.File) {
+		for _, decl := range file.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						declared[pkg+"."+ts.Name.Name+"."+name.Name] = fset.Position(name.Pos()).String()
+					}
+					if len(field.Names) == 0 {
+						t.Errorf("%s: %s embeds a field: list its promoted fields by hand", fset.Position(field.Pos()), ts.Name.Name)
+					}
+				}
+			}
+		}
+	})
+	listed := readLedger(t, optionsLedger)
+	var missing []string
+	for name, pos := range declared {
+		if listed[name] == "" {
+			missing = append(missing, pos+": "+name)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s is settable but not in %s: give it a non-test caller, make it a constant, or list it with a reason", m, optionsLedger)
+	}
+	for name, why := range listed {
+		if declared[name] == "" {
+			t.Errorf("%s lists %s, which is not declared", optionsLedger, name)
+			continue
+		}
+		if why == "deployment setting" || why == "test hook" {
+			continue
+		}
+		field := name[strings.LastIndex(name, ".")+1:]
+		src, err := os.ReadFile(why)
+		switch {
+		case err != nil || !strings.HasSuffix(why, ".go") || strings.HasSuffix(why, "_test.go"):
+			t.Errorf("%s: %s: %q is neither a non-test Go file nor a listed reason", optionsLedger, name, why)
+		case !regexp.MustCompile(`\b` + field + `\b`).Match(src):
+			t.Errorf("%s: %s: %s never names %s", optionsLedger, name, why, field)
+		}
+	}
+	t.Logf("%d options declared", len(declared))
+}
+
+// parseSources parses every non-test Go file outside skip (top-level
+// directories), testdata and hidden directories, and hands each to
+// visit with its package's import path.
+func parseSources(t *testing.T, skip map[string]bool, visit func(pkg string, fset *token.FileSet, file *ast.File)) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (programDirs[path] || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if path != "." && (skip[path] || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -125,6 +192,21 @@ func declaredFuncs(t *testing.T) map[string]string {
 		if dir := filepath.Dir(path); dir != "." {
 			pkg += "/" + filepath.ToSlash(dir)
 		}
+		visit(pkg, fset, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// declaredFuncs returns every function and method declared in a non-test
+// file outside the programs, under the name go tool nm gives it
+// (makalu/pkg.F, makalu/pkg.T.M, makalu/pkg.(*T).M), mapped to its
+// position. init functions are skipped; closures are not declarations.
+func declaredFuncs(t *testing.T) map[string]string {
+	decls := map[string]string{}
+	parseSources(t, programDirs, func(pkg string, fset *token.FileSet, file *ast.File) {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || (fn.Recv == nil && fn.Name.Name == "init") {
@@ -136,11 +218,7 @@ func declaredFuncs(t *testing.T) map[string]string {
 			}
 			decls[name] = fset.Position(fn.Pos()).String()
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return decls
 }
 
@@ -162,11 +240,11 @@ func receiverName(x ast.Expr) string {
 	return "?"
 }
 
-// readAllowlist parses the allowlist: blank lines and lines starting
-// with # are skipped; every other line is a name, whitespace, and the
-// reason it is kept, which must not be empty.
-func readAllowlist(t *testing.T) map[string]string {
-	f, err := os.Open(reachAllowlist)
+// readLedger parses an allowlist or the options ledger: blank lines and
+// lines starting with # are skipped; every other line is a name,
+// whitespace, and the reason it is kept, which must not be empty.
+func readLedger(t *testing.T, path string) map[string]string {
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +259,11 @@ func readAllowlist(t *testing.T) map[string]string {
 		name, reason, _ := strings.Cut(line, " ")
 		reason = strings.TrimSpace(reason)
 		if reason == "" {
-			t.Errorf("%s:%d: %s has no reason", reachAllowlist, n, name)
+			t.Errorf("%s:%d: %s has no reason", path, n, name)
 			reason = "?"
 		}
 		if allowed[name] != "" {
-			t.Errorf("%s:%d: %s is listed twice", reachAllowlist, n, name)
+			t.Errorf("%s:%d: %s is listed twice", path, n, name)
 		}
 		allowed[name] = reason
 	}
