@@ -22,8 +22,8 @@ import (
 // the p99 of successful forwards, clamped to [hedgeMin, hedgeMax] and
 // re-derived every hedgeRefresh of them; until then it is hedgeMax.
 // Each re-derivation halves the weight of every forward before it, so a
-// slow spell leaves the estimate within a few hundred forwards of its
-// end.
+// slow spell leaves the estimate within 8·hedgeRefresh forwards of its
+// end (TestGatewayHedgeDelayForgets).
 const (
 	hedgeMin       = time.Millisecond
 	hedgeMax       = 50 * time.Millisecond

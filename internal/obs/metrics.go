@@ -238,7 +238,8 @@ func (h *Histogram) Halve() {
 	}
 	var lost uint64
 	for i := range h.buckets {
-		for b := &h.buckets[i]; ; {
+		b := &h.buckets[i]
+		for {
 			v := b.Load()
 			if b.CompareAndSwap(v, v/2) {
 				lost += v - v/2
