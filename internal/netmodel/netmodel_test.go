@@ -1,7 +1,11 @@
 package netmodel
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +244,43 @@ func TestModelsSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubstrateLatencyGolden pins the transit-stub and PlanetLab
+// substrates to the bit: an FNV-64a digest over math.Float64bits of the
+// latencies of 1 000 seeded node pairs, at model seeds 1 and 2.
+func TestSubstrateLatencyGolden(t *testing.T) {
+	const n, pairs = 2000, 1000
+	digest := func(m Model) uint64 {
+		h := fnv.New64a()
+		var buf [8]byte
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < pairs; i++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.Latency(rng.Intn(n), rng.Intn(n))))
+			h.Write(buf[:])
+		}
+		return h.Sum64()
+	}
+	want := map[string]uint64{
+		"transit-stub/1": 0x026c142af8ee28ce,
+		"transit-stub/2": 0x5695a38f20dbd5b2,
+		"planetlab/1":    0xebe87e95ef517578,
+		"planetlab/2":    0x40142e9fc4e613c3,
+	}
+	for _, seed := range []int64{1, 2} {
+		ts := DefaultTransitStub()
+		ts.Seed = seed
+		pl := DefaultPlanetLab()
+		pl.Seed = seed
+		for name, m := range map[string]Model{
+			"transit-stub": NewTransitStub(n, ts),
+			"planetlab":    NewPlanetLab(n, pl),
+		} {
+			key := fmt.Sprintf("%s/%d", name, seed)
+			if got := digest(m); got != want[key] {
+				t.Errorf("%s: latency digest %#x, want %#x", key, got, want[key])
+			}
+		}
 	}
 }

@@ -1,8 +1,12 @@
 package topology
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"makalu/internal/graph"
@@ -322,5 +326,51 @@ func TestTwoTierBeatsPowerLawDiameter(t *testing.T) {
 	dTT := tt.HopDiameter()
 	if dTT >= dPL {
 		t.Fatalf("two-tier diameter %d should beat power-law %d", dTT, dPL)
+	}
+}
+
+// edgeSetHash is an FNV-64a digest of g's edge set: every edge u < v as
+// two little-endian uint32s, in (u, v) order.
+func edgeSetHash(g *graph.Mutable) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for u := 0; u < g.N(); u++ {
+		nbrs := append([]int32(nil), g.Neighbors(u)...)
+		slices.Sort(nbrs)
+		for _, v := range nbrs {
+			if int(v) > u {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(u))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBaselineTopologyGolden pins the Gnutella v0.4 power-law and v0.6
+// two-tier baselines to their edge sets at n = 2 000, seeds 1 and 2.
+func TestBaselineTopologyGolden(t *testing.T) {
+	const n = 2000
+	want := map[string]uint64{
+		"power-law/1": 0x779839059a8dc8ab,
+		"power-law/2": 0x4abfdc4ddba6daf1,
+		"two-tier/1":  0x6bd1c572ef1d1a2a,
+		"two-tier/2":  0x8cd291dc37cf67dd,
+	}
+	for _, seed := range []int64{1, 2} {
+		pl := DefaultPowerLaw()
+		pl.Seed = seed
+		tt := DefaultTwoTier()
+		tt.Seed = seed
+		for name, g := range map[string]*graph.Mutable{
+			"power-law": PowerLaw(n, pl),
+			"two-tier":  NewTwoTier(n, tt).Graph,
+		} {
+			key := fmt.Sprintf("%s/%d", name, seed)
+			if got := edgeSetHash(g); got != want[key] {
+				t.Errorf("%s: edge-set hash %#x, want %#x", key, got, want[key])
+			}
+		}
 	}
 }
