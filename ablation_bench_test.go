@@ -101,8 +101,7 @@ func BenchmarkAblationViews(b *testing.B) {
 // topology: the same two-tier flood with and without leaf tables.
 func BenchmarkAblationQRP(b *testing.B) {
 	const n = 3000
-	ttCfg := topology.DefaultTwoTier()
-	tt := topology.NewTwoTier(n, ttCfg)
+	tt := topology.NewTwoTier(n, 1)
 	g := tt.Graph.Freeze(nil)
 	store, err := content.Place(n, content.PlacementConfig{Objects: 20, Replication: 0.01, Seed: 2})
 	if err != nil {

@@ -31,7 +31,8 @@
 // the overlay event log (join/prune/suspect/evict/dial-backoff/query
 // events) as JSON lines; -metrics-dump prints an expvar-style text
 // dump to stderr at exit. All three work for experiments and for
-// -live-churn.
+// -live-churn; under -exp stream the trace holds the simulated churn's
+// evict and join events.
 package main
 
 import (
@@ -137,11 +138,12 @@ func main() {
 		scaleJSON   = flag.String("scale-json", "", "write the -exp scale sweep as JSON to this path")
 		scaleLand   = flag.Int("scale-landmarks", 64, "landmark BFS sources for the sampled path length in -exp scale")
 	)
-	// The table's closures read opt and reg, which are set once the
+	// The table's closures read opt, reg and trace, which are set once the
 	// flags are parsed; -sources is read then too, so the usage string
 	// is built from table(0).
 	var opt experiments.Options
 	var reg *obs.Registry
+	var trace *obs.EventLog
 	table := func(sources int) []experiment {
 		var t []experiment
 		for _, e := range experiments.Suite(sources) {
@@ -151,7 +153,7 @@ func main() {
 			experiment{"scale", false, func() (experiments.Renderer, error) { return runScale(*scaleSizes, *scaleLand, *seed, *scaleJSON) }},
 			experiment{"stream", false, func() (experiments.Renderer, error) {
 				so := experiments.DefaultStreamOptions(opt.N, opt.Seed)
-				so.Obs = reg
+				so.Obs, so.Trace = reg, trace
 				return experiments.RunStream(so)
 			}},
 		)
@@ -161,7 +163,6 @@ func main() {
 	// One registry and one event log for the whole run, whichever mode
 	// executes; nil-safe handles make this free when no flag asks for
 	// observability.
-	var trace *obs.EventLog
 	obsOn := *metricsJSON != "" || *tracePath != "" || *metricsDump
 	if obsOn {
 		reg = obs.NewRegistry()

@@ -80,12 +80,8 @@ func BuildAll(n int, seed int64) ([]*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	plCfg := topology.DefaultPowerLaw()
-	plCfg.Seed = seed + 2
-	pl := topology.PowerLaw(n, plCfg)
-	ttCfg := topology.DefaultTwoTier()
-	ttCfg.Seed = seed + 3
-	tt := topology.NewTwoTier(n, ttCfg)
+	pl := topology.PowerLaw(n, seed+2)
+	tt := topology.NewTwoTier(n, seed+3)
 
 	euc := netmodel.NewEuclidean(n, 1000, seed)
 	w := func(u, v int) float64 { return euc.Latency(u, v) }

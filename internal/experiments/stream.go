@@ -46,7 +46,8 @@ type StreamOptions struct {
 	MeanDowntime float64 // mean downtime before rejoin
 	KillWaveAt   float64 // when the kill wave strikes active sources
 
-	Obs *obs.Registry // optional metrics sink (nil = off)
+	Obs   *obs.Registry // optional metrics sink (nil = off)
+	Trace *obs.EventLog // optional churn event sink (nil = off)
 }
 
 // DefaultStreamOptions sizes the sweep for CI: a 1000-node overlay,
@@ -202,7 +203,7 @@ func runStreamScenario(opt StreamOptions, churn bool) (StreamRow, error) {
 	}
 	loc := stream.NewABFLocator(abf, opt.N, opt.ABFTTL, opt.ABFTries, opt.Seed+2)
 
-	eng := &sim.Engine{}
+	eng := &sim.Engine{Trace: opt.Trace}
 	live := stream.Liveness(stream.AllAlive{})
 	var ch *sim.Churn
 	if churn {

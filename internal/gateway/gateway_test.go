@@ -51,7 +51,7 @@ func testEngines(t *testing.T, k int) []*serve.Engine {
 	engines := make([]*serve.Engine, k)
 	for i := range engines {
 		eng, err := serve.New(serve.Config{
-			Graph: g, Store: store, Shards: 2, Seed: 42, CacheCapacity: 512,
+			Graph: g, Store: store, Seed: 42, CacheCapacity: 512,
 		})
 		if err != nil {
 			t.Fatal(err)

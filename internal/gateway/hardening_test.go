@@ -47,7 +47,7 @@ func tcpTiers(t *testing.T, cfg TCPConfig) (addrs map[string]string, obj uint64)
 // request line must get an E response and a closed connection, not an
 // ever-growing buffer.
 func TestTCPLineCap(t *testing.T) {
-	addrs, _ := tcpTiers(t, TCPConfig{MaxLine: 64})
+	addrs, _ := tcpTiers(t, TCPConfig{})
 	for tier, addr := range addrs {
 		t.Run(tier, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)
@@ -56,7 +56,7 @@ func TestTCPLineCap(t *testing.T) {
 			}
 			defer conn.Close()
 
-			// 4 KiB with no terminator — far past the 64-byte cap.
+			// 4 KiB with no terminator — far past the 1024-byte cap.
 			if _, err := conn.Write([]byte(strings.Repeat("A", 4096))); err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestTCPLineCap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no overflow response: %v", err)
 			}
-			if reply != "E line too long (max 64 bytes)\n" {
+			if reply != "E line too long (max 1024 bytes)\n" {
 				t.Fatalf("reply = %q, want E line too long", reply)
 			}
 			// The server must close the connection after the overflow (EOF, or
@@ -81,9 +81,9 @@ func TestTCPLineCap(t *testing.T) {
 }
 
 // TestTCPLineCapSurvivesValidTraffic: lines under the cap keep working
-// on a capped server, including pipelined batches.
+// on a capped server, including pipelined batches longer than the cap.
 func TestTCPLineCapSurvivesValidTraffic(t *testing.T) {
-	addrs, obj := tcpTiers(t, TCPConfig{MaxLine: 128})
+	addrs, obj := tcpTiers(t, TCPConfig{})
 	for tier, addr := range addrs {
 		t.Run(tier, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)
@@ -91,14 +91,16 @@ func TestTCPLineCapSurvivesValidTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			// Pipeline three requests in one write.
+			// Pipeline 64 requests, more bytes than the 1024-byte line
+			// cap, in one write.
+			const lines = 64
 			line := fmt.Sprintf("Q flood 0x%x 6\n", obj)
-			if _, err := conn.Write([]byte(line + line + line)); err != nil {
+			if _, err := conn.Write([]byte(strings.Repeat(line, lines))); err != nil {
 				t.Fatal(err)
 			}
 			r := bufio.NewReader(conn)
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			for i := 0; i < 3; i++ {
+			for i := 0; i < lines; i++ {
 				reply, err := r.ReadString('\n')
 				if err != nil {
 					t.Fatalf("reply %d: %v", i, err)

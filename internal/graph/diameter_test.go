@@ -51,12 +51,20 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 	zoo["er-two-components"] = frag.Freeze(nil)
 
-	plCfg := topology.DefaultPowerLaw()
-	plCfg.Seed = 11
-	zoo["power-law"] = topology.PowerLaw(400, plCfg).Freeze(nil)
-	plCfg.Connect = false
-	plCfg.Seed = 13
-	zoo["power-law-fragmented"] = topology.PowerLaw(400, plCfg).Freeze(nil)
+	zoo["power-law"] = topology.PowerLaw(400, 11).Freeze(nil)
+	// Two power-law graphs side by side: heavy-tailed and fragmented,
+	// the components of different sizes and diameters.
+	plFrag := graph.NewMutable(400)
+	off := 0
+	for _, part := range []*graph.Mutable{topology.PowerLaw(250, 13), topology.PowerLaw(150, 14)} {
+		for u := 0; u < part.N(); u++ {
+			for _, v := range part.Neighbors(u) {
+				plFrag.AddEdge(off+u, off+int(v))
+			}
+		}
+		off += part.N()
+	}
+	zoo["power-law-fragmented"] = plFrag.Freeze(nil)
 
 	kr, err := topology.KRegular(300, 8, 17)
 	if err != nil {
@@ -125,10 +133,8 @@ func TestIFUBSublinearOnSkewedGraphs(t *testing.T) {
 	// method: near-uniform eccentricities leave nothing to prune, so
 	// sublinearity is asserted on the topologies where the paper's
 	// overlays actually live.)
-	plCfg := topology.DefaultPowerLaw()
-	plCfg.Seed = 29
 	cases := map[string]*graph.Graph{
-		"power-law": topology.PowerLaw(2000, plCfg).Freeze(nil),
+		"power-law": topology.PowerLaw(2000, 29).Freeze(nil),
 	}
 	path := graph.NewMutable(2000)
 	for u := 0; u+1 < 2000; u++ {

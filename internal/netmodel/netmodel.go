@@ -71,31 +71,17 @@ func (e *Euclidean) Latency(u, v int) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// TransitStubConfig parameterizes the GT-ITM-style hierarchy.
-type TransitStubConfig struct {
-	TransitDomains   int     // number of transit (backbone) domains
-	TransitPerDomain int     // transit routers per transit domain
-	StubsPerTransit  int     // stub domains hanging off each transit router
-	LANLatency       float64 // max latency from a host to its stub router
-	StubUplink       float64 // mean latency of the stub→transit uplink
-	TransitSide      float64 // side of the plane transit routers live on
-	Seed             int64
-}
-
-// DefaultTransitStub returns parameters that yield realistic
-// wide-area latencies (LAN ≈ 1–5 ms, uplinks ≈ 10–30 ms, backbone up
-// to ~120 ms).
-func DefaultTransitStub() TransitStubConfig {
-	return TransitStubConfig{
-		TransitDomains:   4,
-		TransitPerDomain: 4,
-		StubsPerTransit:  3,
-		LANLatency:       5,
-		StubUplink:       20,
-		TransitSide:      100,
-		Seed:             1,
-	}
-}
+// The transit-stub hierarchy's shape. Latencies come out realistic for
+// wide-area hosts: LAN ≈ 1–5 ms, uplinks ≈ 10–30 ms, backbone up to
+// ~120 ms.
+const (
+	tsTransitDomains   = 4     // transit (backbone) domains
+	tsTransitPerDomain = 4     // transit routers per transit domain
+	tsStubsPerTransit  = 3     // stub domains hanging off each transit router
+	tsLANLatency       = 5.0   // max latency from a host to its stub router
+	tsStubUplink       = 20.0  // mean latency of the stub→transit uplink
+	tsTransitSide      = 100.0 // side of the plane transit routers live on
+)
 
 // TransitStub is a closed-form transit-stub latency model: every host
 // belongs to a stub domain attached to a transit router; transit
@@ -108,7 +94,6 @@ func DefaultTransitStub() TransitStubConfig {
 // reproduces the hierarchical latency structure of GT-ITM topologies
 // without shelling out to the original generator.
 type TransitStub struct {
-	cfg       TransitStubConfig
 	n         int
 	stubOf    []int32   // host -> stub domain
 	local     []float64 // host -> latency to its stub router
@@ -117,18 +102,14 @@ type TransitStub struct {
 	tx, ty    []float64 // transit router coordinates
 }
 
-// NewTransitStub builds a transit-stub model covering n hosts. Hosts
-// are assigned to stub domains round-robin so domain sizes are
-// balanced.
-func NewTransitStub(n int, cfg TransitStubConfig) *TransitStub {
-	if cfg.TransitDomains <= 0 || cfg.TransitPerDomain <= 0 || cfg.StubsPerTransit <= 0 {
-		panic("netmodel: transit-stub config must have positive counts")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	numTransit := cfg.TransitDomains * cfg.TransitPerDomain
-	numStubs := numTransit * cfg.StubsPerTransit
+// NewTransitStub builds a transit-stub model covering n hosts from
+// seed. Hosts are assigned to stub domains round-robin so domain sizes
+// are balanced.
+func NewTransitStub(n int, seed int64) *TransitStub {
+	rng := rand.New(rand.NewSource(seed))
+	numTransit := tsTransitDomains * tsTransitPerDomain
+	numStubs := numTransit * tsStubsPerTransit
 	ts := &TransitStub{
-		cfg:       cfg,
 		n:         n,
 		stubOf:    make([]int32, n),
 		local:     make([]float64, n),
@@ -139,22 +120,22 @@ func NewTransitStub(n int, cfg TransitStubConfig) *TransitStub {
 	}
 	// Transit routers cluster per domain: each domain gets a random
 	// center, routers scatter near it.
-	for d := 0; d < cfg.TransitDomains; d++ {
-		cx := rng.Float64() * cfg.TransitSide
-		cy := rng.Float64() * cfg.TransitSide
-		for r := 0; r < cfg.TransitPerDomain; r++ {
-			i := d*cfg.TransitPerDomain + r
-			ts.tx[i] = cx + (rng.Float64()-0.5)*cfg.TransitSide/5
-			ts.ty[i] = cy + (rng.Float64()-0.5)*cfg.TransitSide/5
+	for d := 0; d < tsTransitDomains; d++ {
+		cx := rng.Float64() * tsTransitSide
+		cy := rng.Float64() * tsTransitSide
+		for r := 0; r < tsTransitPerDomain; r++ {
+			i := d*tsTransitPerDomain + r
+			ts.tx[i] = cx + (rng.Float64()-0.5)*tsTransitSide/5
+			ts.ty[i] = cy + (rng.Float64()-0.5)*tsTransitSide/5
 		}
 	}
 	for s := 0; s < numStubs; s++ {
-		ts.transitOf[s] = int32(s / cfg.StubsPerTransit)
-		ts.uplink[s] = cfg.StubUplink * (0.5 + rng.Float64())
+		ts.transitOf[s] = int32(s / tsStubsPerTransit)
+		ts.uplink[s] = tsStubUplink * (0.5 + rng.Float64())
 	}
 	for h := 0; h < n; h++ {
 		ts.stubOf[h] = int32(h % numStubs)
-		ts.local[h] = cfg.LANLatency * rng.Float64()
+		ts.local[h] = tsLANLatency * rng.Float64()
 	}
 	return ts
 }
@@ -182,32 +163,18 @@ func (ts *TransitStub) Latency(u, v int) float64 {
 	return (ts.local[u] + ts.local[v]) + (ts.uplink[su] + ts.uplink[sv]) + backbone
 }
 
-// PlanetLabConfig parameterizes the synthetic PlanetLab-style matrix.
-type PlanetLabConfig struct {
-	Sites        int     // number of measurement sites (paper: ~200)
-	Clusters     int     // geographic clusters (continents)
-	IntraCluster float64 // mean RTT between sites in a cluster
-	InterCluster float64 // mean RTT between sites in different clusters
-	SiteLAN      float64 // max node-to-site latency
-	JitterFrac   float64 // relative jitter applied per site pair
-	Seed         int64
-}
-
-// DefaultPlanetLab mirrors the gross statistics of the Stribling
-// all-pairs ping dataset: ~200 sites in a handful of continental
-// clusters, intra-continent RTTs of tens of ms and intercontinental
-// RTTs of 100–300 ms with heavy jitter.
-func DefaultPlanetLab() PlanetLabConfig {
-	return PlanetLabConfig{
-		Sites:        200,
-		Clusters:     5,
-		IntraCluster: 30,
-		InterCluster: 160,
-		SiteLAN:      3,
-		JitterFrac:   0.4,
-		Seed:         1,
-	}
-}
+// The PlanetLab matrix's shape mirrors the gross statistics of the
+// Stribling all-pairs ping dataset: ~200 sites in a handful of
+// continental clusters, intra-continent RTTs of tens of ms and
+// intercontinental RTTs of 100–300 ms with heavy jitter.
+const (
+	plSites        = 200   // measurement sites (paper: ~200)
+	plClusters     = 5     // geographic clusters (continents)
+	plIntraCluster = 30.0  // mean RTT between sites in a cluster
+	plInterCluster = 160.0 // mean RTT between sites in different clusters
+	plSiteLAN      = 3.0   // max node-to-site latency
+	plJitterFrac   = 0.4   // relative jitter applied per site pair
+)
 
 // PlanetLab synthesizes an all-pairs RTT matrix over a fixed set of
 // sites and expands it to n nodes by assigning each node to a site —
@@ -215,48 +182,41 @@ func DefaultPlanetLab() PlanetLabConfig {
 // matrix. Site-to-site RTTs are drawn once; node latency adds a small
 // LAN component on each side.
 type PlanetLab struct {
-	cfg    PlanetLabConfig
 	siteOf []int32
 	lan    []float64
-	rtt    []float64 // sites × sites, row-major
-	sites  int
+	rtt    []float64 // plSites × plSites, row-major
 }
 
-// NewPlanetLab builds the synthetic matrix and assigns n nodes to
-// sites uniformly at random.
-func NewPlanetLab(n int, cfg PlanetLabConfig) *PlanetLab {
-	if cfg.Sites <= 0 || cfg.Clusters <= 0 {
-		panic("netmodel: planetlab config must have positive sites and clusters")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// NewPlanetLab builds the synthetic matrix from seed and assigns n
+// nodes to sites uniformly at random.
+func NewPlanetLab(n int, seed int64) *PlanetLab {
+	rng := rand.New(rand.NewSource(seed))
 	pl := &PlanetLab{
-		cfg:    cfg,
 		siteOf: make([]int32, n),
 		lan:    make([]float64, n),
-		rtt:    make([]float64, cfg.Sites*cfg.Sites),
-		sites:  cfg.Sites,
+		rtt:    make([]float64, plSites*plSites),
 	}
-	cluster := make([]int, cfg.Sites)
+	cluster := make([]int, plSites)
 	for s := range cluster {
-		cluster[s] = rng.Intn(cfg.Clusters)
+		cluster[s] = rng.Intn(plClusters)
 	}
-	for a := 0; a < cfg.Sites; a++ {
-		for b := a + 1; b < cfg.Sites; b++ {
-			base := cfg.InterCluster
+	for a := 0; a < plSites; a++ {
+		for b := a + 1; b < plSites; b++ {
+			base := plInterCluster
 			if cluster[a] == cluster[b] {
-				base = cfg.IntraCluster
+				base = plIntraCluster
 			}
 			// Heavy-ish tail: exponential-like multiplier so a few
 			// pairs are much slower, as in real ping data.
-			mult := 1 + cfg.JitterFrac*rng.ExpFloat64()
+			mult := 1 + plJitterFrac*rng.ExpFloat64()
 			v := base * mult
-			pl.rtt[a*cfg.Sites+b] = v
-			pl.rtt[b*cfg.Sites+a] = v
+			pl.rtt[a*plSites+b] = v
+			pl.rtt[b*plSites+a] = v
 		}
 	}
 	for i := 0; i < n; i++ {
-		pl.siteOf[i] = int32(rng.Intn(cfg.Sites))
-		pl.lan[i] = rng.Float64() * cfg.SiteLAN
+		pl.siteOf[i] = int32(rng.Intn(plSites))
+		pl.lan[i] = rng.Float64() * plSiteLAN
 	}
 	return pl
 }
@@ -274,5 +234,5 @@ func (pl *PlanetLab) Latency(u, v int) float64 {
 		return pl.lan[u] + pl.lan[v]
 	}
 	// Group the LAN terms so the sum is bit-identical in both directions.
-	return (pl.lan[u] + pl.lan[v]) + pl.rtt[int(su)*pl.sites+int(sv)]
+	return (pl.lan[u] + pl.lan[v]) + pl.rtt[int(su)*plSites+int(sv)]
 }

@@ -93,12 +93,11 @@ func TestEuclideanNegativePanics(t *testing.T) {
 }
 
 func TestTransitStubInvariants(t *testing.T) {
-	checkModelInvariants(t, NewTransitStub(500, DefaultTransitStub()))
+	checkModelInvariants(t, NewTransitStub(500, 1))
 }
 
 func TestTransitStubHierarchy(t *testing.T) {
-	cfg := DefaultTransitStub()
-	ts := NewTransitStub(2000, cfg)
+	ts := NewTransitStub(2000, 1)
 	// Hosts in the same stub should be much closer than hosts in
 	// different transit domains, on average.
 	var sameStub, crossStub []float64
@@ -128,17 +127,16 @@ func TestTransitStubHierarchy(t *testing.T) {
 	}
 	// Intra-stub latency is bounded by two LAN hops.
 	for _, d := range sameStub {
-		if d > 2*cfg.LANLatency {
-			t.Fatalf("intra-stub latency %v exceeds 2*LAN %v", d, 2*cfg.LANLatency)
+		if d > 2*tsLANLatency {
+			t.Fatalf("intra-stub latency %v exceeds 2*LAN %v", d, 2*tsLANLatency)
 		}
 	}
 }
 
 func TestTransitStubBalancedStubs(t *testing.T) {
-	cfg := DefaultTransitStub()
 	n := 960
-	ts := NewTransitStub(n, cfg)
-	numStubs := cfg.TransitDomains * cfg.TransitPerDomain * cfg.StubsPerTransit
+	ts := NewTransitStub(n, 1)
+	numStubs := tsTransitDomains * tsTransitPerDomain * tsStubsPerTransit
 	counts := make([]int, numStubs)
 	for h := 0; h < n; h++ {
 		counts[ts.stubOf[h]]++
@@ -151,24 +149,12 @@ func TestTransitStubBalancedStubs(t *testing.T) {
 	}
 }
 
-func TestTransitStubBadConfigPanics(t *testing.T) {
-	cfg := DefaultTransitStub()
-	cfg.TransitDomains = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTransitStub(10, cfg)
-}
-
 func TestPlanetLabInvariants(t *testing.T) {
-	checkModelInvariants(t, NewPlanetLab(400, DefaultPlanetLab()))
+	checkModelInvariants(t, NewPlanetLab(400, 1))
 }
 
 func TestPlanetLabClusterStructure(t *testing.T) {
-	cfg := DefaultPlanetLab()
-	pl := NewPlanetLab(3000, cfg)
+	pl := NewPlanetLab(3000, 1)
 	var sameSite, crossSite []float64
 	for u := 0; u < 300; u++ {
 		for v := u + 1; v < 300; v++ {
@@ -184,20 +170,20 @@ func TestPlanetLabClusterStructure(t *testing.T) {
 		t.Skip("no same-site pairs in sample")
 	}
 	for _, d := range sameSite {
-		if d > 2*cfg.SiteLAN {
+		if d > 2*plSiteLAN {
 			t.Fatalf("same-site latency %v exceeds 2*LAN", d)
 		}
 	}
 	// Cross-site latencies must be at least the intra-cluster base.
 	for _, d := range crossSite {
-		if d < cfg.IntraCluster {
-			t.Fatalf("cross-site latency %v below intra-cluster base %v", d, cfg.IntraCluster)
+		if d < plIntraCluster {
+			t.Fatalf("cross-site latency %v below intra-cluster base %v", d, plIntraCluster)
 		}
 	}
 }
 
 func TestPlanetLabHeavyTail(t *testing.T) {
-	pl := NewPlanetLab(1000, DefaultPlanetLab())
+	pl := NewPlanetLab(1000, 1)
 	var max, sum float64
 	count := 0
 	for u := 0; u < 200; u++ {
@@ -216,22 +202,11 @@ func TestPlanetLabHeavyTail(t *testing.T) {
 	}
 }
 
-func TestPlanetLabBadConfigPanics(t *testing.T) {
-	cfg := DefaultPlanetLab()
-	cfg.Clusters = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewPlanetLab(10, cfg)
-}
-
 func TestModelsSymmetryProperty(t *testing.T) {
 	models := []Model{
 		NewEuclidean(64, 100, 11),
-		NewTransitStub(64, DefaultTransitStub()),
-		NewPlanetLab(64, DefaultPlanetLab()),
+		NewTransitStub(64, 1),
+		NewPlanetLab(64, 1),
 	}
 	f := func(a, b uint8) bool {
 		u, v := int(a)%64, int(b)%64
@@ -269,13 +244,9 @@ func TestSubstrateLatencyGolden(t *testing.T) {
 		"planetlab/2":    0x40142e9fc4e613c3,
 	}
 	for _, seed := range []int64{1, 2} {
-		ts := DefaultTransitStub()
-		ts.Seed = seed
-		pl := DefaultPlanetLab()
-		pl.Seed = seed
 		for name, m := range map[string]Model{
-			"transit-stub": NewTransitStub(n, ts),
-			"planetlab":    NewPlanetLab(n, pl),
+			"transit-stub": NewTransitStub(n, seed),
+			"planetlab":    NewPlanetLab(n, seed),
 		} {
 			key := fmt.Sprintf("%s/%d", name, seed)
 			if got := digest(m); got != want[key] {

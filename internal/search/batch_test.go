@@ -114,9 +114,7 @@ func TestBatchExpandingRingParallelMatchesSequential(t *testing.T) {
 
 func TestBatchTwoTierParallelMatchesSequential(t *testing.T) {
 	const n = 600
-	cfg := topology.DefaultTwoTier()
-	cfg.Seed = 5
-	tt := topology.NewTwoTier(n, cfg)
+	tt := topology.NewTwoTier(n, 5)
 	g := tt.Graph.Freeze(nil)
 	store := testStore(t, n)
 	qrp := make([]*content.QRPTable, n)

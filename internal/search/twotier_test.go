@@ -138,7 +138,7 @@ func TestTwoTierTTLBoundsCore(t *testing.T) {
 
 func TestTwoTierOnGeneratedTopology(t *testing.T) {
 	n := 1500
-	tt := topology.NewTwoTier(n, topology.DefaultTwoTier())
+	tt := topology.NewTwoTier(n, 1)
 	st, err := content.Place(n, content.PlacementConfig{Objects: 20, Replication: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestTwoTierOnGeneratedTopology(t *testing.T) {
 // it is sized, a query allocates nothing.
 func TestRulesZeroAllocSteadyState(t *testing.T) {
 	const n = 1500
-	tt := topology.NewTwoTier(n, topology.DefaultTwoTier())
+	tt := topology.NewTwoTier(n, 1)
 	g := tt.Graph.Freeze(nil)
 	st := testStore(t, n)
 	qrp := make([]*content.QRPTable, n)

@@ -66,9 +66,7 @@ func TestDegreeBiasedWalkEscapesSaturation(t *testing.T) {
 func TestDegreeBiasedWalkEffectiveOnPowerLaw(t *testing.T) {
 	// Adamic's observation: on power-law graphs the hub-seeking walk
 	// finds popular content quickly because hubs see everything.
-	cfg := topology.DefaultPowerLaw()
-	cfg.Seed = 6
-	g := topology.PowerLaw(3000, cfg).Freeze(nil)
+	g := topology.PowerLaw(3000, 6).Freeze(nil)
 	top := g.TopDegreeNodes(30) // objects on the hubs' neighbors
 	targets := map[int]bool{}
 	for _, h := range top[:10] {

@@ -116,22 +116,18 @@ var (
 
 // Config configures an Engine. Graph and Store are required; ABF is
 // needed only for MechABF requests.
+//
+// The engine has GOMAXPROCS shards, each a cache partition and a
+// search kernel. Requests hash to a shard by key, so one key always
+// lands on one cache partition and one singleflight table; a miss runs
+// on any free kernel. A miss that would make more than
+// shards × (defaultQueueDepth+1) executions running or waiting is shed
+// with ErrOverloaded: the shed-vs-queue policy is "queue briefly, then
+// refuse", never "queue unboundedly" (see DESIGN).
 type Config struct {
 	Graph *graph.Graph
 	Store *content.Store
 	ABF   *search.ABFNetwork
-
-	// Shards is the cache-partition count and the number of search
-	// kernels (default GOMAXPROCS). Requests hash to a shard by key, so
-	// one key always lands on one cache partition and one singleflight
-	// table; a miss runs on any free kernel.
-	Shards int
-	// QueueDepth is how many misses per kernel may wait for one: a miss
-	// that would make more than Shards × (QueueDepth+1) executions
-	// running or waiting is shed with ErrOverloaded (default 128). The
-	// shed-vs-queue policy is "queue briefly, then refuse", never
-	// "queue unboundedly" (see DESIGN).
-	QueueDepth int
 
 	// CacheCapacity is the total result-cache entry budget, split
 	// evenly across shards; 0 disables the cache.
@@ -231,7 +227,7 @@ type Engine struct {
 }
 
 const (
-	// defaultQueueDepth is Config.QueueDepth's default.
+	// defaultQueueDepth is how many misses per kernel may wait for one.
 	defaultQueueDepth = 128
 	// cacheProtectedFrac is the protected-segment share of each cache
 	// shard: only a key requested twice can displace the hot set
@@ -250,19 +246,14 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Graph.N() == 0 {
 		return nil, fmt.Errorf("serve: empty overlay")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = defaultShards()
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = defaultQueueDepth
-	}
+	shards := runtime.GOMAXPROCS(0)
 	e := &Engine{
 		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		kernels: make(chan *kernel, cfg.Shards),
-		limit:   int64(cfg.Shards * (cfg.QueueDepth + 1)),
+		shards:  make([]*shard, shards),
+		kernels: make(chan *kernel, shards),
+		limit:   int64(shards * (defaultQueueDepth + 1)),
 	}
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < shards; i++ {
 		e.kernels <- &kernel{rng: rand.New(search.NewQuerySource())}
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -279,7 +270,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	perShard := 0
 	if cfg.CacheCapacity > 0 {
-		perShard = cfg.CacheCapacity / cfg.Shards
+		perShard = cfg.CacheCapacity / shards
 		if perShard < 8 {
 			perShard = 8
 		}
@@ -356,8 +347,9 @@ func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *searc
 // unless an identical-key miss is already in flight, in which case this
 // call parks on it and shares the one kernel execution (singleflight
 // miss coalescing). Blocks until the result is ready; sheds with
-// ErrOverloaded when the engine already holds Shards × (QueueDepth+1)
-// misses, running or waiting for a kernel.
+// ErrOverloaded when the engine already holds
+// Shards() × (defaultQueueDepth+1) misses, running or waiting for a
+// kernel.
 func (e *Engine) Lookup(req Request) (Response, error) {
 	snap := e.snap.Load()
 	if err := e.validate(&req, snap); err != nil {
@@ -570,9 +562,6 @@ func (e *Engine) syncCacheLen() {
 	}
 	e.cacheLen.Set(int64(e.CacheSize()))
 }
-
-// defaultShards resolves the shard count to GOMAXPROCS.
-func defaultShards() int { return runtime.GOMAXPROCS(0) }
 
 // Close refuses new lookups and waits for the misses already admitted,
 // which get real responses; Lookup calls after Close fail with

@@ -35,6 +35,13 @@ func testOverlay(t testing.TB, n, objects int) (*graph.Graph, *content.Store) {
 	return g, store
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS n, which is the
+// shard and kernel count of every engine it creates.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func testABF(t testing.TB, g *graph.Graph, store *content.Store) *search.ABFNetwork {
 	t.Helper()
 	net, err := search.BuildABFNetwork(g, store, search.DefaultABFConfig())
@@ -82,7 +89,7 @@ func TestCacheEquivalence(t *testing.T) {
 	mk := func(cacheCap int) *Engine {
 		e, err := New(Config{
 			Graph: g, Store: store, ABF: abf,
-			Shards: 4, Seed: 42, CacheCapacity: cacheCap,
+			Seed: 42, CacheCapacity: cacheCap,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -150,13 +157,16 @@ func TestCacheEquivalence(t *testing.T) {
 
 // TestServingDeterminismAcrossRestart pins that a fresh engine with
 // the same seed serves the same results — the property that makes a
-// serving measurement reproducible.
+// serving measurement reproducible — at any shard count. The shard
+// count is GOMAXPROCS, so the test sweeps it.
 func TestServingDeterminismAcrossRestart(t *testing.T) {
 	g, store := testOverlay(t, 400, 50)
 	abf := testABF(t, g, store)
 	reqs := zipfRequests(t, store, 200, 9)
-	serveAll := func(shards int) []search.Result {
-		e, err := New(Config{Graph: g, Store: store, ABF: abf, Shards: shards, Seed: 5})
+	setProcs(t, runtime.GOMAXPROCS(0))
+	serveAll := func(procs int) []search.Result {
+		runtime.GOMAXPROCS(procs)
+		e, err := New(Config{Graph: g, Store: store, ABF: abf, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +181,13 @@ func TestServingDeterminismAcrossRestart(t *testing.T) {
 		}
 		return out
 	}
-	a := serveAll(4)
-	b := serveAll(1) // different shard count must not matter
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("req %d: %+v != %+v across restart/shard-count", i, a[i], b[i])
+	a := serveAll(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4} {
+		b := serveAll(procs) // a different shard count must not matter
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("req %d at %d shards: %+v != %+v across restart/shard-count", i, procs, a[i], b[i])
+			}
 		}
 	}
 }
@@ -185,7 +197,7 @@ func TestServingDeterminismAcrossRestart(t *testing.T) {
 // cache purges, and answers come from the new placement.
 func TestEpochInvalidation(t *testing.T) {
 	g, store := testOverlay(t, 400, 50)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, Seed: 5, CacheCapacity: 256})
+	e, err := New(Config{Graph: g, Store: store, Seed: 5, CacheCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +252,7 @@ func TestStaleExecutionNotCached(t *testing.T) {
 	running, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	e, err := New(Config{
-		Graph: g, Store: store, Shards: 2, Seed: 9, CacheCapacity: 64,
+		Graph: g, Store: store, Seed: 9, CacheCapacity: 64,
 		testOnExecute: func(req Request) {
 			if req == parked {
 				once.Do(func() {
@@ -291,7 +303,7 @@ func TestStaleExecutionNotCached(t *testing.T) {
 
 func TestLookupValidation(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
-	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 1})
+	e, err := New(Config{Graph: g, Store: store, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +333,7 @@ func TestEngineClose(t *testing.T) {
 	parked := Request{Mech: MechFlood, Object: store.Objects()[2], TTL: 4}
 	running, release := make(chan struct{}), make(chan struct{})
 	e, err := New(Config{
-		Graph: g, Store: store, Shards: 2, Seed: 1, CacheCapacity: 64,
+		Graph: g, Store: store, Seed: 1, CacheCapacity: 64,
 		testOnExecute: func(req Request) {
 			if req == parked {
 				close(running)
@@ -386,7 +398,7 @@ func TestEngineClose(t *testing.T) {
 		t.Fatal("Close never returned after the execution finished")
 	}
 	out := <-parkedOut
-	ref, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 1})
+	ref, err := New(Config{Graph: g, Store: store, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +427,7 @@ func TestEngineClose(t *testing.T) {
 // epoch check.
 func TestConcurrentSnapshotUpdates(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, Seed: 1, CacheCapacity: 64})
+	e, err := New(Config{Graph: g, Store: store, Seed: 1, CacheCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +487,7 @@ func TestRequestKeyStability(t *testing.T) {
 // equals a fresh engine's over the new snapshot.
 func TestSnapshotSwapReplacesTargetSet(t *testing.T) {
 	g, store := testOverlay(t, 400, 50)
-	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})
+	e, err := New(Config{Graph: g, Store: store, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +513,7 @@ func TestSnapshotSwapReplacesTargetSet(t *testing.T) {
 	if err := e.UpdateSnapshot(g, store2, nil); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(Config{Graph: g, Store: store2, Shards: 1, Seed: 5})
+	fresh, err := New(Config{Graph: g, Store: store2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +549,7 @@ func TestSnapshotSwapReplacesTargetSet(t *testing.T) {
 // target set, flood against it at any TTL or walk — allocates nothing.
 func TestExecuteZeroAllocSteadyState(t *testing.T) {
 	g, store := testOverlay(t, 2000, 100)
-	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})
+	e, err := New(Config{Graph: g, Store: store, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

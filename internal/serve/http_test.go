@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ func httpFixture(t *testing.T, lim *Limiter, reg *obs.Registry) (*Engine, *httpt
 	g, store := testOverlay(t, 300, 30)
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 2, Seed: 17, CacheCapacity: 128, Metrics: reg,
+		Seed: 17, CacheCapacity: 128, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,54 +138,59 @@ func TestHTTPRateLimit429(t *testing.T) {
 	}
 }
 
+// TestHTTPShed429: with every admission slot taken — one execution
+// held on the engine's one kernel and defaultQueueDepth misses waiting
+// for it — an HTTP lookup is shed with 429 and Retry-After; once the
+// kernel is released, the same lookup is served.
 func TestHTTPShed429(t *testing.T) {
+	setProcs(t, 1)
 	g, store := testOverlay(t, 200, 20)
+	hold := make(chan struct{})
 	e, err := New(Config{
-		Graph: g, Store: store,
-		Shards: 1, QueueDepth: 1, Seed: 3,
-		testOnExecute: func(Request) { time.Sleep(50 * time.Millisecond) },
+		Graph: g, Store: store, Seed: 3,
+		testOnExecute: func(Request) { <-hold },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHTTPHandler(HTTPConfig{Engine: e}))
 	defer func() { srv.Close(); e.Close() }()
+	// Runs before the deferred Close, which waits for the held
+	// executions.
+	var relOnce sync.Once
+	release := func() { relOnce.Do(func() { close(hold) }) }
+	defer release()
 
-	// Distinct objects so nothing is served from cache; with one kernel,
-	// one waiting slot, and 50ms service, a burst of 8 must shed.
-	type out struct {
-		status int
-		retry  string
+	// Distinct objects, so nothing is served from cache or coalesced.
+	var wg sync.WaitGroup
+	for i := 0; i <= defaultQueueDepth; i++ {
+		wg.Add(1)
+		go func(obj uint64) {
+			defer wg.Done()
+			e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 2})
+		}(uint64(6000 + i))
 	}
-	results := make(chan out, 8)
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			resp, err := http.Get(fmt.Sprintf("%s/lookup?obj=%d&ttl=2", srv.URL, 5000+i))
-			if err != nil {
-				results <- out{status: -1}
-				return
-			}
-			resp.Body.Close()
-			results <- out{resp.StatusCode, resp.Header.Get("Retry-After")}
-		}(i)
-	}
-	ok, shed := 0, 0
-	for i := 0; i < 8; i++ {
-		r := <-results
-		switch r.status {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-			if r.retry == "" {
-				t.Fatal("shed 429 without Retry-After")
-			}
-		default:
-			t.Fatalf("unexpected status %d", r.status)
+	for deadline := time.Now().Add(30 * time.Second); e.QueueDepth() < defaultQueueDepth; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d misses, want %d", e.QueueDepth(), defaultQueueDepth)
 		}
 	}
-	if ok == 0 || shed == 0 {
-		t.Fatalf("burst of 8: %d served, %d shed — want both paths exercised", ok, shed)
+	get := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/lookup?obj=5000&ttl=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+	if status, retry := get(); status != http.StatusTooManyRequests || retry == "" {
+		t.Fatalf("lookup on a full engine: status %d, Retry-After %q, want 429 with Retry-After", status, retry)
+	}
+	release()
+	wg.Wait()
+	if status, _ := get(); status != http.StatusOK {
+		t.Fatalf("lookup after the release: status %d, want 200", status)
 	}
 }
 
@@ -203,7 +210,7 @@ func TestHTTPHealthAndDebugEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if !health.OK || health.Shards != 2 {
+	if !health.OK || health.Shards != runtime.GOMAXPROCS(0) {
 		t.Fatalf("healthz %+v", health)
 	}
 
@@ -269,7 +276,7 @@ func keysOf(m map[string]json.RawMessage) []string {
 func TestTCPLineProtocol(t *testing.T) {
 	g, store := testOverlay(t, 300, 30)
 	abf := testABF(t, g, store)
-	e, err := New(Config{Graph: g, Store: store, ABF: abf, Shards: 2, Seed: 21, CacheCapacity: 64})
+	e, err := New(Config{Graph: g, Store: store, ABF: abf, Seed: 21, CacheCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +350,7 @@ func TestTCPLineProtocol(t *testing.T) {
 
 func TestTCPRateLimit(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
-	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 2})
+	e, err := New(Config{Graph: g, Store: store, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // bump's purge frees the entries, and the kernels keep their scratch.
 func TestReuseEngineMissAllocatesNothing(t *testing.T) {
 	g, store := testOverlay(t, 2000, 100)
-	e, err := New(Config{Graph: g, Store: store, Shards: 2, CacheCapacity: 16, Seed: 5})
+	e, err := New(Config{Graph: g, Store: store, CacheCapacity: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,9 @@ func TestReuseEngineMissAllocatesNothing(t *testing.T) {
 // TestReuseKernelAcrossSameGraphBump: the kernel's scratch survives an
 // epoch bump over the same graph and is rebuilt for a new one.
 func TestReuseKernelAcrossSameGraphBump(t *testing.T) {
+	setProcs(t, 1)
 	g, store := testOverlay(t, 500, 40)
-	e, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 5})
+	e, err := New(Config{Graph: g, Store: store, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestReuseKernelAcrossSameGraphBump(t *testing.T) {
 		if _, err := e.Lookup(req); err != nil {
 			t.Fatal(err)
 		}
-		kn := <-e.kernels // Shards 1: the one kernel, idle between lookups
+		kn := <-e.kernels // one shard: the one kernel, idle between lookups
 		e.kernels <- kn
 		return kn
 	}
@@ -88,6 +89,7 @@ func TestReuseKernelAcrossSameGraphBump(t *testing.T) {
 // that miss would take it over and overwrite the answer under the
 // waiter (the race detector reports it, and the answer can differ).
 func TestReuseCoalescedWaiterOutlivesLeader(t *testing.T) {
+	setProcs(t, 1) // one shard: the other miss shares the flight's shard
 	g, store := testOverlay(t, 500, 40)
 	objs := store.Objects()
 	reg := obs.NewRegistry()
@@ -96,7 +98,7 @@ func TestReuseCoalescedWaiterOutlivesLeader(t *testing.T) {
 	var hold sync.Once
 	running, release := make(chan struct{}), make(chan struct{})
 	e, err := New(Config{
-		Graph: g, Store: store, Shards: 1, Seed: 17, Metrics: reg,
+		Graph: g, Store: store, Seed: 17, Metrics: reg,
 		testOnExecute: func(req Request) {
 			if req == target {
 				hold.Do(func() { close(running); <-release })
@@ -107,7 +109,7 @@ func TestReuseCoalescedWaiterOutlivesLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	ref, err := New(Config{Graph: g, Store: store, Shards: 1, Seed: 17})
+	ref, err := New(Config{Graph: g, Store: store, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ import (
 // two p99s compared) failed about one run in six, more when go test
 // ran packages in parallel, because one scheduler stall bunches
 // arrivals and stretches several latencies at once.
-const (
-	shedKernels    = 2
-	shedQueueDepth = 1
-)
+//
+// The engine runs at its production queue depth, defaultQueueDepth
+// misses per kernel, on shedKernels kernels (GOMAXPROCS).
+const shedKernels = 2
 
 type shedHarness struct {
 	t *testing.T
@@ -40,15 +40,15 @@ type shedHarness struct {
 	wg       sync.WaitGroup
 }
 
-// newShedHarness builds an engine with two kernels, queue depth 1 and
-// no cache, whose executions finish only when told to.
+// newShedHarness builds an engine with two kernels and no cache, whose
+// executions finish only when told to.
 func newShedHarness(t *testing.T) *shedHarness {
 	t.Helper()
+	setProcs(t, shedKernels)
 	g, store := testOverlay(t, 200, 20)
 	h := &shedHarness{t: t}
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: shedKernels, QueueDepth: shedQueueDepth,
 		Seed: 11,
 		testOnExecute: func(Request) {
 			grant := make(chan struct{})
@@ -190,8 +190,9 @@ func TestLoadShedding(t *testing.T) {
 	}
 
 	// Overload phase: four arrivals per tick against a capacity of two
-	// (one service per kernel), 2x saturation.
-	const overloadN = 400
+	// (one service per kernel), 2x saturation. The queue fills after
+	// about defaultQueueDepth ticks; the phase runs three times that.
+	const overloadN = 4 * 3 * defaultQueueDepth
 	for i := uint64(0); i < overloadN; i += 4 {
 		h.offer(1000+i, 1001+i, 1002+i, 1003+i)
 		h.tick()
@@ -203,7 +204,8 @@ func TestLoadShedding(t *testing.T) {
 	accepted := len(h.latency) - unloadedN
 
 	// The engine must actually shed: at 2x offered load, steady state
-	// rejects about half. Demand at least 20%.
+	// rejects about half, and the queue is full for two thirds of the
+	// phase. Demand at least 20%.
 	if shed < overloadN/5 {
 		t.Fatalf("overload shed only %d/%d requests (want >= %d)", shed, overloadN, overloadN/5)
 	}
@@ -211,11 +213,13 @@ func TestLoadShedding(t *testing.T) {
 		t.Fatal("overload accepted nothing — shedding collapsed into unavailability")
 	}
 	// Structural ceiling: an accepted request finds fewer than
-	// Shards × QueueDepth others waiting, or it would have been shed;
-	// every tick starts one waiter per kernel in arrival order, so it
-	// starts within QueueDepth ticks and then takes one service itself.
-	// The unloaded phase's wait-behind-busy-kernels requests reach that
-	// ceiling; overload may not exceed it.
+	// kernels × defaultQueueDepth others waiting, or it would have been
+	// shed; every tick starts one waiter per kernel in arrival order, so
+	// it starts within defaultQueueDepth ticks and then takes one
+	// service itself. Under overload the queue is full, so the last
+	// requests admitted reach that ceiling exactly. The unloaded phase's
+	// wait-behind-busy-kernels requests wait one service, then take
+	// their own: two ticks.
 	worstU, worstO := int64(0), int64(0)
 	for i, l := range h.latency {
 		if i < unloadedN {
@@ -224,9 +228,9 @@ func TestLoadShedding(t *testing.T) {
 			worstO = max(worstO, l)
 		}
 	}
-	if ceiling := int64(shedQueueDepth + 1); worstU != ceiling || worstO > ceiling {
-		t.Fatalf("worst accepted latency %d ticks unloaded (want %d), %d under overload (ceiling %d) — backpressure is not protecting latency",
-			worstU, ceiling, worstO, ceiling)
+	if ceiling := int64(defaultQueueDepth + 1); worstU != 2 || worstO != ceiling {
+		t.Fatalf("worst accepted latency %d ticks unloaded (want 2), %d under overload (want the ceiling %d) — backpressure is not protecting latency",
+			worstU, worstO, ceiling)
 	}
 	t.Logf("unloaded: shed 0/%d, worst %d ticks; overload: shed %d/%d, accepted %d, worst %d ticks",
 		unloadedN, worstU, shed, overloadN, accepted, worstO)
@@ -251,8 +255,9 @@ func TestMissRunsOnAnyIdleKernel(t *testing.T) {
 		t.Fatal("fixture: no second object hashes to the held request's shard")
 	}
 	running, release := make(chan struct{}), make(chan struct{})
+	setProcs(t, 2)
 	e, err := New(Config{
-		Graph: g, Store: store, Shards: 2, Seed: 17,
+		Graph: g, Store: store, Seed: 17,
 		testOnExecute: func(req Request) {
 			if req == held {
 				close(running)

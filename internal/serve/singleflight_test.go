@@ -21,6 +21,7 @@ import (
 // kernel released — so all N provably arrived while the key was
 // un-cached and at most one could have become a leader.
 func TestSingleflightCoalescing(t *testing.T) {
+	setProcs(t, 1)
 	g, store := testOverlay(t, 300, 30)
 	objs := store.Objects()
 	blockerObj, targetObj := objs[0], objs[1]
@@ -40,7 +41,6 @@ func TestSingleflightCoalescing(t *testing.T) {
 	}
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 1, QueueDepth: 64,
 		CacheCapacity: 64, Seed: 17,
 		Metrics:       reg,
 		testOnExecute: countExec,
@@ -129,6 +129,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 // removes it — a retry after the shed must start a fresh computation,
 // never park on a flight that will never run.
 func TestSingleflightShedCleanup(t *testing.T) {
+	setProcs(t, 1) // one kernel and one shard
 	g, store := testOverlay(t, 300, 30)
 	objs := store.Objects()
 
@@ -137,7 +138,6 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	var once sync.Once
 	e, err := New(Config{
 		Graph: g, Store: store,
-		Shards: 1, QueueDepth: 1,
 		Seed: 17,
 		testOnExecute: func(req Request) {
 			once.Do(func() {
@@ -169,13 +169,17 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker never reached execute")
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.Lookup(Request{Mech: MechFlood, Object: objs[1], TTL: 4}) // waits for the kernel
-	}()
+	// Fill the queue: defaultQueueDepth misses on distinct keys wait for
+	// the kernel.
+	for i := 0; i < defaultQueueDepth; i++ {
+		wg.Add(1)
+		go func(obj uint64) {
+			defer wg.Done()
+			e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 4})
+		}(uint64(6000 + i))
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for e.QueueDepth() < 1 {
+	for e.QueueDepth() < defaultQueueDepth {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled — shed path not reachable")
 		}
@@ -187,8 +191,8 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	}
 	// The failed flight must be gone: a stale entry here would make the
 	// post-release retry below hang on a done channel nobody closes.
-	// Two flights legitimately remain live — the blocker's (executing)
-	// and the queued request's.
+	// The blocker's flight (executing) and the queued requests' flights
+	// legitimately remain live.
 	sh := e.shards[0]
 	sh.mu.Lock()
 	_, stale := sh.flights[shedReq.Key()]
@@ -197,8 +201,8 @@ func TestSingleflightShedCleanup(t *testing.T) {
 	if stale {
 		t.Fatal("shed flight still registered — a retry would park on a done channel nobody closes")
 	}
-	if leaked != 2 {
-		t.Fatalf("%d flights registered after shed, want 2 (the blocker's and the queued request's)", leaked)
+	if leaked != 1+defaultQueueDepth {
+		t.Fatalf("%d flights registered after shed, want %d (the blocker's and the queued requests')", leaked, 1+defaultQueueDepth)
 	}
 	releaseWorker()
 	wg.Wait()

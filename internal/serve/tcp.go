@@ -42,15 +42,15 @@ type TCPServer struct {
 	wg     sync.WaitGroup
 }
 
+// maxLine caps one request line in bytes, terminator included; a
+// client exceeding it gets an E response and the connection is closed.
+// Without the cap, one endless unterminated line grows the read buffer
+// without bound. 1024 is generous for "Q <mech> <object> <ttl>".
+const maxLine = 1024
+
 // TCPConfig bounds a connection's resource use. The zero value gets
 // production defaults.
 type TCPConfig struct {
-	// MaxLine caps one request line in bytes, terminator included; a
-	// client exceeding it gets an E response and the connection is
-	// closed. Without the cap, one endless unterminated line grows the
-	// read buffer without bound. Default 1024 — generous for
-	// "Q <mech> <object> <ttl>".
-	MaxLine int
 	// IdleTimeout is the per-read deadline: a connection with no
 	// complete request for this long is closed, so idle or half-open
 	// clients cannot pin goroutines forever. Default 2m.
@@ -58,9 +58,6 @@ type TCPConfig struct {
 }
 
 func (cfg TCPConfig) withDefaults() TCPConfig {
-	if cfg.MaxLine <= 0 {
-		cfg.MaxLine = 1024
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 2 * time.Minute
 	}
@@ -127,13 +124,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// The read buffer IS the line cap: ReadSlice fails with
 	// ErrBufferFull exactly when a line exceeds it, so an endless
 	// unterminated line costs a fixed buffer, not unbounded growth.
-	r := bufio.NewReaderSize(conn, s.cfg.MaxLine)
+	r := bufio.NewReaderSize(conn, maxLine)
 	w := bufio.NewWriterSize(conn, 16<<10)
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			WriteReply(w, Reply{Kind: ReplyError, Message: fmt.Sprintf("line too long (max %d bytes)", s.cfg.MaxLine)})
+			WriteReply(w, Reply{Kind: ReplyError, Message: fmt.Sprintf("line too long (max %d bytes)", maxLine)})
 			w.Flush()
 			return
 		}

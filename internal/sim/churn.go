@@ -27,14 +27,12 @@ type ChurnConfig struct {
 	SnapshotInterval float64 // period of metric snapshots
 	Seed             int64
 
-	// SearchProbes, when positive, measures live search quality: each
-	// snapshot issues this many TTL-SearchTTL floods from random alive
-	// sources against SearchStore and records the success rate. Dead
+	// SearchStore, when set, measures live search quality: each
+	// snapshot issues searchProbes TTL-searchTTL floods from random
+	// alive sources against it and records the success rate. Dead
 	// replicas naturally reduce effective replication, so this is the
 	// paper's fault-tolerance story measured as user experience.
-	SearchProbes int
-	SearchTTL    int
-	SearchStore  *content.Store
+	SearchStore *content.Store
 
 	// RatingSnapshots, when true, records the mean §2.1 link rating at
 	// every snapshot via the batched RateAll pass — churn-time
@@ -42,6 +40,13 @@ type ChurnConfig struct {
 	// signal degrades between management rounds.
 	RatingSnapshots bool
 }
+
+// The churn-time search probe batch: searchProbes floods of TTL
+// searchTTL per snapshot.
+const (
+	searchProbes = 40
+	searchTTL    = 4
+)
 
 // Snapshot is one sample of overlay health during churn.
 type Snapshot struct {
@@ -100,11 +105,6 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 	if cfg.Duration <= 0 || cfg.MeanSession <= 0 || cfg.MeanDowntime <= 0 {
 		return nil, fmt.Errorf("sim: churn durations must be positive: %+v", cfg)
 	}
-	// Validate before scheduling anything: an error must leave the
-	// caller's engine untouched.
-	if cfg.SearchProbes > 0 && cfg.SearchStore == nil {
-		return nil, fmt.Errorf("sim: SearchProbes needs a SearchStore")
-	}
 	if cfg.ManageInterval <= 0 {
 		cfg.ManageInterval = cfg.Duration / 20
 	}
@@ -147,20 +147,18 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 	}
 	eng.Schedule(cfg.ManageInterval, manage)
 
-	if cfg.SearchTTL <= 0 {
-		cfg.SearchTTL = 4
-	}
 	probeRng := rand.New(rand.NewSource(cfg.Seed + 7))
 	var rateBuf *core.Ratings // reused across snapshots
 	snapshot := func() {
 		snap := takeSnapshot(o, eng.Now())
 		snap.SearchSuccess = SentinelOff
-		if cfg.SearchProbes > 0 {
+		if cfg.SearchStore != nil {
 			// One seed per snapshot, drawn from the probe stream; the
 			// batch derives per-probe seeds from it.
-			eng.Emit(obs.EvQueryStart, "sim", "", int64(cfg.SearchProbes))
-			snap.SearchSuccess = measureSearch(o, cfg.SearchStore, cfg.SearchProbes, cfg.SearchTTL, 0, probeRng.Int63())
-			eng.Emit(obs.EvQueryHit, "sim", "", int64(snap.SearchSuccess*float64(cfg.SearchProbes)+0.5))
+			eng.Emit(obs.EvQueryStart, "sim", "", searchProbes)
+			hits := measureSearch(o, cfg.SearchStore, searchProbes, searchTTL, 0, probeRng.Int63())
+			snap.SearchSuccess = float64(hits) / searchProbes
+			eng.Emit(obs.EvQueryHit, "sim", "", int64(hits))
 		}
 		snap.MeanRating = SentinelOff
 		if cfg.RatingSnapshots {
@@ -183,15 +181,12 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 
 // measureSearch floods from random alive sources for random objects,
 // matching only ALIVE replicas (dead hosts cannot answer), and
-// returns the success rate. Probes run as one parallel batch of up to
+// returns how many probes succeeded. Probes run as one parallel batch of up to
 // workers goroutines (0 = GOMAXPROCS, which the churn snapshots use)
 // over the frozen snapshot graph; the overlay is only read, never
 // mutated, and per-probe seeding keeps the rate identical at any
 // worker count.
-func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers int, seed int64) float64 {
-	if probes <= 0 {
-		return 0
-	}
+func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers int, seed int64) int {
 	// Dead nodes are isolated in the snapshot and every source is alive,
 	// so a flood reaches only alive nodes, and every replica it reaches
 	// is an alive one.
@@ -212,7 +207,7 @@ func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers i
 		obj := store.RandomObject(rng)
 		return k.Flooder().FloodTargets(src, ttl, k.Targets(store.Replicas(obj)))
 	})
-	return agg.SuccessRate()
+	return agg.Successes
 }
 
 // meanRating averages the link scores of a RateAll pass; 0 when the

@@ -1,19 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"makalu/internal/content"
+	"makalu/internal/obs"
 )
-
-func TestChurnSearchProbesValidation(t *testing.T) {
-	o := buildOverlay(t, 100, 61)
-	cfg := defaultChurnConfig(62)
-	cfg.SearchProbes = 10 // no store
-	if _, err := RunChurn(o, cfg); err == nil {
-		t.Fatal("probes without a store should fail")
-	}
-}
 
 func TestSearchSuccessDisabledByDefault(t *testing.T) {
 	o := buildOverlay(t, 150, 63)
@@ -38,8 +31,6 @@ func TestSearchQualitySurvivesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := defaultChurnConfig(67)
-	cfg.SearchProbes = 40
-	cfg.SearchTTL = 4
 	cfg.SearchStore = store
 	res, err := RunChurn(o, cfg)
 	if err != nil {
@@ -114,6 +105,76 @@ func TestRatingSnapshotsDuringChurn(t *testing.T) {
 	for i, s := range res2.Timeline {
 		if s.MeanRating != -1 {
 			t.Fatalf("snapshot %d: RatingSnapshots off but MeanRating = %v", i, s.MeanRating)
+		}
+	}
+}
+
+// TestChurnTraceMatchesCounters holds the churn process's trace to its
+// own counters: one evict per departure and one join per rejoin on the
+// sim:<id> nodes, one query-start per probed snapshot carrying the
+// batch size, and one query-hit per snapshot carrying exactly the
+// probes that succeeded.
+func TestChurnTraceMatchesCounters(t *testing.T) {
+	n := 300
+	o := buildOverlay(t, n, 73)
+	store, err := content.Place(n, content.PlacementConfig{
+		Objects: 20, Replication: 0.03, Seed: 74,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultChurnConfig(75)
+	cfg.SearchStore = store
+	trace := obs.NewEventLog(1 << 14)
+	eng := &Engine{Trace: trace}
+	c, err := StartChurn(eng, o, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(cfg.Duration)
+	c.Snapshot()
+	res := c.Result
+	if res.Departures == 0 || res.Rejoins == 0 {
+		t.Fatalf("no churn: %d departures, %d rejoins", res.Departures, res.Rejoins)
+	}
+	if trace.Overwritten() != 0 {
+		t.Fatalf("the trace overflowed: %d events overwritten", trace.Overwritten())
+	}
+
+	var evicts, joins int
+	var hits []int64
+	starts := 0
+	for _, e := range trace.Snapshot() {
+		switch e.Type {
+		case obs.EvEvict, obs.EvJoin:
+			if !strings.HasPrefix(e.Node, "sim:") {
+				t.Fatalf("%v event on node %q, want sim:<id>", e.Type, e.Node)
+			}
+			if e.Type == obs.EvEvict {
+				evicts++
+			} else {
+				joins++
+			}
+		case obs.EvQueryStart:
+			if e.Value != searchProbes {
+				t.Fatalf("query-start value %d, want the batch size %d", e.Value, searchProbes)
+			}
+			starts++
+		case obs.EvQueryHit:
+			hits = append(hits, e.Value)
+		default:
+			t.Fatalf("unexpected %v event", e.Type)
+		}
+	}
+	if evicts != res.Departures || joins != res.Rejoins {
+		t.Fatalf("trace has %d evicts and %d joins, counters %d departures and %d rejoins", evicts, joins, res.Departures, res.Rejoins)
+	}
+	if starts != len(res.Timeline) || len(hits) != len(res.Timeline) {
+		t.Fatalf("%d query-starts and %d query-hits for %d probed snapshots", starts, len(hits), len(res.Timeline))
+	}
+	for i, s := range res.Timeline {
+		if float64(hits[i])/searchProbes != s.SearchSuccess {
+			t.Fatalf("snapshot %d: query-hit value %d, success rate %v", i, hits[i], s.SearchSuccess)
 		}
 	}
 }

@@ -375,8 +375,7 @@ func TestSpectrumDistance(t *testing.T) {
 // close to k - 2√(k-1).
 func TestConnectivityOrderingAcrossTopologies(t *testing.T) {
 	n := 240
-	plCfg := topology.DefaultPowerLaw()
-	pl := topology.PowerLaw(n, plCfg).Freeze(nil)
+	pl := topology.PowerLaw(n, 1).Freeze(nil)
 	kreg, err := topology.KRegular(n, 10, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -7,50 +7,31 @@ import (
 	"makalu/internal/graph"
 )
 
-// PowerLawConfig parameterizes the Gnutella v0.4 style power-law
-// topology. Defaults follow the measurement studies the paper cites
-// (Saroiu et al., Ripeanu et al.): degree exponent ≈ 2.3 with a short
-// minimum degree and a cutoff around sqrt(n).
-type PowerLawConfig struct {
-	Exponent  float64 // power-law exponent tau (> 1)
-	MinDegree int     // smallest node degree
-	MaxDegree int     // largest node degree; 0 means ~2*sqrt(n)
-	Connect   bool    // patch components together afterwards
-	Seed      int64
-}
+// The Gnutella v0.4 degree law the paper's comparisons use, after the
+// measurement studies it cites (Saroiu et al., Ripeanu et al.): degree
+// exponent ≈ 2.3 with a short minimum degree and a cutoff around √n.
+const (
+	powerLawExponent  = 2.3 // degree exponent tau
+	powerLawMinDegree = 1   // smallest node degree
+)
 
-// DefaultPowerLaw returns the Gnutella v0.4 parameters used throughout
-// the paper's comparisons.
-func DefaultPowerLaw() PowerLawConfig {
-	return PowerLawConfig{Exponent: 2.3, MinDegree: 1, Connect: true, Seed: 1}
-}
-
-// PowerLaw builds a power-law random graph on n nodes with the
-// configuration model: degrees are drawn from a discrete power law,
-// half-edge stubs are shuffled and paired, and self-loops/duplicate
-// edges are discarded (which perturbs high degrees only slightly).
-// When cfg.Connect is set, stray components are patched into the
-// giant component with single random edges, matching how Gnutella
+// PowerLaw builds a Gnutella v0.4 power-law random graph on n nodes
+// from seed with the configuration model: degrees are drawn from a
+// discrete power law over [1, ⌊2√n⌋], half-edge stubs are shuffled and
+// paired, and self-loops/duplicate edges are discarded (which perturbs
+// high degrees only slightly). Stray components are then patched into
+// the giant component with single random edges, matching how Gnutella
 // bootstrap servers keep the network nominally connected.
-func PowerLaw(n int, cfg PowerLawConfig) *graph.Mutable {
-	if cfg.Exponent <= 1 {
-		panic("topology: power-law exponent must be > 1")
-	}
-	if cfg.MinDegree < 1 {
-		panic("topology: power-law min degree must be >= 1")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	maxDeg := cfg.MaxDegree
-	if maxDeg == 0 {
-		maxDeg = int(2 * math.Sqrt(float64(n)))
-	}
+func PowerLaw(n int, seed int64) *graph.Mutable {
+	rng := rand.New(rand.NewSource(seed))
+	maxDeg := int(2 * math.Sqrt(float64(n)))
 	if maxDeg >= n {
 		maxDeg = n - 1
 	}
-	if maxDeg < cfg.MinDegree {
-		maxDeg = cfg.MinDegree
+	if maxDeg < powerLawMinDegree {
+		maxDeg = powerLawMinDegree
 	}
-	degrees := samplePowerLawDegrees(rng, n, cfg.Exponent, cfg.MinDegree, maxDeg)
+	degrees := samplePowerLawDegrees(rng, n, powerLawExponent, powerLawMinDegree, maxDeg)
 
 	// Configuration model: one stub per degree unit.
 	total := 0
@@ -74,9 +55,7 @@ func PowerLaw(n int, cfg PowerLawConfig) *graph.Mutable {
 	for i := 0; i+1 < len(stubs); i += 2 {
 		g.AddEdge(int(stubs[i]), int(stubs[i+1])) // silently drops conflicts
 	}
-	if cfg.Connect {
-		EnsureConnected(g, rng)
-	}
+	EnsureConnected(g, rng)
 	return g
 }
 

@@ -56,11 +56,9 @@ func TestSampleDistinct(t *testing.T) {
 }
 
 func TestPowerLawBasicShape(t *testing.T) {
-	cfg := DefaultPowerLaw()
-	g := PowerLaw(3000, cfg)
-	f := g.Freeze(nil)
+	f := PowerLaw(3000, 1).Freeze(nil)
 	if !f.IsConnected() {
-		t.Fatal("Connect=true should yield a connected graph")
+		t.Fatal("the power-law graph should be patched into one component")
 	}
 	// Power-law: many low-degree nodes, a few hubs.
 	low := 0
@@ -82,9 +80,8 @@ func TestPowerLawBasicShape(t *testing.T) {
 }
 
 func TestPowerLawDeterminism(t *testing.T) {
-	cfg := DefaultPowerLaw()
-	a := PowerLaw(500, cfg).Freeze(nil)
-	b := PowerLaw(500, cfg).Freeze(nil)
+	a := PowerLaw(500, 1).Freeze(nil)
+	b := PowerLaw(500, 1).Freeze(nil)
 	if a.M() != b.M() {
 		t.Fatalf("same seed different edge counts: %d vs %d", a.M(), b.M())
 	}
@@ -95,46 +92,26 @@ func TestPowerLawDeterminism(t *testing.T) {
 	}
 }
 
-func TestPowerLawUnconnectedOption(t *testing.T) {
-	cfg := DefaultPowerLaw()
-	cfg.Connect = false
-	g := PowerLaw(2000, cfg)
-	// With min degree 1 the configuration model essentially always
-	// leaves fragments at this size.
-	if g.Freeze(nil).IsConnected() {
-		t.Log("unexpectedly connected; acceptable but rare")
-	}
-}
-
-func TestPowerLawValidation(t *testing.T) {
-	for _, cfg := range []PowerLawConfig{
-		{Exponent: 1.0, MinDegree: 1},
-		{Exponent: 2.3, MinDegree: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v should panic", cfg)
-				}
-			}()
-			PowerLaw(10, cfg)
-		}()
-	}
-}
-
+// TestPowerLawRespectsMaxDegree checks the degree sampler against a
+// cap far below PowerLaw's ⌊2√n⌋: every draw lies in [min, cap], and
+// the cap is reached.
 func TestPowerLawRespectsMaxDegree(t *testing.T) {
-	cfg := DefaultPowerLaw()
-	cfg.MaxDegree = 8
-	cfg.Connect = false
-	g := PowerLaw(1000, cfg).Freeze(nil)
-	if g.MaxDegree() > 8 {
-		t.Fatalf("max degree %d exceeds configured cap 8", g.MaxDegree())
+	const cap = 8
+	degrees := samplePowerLawDegrees(rand.New(rand.NewSource(1)), 1000, powerLawExponent, powerLawMinDegree, cap)
+	top := 0
+	for u, d := range degrees {
+		if d < powerLawMinDegree || d > cap {
+			t.Fatalf("node %d drew degree %d outside [%d, %d]", u, d, powerLawMinDegree, cap)
+		}
+		top = max(top, d)
+	}
+	if top != cap {
+		t.Fatalf("largest draw %d never reached the cap %d", top, cap)
 	}
 }
 
 func TestTwoTierStructure(t *testing.T) {
-	cfg := DefaultTwoTier()
-	tt := NewTwoTier(2000, cfg)
+	tt := NewTwoTier(2000, 1)
 	if tt.UltraCount != 300 {
 		t.Fatalf("ultra count = %d, want 300", tt.UltraCount)
 	}
@@ -146,12 +123,12 @@ func TestTwoTierStructure(t *testing.T) {
 		t.Fatal("two-tier graph should be connected")
 	}
 	// Leaves connect only to ultrapeers, with degree in
-	// [1, 2*LeafDegree-1] and mean ≈ LeafDegree.
+	// [1, 2*twoTierLeafDegree-1] and mean ≈ twoTierLeafDegree.
 	leafDegSum := 0
 	for leaf := tt.UltraCount; leaf < 2000; leaf++ {
 		d := f.Degree(leaf)
-		if d < 1 || d > 2*cfg.LeafDegree-1 {
-			t.Fatalf("leaf %d degree = %d outside [1, %d]", leaf, d, 2*cfg.LeafDegree-1)
+		if d < 1 || d > 2*twoTierLeafDegree-1 {
+			t.Fatalf("leaf %d degree = %d outside [1, %d]", leaf, d, 2*twoTierLeafDegree-1)
 		}
 		leafDegSum += d
 		for _, v := range f.Neighbors(leaf) {
@@ -161,8 +138,8 @@ func TestTwoTierStructure(t *testing.T) {
 		}
 	}
 	meanLeafDeg := float64(leafDegSum) / float64(tt.LeafCount)
-	if math.Abs(meanLeafDeg-float64(cfg.LeafDegree)) > 0.3 {
-		t.Fatalf("mean leaf degree %.2f, want ≈ %d", meanLeafDeg, cfg.LeafDegree)
+	if math.Abs(meanLeafDeg-twoTierLeafDegree) > 0.3 {
+		t.Fatalf("mean leaf degree %.2f, want ≈ %d", meanLeafDeg, twoTierLeafDegree)
 	}
 	// Ultrapeers should be near the target ultra degree plus leaf load.
 	var ultraUltraDeg float64
@@ -176,13 +153,13 @@ func TestTwoTierStructure(t *testing.T) {
 		ultraUltraDeg += float64(uu)
 	}
 	ultraUltraDeg /= float64(tt.UltraCount)
-	if ultraUltraDeg < float64(cfg.UltraDegree)*0.9 {
-		t.Fatalf("mean ultra-ultra degree %.1f below target %d", ultraUltraDeg, cfg.UltraDegree)
+	if ultraUltraDeg < twoTierUltraDegree*0.9 {
+		t.Fatalf("mean ultra-ultra degree %.1f below target %d", ultraUltraDeg, twoTierUltraDegree)
 	}
 }
 
 func TestTwoTierSmallNetwork(t *testing.T) {
-	tt := NewTwoTier(10, TwoTierConfig{UltraFraction: 0.3, UltraDegree: 5, LeafDegree: 2, Seed: 3})
+	tt := NewTwoTier(10, 3)
 	if tt.UltraCount < 1 {
 		t.Fatal("need at least one ultrapeer")
 	}
@@ -191,27 +168,12 @@ func TestTwoTierSmallNetwork(t *testing.T) {
 	}
 }
 
+// TestTwoTierAllUltra: a network too small for a leaf is one
+// ultrapeer, with the core degree clamped to what the core can hold.
 func TestTwoTierAllUltra(t *testing.T) {
-	tt := NewTwoTier(20, TwoTierConfig{UltraFraction: 1, UltraDegree: 4, LeafDegree: 1, Seed: 1})
-	if tt.UltraCount != 20 || tt.LeafCount != 0 {
+	tt := NewTwoTier(1, 1)
+	if tt.UltraCount != 1 || tt.LeafCount != 0 || tt.Graph.M() != 0 {
 		t.Fatalf("counts: %d ultra %d leaf", tt.UltraCount, tt.LeafCount)
-	}
-}
-
-func TestTwoTierValidation(t *testing.T) {
-	for _, cfg := range []TwoTierConfig{
-		{UltraFraction: 0, UltraDegree: 3, LeafDegree: 1},
-		{UltraFraction: 0.5, UltraDegree: 0, LeafDegree: 1},
-		{UltraFraction: 0.5, UltraDegree: 3, LeafDegree: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v should panic", cfg)
-				}
-			}()
-			NewTwoTier(10, cfg)
-		}()
 	}
 }
 
@@ -320,8 +282,8 @@ func TestDefaultCapacitiesMeanMatchesPaper(t *testing.T) {
 // far better connectivity than the v0.4 power law at equal size.
 func TestTwoTierBeatsPowerLawDiameter(t *testing.T) {
 	n := 2000
-	pl := PowerLaw(n, DefaultPowerLaw()).Freeze(nil)
-	tt := NewTwoTier(n, DefaultTwoTier()).Graph.Freeze(nil)
+	pl := PowerLaw(n, 1).Freeze(nil)
+	tt := NewTwoTier(n, 1).Graph.Freeze(nil)
 	dPL := pl.HopDiameter()
 	dTT := tt.HopDiameter()
 	if dTT >= dPL {
@@ -359,13 +321,9 @@ func TestBaselineTopologyGolden(t *testing.T) {
 		"two-tier/2":  0x8cd291dc37cf67dd,
 	}
 	for _, seed := range []int64{1, 2} {
-		pl := DefaultPowerLaw()
-		pl.Seed = seed
-		tt := DefaultTwoTier()
-		tt.Seed = seed
 		for name, g := range map[string]*graph.Mutable{
-			"power-law": PowerLaw(n, pl),
-			"two-tier":  NewTwoTier(n, tt).Graph,
+			"power-law": PowerLaw(n, seed),
+			"two-tier":  NewTwoTier(n, seed).Graph,
 		} {
 			key := fmt.Sprintf("%s/%d", name, seed)
 			if got := edgeSetHash(g); got != want[key] {

@@ -6,28 +6,19 @@ import (
 	"makalu/internal/graph"
 )
 
-// TwoTierConfig parameterizes the modern Gnutella v0.6 ultrapeer/leaf
-// topology. Defaults follow Stutzbach et al. and Rasti et al. as
-// cited by the paper: roughly 15% of peers are ultrapeers, ultrapeers
-// hold ~30 connections to other ultrapeers, and each leaf attaches to
-// ~3 ultrapeers.
-type TwoTierConfig struct {
-	UltraFraction float64 // fraction of nodes promoted to ultrapeer
-	UltraDegree   int     // target ultrapeer-to-ultrapeer connections
-	// LeafDegree is the MEAN number of ultrapeers each leaf attaches
-	// to. Crawl studies report a spread down to a single connection,
-	// so per-leaf degrees are drawn uniformly from [1, 2*LeafDegree-1]
-	// — which is also what gives the two-tier topology its measured
-	// near-1 algebraic connectivity (pendant leaves bound λ₁ ≤ 1).
-	LeafDegree int
-	Seed       int64
-}
-
-// DefaultTwoTier returns the Gnutella v0.6 parameters used in the
-// paper's comparisons.
-func DefaultTwoTier() TwoTierConfig {
-	return TwoTierConfig{UltraFraction: 0.15, UltraDegree: 30, LeafDegree: 3, Seed: 1}
-}
+// The Gnutella v0.6 ultrapeer/leaf shape the paper's comparisons use,
+// after Stutzbach et al. and Rasti et al.: 15% of peers are
+// ultrapeers, ultrapeers hold ~30 connections to other ultrapeers, and
+// a leaf attaches to 3 ultrapeers on average. Crawl studies report leaf
+// degrees down to a single connection, so per-leaf degrees are drawn
+// uniformly from [1, 2·twoTierLeafDegree−1]; the pendant leaves are
+// also what give the topology its measured near-1 algebraic
+// connectivity (λ₁ ≤ 1).
+const (
+	twoTierUltraFraction = 0.15 // fraction of nodes promoted to ultrapeer
+	twoTierUltraDegree   = 30   // target ultrapeer-to-ultrapeer connections
+	twoTierLeafDegree    = 3    // mean ultrapeers per leaf
+)
 
 // TwoTier is a generated two-tier topology: the overlay graph plus
 // the role of every node, which the v0.6 flooding search needs (leaves
@@ -40,21 +31,15 @@ type TwoTier struct {
 	UltraCount int
 }
 
-// NewTwoTier builds a two-tier overlay on n nodes. Ultrapeers are the
-// first ceil(n*UltraFraction) node ids (callers that need randomized
-// role placement can permute ids); they form an approximately
-// UltraDegree-regular random graph, and every leaf picks LeafDegree
-// distinct random ultrapeers. The ultrapeer core is patched to a
-// single component.
-func NewTwoTier(n int, cfg TwoTierConfig) *TwoTier {
-	if cfg.UltraFraction <= 0 || cfg.UltraFraction > 1 {
-		panic("topology: ultra fraction must be in (0, 1]")
-	}
-	if cfg.UltraDegree < 1 || cfg.LeafDegree < 1 {
-		panic("topology: degrees must be positive")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	numUltra := int(float64(n)*cfg.UltraFraction + 0.999999)
+// NewTwoTier builds a two-tier overlay on n nodes from seed.
+// Ultrapeers are the first ⌈0.15·n⌉ node ids (callers that need
+// randomized role placement can permute ids); they form an
+// approximately 30-regular random graph, and every leaf picks its
+// distinct random ultrapeers. The ultrapeer core is patched to a single
+// component.
+func NewTwoTier(n int, seed int64) *TwoTier {
+	rng := rand.New(rand.NewSource(seed))
+	numUltra := int(float64(n)*twoTierUltraFraction + 0.999999)
 	if numUltra < 1 {
 		numUltra = 1
 	}
@@ -77,7 +62,7 @@ func NewTwoTier(n int, cfg TwoTierConfig) *TwoTier {
 	// ultrapeers until it reaches the target degree or runs out of
 	// candidates. Real ultrapeers do the same: keep dialing peers from
 	// their host cache until their slot budget is full.
-	ultraDeg := cfg.UltraDegree
+	ultraDeg := twoTierUltraDegree
 	if ultraDeg >= numUltra {
 		ultraDeg = numUltra - 1
 	}
@@ -97,8 +82,8 @@ func NewTwoTier(n int, cfg TwoTierConfig) *TwoTier {
 	}
 
 	// Leaves attach to a variable number of distinct ultrapeers:
-	// uniform in [1, 2*LeafDegree-1], mean LeafDegree.
-	maxLeafDeg := 2*cfg.LeafDegree - 1
+	// uniform in [1, 2*twoTierLeafDegree-1], mean twoTierLeafDegree.
+	maxLeafDeg := 2*twoTierLeafDegree - 1
 	scratch := make([]int32, 0, maxLeafDeg)
 	for leaf := numUltra; leaf < n; leaf++ {
 		leafDeg := 1 + rng.Intn(maxLeafDeg)

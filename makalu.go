@@ -125,13 +125,9 @@ func New(cfg Config) (*Overlay, error) {
 	case Euclidean:
 		model = netmodel.NewEuclidean(total, 1000, cfg.Seed)
 	case TransitStub:
-		c := netmodel.DefaultTransitStub()
-		c.Seed = cfg.Seed
-		model = netmodel.NewTransitStub(total, c)
+		model = netmodel.NewTransitStub(total, cfg.Seed)
 	case PlanetLab:
-		c := netmodel.DefaultPlanetLab()
-		c.Seed = cfg.Seed
-		model = netmodel.NewPlanetLab(total, c)
+		model = netmodel.NewPlanetLab(total, cfg.Seed)
 	default:
 		return nil, fmt.Errorf("makalu: unknown network model %q", cfg.Model)
 	}

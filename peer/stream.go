@@ -123,12 +123,11 @@ func (n *Node) sendChunkRequest(addr string, q chunkReqPayload) error {
 	return l.send(msgChunkRequest, encodeChunkReq(q))
 }
 
-// DownloadConfig parameterizes DownloadBlob.
+// DownloadConfig parameterizes DownloadBlob. The per-chunk deadline is
+// the node's read deadline, ten management intervals (2s at the
+// default): a source that misses it is dropped and its in-flight
+// chunks are re-requested elsewhere.
 type DownloadConfig struct {
-	// ChunkTimeout is the per-chunk deadline; a source that misses it
-	// is dropped and its in-flight chunks are re-requested elsewhere.
-	// Default 2s.
-	ChunkTimeout time.Duration
 	// Window caps the chunk requests outstanding at each source, as
 	// the simulator's PerSourceWindow does. Default 4.
 	Window int
@@ -139,9 +138,6 @@ type DownloadConfig struct {
 }
 
 func (cfg DownloadConfig) withDefaults() DownloadConfig {
-	if cfg.ChunkTimeout <= 0 {
-		cfg.ChunkTimeout = 2 * time.Second
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 4
 	}
@@ -202,7 +198,7 @@ func (n *Node) DownloadBlob(man content.Manifest, sources []string, cfg Download
 	fired, quit := make(chan deadline), make(chan struct{})
 	defer close(quit)
 	send := func(src, c, att int) {
-		wait := cfg.ChunkTimeout
+		wait := n.cfg.idleTimeout()
 		if n.sendChunkRequest(sources[src], chunkReqPayload{
 			Object: man.Object,
 			Chunk:  uint32(c),

@@ -10,15 +10,18 @@ import (
 )
 
 // streamTestNet starts a client plus replicas hosting blob copies and
-// connects the client to every replica.
-func streamTestNet(t *testing.T, obj uint64, size int64, chunk int, replicas int) (*Node, []*Node, content.Manifest, []byte) {
+// connects the client to every replica. The client's chunk deadline is
+// chunkTimeout: its management interval is a tenth of it.
+func streamTestNet(t *testing.T, chunkTimeout time.Duration, obj uint64, size int64, chunk int, replicas int) (*Node, []*Node, content.Manifest, []byte) {
 	t.Helper()
 	man, err := content.BuildManifest(obj, size, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := content.ObjectPayload(obj, size, chunk)
-	client, err := Start("127.0.0.1:0", DefaultNodeConfig(8, 1))
+	clientCfg := DefaultNodeConfig(8, 1)
+	clientCfg.ManageInterval = chunkTimeout / 10
+	client, err := Start("127.0.0.1:0", clientCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func streamTestNet(t *testing.T, obj uint64, size int64, chunk int, replicas int
 }
 
 func TestDownloadBlobSingleSource(t *testing.T) {
-	client, reps, man, payload := streamTestNet(t, 0xabc, 10_000, 1024, 1)
+	client, reps, man, payload := streamTestNet(t, 2*time.Second, 0xabc, 10_000, 1024, 1)
 	defer client.Close()
 	defer reps[0].Close()
 
@@ -61,7 +64,7 @@ func TestDownloadBlobSingleSource(t *testing.T) {
 }
 
 func TestDownloadBlobMissingBlobFailsOver(t *testing.T) {
-	client, reps, man, payload := streamTestNet(t, 0xdef, 8_000, 1000, 2)
+	client, reps, man, payload := streamTestNet(t, 2*time.Second, 0xdef, 8_000, 1000, 2)
 	defer client.Close()
 	defer reps[0].Close()
 	defer reps[1].Close()
@@ -95,7 +98,7 @@ func TestDownloadBlobMissingBlobFailsOver(t *testing.T) {
 // via timeout, source drop and re-request from the survivor.
 func TestDownloadSurvivesReplicaKill(t *testing.T) {
 	const obj = uint64(0x5eed)
-	client, reps, man, payload := streamTestNet(t, obj, 64_000, 1000, 2)
+	client, reps, man, payload := streamTestNet(t, 300*time.Millisecond, obj, 64_000, 1000, 2)
 	defer client.Close()
 	defer reps[1].Close()
 	victim := reps[0]
@@ -104,8 +107,7 @@ func TestDownloadSurvivesReplicaKill(t *testing.T) {
 	var killOnce sync.Once
 	served := make(map[string]bool)
 	cfg := DownloadConfig{
-		ChunkTimeout: 300 * time.Millisecond,
-		Window:       2,
+		Window: 2,
 		OnChunk: func(c int, from string) {
 			served[from] = true
 			// Kill the victim once it has verifiably served a chunk —
@@ -137,7 +139,8 @@ func TestDownloadSurvivesReplicaKill(t *testing.T) {
 // closed, so every request to it fails to dial: the source is dropped
 // on the send error itself, long before any chunk deadline.
 func TestDownloadBlobDropsRefusedSource(t *testing.T) {
-	client, reps, man, payload := streamTestNet(t, 0xc105ed, 8_000, 1000, 1)
+	const timeout = 10 * time.Second
+	client, reps, man, payload := streamTestNet(t, timeout, 0xc105ed, 8_000, 1000, 1)
 	defer client.Close()
 	defer reps[0].Close()
 	gone, err := Start("127.0.0.1:0", DefaultNodeConfig(8, 99))
@@ -146,8 +149,7 @@ func TestDownloadBlobDropsRefusedSource(t *testing.T) {
 	}
 	gone.Close()
 
-	const timeout = 10 * time.Second
-	got, stats, err := client.DownloadBlob(man, []string{gone.Addr(), reps[0].Addr()}, DownloadConfig{ChunkTimeout: timeout})
+	got, stats, err := client.DownloadBlob(man, []string{gone.Addr(), reps[0].Addr()}, DownloadConfig{})
 	if err != nil {
 		t.Fatalf("download failed: %v (stats %+v)", err, stats)
 	}
@@ -163,15 +165,13 @@ func TestDownloadBlobDropsRefusedSource(t *testing.T) {
 }
 
 func TestDownloadBlobAllSourcesDead(t *testing.T) {
-	client, reps, man, _ := streamTestNet(t, 0xfee, 5_000, 500, 1)
+	client, reps, man, _ := streamTestNet(t, 200*time.Millisecond, 0xfee, 5_000, 500, 1)
 	defer client.Close()
 	victim := reps[0]
 	defer victim.Close()
 	victim.Kill()
 
-	_, stats, err := client.DownloadBlob(man, []string{victim.Addr()}, DownloadConfig{
-		ChunkTimeout: 200 * time.Millisecond,
-	})
+	_, stats, err := client.DownloadBlob(man, []string{victim.Addr()}, DownloadConfig{})
 	if err == nil {
 		t.Fatal("download from a dead-only source list succeeded")
 	}

@@ -107,8 +107,8 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 // bench/, is not listed in the options ledger, or when an entry there
 // names a field that is gone. Each entry gives the repo-relative
 // non-test Go file that sets the field, which must exist and name it,
-// or one of the reasons "deployment setting" and "test hook", so a knob
-// that only a test sets is justified in review:
+// or "deployment setting", or "test hook: " and the reason a knob that
+// only a test sets stays settable, which review accepts or refuses:
 // go test -tags reach -run TestEveryOptionHasACaller .
 func TestEveryOptionHasACaller(t *testing.T) {
 	declared := map[string]string{}
@@ -151,7 +151,13 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			t.Errorf("%s lists %s, which is not declared", optionsLedger, name)
 			continue
 		}
-		if why == "deployment setting" || why == "test hook" {
+		if why == "deployment setting" {
+			continue
+		}
+		if hook, reason, ok := strings.Cut(why, ":"); hook == "test hook" {
+			if !ok || strings.TrimSpace(reason) == "" {
+				t.Errorf("%s: %s: a test hook needs its reason: \"test hook: <why it stays settable>\"", optionsLedger, name)
+			}
 			continue
 		}
 		field := name[strings.LastIndex(name, ".")+1:]
