@@ -181,11 +181,11 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 
 // measureSearch floods from random alive sources for random objects,
 // matching only ALIVE replicas (dead hosts cannot answer), and
-// returns how many probes succeeded. Probes run as one parallel batch of up to
-// workers goroutines (0 = GOMAXPROCS, which the churn snapshots use)
-// over the frozen snapshot graph; the overlay is only read, never
-// mutated, and per-probe seeding keeps the rate identical at any
-// worker count.
+// returns how many probes succeeded. Probes run as one parallel batch
+// of up to workers goroutines (0 = GOMAXPROCS, which the churn
+// snapshots use) over the frozen snapshot graph; the overlay is only
+// read, never mutated, and per-probe seeding keeps the count identical
+// at any worker count.
 func measureSearch(o *core.Overlay, store *content.Store, probes, ttl, workers int, seed int64) int {
 	// Dead nodes are isolated in the snapshot and every source is alive,
 	// so a flood reaches only alive nodes, and every replica it reaches

@@ -24,13 +24,7 @@ const (
 // bootstrap servers keep the network nominally connected.
 func PowerLaw(n int, seed int64) *graph.Mutable {
 	rng := rand.New(rand.NewSource(seed))
-	maxDeg := int(2 * math.Sqrt(float64(n)))
-	if maxDeg >= n {
-		maxDeg = n - 1
-	}
-	if maxDeg < powerLawMinDegree {
-		maxDeg = powerLawMinDegree
-	}
+	maxDeg := max(min(int(2*math.Sqrt(float64(n))), n-1), powerLawMinDegree)
 	degrees := samplePowerLawDegrees(rng, n, powerLawExponent, powerLawMinDegree, maxDeg)
 
 	// Configuration model: one stub per degree unit.
