@@ -1,23 +1,21 @@
 package content
 
-import (
-	"fmt"
-
-	"makalu/internal/par"
-)
+import "fmt"
 
 // A Manifest splits one object into fixed-size chunks so a transfer
 // can fetch it piecewise from several replicas at once and re-request
 // individual chunks when a source dies mid-download. The manifest is
 // derivable by every replica from (object id, size, chunk size) alone
-// — chunk payloads and hashes are synthesized deterministically from
-// the object id — so locating any replica of the object is enough to
-// start the transfer; no separate manifest fetch is needed.
+// — chunk payloads and their checksums are synthesized
+// deterministically from the object id — so locating any replica of
+// the object is enough to start the transfer; no separate manifest
+// fetch is needed. It holds the layout only: a chunk's checksum is
+// derived when the chunk is verified, so a manifest nobody verifies
+// against (the simulator's) costs nothing to build.
 type Manifest struct {
 	Object    uint64 // object identifier (ObjectID space)
 	Size      int64  // total payload bytes
 	ChunkSize int    // bytes per chunk (last chunk may be short)
-	Hashes    []uint64
 }
 
 // DefaultChunkSize is the transfer unit the streaming workload uses:
@@ -26,10 +24,8 @@ type Manifest struct {
 // under the peer layer's 1 MiB frame cap.
 const DefaultChunkSize = 64 << 10
 
-// BuildManifest derives the chunk manifest of an object. Chunk hashes
-// are computed from the synthetic chunk payloads, so VerifyChunk can
-// check delivered data end to end. Each chunk hashes on its own, so
-// they are hashed on every core, each into its own slot.
+// BuildManifest validates an object's layout and returns its manifest.
+// A chunk size of 0 or less selects DefaultChunkSize.
 func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 	if size <= 0 {
 		return Manifest{}, fmt.Errorf("content: manifest needs positive size, got %d", size)
@@ -37,25 +33,33 @@ func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	m := Manifest{Object: obj, Size: size, ChunkSize: chunkSize}
-	n := m.NumChunks()
-	m.Hashes = make([]uint64, n)
-	par.For(0, n, func(_, i int) { m.Hashes[i] = payloadHash(obj, i, m.ChunkLen(i)) })
-	return m, nil
+	return Manifest{Object: obj, Size: size, ChunkSize: chunkSize}, nil
 }
 
 // payloadHash is chunkHash(ChunkPayload(obj, i, length)) without the
 // payload: each keystream word's bytes fold straight into the FNV-1a
-// state, low byte first, as ChunkPayload lays them out.
+// state, low byte first, as ChunkPayload lays them out. Whole words
+// fold unrolled; only a short tail takes the byte loop.
 func payloadHash(obj uint64, i, length int) uint64 {
 	h := uint64(fnvOffset)
 	x := chunkSeed(obj, i)
-	for o := 0; o < length; o += 8 {
+	o := 0
+	for ; o+8 <= length; o += 8 {
 		x += 0x9e3779b97f4a7c15
 		v := mixSplit(x)
-		for b := min(8, length-o); b > 0; b-- {
-			h ^= v & 0xff
-			h *= fnvPrime
+		h = (h ^ v&0xff) * fnvPrime
+		h = (h ^ v>>8&0xff) * fnvPrime
+		h = (h ^ v>>16&0xff) * fnvPrime
+		h = (h ^ v>>24&0xff) * fnvPrime
+		h = (h ^ v>>32&0xff) * fnvPrime
+		h = (h ^ v>>40&0xff) * fnvPrime
+		h = (h ^ v>>48&0xff) * fnvPrime
+		h = (h ^ v>>56) * fnvPrime
+	}
+	if o < length {
+		x += 0x9e3779b97f4a7c15
+		for v := mixSplit(x); o < length; o++ {
+			h = (h ^ v&0xff) * fnvPrime
 			v >>= 8
 		}
 	}
@@ -84,15 +88,17 @@ func (m Manifest) ChunkLen(i int) int {
 // ChunkOffset returns the byte offset of chunk i within the object.
 func (m Manifest) ChunkOffset(i int) int64 { return int64(i) * int64(m.ChunkSize) }
 
-// VerifyChunk reports whether data is the authentic payload of chunk i.
+// VerifyChunk reports whether data is the authentic payload of chunk i:
+// its checksum must equal the one derived from the synthetic payload,
+// which costs one keystream pass per call and no stored sums.
 func (m Manifest) VerifyChunk(i int, data []byte) bool {
-	if i < 0 || i >= len(m.Hashes) {
+	if i < 0 || i >= m.NumChunks() {
 		return false
 	}
 	if len(data) != m.ChunkLen(i) {
 		return false
 	}
-	return chunkHash(data) == m.Hashes[i]
+	return chunkHash(data) == payloadHash(m.Object, i, len(data))
 }
 
 // ChunkPayload synthesizes the deterministic payload of chunk i: a

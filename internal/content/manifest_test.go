@@ -22,9 +22,6 @@ func TestManifestGeometry(t *testing.T) {
 			t.Fatalf("ChunkOffset(%d) = %d", i, got)
 		}
 	}
-	if len(m.Hashes) != 4 {
-		t.Fatalf("Hashes len = %d", len(m.Hashes))
-	}
 	// Exact multiple: no short tail chunk.
 	m2, err := BuildManifest(42, 64, 32)
 	if err != nil {
@@ -50,31 +47,83 @@ func TestManifestVerifyChunk(t *testing.T) {
 			t.Fatalf("authentic chunk %d rejected", i)
 		}
 	}
-	// Corruption, truncation, wrong index, out of range.
-	good := ChunkPayload(obj, 0, m.ChunkLen(0))
-	bad := append([]byte(nil), good...)
-	bad[17] ^= 1
-	if m.VerifyChunk(0, bad) {
-		t.Fatal("corrupt chunk accepted")
+	// Chunk 1 is a full chunk with full chunks on both sides, so its
+	// neighbours' payloads have its length and only the sum can tell.
+	good := ChunkPayload(obj, 1, m.ChunkLen(1))
+	for _, at := range []int{0, len(good) / 2, len(good) - 1} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x80
+		if m.VerifyChunk(1, bad) {
+			t.Fatalf("chunk with byte %d flipped accepted", at)
+		}
 	}
-	if m.VerifyChunk(0, good[:100]) {
+	if m.VerifyChunk(1, good[:len(good)-1]) {
 		t.Fatal("truncated chunk accepted")
 	}
-	if m.VerifyChunk(1, good) {
-		t.Fatal("chunk accepted under wrong index")
+	if m.VerifyChunk(1, append(append([]byte(nil), good...), 0)) {
+		t.Fatal("over-long chunk accepted")
+	}
+	if m.VerifyChunk(1, ChunkPayload(obj, 2, m.ChunkLen(2))) {
+		t.Fatal("another chunk's payload accepted")
+	}
+	if m.VerifyChunk(1, ChunkPayload(obj+1, 1, m.ChunkLen(1))) {
+		t.Fatal("another object's payload accepted")
 	}
 	if m.VerifyChunk(-1, good) || m.VerifyChunk(m.NumChunks(), good) {
 		t.Fatal("out-of-range index accepted")
 	}
+	// The short tail chunk is checked at its own length.
+	last := m.NumChunks() - 1
+	if !m.VerifyChunk(last, ChunkPayload(obj, last, m.ChunkLen(last))) || m.VerifyChunk(last, good) {
+		t.Fatal("tail chunk misjudged")
+	}
 }
 
-// BuildManifest hashes chunks without materializing them: every length
-// around a keystream word and a default chunk must hash as the payload
-// does.
+// FuzzVerifyChunk draws an object layout and a chunk of it: the
+// authentic payload must verify, and any single-byte change, a
+// truncation or another index (unless that chunk has the same bytes)
+// must not.
+func FuzzVerifyChunk(f *testing.F) {
+	f.Add(uint64(0xdeadbeefcafe), uint16(5000), uint16(1024), uint16(1), uint16(17), byte(1), uint16(3), uint16(2))
+	f.Add(uint64(7), uint16(9), uint16(8), uint16(1), uint16(0), byte(0x80), uint16(1), uint16(0))
+	f.Add(uint64(0), uint16(65535), uint16(4096), uint16(15), uint16(4095), byte(0xff), uint16(4000), uint16(7))
+	f.Fuzz(func(t *testing.T, obj uint64, size, chunk, idx, at uint16, flip byte, cut, other uint16) {
+		m, err := BuildManifest(obj, int64(size)+1, int(chunk)%8192+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.NumChunks()
+		i := int(idx) % n
+		good := ChunkPayload(obj, i, m.ChunkLen(i))
+		if !m.VerifyChunk(i, good) {
+			t.Fatalf("%+v: authentic chunk %d rejected", m, i)
+		}
+		if flip != 0 {
+			bad := append([]byte(nil), good...)
+			bad[int(at)%len(bad)] ^= flip
+			if m.VerifyChunk(i, bad) {
+				t.Fatalf("%+v: chunk %d with byte %d ^ %#x accepted", m, i, int(at)%len(bad), flip)
+			}
+		}
+		if k := int(cut) % len(good); m.VerifyChunk(i, good[:k]) {
+			t.Fatalf("%+v: chunk %d truncated to %d bytes accepted", m, i, k)
+		}
+		// Two short chunks may carry the same bytes; only data that is
+		// not chunk j's payload must fail as chunk j.
+		j := int(other)%(n+2) - 1
+		if j != i && !bytes.Equal(good, ChunkPayload(obj, j, m.ChunkLen(j))) && m.VerifyChunk(j, good) {
+			t.Fatalf("%+v: chunk %d accepted as chunk %d", m, i, j)
+		}
+	})
+}
+
+// VerifyChunk derives a chunk's sum without materializing the payload:
+// every length around a keystream word and a default chunk must hash
+// as the payload does.
 func TestPayloadHashMatchesChunkHash(t *testing.T) {
 	for _, obj := range []uint64{0, 7, 0xdeadbeefcafe} {
 		for _, i := range []int{0, 1, 31} {
-			for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 65535, 65536} {
+			for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 65535, 65536} {
 				if got, want := payloadHash(obj, i, n), chunkHash(ChunkPayload(obj, i, n)); got != want {
 					t.Fatalf("obj %#x chunk %d len %d: payloadHash %#x, chunkHash %#x", obj, i, n, got, want)
 				}
@@ -83,40 +132,18 @@ func TestPayloadHashMatchesChunkHash(t *testing.T) {
 	}
 }
 
-// TestBuildManifestBitIdentical holds BuildManifest to the sequential
-// loop over payloadHash, chunk by chunk, on sizes around a chunk and a
-// whole 2 MiB streaming object, in default chunks and in 1000-byte ones
-// (over two thousand chunks, enough to split across workers).
-func TestBuildManifestBitIdentical(t *testing.T) {
-	const obj = uint64(0x5eed)
-	for _, chunk := range []int{DefaultChunkSize, 1000} {
-		for _, size := range []int64{1, int64(chunk) - 1, int64(chunk), int64(chunk) + 1, 2 << 20, 2<<20 + 7} {
-			m, err := BuildManifest(obj, size, chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []uint64
-			for off := int64(0); off < size; off += int64(chunk) {
-				want = append(want, payloadHash(obj, len(want), int(min(int64(chunk), size-off))))
-			}
-			if len(m.Hashes) != len(want) {
-				t.Fatalf("size %d chunk %d: %d hashes, want %d", size, chunk, len(m.Hashes), len(want))
-			}
-			for i := range want {
-				if m.Hashes[i] != want[i] {
-					t.Fatalf("size %d chunk %d: hash %d is %#x, want %#x", size, chunk, i, m.Hashes[i], want[i])
-				}
-			}
-		}
+// BenchmarkVerifyChunk verifies one authentic default-size chunk, as
+// the live download does for every chunk it receives.
+func BenchmarkVerifyChunk(b *testing.B) {
+	m, err := BuildManifest(0x5eed, 2<<20, DefaultChunkSize)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkBuildManifest derives the manifest of a 2 MiB object in
-// default chunks, as the streaming workload does for every object.
-func BenchmarkBuildManifest(b *testing.B) {
+	data := ChunkPayload(m.Object, 3, m.ChunkLen(3))
+	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildManifest(uint64(i), 2<<20, DefaultChunkSize); err != nil {
-			b.Fatal(err)
+		if !m.VerifyChunk(3, data) {
+			b.Fatal("authentic chunk rejected")
 		}
 	}
 }

@@ -233,15 +233,11 @@ func runStreamScenario(opt StreamOptions, churn bool) (StreamRow, error) {
 	// either way.
 	rng := rand.New(rand.NewSource(opt.Seed + 4))
 	objs := store.Objects()
-	// One manifest per object in use: building one hashes the object.
-	mans := make([]content.Manifest, min(len(objs), opt.Transfers))
-	for i := range mans {
-		if mans[i], err = content.BuildManifest(objs[i], opt.ObjectBytes, opt.ChunkBytes); err != nil {
+	for i := 0; i < opt.Transfers; i++ {
+		man, err := content.BuildManifest(objs[i%len(objs)], opt.ObjectBytes, opt.ChunkBytes)
+		if err != nil {
 			return row, err
 		}
-	}
-	for i := 0; i < opt.Transfers; i++ {
-		man := mans[i%len(objs)]
 		client := rng.Intn(opt.N)
 		eng.ScheduleAt(float64(i)*opt.Stagger, func() {
 			sw.Start(client, man, nil)
