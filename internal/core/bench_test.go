@@ -159,7 +159,10 @@ func BenchmarkPruneToCapacity(b *testing.B) {
 }
 
 // BenchmarkBuildOverlay measures full 2000-node construction with the
-// full-recompute oracle installed and on the incremental engine.
+// full-recompute oracle installed and on the incremental engine, and
+// then one seeded 30 000-node sequential build with no management
+// round and with the default four: the first is the join phase alone,
+// the difference between them the management rounds.
 func BenchmarkBuildOverlay(b *testing.B) {
 	const n = 2000
 	net := netmodel.NewEuclidean(n, 1000, 1)
@@ -181,6 +184,20 @@ func BenchmarkBuildOverlay(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n), "nodes/op")
+		})
+	}
+	for _, rounds := range []int{0, 4} {
+		b.Run(fmt.Sprintf("sequential/n=30000/manage=%d", rounds), func(b *testing.B) {
+			const n = 30000
+			net := netmodel.NewEuclidean(n, 1000, 1)
+			for i := 0; i < b.N; i++ {
+				cfg := DefaultConfig(net, 1)
+				cfg.ManageRounds = rounds
+				if _, err := Build(n, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(n, "nodes/op")
 		})
 	}
 }

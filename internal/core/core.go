@@ -152,11 +152,14 @@ type Overlay struct {
 	// ProtocolViews mode; nil entries mean "never exchanged".
 	views [][]int32
 
-	// lat is the resolved latency function: the network model's
-	// Latency method devirtualized once at Build time (with a direct
-	// fast path for the Euclidean plane, the hot model). Every rating
-	// computation routes through it instead of the Model interface.
+	// lat is the network model's Latency method, resolved once at
+	// Build time; every latency read outside the rating kernels goes
+	// through it. On the Euclidean plane — the paper's primary model
+	// and the one every scale run uses — xy is its packed coordinate
+	// array, which the kernels read inline (fillLatencies); otherwise
+	// xy is nil.
 	lat func(u, v int) float64
+	xy  []float64
 
 	scratch      ratingScratch
 	scratchPool  []*ratingScratch // per-worker scratches for parallel phases
@@ -174,15 +177,14 @@ type Overlay struct {
 	wave *waveState // the wave builder's scratch, set only while buildWaves runs
 }
 
-// resolveLatency devirtualizes the network model's Latency method.
-// The Euclidean plane — the paper's primary model and the one every
-// scale run uses — gets a direct closure over the packed coordinate
-// array; anything else pays the interface call it always paid.
-func resolveLatency(m netmodel.Model) func(u, v int) float64 {
+// setLatency resolves the network model's latency for the overlay: the
+// Euclidean plane's concrete method and packed coordinates, or any
+// other model's interface method.
+func (o *Overlay) setLatency(m netmodel.Model) {
+	o.lat = m.Latency
 	if e, ok := m.(*netmodel.Euclidean); ok {
-		return e.Latency
+		o.lat, o.xy = e.Latency, e.Packed()
 	}
-	return m.Latency
 }
 
 // perm fills the overlay's reusable permutation buffer with a random
@@ -226,8 +228,8 @@ func Build(n int, cfg Config) (*Overlay, error) {
 		nLive: n,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		views: make([][]int32, n),
-		lat:   resolveLatency(cfg.Net),
 	}
+	o.setLatency(cfg.Net)
 	if cfg.Capacities != nil {
 		o.caps = append([]int(nil), cfg.Capacities...)
 	} else {

@@ -175,6 +175,25 @@ func (o *Overlay) gatherViews(s *ratingScratch, nb []int32) (rows [][]int32, nee
 	return rows, need
 }
 
+// fillLatencies sets plat[p] to d(u, nb[p]) for every neighbor
+// position. On the packed plane it computes the distance inline, the
+// same expression as netmodel.(*Euclidean).Latency and so the same
+// bits, instead of an indirect call per link.
+func (o *Overlay) fillLatencies(plat []float64, u int, nb []int32) {
+	xy := o.xy
+	if xy == nil {
+		for p, w := range nb {
+			plat[p] = o.lat(u, int(w))
+		}
+		return
+	}
+	ux, uy := xy[2*u], xy[2*u+1]
+	for p, w := range nb {
+		dx, dy := ux-xy[2*w], uy-xy[2*w+1]
+		plat[p] = math.Sqrt(dx*dx + dy*dy)
+	}
+}
+
 // rateLoad builds the rating state of u over its neighbors nb and
 // returns |∂Γ(u)|: it gathers their view rows, marks u and nb in the
 // table while reading the raw link latencies, and sweeps the rows.
@@ -189,8 +208,8 @@ func (o *Overlay) rateLoad(s *ratingScratch, u int, nb []int32) (boundary int) {
 	for pw, w := range nb {
 		s.lookup(w).pos = int32(pw)
 		s.puniq[pw] = 0
-		s.plat[pw] = o.lat(u, int(w))
 	}
+	o.fillLatencies(s.plat, u, nb)
 	return s.sweep()
 }
 
@@ -343,18 +362,22 @@ func (o *Overlay) pruneVictimHash(s *ratingScratch, u int) int {
 			h = (h + 1) & mask
 		}
 	}
-	insertExcluded(int32(u))
-	for pw, w := range nb {
+	for _, w := range nb {
 		insertExcluded(w)
-		s.plat[pw] = o.lat(u, int(w))
 	}
+	o.fillLatencies(s.plat, u, nb)
+	self := int32(u)
 	boundary := int32(0)
 	for pw, row := range rows {
 		// A row never repeats an entry, so no later sighting in it can
 		// revoke one of its own first sightings: they are counted here
-		// and credited once.
+		// and credited once. u sits in (nearly) every row and is always
+		// excluded, so the sweep skips it instead of probing for it.
 		fresh := int32(0)
 		for _, x := range row {
+			if x == self {
+				continue
+			}
 			h := rateHash(x, shift)
 			tag := base | uint64(x)
 			for {

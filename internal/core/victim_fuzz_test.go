@@ -27,7 +27,8 @@ func victimNeighborhood(rng *rand.Rand, deg, rowLen, pool, excl int, uniform, ra
 	cfg := DefaultConfig(net, 1)
 	cfg.Views = ProtocolViews
 	cfg.RawProximity = raw
-	o := &Overlay{cfg: cfg, g: graph.NewMutable(n), views: make([][]int32, n), lat: resolveLatency(net)}
+	o := &Overlay{cfg: cfg, g: graph.NewMutable(n), views: make([][]int32, n)}
+	o.setLatency(net)
 	u := id[0]
 	for p := 1; p <= deg; p++ {
 		o.g.AddEdge(u, id[p])

@@ -58,6 +58,10 @@ func NewEuclidean(n int, side float64, seed int64) *Euclidean {
 // N returns the number of nodes.
 func (e *Euclidean) N() int { return len(e.X) }
 
+// Packed returns the coordinates interleaved as [x0,y0, x1,y1, ...], or
+// nil for a model built literally. Callers read it and must not write it.
+func (e *Euclidean) Packed() []float64 { return e.p }
+
 // Latency returns the Euclidean distance between u and v.
 func (e *Euclidean) Latency(u, v int) float64 {
 	if p := e.p; p != nil {
