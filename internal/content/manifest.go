@@ -6,12 +6,10 @@ import "fmt"
 // can fetch it piecewise from several replicas at once and re-request
 // individual chunks when a source dies mid-download. The manifest is
 // derivable by every replica from (object id, size, chunk size) alone
-// — chunk payloads and their checksums are synthesized
-// deterministically from the object id — so locating any replica of
-// the object is enough to start the transfer; no separate manifest
-// fetch is needed. It holds the layout only: a chunk's checksum is
-// derived when the chunk is verified, so a manifest nobody verifies
-// against (the simulator's) costs nothing to build.
+// — chunk payloads and checksums are synthesized deterministically from
+// the object id — so locating any replica of the object is enough to
+// start the transfer; no separate manifest fetch is needed. It holds
+// the layout only: VerifyChunk derives a chunk's checksum when called.
 type Manifest struct {
 	Object    uint64 // object identifier (ObjectID space)
 	Size      int64  // total payload bytes
@@ -38,28 +36,16 @@ func BuildManifest(obj uint64, size int64, chunkSize int) (Manifest, error) {
 
 // payloadHash is chunkHash(ChunkPayload(obj, i, length)) without the
 // payload: each keystream word's bytes fold straight into the FNV-1a
-// state, low byte first, as ChunkPayload lays them out. Whole words
-// fold unrolled; only a short tail takes the byte loop.
+// state, low byte first, as ChunkPayload lays them out.
 func payloadHash(obj uint64, i, length int) uint64 {
 	h := uint64(fnvOffset)
 	x := chunkSeed(obj, i)
-	o := 0
-	for ; o+8 <= length; o += 8 {
+	for o := 0; o < length; o += 8 {
 		x += 0x9e3779b97f4a7c15
 		v := mixSplit(x)
-		h = (h ^ v&0xff) * fnvPrime
-		h = (h ^ v>>8&0xff) * fnvPrime
-		h = (h ^ v>>16&0xff) * fnvPrime
-		h = (h ^ v>>24&0xff) * fnvPrime
-		h = (h ^ v>>32&0xff) * fnvPrime
-		h = (h ^ v>>40&0xff) * fnvPrime
-		h = (h ^ v>>48&0xff) * fnvPrime
-		h = (h ^ v>>56) * fnvPrime
-	}
-	if o < length {
-		x += 0x9e3779b97f4a7c15
-		for v := mixSplit(x); o < length; o++ {
-			h = (h ^ v&0xff) * fnvPrime
+		for b := min(8, length-o); b > 0; b-- {
+			h ^= v & 0xff
+			h *= fnvPrime
 			v >>= 8
 		}
 	}
@@ -89,13 +75,9 @@ func (m Manifest) ChunkLen(i int) int {
 func (m Manifest) ChunkOffset(i int) int64 { return int64(i) * int64(m.ChunkSize) }
 
 // VerifyChunk reports whether data is the authentic payload of chunk i:
-// its checksum must equal the one derived from the synthetic payload,
-// which costs one keystream pass per call and no stored sums.
+// its checksum must equal the sum derived from the synthetic payload.
 func (m Manifest) VerifyChunk(i int, data []byte) bool {
-	if i < 0 || i >= m.NumChunks() {
-		return false
-	}
-	if len(data) != m.ChunkLen(i) {
+	if i < 0 || i >= m.NumChunks() || len(data) != m.ChunkLen(i) {
 		return false
 	}
 	return chunkHash(data) == payloadHash(m.Object, i, len(data))

@@ -152,12 +152,10 @@ type Overlay struct {
 	// ProtocolViews mode; nil entries mean "never exchanged".
 	views [][]int32
 
-	// lat is the network model's Latency method, resolved once at
-	// Build time; every latency read outside the rating kernels goes
-	// through it. On the Euclidean plane — the paper's primary model
-	// and the one every scale run uses — xy is its packed coordinate
-	// array, which the kernels read inline (fillLatencies); otherwise
-	// xy is nil.
+	// lat is the network model's Latency method; on the Euclidean
+	// plane — the paper's primary model and the one every scale run
+	// uses — xy is its packed coordinate array, which the rating
+	// kernels read inline (fillLatencies), and nil otherwise.
 	lat func(u, v int) float64
 	xy  []float64
 
@@ -177,13 +175,11 @@ type Overlay struct {
 	wave *waveState // the wave builder's scratch, set only while buildWaves runs
 }
 
-// setLatency resolves the network model's latency for the overlay: the
-// Euclidean plane's concrete method and packed coordinates, or any
-// other model's interface method.
+// setLatency resolves the network model's latency for the overlay.
 func (o *Overlay) setLatency(m netmodel.Model) {
 	o.lat = m.Latency
 	if e, ok := m.(*netmodel.Euclidean); ok {
-		o.lat, o.xy = e.Latency, e.Packed()
+		o.xy = e.Packed()
 	}
 }
 

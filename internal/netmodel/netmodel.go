@@ -27,14 +27,10 @@ type Model interface {
 // latency between two nodes is their Euclidean distance. This is the
 // paper's first synthetic model.
 type Euclidean struct {
-	X, Y []float64
-
-	// p mirrors the coordinates interleaved as [x0,y0, x1,y1, ...].
-	// Latency is the innermost random-access call of overlay
-	// construction; with split X/Y arrays each query costs two cache
-	// misses per endpoint, with the interleaved pair exactly one.
-	// Models built literally (&Euclidean{X: ..., Y: ...}, some tests
-	// do) have no mirror and fall back to the split arrays.
+	// p holds the coordinates interleaved as [x0,y0, x1,y1, ...].
+	// Latency is the innermost random-access read of overlay
+	// construction, and with each pair adjacent an endpoint costs one
+	// cache miss, not two.
 	p []float64
 }
 
@@ -45,33 +41,24 @@ func NewEuclidean(n int, side float64, seed int64) *Euclidean {
 		panic("netmodel: negative node count")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	e := &Euclidean{X: make([]float64, n), Y: make([]float64, n), p: make([]float64, 2*n)}
-	for i := 0; i < n; i++ {
-		e.X[i] = rng.Float64() * side
-		e.Y[i] = rng.Float64() * side
-		e.p[2*i] = e.X[i]
-		e.p[2*i+1] = e.Y[i]
+	p := make([]float64, 2*n)
+	for i := range p {
+		p[i] = rng.Float64() * side // x then y, node by node
 	}
-	return e
+	return &Euclidean{p: p}
 }
 
 // N returns the number of nodes.
-func (e *Euclidean) N() int { return len(e.X) }
+func (e *Euclidean) N() int { return len(e.p) / 2 }
 
-// Packed returns the coordinates interleaved as [x0,y0, x1,y1, ...], or
-// nil for a model built literally. Callers read it and must not write it.
+// Packed returns the coordinates interleaved as [x0,y0, x1,y1, ...].
+// Callers read it and must not write it.
 func (e *Euclidean) Packed() []float64 { return e.p }
 
 // Latency returns the Euclidean distance between u and v.
 func (e *Euclidean) Latency(u, v int) float64 {
-	if p := e.p; p != nil {
-		ux, uy := p[2*u], p[2*u+1]
-		vx, vy := p[2*v], p[2*v+1]
-		dx, dy := ux-vx, uy-vy
-		return math.Sqrt(dx*dx + dy*dy)
-	}
-	dx := e.X[u] - e.X[v]
-	dy := e.Y[u] - e.Y[v]
+	p := e.p
+	dx, dy := p[2*u]-p[2*v], p[2*u+1]-p[2*v+1]
 	return math.Sqrt(dx*dx + dy*dy)
 }
 

@@ -61,7 +61,7 @@ func TestEuclideanDeterminism(t *testing.T) {
 	c := NewEuclidean(50, 100, 8)
 	same := true
 	for u := 0; u < 50 && same; u++ {
-		if a.X[u] != c.X[u] {
+		if a.Packed()[2*u] != c.Packed()[2*u] {
 			same = false
 		}
 	}
