@@ -69,8 +69,12 @@ func TestManifestVerifyChunk(t *testing.T) {
 	if m.VerifyChunk(1, ChunkPayload(obj+1, 1, m.ChunkLen(1))) {
 		t.Fatal("another object's payload accepted")
 	}
-	if m.VerifyChunk(-1, good) || m.VerifyChunk(m.NumChunks(), good) {
-		t.Fatal("out-of-range index accepted")
+	// Outside the object nothing verifies, not even the bytes the
+	// keystream gives at that index (none at all past the end).
+	for _, j := range []int{-1, m.NumChunks()} {
+		if m.VerifyChunk(j, good) || m.VerifyChunk(j, ChunkPayload(obj, j, m.ChunkLen(j))) {
+			t.Fatalf("out-of-range index %d accepted", j)
+		}
 	}
 	// The short tail chunk is checked at its own length.
 	last := m.NumChunks() - 1
@@ -82,7 +86,7 @@ func TestManifestVerifyChunk(t *testing.T) {
 // FuzzVerifyChunk draws an object layout and a chunk of it: the
 // authentic payload must verify, and any single-byte change, a
 // truncation or another index (unless that chunk has the same bytes)
-// must not.
+// must not, nor may an index outside the object.
 func FuzzVerifyChunk(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafe), uint16(5000), uint16(1024), uint16(1), uint16(17), byte(1), uint16(3), uint16(2))
 	f.Add(uint64(7), uint16(9), uint16(8), uint16(1), uint16(0), byte(0x80), uint16(1), uint16(0))
@@ -113,6 +117,11 @@ func FuzzVerifyChunk(f *testing.F) {
 		j := int(other)%(n+2) - 1
 		if j != i && !bytes.Equal(good, ChunkPayload(obj, j, m.ChunkLen(j))) && m.VerifyChunk(j, good) {
 			t.Fatalf("%+v: chunk %d accepted as chunk %d", m, i, j)
+		}
+		if j < 0 || j == n {
+			if m.VerifyChunk(j, ChunkPayload(obj, j, m.ChunkLen(j))) {
+				t.Fatalf("%+v: out-of-range chunk %d accepted", m, j)
+			}
 		}
 	})
 }
