@@ -126,6 +126,33 @@ func FuzzVerifyChunk(f *testing.F) {
 	})
 }
 
+// chunkHash and payloadHash are VerifyChunk's two digests computed
+// apart, its reference: the digest of the data, and the same digest
+// of ChunkPayload(obj, i, length) derived from the keystream.
+func chunkHash(data []byte) uint64 {
+	h := uint64(fnvOffset)
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= fnvPrime
+	}
+	return mixSplit(h)
+}
+
+func payloadHash(obj uint64, i, length int) uint64 {
+	h := uint64(fnvOffset)
+	x := chunkSeed(obj, i)
+	for o := 0; o < length; o += 8 {
+		x += 0x9e3779b97f4a7c15
+		v := mixSplit(x)
+		for b := min(8, length-o); b > 0; b-- {
+			h ^= v & 0xff
+			h *= fnvPrime
+			v >>= 8
+		}
+	}
+	return mixSplit(h)
+}
+
 // VerifyChunk derives a chunk's sum without materializing the payload:
 // every length around a keystream word and a default chunk must hash
 // as the payload does.

@@ -17,13 +17,17 @@ import (
 
 // scratchFor returns worker i's private rating scratch. Worker 0 uses
 // the overlay's own scratch; higher workers get pool entries created
-// on demand.
+// on demand, their tables reserved at once: a worker that rates
+// nothing in one pass (worker 0 can drain a small one first) would
+// otherwise allocate them in whichever later pass it first rates in.
 func (o *Overlay) scratchFor(i int) *ratingScratch {
 	if i == 0 {
 		return &o.scratch
 	}
 	for len(o.scratchPool) < i {
-		o.scratchPool = append(o.scratchPool, &ratingScratch{})
+		s := &ratingScratch{}
+		s.reserve(0, 0)
+		o.scratchPool = append(o.scratchPool, s)
 	}
 	return o.scratchPool[i-1]
 }

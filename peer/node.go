@@ -121,12 +121,11 @@ type Node struct {
 	killed    bool       // Kill() was called: crash semantics, no FIN
 	deadConns []net.Conn // connections left dangling by Kill, reaped by Close
 
-	hits   chan Hit
-	chunks chan ChunkReply // inbound chunk responses for DownloadBlob
-	met    nodeMetrics     // resolved observability handles (all nil when disabled)
-	wg     sync.WaitGroup
-	stop   chan struct{}
-	kick   chan struct{} // eviction happened: run a management round now
+	hits chan Hit
+	met  nodeMetrics // resolved observability handles (all nil when disabled)
+	wg   sync.WaitGroup
+	stop chan struct{}
+	kick chan struct{} // eviction happened: run a management round now
 }
 
 // link is the socket side of one connection.
@@ -164,16 +163,6 @@ func (n *Node) newLink(addr string, c net.Conn) *link {
 	l := &link{id: n.lastID, addr: addr, c: c, w: bufio.NewWriter(c), wtimeout: n.cfg.DialTimeout, met: &n.met}
 	n.links[l.id] = l
 	return l
-}
-
-// linkTo returns the registered link to addr, or nil.
-func (n *Node) linkTo(addr string) *link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if nb := n.st.conns[addr]; nb != nil {
-		return n.links[nb.id]
-	}
-	return nil
 }
 
 // closeLink closes link id; after Kill the connection is left open
@@ -240,12 +229,15 @@ func (n *Node) perform(acts []action) {
 			default: // originator not draining; drop
 			}
 		case actChunk:
-			select {
-			case n.chunks <- a.chunk:
-			default: // downloader not draining; the chunk timeout recovers
+			if a.fetch.onChunk != nil {
+				a.fetch.onChunk(a.ref.chunk, a.addr)
 			}
 		case actKick:
 			n.kickManage()
+		case actArm:
+			time.AfterFunc(n.cfg.idleTimeout(), func() { n.do(evChunkDeadline(a.ref)) })
+		case actFetched:
+			a.fetch.done <- a.fetch
 		}
 	}
 }
@@ -262,14 +254,13 @@ func Start(addr string, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:    cfg,
-		ln:     ln,
-		links:  make(map[linkID]*link),
-		hits:   make(chan Hit, 256),
-		chunks: make(chan ChunkReply, 1024),
-		met:    newNodeMetrics(cfg.Metrics, cfg.Trace),
-		stop:   make(chan struct{}),
-		kick:   make(chan struct{}, 1),
+		cfg:   cfg,
+		ln:    ln,
+		links: make(map[linkID]*link),
+		hits:  make(chan Hit, 256),
+		met:   newNodeMetrics(cfg.Metrics, cfg.Trace),
+		stop:  make(chan struct{}),
+		kick:  make(chan struct{}, 1),
 	}
 	n.st = newState(ln.Addr().String(), cfg, &n.met)
 	n.wg.Add(2)

@@ -16,6 +16,16 @@ func connected(u, v *Node) bool {
 	return lu != nil && lv != nil && lu.c.LocalAddr().String() == lv.c.RemoteAddr().String()
 }
 
+// linkTo returns the registered link to addr, or nil.
+func (n *Node) linkTo(addr string) *link {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if nb := n.st.conns[addr]; nb != nil {
+		return n.links[nb.id]
+	}
+	return nil
+}
+
 // startNode starts a node on loopback that the test closes at its end.
 func startNode(t *testing.T, cfg Config) *Node {
 	t.Helper()

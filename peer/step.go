@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"makalu/internal/bloom"
+	"makalu/internal/content"
 	"makalu/internal/core"
 	"makalu/internal/obs"
 )
@@ -61,7 +62,7 @@ type (
 	evTick struct{}
 
 	// The local calls: Connect, Query and IdentifierLookup (directed),
-	// AddObject and AddBlob, SetDenied.
+	// AddObject and AddBlob, SetDenied, DownloadBlob.
 	evConnect struct{ addr string }
 	evQuery   struct {
 		obj      uint64
@@ -72,19 +73,38 @@ type (
 		obj  uint64
 		blob []byte
 	}
-	evDeny struct{ addrs []string }
+	evDeny  struct{ addrs []string }
+	evFetch struct {
+		man     content.Manifest
+		sources []string
+		window  int // requests outstanding per source; 0 means 4
+		onChunk func(chunk int, from string)
+		done    chan *fetch
+	}
+	// evChunkDeadline is the deadline of one chunk request, armed
+	// idleTimeout after it.
+	evChunkDeadline chunkRef
 )
+
+// chunkRef names attempt attempt of chunk chunk of obj's fetch number
+// seq.
+type chunkRef struct {
+	obj, seq       uint64
+	chunk, attempt int
+}
 
 // actKind says what an action asks of the driver.
 type actKind uint8
 
 const (
-	actSend  actKind = iota // write frame msg with payload on link
-	actClose                // close link; a Bye is the send before it
-	actDial                 // dial addr and handshake
-	actHit                  // hand hit to Hits(), or deliver it out of band to addr
-	actChunk                // hand chunk to the downloader
-	actKick                 // run a management round now
+	actSend    actKind = iota // write frame msg with payload on link
+	actClose                  // close link; a Bye is the send before it
+	actDial                   // dial addr and handshake
+	actHit                    // hand hit to Hits(), or deliver it out of band to addr
+	actChunk                  // chunk ref.chunk of fetch arrived verified from addr
+	actKick                   // run a management round now
+	actArm                    // step evChunkDeadline(ref) idleTimeout from now
+	actFetched                // fetch ended
 )
 
 // action is one output of step.
@@ -95,7 +115,8 @@ type action struct {
 	payload []byte
 	addr    string
 	hit     Hit
-	chunk   ChunkReply
+	ref     chunkRef
+	fetch   *fetch
 }
 
 func send(id linkID, msg byte, payload []byte) action {
@@ -136,6 +157,8 @@ type state struct {
 	denied    map[string]bool              // peers we refuse to dial or accept
 	store     map[uint64]bool              // hosted objects
 	blobs     map[uint64][]byte            // hosted blob payloads for chunk serving
+	fetches   map[uint64]*fetch            // downloads in flight, by object
+	fetchSeq  uint64                       // downloads started
 	seen      map[uint64]uint8             // query id -> the most TTL a copy of it arrived with
 	seenQ     []uint64                     // FIFO for seen eviction
 	own       *bloom.Attenuated            // published filter hierarchy (§4.6)
@@ -161,6 +184,7 @@ func newState(self string, cfg Config, met *nodeMetrics) *state {
 		dialing:  make(map[string]bool),
 		store:    make(map[uint64]bool),
 		blobs:    make(map[uint64][]byte),
+		fetches:  make(map[uint64]*fetch),
 		seen:     make(map[uint64]uint8),
 		own:      bloom.NewAttenuated(uniformLevels(), abfHashes),
 		received: make(map[string]*bloom.Attenuated),
@@ -210,6 +234,10 @@ func (s *state) step(now time.Time, ev event, out []action) []action {
 		}
 	case evDeny:
 		out = s.deny(e.addrs, out)
+	case evFetch:
+		out = s.startFetch(now, e, out)
+	case evChunkDeadline:
+		out = s.chunkDeadline(now, e, out)
 	}
 	return out
 }
@@ -334,7 +362,7 @@ func (s *state) frame(now time.Time, e evFrame, out []action) []action {
 		}
 	case msgChunkResponse:
 		if p, err := decodeChunkResp(e.payload); err == nil {
-			out = append(out, action{kind: actChunk, chunk: ChunkReply{From: e.addr, Object: p.Object, Chunk: p.Chunk, OK: p.Status == chunkOK, Data: p.Data}})
+			out = s.chunkReply(now, e.addr, p, out)
 		}
 	case msgFilterPush:
 		var f bloom.Attenuated

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"makalu/internal/bloom"
+	"makalu/internal/content"
 )
 
 // newTestState returns a node's decision state with no node around it.
@@ -33,16 +34,18 @@ func closed(acts []action) []linkID {
 	return out
 }
 
-// step.go is the decision core: it reads no clock and does no I/O. The
-// switch that drives states, its storm and the tests' helpers on it
-// neither sleep nor read the clock, so their schedules run in virtual
-// time only.
+// step.go is the decision core and stream.go its downloads: they read
+// no clock and do no I/O. The switch that drives states, its storm and
+// the tests' helpers and download schedules on it neither sleep nor
+// read the clock, so their schedules run in virtual time only.
 func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
 	for file, banned := range map[string][]string{
-		"step.go":        {"Now", "Since"},
-		"switch.go":      {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"storm.go":       {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"switch_test.go": {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"step.go":          {"Now", "Since"},
+		"stream.go":        {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"switch.go":        {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"storm.go":         {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"switch_test.go":   {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		"download_test.go": {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
 	} {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 		if err != nil {
@@ -68,7 +71,9 @@ func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
 // TestStepReplaysIdentically feeds one seeded script of events — link
 // ups and downs, neighbor lists, pongs to the state's own pings, ticks
 // with advancing time, dial failures, floods, identifier queries whose
-// candidates tie, filter pushes and deny updates — into two fresh states
+// candidates tie, filter pushes, deny updates, downloads, the replies
+// (exact, corrupt or missing) to their chunk requests and the chunk
+// deadlines they armed — into two fresh states
 // and requires the same actions from both: nothing may follow Go's map
 // order. It also pins that an identifier route takes the lower address
 // between tied scores.
@@ -85,6 +90,11 @@ func TestStepReplaysIdentically(t *testing.T) {
 		return s
 	}
 	blob, _ := bloom.NewAttenuated(uniformLevels(), abfHashes).MarshalBinary()
+	var mans []content.Manifest
+	for obj := uint64(100); obj < 102; obj++ {
+		man, _ := content.BuildManifest(obj, 1200, 500)
+		mans = append(mans, man)
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg.Seed = seed
 		a := fresh()
@@ -94,6 +104,8 @@ func TestStepReplaysIdentically(t *testing.T) {
 		var times []time.Time
 		var want []action
 		var pongs []evFrame // answers to the pings a sent
+		var reqs []evFrame  // replies to the chunk requests a sent
+		var deadlines []event
 		upAddr := map[linkID]string{}
 		timed := 0
 		for i := 0; i < 600; i++ {
@@ -106,7 +118,7 @@ func TestStepReplaysIdentically(t *testing.T) {
 				return evFrame{link: a.conns[addr].id, addr: addr, msg: msg, payload: payload}
 			}
 			var ev event
-			switch rng.Intn(13) {
+			switch rng.Intn(17) {
 			case 0, 1:
 				upAddr[linkID(i)] = peer(rng.Intn(12))
 				ev = evUp{link: linkID(i), addr: upAddr[linkID(i)], out: rng.Intn(2) == 0}
@@ -141,14 +153,46 @@ func TestStepReplaysIdentically(t *testing.T) {
 				} else {
 					ev = evHello{link: linkID(i), addr: addr}
 				}
+			case 12:
+				// Mostly linked sources, so that some downloads complete.
+				srcs := []string{peer(rng.Intn(12))}
+				for k := 0; k < 2 && len(nbrs) > 0; k++ {
+					srcs = append(srcs, nbrs[rng.Intn(len(nbrs))])
+				}
+				ev = evFetch{man: mans[rng.Intn(len(mans))], sources: srcs, window: rng.Intn(3)}
+			case 13, 15:
+				// The oldest request not answered yet.
+				if len(reqs) > 0 {
+					r := reqs[0]
+					reqs = reqs[1:]
+					q, _ := decodeChunkReq(r.payload)
+					p := chunkRespPayload{Object: q.Object, Chunk: q.Chunk, Data: content.ChunkPayload(q.Object, int(q.Chunk), int(q.Length))}
+					switch rng.Intn(8) {
+					case 0:
+						p.Status, p.Data = chunkMissing, nil
+					case 1:
+						p.Data[0]++
+					}
+					r.payload = encodeChunkResp(p)
+					ev = r
+				}
+			case 14:
+				if len(deadlines) > 0 {
+					ev = deadlines[rng.Intn(len(deadlines))]
+				}
 			}
 			if ev == nil {
 				ev = evStore{obj: uint64(rng.Intn(12))}
 			}
 			script, times = append(script, ev), append(times, now)
 			for _, act := range a.step(now, ev, nil) {
-				if want = append(want, act); act.msg == msgPing {
+				switch want = append(want, act); {
+				case act.msg == msgPing:
 					pongs = append(pongs, evFrame{link: act.link, addr: upAddr[act.link], msg: msgPong, payload: act.payload})
+				case act.msg == msgChunkRequest:
+					reqs = append(reqs, evFrame{link: act.link, addr: upAddr[act.link], msg: msgChunkResponse, payload: act.payload})
+				case act.kind == actArm:
+					deadlines = append(deadlines, evChunkDeadline(act.ref))
 				}
 			}
 		}
@@ -165,7 +209,7 @@ func TestStepReplaysIdentically(t *testing.T) {
 		for _, act := range want {
 			made[fmt.Sprint(act.kind, act.msg)] = true
 		}
-		for _, k := range []action{{kind: actDial}, {kind: actClose}, {kind: actKick}, {kind: actHit}, send(0, msgQuery, nil), send(0, msgDirectedQuery, nil), send(0, msgBye, nil), send(0, msgFilterPush, nil)} {
+		for _, k := range []action{{kind: actDial}, {kind: actClose}, {kind: actKick}, {kind: actHit}, {kind: actChunk}, {kind: actArm}, {kind: actFetched}, send(0, msgQuery, nil), send(0, msgDirectedQuery, nil), send(0, msgBye, nil), send(0, msgFilterPush, nil), send(0, msgChunkRequest, nil)} {
 			if !made[fmt.Sprint(k.kind, k.msg)] {
 				t.Errorf("seed %d: no action %+v among %d", seed, k, len(want))
 			}

@@ -2,181 +2,38 @@ package peer
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
-
-	"makalu/internal/content"
 )
 
-// streamTestNet starts a client plus replicas hosting blob copies and
-// connects the client to every replica. The client's chunk deadline is
-// chunkTimeout: its management interval is a tenth of it.
-func streamTestNet(t *testing.T, chunkTimeout time.Duration, obj uint64, size int64, chunk int, replicas int) (*Node, []*Node, content.Manifest, []byte) {
-	t.Helper()
-	man, err := content.BuildManifest(obj, size, chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := content.ObjectPayload(obj, size, chunk)
-	clientCfg := DefaultNodeConfig(8, 1)
-	clientCfg.ManageInterval = chunkTimeout / 10
-	client, err := Start("127.0.0.1:0", clientCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reps []*Node
-	for i := 0; i < replicas; i++ {
-		r, err := Start("127.0.0.1:0", DefaultNodeConfig(8, int64(i+2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.AddBlob(obj, payload)
-		if err := client.Connect(r.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, r)
-	}
-	// A replica serves once it reads the link: wait for each one's
-	// answer to the ping Connect sent.
-	waitFor(t, 2*time.Second, func() bool { return client.Stats().RTTs == replicas }, "a replica never answered a ping")
-	return client, reps, man, payload
-}
-
+// The socket side of a download: DownloadBlob over real links, the
+// happy path. Every failover schedule runs on the switch
+// (download_test.go).
 func TestDownloadBlobSingleSource(t *testing.T) {
-	client, reps, man, payload := streamTestNet(t, 2*time.Second, 0xabc, 10_000, 1024, 1)
-	defer client.Close()
-	defer reps[0].Close()
+	const obj, size = uint64(0xabc), 10_000
+	man, payload := testBlob(t, obj, size, 1024)
+	client := startNode(t, DefaultNodeConfig(8, 1))
+	rep := startNode(t, DefaultNodeConfig(8, 2))
+	rep.AddBlob(obj, payload)
+	if err := client.Connect(rep.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	// The replica serves once it reads the link: wait for its answer to
+	// the ping Connect sent.
+	waitFor(t, 2*time.Second, func() bool { return client.Stats().RTTs == 1 }, "the replica never answered a ping")
 
-	got, stats, err := client.DownloadBlob(man, []string{reps[0].Addr()}, DownloadConfig{})
+	got, stats, err := client.DownloadBlob(man, []string{rep.Addr()}, DownloadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("downloaded payload differs from original")
 	}
-	if stats.Bytes != 10_000 || stats.TTFB < 0 || stats.Elapsed <= 0 {
+	if stats.Bytes != size || stats.TTFB < 0 || stats.Elapsed <= 0 {
 		t.Fatalf("bad stats: %+v", stats)
 	}
 	if stats.ReRequests != 0 || stats.SourcesDropped != 0 {
 		t.Fatalf("healthy source penalized: %+v", stats)
-	}
-}
-
-func TestDownloadBlobMissingBlobFailsOver(t *testing.T) {
-	client, reps, man, payload := streamTestNet(t, 2*time.Second, 0xdef, 8_000, 1000, 2)
-	defer client.Close()
-	defer reps[0].Close()
-	defer reps[1].Close()
-
-	// First source never got the blob: it answers chunkMissing and is
-	// dropped; the second serves everything.
-	bare, err := Start("127.0.0.1:0", DefaultNodeConfig(8, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	if err := client.Connect(bare.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	got, stats, err := client.DownloadBlob(man, []string{bare.Addr(), reps[0].Addr()}, DownloadConfig{Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch after failover")
-	}
-	if stats.SourcesDropped < 1 || stats.ReRequests < 1 {
-		t.Fatalf("blobless source not dropped: %+v", stats)
-	}
-}
-
-// TestDownloadSurvivesReplicaKill is the acceptance test: a replica
-// actively serving chunks is killed (crash semantics — no FIN, its
-// socket left dangling) mid-download, and the transfer must complete
-// via timeout, source drop and re-request from the survivor.
-func TestDownloadSurvivesReplicaKill(t *testing.T) {
-	const obj = uint64(0x5eed)
-	client, reps, man, payload := streamTestNet(t, 300*time.Millisecond, obj, 64_000, 1000, 2)
-	defer client.Close()
-	defer reps[1].Close()
-	victim := reps[0]
-	defer victim.Close() // after Kill, Close reaps dangling conns
-
-	var killOnce sync.Once
-	served := make(map[string]bool)
-	cfg := DownloadConfig{
-		Window: 2,
-		OnChunk: func(c int, from string) {
-			served[from] = true
-			// Kill the victim once it has verifiably served a chunk —
-			// it is an active source mid-transfer, not an idle one.
-			if from == victim.Addr() {
-				killOnce.Do(victim.Kill)
-			}
-		},
-	}
-	got, stats, err := client.DownloadBlob(man, []string{victim.Addr(), reps[1].Addr()}, cfg)
-	if err != nil {
-		t.Fatalf("download did not survive the kill: %v (stats %+v)", err, stats)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload corrupt after failover")
-	}
-	if !served[victim.Addr()] {
-		t.Fatal("victim never served a chunk; kill was not mid-transfer")
-	}
-	if stats.SourcesDropped < 1 {
-		t.Fatalf("killed source was never dropped: %+v", stats)
-	}
-	if stats.ReRequests < 1 {
-		t.Fatalf("no chunk was re-requested from the survivor: %+v", stats)
-	}
-}
-
-// TestDownloadBlobDropsRefusedSource lists a source whose listener is
-// closed, so every request to it fails to dial: the source is dropped
-// on the send error itself, long before any chunk deadline.
-func TestDownloadBlobDropsRefusedSource(t *testing.T) {
-	const timeout = 10 * time.Second
-	client, reps, man, payload := streamTestNet(t, timeout, 0xc105ed, 8_000, 1000, 1)
-	defer client.Close()
-	defer reps[0].Close()
-	gone, err := Start("127.0.0.1:0", DefaultNodeConfig(8, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone.Close()
-
-	got, stats, err := client.DownloadBlob(man, []string{gone.Addr(), reps[0].Addr()}, DownloadConfig{})
-	if err != nil {
-		t.Fatalf("download failed: %v (stats %+v)", err, stats)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch after dropping the refused source")
-	}
-	if stats.SourcesDropped != 1 || stats.ReRequests < 1 {
-		t.Fatalf("refused source not dropped with its chunks re-queued: %+v", stats)
-	}
-	if stats.Elapsed > timeout/10 {
-		t.Fatalf("download took %v: the refused source waited out a deadline", stats.Elapsed)
-	}
-}
-
-func TestDownloadBlobAllSourcesDead(t *testing.T) {
-	client, reps, man, _ := streamTestNet(t, 200*time.Millisecond, 0xfee, 5_000, 500, 1)
-	defer client.Close()
-	victim := reps[0]
-	defer victim.Close()
-	victim.Kill()
-
-	_, stats, err := client.DownloadBlob(man, []string{victim.Addr()}, DownloadConfig{})
-	if err == nil {
-		t.Fatal("download from a dead-only source list succeeded")
-	}
-	if stats.SourcesDropped < 1 {
-		t.Fatalf("dead source never dropped: %+v", stats)
 	}
 }
 

@@ -22,17 +22,20 @@ import (
 // close without a Bye is evDown at the far end; a Bye's reader closes
 // its end. An out-of-band hit is a transient evFrame. Kicks coalesce;
 // ticks start at seeded phases. Black holes swallow frames, closes and
-// dials; a killed node sends and receives nothing. idleTimeout (a
-// socket deadline) and chunk transfers are left to the socket tests.
+// dials; a killed node sends and receives nothing. A chunk deadline is
+// an evChunkDeadline idleTimeout after its request, and a download's
+// result is kept on its node. The read deadline (idleTimeout on a
+// socket) is left to the socket tests.
 
 type swNode struct {
-	i      int // position in swNet.nodes
-	addr   string
-	st     *state
-	met    nodeMetrics
-	dead   bool
-	kicked bool // a kicked round is queued
-	hits   []Hit
+	i       int // position in swNet.nodes
+	addr    string
+	st      *state
+	met     nodeMetrics
+	dead    bool
+	kicked  bool // a kicked round is queued
+	hits    []Hit
+	fetched map[uint64]*fetch // each ended download, by object
 }
 
 // swConn is one connection: end 0 dialled, end 1 accepted.
@@ -97,7 +100,7 @@ func (w *swNet) queue(d time.Duration, fn func()) {
 func (w *swNet) add(cfg Config) *swNode {
 	cfg = cfg.withDefaults()
 	i := len(w.nodes)
-	nd := &swNode{i: i, addr: fmt.Sprintf("10.0.%d.%d:7000", i/250, 1+i%250)}
+	nd := &swNode{i: i, addr: fmt.Sprintf("10.0.%d.%d:7000", i/250, 1+i%250), fetched: make(map[uint64]*fetch)}
 	nd.met = newNodeMetrics(cfg.Metrics, cfg.Trace)
 	nd.st = newState(nd.addr, cfg, &nd.met)
 	w.nodes = append(w.nodes, nd)
@@ -137,6 +140,14 @@ func (w *swNet) step(nd *swNode, ev event) []action {
 		w.mix(uint64(a.link)<<16|uint64(a.kind)<<8|uint64(a.msg), a.addr, a.payload)
 		w.mix(a.hit.QueryID, a.hit.Holder, nil)
 		w.mix(a.hit.Object, "", nil)
+		if a.kind == actChunk || a.kind > actKick { // download actions only: the storm's hash stays
+			w.mix(a.ref.obj, "", nil)
+			w.mix(a.ref.seq, "", nil)
+			w.mix(uint64(a.ref.chunk)<<32|uint64(a.ref.attempt), "", nil)
+		}
+		if f := a.fetch; a.kind == actFetched {
+			w.mix(uint64(f.stats.Elapsed), fmt.Sprint(f.err), f.out)
+		}
 	}
 	if w.onStep != nil {
 		w.onStep(nd, ev, acts)
@@ -171,6 +182,10 @@ func (w *swNet) perform(nd *swNode, acts []action) {
 			}
 		case actKick:
 			w.kick(nd)
+		case actArm:
+			w.after(nd.st.cfg.idleTimeout(), func() { w.do(nd, evChunkDeadline(a.ref)) })
+		case actFetched:
+			nd.fetched[a.fetch.man.Object] = a.fetch
 		}
 	}
 }

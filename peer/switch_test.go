@@ -123,8 +123,8 @@ func noneOver(nodes []*swNode) bool {
 // RTTs, received hierarchies and ping nonces name registered links
 // only, no link is to a denied address, a link is suspect exactly when
 // it has missed suspectMisses pongs in a row, backoff ⊆ host cache ≤
-// hostCacheCap, and the duplicate-suppression map and its FIFO have one
-// size.
+// hostCacheCap, the duplicate-suppression map and its FIFO have one
+// size, and a download in flight still lacks a chunk and has a source.
 func checkState(s *state) error {
 	for what, a := range map[string]string{"a view from": unlinked(s, s.views), "an RTT for": unlinked(s, s.rtt), "a hierarchy from": unlinked(s, s.received)} {
 		if a != "" {
@@ -148,6 +148,11 @@ func checkState(s *state) error {
 	}
 	if len(s.cache) > hostCacheCap || len(s.seen) != len(s.seenQ) {
 		return fmt.Errorf("host cache %d (cap %d), seen %d ids and its FIFO %d", len(s.cache), hostCacheCap, len(s.seen), len(s.seenQ))
+	}
+	for obj, f := range s.fetches {
+		if f.sched.Remaining() == 0 || len(f.sched.Sources()) == 0 {
+			return fmt.Errorf("the download of %#x lacks %d chunks and has %d sources", obj, f.sched.Remaining(), len(f.sched.Sources()))
+		}
 	}
 	return nil
 }
