@@ -50,19 +50,13 @@ func RunFigure4(opt Options) (*Figure4Result, error) {
 		})
 		// A successful lookup's message count equals its first-match hop
 		// (each hop is one message and the lookup returns on success),
-		// so the whole curve falls out of the aggregate's hop counter.
+		// so the whole curve falls out of the aggregate's hop tally.
 		curve := ABFCurve{Replication: repl, Success: make([]float64, res.MaxTTL+1)}
 		for ttl := 0; ttl <= res.MaxTTL; ttl++ {
-			hits := 0
-			for _, h := range agg.Hops.Values() {
-				if h <= ttl {
-					hits += int(agg.Hops.Count(h))
-				}
-			}
-			curve.Success[ttl] = float64(hits) / float64(agg.Queries)
+			curve.Success[ttl] = float64(agg.SuccessesWithin(ttl)) / float64(agg.Queries)
 		}
 		if agg.Successes > 0 {
-			curve.MeanMessages = agg.Hops.Mean()
+			curve.MeanMessages = agg.MeanHops()
 		}
 		res.Curves = append(res.Curves, curve)
 	}
@@ -149,7 +143,7 @@ func RunABFvsDHT(opt Options, replication float64) (*ABFvsDHTResult, error) {
 	if agg.Successes > 0 {
 		// One message per hop and success returns immediately, so the
 		// per-success message mean is the first-match hop mean.
-		res.ABFMeanMsgs = agg.Hops.Mean()
+		res.ABFMeanMsgs = agg.MeanHops()
 	}
 	chordHops, kadHops := 0, 0
 	rng := rand.New(search.NewQuerySource())

@@ -144,13 +144,7 @@ func TwoTierFloodBatch(g *graph.Graph, isUltra []bool, store *content.Store, ttl
 func MinTTL(g *graph.Graph, store *content.Store, maxTTL, queries, workers int, target float64, seed int64, o *search.BatchObs) (int, *search.Aggregate) {
 	full := FloodBatch(g, store, maxTTL, queries, workers, seed, o)
 	for ttl := 1; ttl < maxTTL; ttl++ {
-		hits := 0
-		for _, h := range full.Hops.Values() {
-			if h <= ttl {
-				hits += int(full.Hops.Count(h))
-			}
-		}
-		if float64(hits)/float64(full.Queries) >= target {
+		if float64(full.SuccessesWithin(ttl))/float64(full.Queries) >= target {
 			// Re-measure message cost at this exact TTL.
 			return ttl, FloodBatch(g, store, ttl, queries, workers, seed, o)
 		}

@@ -257,13 +257,7 @@ func RunFigure3(opt Options) (*Figure3Result, error) {
 		agg := FloodBatch(mk.Graph, store, res.MaxTTL, opt.Queries, 1, opt.Seed+37, opt.Obs)
 		curve := SuccessCurve{N: n, Success: make([]float64, res.MaxTTL+1)}
 		for ttl := 0; ttl <= res.MaxTTL; ttl++ {
-			hits := 0
-			for _, h := range agg.Hops.Values() {
-				if h <= ttl {
-					hits += int(agg.Hops.Count(h))
-				}
-			}
-			curve.Success[ttl] = float64(hits) / float64(agg.Queries)
+			curve.Success[ttl] = float64(agg.SuccessesWithin(ttl)) / float64(agg.Queries)
 		}
 		res.Curves[i] = curve
 		return nil

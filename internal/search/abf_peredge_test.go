@@ -142,7 +142,7 @@ func TestPerEdgeLookupOnExpander(t *testing.T) {
 	}
 	r := NewPerEdgeABFRouter(net)
 	rng := rand.New(rand.NewSource(11))
-	agg := NewAggregate()
+	agg := new(Aggregate)
 	for q := 0; q < 200; q++ {
 		obj := st.RandomObject(rng)
 		agg.Add(r.Lookup(rng.Intn(n), obj, 25, rng))

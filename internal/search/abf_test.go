@@ -289,7 +289,7 @@ func TestABFLookupOnExpanderResolvesMostQueries(t *testing.T) {
 	}
 	r := NewABFRouter(net)
 	rng := rand.New(rand.NewSource(18))
-	agg := NewAggregate()
+	agg := new(Aggregate)
 	for q := 0; q < 300; q++ {
 		obj := st.RandomObject(rng)
 		agg.Add(r.Lookup(rng.Intn(n), obj, 25, rng))

@@ -48,6 +48,10 @@ type Kernel struct {
 	walker  *Walker
 	targets *Targets
 	abf     map[*ABFNetwork]*ABFRouter
+
+	// The worker's share of its batch; the hop tally's capacity stays.
+	agg Aggregate
+	obs workerObs
 }
 
 // NewKernel creates a standalone kernel over g for callers outside
@@ -65,9 +69,10 @@ func NewKernel(g *graph.Graph, index int) *Kernel {
 // batch"). Safe for concurrent batches: a kernel is owned by one worker
 // between get and put.
 type KernelPool struct {
-	g    *graph.Graph
-	mu   sync.Mutex
-	free []*Kernel
+	g       *graph.Graph
+	mu      sync.Mutex
+	free    []*Kernel
+	workers []*Kernel // worker slots, lent to one batch at a time
 }
 
 // NewKernelPool returns an empty pool of kernels over g.
@@ -93,6 +98,17 @@ func (p *KernelPool) put(k *Kernel) {
 	p.mu.Lock()
 	p.free = append(p.free, k)
 	p.mu.Unlock()
+}
+
+// swapWorkers keeps ws, emptied, as the pool's worker slots and returns
+// the slots it kept before: a batch takes them with nil and hands them
+// back with its own.
+func (p *KernelPool) swapWorkers(ws []*Kernel) []*Kernel {
+	clear(ws)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ws, p.workers = p.workers, ws
+	return ws
 }
 
 // Flooder returns the worker's reusable flooding kernel. The same
@@ -233,22 +249,17 @@ func (br *BatchRunner) WorkerCount(queries int) int {
 	return par.Workers(br.Workers, queries)
 }
 
-// batchWorker is one worker's share of a batch: its kernel and its
-// private aggregate and histograms.
-type batchWorker struct {
-	kern *Kernel
-	agg  *Aggregate
-	obs  workerObs
-}
-
 // Run executes queries 0..queries-1 via fn over par.For and returns
-// the merged aggregate. Every query is seeded from (Seed, q) and the
-// per-worker aggregates hold only integer sums and counts, so their
-// merge is exact and the output is independent of the worker count
-// and of which worker ran which query.
+// the merged aggregate, which belongs to the caller. Every query is
+// seeded from (Seed, q) and the per-worker aggregates hold only integer
+// sums and counts, so their merge is exact and the output is
+// independent of the worker count and of which worker ran which query.
+// A worker's aggregate lives on its kernel, so with a KernelPool a
+// batch allocates the same few objects whatever its size.
 func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
+	total := new(Aggregate)
 	if queries <= 0 {
-		return NewAggregate()
+		return total
 	}
 	// A kernel's scratch is sized to its graph, so the pool must be this
 	// graph's; without one the kernels live for this batch only.
@@ -258,39 +269,53 @@ func (br *BatchRunner) Run(queries int, fn QueryFunc) *Aggregate {
 	} else if pool.g != br.Graph {
 		panic("search: batch over one graph given the kernel pool of another")
 	}
-	workers := make([]batchWorker, br.WorkerCount(queries))
-	for w := range workers {
-		workers[w] = batchWorker{agg: NewAggregate(), obs: br.Obs.worker()}
+	// The workers read the runner's fields through copies, so that the
+	// runner itself can live on its caller's stack.
+	seed, o := br.Seed, br.Obs
+	workers := pool.swapWorkers(nil)
+	if n := br.WorkerCount(queries); cap(workers) >= n {
+		workers = workers[:n]
+	} else {
+		workers = make([]*Kernel, n)
 	}
 	par.For(len(workers), queries, func(w, q int) {
-		bw := &workers[w]
-		if bw.kern == nil {
+		kern := workers[w]
+		if kern == nil {
 			// Drawn on the worker's first query: a worker that finds no
 			// work left takes no kernel from the pool.
-			bw.kern = pool.get(w)
-			if bw.kern.rng == nil {
-				bw.kern.rng = rand.New(NewQuerySource())
+			kern = pool.get(w)
+			if kern.rng == nil {
+				kern.rng = rand.New(NewQuerySource())
 			}
+			kern.agg = Aggregate{Hops: kern.agg.Hops[:0]}
+			kern.obs = o.worker()
+			workers[w] = kern
 		}
-		bw.kern.rng.Seed(QuerySeed(br.Seed, q))
-		start := bw.obs.start()
-		r := fn(bw.kern, q, bw.kern.rng)
-		bw.obs.observe(start, r)
-		bw.agg.Add(r)
+		kern.rng.Seed(QuerySeed(seed, q))
+		start := kern.obs.start()
+		r := fn(kern, q, kern.rng)
+		kern.obs.observe(start, r)
+		kern.agg.Add(r)
 	})
 	// The kernels go back to the pool only when every query returned,
 	// so a panicking QueryFunc cannot leave half-reset scratch for a
-	// later batch to find. The side histograms merge after the
-	// aggregate, which never sees them.
-	total := workers[0].agg
-	for w := range workers {
-		if workers[w].kern != nil {
-			pool.put(workers[w].kern)
+	// later batch to find, and each only once its aggregate and its side
+	// histograms, which the aggregate never sees, are merged. The merged
+	// tally is sized once, to the longest worker's.
+	hops := 0
+	for _, kern := range workers {
+		if kern != nil {
+			hops = max(hops, len(kern.agg.Hops))
 		}
-		if w > 0 {
-			total.Merge(workers[w].agg)
-		}
-		br.Obs.merge(workers[w].obs)
 	}
+	total.Hops = make([]int, hops)
+	for _, kern := range workers {
+		if kern != nil {
+			total.Merge(&kern.agg)
+			o.merge(kern.obs)
+			pool.put(kern)
+		}
+	}
+	pool.swapWorkers(workers)
 	return total
 }

@@ -145,7 +145,7 @@ func TestFloodNeverEchoesToSender(t *testing.T) {
 }
 
 func TestAggregateMetrics(t *testing.T) {
-	a := NewAggregate()
+	a := new(Aggregate)
 	a.Add(Result{Messages: 10, Duplicates: 1, Visited: 8, Success: true, FirstMatchHop: 2})
 	a.Add(Result{Messages: 20, Duplicates: 3, Visited: 15, Success: false, FirstMatchHop: -1})
 	if a.Queries != 2 || a.Successes != 1 {
@@ -172,7 +172,7 @@ func TestAggregateMetrics(t *testing.T) {
 }
 
 func TestAggregateMerge(t *testing.T) {
-	a, b := NewAggregate(), NewAggregate()
+	a, b := new(Aggregate), new(Aggregate)
 	a.Add(Result{Messages: 10, Success: true, FirstMatchHop: 1, Visited: 3})
 	b.Add(Result{Messages: 30, Success: true, FirstMatchHop: 3, Visited: 5})
 	b.Add(Result{Messages: 50, Visited: 9, FirstMatchHop: -1})
@@ -189,7 +189,7 @@ func TestAggregateMerge(t *testing.T) {
 }
 
 func TestAggregateEmpty(t *testing.T) {
-	a := NewAggregate()
+	a := new(Aggregate)
 	if a.SuccessRate() != 0 || a.MeanMessages() != 0 || a.DuplicateRatio() != 0 || a.MeanVisited() != 0 {
 		t.Fatal("empty aggregate should be all zeros")
 	}

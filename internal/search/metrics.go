@@ -2,26 +2,24 @@ package search
 
 import (
 	"fmt"
-
-	"makalu/internal/stats"
+	"slices"
 )
 
 // Aggregate accumulates Results over a batch of queries and exposes
 // the metrics the paper reports: success rate, mean messages per
 // query, duplicate ratio and the hop distribution of first matches.
+// The zero value is an empty aggregate.
 type Aggregate struct {
 	Queries         int
 	Successes       int
 	TotalMessages   int64
 	TotalDuplicates int64
 	TotalVisited    int64
-	Hops            *stats.Counter // first-match hops over successful queries
-	Msgs            *stats.Counter // messages per query (for quantiles)
-}
-
-// NewAggregate returns an empty aggregate.
-func NewAggregate() *Aggregate {
-	return &Aggregate{Hops: stats.NewCounter(), Msgs: stats.NewCounter()}
+	// Hops[h] counts the successful queries whose first match lay h
+	// hops from the source. The tally is dense: a first-match hop is
+	// bounded by the mechanism's TTL or walk length, so it is never
+	// longer than that budget plus one.
+	Hops []int
 }
 
 // Add records one query result.
@@ -30,10 +28,19 @@ func (a *Aggregate) Add(r Result) {
 	a.TotalMessages += int64(r.Messages)
 	a.TotalDuplicates += int64(r.Duplicates)
 	a.TotalVisited += int64(r.Visited)
-	a.Msgs.Add(r.Messages)
 	if r.Success {
 		a.Successes++
-		a.Hops.Add(r.FirstMatchHop)
+		a.growHops(r.FirstMatchHop + 1)
+		a.Hops[r.FirstMatchHop]++
+	}
+}
+
+// growHops lengthens the hop tally to at least n entries, within its
+// capacity when that suffices.
+func (a *Aggregate) growHops(n int) {
+	if old := len(a.Hops); n > old {
+		a.Hops = slices.Grow(a.Hops, n-old)[:n]
+		clear(a.Hops[old:])
 	}
 }
 
@@ -44,11 +51,9 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.TotalMessages += b.TotalMessages
 	a.TotalDuplicates += b.TotalDuplicates
 	a.TotalVisited += b.TotalVisited
-	for _, v := range b.Hops.Values() {
-		a.Hops.AddN(v, b.Hops.Count(v))
-	}
-	for _, v := range b.Msgs.Values() {
-		a.Msgs.AddN(v, b.Msgs.Count(v))
+	a.growHops(len(b.Hops))
+	for h, n := range b.Hops {
+		a.Hops[h] += n
 	}
 }
 
@@ -58,6 +63,16 @@ func (a *Aggregate) SuccessRate() float64 {
 		return 0
 	}
 	return float64(a.Successes) / float64(a.Queries)
+}
+
+// SuccessesWithin returns how many queries found their first match
+// within ttl hops: the successes a flood of that TTL would have.
+func (a *Aggregate) SuccessesWithin(ttl int) int {
+	hits := 0
+	for h := 0; h <= ttl && h < len(a.Hops); h++ {
+		hits += a.Hops[h]
+	}
+	return hits
 }
 
 // MeanMessages returns the mean messages per query.
@@ -87,7 +102,16 @@ func (a *Aggregate) DuplicateRatio() float64 {
 
 // MeanHops returns the mean hop count of first matches over
 // successful queries.
-func (a *Aggregate) MeanHops() float64 { return a.Hops.Mean() }
+func (a *Aggregate) MeanHops() float64 {
+	if a.Successes == 0 {
+		return 0
+	}
+	sum := 0
+	for h, n := range a.Hops {
+		sum += h * n
+	}
+	return float64(sum) / float64(a.Successes)
+}
 
 // String renders the aggregate on one line.
 func (a *Aggregate) String() string {

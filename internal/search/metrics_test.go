@@ -5,28 +5,13 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"makalu/internal/stats"
 )
-
-// sameTally reports whether two counters hold the same observations.
-func sameTally(a, b *stats.Counter) bool {
-	if !slices.Equal(a.Values(), b.Values()) {
-		return false
-	}
-	for _, v := range a.Values() {
-		if a.Count(v) != b.Count(v) {
-			return false
-		}
-	}
-	return true
-}
 
 // TestAggregateMergePropertyQuantiles is the property test for the
 // batch engine's merge path: splitting any stream of Results into
 // shards, aggregating each shard and merging in shard order must
 // reproduce the sequential aggregate exactly — every scalar counter
-// and every hop/message tally, so every quantile. This is the algebraic half of the
+// and the whole hop tally, so every quantile. This is the algebraic half of the
 // PR 3 bit-identical guarantee (the other half is deterministic
 // per-query seeding).
 func TestAggregateMergePropertyQuantiles(t *testing.T) {
@@ -49,12 +34,12 @@ func TestAggregateMergePropertyQuantiles(t *testing.T) {
 			results[i] = r
 		}
 
-		seq := NewAggregate()
+		seq := new(Aggregate)
 		for _, r := range results {
 			seq.Add(r)
 		}
 
-		merged := NewAggregate()
+		merged := new(Aggregate)
 		per := (queries + shards - 1) / shards
 		for s := 0; s < shards; s++ {
 			lo, hi := s*per, (s+1)*per
@@ -64,7 +49,7 @@ func TestAggregateMergePropertyQuantiles(t *testing.T) {
 			if hi > queries {
 				hi = queries
 			}
-			shard := NewAggregate()
+			shard := new(Aggregate)
 			for _, r := range results[lo:hi] {
 				shard.Add(r)
 			}
@@ -78,13 +63,77 @@ func TestAggregateMergePropertyQuantiles(t *testing.T) {
 			merged.TotalVisited != seq.TotalVisited {
 			return false
 		}
-		if !sameTally(merged.Hops, seq.Hops) || !sameTally(merged.Msgs, seq.Msgs) {
+		if !slices.Equal(merged.Hops, seq.Hops) {
 			return false
 		}
 		return merged.MeanHops() == seq.MeanHops() && merged.MeanMessages() == seq.MeanMessages()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameAggregate reports whether two aggregates hold the same counts
+// and the same hop tally.
+func sameAggregate(a, b *Aggregate) bool {
+	return a.Queries == b.Queries && a.Successes == b.Successes &&
+		a.TotalMessages == b.TotalMessages && a.TotalDuplicates == b.TotalDuplicates &&
+		a.TotalVisited == b.TotalVisited && slices.Equal(a.Hops, b.Hops)
+}
+
+// TestBatchHopTallyMatchesSequential runs batches whose first-match
+// hops are walk lengths (hundreds of distinct values), and one that
+// finds nothing, at 1 and 8 workers on one kernel pool. Each merged
+// aggregate must equal the query-by-query sequential one, and an
+// aggregate a caller keeps must not change when later, different
+// batches reuse the kernels whose tallies built it.
+func TestBatchHopTallyMatchesSequential(t *testing.T) {
+	g := testGraph(64)
+	pool := NewKernelPool(g)
+	const queries, seed = 500, 9
+	walkLengths := func(k *Kernel, q int, rng *rand.Rand) Result {
+		r := Result{Messages: rng.Intn(1000), Visited: rng.Intn(64), FirstMatchHop: -1}
+		if rng.Intn(4) > 0 {
+			r.Success, r.FirstMatchHop = true, rng.Intn(800)
+		}
+		return r
+	}
+	findsNothing := func(k *Kernel, q int, rng *rand.Rand) Result {
+		return Result{Messages: rng.Intn(50), Visited: 1, FirstMatchHop: -1}
+	}
+	var kept, wants []*Aggregate
+	for _, c := range []struct {
+		name     string
+		fn       QueryFunc
+		distinct int // fewest distinct hops the batch must tally
+	}{{"walk-lengths", walkLengths, 200}, {"finds-nothing", findsNothing, 0}} {
+		want := new(Aggregate)
+		rng := rand.New(NewQuerySource())
+		for q := 0; q < queries; q++ {
+			rng.Seed(QuerySeed(seed, q))
+			want.Add(c.fn(nil, q, rng))
+		}
+		distinct := 0
+		for _, n := range want.Hops {
+			if n > 0 {
+				distinct++
+			}
+		}
+		if distinct < c.distinct || c.distinct == 0 && want.Successes != 0 {
+			t.Fatalf("%s: sequential tally has %d distinct hops over %d successes, want >= %d", c.name, distinct, want.Successes, c.distinct)
+		}
+		for _, workers := range []int{1, 8, 1, 8} {
+			got := (&BatchRunner{Graph: g, Workers: workers, Seed: seed, Kernels: pool}).Run(queries, c.fn)
+			if !sameAggregate(got, want) {
+				t.Fatalf("%s, workers=%d: merged %v, sequential %v", c.name, workers, got, want)
+			}
+			kept, wants = append(kept, got), append(wants, want)
+		}
+	}
+	for i, agg := range kept {
+		if !sameAggregate(agg, wants[i]) {
+			t.Fatalf("aggregate %d changed after later batches on its kernels: %v, want %v", i, agg, wants[i])
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func TestTwoTierOnGeneratedTopology(t *testing.T) {
 	}
 	fl := NewFlooder(fr)
 	rng := rand.New(rand.NewSource(4))
-	agg, set := NewAggregate(), NewTargets(n)
+	agg, set := new(Aggregate), NewTargets(n)
 	for q := 0; q < 100; q++ {
 		obj := st.RandomObject(rng)
 		src := rng.Intn(n)

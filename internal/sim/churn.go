@@ -10,9 +10,14 @@ import (
 	"makalu/internal/search"
 )
 
-// simNodeName labels simulated node u in trace events; live events use
-// transport addresses, sim events this stable synthetic form.
-func simNodeName(u int) string { return fmt.Sprintf("sim:%d", u) }
+// emitNode records event t for simulated node u, labelled "sim:u":
+// live events use transport addresses, sim events this stable
+// synthetic form. The label is formatted only when the engine traces.
+func emitNode(eng *Engine, t obs.EventType, u int) {
+	if eng.Trace != nil {
+		eng.Emit(t, fmt.Sprintf("sim:%d", u), "", 0)
+	}
+}
 
 // ChurnConfig drives a node churn process over a Makalu overlay:
 // every alive node departs after an exponentially distributed session
@@ -122,11 +127,11 @@ func StartChurn(eng *Engine, o *core.Overlay, cfg ChurnConfig) (*Churn, error) {
 			}
 			o.FailNodes([]int{u})
 			res.Departures++
-			eng.Emit(obs.EvEvict, simNodeName(u), "", 0)
+			emitNode(eng, obs.EvEvict, u)
 			eng.Schedule(rng.ExpFloat64()*cfg.MeanDowntime, func() {
 				if o.Revive(u) {
 					res.Rejoins++
-					eng.Emit(obs.EvJoin, simNodeName(u), "", 0)
+					emitNode(eng, obs.EvJoin, u)
 					scheduleDeparture(u)
 				}
 			})

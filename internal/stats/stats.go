@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used by every Makalu
-// experiment: means, variances, percentiles, confidence intervals,
-// an integer tally and least-squares fits. All functions are deterministic
+// experiment: means, variances, percentiles, confidence intervals
+// and least-squares fits. All functions are deterministic
 // and allocation-conscious so they can run inside benchmark loops.
 package stats
 

@@ -189,37 +189,6 @@ func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestCounterBasic(t *testing.T) {
-	c := NewCounter()
-	c.Add(3)
-	c.Add(3)
-	c.Add(5)
-	if c.total != 3 || c.Count(3) != 2 || c.Count(5) != 1 || c.Count(7) != 0 {
-		t.Fatalf("counter state wrong: total=%d", c.total)
-	}
-	if got := c.Mean(); !almostEq(got, 11.0/3.0, 1e-12) {
-		t.Fatalf("Mean = %v", got)
-	}
-	vs := c.Values()
-	if len(vs) != 2 || vs[0] != 3 || vs[1] != 5 {
-		t.Fatalf("Values = %v", vs)
-	}
-}
-
-func TestCounterAddN(t *testing.T) {
-	c := NewCounter()
-	c.AddN(2, 10)
-	if c.total != 10 || c.Count(2) != 10 {
-		t.Fatal("AddN miscounted")
-	}
-}
-
-func TestCounterMeanEmpty(t *testing.T) {
-	if got := NewCounter().Mean(); got != 0 {
-		t.Fatalf("empty mean = %v", got)
-	}
-}
-
 func TestMeanCIShrinksWithSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	small := make([]float64, 10)

@@ -368,6 +368,68 @@ func TestSingleQuerySearchReusesScratch(t *testing.T) {
 	}
 }
 
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS of 1,
+// under which a batch at the default worker count runs on one worker.
+// It reports the least of three 10-run means, since the runtime now and
+// then allocates a goroutine or a GC buffer in the middle of one.
+func mallocsPerRun(f func()) float64 {
+	least := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.Mallocs-before.Mallocs)/10)
+	}
+	return least
+}
+
+// TestBatchAllocations pins the batch methods' steady state: once
+// warm-up batches have filled the overlay's and the index's kernel
+// pools, a batch makes at most 6 allocations on one worker and 4 more
+// for each further worker's goroutine at the default worker count,
+// however many queries it runs and however many distinct first-match
+// hops they tally (the walks' run to hundreds).
+func TestBatchAllocations(t *testing.T) {
+	ov := newSmall(t, 2000, 5)
+	c, err := ov.PlaceContent(20, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ov.BuildIdentifierIndex(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mechs := []struct {
+		name string
+		run  func(BatchOptions) BatchStats
+	}{
+		{"FloodBatch", func(o BatchOptions) BatchStats { return ov.FloodBatch(c, 4, o) }},
+		{"RandomWalkBatch", func(o BatchOptions) BatchStats { return ov.RandomWalkBatch(c, 4, 1024, o) }},
+		{"ExpandingRingBatch", func(o BatchOptions) BatchStats { return ov.ExpandingRingBatch(c, 6, o) }},
+		{"LookupBatch", func(o BatchOptions) BatchStats { return ix.LookupBatch(64, o) }},
+	}
+	for _, m := range mechs {
+		for _, workers := range []int{1, 0} {
+			for seed := int64(0); seed < 3; seed++ { // warm
+				m.run(BatchOptions{Queries: 128, Workers: workers, Seed: seed})
+			}
+			limit := 6.0
+			if workers == 0 {
+				limit += 4 * float64(runtime.GOMAXPROCS(0)-1)
+			}
+			for _, queries := range []int{8, 128} {
+				opt := BatchOptions{Queries: queries, Workers: workers, Seed: 3}
+				if avg := mallocsPerRun(func() { m.run(opt) }); avg > limit {
+					t.Errorf("%s, workers=%d, %d queries: %.1f allocations per batch, want <= %.0f", m.name, workers, queries, avg, limit)
+				}
+			}
+		}
+	}
+}
+
 // TestSearchFromUnusableSource: a failed source, or one that is no
 // node at all, finds nothing, whichever search is asked, even when the
 // failed node hosts the object.
