@@ -167,12 +167,14 @@ type snapshot struct {
 // A flight no waiter joined goes back to its shard's free list when the
 // leader publishes. One a waiter joined is never reused: the waiter
 // reads resp after the leader has returned, so reuse could hand it a
-// later request's answer.
+// later request's answer. While its leader waits for a kernel, a live
+// flight is also the leader's place in the engine's queue.
 type flight struct {
 	done chan struct{} // made by the first waiter; closed by the leader once resp/err are set
 	resp Response
 	err  error
-	next *flight // free-list link
+	next *flight      // free-list or kernel-queue link
+	kn   chan *kernel // the queued leader's kernel; capacity 1, kept on reuse
 }
 
 // shard is one key partition: a cache partition and the in-flight
@@ -202,17 +204,15 @@ type Engine struct {
 	snap   atomic.Pointer[snapshot]
 	snapMu sync.Mutex // serializes UpdateSnapshot's epoch bump
 	shards []*shard
-	// kernels holds the free kernels. A miss takes one, and when none is
-	// free it blocks on the receive, where Go serves waiters in arrival
-	// order.
-	kernels chan *kernel
-	leaders atomic.Int64 // misses running or waiting for a kernel
-	waiting atomic.Int64 // misses waiting for a kernel
-	limit   int64        // leaders beyond which a miss is shed
-
-	mu     sync.RWMutex // guards closed vs admitting a miss
-	closed bool
-	wg     sync.WaitGroup // admitted misses, which Close waits for
+	// mu owns admission of leaders (misses that run a kernel) and kernels.
+	mu         sync.Mutex
+	idle       []*kernel   // free kernels
+	head, tail *flight     // leaders waiting for a kernel, oldest first (tail valid while head is set)
+	waiting    int         // length of the head..tail queue
+	admitted   int         // leaders running or waiting
+	limit      int         // admitted leaders beyond which a miss is shed
+	closed     atomic.Bool // written under mu; the cache-hit path reads it unlocked
+	drained    sync.Cond   // on mu: Close waits here until admitted is 0
 
 	requests  *obs.Counter
 	hits      *obs.Counter
@@ -248,13 +248,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 	shards := runtime.GOMAXPROCS(0)
 	e := &Engine{
-		cfg:     cfg,
-		shards:  make([]*shard, shards),
-		kernels: make(chan *kernel, shards),
-		limit:   int64(shards * (defaultQueueDepth + 1)),
+		cfg:    cfg,
+		shards: make([]*shard, shards),
+		idle:   make([]*kernel, shards),
+		limit:  shards * (defaultQueueDepth + 1),
 	}
-	for i := 0; i < shards; i++ {
-		e.kernels <- &kernel{rng: rand.New(search.NewQuerySource())}
+	e.drained.L = &e.mu
+	for i := range e.idle {
+		e.idle[i] = &kernel{rng: rand.New(search.NewQuerySource())}
 	}
 	if reg := cfg.Metrics; reg != nil {
 		e.requests = reg.Counter("serve.requests")
@@ -324,11 +325,11 @@ func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *searc
 	if g.N() != store.N() {
 		return fmt.Errorf("serve: graph has %d nodes, store %d", g.N(), store.N())
 	}
-	e.snapMu.Lock()
+	e.snapMu.Lock() // the gauge too, or an older update could set it last
 	old := e.snap.Load()
 	e.snap.Store(&snapshot{epoch: old.epoch + 1, g: g, store: store, abf: abf})
-	e.snapMu.Unlock()
 	e.epochG.Set(int64(old.epoch + 1))
+	e.snapMu.Unlock()
 	// Explicit invalidation: return the memory now instead of letting
 	// stale entries age out through the lazy epoch check.
 	for _, sh := range e.shards {
@@ -349,7 +350,7 @@ func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *searc
 // miss coalescing). Blocks until the result is ready; sheds with
 // ErrOverloaded when the engine already holds
 // Shards() × (defaultQueueDepth+1) misses, running or waiting for a
-// kernel.
+// kernel; fails with ErrClosed once Close has begun.
 func (e *Engine) Lookup(req Request) (Response, error) {
 	snap := e.snap.Load()
 	if err := e.validate(&req, snap); err != nil {
@@ -365,9 +366,7 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 	sh := e.shards[key%uint64(len(e.shards))]
 	// The closed check guards the cache probe too: after Close every
 	// path out of Lookup is ErrClosed, cached or not, as documented.
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
+	if e.closed.Load() {
 		return Response{}, ErrClosed
 	}
 	// Cache probe and flight join/create are one critical section: a
@@ -377,7 +376,6 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 	if sh.cache != nil {
 		if res, ok := sh.cache.get(key, snap.epoch); ok {
 			sh.mu.Unlock()
-			e.mu.RUnlock()
 			e.hits.Inc()
 			if e.latency != nil {
 				e.latency.Since(start)
@@ -396,7 +394,6 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 		}
 		done := f.done
 		sh.mu.Unlock()
-		e.mu.RUnlock()
 		e.coalesced.Inc()
 		<-done
 		if e.latency != nil {
@@ -413,17 +410,15 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 	}
 	sh.flights[key] = f
 	sh.mu.Unlock()
-	e.wg.Add(1)
-	e.mu.RUnlock()
-	defer e.wg.Done()
-	res, ok := e.run(snap, req, key)
+	res, err := e.run(snap, req, key, f)
 	// Publish: fill the cache and drop the flight in one critical
 	// section, so late arrivals hit, then release the waiters. A result
 	// whose snapshot was replaced meanwhile is not cached: it could never
-	// hit, only evict current entries. A coalesced group sheds together:
-	// if the leader is refused, every waiter gets ErrOverloaded too.
+	// hit, only evict current entries. A coalesced group is refused
+	// together: if the leader gets ErrOverloaded or ErrClosed, so does
+	// every waiter.
 	sh.mu.Lock()
-	if ok && sh.cache != nil && snap == e.snap.Load() {
+	if err == nil && sh.cache != nil && snap == e.snap.Load() {
 		sh.cache.put(key, snap.epoch, res)
 	}
 	delete(sh.flights, key)
@@ -432,50 +427,61 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 		f.next, sh.free = sh.free, f
 	}
 	sh.mu.Unlock()
-	resp, err := Response{Result: res, Epoch: snap.epoch}, error(nil)
-	if !ok {
+	resp := Response{}
+	switch err {
+	case nil:
+		resp = Response{Result: res, Epoch: snap.epoch}
+	case ErrOverloaded:
 		e.shed.Inc()
-		resp, err = Response{}, ErrOverloaded
 	}
 	if done != nil {
 		f.resp, f.err = resp, err
 		close(done)
 	}
-	if ok && e.latency != nil {
+	if err == nil && e.latency != nil {
 		e.latency.Since(start)
 	}
 	return resp, err
 }
 
-// run executes one miss on a pooled kernel, waiting for one if all are
-// busy, or reports false when the engine already holds as many misses
-// as it admits. The kernel's scratch is rebuilt when the snapshot's
+// run executes the miss whose flight f leads on a pooled kernel. One
+// critical section admits it: ErrClosed, ErrOverloaded at the limit, an
+// idle kernel, or the queue's tail, from which finishing misses hand out
+// kernels head first. The kernel's scratch is rebuilt when the snapshot's
 // graph or identifier index differs from the one it was built over
 // (Kernel.ABF keeps a router per index it has seen, so reusing it
 // across indexes would pin every old one).
-func (e *Engine) run(snap *snapshot, req Request, key uint64) (search.Result, bool) {
+func (e *Engine) run(snap *snapshot, req Request, key uint64, f *flight) (search.Result, error) {
 	var queued time.Time
 	if e.queueWait != nil {
 		queued = time.Now()
 	}
-	// Admit by compare-and-swap rather than add-then-undo, so a transient
-	// overcount never sheds a miss the bound would admit.
-	for {
-		n := e.leaders.Load()
-		if n >= e.limit {
-			return search.Result{}, false
+	e.mu.Lock()
+	if closed := e.closed.Load(); closed || e.admitted >= e.limit {
+		e.mu.Unlock()
+		if closed {
+			return search.Result{}, ErrClosed
 		}
-		if e.leaders.CompareAndSwap(n, n+1) {
-			break
-		}
+		return search.Result{}, ErrOverloaded
 	}
+	e.admitted++
 	var kn *kernel
-	select {
-	case kn = <-e.kernels:
-	default:
-		e.waiting.Add(1)
-		kn = <-e.kernels
-		e.waiting.Add(-1)
+	if n := len(e.idle); n > 0 {
+		kn, e.idle = e.idle[n-1], e.idle[:n-1]
+		e.mu.Unlock()
+	} else {
+		if f.kn == nil {
+			f.kn = make(chan *kernel, 1)
+		}
+		if e.head == nil {
+			e.head = f
+		} else {
+			e.tail.next = f
+		}
+		e.tail = f
+		e.waiting++
+		e.mu.Unlock()
+		kn = <-f.kn
 	}
 	if e.queueWait != nil {
 		e.queueWait.Since(queued)
@@ -484,15 +490,31 @@ func (e *Engine) run(snap *snapshot, req Request, key uint64) (search.Result, bo
 		kn.k, kn.g, kn.abf = search.NewKernel(snap.g, 0), snap.g, snap.abf
 	}
 	res := e.execute(kn.k, snap, req, key, kn.rng)
-	e.kernels <- kn
-	e.leaders.Add(-1)
-	return res, true
+	e.mu.Lock()
+	e.admitted--
+	next := e.head
+	if next != nil {
+		e.head, next.next = next.next, nil
+		e.waiting--
+	} else {
+		e.idle = append(e.idle, kn)
+	}
+	e.drained.Broadcast() // Close rechecks admitted
+	e.mu.Unlock()
+	if next != nil {
+		next.kn <- kn // never blocks: the buffer is empty until this send
+	}
+	return res, nil
 }
 
 // QueueDepth returns the number of misses waiting for a kernel — the
 // saturation signal /healthz and the TCP Z status line expose to the
-// gateway health checker.
-func (e *Engine) QueueDepth() int { return int(e.waiting.Load()) }
+// gateway health checker, exact from a miss's queueing to its hand-off.
+func (e *Engine) QueueDepth() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.waiting
+}
 
 // The walker count for MechWalk and the clamps on request budgets. A
 // client-chosen TTL is clamped, not refused: the budget is a cost cap,
@@ -564,13 +586,16 @@ func (e *Engine) syncCacheLen() {
 }
 
 // Close refuses new lookups and waits for the misses already admitted,
-// which get real responses; Lookup calls after Close fail with
-// ErrClosed.
+// running or queued, which get real responses; Lookup calls after Close
+// fail with ErrClosed, and so does a miss not yet admitted when Close
+// began, with every lookup coalesced onto it.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	e.closed = true
+	e.closed.Store(true)
+	for e.admitted > 0 {
+		e.drained.Wait()
+	}
 	e.mu.Unlock()
-	e.wg.Wait()
 }
 
 // mix64 is the splitmix64 finalizer — the repo's standard bit mixer

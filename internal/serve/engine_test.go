@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"makalu/internal/content"
 	"makalu/internal/graph"
+	"makalu/internal/obs"
 	"makalu/internal/search"
 	"makalu/internal/trace"
 )
@@ -40,6 +42,17 @@ func testOverlay(t testing.TB, n, objects int) (*graph.Graph, *content.Store) {
 func setProcs(t testing.TB, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// waitFor polls cond until it holds and reports false if it still does
+// not after 30 s, a hang guard: the caller fails with its own account.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 func testABF(t testing.TB, g *graph.Graph, store *content.Store) *search.ABFNetwork {
@@ -325,19 +338,26 @@ func TestLookupValidation(t *testing.T) {
 	}
 }
 
-// TestEngineClose pins Close: an execution running when Close is called
-// finishes with its real response, Close returns only after it, and
-// every lookup after Close is refused.
+// TestEngineClose pins Close: the misses admitted when Close is called,
+// one running and one queued behind it for the one kernel, finish with
+// their real responses, Close returns only after both, and every lookup
+// after Close is refused.
 func TestEngineClose(t *testing.T) {
+	setProcs(t, 1) // one kernel, so the second miss queues
 	g, store := testOverlay(t, 200, 20)
 	parked := Request{Mech: MechFlood, Object: store.Objects()[2], TTL: 4}
+	queued := Request{Mech: MechFlood, Object: store.Objects()[3], TTL: 4}
 	running, release := make(chan struct{}), make(chan struct{})
+	var queuedRan atomic.Bool
 	e, err := New(Config{
 		Graph: g, Store: store, Seed: 1, CacheCapacity: 64,
 		testOnExecute: func(req Request) {
-			if req == parked {
+			switch req {
+			case parked:
 				close(running)
 				<-release
+			case queued:
+				queuedRan.Store(true)
 			}
 		},
 	})
@@ -359,15 +379,23 @@ func TestEngineClose(t *testing.T) {
 		resp Response
 		err  error
 	}
-	parkedOut := make(chan outcome, 1)
-	go func() {
-		resp, err := e.Lookup(parked)
-		parkedOut <- outcome{resp, err}
-	}()
+	lookup := func(r Request) chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			resp, err := e.Lookup(r)
+			out <- outcome{resp, err}
+		}()
+		return out
+	}
+	parkedOut := lookup(parked)
 	select {
 	case <-running:
 	case <-time.After(30 * time.Second):
 		t.Fatal("parked request never reached execute")
+	}
+	queuedOut := lookup(queued)
+	if !waitFor(func() bool { return e.QueueDepth() == 1 }) {
+		t.Fatal("the second miss never queued behind the parked one")
 	}
 	closed := make(chan struct{})
 	go func() {
@@ -376,15 +404,8 @@ func TestEngineClose(t *testing.T) {
 	}()
 	// Once a lookup is refused, Close has begun; it must still be
 	// waiting for the parked execution.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := e.Lookup(req); err == ErrClosed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Close never started refusing lookups")
-		}
-		runtime.Gosched()
+	if !waitFor(func() bool { _, err := e.Lookup(req); return err == ErrClosed }) {
+		t.Fatal("Close never started refusing lookups")
 	}
 	select {
 	case <-closed:
@@ -397,18 +418,22 @@ func TestEngineClose(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close never returned after the execution finished")
 	}
-	out := <-parkedOut
+	if !queuedRan.Load() {
+		t.Fatal("Close returned before the queued miss ran")
+	}
 	ref, err := New(Config{Graph: g, Store: store, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want, err := ref.Lookup(parked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.err != nil || out.resp.Result != want.Result {
-		t.Fatalf("execution parked at Close: %+v err %v, want %+v", out.resp, out.err, want)
+	for r, out := range map[Request]chan outcome{parked: parkedOut, queued: queuedOut} {
+		want, err := ref.Lookup(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-out; got.err != nil || got.resp.Result != want.Result {
+			t.Fatalf("miss admitted at Close (%+v): %+v err %v, want %+v", r, got.resp, got.err, want)
+		}
 	}
 	e.Close() // idempotent
 	// ErrClosed covers the cache-hit fast path too: a request whose
@@ -424,10 +449,12 @@ func TestEngineClose(t *testing.T) {
 // TestConcurrentSnapshotUpdates pins that racing UpdateSnapshot calls
 // never install the same epoch for different snapshots — a shared
 // epoch would let one topology's cached results pass the other's
-// epoch check.
+// epoch check — and that the serve.epoch gauge ends at the installed
+// epoch, not at an older update that set it last.
 func TestConcurrentSnapshotUpdates(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
-	e, err := New(Config{Graph: g, Store: store, Seed: 1, CacheCapacity: 64})
+	reg := obs.NewRegistry()
+	e, err := New(Config{Graph: g, Store: store, Seed: 1, CacheCapacity: 64, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,6 +476,9 @@ func TestConcurrentSnapshotUpdates(t *testing.T) {
 	wg.Wait()
 	if got := e.Epoch(); got != updaters*rounds {
 		t.Fatalf("epoch = %d after %d updates — epochs were reused", got, updaters*rounds)
+	}
+	if got := reg.Gauge("serve.epoch").Value(); got != int64(e.Epoch()) {
+		t.Fatalf("serve.epoch gauge = %d, Epoch() = %d", got, e.Epoch())
 	}
 }
 

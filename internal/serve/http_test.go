@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -143,38 +142,9 @@ func TestHTTPRateLimit429(t *testing.T) {
 // for it — an HTTP lookup is shed with 429 and Retry-After; once the
 // kernel is released, the same lookup is served.
 func TestHTTPShed429(t *testing.T) {
-	setProcs(t, 1)
-	g, store := testOverlay(t, 200, 20)
-	hold := make(chan struct{})
-	e, err := New(Config{
-		Graph: g, Store: store, Seed: 3,
-		testOnExecute: func(Request) { <-hold },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, release := fullEngine(t)
 	srv := httptest.NewServer(NewHTTPHandler(HTTPConfig{Engine: e}))
-	defer func() { srv.Close(); e.Close() }()
-	// Runs before the deferred Close, which waits for the held
-	// executions.
-	var relOnce sync.Once
-	release := func() { relOnce.Do(func() { close(hold) }) }
-	defer release()
-
-	// Distinct objects, so nothing is served from cache or coalesced.
-	var wg sync.WaitGroup
-	for i := 0; i <= defaultQueueDepth; i++ {
-		wg.Add(1)
-		go func(obj uint64) {
-			defer wg.Done()
-			e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 2})
-		}(uint64(6000 + i))
-	}
-	for deadline := time.Now().Add(30 * time.Second); e.QueueDepth() < defaultQueueDepth; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue holds %d misses, want %d", e.QueueDepth(), defaultQueueDepth)
-		}
-	}
+	defer srv.Close()
 	get := func() (int, string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/lookup?obj=5000&ttl=2")
@@ -188,7 +158,6 @@ func TestHTTPShed429(t *testing.T) {
 		t.Fatalf("lookup on a full engine: status %d, Retry-After %q, want 429 with Retry-After", status, retry)
 	}
 	release()
-	wg.Wait()
 	if status, _ := get(); status != http.StatusOK {
 		t.Fatalf("lookup after the release: status %d, want 200", status)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"makalu/internal/obs"
 )
@@ -63,9 +62,9 @@ func TestReuseKernelAcrossSameGraphBump(t *testing.T) {
 		if _, err := e.Lookup(req); err != nil {
 			t.Fatal(err)
 		}
-		kn := <-e.kernels // one shard: the one kernel, idle between lookups
-		e.kernels <- kn
-		return kn
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.idle[0] // one shard: the one kernel, idle between lookups
 	}
 	first := lookupKernel().k
 	if err := e.UpdateSnapshot(g, store, nil); err != nil {
@@ -130,11 +129,9 @@ func TestReuseCoalescedWaiterOutlivesLeader(t *testing.T) {
 		resp, _ := e.Lookup(target)
 		waiterDone <- resp
 	}()
-	for deadline := time.Now().Add(10 * time.Second); reg.Counter("serve.coalesced").Value() < 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			close(release)
-			t.Fatal("the second lookup never joined the flight")
-		}
+	if !waitFor(func() bool { return reg.Counter("serve.coalesced").Value() >= 1 }) {
+		close(release)
+		t.Fatal("the second lookup never joined the flight")
 	}
 	close(release)
 	if got := <-leaderDone; got.Result != want.Result {

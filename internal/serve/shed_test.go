@@ -103,16 +103,12 @@ func (h *shedHarness) settled() bool {
 
 func (h *shedHarness) awaitSettled() {
 	h.t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !h.settled() {
-		if time.Now().After(deadline) {
-			h.mu.Lock()
-			begun, running := h.begun, len(h.parked)
-			h.mu.Unlock()
-			h.t.Fatalf("engine never settled: offered %d, returned %d, shed %d, begun %d, running %d, waiting %d, granted %d",
-				h.offered, h.returned.Load(), h.shed.Load(), begun, running, h.e.QueueDepth(), h.granted)
-		}
-		time.Sleep(20 * time.Microsecond)
+	if !waitFor(h.settled) {
+		h.mu.Lock()
+		begun, running := h.begun, len(h.parked)
+		h.mu.Unlock()
+		h.t.Fatalf("engine never settled: offered %d, returned %d, shed %d, begun %d, running %d, waiting %d, granted %d",
+			h.offered, h.returned.Load(), h.shed.Load(), begun, running, h.e.QueueDepth(), h.granted)
 	}
 }
 
@@ -157,6 +153,43 @@ func (h *shedHarness) tick() {
 	}
 	h.granted += int64(len(parked))
 	h.awaitSettled()
+}
+
+// fullEngine returns an engine with every admission slot taken: at
+// GOMAXPROCS 1, one execution holds the one kernel in the hook and
+// defaultQueueDepth misses on distinct keys wait for it. release lets
+// every execution through, held or later, and waits for those misses;
+// cleanup calls it again before Close.
+func fullEngine(t *testing.T) (*Engine, func()) {
+	t.Helper()
+	setProcs(t, 1)
+	g, store := testOverlay(t, 300, 30)
+	hold := make(chan struct{})
+	e, err := New(Config{Graph: g, Store: store, Seed: 17, testOnExecute: func(Request) { <-hold }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	var wg sync.WaitGroup
+	release := func() {
+		once.Do(func() { close(hold) })
+		wg.Wait()
+	}
+	t.Cleanup(func() { release(); e.Close() })
+	// Distinct objects, so nothing is served from cache or coalesced.
+	for i := 0; i <= defaultQueueDepth; i++ {
+		wg.Add(1)
+		go func(obj uint64) {
+			defer wg.Done()
+			if _, err := e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 2}); err != nil {
+				t.Errorf("lookup filling the engine: %v", err)
+			}
+		}(uint64(6000 + i))
+	}
+	if !waitFor(func() bool { return e.QueueDepth() == defaultQueueDepth }) {
+		t.Fatalf("queue holds %d misses, want %d", e.QueueDepth(), defaultQueueDepth)
+	}
+	return e, release
 }
 
 // TestLoadShedding is the overload-behavior acceptance test: at 2x the

@@ -90,12 +90,8 @@ func TestSingleflightCoalescing(t *testing.T) {
 	// then every one of the N is past the cache probe with the key
 	// still uncomputed.
 	coalesced := reg.Counter("serve.coalesced")
-	deadline := time.Now().Add(10 * time.Second)
-	for coalesced.Value() < waiters-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d lookups coalesced before the deadline", coalesced.Value(), waiters-1)
-		}
-		time.Sleep(time.Millisecond)
+	if !waitFor(func() bool { return coalesced.Value() >= waiters-1 }) {
+		t.Fatalf("only %d/%d lookups coalesced before the deadline", coalesced.Value(), waiters-1)
 	}
 	releaseWorker()
 	tg.Wait()
@@ -129,69 +125,14 @@ func TestSingleflightCoalescing(t *testing.T) {
 // removes it — a retry after the shed must start a fresh computation,
 // never park on a flight that will never run.
 func TestSingleflightShedCleanup(t *testing.T) {
-	setProcs(t, 1) // one kernel and one shard
-	g, store := testOverlay(t, 300, 30)
-	objs := store.Objects()
-
-	blockerunning := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	e, err := New(Config{
-		Graph: g, Store: store,
-		Seed: 17,
-		testOnExecute: func(req Request) {
-			once.Do(func() {
-				close(blockerunning)
-				<-release
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	// Runs before the deferred Close (LIFO): Close waits for the
-	// blocker's execution, which is parked on release — without this a
-	// t.Fatal below would wedge until the package timeout instead of
-	// failing cleanly.
-	var relOnce sync.Once
-	releaseWorker := func() { relOnce.Do(func() { close(release) }) }
-	defer releaseWorker()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.Lookup(Request{Mech: MechFlood, Object: objs[0], TTL: 4}) // occupies the kernel
-	}()
-	select {
-	case <-blockerunning:
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker never reached execute")
-	}
-	// Fill the queue: defaultQueueDepth misses on distinct keys wait for
-	// the kernel.
-	for i := 0; i < defaultQueueDepth; i++ {
-		wg.Add(1)
-		go func(obj uint64) {
-			defer wg.Done()
-			e.Lookup(Request{Mech: MechFlood, Object: obj, TTL: 4})
-		}(uint64(6000 + i))
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.QueueDepth() < defaultQueueDepth {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled — shed path not reachable")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	shedReq := Request{Mech: MechFlood, Object: objs[2], TTL: 4}
+	e, release := fullEngine(t) // one kernel and one shard
+	shedReq := Request{Mech: MechFlood, Object: e.Objects()[2], TTL: 4}
 	if _, err := e.Lookup(shedReq); err != ErrOverloaded {
 		t.Fatalf("full-queue lookup: err = %v, want ErrOverloaded", err)
 	}
 	// The failed flight must be gone: a stale entry here would make the
 	// post-release retry below hang on a done channel nobody closes.
-	// The blocker's flight (executing) and the queued requests' flights
+	// The held execution's flight and the queued requests' flights
 	// legitimately remain live.
 	sh := e.shards[0]
 	sh.mu.Lock()
@@ -202,10 +143,9 @@ func TestSingleflightShedCleanup(t *testing.T) {
 		t.Fatal("shed flight still registered — a retry would park on a done channel nobody closes")
 	}
 	if leaked != 1+defaultQueueDepth {
-		t.Fatalf("%d flights registered after shed, want %d (the blocker's and the queued requests')", leaked, 1+defaultQueueDepth)
+		t.Fatalf("%d flights registered after shed, want %d (the held execution's and the queued requests')", leaked, 1+defaultQueueDepth)
 	}
-	releaseWorker()
-	wg.Wait()
+	release()
 	if _, err := e.Lookup(shedReq); err != nil {
 		t.Fatalf("retry after shed: %v", err)
 	}
