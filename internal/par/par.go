@@ -37,28 +37,38 @@ func For(workers, n int, body func(w, i int)) {
 		}
 		return
 	}
-	chunk := max(1, n/(8*workers))
-	var next atomic.Int64
-	run := func(w int) {
-		for {
-			hi := int(next.Add(int64(chunk)))
-			lo := hi - chunk
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(hi, n); i++ {
-				body(w, i)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	// One allocation for the loop's shared state, and one per extra
+	// worker for the closure its goroutine starts from.
+	l := &loop{body: body, n: n, chunk: max(1, n/(8*workers))}
+	l.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			run(w)
+			defer l.wg.Done()
+			l.run(w)
 		}()
 	}
-	run(0)
-	wg.Wait()
+	l.run(0)
+	l.wg.Wait()
+}
+
+// loop is the state For's workers share.
+type loop struct {
+	next     atomic.Int64 // items handed out so far, rounded up to chunks
+	wg       sync.WaitGroup
+	body     func(w, i int)
+	n, chunk int
+}
+
+// run claims chunks for worker w until none is left.
+func (l *loop) run(w int) {
+	for {
+		hi := int(l.next.Add(int64(l.chunk)))
+		lo := hi - l.chunk
+		if lo >= l.n {
+			return
+		}
+		for i := lo; i < min(hi, l.n); i++ {
+			l.body(w, i)
+		}
+	}
 }

@@ -35,17 +35,98 @@ func DefaultABFConfig() ABFConfig {
 // neighbors consult (see DESIGN.md: per-edge filters without
 // back-edge exclusion), which keeps 100k-node networks in memory.
 //
-// Each level has its own word arena: level h of node u is the
-// (LevelBits[h]+63)/64 words of levels[h] starting at u times that many
-// — the words a bloom.Filter of that geometry would hold, bit for bit.
-// The shallow levels, which decide most hops, are small enough that
-// those of every node stay in cache together.
+// Each level has its own word arena: level h of node u is the row of
+// words[h] words of levels[h] starting at u times that many, one bit
+// per column. A level's columns are its filter's LevelBits[h] bit
+// positions — the words a bloom.Filter of that geometry would hold,
+// bit for bit — unless the catalogue is smaller than that: then they
+// are the catalogue's identifiers, in store.Objects order, and bit i
+// says that identifier i is hosted exactly h hops away. Such a member
+// level answers every probe as the filter would (see hit) in a row of
+// (catalogue+63)/64 words, through per-network tables whose size does
+// not grow with the node count. The shallow levels, which decide most
+// hops, are small enough that those of every node stay in cache
+// together.
 type ABFNetwork struct {
-	g      *graph.Graph
-	store  *content.Store
-	cfg    ABFConfig
-	levels [][]uint64
-	table  []float64 // scoreTable(levels, cfg.Decay)
+	g       *graph.Graph
+	store   *content.Store
+	cfg     ABFConfig
+	levels  [][]uint64
+	words   []int           // row width of each level, in words
+	members []*memberGroups // per level: nil for filter columns
+	// With member levels, every catalogued identifier's groups at them,
+	// resolved once and without the identifier itself (see hit):
+	// identifier i = keyIndex[obj] has the keyStride (Hashes × member
+	// levels) groups of keyGroups.ends[i*keyStride:(i+1)*keyStride+1],
+	// so a route reads one record instead of two cache lines of a
+	// memberGroups per position.
+	keyIndex  map[uint64]int32
+	keyGroups groupSet
+	keyStride int
+	table     []float64 // scoreTable(levels, cfg.Decay)
+}
+
+// memberGroups indexes a member level by bit position: the group of
+// p, ids[first[p]:first[p+1]], is the identifiers whose level positions
+// include p, the ones whose insertion would set bit p of the level's
+// filter.
+type memberGroups struct {
+	ord   int // its place among the member levels, for groupSet
+	first []uint32
+	ids   []int32
+}
+
+// newMemberGroups groups the identifiers by their positions in pos
+// (pos[i*k:(i+1)*k] are identifier i's) among m bits.
+func newMemberGroups(pos []uint32, m, k, ord int) *memberGroups {
+	first := make([]uint32, m+1)
+	for _, p := range pos {
+		first[p+1]++
+	}
+	for p := 1; p <= m; p++ {
+		first[p] += first[p-1]
+	}
+	ids := make([]int32, len(pos))
+	for j, p := range pos {
+		ids[first[p]] = int32(j / k)
+		first[p]++
+	}
+	// Each first[p] has advanced to its group's end, first[p+1]'s start.
+	copy(first[1:], first[:m])
+	first[0] = 0
+	return &memberGroups{ord: ord, first: first, ids: ids}
+}
+
+// group returns the identifiers whose positions include p.
+func (mg *memberGroups) group(p uint32) []int32 {
+	return mg.ids[mg.first[p]:mg.first[p+1]]
+}
+
+// groupSet holds the groups of a key's positions at the member levels,
+// Hashes per level in level order: group x is ids[ends[x]:ends[x+1]].
+type groupSet struct {
+	ids  []int32
+	ends []uint32
+}
+
+// appendGroups appends to gs the member-level groups of pos, a key's
+// positions (Hashes per level), leaving out identifier self.
+func (n *ABFNetwork) appendGroups(gs groupSet, pos []uint32, self int32) groupSet {
+	k := n.cfg.Hashes
+	for h, mg := range n.members {
+		if mg == nil {
+			continue
+		}
+		for _, p := range pos[h*k : (h+1)*k] {
+			for _, i := range mg.group(p) {
+				if i != self {
+					gs.ids = append(gs.ids, i)
+				}
+			}
+			gs.ends = append(gs.ends, uint32(len(gs.ids)))
+		}
+	}
+	return gs
 }
 
 // scoreTable tabulates bloom.Attenuated.Score: table[mask] is the
@@ -109,16 +190,17 @@ func (cfg ABFConfig) resolved(g *graph.Graph, store *content.Store) (ABFConfig, 
 // a host of it instead of re-hashing per row, and the identifiers each
 // node hosts.
 type hostedIdentifiers struct {
-	k         int        // positions per identifier per level
-	pos       [][]uint32 // pos[h][i*k:(i+1)*k]: identifier i (store.Objects order) at level h
-	byNode    []int32    // byNode[nodeFirst[x]:nodeFirst[x+1]]: the identifiers node x hosts
+	k         int              // positions per identifier per level
+	pos       [][]uint32       // pos[h][i*k:(i+1)*k]: identifier i (store.Objects order) at level h
+	index     map[uint64]int32 // identifier -> its place in store.Objects
+	byNode    []int32          // byNode[nodeFirst[x]:nodeFirst[x+1]]: the identifiers node x hosts
 	nodeFirst []int
 }
 
 func newHostedIdentifiers(g *graph.Graph, store *content.Store, cfg ABFConfig) *hostedIdentifiers {
 	objects := store.Objects()
-	ids := &hostedIdentifiers{k: cfg.Hashes, pos: make([][]uint32, len(cfg.LevelBits))}
 	index := make(map[uint64]int32, len(objects))
+	ids := &hostedIdentifiers{k: cfg.Hashes, pos: make([][]uint32, len(cfg.LevelBits)), index: index}
 	for h := range ids.pos {
 		ids.pos[h] = make([]uint32, 0, len(objects)*cfg.Hashes)
 	}
@@ -155,12 +237,33 @@ func buildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig, rule f
 		return nil, err
 	}
 	net := &ABFNetwork{g: g, store: store, cfg: cfg, table: scoreTable(len(cfg.LevelBits), cfg.Decay)}
-	maxWords := 0
-	for _, m := range cfg.LevelBits {
-		net.levels = append(net.levels, make([]uint64, g.N()*((m+63)/64)))
-		maxWords = max(maxWords, (m+63)/64)
-	}
 	ids := newHostedIdentifiers(g, store, cfg)
+	catalogue := len(store.Objects())
+	maxWords, memberLevels := 0, 0
+	for h, m := range cfg.LevelBits {
+		var mg *memberGroups
+		if catalogue < m {
+			mg = newMemberGroups(ids.pos[h], m, cfg.Hashes, memberLevels)
+			memberLevels++
+		}
+		w := (min(m, catalogue) + 63) / 64
+		net.levels = append(net.levels, make([]uint64, g.N()*w))
+		net.words = append(net.words, w)
+		net.members = append(net.members, mg)
+		maxWords = max(maxWords, w)
+	}
+	if memberLevels > 0 {
+		net.keyIndex, net.keyStride = ids.index, memberLevels*cfg.Hashes
+		net.keyGroups.ends = []uint32{0}
+		var pos []uint32
+		for i := range catalogue {
+			pos = pos[:0]
+			for h := range cfg.LevelBits {
+				pos = append(pos, ids.pos[h][i*cfg.Hashes:(i+1)*cfg.Hashes]...)
+			}
+			net.keyGroups = net.appendGroups(net.keyGroups, pos, int32(i))
+		}
+	}
 	batches := (g.N() + 63) / 64
 	scratch := make([]sweep, par.Workers(0, batches))
 	par.For(len(scratch), batches, func(w, b int) {
@@ -169,8 +272,8 @@ func buildABFNetwork(g *graph.Graph, store *content.Store, cfg ABFConfig, rule f
 			sc.seen = make([]uint64, g.N())
 			sc.next = make([]uint64, g.N())
 			sc.marks = make([]uint64, (g.N()+63)/64)
-			sc.acc = make([]uint64, len(store.Objects()))
-			sc.ids = make([]int32, len(store.Objects())+1) // host writes one past the last kept
+			sc.acc = make([]uint64, 64*((catalogue+63)/64)) // whole blocks: member levels transpose it
+			sc.ids = make([]int32, catalogue+1)             // host writes one past the last kept
 			sc.slices = make([]uint64, 64*maxWords)
 			sc.dirty = make([]bool, maxWords)
 		}
@@ -201,8 +304,8 @@ type sweep struct {
 	acc         []uint64  // per identifier: sources reaching a host of it at this level
 	ids         []int32   // ids[:nids]: identifiers whose acc went non-zero at this level
 	nids        int
-	slices      []uint64 // per bit position of the level: the sources whose row sets it
-	dirty       []bool   // per 64-position block of slices: set once it is non-zero
+	slices      []uint64 // per bit position of a filter-column level: the sources whose row sets it
+	dirty       []bool   // per 64-column block being flushed: set once it is non-zero
 }
 
 // run fills the rows of sources lo..hi-1 (hi-lo <= 64). At each level a
@@ -356,24 +459,32 @@ func (sc *sweep) host(ids *hostedIdentifiers, v int32, from uint64) {
 }
 
 // flush writes level h of the rows of sources lo..hi-1 from the
-// accumulators, bit-sliced: every accumulated identifier ORs its
-// sources into the slice word of each of its level-h positions, so
-// word p holds, bit i for source lo+i, whether row lo+i sets position
-// p. Each block of 64 positions is then a 64×64 bit matrix whose
-// transpose is word p>>6 of the 64 rows, stored whole (a batch flushes
-// each level once, so nothing is there yet); blocks no identifier
-// touched stay zero in every row and are skipped. The accumulators,
-// slices and dirty marks are left zero.
+// accumulators, bit-sliced: word c of the slices holds, bit i for
+// source lo+i, whether row lo+i sets column c. At a filter level every
+// accumulated identifier ORs its sources into the slice word of each of
+// its level-h positions; at a member level its accumulator already is
+// its column's slice word. Each block of 64 columns is then a 64×64 bit
+// matrix whose transpose is word c>>6 of the 64 rows, stored whole (a
+// batch flushes each level once, so nothing is there yet); blocks no
+// identifier touched stay zero in every row and are skipped. The
+// accumulators, slices and dirty marks are left zero.
 func (sc *sweep) flush(net *ABFNetwork, ids *hostedIdentifiers, h, lo, hi int) {
-	arena, w, k := net.levels[h], (net.cfg.LevelBits[h]+63)/64, ids.k
+	arena, w, k := net.levels[h], net.words[h], ids.k
 	slices, dirty, pos := sc.slices, sc.dirty, ids.pos[h]
-	for _, i := range sc.ids[:sc.nids] {
-		from := sc.acc[i]
-		for _, p := range pos[int(i)*k : int(i)*k+k] {
-			slices[p] |= from
-			dirty[p>>6] = true
+	if net.members[h] != nil {
+		slices = sc.acc
+		for _, i := range sc.ids[:sc.nids] {
+			dirty[i>>6] = true
 		}
-		sc.acc[i] = 0
+	} else {
+		for _, i := range sc.ids[:sc.nids] {
+			from := sc.acc[i]
+			for _, p := range pos[int(i)*k : int(i)*k+k] {
+				slices[p] |= from
+				dirty[p>>6] = true
+			}
+			sc.acc[i] = 0
+		}
 	}
 	sc.nids = 0
 	rows := arena[lo*w : hi*w]
@@ -480,20 +591,22 @@ func expectedIdentifiers(g *graph.Graph, store *content.Store, levels int) []flo
 	return out
 }
 
-// level returns the words of node u's level-h filter.
-func (n *ABFNetwork) level(h, u int) []uint64 {
-	w := (n.cfg.LevelBits[h] + 63) / 64
+// row returns the words of node u's level-h row.
+func (n *ABFNetwork) row(h, u int) []uint64 {
+	w := n.words[h]
 	return n.levels[h][u*w : (u+1)*w]
 }
 
-// MemoryBytes returns the total filter footprint, the figure the
-// paper's feasibility argument rests on.
+// MemoryBytes returns the total footprint of the published filters,
+// (LevelBits[h]+63)/64 words per level per node: the figure the paper's
+// feasibility argument rests on, and what a node would send its
+// neighbors. The member levels keep less (see ABFNetwork).
 func (n *ABFNetwork) MemoryBytes() int64 {
 	var words int64
-	for _, arena := range n.levels {
-		words += int64(len(arena))
+	for _, m := range n.cfg.LevelBits {
+		words += int64((m + 63) / 64)
 	}
-	return words * 8
+	return words * 8 * int64(n.g.N())
 }
 
 // ABFRouter performs identifier lookups over an ABFNetwork. Not safe
@@ -504,6 +617,9 @@ type ABFRouter struct {
 	visited []int32
 	path    []int32        // current route, for backtracking
 	pos     []uint32       // the current key's bit positions, Hashes per level
+	self    int32          // the current key's column if catalogued, else -1
+	groups  groupSet       // the current key's groups: a keyGroups record or own
+	own     groupSet       // the groups of a key outside the catalogue
 	cand    []abfCandidate // pickNext's scratch
 }
 
@@ -640,25 +756,66 @@ func pickBest(table []float64, cand []abfCandidate, hit func(h int, v int32) boo
 	return -1
 }
 
-// hashKey derives obj's bit positions at every level, once for the
-// whole route; every neighbor scored on the way is then tested with
-// plain loads.
+// hashKey derives obj's bit positions at every level and, at member
+// levels, the group behind each (a catalogued key's record, or resolved
+// here for any other), once for the whole route; every neighbor scored
+// on the way is then tested with plain loads.
 func (r *ABFRouter) hashKey(obj uint64) {
+	net, k := r.net, r.net.cfg.Hashes
 	r.pos = r.pos[:0]
-	for _, m := range r.net.cfg.LevelBits {
-		r.pos = bloom.AppendPositions(r.pos, obj, m, r.net.cfg.Hashes)
+	for _, m := range net.cfg.LevelBits {
+		r.pos = bloom.AppendPositions(r.pos, obj, m, k)
 	}
+	if net.keyIndex == nil {
+		return
+	}
+	if i, ok := net.keyIndex[obj]; ok {
+		g := net.keyStride
+		r.self = i
+		r.groups = groupSet{net.keyGroups.ids, net.keyGroups.ends[int(i)*g : int(i+1)*g+1]}
+		return
+	}
+	r.self = -1
+	r.own = net.appendGroups(groupSet{r.own.ids[:0], append(r.own.ends[:0], 0)}, r.pos, r.self)
+	r.groups = r.own
 }
 
 // hit reports whether level h of node v's hierarchy has every bit of
-// the hashed key set, as bloom.Filter.Contains would.
+// the hashed key set, as bloom.Filter.Contains would. At a member level
+// bit p of the filter is set exactly when one of the identifiers in
+// p's group is a member, so each position asks its group. A catalogued
+// key that is a member itself sets all its bits; one that is not is no
+// member of any group, so its groups leave it out.
 func (r *ABFRouter) hit(h int, v int32) bool {
-	level := r.net.level(h, int(v))
+	row := r.net.row(h, int(v))
 	k := r.net.cfg.Hashes
-	for _, p := range r.pos[h*k : (h+1)*k] {
-		if level[p>>6]&(1<<(p&63)) == 0 {
+	mg := r.net.members[h]
+	if mg == nil {
+		for _, p := range r.pos[h*k : (h+1)*k] {
+			if row[p>>6]&(1<<(p&63)) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if i := r.self; i >= 0 && row[i>>6]&(1<<(i&63)) != 0 {
+		return true
+	}
+	ends := r.groups.ends[mg.ord*k : (mg.ord+1)*k+1]
+	for j := range k {
+		if !anyMember(row, r.groups.ids[ends[j]:ends[j+1]]) {
 			return false
 		}
 	}
 	return true
+}
+
+// anyMember reports whether row has the bit of some identifier in ids.
+func anyMember(row []uint64, ids []int32) bool {
+	for _, i := range ids {
+		if row[i>>6]&(1<<(i&63)) != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -142,6 +142,14 @@ func FuzzABFBuildMatchesOracle(f *testing.F) {
 	// put dozens of 64×64 blocks per level through the sliced flush.
 	f.Add(int64(6), uint16(299), uint8(11), uint8(4), uint8(3), false)
 	f.Add(int64(7), uint16(299), uint8(11), uint8(4), uint8(3), true)
+	// A catalogue below most level sizes makes most levels member
+	// levels (all of the seeds above but one); these two mix the kinds.
+	// Auto-sized, 200 identifiers against levels of 192, 192, 384, 1 792
+	// and 3 840 bits: search_batch's shape, filter columns at levels 0
+	// and 1 and identifiers below. Sized, 229 against 2 909, 5 697, 135
+	// and 5 879: a filter level between member levels.
+	f.Add(int64(9), uint16(250), uint8(10), uint8(3), uint8(1), false)
+	f.Add(int64(10), uint16(299), uint8(9), uint8(2), uint8(3), true)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, deg, depth, hashes uint8, sized bool) {
 		g := sparseGraph(1+int(n%300), float64(deg%12)/2, seed)
 		rng := rand.New(rand.NewSource(seed))
@@ -173,6 +181,99 @@ func FuzzABFBuildMatchesOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A member level must answer every probe as the filter it stands for,
+// and the rule must pick it exactly when the catalogue is smaller than
+// the level: catalogues of m−1, m and m+1 identifiers around levels of
+// m bits (a word boundary, an odd size, one past a word), beside a
+// level of 2m+1 bits that is always a member level and one of 37 that
+// never is. For every node, level and key, catalogued or not, hit must
+// be the oracle filter's Contains.
+func TestABFMemberLevelsMatchFilters(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 517} {
+		g := sparseGraph(n, 5, int64(n))
+		for mi, m := range []int{64, 100, 129} {
+			for _, catalogue := range []int{m - 1, m, m + 1} {
+				cfg := ABFConfig{Depth: 3, Hashes: []int{1, 4, 7}[mi], LevelBits: []int{m, 37, 2*m + 1, m}}
+				label := fmt.Sprintf("n=%d/bits=%v/catalogue=%d/hashes=%d", n, cfg.LevelBits, catalogue, cfg.Hashes)
+				st, err := content.Place(n, content.PlacementConfig{
+					Objects: catalogue, Replication: 0.03, MinReplicas: 1, Seed: int64(catalogue)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := BuildABFNetwork(g, st, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for h, bits := range cfg.LevelBits {
+					if member := net.members[h] != nil; member != (catalogue < bits) {
+						t.Fatalf("%s: level %d of %d bits: member columns %v", label, h, bits, member)
+					}
+				}
+				want, err := buildOracleABFNetwork(g, st, cfg)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", label, err)
+				}
+				keys := append([]uint64(nil), st.Objects()...)
+				rng := rand.New(rand.NewSource(int64(catalogue)))
+				for i := 0; i < 64; i++ {
+					keys = append(keys, rng.Uint64())
+				}
+				probe := NewABFRouter(net)
+				for _, key := range keys {
+					probe.hashKey(key)
+					for u := 0; u < n; u++ {
+						for h, lv := range want.filters[u].Levels {
+							if got, w := probe.hit(h, int32(u)), lv.Contains(key); got != w {
+								t.Fatalf("%s: node %d level %d key %#x: hit %v, oracle Contains %v", label, u, h, key, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// residentBytes is what an index keeps of its rows, against the
+// published filters MemoryBytes counts.
+func residentBytes(n *ABFNetwork) int64 {
+	var words int64
+	for _, arena := range n.levels {
+		words += int64(len(arena))
+	}
+	return words * 8
+}
+
+// search_batch's index must keep member rows wherever its catalogue is
+// smaller than a level: n × Σ⌈min(LevelBits[h], catalogue)/64⌉ words,
+// well below the published filters, so a layout that quietly went back
+// to filter rows fails here.
+func TestABFResidentBytes(t *testing.T) {
+	g, st := abfWorld(t, 2000, batchPlacement)
+	net, err := BuildABFNetwork(g, st, DefaultABFConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalogue := len(st.Objects())
+	var words, members int
+	for _, m := range net.cfg.LevelBits {
+		words += (min(m, catalogue) + 63) / 64
+		if catalogue < m {
+			members++
+		}
+	}
+	if members == 0 {
+		t.Fatalf("no level of %v bits is wider than the %d-identifier catalogue", net.cfg.LevelBits, catalogue)
+	}
+	want := int64(g.N()) * int64(words) * 8
+	if got := residentBytes(net); got != want {
+		t.Fatalf("resident %d bytes, want %d nodes x %d words (levels %v, catalogue %d)", got, g.N(), words, net.cfg.LevelBits, catalogue)
+	}
+	if published := net.MemoryBytes(); want >= published {
+		t.Fatalf("resident %d bytes, published %d: member rows should be smaller", want, published)
+	}
 }
 
 func checkArenaAgainstOracle(t *testing.T, label string, g *graph.Graph, st *content.Store, cfg ABFConfig, pick *rand.Rand) {
@@ -230,27 +331,50 @@ func checkArenaAgainstOracle(t *testing.T, label string, g *graph.Graph, st *con
 	}
 }
 
-// Filter returns node u's published hierarchy as views over the level
-// arenas; routing reads the arenas directly.
+// Filter returns node u's published hierarchy: views over the rows of
+// its filter-column levels and, at member levels, the filter words its
+// members set; routing reads the rows directly.
 func (n *ABFNetwork) Filter(u int) *bloom.Attenuated {
 	a := &bloom.Attenuated{Levels: make([]*bloom.Filter, len(n.levels))}
 	for h, m := range n.cfg.LevelBits {
-		a.Levels[h] = bloom.View(n.level(h, u), m, n.cfg.Hashes)
+		a.Levels[h] = bloom.View(n.filterWords(h, u), m, n.cfg.Hashes)
 	}
 	return a
 }
 
-// indexHash is the FNV-64a digest of an index: each level's size in
-// bits, then every word of its arena, little-endian.
+// filterWords returns the words of node u's level-h filter: the row
+// itself at a filter-column level, and at a member level the filter
+// rebuilt from the row and the level's groups, bit p set when a member
+// is in p's group.
+func (n *ABFNetwork) filterWords(h, u int) []uint64 {
+	row, mg := n.row(h, u), n.members[h]
+	if mg == nil {
+		return row
+	}
+	m := n.cfg.LevelBits[h]
+	words := make([]uint64, (m+63)/64)
+	for p := 0; p < m; p++ {
+		if anyMember(row, mg.group(uint32(p))) {
+			words[p>>6] |= 1 << (p & 63)
+		}
+	}
+	return words
+}
+
+// indexHash is the FNV-64a digest of an index as the filter arenas
+// held it: each level's size in bits, then every node's filter words at
+// that level, little-endian.
 func indexHash(n *ABFNetwork) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for lv, arena := range n.levels {
-		binary.LittleEndian.PutUint64(buf[:], uint64(n.cfg.LevelBits[lv]))
+	for lv, m := range n.cfg.LevelBits {
+		binary.LittleEndian.PutUint64(buf[:], uint64(m))
 		h.Write(buf[:])
-		for _, w := range arena {
-			binary.LittleEndian.PutUint64(buf[:], w)
-			h.Write(buf[:])
+		for u := 0; u < n.g.N(); u++ {
+			for _, w := range n.filterWords(lv, u) {
+				binary.LittleEndian.PutUint64(buf[:], w)
+				h.Write(buf[:])
+			}
 		}
 	}
 	return h.Sum64()

@@ -134,10 +134,10 @@ func FuzzABFPick(f *testing.F) {
 
 // The router must read what decides the hop and little else. Routing
 // every object from every node of the oracle test's k-regular fixture,
-// the deepest level — 88% of the index's bytes at the default geometry —
-// is skipped for more scored neighbors than it is read for, and the
-// levels are read in order, so a neighbor read at a level was read at
-// every shallower one. A change that goes back to scoring neighbors in
+// the deepest level — 88% of the published filters' bytes at the
+// default geometry — is skipped for more scored neighbors than it is
+// read for, and the levels are read in order, so a neighbor read at a
+// level was read at every shallower one. A change that goes back to scoring neighbors in
 // full fails here, not in a benchmark.
 func TestABFRouterSkipsDeepLevels(t *testing.T) {
 	kreg, err := topology.KRegular(60, 4, 5)

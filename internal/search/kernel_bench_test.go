@@ -190,8 +190,9 @@ func abfWorld(tb testing.TB, n int, place content.PlacementConfig) (*graph.Graph
 	return ov.Freeze(), store
 }
 
-// BenchmarkBuildABF times one whole index build and reports the arena's
-// footprint as index-MB, on search_batch's world at n=10000 and 50000
+// BenchmarkBuildABF times one whole index build and reports the
+// published filters' footprint as index-MB (MemoryBytes) and what the
+// arenas hold as resident-MB, on search_batch's world at n=10000 and 50000
 // and on churn_stream's (n=8000/churn). The n=50000 rows take ~20 s
 // together and are the EXPERIMENTS.md "Recorded at scale" entry; select
 // them with -bench 'BuildABF/n=50000' -benchtime 1x.
@@ -222,6 +223,7 @@ func BenchmarkBuildABF(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(net.MemoryBytes())/(1<<20), "index-MB")
+				b.ReportMetric(float64(residentBytes(net))/(1<<20), "resident-MB")
 			})
 		})
 	}
@@ -232,9 +234,10 @@ func BenchmarkBuildABF(b *testing.B) {
 // cold rows evict the caches before every lookup with the timer stopped
 // (about a millisecond each: give them -benchtime 5000x), which is how
 // a batch worker finds the index after a flood or a walk. The n=50000
-// index is 148 MB, the regime where even the shallow levels come from
-// DRAM; overlay and index take tens of seconds to build, so select it
-// by name. It has no oracle row: that index is over a gigabyte of heap.
+// index publishes 148 MB of filters and holds 28 MB of rows, five times
+// n=10000's, with its shallow levels alone 4 MB; overlay and index take
+// tens of seconds to build, so select it by name. It has no oracle row:
+// that index is over a gigabyte of heap.
 func BenchmarkABFLookup(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -226,6 +226,7 @@ func (ix *IdentifierIndex) LookupBatch(ttl int, opt BatchOptions) BatchStats {
 	}), o)
 }
 
-// MemoryBytes reports the total filter state the index keeps across
-// all nodes.
+// MemoryBytes reports the total size of the filters the nodes publish,
+// the paper's §4.6 footprint. The index holds less: a level wider than
+// the catalogue keeps one bit per catalogued identifier instead.
 func (ix *IdentifierIndex) MemoryBytes() int64 { return ix.net.MemoryBytes() }
