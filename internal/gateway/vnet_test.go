@@ -3,18 +3,15 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
-	"strconv"
 	"testing"
 	"time"
 
 	"makalu/internal/obs"
+	"makalu/internal/purity"
 	"makalu/internal/serve"
 	"makalu/internal/sim"
 )
@@ -509,25 +506,5 @@ func TestGatewayHealthEvictRejoin(t *testing.T) {
 // neither reads the clock, sleeps or arms a timer, and neither touches
 // sockets, locks, buffered readers or files.
 func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
-	banned := []string{"Now", "Since", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"}
-	for _, file := range []string{"step.go", "vnet_test.go"} {
-		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			switch p, _ := strconv.Unquote(imp.Path.Value); p {
-			case "net", "net/http", "sync", "bufio", "os":
-				t.Errorf("%s imports %s", file, p)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && slices.Contains(banned, sel.Sel.Name) {
-					t.Errorf("%s calls time.%s", file, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-	}
+	purity.Check(t, true, "step.go", "vnet_test.go")
 }

@@ -140,11 +140,6 @@ type Config struct {
 	// Metrics receives request counters and latency histograms; nil
 	// disables instrumentation at the usual one-branch cost.
 	Metrics *obs.Registry
-
-	// testOnExecute is called with a kernel held, immediately before
-	// its execution. Test hook: the singleflight and load-shed tests use
-	// it to count kernel calls and to hold an execution at a known point.
-	testOnExecute func(Request)
 }
 
 // snapshot is the immutable serving state one epoch runs over; a
@@ -164,17 +159,15 @@ type snapshot struct {
 // every waiter would have computed the identical result, so handing
 // them the leader's answer is value-neutral.
 //
-// A flight no waiter joined goes back to its shard's free list when the
-// leader publishes. One a waiter joined is never reused: the waiter
-// reads resp after the leader has returned, so reuse could hand it a
-// later request's answer. While its leader waits for a kernel, a live
-// flight is also the leader's place in the engine's queue.
+// publish says when a flight is reused. While its leader waits for a
+// kernel, a live flight is also the leader's place in the engine's queue.
 type flight struct {
-	done chan struct{} // made by the first waiter; closed by the leader once resp/err are set
-	resp Response
-	err  error
-	next *flight      // free-list or kernel-queue link
-	kn   chan *kernel // the queued leader's kernel; capacity 1, kept on reuse
+	joined bool          // a waiter joined; set under the shard's lock
+	done   chan struct{} // made by the first waiter; closed by the leader once resp/err are set
+	resp   Response
+	err    error
+	next   *flight      // free-list or kernel-queue link
+	kn     chan *kernel // the queued leader's kernel; capacity 1, kept on reuse
 }
 
 // shard is one key partition: a cache partition and the in-flight
@@ -187,8 +180,7 @@ type shard struct {
 }
 
 // kernel is one pooled search kernel: the scratch, the rng a query
-// re-seeds, and the graph and identifier index the scratch was built
-// over. An epoch bump that keeps both keeps the scratch.
+// re-seeds, and the graph and identifier index fit built the scratch for.
 type kernel struct {
 	k   *search.Kernel
 	rng *rand.Rand
@@ -214,16 +206,9 @@ type Engine struct {
 	closed     atomic.Bool // written under mu; the cache-hit path reads it unlocked
 	drained    sync.Cond   // on mu: Close waits here until admitted is 0
 
-	requests  *obs.Counter
-	hits      *obs.Counter
-	misses    *obs.Counter
-	coalesced *obs.Counter
-	shed      *obs.Counter
-	errs      *obs.Counter
-	latency   *obs.Histogram
-	queueWait *obs.Histogram
-	epochG    *obs.Gauge
-	cacheLen  *obs.Gauge
+	requests, hits, misses, coalesced, shed, errs *obs.Counter
+	latency, queueWait                            *obs.Histogram
+	epochG, cacheLen                              *obs.Gauge
 }
 
 const (
@@ -257,31 +242,16 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.idle {
 		e.idle[i] = &kernel{rng: rand.New(search.NewQuerySource())}
 	}
-	if reg := cfg.Metrics; reg != nil {
-		e.requests = reg.Counter("serve.requests")
-		e.hits = reg.Counter("serve.cache_hits")
-		e.misses = reg.Counter("serve.cache_misses")
-		e.coalesced = reg.Counter("serve.coalesced")
-		e.shed = reg.Counter("serve.shed")
-		e.errs = reg.Counter("serve.errors")
-		e.latency = reg.Histogram("serve.latency_ns")
-		e.queueWait = reg.Histogram("serve.queue_wait_ns")
-		e.epochG = reg.Gauge("serve.epoch")
-		e.cacheLen = reg.Gauge("serve.cache_entries")
-	}
-	perShard := 0
-	if cfg.CacheCapacity > 0 {
-		perShard = cfg.CacheCapacity / shards
-		if perShard < 8 {
-			perShard = 8
-		}
-	}
+	reg := cfg.Metrics // nil: every metric is nil, and a nil metric is off
+	e.requests, e.hits, e.misses = reg.Counter("serve.requests"), reg.Counter("serve.cache_hits"), reg.Counter("serve.cache_misses")
+	e.coalesced, e.shed, e.errs = reg.Counter("serve.coalesced"), reg.Counter("serve.shed"), reg.Counter("serve.errors")
+	e.latency, e.queueWait = reg.Histogram("serve.latency_ns"), reg.Histogram("serve.queue_wait_ns")
+	e.epochG, e.cacheLen = reg.Gauge("serve.epoch"), reg.Gauge("serve.cache_entries")
 	for i := range e.shards {
-		sh := &shard{flights: make(map[uint64]*flight)}
-		if perShard > 0 {
-			sh.cache = newSLRU(perShard, cacheProtectedFrac)
+		e.shards[i] = &shard{flights: make(map[uint64]*flight)}
+		if cfg.CacheCapacity > 0 {
+			e.shards[i].cache = newSLRU(max(cfg.CacheCapacity/shards, 8), cacheProtectedFrac)
 		}
-		e.shards[i] = sh
 	}
 	e.snap.Store(&snapshot{epoch: 0, g: cfg.Graph, store: cfg.Store, abf: cfg.ABF})
 	return e, nil
@@ -348,14 +318,18 @@ func (e *Engine) UpdateSnapshot(g *graph.Graph, store *content.Store, abf *searc
 // unless an identical-key miss is already in flight, in which case this
 // call parks on it and shares the one kernel execution (singleflight
 // miss coalescing). Blocks until the result is ready; sheds with
-// ErrOverloaded when the engine already holds
-// Shards() × (defaultQueueDepth+1) misses, running or waiting for a
-// kernel; fails with ErrClosed once Close has begun.
+// ErrOverloaded at Shards() × (defaultQueueDepth+1) admitted misses,
+// running or queued; fails with ErrClosed once Close has begun.
 func (e *Engine) Lookup(req Request) (Response, error) {
 	snap := e.snap.Load()
 	if err := e.validate(&req, snap); err != nil {
 		e.errs.Inc()
 		return Response{}, err
+	}
+	// After Close every path out of Lookup is ErrClosed, cached or not,
+	// and, like an invalid request, the refusal is not counted.
+	if e.closed.Load() {
+		return Response{}, ErrClosed
 	}
 	e.requests.Inc()
 	start := time.Time{}
@@ -364,142 +338,81 @@ func (e *Engine) Lookup(req Request) (Response, error) {
 	}
 	key := req.Key()
 	sh := e.shards[key%uint64(len(e.shards))]
-	// The closed check guards the cache probe too: after Close every
-	// path out of Lookup is ErrClosed, cached or not, as documented.
-	if e.closed.Load() {
-		return Response{}, ErrClosed
-	}
 	// Cache probe and flight join/create are one critical section: a
 	// request can never miss both the cache fill and the flight that
 	// produced it.
 	sh.mu.Lock()
-	if sh.cache != nil {
-		if res, ok := sh.cache.get(key, snap.epoch); ok {
-			sh.mu.Unlock()
-			e.hits.Inc()
-			if e.latency != nil {
-				e.latency.Since(start)
-			}
-			return Response{Result: res, CacheHit: true, Epoch: snap.epoch}, nil
-		}
-		e.misses.Inc()
+	if res, ok := sh.probe(key, snap.epoch); ok {
+		sh.mu.Unlock()
+		e.hits.Inc()
+		e.served(start)
+		return Response{Result: res, CacheHit: true, Epoch: snap.epoch}, nil
 	}
-	if f, ok := sh.flights[key]; ok {
-		// Join the in-flight computation. The response carries the
-		// epoch the leader's execution ran under, which (as for any
-		// request racing a snapshot swap) may trail the epoch this
-		// caller observed.
+	f, leader := e.join(sh, key)
+	if !leader {
+		// The response carries the epoch the leader's execution ran
+		// under, which may trail the epoch this caller observed.
 		if f.done == nil {
 			f.done = make(chan struct{})
 		}
-		done := f.done
 		sh.mu.Unlock()
-		e.coalesced.Inc()
-		<-done
-		if e.latency != nil {
-			e.latency.Since(start)
+		<-f.done
+		if f.err == nil {
+			e.served(start)
 		}
 		return f.resp, f.err
 	}
-	f := sh.free
-	if f != nil {
-		sh.free = f.next
-		f.next = nil
-	} else {
-		f = new(flight)
-	}
-	sh.flights[key] = f
 	sh.mu.Unlock()
 	res, err := e.run(snap, req, key, f)
-	// Publish: fill the cache and drop the flight in one critical
-	// section, so late arrivals hit, then release the waiters. A result
-	// whose snapshot was replaced meanwhile is not cached: it could never
-	// hit, only evict current entries. A coalesced group is refused
-	// together: if the leader gets ErrOverloaded or ErrClosed, so does
-	// every waiter.
 	sh.mu.Lock()
-	if err == nil && sh.cache != nil && snap == e.snap.Load() {
-		sh.cache.put(key, snap.epoch, res)
-	}
-	delete(sh.flights, key)
-	done := f.done // final: no waiter can join once the flight is gone
-	if done == nil {
-		f.next, sh.free = sh.free, f
-	}
+	joined := e.publish(sh, key, f, snap, res, err)
 	sh.mu.Unlock()
 	resp := Response{}
-	switch err {
-	case nil:
+	if err == nil {
 		resp = Response{Result: res, Epoch: snap.epoch}
-	case ErrOverloaded:
-		e.shed.Inc()
+		e.served(start)
 	}
-	if done != nil {
+	if joined {
 		f.resp, f.err = resp, err
-		close(done)
-	}
-	if err == nil && e.latency != nil {
-		e.latency.Since(start)
+		close(f.done)
 	}
 	return resp, err
 }
 
-// run executes the miss whose flight f leads on a pooled kernel. One
-// critical section admits it: ErrClosed, ErrOverloaded at the limit, an
-// idle kernel, or the queue's tail, from which finishing misses hand out
-// kernels head first. The kernel's scratch is rebuilt when the snapshot's
-// graph or identifier index differs from the one it was built over
-// (Kernel.ABF keeps a router per index it has seen, so reusing it
-// across indexes would pin every old one).
+// served records a served lookup's latency; refusals are not observed.
+func (e *Engine) served(start time.Time) {
+	if e.latency != nil {
+		e.latency.Since(start)
+	}
+}
+
+// run executes the miss whose flight f leads on a pooled kernel once
+// admit grants one, at once or by a finishing miss's hand-off.
 func (e *Engine) run(snap *snapshot, req Request, key uint64, f *flight) (search.Result, error) {
 	var queued time.Time
 	if e.queueWait != nil {
 		queued = time.Now()
 	}
 	e.mu.Lock()
-	if closed := e.closed.Load(); closed || e.admitted >= e.limit {
-		e.mu.Unlock()
-		if closed {
-			return search.Result{}, ErrClosed
-		}
-		return search.Result{}, ErrOverloaded
+	kn, err := e.admit(f)
+	if kn == nil && err == nil && f.kn == nil {
+		f.kn = make(chan *kernel, 1) // before finish can see f
 	}
-	e.admitted++
-	var kn *kernel
-	if n := len(e.idle); n > 0 {
-		kn, e.idle = e.idle[n-1], e.idle[:n-1]
-		e.mu.Unlock()
-	} else {
-		if f.kn == nil {
-			f.kn = make(chan *kernel, 1)
-		}
-		if e.head == nil {
-			e.head = f
-		} else {
-			e.tail.next = f
-		}
-		e.tail = f
-		e.waiting++
-		e.mu.Unlock()
+	e.mu.Unlock()
+	if err != nil {
+		return search.Result{}, err
+	}
+	if kn == nil {
 		kn = <-f.kn
 	}
 	if e.queueWait != nil {
 		e.queueWait.Since(queued)
 	}
-	if kn.g != snap.g || kn.abf != snap.abf {
-		kn.k, kn.g, kn.abf = search.NewKernel(snap.g, 0), snap.g, snap.abf
-	}
+	kn.fit(snap)
 	res := e.execute(kn.k, snap, req, key, kn.rng)
 	e.mu.Lock()
-	e.admitted--
-	next := e.head
-	if next != nil {
-		e.head, next.next = next.next, nil
-		e.waiting--
-	} else {
-		e.idle = append(e.idle, kn)
-	}
-	e.drained.Broadcast() // Close rechecks admitted
+	next := e.finish(kn)
+	e.drained.Broadcast() // Close rechecks
 	e.mu.Unlock()
 	if next != nil {
 		next.kn <- kn // never blocks: the buffer is empty until this send
@@ -558,9 +471,6 @@ func (e *Engine) validate(req *Request, snap *snapshot) error {
 // pure function of the request and the overlay epoch — the property
 // every cache guarantee rests on.
 func (e *Engine) execute(kern *search.Kernel, snap *snapshot, req Request, key uint64, rng *rand.Rand) search.Result {
-	if e.cfg.testOnExecute != nil {
-		e.cfg.testOnExecute(req)
-	}
 	rng.Seed(keySeed(e.cfg.Seed, snap.epoch, key))
 	src := int(mix64(key^0x9e3779b97f4a7c15) % uint64(snap.g.N()))
 	switch req.Mech {
@@ -591,8 +501,7 @@ func (e *Engine) syncCacheLen() {
 // began, with every lookup coalesced onto it.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	e.closed.Store(true)
-	for e.admitted > 0 {
+	for !e.close() {
 		e.drained.Wait()
 	}
 	e.mu.Unlock()

@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"makalu/internal/content"
 	"makalu/internal/graph"
@@ -42,17 +40,6 @@ func testOverlay(t testing.TB, n, objects int) (*graph.Graph, *content.Store) {
 func setProcs(t testing.TB, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// waitFor polls cond until it holds and reports false if it still does
-// not after 30 s, a hang guard: the caller fails with its own account.
-func waitFor(cond func() bool) bool {
-	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(20 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
-	return true
 }
 
 func testABF(t testing.TB, g *graph.Graph, store *content.Store) *search.ABFNetwork {
@@ -256,64 +243,6 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestStaleExecutionNotCached pins that a miss whose snapshot is
-// replaced while it runs answers under its own epoch but leaves nothing
-// in the cache, and that the new epoch's results still cache and hit.
-func TestStaleExecutionNotCached(t *testing.T) {
-	g, store := testOverlay(t, 300, 30)
-	parked := Request{Mech: MechFlood, Object: store.Objects()[0], TTL: 4}
-	running, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	e, err := New(Config{
-		Graph: g, Store: store, Seed: 9, CacheCapacity: 64,
-		testOnExecute: func(req Request) {
-			if req == parked {
-				once.Do(func() {
-					close(running)
-					<-release
-				})
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	done := make(chan Response, 1)
-	go func() {
-		resp, err := e.Lookup(parked)
-		if err != nil {
-			t.Errorf("parked lookup: %v", err)
-		}
-		done <- resp
-	}()
-	select {
-	case <-running:
-	case <-time.After(30 * time.Second):
-		t.Fatal("parked request never reached execute")
-	}
-	if err := e.UpdateSnapshot(g, store, nil); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if resp := <-done; resp.Epoch != 0 {
-		t.Fatalf("parked execution answered under epoch %d, want 0", resp.Epoch)
-	}
-	if n := e.CacheSize(); n != 0 {
-		t.Fatalf("a superseded epoch's result was cached: %d entries", n)
-	}
-	for i, wantHit := range []bool{false, true} {
-		resp, err := e.Lookup(parked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.CacheHit != wantHit || resp.Epoch != 1 {
-			t.Fatalf("lookup %d under the new epoch: hit %v epoch %d, want hit %v epoch 1",
-				i, resp.CacheHit, resp.Epoch, wantHit)
-		}
-	}
-}
-
 func TestLookupValidation(t *testing.T) {
 	g, store := testOverlay(t, 200, 20)
 	e, err := New(Config{Graph: g, Store: store, Seed: 1})
@@ -335,114 +264,6 @@ func TestLookupValidation(t *testing.T) {
 	r := Request{Mech: MechFlood, Object: store.Objects()[0], TTL: 1 << 20}
 	if _, err := e.Lookup(r); err != nil {
 		t.Fatalf("over-budget TTL should clamp, got %v", err)
-	}
-}
-
-// TestEngineClose pins Close: the misses admitted when Close is called,
-// one running and one queued behind it for the one kernel, finish with
-// their real responses, Close returns only after both, and every lookup
-// after Close is refused.
-func TestEngineClose(t *testing.T) {
-	setProcs(t, 1) // one kernel, so the second miss queues
-	g, store := testOverlay(t, 200, 20)
-	parked := Request{Mech: MechFlood, Object: store.Objects()[2], TTL: 4}
-	queued := Request{Mech: MechFlood, Object: store.Objects()[3], TTL: 4}
-	running, release := make(chan struct{}), make(chan struct{})
-	var queuedRan atomic.Bool
-	e, err := New(Config{
-		Graph: g, Store: store, Seed: 1, CacheCapacity: 64,
-		testOnExecute: func(req Request) {
-			switch req {
-			case parked:
-				close(running)
-				<-release
-			case queued:
-				queuedRan.Store(true)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var relOnce sync.Once
-	releaseParked := func() { relOnce.Do(func() { close(release) }) }
-	defer releaseParked()
-	req := Request{Mech: MechFlood, Object: store.Objects()[0], TTL: 4}
-	if _, err := e.Lookup(req); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := e.Lookup(req); err != nil || !resp.CacheHit {
-		t.Fatalf("second lookup should be a cache hit, got %+v err %v", resp, err)
-	}
-
-	type outcome struct {
-		resp Response
-		err  error
-	}
-	lookup := func(r Request) chan outcome {
-		out := make(chan outcome, 1)
-		go func() {
-			resp, err := e.Lookup(r)
-			out <- outcome{resp, err}
-		}()
-		return out
-	}
-	parkedOut := lookup(parked)
-	select {
-	case <-running:
-	case <-time.After(30 * time.Second):
-		t.Fatal("parked request never reached execute")
-	}
-	queuedOut := lookup(queued)
-	if !waitFor(func() bool { return e.QueueDepth() == 1 }) {
-		t.Fatal("the second miss never queued behind the parked one")
-	}
-	closed := make(chan struct{})
-	go func() {
-		e.Close()
-		close(closed)
-	}()
-	// Once a lookup is refused, Close has begun; it must still be
-	// waiting for the parked execution.
-	if !waitFor(func() bool { _, err := e.Lookup(req); return err == ErrClosed }) {
-		t.Fatal("Close never started refusing lookups")
-	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while an execution was still running")
-	default:
-	}
-	releaseParked()
-	select {
-	case <-closed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close never returned after the execution finished")
-	}
-	if !queuedRan.Load() {
-		t.Fatal("Close returned before the queued miss ran")
-	}
-	ref, err := New(Config{Graph: g, Store: store, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for r, out := range map[Request]chan outcome{parked: parkedOut, queued: queuedOut} {
-		want, err := ref.Lookup(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := <-out; got.err != nil || got.resp.Result != want.Result {
-			t.Fatalf("miss admitted at Close (%+v): %+v err %v, want %+v", r, got.resp, got.err, want)
-		}
-	}
-	e.Close() // idempotent
-	// ErrClosed covers the cache-hit fast path too: a request whose
-	// result is resident must still be refused after Close.
-	if _, err := e.Lookup(req); err != ErrClosed {
-		t.Fatalf("cached lookup after close: err = %v, want ErrClosed", err)
-	}
-	if _, err := e.Lookup(Request{Mech: MechFlood, Object: store.Objects()[1], TTL: 4}); err != ErrClosed {
-		t.Fatalf("lookup after close: err = %v, want ErrClosed", err)
 	}
 }
 

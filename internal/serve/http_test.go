@@ -137,14 +137,19 @@ func TestHTTPRateLimit429(t *testing.T) {
 	}
 }
 
-// TestHTTPShed429: with every admission slot taken — one execution
-// held on the engine's one kernel and defaultQueueDepth misses waiting
-// for it — an HTTP lookup is shed with 429 and Retry-After; once the
-// kernel is released, the same lookup is served.
+// TestHTTPShed429: with every admission slot taken an HTTP lookup is
+// shed with 429 and Retry-After; once the slots are released, the same
+// lookup is served. The test takes the slots through admit itself: one
+// leader holds the one kernel and defaultQueueDepth wait in the FIFO.
 func TestHTTPShed429(t *testing.T) {
-	e, release := fullEngine(t)
-	srv := httptest.NewServer(NewHTTPHandler(HTTPConfig{Engine: e}))
-	defer srv.Close()
+	setProcs(t, 1)
+	e, srv := httpFixture(t, nil, nil)
+	e.mu.Lock()
+	kn, _ := e.admit(new(flight))
+	for e.admitted < e.limit {
+		e.admit(new(flight))
+	}
+	e.mu.Unlock()
 	get := func() (int, string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/lookup?obj=5000&ttl=2")
@@ -157,7 +162,10 @@ func TestHTTPShed429(t *testing.T) {
 	if status, retry := get(); status != http.StatusTooManyRequests || retry == "" {
 		t.Fatalf("lookup on a full engine: status %d, Retry-After %q, want 429 with Retry-After", status, retry)
 	}
-	release()
+	e.mu.Lock()
+	for e.finish(kn) != nil { // the kernel passes down the FIFO, then idles
+	}
+	e.mu.Unlock()
 	if status, _ := get(); status != http.StatusOK {
 		t.Fatalf("lookup after the release: status %d, want 200", status)
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"makalu/internal/obs"
@@ -82,68 +84,70 @@ func TestReuseKernelAcrossSameGraphBump(t *testing.T) {
 	}
 }
 
-// TestReuseCoalescedWaiterOutlivesLeader: a waiter that joined a flight
-// reads the leader's answer after the leader has returned and while
-// another miss runs on the same shard. Were the joined flight recycled,
-// that miss would take it over and overwrite the answer under the
-// waiter (the race detector reports it, and the answer can differ).
-func TestReuseCoalescedWaiterOutlivesLeader(t *testing.T) {
-	setProcs(t, 1) // one shard: the other miss shares the flight's shard
-	g, store := testOverlay(t, 500, 40)
-	objs := store.Objects()
-	reg := obs.NewRegistry()
-	target := Request{Mech: MechFlood, Object: objs[1], TTL: 4}
-	other := Request{Mech: MechWalk, Object: objs[2], TTL: 64}
-	var hold sync.Once
-	running, release := make(chan struct{}), make(chan struct{})
-	e, err := New(Config{
-		Graph: g, Store: store, Seed: 17, Metrics: reg,
-		testOnExecute: func(req Request) {
-			if req == target {
-				hold.Do(func() { close(running); <-release })
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ref, err := New(Config{Graph: g, Store: store, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want, err := ref.Lookup(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	leaderDone := make(chan Response, 1)
-	go func() {
-		resp, _ := e.Lookup(target)
-		leaderDone <- resp
-	}()
-	<-running
-	waiterDone := make(chan Response, 1)
-	go func() {
-		resp, _ := e.Lookup(target)
-		waiterDone <- resp
-	}()
-	if !waitFor(func() bool { return reg.Counter("serve.coalesced").Value() >= 1 }) {
-		close(release)
-		t.Fatal("the second lookup never joined the flight")
-	}
-	close(release)
-	if got := <-leaderDone; got.Result != want.Result {
-		t.Fatalf("leader: %+v, want %+v", got.Result, want.Result)
-	}
-	// The leader has returned; the waiter may not have read yet.
-	for range 8 {
-		if _, err := e.Lookup(other); err != nil {
-			t.Fatal(err)
+// TestReuseUnderConcurrentLookups is the hook-free race check of what
+// Lookup recycles: goroutines repeat a few keys through a small
+// evicting cache, so flights are joined, published and reused and
+// waiters read answers after their leaders have returned, while one of
+// them bumps the epoch between two snapshots and finally calls Close.
+// Every answer must equal a reference engine's at its epoch, and the
+// latency histogram must hold exactly the served lookups. Under -race a
+// flight reused under its waiter is reported.
+func TestReuseUnderConcurrentLookups(t *testing.T) {
+	setProcs(t, 2)
+	g, store := testOverlay(t, 300, 30)
+	g2, store2 := testOverlay(t, 300, 30) // equal, but other pointers
+	const bumps, callers, lookups = 4, 8, 400
+	snaps := make([]*snapshot, bumps+1)
+	refs := make([]*Engine, bumps+1)
+	for k := range refs {
+		snaps[k] = &snapshot{epoch: uint64(k), g: g, store: store}
+		if k%2 == 1 {
+			snaps[k].g, snaps[k].store = g2, store2
 		}
+		refs[k] = refEngine(t, 29, snaps[k])
 	}
-	if got := <-waiterDone; got.Result != want.Result {
-		t.Fatalf("waiter read %+v after the leader returned, want %+v", got.Result, want.Result)
+	reg := obs.NewRegistry()
+	e, err := New(Config{Graph: g, Store: store, CacheCapacity: 16, Seed: 29, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := store.Objects()[:8]
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := range lookups {
+				if c == 0 && i%(lookups/(bumps+1)) == lookups/(bumps+1)-1 {
+					if epoch := e.Epoch() + 1; epoch <= bumps {
+						e.UpdateSnapshot(snaps[epoch].g, snaps[epoch].store, nil)
+					} else {
+						e.Close()
+					}
+				}
+				req := Request{Mech: MechFlood, Object: objs[rng.Intn(len(objs))], TTL: 3}
+				if rng.Intn(2) == 0 {
+					req.Mech, req.TTL = MechWalk, 64
+				}
+				resp, err := e.Lookup(req)
+				if err == ErrClosed {
+					return
+				}
+				want, _ := refs[resp.Epoch].Lookup(req)
+				if err != nil || resp.Result != want.Result {
+					t.Errorf("%+v at epoch %d: %+v (%v), reference %+v", req, resp.Epoch, resp.Result, err, want.Result)
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	lat := reg.Histogram("serve.latency_ns").Count()
+	requests, hits, misses := reg.Counter("serve.requests").Value(), reg.Counter("serve.cache_hits").Value(), reg.Counter("serve.cache_misses").Value()
+	if e.Epoch() != bumps || lat != uint64(served.Load()) || requests != hits+misses {
+		t.Fatalf("epoch %d; %d served, %d latencies; %d requests, %d hits, %d misses", e.Epoch(), served.Load(), lat, requests, hits, misses)
 	}
 }

@@ -2,12 +2,8 @@ package peer
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +12,7 @@ import (
 
 	"makalu/internal/bloom"
 	"makalu/internal/content"
+	"makalu/internal/purity"
 )
 
 // newTestState returns a node's decision state with no node around it.
@@ -39,33 +36,7 @@ func closed(acts []action) []linkID {
 // the tests' helpers and download schedules on it neither sleep nor
 // read the clock, so their schedules run in virtual time only.
 func TestStepReadsNoClockAndDoesNoIO(t *testing.T) {
-	for file, banned := range map[string][]string{
-		"step.go":          {"Now", "Since"},
-		"stream.go":        {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"switch.go":        {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"storm.go":         {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"switch_test.go":   {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-		"download_test.go": {"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
-	} {
-		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range f.Imports {
-			switch p, _ := strconv.Unquote(imp.Path.Value); p {
-			case "net", "sync", "bufio", "os":
-				t.Errorf("%s imports %s", file, p)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && slices.Contains(banned, sel.Sel.Name) {
-					t.Errorf("%s calls time.%s", file, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-	}
+	purity.Check(t, true, "step.go", "stream.go", "switch.go", "storm.go", "switch_test.go", "download_test.go")
 }
 
 // TestStepReplaysIdentically feeds one seeded script of events — link
