@@ -160,7 +160,10 @@ func (w *swNet) mix(v uint64, s string, b []byte) {
 	for i := 0; i < 64; i += 8 {
 		w.sum = (w.sum ^ v>>i&0xff) * 1099511628211
 	}
-	for _, c := range append([]byte(s), b...) {
+	for i := 0; i < len(s); i++ {
+		w.sum = (w.sum ^ uint64(s[i])) * 1099511628211
+	}
+	for _, c := range b {
 		w.sum = (w.sum ^ uint64(c)) * 1099511628211
 	}
 }
