@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -117,8 +118,10 @@ func TestResolveDeny(t *testing.T) {
 	}
 }
 
-// freePort reserves and releases an ephemeral port; the window between
-// release and reuse is small enough for a test.
+// freePort reserves and releases an ephemeral port, which another
+// process can take before the caller binds it. Only
+// TestTwoProcessSocketSmoke uses it: its joiner must know the seed's
+// address before the seed starts.
 func freePort(t *testing.T) int {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -252,14 +255,12 @@ func TestServeModeABFAndRateLimit(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	httpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	tcpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	node := exec.Command(filepath.Join(dir, "makalu-node"),
-		"-serve-http", httpAddr, "-serve-tcp", tcpAddr,
+		"-serve-http", "127.0.0.1:0", "-serve-tcp", "127.0.0.1:0",
 		"-serve-nodes", "2000", "-serve-objects", "200",
 		"-serve-abf", "-serve-rate", "20", "-rng-seed", "1",
 	)
-	var nodeOut strings.Builder
+	var nodeOut syncBuffer
 	node.Stdout = &nodeOut
 	node.Stderr = &nodeOut
 	if err := node.Start(); err != nil {
@@ -267,6 +268,16 @@ func TestServeModeABFAndRateLimit(t *testing.T) {
 	}
 	defer node.Process.Kill()
 	deadline := time.Now().Add(60 * time.Second)
+	// The daemon prints each address once it is bound.
+	var httpAddr, tcpAddr string
+	for httpAddr == "" || tcpAddr == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never printed both bound addresses:\n%s", nodeOut.String())
+		}
+		time.Sleep(50 * time.Millisecond)
+		out := nodeOut.String()
+		httpAddr, tcpAddr = boundAddr(out, "serving HTTP on "), boundAddr(out, "serving TCP lookups on ")
+	}
 	for {
 		resp, err := http.Get("http://" + httpAddr + "/healthz")
 		if err == nil {
@@ -319,6 +330,65 @@ func TestServeModeABFAndRateLimit(t *testing.T) {
 	}
 	if err := node.Wait(); err != nil {
 		t.Fatalf("daemon exited %v after SIGTERM:\n%s", err, nodeOut.String())
+	}
+}
+
+// syncBuffer collects a child process's output while the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// boundAddr returns the address on the output line that starts with
+// prefix, or "".
+func boundAddr(out, prefix string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if a, ok := strings.CutPrefix(line, prefix); ok {
+			return a
+		}
+	}
+	return ""
+}
+
+// TestServeHTTPAddressInUseExits: service mode binds its HTTP address
+// before it serves, so an address another process holds is an error
+// the daemon exits on (status 1), not one it logs while serving on
+// without HTTP.
+func TestServeHTTPAddressInUseExits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir, "makalu/cmd/makalu-node").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, filepath.Join(dir, "makalu-node"),
+		"-serve-http", held.Addr().String(), "-serve-tcp", "127.0.0.1:0", "-serve-nodes", "100").CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("the daemon was still running 30 s after its HTTP bind failed:\n%s", out)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "address already in use") {
+		t.Fatalf("%v, want exit status 1 on the bind error\n%s", err, out)
 	}
 }
 
