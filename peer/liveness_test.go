@@ -346,11 +346,12 @@ func TestSeededTiesIgnoreMapOrder(t *testing.T) {
 		for _, a := range s.refill(now, nil) {
 			dialed = append(dialed, a.addr)
 		}
-		// Four links, all scoring 0 and out of grace, on a capacity-2 node.
+		// Four informed links, with empty views and one RTT, all scoring
+		// alike on a capacity-2 node.
 		for _, a := range order[:4] {
-			s.conns[a] = &nbr{born: now.Add(-5 * time.Hour)}
+			s.conns[a], s.views[a], s.rtt[a] = &nbr{}, nil, 0.01
 		}
-		return s.victims(now), dialed
+		return s.victims(), dialed
 	}
 	wantVictims, wantDialed := decide(addrs)
 	if len(wantDialed) != 2 {

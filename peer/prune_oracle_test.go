@@ -19,22 +19,20 @@ import (
 // the node's neighbor table, and a fuzz target that holds the state's
 // victim sequence to it.
 
-// pruneOracle is the slice of the node's state the old rating read, at
-// the time now.
+// pruneOracle is the slice of the node's state the old rating read.
 type pruneOracle struct {
 	cfg         Config
 	alpha, beta float64
 	self        string
-	now         time.Time
 	conns       map[string]*nbr
 	views       map[string][]string
 	rtt         map[string]float64
 }
 
-// newPruneOracle snapshots s's neighbor table at now, rated with
-// weights alpha and beta.
-func newPruneOracle(s *state, now time.Time, alpha, beta float64) *pruneOracle {
-	return &pruneOracle{cfg: s.cfg, alpha: alpha, beta: beta, self: s.self, now: now, conns: maps.Clone(s.conns), views: maps.Clone(s.views), rtt: maps.Clone(s.rtt)}
+// newPruneOracle snapshots s's neighbor table, rated with weights alpha
+// and beta.
+func newPruneOracle(s *state, alpha, beta float64) *pruneOracle {
+	return &pruneOracle{cfg: s.cfg, alpha: alpha, beta: beta, self: s.self, conns: maps.Clone(s.conns), views: maps.Clone(s.views), rtt: maps.Clone(s.rtt)}
 }
 
 // victims is the old pruneIfNeeded loop with its Bye and dropLink
@@ -54,42 +52,41 @@ func (n *pruneOracle) victims() []string {
 }
 
 // selectPruneVictim returns the lowest-rated link when over capacity.
-// Fresh links (younger than two management intervals) are protected:
-// they have not exchanged views or measured RTT yet, so their rating
-// would be spuriously zero and newcomers could never join a network
-// of full nodes. The grace is waived when the node is far over
-// capacity (a dial storm).
+// A link is informed once its view and an RTT are in. Until every link
+// is, an uninformed link's rating would be spuriously low, so nothing is
+// dropped unless the node is far over capacity (a dial storm); then the
+// lowest-rated uninformed link goes.
 func (n *pruneOracle) selectPruneVictim() string {
 	over := len(n.conns) - n.cfg.Capacity
 	if over <= 0 {
 		return ""
 	}
-	grace := 2 * n.cfg.ManageInterval
-	scores := n.rateLocked()
-	pick := func(includeYoung bool) string {
-		worst := ""
-		worstScore := 0.0
-		for addr, s := range scores {
-			l := n.conns[addr]
-			if !includeYoung && n.now.Sub(l.born) < grace {
-				continue
-			}
-			// Ties (every link scores 0 before views and RTTs arrive)
-			// break by address, not by map order.
-			if worst == "" || s < worstScore || (s == worstScore && addr < worst) {
-				worst = addr
-				worstScore = s
-			}
+	informed := func(addr string) bool {
+		_, view := n.views[addr]
+		_, rtt := n.rtt[addr]
+		return view && rtt
+	}
+	waiting := false
+	for addr := range n.conns {
+		waiting = waiting || !informed(addr)
+	}
+	if waiting && over <= 2 {
+		return ""
+	}
+	worst := ""
+	worstScore := 0.0
+	for addr, s := range n.rateLocked() {
+		if waiting && informed(addr) {
+			continue
 		}
-		return worst
+		// Ties (every link scores 0 before views and RTTs arrive)
+		// break by address, not by map order.
+		if worst == "" || s < worstScore || (s == worstScore && addr < worst) {
+			worst = addr
+			worstScore = s
+		}
 	}
-	if v := pick(false); v != "" {
-		return v
-	}
-	if over > 2 {
-		return pick(true) // dial storm: shed someone regardless
-	}
-	return "" // everyone is in grace; tolerate transient overrun
+	return worst
 }
 
 // rateLocked computes the rating of every neighbor from the exchanged
@@ -158,8 +155,8 @@ func (b *fuzzBytes) next() byte {
 
 // FuzzPruneMatchesOracle loads a state with 1–40 neighbors, a
 // capacity of 1..deg, views of 0–30 entries mixing neighbors, the node
-// itself and outsiders, RTTs in [1 µs, 2 s] or unmeasured and links
-// young or old (ages either side of the grace), runs the state's prune
+// itself and outsiders, or no view yet, and RTTs in [1 µs, 2 s] or
+// unmeasured, so that links are informed or not, runs the state's prune
 // and holds the order in which it closed links to the old rating's
 // victims, worst-first. The generator leaves out repeated view entries
 // and RTT samples of 0, the two inputs on which the kernel knowingly
@@ -176,24 +173,20 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 	}
 	weights := [][2]float64{{1, 1}, {1, 0}, {0, 1}, {2, 0.5}}
 	coarse := []float64{1e-6, 1e-3, 0.05, 2}
-	// Link ages on both sides of the two-hour grace of a node whose
-	// management interval is an hour.
-	ages := []time.Duration{0, 90 * time.Minute, 150 * time.Minute, 5 * time.Hour}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		deg := 1 + int(in.next())%40
 		capacity := 1 + int(in.next())%deg
 		w := weights[in.next()%4]
-		s := newTestState("10.9.9.9:9", Config{Capacity: capacity, ManageInterval: time.Hour})
+		s := newTestState("10.9.9.9:9", Config{Capacity: capacity})
 		s.rater = core.NewRater(w[0], w[1])
 		// Neighbor i is link i+1.
 		peerAddr := func(i int) string { return net.JoinHostPort("10.0.0.1", strconv.Itoa(2000+i)) }
 		outsider := func(i int) string { return net.JoinHostPort("10.0.2.1", strconv.Itoa(3000+i)) }
-		now := time.Unix(1e9, 0)
 		for i := 0; i < deg; i++ {
 			a := peerAddr(i)
 			flags := in.next()
-			s.conns[a] = &nbr{id: linkID(i + 1), born: now.Add(-ages[flags&3])}
+			s.conns[a] = &nbr{id: linkID(i + 1)}
 			switch (flags >> 2) & 3 {
 			case 1:
 				s.rtt[a] = coarse[in.next()%4]
@@ -217,12 +210,14 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 					view = append(view, x)
 				}
 			}
-			s.views[a] = view
+			if flags&3 != 0 { // one neighbor in four has sent no view yet
+				s.views[a] = view
+			}
 		}
 
-		want := newPruneOracle(s, now, w[0], w[1]).victims()
+		want := newPruneOracle(s, w[0], w[1]).victims()
 		var got []string
-		for _, id := range closed(s.prune(now, nil)) {
+		for _, id := range closed(s.prune(time.Unix(1e9, 0), nil)) {
 			got = append(got, peerAddr(int(id)-1))
 		}
 		if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {

@@ -27,9 +27,11 @@ func (m constLatency) Latency(u, v int) float64 { return 0.01 }
 // so that address order is u's adjacency order, each view its adjacency
 // list, each RTT the link latency. It must drop the neighbor core's
 // RateNeighbors rates lowest, ties going to the first in adjacency
-// order. Each node is checked again with one neighbor unmeasured,
-// against RateNeighbors' terms with that neighbor's proximity removed
-// and d_min taken over the others.
+// order. Each node is checked again with that neighbor as the newest
+// link: it comes up on a state at capacity, and nothing is dropped until
+// its neighbor list and its pong are both in; then it is the one
+// dropped. A third load leaves one established link unmeasured, and the
+// prune waits for its pong.
 func TestRateMatchesCoreRating(t *testing.T) {
 	const n = 200
 	now := time.Unix(1e9, 0)
@@ -56,54 +58,70 @@ func TestRateMatchesCoreRating(t *testing.T) {
 				}
 				return "127.0.0.3:" + strconv.Itoa(1000+int(v))
 			}
-			infos := ov.RateNeighbors(u, nil)
-			for _, unmeasured := range []int{-1, u % len(nb)} {
+			view := func(w int32) (out []string) {
+				for _, x := range g.Neighbors(int(w)) {
+					out = append(out, name(x))
+				}
+				return out
+			}
+			// load registers every neighbor but skip as an established
+			// link, with its view and, but for unmeasured, its RTT.
+			load := func(skip, unmeasured int) {
 				s.conns, s.views, s.rtt = map[string]*nbr{}, map[string][]string{}, map[string]float64{}
 				for p, w := range nb {
+					if p == skip {
+						continue
+					}
 					a := name(w)
-					s.conns[a] = &nbr{id: linkID(p + 1), born: now.Add(-5 * time.Hour)}
+					s.conns[a] = &nbr{id: linkID(p + 1)}
 					if p != unmeasured {
 						s.rtt[a] = net.Latency(u, int(w))
 					}
-					for _, x := range g.Neighbors(int(w)) {
-						s.views[a] = append(s.views[a], name(x))
-					}
-				}
-				dropped := closed(s.prune(now, nil))
-
-				dmin := math.Inf(1)
-				for p, in := range infos {
-					if p != unmeasured {
-						dmin = min(dmin, in.Latency)
-					}
-				}
-				worst, tied := 0, false
-				scores := make([]float64, len(infos))
-				for p, in := range infos {
-					switch {
-					case unmeasured < 0:
-						scores[p] = in.Score
-					case p == unmeasured:
-						scores[p] = in.Connectivity
-					default:
-						scores[p] = in.Connectivity + cfg.Beta*dmin/in.Latency
-					}
-					if scores[p] < scores[worst] {
-						worst, tied = p, false
-					} else if p > 0 && scores[p] == scores[worst] {
-						tied = true
-					}
-				}
-				if len(dropped) != 1 || dropped[0] != linkID(worst+1) {
-					t.Fatalf("node %d, unmeasured %d: live victims %v, core link %d (scores %v)", u, unmeasured, dropped, worst+1, scores)
-				}
-				checked++
-				if tied {
-					ties++
+					s.views[a] = view(w)
 				}
 			}
+			worst, tied := 0, false
+			infos := ov.RateNeighbors(u, nil)
+			for p, in := range infos {
+				if in.Score < infos[worst].Score {
+					worst, tied = p, false
+				} else if p > 0 && in.Score == infos[worst].Score {
+					tied = true
+				}
+			}
+			want := []linkID{linkID(worst + 1)}
+
+			load(-1, -1)
+			if got := closed(s.prune(now, nil)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %d: live victims %v, core link %d (infos %v)", u, got, worst+1, infos)
+			}
+
+			// The newest link: its up, view and pong, each a step.
+			load(worst, -1)
+			a, id := name(nb[worst]), linkID(worst+1)
+			acts := s.step(now, evUp{link: id, addr: a}, nil)
+			ping := acts[len(acts)-1]
+			if ping.msg != msgPing || len(closed(acts)) != 0 {
+				t.Fatalf("node %d: the newest link's up ends in %+v and closes %v", u, ping, closed(acts))
+			}
+			if got := closed(s.step(now, evFrame{link: id, addr: a, msg: msgNeighbors, payload: encodeNeighbors(neighborsPayload{Addrs: view(nb[worst])})}, nil)); len(got) != 0 {
+				t.Fatalf("node %d: closed %v with the newest link's RTT not in", u, got)
+			}
+			rtt := time.Duration(math.Round(net.Latency(u, int(nb[worst])) * 1e9))
+			if got := closed(s.step(now.Add(rtt), evFrame{link: id, addr: a, msg: msgPong, payload: ping.payload}, nil)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %d: with the newest link informed, live victims %v, core link %d (infos %v)", u, got, worst+1, infos)
+			}
+
+			load(-1, u%len(nb))
+			if got := closed(s.prune(now, nil)); len(got) != 0 {
+				t.Fatalf("node %d: closed %v with link %d unmeasured", u, got, u%len(nb)+1)
+			}
+			checked += 2
+			if tied {
+				ties++
+			}
 		}
-		t.Logf("%T: %d decisions, %d with a tied minimum", net, checked, ties)
+		t.Logf("%T: %d decisions, %d nodes with a tied minimum", net, checked, ties)
 		if checked < 300 {
 			t.Fatalf("%T: checked %d decisions: too few to test anything", net, checked)
 		}
@@ -121,10 +139,11 @@ func TestRepeatedViewEntryCountsOnce(t *testing.T) {
 	s := newTestState("127.0.0.1:1", Config{Capacity: 1, ManageInterval: time.Hour})
 	p, q := "10.0.0.2:1", "10.0.0.1:1"
 	now := time.Unix(1e9, 0)
-	s.conns[p] = &nbr{id: 1, born: now.Add(-5 * time.Hour)}
-	s.conns[q] = &nbr{id: 2, born: now.Add(-5 * time.Hour)}
+	s.conns[p] = &nbr{id: 1}
+	s.conns[q] = &nbr{id: 2}
 	s.views[p] = []string{"10.0.0.9:1", "10.0.0.9:1"}
 	s.views[q] = []string{"10.0.0.8:1"}
+	s.rtt[p], s.rtt[q] = 0.01, 0.01
 	if got := closed(s.prune(now, nil)); !reflect.DeepEqual(got, []linkID{2}) {
 		t.Fatalf("closed links %v, want [2] (%s)", got, q)
 	}
@@ -146,10 +165,9 @@ func BenchmarkLivePruneDecision(b *testing.B) {
 	for g.Degree(u) != 14 {
 		u++
 	}
-	now := time.Unix(1e9, 0)
 	for _, capacity := range []int{13, 8} {
 		b.Run("capacity="+strconv.Itoa(capacity), func(b *testing.B) {
-			s := newTestState("127.0.0.1:1", Config{Capacity: capacity, ManageInterval: time.Hour})
+			s := newTestState("127.0.0.1:1", Config{Capacity: capacity})
 			name := func(v int32) string {
 				if int(v) == u {
 					return s.self
@@ -158,7 +176,7 @@ func BenchmarkLivePruneDecision(b *testing.B) {
 			}
 			for _, w := range g.Neighbors(u) {
 				a := name(w)
-				s.conns[a] = &nbr{born: now.Add(-5 * time.Hour)}
+				s.conns[a] = &nbr{}
 				s.rtt[a] = lat.Latency(u, int(w))
 				for _, x := range g.Neighbors(int(w)) {
 					s.views[a] = append(s.views[a], name(x))
@@ -167,7 +185,7 @@ func BenchmarkLivePruneDecision(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if v := s.victims(now); len(v) != 14-capacity {
+				if v := s.victims(); len(v) != 14-capacity {
 					b.Fatalf("%d victims", len(v))
 				}
 			}

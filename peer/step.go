@@ -126,10 +126,9 @@ func send(id linkID, msg byte, payload []byte) action {
 // nbr is one registered link.
 type nbr struct {
 	id      linkID
-	out     bool      // this node dialled it
-	born    time.Time // registration, for the pruning grace period
-	missed  int       // consecutive expired ping nonces
-	suspect bool      // missed >= suspectMisses
+	out     bool // this node dialled it
+	missed  int  // consecutive expired ping nonces
+	suspect bool // missed >= suspectMisses
 }
 
 type pingRef struct {
@@ -168,6 +167,7 @@ type state struct {
 	met       *nodeMetrics
 	queries   uint64 // queries forwarded (stats)
 	evictions uint64 // links dropped for liveness (stats)
+	moved     bool   // a link came or went since the last refill
 	qid       uint64 // the id the last evQuery drew, for its caller
 }
 
@@ -197,7 +197,9 @@ func newState(self string, cfg Config, met *nodeMetrics) *state {
 }
 
 // step applies one event at time now and appends the actions it calls
-// for to out.
+// for to out, then prunes: a link up, a frame that informs a link and a
+// link's loss can each leave the node over capacity with every link
+// informed.
 func (s *state) step(now time.Time, ev event, out []action) []action {
 	switch e := ev.(type) {
 	case evFrame:
@@ -239,7 +241,7 @@ func (s *state) step(now time.Time, ev event, out []action) []action {
 	case evChunkDeadline:
 		out = s.chunkDeadline(now, e, out)
 	}
-	return out
+	return s.prune(now, out)
 }
 
 // current reports whether id is the registered link to addr.
@@ -273,8 +275,8 @@ func (s *state) hello(e evHello, out []action) []action {
 	return append(out, send(e.link, msgHelloAck, nil))
 }
 
-// up registers a finished handshake, pushes our neighbor list and a ping
-// on it, and prunes if we are over capacity. A handshake that finishes
+// up registers a finished handshake and pushes our neighbor list and a
+// ping on it; step prunes after it. A handshake that finishes
 // after SetDenied named its address is closed without a Bye instead, as
 // deny cuts a registered link. A second connection to a
 // held address replaces the first unless the first is the one the lower
@@ -295,13 +297,14 @@ func (s *state) up(now time.Time, e evUp, out []action) []action {
 		}
 		out = s.drop(e.addr, append(out, send(old.id, msgBye, nil)))
 	}
-	s.conns[e.addr] = &nbr{id: e.link, out: e.out, born: now}
+	s.conns[e.addr] = &nbr{id: e.link, out: e.out}
+	s.moved = true
 	s.addToCache(e.addr)
 	s.met.joins.Inc()
 	s.met.links.Add(1)
 	s.met.trace.RecordAt(now, obs.EvJoin, s.self, e.addr, 0)
 	out = append(out, send(e.link, msgNeighbors, encodeNeighbors(neighborsPayload{Addrs: s.neighbors()})))
-	return s.prune(now, s.ping(now, e.addr, out))
+	return s.ping(now, e.addr, out)
 }
 
 // drop removes the link to addr and every piece of per-peer state tied
@@ -309,6 +312,7 @@ func (s *state) up(now time.Time, e evUp, out []action) []action {
 // hierarchy — and closes it.
 func (s *state) drop(addr string, out []action) []action {
 	id := s.conns[addr].id
+	s.moved = true
 	delete(s.conns, addr)
 	delete(s.views, addr)
 	delete(s.rtt, addr)
@@ -374,7 +378,11 @@ func (s *state) frame(now time.Time, e evFrame, out []action) []action {
 			out = s.handleDirected(now, q, out)
 		}
 	case msgBye:
-		out = s.drop(e.addr, out)
+		// A node the Bye leaves with no link refills at once, as after
+		// an eviction.
+		if out = s.drop(e.addr, out); len(s.conns) == 0 {
+			out = append(out, action{kind: actKick})
+		}
 	}
 	return out
 }
@@ -487,10 +495,19 @@ func (s *state) dialFailed(now time.Time, addr string) {
 	s.met.backoffEntries.Set(int64(len(s.backoff)))
 }
 
-// refill dials host-cache candidates while the node is under capacity —
-// the self-healing a pruned or orphaned peer relies on.
+// refill dials host-cache candidates up to capacity — the self-healing
+// a pruned or orphaned peer relies on. A node at capacity whose links
+// held still since the last refill dials one: the probe of core's
+// ProbesPerRound = 1, which stays only if it outrates the worst link,
+// and which reaches a node whose own cached addresses are all dead.
+// Like a core round, a probe starts from a settled neighbor set; one
+// made while links still move would add to the churn it rates against.
 func (s *state) refill(now time.Time, out []action) []action {
 	want := s.cfg.Capacity - len(s.conns)
+	if want == 0 && !s.moved {
+		want = 1
+	}
+	s.moved = false
 	if want <= 0 {
 		return out
 	}
@@ -547,7 +564,7 @@ func (s *state) addToCache(addr string) {
 
 // prune drops victims' picks, each with a Bye.
 func (s *state) prune(now time.Time, out []action) []action {
-	for _, a := range s.victims(now) {
+	for _, a := range s.victims() {
 		s.met.prunes.Inc()
 		s.met.trace.RecordAt(now, obs.EvPrune, s.self, a, 0)
 		out = s.drop(a, append(out, send(s.conns[a].id, msgBye, nil)))
@@ -556,31 +573,41 @@ func (s *state) prune(now time.Time, out []action) []action {
 }
 
 // victims rates the neighbors with core's F(u,v) and returns the links
-// to drop, worst-first: calm, up to the excess, spares links younger
-// than two management intervals (with no views or RTTs yet they rate
-// spuriously low, and newcomers could never join full nodes); storm, if
-// the node is still more than two over (a dial storm), sheds the worst
-// young links down to two over.
-func (s *state) victims(now time.Time) []string {
+// to drop, worst-first. Once every link is informed — its neighbor list
+// and a pong have arrived — that is core's prune: every link rated, up
+// to the excess, a newcomer that rates worst included. Until then an
+// uninformed link would rate spuriously low, so the prune waits, unless
+// the node is more than two over (a dial storm): then it sheds its worst
+// uninformed links down to two over, and prunes the rest to capacity if
+// that shed them all.
+func (s *state) victims() []string {
 	over := len(s.conns) - s.cfg.Capacity
 	if over <= 0 {
 		return nil
 	}
 	// Positions in address order: ties break by address.
 	addrs := s.neighbors()
-	young := make([]bool, len(addrs))
-	var youngAddrs []string
+	informed := make([]bool, len(addrs))
+	waiting := 0
 	for p, a := range addrs {
-		young[p] = now.Sub(s.conns[a].born) < 2*s.cfg.ManageInterval
-		if young[p] {
-			youngAddrs = append(youngAddrs, a)
+		_, view := s.views[a]
+		_, rtt := s.rtt[a]
+		if informed[p] = view && rtt; !informed[p] {
+			waiting++
 		}
 	}
-	calm := s.rank(addrs, young, over)
-	if rest := over - len(calm) - 2; rest > 0 {
-		return append(calm, s.rank(youngAddrs, nil, rest)...)
+	var storm []string
+	if waiting > 0 {
+		if over <= 2 {
+			return nil
+		}
+		if storm = s.rank(addrs, informed, over-2); len(storm) < waiting {
+			return storm
+		}
+		addrs = slices.DeleteFunc(addrs, func(a string) bool { return slices.Contains(storm, a) })
+		over -= len(storm)
 	}
-	return calm
+	return append(storm, s.rank(addrs, nil, over)...)
 }
 
 // rank renders addrs, each at its index, as core.Rater's local view,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -168,22 +169,23 @@ func TestMassFailureGolden(t *testing.T) {
 		hash  uint64
 		rows  []row
 	}{
-		{1, 59492, 0x5245c338c6aba1c, []row{
-			{0x3fcc28f5c28f5c29, 200, 1, 0x3ff0000000000000, 0x4010ae147ae147ae, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3fe3333333333333, 140, 3, 0x3fef8af8af8af8b0, 0x401041d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3feb333333333333, 140, 1, 0x3ff0000000000000, 0x400e492492492492, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff199999999999a, 140, 1, 0x3ff0000000000000, 0x400f075075075075, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff599999999999a, 140, 1, 0x3ff0000000000000, 0x400f5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff970a3d70a3d70, 140, 1, 0x3ff0000000000000, 0x401083a83a83a83b, 0x3ff0000000000000, 0xbff0000000000000},
+		{1, 52085, 0xe9f885b4647e783a, []row{
+			{0x3fc999999999999a, 200, 1, 0x3ff0000000000000, 0x400acccccccccccd, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3fe23d70a3d70a3d, 140, 10, 0x3fed075075075075, 0x400d8af8af8af8b0, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3fea3d70a3d70a3d, 140, 6, 0x3fee666666666666, 0x400e2be2be2be2be, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff11eb851eb851f, 140, 4, 0x3fef507507507507, 0x400db6db6db6db6e, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff51eb851eb851f, 140, 2, 0x3fefc57c57c57c58, 0x400dd41d41d41d42, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff91eb851eb851e, 140, 1, 0x3ff0000000000000, 0x400b15f15f15f15f, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff91eb851eb851e, 140, 1, 0x3ff0000000000000, 0x400b15f15f15f15f, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
-		{2, 60105, 0x1fb981352c5f956a, []row{
-			{0x3fd0a3d70a3d70a4, 200, 1, 0x3ff0000000000000, 0x4011800000000000, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3fe3d70a3d70a3d7, 140, 3, 0x3fef507507507507, 0x400fe2be2be2be2c, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3febd70a3d70a3d7, 140, 4, 0x3feedb6db6db6db7, 0x400e750750750750, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff1eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400f5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff5eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400f41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff9eb851eb851ec, 140, 2, 0x3fefc57c57c57c58, 0x4010333333333333, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ffca3d70a3d70a4, 140, 1, 0x3ff0000000000000, 0x4011075075075075, 0x3ff0000000000000, 0xbff0000000000000},
+		{2, 53852, 0x3271bd736134b273, []row{
+			{0x3fd0a3d70a3d70a4, 200, 1, 0x3ff0000000000000, 0x400c851eb851eb85, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3fe3d70a3d70a3d7, 140, 7, 0x3fedb6db6db6db6e, 0x400d41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3febd70a3d70a3d7, 140, 5, 0x3fee2be2be2be2be, 0x400d6db6db6db6db, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff1eb851eb851ec, 140, 2, 0x3fef507507507507, 0x400da83a83a83a84, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff5eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400d41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff9eb851eb851ec, 140, 1, 0x3ff0000000000000, 0x400c924924924925, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff9eb851eb851ec, 140, 1, 0x3ff0000000000000, 0x400c924924924925, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
 	}
 	for _, g := range golden {
@@ -301,4 +303,65 @@ func TestStatsConsistentDuringEvictions(t *testing.T) {
 		t.Fatal("no evictions happened; the test observed nothing")
 	}
 	t.Logf("%d steps checked across %d evictions", w.steps-steps, evictions())
+}
+
+// TestStrandedNodeRejoinsByProbe: a node that caches only
+// black-holed addresses, and is cached only by nodes at capacity, is
+// reached by nothing but a probe. x joins a converged cluster through
+// one node, a, and is black-holed the moment the link comes up, before
+// a's neighbor list reaches it: x caches a alone, while a (and each
+// node a's lists reach while x is still a's link) caches x. Once both
+// ends have evicted the link and every node that caches x is at
+// capacity, x is reachable again from all but a. A node at capacity
+// must probe x within 20 management intervals, and x must learn enough
+// from that link to pull the overlay back into one component within 40.
+func TestStrandedNodeRejoinsByProbe(t *testing.T) {
+	cfg := tightConfig(3)
+	cfg.Capacity = 3
+	w := newSwitch(t, 3)
+	nodes := w.cluster(12, cfg)
+	full := func(nd *swNode) bool { return len(nd.st.conns) == cfg.Capacity }
+	if !w.waitFor(20*time.Second, func() bool {
+		return w.snapshot().Components == 1 && !slices.ContainsFunc(nodes, func(nd *swNode) bool { return !full(nd) })
+	}) {
+		t.Fatalf("the cluster never filled as one component: %+v", w.snapshot())
+	}
+	xcfg := cfg
+	xcfg.Seed = 99
+	x, a := w.add(xcfg), nodes[0]
+	w.do(x, evConnect{addr: a.addr})
+	w.stepUntil(func() bool { return len(x.st.conns) == 1 })
+	w.isolate(x)
+	if !w.waitFor(20*cfg.ManageInterval, func() bool {
+		if len(x.st.conns) != 0 || a.st.conns[x.addr] != nil {
+			return false
+		}
+		return !slices.ContainsFunc(nodes, func(nd *swNode) bool { return nd.st.cache[x.addr] && !full(nd) })
+	}) {
+		t.Fatalf("x was never stranded: x has %d links, a holds x %v", len(x.st.conns), a.st.conns[x.addr] != nil)
+	}
+	w.restore(x)
+	w.cut(x, a)
+	if len(x.st.cache) != 1 || !x.st.cache[a.addr] {
+		t.Fatalf("x caches %v, want only a (%s)", x.st.cache, a.addr)
+	}
+	stranded := w.elapsed()
+	var prober *swNode // the first node to dial x, and full after that step
+	check := w.onStep
+	w.onStep = func(nd *swNode, ev event, acts []action) {
+		check(nd, ev, acts)
+		if prober == nil && slices.ContainsFunc(acts, func(a action) bool { return a.kind == actDial && a.addr == x.addr }) && full(nd) {
+			prober = nd
+		}
+	}
+	if !w.waitFor(20*cfg.ManageInterval, func() bool { return len(x.st.conns) > 0 }) {
+		t.Fatalf("x still has no link 20 management intervals after it was stranded")
+	}
+	if prober == nil {
+		t.Fatal("x was reached, but not by a node at capacity")
+	}
+	if !w.waitFor(40*cfg.ManageInterval-(w.elapsed()-stranded), func() bool { return w.snapshot().Components == 1 }) {
+		t.Fatalf("x linked %v after it was stranded, but the overlay is not one component 40 intervals after: %+v", w.elapsed()-stranded, w.snapshot())
+	}
+	t.Logf("x linked and the overlay whole %v after x was stranded", w.elapsed()-stranded)
 }

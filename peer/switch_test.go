@@ -125,7 +125,19 @@ func noneOver(nodes []*swNode) bool {
 // it has missed suspectMisses pongs in a row, backoff ⊆ host cache ≤
 // hostCacheCap, the duplicate-suppression map and its FIFO have one
 // size, and a download in flight still lacks a chunk and has a source.
+// It also holds the prune rule: a node whose links are all informed
+// (view and RTT in) is within capacity, and no node is more than two
+// over.
 func checkState(s *state) error {
+	informed := true
+	for a := range s.conns {
+		_, view := s.views[a]
+		_, rtt := s.rtt[a]
+		informed = informed && view && rtt
+	}
+	if over := len(s.conns) - s.cfg.Capacity; over > 2 || informed && over > 0 {
+		return fmt.Errorf("%d links on capacity %d, all informed %v", len(s.conns), s.cfg.Capacity, informed)
+	}
 	for what, a := range map[string]string{"a view from": unlinked(s, s.views), "an RTT for": unlinked(s, s.rtt), "a hierarchy from": unlinked(s, s.received)} {
 		if a != "" {
 			return fmt.Errorf("%s %s, which has no link", what, a)
