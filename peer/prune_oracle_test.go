@@ -15,9 +15,10 @@ import (
 
 // This file holds the live prune decision's reference implementation:
 // the address-map rating and victim scan the node shipped before it
-// pruned through core's rating kernel, kept verbatim on a snapshot of
-// the node's neighbor table, and a fuzz target that holds the state's
-// victim sequence to it.
+// pruned through core's rating kernel, on a snapshot of the node's
+// neighbor table, with the rule for which links may go (selectPruneVictim)
+// following the node's, and a fuzz target that holds the state's victim
+// sequence to it.
 
 // pruneOracle is the slice of the node's state the old rating read.
 type pruneOracle struct {
