@@ -132,9 +132,10 @@ func TestRateMatchesCoreRating(t *testing.T) {
 }
 
 // A neighbor that lists an address twice must not lose the credit for
-// it: P sends [X, X] and Q sends [Y], so R(u,P) = {X}, R(u,Q) = {Y} and
-// both score 1/2. The tie drops Q, whose address sorts first. Counting
-// P's second X as a second sighting would score P 0 and drop P.
+// it: P sends [X, X] and Q sends [Y], so R(u,P) = {X}, R(u,Q) = {Y} and,
+// with one RTT for both, they score alike. The tie drops Q, whose
+// address sorts first. Counting P's second X as a second sighting would
+// cost P its connectivity and drop P.
 func TestRepeatedViewEntryCountsOnce(t *testing.T) {
 	s := newTestState("127.0.0.1:1", Config{Capacity: 1, ManageInterval: time.Hour})
 	p, q := "10.0.0.2:1", "10.0.0.1:1"
