@@ -58,7 +58,7 @@ func TestSilentPeerSuspectedEvictedAndPurged(t *testing.T) {
 		t.Fatalf("link never became healthy: %+v", nd.st.stats())
 	}
 
-	w.silence(p, nd, true)
+	w.silence(p, nd, msgPong, true)
 	if !w.waitFor(3*time.Second, func() bool { return nd.st.evictions > 0 }) {
 		t.Fatal("silent peer never evicted")
 	}
@@ -97,11 +97,11 @@ func TestSuspectLinkRecoversOnPong(t *testing.T) {
 	if !w.waitFor(2*time.Second, func() bool { return len(nd.st.conns) == 1 }) {
 		t.Fatal("link never registered")
 	}
-	w.silence(p, nd, true)
+	w.silence(p, nd, msgPong, true)
 	if !w.waitFor(3*time.Second, func() bool { return nd.st.stats().Suspects == 1 }) {
 		t.Fatal("missed pongs never marked the link suspect")
 	}
-	w.silence(p, nd, false)
+	w.silence(p, nd, msgPong, false)
 	if !w.waitFor(3*time.Second, func() bool {
 		st := nd.st.stats()
 		return st.Suspects == 0 && st.Links == 1

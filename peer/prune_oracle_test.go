@@ -53,10 +53,11 @@ func (n *pruneOracle) victims() []string {
 }
 
 // selectPruneVictim returns the lowest-rated link when over capacity.
-// A link is informed once its view and an RTT are in. Until every link
-// is, an uninformed link's rating would be spuriously low, so nothing is
-// dropped unless the node is far over capacity (a dial storm); then the
-// lowest-rated uninformed link goes.
+// A link is informed once an RTT is in and its view too, or two
+// management rounds have passed without one (it then rates with an
+// empty view). Until every link is, an uninformed link's rating would
+// be spuriously low, so nothing is dropped unless the node is far over
+// capacity (a dial storm); then the lowest-rated uninformed link goes.
 func (n *pruneOracle) selectPruneVictim() string {
 	over := len(n.conns) - n.cfg.Capacity
 	if over <= 0 {
@@ -65,7 +66,7 @@ func (n *pruneOracle) selectPruneVictim() string {
 	informed := func(addr string) bool {
 		_, view := n.views[addr]
 		_, rtt := n.rtt[addr]
-		return view && rtt
+		return rtt && (view || n.conns[addr].rounds >= 2)
 	}
 	waiting := false
 	for addr := range n.conns {
@@ -156,8 +157,9 @@ func (b *fuzzBytes) next() byte {
 
 // FuzzPruneMatchesOracle loads a state with 1–40 neighbors, a
 // capacity of 1..deg, views of 0–30 entries mixing neighbors, the node
-// itself and outsiders, or no view yet, and RTTs in [1 µs, 2 s] or
-// unmeasured, so that links are informed or not, runs the state's prune
+// itself and outsiders, or no view yet, RTTs in [1 µs, 2 s] or
+// unmeasured, and 0–3 management rounds, so that links are informed or
+// not, runs the state's prune
 // and holds the order in which it closed links to the old rating's
 // victims, worst-first. The generator leaves out repeated view entries
 // and RTT samples of 0, the two inputs on which the kernel knowingly
@@ -187,7 +189,7 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 		for i := 0; i < deg; i++ {
 			a := peerAddr(i)
 			flags := in.next()
-			s.conns[a] = &nbr{id: linkID(i + 1)}
+			s.conns[a] = &nbr{id: linkID(i + 1), rounds: int(flags>>4) & 3}
 			switch (flags >> 2) & 3 {
 			case 1:
 				s.rtt[a] = coarse[in.next()%4]
@@ -218,7 +220,7 @@ func FuzzPruneMatchesOracle(f *testing.F) {
 
 		want := newPruneOracle(s, w[0], w[1]).victims()
 		var got []string
-		for _, id := range closed(s.prune(time.Unix(1e9, 0), nil)) {
+		for _, id := range byes(s.prune(time.Unix(1e9, 0), nil)) {
 			got = append(got, peerAddr(int(id)-1))
 		}
 		if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {

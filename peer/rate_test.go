@@ -92,7 +92,7 @@ func TestRateMatchesCoreRating(t *testing.T) {
 			want := []linkID{linkID(worst + 1)}
 
 			load(-1, -1)
-			if got := closed(s.prune(now, nil)); !reflect.DeepEqual(got, want) {
+			if got := byes(s.prune(now, nil)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("node %d: live victims %v, core link %d (infos %v)", u, got, worst+1, infos)
 			}
 
@@ -101,20 +101,20 @@ func TestRateMatchesCoreRating(t *testing.T) {
 			a, id := name(nb[worst]), linkID(worst+1)
 			acts := s.step(now, evUp{link: id, addr: a}, nil)
 			ping := acts[len(acts)-1]
-			if ping.msg != msgPing || len(closed(acts)) != 0 {
-				t.Fatalf("node %d: the newest link's up ends in %+v and closes %v", u, ping, closed(acts))
+			if ping.msg != msgPing || len(byes(acts)) != 0 {
+				t.Fatalf("node %d: the newest link's up ends in %+v and prunes %v", u, ping, byes(acts))
 			}
-			if got := closed(s.step(now, evFrame{link: id, addr: a, msg: msgNeighbors, payload: encodeNeighbors(neighborsPayload{Addrs: view(nb[worst])})}, nil)); len(got) != 0 {
-				t.Fatalf("node %d: closed %v with the newest link's RTT not in", u, got)
+			if got := byes(s.step(now, evFrame{link: id, addr: a, msg: msgNeighbors, payload: encodeNeighbors(neighborsPayload{Addrs: view(nb[worst])})}, nil)); len(got) != 0 {
+				t.Fatalf("node %d: pruned %v with the newest link's RTT not in", u, got)
 			}
 			rtt := time.Duration(math.Round(net.Latency(u, int(nb[worst])) * 1e9))
-			if got := closed(s.step(now.Add(rtt), evFrame{link: id, addr: a, msg: msgPong, payload: ping.payload}, nil)); !reflect.DeepEqual(got, want) {
+			if got := byes(s.step(now.Add(rtt), evFrame{link: id, addr: a, msg: msgPong, payload: ping.payload}, nil)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("node %d: with the newest link informed, live victims %v, core link %d (infos %v)", u, got, worst+1, infos)
 			}
 
 			load(-1, u%len(nb))
-			if got := closed(s.prune(now, nil)); len(got) != 0 {
-				t.Fatalf("node %d: closed %v with link %d unmeasured", u, got, u%len(nb)+1)
+			if got := byes(s.prune(now, nil)); len(got) != 0 {
+				t.Fatalf("node %d: pruned %v with link %d unmeasured", u, got, u%len(nb)+1)
 			}
 			checked += 2
 			if tied {
@@ -145,8 +145,8 @@ func TestRepeatedViewEntryCountsOnce(t *testing.T) {
 	s.views[p] = []string{"10.0.0.9:1", "10.0.0.9:1"}
 	s.views[q] = []string{"10.0.0.8:1"}
 	s.rtt[p], s.rtt[q] = 0.01, 0.01
-	if got := closed(s.prune(now, nil)); !reflect.DeepEqual(got, []linkID{2}) {
-		t.Fatalf("closed links %v, want [2] (%s)", got, q)
+	if got := byes(s.prune(now, nil)); !reflect.DeepEqual(got, []linkID{2}) {
+		t.Fatalf("pruned links %v, want [2] (%s)", got, q)
 	}
 }
 

@@ -98,7 +98,7 @@ type actKind uint8
 
 const (
 	actSend    actKind = iota // write frame msg with payload on link
-	actClose                  // close link; a Bye is the send before it
+	actClose                  // close link; a Bye is the send before it, but for a prune's
 	actDial                   // dial addr and handshake
 	actHit                    // hand hit to Hits(), or deliver it out of band to addr
 	actChunk                  // chunk ref.chunk of fetch arrived verified from addr
@@ -127,6 +127,7 @@ func send(id linkID, msg byte, payload []byte) action {
 type nbr struct {
 	id      linkID
 	out     bool // this node dialled it
+	rounds  int  // management rounds since it came up
 	missed  int  // consecutive expired ping nonces
 	suspect bool // missed >= suspectMisses
 }
@@ -169,6 +170,10 @@ type state struct {
 	evictions uint64 // links dropped for liveness (stats)
 	moved     bool   // a link came or went since the last refill
 	qid       uint64 // the id the last evQuery drew, for its caller
+	// byes holds the links this node pruned since the last management
+	// round ([0]) and in the round before ([1]): each is read until its
+	// peer closes it or the round after next closes it here.
+	byes [2][]linkID
 }
 
 func newState(self string, cfg Config, met *nodeMetrics) *state {
@@ -203,8 +208,12 @@ func newState(self string, cfg Config, met *nodeMetrics) *state {
 func (s *state) step(now time.Time, ev event, out []action) []action {
 	switch e := ev.(type) {
 	case evFrame:
-		// A frame that outran its link's removal changes nothing.
-		if e.addr == transientAddr || s.current(e.addr, e.link) {
+		// A frame that outran its link's removal changes nothing, but
+		// for the queries and hits a pruned link's peer sent before it
+		// read the Bye.
+		search := e.msg == msgQuery || e.msg == msgQueryHit || e.msg == msgDirectedQuery
+		pruned := slices.Contains(s.byes[0], e.link) || slices.Contains(s.byes[1], e.link)
+		if e.addr == transientAddr || s.current(e.addr, e.link) || search && pruned {
 			out = s.frame(now, e, out)
 		}
 	case evDown:
@@ -307,10 +316,15 @@ func (s *state) up(now time.Time, e evUp, out []action) []action {
 	return s.ping(now, e.addr, out)
 }
 
-// drop removes the link to addr and every piece of per-peer state tied
-// to it — neighbor view, RTT, outstanding ping nonces, received filter
-// hierarchy — and closes it.
+// drop unlinks addr and closes its link.
 func (s *state) drop(addr string, out []action) []action {
+	return append(out, action{kind: actClose, link: s.unlink(addr)})
+}
+
+// unlink removes the link to addr and every piece of per-peer state
+// tied to it — neighbor view, RTT, outstanding ping nonces, received
+// filter hierarchy — and returns its id.
+func (s *state) unlink(addr string) linkID {
 	id := s.conns[addr].id
 	s.moved = true
 	delete(s.conns, addr)
@@ -323,7 +337,7 @@ func (s *state) drop(addr string, out []action) []action {
 		}
 	}
 	s.met.links.Add(-1)
-	return append(out, action{kind: actClose, link: id})
+	return id
 }
 
 // frame dispatches one frame from a registered link (or a transient
@@ -398,10 +412,15 @@ func (s *state) ping(now time.Time, addr string, out []action) []action {
 // and pings, refill, prune, then refresh and push the filter hierarchy
 // (§4.6) over the topology the round settled.
 func (s *state) manage(now time.Time, out []action) []action {
+	for _, id := range s.byes[1] {
+		out = append(out, action{kind: actClose, link: id})
+	}
+	s.byes[0], s.byes[1] = s.byes[1][:0], s.byes[0]
 	out = s.sweep(now, out)
 	addrs := s.neighbors()
 	nb := encodeNeighbors(neighborsPayload{Addrs: addrs})
 	for _, a := range addrs {
+		s.conns[a].rounds++
 		out = s.ping(now, a, append(out, send(s.conns[a].id, msgNeighbors, nb)))
 	}
 	out = s.prune(now, s.refill(now, out))
@@ -562,44 +581,47 @@ func (s *state) addToCache(addr string) {
 	s.cache[addr] = true
 }
 
-// prune drops victims' picks, each with a Bye.
+// prune unlinks victims' picks, each with a Bye, and leaves them open:
+// a query or hit the peer sent before it read the Bye is still served,
+// and the peer closes the link once it has read it.
 func (s *state) prune(now time.Time, out []action) []action {
 	for _, a := range s.victims() {
 		s.met.prunes.Inc()
 		s.met.trace.RecordAt(now, obs.EvPrune, s.self, a, 0)
-		out = s.drop(a, append(out, send(s.conns[a].id, msgBye, nil)))
+		out = append(out, send(s.conns[a].id, msgBye, nil))
+		s.byes[0] = append(s.byes[0], s.unlink(a))
 	}
 	return out
 }
 
 // victims rates the neighbors with core's F(u,v) and returns the links
-// to drop, worst-first. Once every link is informed — its neighbor list
-// and a pong have arrived — that is core's prune: every link rated, up
-// to the excess, a newcomer that rates worst included. Until then an
-// uninformed link would rate spuriously low, so the prune waits, unless
-// the node is more than two over (a dial storm): then it sheds its worst
-// uninformed links down to two over, and prunes the rest to capacity if
-// that shed them all.
+// to drop, worst-first. Once every link is informed (see informed) that
+// is core's prune: every link rated, up to the excess, a newcomer that
+// rates worst included. Until then an uninformed link would rate
+// spuriously low, so the prune waits, unless the node is more than two
+// over (a dial storm): then it sheds its worst uninformed links down to
+// two over, and prunes the rest to capacity if that shed them all.
 func (s *state) victims() []string {
 	over := len(s.conns) - s.cfg.Capacity
 	if over <= 0 {
 		return nil
 	}
-	// Positions in address order: ties break by address.
-	addrs := s.neighbors()
-	informed := make([]bool, len(addrs))
 	waiting := 0
-	for p, a := range addrs {
-		_, view := s.views[a]
-		_, rtt := s.rtt[a]
-		if informed[p] = view && rtt; !informed[p] {
+	for a := range s.conns {
+		if !s.informed(a) {
 			waiting++
 		}
 	}
+	if waiting > 0 && over <= 2 {
+		return nil
+	}
+	// Positions in address order: ties break by address.
+	addrs := s.neighbors()
 	var storm []string
 	if waiting > 0 {
-		if over <= 2 {
-			return nil
+		informed := make([]bool, len(addrs))
+		for p, a := range addrs {
+			informed[p] = s.informed(a)
 		}
 		if storm = s.rank(addrs, informed, over-2); len(storm) < waiting {
 			return storm
@@ -608,6 +630,16 @@ func (s *state) victims() []string {
 		over -= len(storm)
 	}
 	return append(storm, s.rank(addrs, nil, over)...)
+}
+
+// informed reports whether the link to a can be rated: its pong has
+// arrived, and its neighbor list has too or two management rounds have
+// passed without one (it then rates with an empty view, so a peer that
+// withholds its list cannot hold the prune off).
+func (s *state) informed(a string) bool {
+	_, view := s.views[a]
+	_, rtt := s.rtt[a]
+	return rtt && (view || s.conns[a].rounds >= 2)
 }
 
 // rank renders addrs, each at its index, as core.Rater's local view,

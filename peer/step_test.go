@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,18 @@ func closed(acts []action) []linkID {
 	var out []linkID
 	for _, a := range acts {
 		if a.kind == actClose {
+			out = append(out, a.link)
+		}
+	}
+	return out
+}
+
+// byes lists the links acts send a Bye on, in order: a prune's victims,
+// which it leaves open for the peer to close.
+func byes(acts []action) []linkID {
+	var out []linkID
+	for _, a := range acts {
+		if a.kind == actSend && a.msg == msgBye {
 			out = append(out, a.link)
 		}
 	}
@@ -297,5 +310,43 @@ func TestSimultaneousDialsKeepOneLink(t *testing.T) {
 		if a, b := nodes[p], nodes[p+1]; !ok(a, b) {
 			t.Fatalf("pair %d: connected %v, evictions %d and %d", p/2, connected(a, b), a.Stats().Evictions, b.Stats().Evictions)
 		}
+	}
+}
+
+// TestPrunedLinkServedUntilClosed: a prune sends its Bye and leaves
+// the link open. A query the peer sent before it read the Bye is still
+// answered and forwarded, its other frames are not, and the link
+// closes at the second management round after the prune if the peer
+// has not closed it by then.
+func TestPrunedLinkServedUntilClosed(t *testing.T) {
+	s := newTestState("10.0.0.99:1", Config{Capacity: 1, ManageInterval: time.Hour})
+	now := time.Unix(1e9, 0)
+	p, q := "10.0.0.1:1", "10.0.0.2:1"
+	s.conns[p], s.conns[q] = &nbr{id: 1}, &nbr{id: 2}
+	s.views[p], s.views[q] = nil, nil
+	s.rtt[p], s.rtt[q] = 0.01, 0.05 // q rates lower
+	s.store[7] = true
+	acts := s.prune(now, nil)
+	if got := byes(acts); !reflect.DeepEqual(got, []linkID{2}) || len(closed(acts)) != 0 {
+		t.Fatalf("prune sent Byes on %v and closed %v; want a Bye on link 2 and no close", got, closed(acts))
+	}
+	origin := "10.0.0.3:1"
+	acts = s.step(now, evFrame{link: 2, addr: q, msg: msgQuery, payload: encodeQuery(queryPayload{QueryID: 9, TTL: 3, Object: 7, Originator: origin})}, nil)
+	hit := slices.ContainsFunc(acts, func(a action) bool { return a.kind == actHit && a.addr == origin && a.hit.QueryID == 9 })
+	fwd := slices.ContainsFunc(acts, func(a action) bool { return a.kind == actSend && a.link == 1 && a.msg == msgQuery })
+	if !hit || !fwd {
+		t.Fatalf("a query on the pruned link: hit %v, forwarded to p %v (%+v)", hit, fwd, acts)
+	}
+	if acts := s.step(now, evFrame{link: 2, addr: q, msg: msgPing, payload: encodePing(pingPayload{Nonce: 1})}, nil); len(acts) != 0 {
+		t.Fatalf("a ping on the pruned link was answered: %+v", acts)
+	}
+	if got := closed(s.step(now, evTick{}, nil)); slices.Contains(got, 2) {
+		t.Fatal("the first round after the prune closed the pruned link")
+	}
+	if got := closed(s.step(now, evTick{}, nil)); !slices.Contains(got, 2) {
+		t.Fatalf("the second round after the prune closed %v, not the pruned link", got)
+	}
+	if acts := s.step(now, evFrame{link: 2, addr: q, msg: msgQuery, payload: encodeQuery(queryPayload{QueryID: 10, TTL: 3, Object: 7, Originator: origin})}, nil); len(acts) != 0 {
+		t.Fatalf("a query on the closed link was served: %+v", acts)
 	}
 }

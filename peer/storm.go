@@ -23,13 +23,14 @@ type Storm struct {
 	At       float64 // virtual seconds at which the storm landed
 	Killed   int
 	Cut      int
-	TTL      [2]int // the probe TTL before and after the storm
+	TTL      [2]int // the largest probe TTL before and after the storm
 	Steps    int
 	Hash     uint64 // FNV-1a over every step's time, node and actions
 }
 
-// MassFailure runs n nodes in virtual time from seed until they form
-// one component and know spare addresses, then hard-kills
+// MassFailure runs n nodes in virtual time from seed for four
+// management intervals and until they form one component and know
+// spare addresses, then hard-kills
 // every third node up to 30% (no Bye, nothing delivered) and
 // black-holes 10% of the surviving links, and records the recovery.
 // It fails if a survivor keeps a dead neighbor 5 management intervals
@@ -50,7 +51,10 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 	nodes := w.cluster(n, cfg)
 
 	// The claim under test is that a converged overlay re-knits itself,
-	// so the storm may only land once the overlay is one component and
+	// so the storm may only land once the overlay has run four
+	// management intervals, as core's build ends in four management
+	// rounds (before them most nodes have not run one, and probes race
+	// the joins' rewiring), and is one component, and
 	// every survivor-to-be caches an address that survives it: not in
 	// the kill set, and not a current neighbor (the cut below can only
 	// take a node's own links).
@@ -69,6 +73,7 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 		}
 		return false
 	}
+	w.runFor(4 * interval)
 	if !w.waitFor(20*time.Second, func() bool {
 		for _, nd := range nodes {
 			if !spare(nd) {
@@ -84,12 +89,9 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 	}
 	s := Storm{Killed: len(dead)}
 	rng := rand.New(rand.NewSource(seed))
-	// A probe's TTL must span the overlay, or it measures the flood's
-	// horizon instead of the recovery.
 	probeRound := func(k int, cut map[[2]string]bool) {
-		s.TTL[k] = w.diameter()
 		snap := w.snapshot()
-		snap.SearchSuccess = w.probeAvoiding(rng, s.TTL[k], cut)
+		snap.SearchSuccess, s.TTL[k] = w.probeAvoiding(rng, cut)
 		s.Timeline = append(s.Timeline, snap)
 	}
 	probeRound(0, nil)
@@ -167,12 +169,14 @@ func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.Eve
 	return s, nil
 }
 
-// probeAvoiding floods 20 probes with the given TTL from random live
-// sources for objects of random live holders, skipping pairs that
-// straddle a cut link (the out-of-band hit dials the originator
-// directly, and a black-holed dial never completes), and returns the
-// share that found their object.
-func (w *swNet) probeAvoiding(rng *rand.Rand, ttl int, cut map[[2]string]bool) float64 {
+// probeAvoiding floods 20 probes from random live sources for objects
+// of random live holders, skipping pairs that straddle a cut link (the
+// out-of-band hit dials the originator directly, and a black-holed dial
+// never completes), and returns the share that found their object and
+// the largest TTL it gave one. A probe's TTL is the hop diameter when it
+// starts: it must span the overlay, or it measures the flood's horizon
+// instead of the recovery, and the live overlay rewires between probes.
+func (w *swNet) probeAvoiding(rng *rand.Rand, cut map[[2]string]bool) (float64, int) {
 	var alive []*swNode
 	for _, nd := range w.nodes {
 		if !nd.dead {
@@ -180,15 +184,17 @@ func (w *swNet) probeAvoiding(rng *rand.Rand, ttl int, cut map[[2]string]bool) f
 		}
 	}
 	const probes = 20
-	found := 0
+	found, most := 0, 0
 	for q := 0; q < probes; q++ {
 		src, holder := alive[rng.Intn(len(alive))], alive[rng.Intn(len(alive))]
 		for cut[swPair(src.addr, holder.addr)] {
 			src, holder = alive[rng.Intn(len(alive))], alive[rng.Intn(len(alive))]
 		}
+		ttl := w.diameter()
+		most = max(most, ttl)
 		if w.probe(src, 1000+uint64(holder.i), ttl, 2*time.Second) {
 			found++
 		}
 	}
-	return float64(found) / probes
+	return float64(found) / probes, most
 }

@@ -85,7 +85,7 @@ func massFailure(t *testing.T, n int, seed int64) (uint64, []obs.Event) {
 	if post < pre {
 		t.Fatalf("seed %d: query success did not recover: pre %.2f post %.2f", seed, pre, post)
 	}
-	t.Logf("seed %d: probe TTL (the hop diameter) %d before the storm, %d after", seed, s.TTL[0], s.TTL[1])
+	t.Logf("seed %d: largest probe TTL (the hop diameter) %d before the storm, %d after", seed, s.TTL[0], s.TTL[1])
 
 	// The detector's own accounting: every eviction a node counts has
 	// its EvEvict event, the trace holds suspect events, the registry's
@@ -169,23 +169,23 @@ func TestMassFailureGolden(t *testing.T) {
 		hash  uint64
 		rows  []row
 	}{
-		{1, 52085, 0xe9f885b4647e783a, []row{
-			{0x3fc999999999999a, 200, 1, 0x3ff0000000000000, 0x400acccccccccccd, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3fe23d70a3d70a3d, 140, 10, 0x3fed075075075075, 0x400d8af8af8af8b0, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3fea3d70a3d70a3d, 140, 6, 0x3fee666666666666, 0x400e2be2be2be2be, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff11eb851eb851f, 140, 4, 0x3fef507507507507, 0x400db6db6db6db6e, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff51eb851eb851f, 140, 2, 0x3fefc57c57c57c58, 0x400dd41d41d41d42, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff91eb851eb851e, 140, 1, 0x3ff0000000000000, 0x400b15f15f15f15f, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff91eb851eb851e, 140, 1, 0x3ff0000000000000, 0x400b15f15f15f15f, 0x3ff0000000000000, 0xbff0000000000000},
+		{1, 66565, 0x74ee2d11b8fe9157, []row{
+			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400d7ae147ae147b, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3ff51eb851eb851f, 140, 6, 0x3fedf15f15f15f16, 0x400cea0ea0ea0ea1, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff91eb851eb851e, 140, 3, 0x3fef8af8af8af8b0, 0x400d5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ffd1eb851eb851e, 140, 2, 0x3fefc57c57c57c58, 0x400da83a83a83a84, 0xbff0000000000000, 0xbff0000000000000},
+			{0x40008f5c28f5c28f, 140, 3, 0x3fef8af8af8af8b0, 0x400cdb6db6db6db7, 0xbff0000000000000, 0xbff0000000000000},
+			{0x40028f5c28f5c28f, 140, 1, 0x3ff0000000000000, 0x400b99999999999a, 0xbff0000000000000, 0xbff0000000000000},
+			{0x40028f5c28f5c28f, 140, 1, 0x3ff0000000000000, 0x400b99999999999a, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
-		{2, 53852, 0x3271bd736134b273, []row{
-			{0x3fd0a3d70a3d70a4, 200, 1, 0x3ff0000000000000, 0x400c851eb851eb85, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3fe3d70a3d70a3d7, 140, 7, 0x3fedb6db6db6db6e, 0x400d41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3febd70a3d70a3d7, 140, 5, 0x3fee2be2be2be2be, 0x400d6db6db6db6db, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff1eb851eb851ec, 140, 2, 0x3fef507507507507, 0x400da83a83a83a84, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff5eb851eb851ec, 140, 2, 0x3fef8af8af8af8b0, 0x400d41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff9eb851eb851ec, 140, 1, 0x3ff0000000000000, 0x400c924924924925, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff9eb851eb851ec, 140, 1, 0x3ff0000000000000, 0x400c924924924925, 0x3ff0000000000000, 0xbff0000000000000},
+		{2, 68152, 0x9e263ee59c6a2a96, []row{
+			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400d666666666666, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3ff599999999999a, 140, 6, 0x3fedf15f15f15f16, 0x400d6db6db6db6db, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff999999999999a, 140, 3, 0x3fef8af8af8af8b0, 0x400d99999999999a, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ffd99999999999a, 140, 2, 0x3fefc57c57c57c58, 0x400d507507507507, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4000cccccccccccd, 140, 4, 0x3fef507507507507, 0x400d507507507507, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002cccccccccccd, 140, 1, 0x3ff0000000000000, 0x400b7c57c57c57c5, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002cccccccccccd, 140, 1, 0x3ff0000000000000, 0x400b7c57c57c57c5, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
 	}
 	for _, g := range golden {
@@ -364,4 +364,42 @@ func TestStrandedNodeRejoinsByProbe(t *testing.T) {
 		t.Fatalf("x linked %v after it was stranded, but the overlay is not one component 40 intervals after: %+v", w.elapsed()-stranded, w.snapshot())
 	}
 	t.Logf("x linked and the overlay whole %v after x was stranded", w.elapsed()-stranded)
+}
+
+// TestWithheldViewStillPrunes: a peer that answers pings but never
+// sends a neighbor list cannot hold a node over capacity. x is full
+// with a and b when p links to it; p's lists never reach x, and p may
+// link to nothing else. Two management rounds after the link came up,
+// x rates p with an empty view and, p's link being the slowest too,
+// prunes it within three intervals of the link.
+func TestWithheldViewStillPrunes(t *testing.T) {
+	cfg := tightConfig(5)
+	cfg.Capacity = 2
+	w := newSwitch(t, 5)
+	x, a, b := w.add(cfg), w.add(cfg), w.add(cfg)
+	pcfg := cfg
+	pcfg.Capacity, pcfg.DenyPeers = 8, []string{a.addr, b.addr}
+	p := w.add(pcfg)
+	for _, pair := range [][2]*swNode{{a, x}, {b, x}, {a, b}} {
+		w.setDelay(pair[0], pair[1], time.Millisecond)
+		w.connect(pair[0], pair[1])
+	}
+	w.setDelay(p, x, 10*time.Millisecond)
+	w.silence(p, x, msgNeighbors, true)
+	if !w.waitFor(5*cfg.ManageInterval, func() bool {
+		return len(x.st.conns) == 2 && x.st.informed(a.addr) && x.st.informed(b.addr)
+	}) {
+		t.Fatalf("x never settled with a and b: %v", x.st.neighbors())
+	}
+	w.connect(p, x)
+	if !w.stepUntil(func() bool { return x.st.conns[p.addr] != nil }) {
+		t.Fatal("p never linked to x")
+	}
+	up := w.elapsed()
+	if !w.waitFor(3*cfg.ManageInterval, func() bool { return x.st.conns[p.addr] == nil }) {
+		t.Fatalf("x still holds p's link 3 intervals after it came up: %d links, view %v", len(x.st.conns), x.st.views[p.addr])
+	}
+	if len(x.st.conns) != 2 || w.elapsed()-up < cfg.ManageInterval {
+		t.Fatalf("x dropped p %v after its link came up and holds %v", w.elapsed()-up, x.st.neighbors())
+	}
 }

@@ -48,6 +48,12 @@ type swConn struct {
 	bye    [2]bool // the end sent a Bye, so the far end stops reading after it
 }
 
+// swHush names the frames of one kind from one node to another.
+type swHush struct {
+	from, to string
+	msg      byte
+}
+
 type swNet struct {
 	eng      sim.Engine
 	rng      *rand.Rand
@@ -55,7 +61,7 @@ type swNet struct {
 	byAddr   map[string]*swNode
 	conns    map[linkID]*swConn
 	holes    map[[2]string]bool // isolate(a) is {a, ""}, cut(a, b) the sorted pair
-	silent   map[[2]string]bool // pongs from [0] to [1] are not delivered
+	silent   map[swHush]bool    // frames not delivered
 	still    bool               // management rounds are stopped
 	inflight int                // deliveries, link-ups and kicks queued
 	delay    func() time.Duration
@@ -71,7 +77,7 @@ func newNet(seed int64) *swNet {
 		byAddr: make(map[string]*swNode),
 		conns:  make(map[linkID]*swConn),
 		holes:  make(map[[2]string]bool),
-		silent: make(map[[2]string]bool),
+		silent: make(map[swHush]bool),
 		fixed:  make(map[[2]string]time.Duration),
 		sum:    14695981039346656037,
 	}
@@ -264,7 +270,7 @@ func (w *swNet) arrive(c *swConn, j int, msg byte, payload []byte) {
 		w.do(nd, evDialFailed{addr: from.addr, refused: msg == msgBye})
 		return
 	}
-	if msg == msgPong && w.silent[[2]string{from.addr, nd.addr}] {
+	if w.silent[swHush{from.addr, nd.addr, msg}] {
 		return
 	}
 	nd.met.frameIn(len(payload))

@@ -47,9 +47,13 @@ func (w *swNet) restore(nd *swNode) { delete(w.holes, [2]string{nd.addr, ""}) }
 // now on, in both directions, in place of the seeded one.
 func (w *swNet) setDelay(a, b *swNode, d time.Duration) { w.fixed[swPair(a.addr, b.addr)] = d }
 
-// silence stops delivering from's pongs to to, which then sees a peer
-// that is alive on the wire and dead to its liveness probes.
-func (w *swNet) silence(from, to *swNode, on bool) { w.silent[[2]string{from.addr, to.addr}] = on }
+// silence stops delivering from's frames of kind msg to to: without
+// pongs to sees a peer that is alive on the wire and dead to its
+// liveness probes; without neighbor lists, a peer that withholds its
+// view.
+func (w *swNet) silence(from, to *swNode, msg byte, on bool) {
+	w.silent[swHush{from.addr, to.addr, msg}] = on
+}
 
 // stepUntil runs one event at a time until cond holds or nothing is
 // queued.
@@ -126,14 +130,11 @@ func noneOver(nodes []*swNode) bool {
 // hostCacheCap, the duplicate-suppression map and its FIFO have one
 // size, and a download in flight still lacks a chunk and has a source.
 // It also holds the prune rule: a node whose links are all informed
-// (view and RTT in) is within capacity, and no node is more than two
-// over.
+// is within capacity, and no node is more than two over.
 func checkState(s *state) error {
 	informed := true
 	for a := range s.conns {
-		_, view := s.views[a]
-		_, rtt := s.rtt[a]
-		informed = informed && view && rtt
+		informed = informed && s.informed(a)
 	}
 	if over := len(s.conns) - s.cfg.Capacity; over > 2 || informed && over > 0 {
 		return fmt.Errorf("%d links on capacity %d, all informed %v", len(s.conns), s.cfg.Capacity, informed)
