@@ -224,25 +224,25 @@ func TestStepReplaysIdentically(t *testing.T) {
 	}
 }
 
-// Two nodes dial each other at once, on the switch. Over per-direction
-// delays of 1–3 ms and start offsets of 0–3 ms, every order of the two
-// Hellos and the two dial results comes up, and in each both nodes end
-// sharing the connection the lower address dialled, with no failure,
-// backoff or eviction.
+// Two nodes dial each other at once, on the switch. Over latencies of
+// 1–3 ms each way and start offsets of −4…3 ms (below 0 the higher node
+// dials first), every order of the two Hellos and the two dial results
+// comes up. Where both dials went out, both nodes end sharing the
+// connection the lower address dialled; where one node was already
+// linked when its turn came and made no dial, they keep that one link.
+// Neither counts a failure, backoff or eviction.
 func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
 	const ms = time.Millisecond
 	orders := map[string]bool{}
-	for run := 0; run < 3*3*3*3*4; run++ {
-		// Delays there and back on the lower node's dial, then the higher's.
-		delays := []time.Duration{ms * time.Duration(1+run%3), ms * time.Duration(1+run/3%3), ms * time.Duration(1+run/9%3), ms * time.Duration(1+run/27%3)}
-		offset := ms * time.Duration(run/81)
+	for run := 0; run < 3*3*8; run++ {
 		w := newSwitch(t, 1)
-		w.delay = func() time.Duration {
-			d := delays[0]
-			delays = delays[1:]
-			return d
-		}
 		lo, hi := w.add(Config{Capacity: 4, ManageInterval: time.Hour}), w.add(Config{Capacity: 4, ManageInterval: time.Hour})
+		w.fixed[[2]string{lo.addr, hi.addr}] = ms * time.Duration(1+run%3)
+		w.fixed[[2]string{hi.addr, lo.addr}] = ms * time.Duration(1+run/3%3)
+		first, second, offset := lo, hi, ms*time.Duration(run/9-4)
+		if offset < 0 {
+			first, second, offset = hi, lo, -offset
+		}
 		var order []string
 		check := w.onStep
 		w.onStep = func(nd *swNode, ev event, acts []action) {
@@ -256,15 +256,19 @@ func TestSimultaneousHellosKeepOneConnection(t *testing.T) {
 				order = append(order, "R@"+nd.addr)
 			}
 		}
-		w.do(lo, evConnect{addr: hi.addr})
-		w.after(offset, func() { w.do(hi, evConnect{addr: lo.addr}) })
+		w.do(first, evConnect{addr: second.addr})
+		w.after(offset, func() { w.do(second, evConnect{addr: first.addr}) })
 		w.quiesce()
-		if len(order) == 4 {
+		kept := linkID(1) // the one dial
+		if len(w.conns) == 2 {
 			orders[strings.Join(order, " ")] = true
+			if w.conns[2].ends[0] == lo {
+				kept = 2
+			}
 		}
 		for _, nd := range []*swNode{lo, hi} {
 			s := nd.st
-			if len(s.conns) != 1 || !joined(lo, hi) || s.conns[w.nodes[1-nd.i].addr].id != 1 || s.evictions != 0 || len(s.backoff)+len(s.dialing) != 0 {
+			if len(s.conns) != 1 || !joined(lo, hi) || s.conns[w.nodes[1-nd.i].addr].id != kept || s.evictions != 0 || len(s.backoff)+len(s.dialing) != 0 {
 				t.Fatalf("order %v: %s holds %v, evictions %d, backoff %d, dialing %v", order, nd.addr, s.neighbors(), s.evictions, len(s.backoff), s.dialing)
 			}
 		}

@@ -41,13 +41,17 @@ func MassFailure(n int, seed int64, reg *obs.Registry, trace *obs.EventLog) (Sto
 	return newNet(seed).massFailure(n, seed, reg, trace)
 }
 
-func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.EventLog) (Storm, error) {
+// stormConfig is the nodes' Config in the storm: a ping unanswered for
+// one management interval is one miss, two misses evict.
+func stormConfig(seed int64) Config {
 	const interval = 250 * time.Millisecond
-	// A ping unanswered for one interval is one miss, two misses evict.
-	cfg := Config{
-		Capacity: 4, ManageInterval: interval, Seed: seed, DialTimeout: 2 * interval,
-		PingTimeout: interval, EvictMisses: 2, Metrics: reg, Trace: trace,
-	}
+	return Config{Capacity: 4, ManageInterval: interval, Seed: seed, DialTimeout: 2 * interval, PingTimeout: interval, EvictMisses: 2}
+}
+
+func (w *swNet) massFailure(n int, seed int64, reg *obs.Registry, trace *obs.EventLog) (Storm, error) {
+	cfg := stormConfig(seed)
+	cfg.Metrics, cfg.Trace = reg, trace
+	interval := cfg.ManageInterval
 	nodes := w.cluster(n, cfg)
 
 	// The claim under test is that a converged overlay re-knits itself,

@@ -169,23 +169,23 @@ func TestMassFailureGolden(t *testing.T) {
 		hash  uint64
 		rows  []row
 	}{
-		{1, 66565, 0x74ee2d11b8fe9157, []row{
-			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400d7ae147ae147b, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3ff51eb851eb851f, 140, 6, 0x3fedf15f15f15f16, 0x400cea0ea0ea0ea1, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff91eb851eb851e, 140, 3, 0x3fef8af8af8af8b0, 0x400d5f15f15f15f1, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ffd1eb851eb851e, 140, 2, 0x3fefc57c57c57c58, 0x400da83a83a83a84, 0xbff0000000000000, 0xbff0000000000000},
-			{0x40008f5c28f5c28f, 140, 3, 0x3fef8af8af8af8b0, 0x400cdb6db6db6db7, 0xbff0000000000000, 0xbff0000000000000},
-			{0x40028f5c28f5c28f, 140, 1, 0x3ff0000000000000, 0x400b99999999999a, 0xbff0000000000000, 0xbff0000000000000},
-			{0x40028f5c28f5c28f, 140, 1, 0x3ff0000000000000, 0x400b99999999999a, 0x3ff0000000000000, 0xbff0000000000000},
+		{1, 64319, 0x672ec47f4c34db77, []row{
+			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400ce147ae147ae1, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3ff570a3d70a3d71, 140, 4, 0x3fef507507507507, 0x400cea0ea0ea0ea1, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff970a3d70a3d70, 140, 2, 0x3fefc57c57c57c58, 0x400d075075075075, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ffd70a3d70a3d70, 140, 2, 0x3fefc57c57c57c58, 0x400d8af8af8af8b0, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4000b851eb851eb8, 140, 2, 0x3fef8af8af8af8b0, 0x400ca0ea0ea0ea0f, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002b851eb851eb8, 140, 1, 0x3ff0000000000000, 0x400cbe2be2be2be3, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002b851eb851eb8, 140, 1, 0x3ff0000000000000, 0x400cbe2be2be2be3, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
-		{2, 68152, 0x9e263ee59c6a2a96, []row{
-			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400d666666666666, 0x3ff0000000000000, 0xbff0000000000000},
-			{0x3ff599999999999a, 140, 6, 0x3fedf15f15f15f16, 0x400d6db6db6db6db, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ff999999999999a, 140, 3, 0x3fef8af8af8af8b0, 0x400d99999999999a, 0xbff0000000000000, 0xbff0000000000000},
-			{0x3ffd99999999999a, 140, 2, 0x3fefc57c57c57c58, 0x400d507507507507, 0xbff0000000000000, 0xbff0000000000000},
-			{0x4000cccccccccccd, 140, 4, 0x3fef507507507507, 0x400d507507507507, 0xbff0000000000000, 0xbff0000000000000},
-			{0x4002cccccccccccd, 140, 1, 0x3ff0000000000000, 0x400b7c57c57c57c5, 0xbff0000000000000, 0xbff0000000000000},
-			{0x4002cccccccccccd, 140, 1, 0x3ff0000000000000, 0x400b7c57c57c57c5, 0x3ff0000000000000, 0xbff0000000000000},
+		{2, 64243, 0x93a8bdb79f8fd715, []row{
+			{0x3ff0000000000000, 200, 1, 0x3ff0000000000000, 0x400da3d70a3d70a4, 0x3ff0000000000000, 0xbff0000000000000},
+			{0x3ff5eb851eb851ec, 140, 5, 0x3feea0ea0ea0ea0f, 0x400ccccccccccccd, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ff9eb851eb851ec, 140, 5, 0x3feea0ea0ea0ea0f, 0x400d99999999999a, 0xbff0000000000000, 0xbff0000000000000},
+			{0x3ffdeb851eb851ec, 140, 2, 0x3fefc57c57c57c58, 0x400da83a83a83a84, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4000f5c28f5c28f6, 140, 3, 0x3fef8af8af8af8b0, 0x400db6db6db6db6e, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002f5c28f5c28f6, 140, 1, 0x3ff0000000000000, 0x400b41d41d41d41d, 0xbff0000000000000, 0xbff0000000000000},
+			{0x4002f5c28f5c28f6, 140, 1, 0x3ff0000000000000, 0x400b41d41d41d41d, 0x3ff0000000000000, 0xbff0000000000000},
 		}},
 	}
 	for _, g := range golden {
@@ -315,6 +315,13 @@ func TestStatsConsistentDuringEvictions(t *testing.T) {
 // capacity, x is reachable again from all but a. A node at capacity
 // must probe x within 20 management intervals, and x must learn enough
 // from that link to pull the overlay back into one component within 40.
+//
+// A full cluster keeps rewiring (a probe that outrates a link drops it,
+// and the link's far end refills), so a node that caches x can fall
+// below capacity and refill to x before a probe does. Until x has a
+// link, a dial to x from a node below capacity is therefore lost, as
+// the dial to a black-holed address is: x stays cached only by nodes at
+// capacity for every dial that reaches it.
 func TestStrandedNodeRejoinsByProbe(t *testing.T) {
 	cfg := tightConfig(3)
 	cfg.Capacity = 3
@@ -346,6 +353,14 @@ func TestStrandedNodeRejoinsByProbe(t *testing.T) {
 		t.Fatalf("x caches %v, want only a (%s)", x.st.cache, a.addr)
 	}
 	stranded := w.elapsed()
+	// gate black-holes x from each node but a while x has no link and
+	// the node is below capacity.
+	gate := func() {
+		for _, nd := range nodes[1:] {
+			w.holes[swPair(nd.addr, x.addr)] = len(x.st.conns) == 0 && !full(nd)
+		}
+	}
+	gate()
 	var prober *swNode // the first node to dial x, and full after that step
 	check := w.onStep
 	w.onStep = func(nd *swNode, ev event, acts []action) {
@@ -353,6 +368,7 @@ func TestStrandedNodeRejoinsByProbe(t *testing.T) {
 		if prober == nil && slices.ContainsFunc(acts, func(a action) bool { return a.kind == actDial && a.addr == x.addr }) && full(nd) {
 			prober = nd
 		}
+		gate()
 	}
 	if !w.waitFor(20*cfg.ManageInterval, func() bool { return len(x.st.conns) > 0 }) {
 		t.Fatalf("x still has no link 20 management intervals after it was stranded")

@@ -11,11 +11,21 @@ import (
 	"makalu/internal/sim"
 )
 
+// The switch's latency model: node positions on a latencySide square,
+// and a delay of minLatency at distance 0 up to maxLatency across the
+// diagonal.
+const (
+	latencySide = 1000
+	minLatency  = time.Millisecond
+	maxLatency  = 5 * time.Millisecond
+)
+
 // This file is the switch: it runs bare states (step.go) in virtual
 // time on internal/sim.Engine's seeded queue and performs their actions
 // as node.go does, so a schedule replays bit for bit per seed, with no
-// socket, sleep or clock. A send arrives after its direction's fixed
-// seeded delay (FIFO). A dial is an evHello at the target, then the
+// socket, sleep or clock. A send arrives after the pair's model latency
+// (FIFO): each node has a seeded position on a plane, and a link's delay
+// grows with the distance between its ends. A dial is an evHello at the target, then the
 // dialer's evUp{out} on a lone HelloAck, evDialFailed{refused} on a
 // Bye, or evDialFailed on a close or after DialTimeout; the acceptor's
 // evUp is an event of its own, so a step can land between the two. A
@@ -30,6 +40,7 @@ import (
 type swNode struct {
 	i       int // position in swNet.nodes
 	addr    string
+	x, y    float64 // position on the latency plane
 	st      *state
 	met     nodeMetrics
 	dead    bool
@@ -42,7 +53,7 @@ type swNode struct {
 type swConn struct {
 	id     linkID
 	ends   [2]*swNode
-	delay  [2]time.Duration // from each end
+	delay  [2]time.Duration // from each end, the pair's latency at the dial
 	up     [2]bool          // end 0 read its HelloAck, end 1 stepped its evUp
 	closed [2]bool
 	bye    [2]bool // the end sent a Bye, so the far end stops reading after it
@@ -56,24 +67,25 @@ type swHush struct {
 
 type swNet struct {
 	eng      sim.Engine
-	rng      *rand.Rand
+	rng      *rand.Rand // tick phases
+	pos      *rand.Rand // positions, as netmodel.NewEuclidean(n, latencySide, seed*7919+2) draws them
 	nodes    []*swNode
 	byAddr   map[string]*swNode
 	conns    map[linkID]*swConn
-	holes    map[[2]string]bool // isolate(a) is {a, ""}, cut(a, b) the sorted pair
-	silent   map[swHush]bool    // frames not delivered
-	still    bool               // management rounds are stopped
-	inflight int                // deliveries, link-ups and kicks queued
-	delay    func() time.Duration
-	fixed    map[[2]string]time.Duration               // per-link delay, both ways, set before the dial
+	holes    map[[2]string]bool                        // isolate(a) is {a, ""}, cut(a, b) the sorted pair
+	silent   map[swHush]bool                           // frames not delivered
+	still    bool                                      // management rounds are stopped
+	inflight int                                       // deliveries, link-ups and kicks queued
+	fixed    map[[2]string]time.Duration               // a test's latency from one node to another, in place of the model's
 	onStep   func(nd *swNode, ev event, acts []action) // sees every step; the tests run checkState here
 	steps    int
 	sum      uint64 // FNV-1a over every step's time, node and actions
 }
 
 func newNet(seed int64) *swNet {
-	w := &swNet{
+	return &swNet{
 		rng:    rand.New(rand.NewSource(seed)),
+		pos:    rand.New(rand.NewSource(seed*7919 + 2)),
 		byAddr: make(map[string]*swNode),
 		conns:  make(map[linkID]*swConn),
 		holes:  make(map[[2]string]bool),
@@ -81,8 +93,6 @@ func newNet(seed int64) *swNet {
 		fixed:  make(map[[2]string]time.Duration),
 		sum:    14695981039346656037,
 	}
-	w.delay = func() time.Duration { return time.Millisecond + time.Duration(w.rng.Int63n(int64(4*time.Millisecond))) }
-	return w
 }
 
 func (w *swNet) elapsed() time.Duration { return time.Duration(math.Round(w.eng.Now() * 1e9)) }
@@ -102,11 +112,14 @@ func (w *swNet) queue(d time.Duration, fn func()) {
 	})
 }
 
-// add starts a node whose ticks begin at a seeded phase.
+// add starts a node at the next seeded position whose ticks begin at a
+// seeded phase.
 func (w *swNet) add(cfg Config) *swNode {
 	cfg = cfg.withDefaults()
 	i := len(w.nodes)
 	nd := &swNode{i: i, addr: fmt.Sprintf("10.0.%d.%d:7000", i/250, 1+i%250), fetched: make(map[uint64]*fetch)}
+	nd.x = w.pos.Float64() * latencySide
+	nd.y = w.pos.Float64() * latencySide
 	nd.met = newNodeMetrics(cfg.Metrics, cfg.Trace)
 	nd.st = newState(nd.addr, cfg, &nd.met)
 	w.nodes = append(w.nodes, nd)
@@ -314,12 +327,7 @@ func (w *swNet) dial(nd *swNode, addr string) {
 		w.after(timeout, func() { w.do(nd, evDialFailed{addr: addr}) })
 		return
 	}
-	c := &swConn{id: linkID(len(w.conns) + 1), ends: [2]*swNode{nd, to}}
-	c.delay[0] = w.delay()
-	c.delay[1] = w.delay()
-	if d, ok := w.fixed[swPair(nd.addr, addr)]; ok {
-		c.delay = [2]time.Duration{d, d}
-	}
+	c := &swConn{id: linkID(len(w.conns) + 1), ends: [2]*swNode{nd, to}, delay: [2]time.Duration{w.latency(nd, to), w.latency(to, nd)}}
 	w.conns[c.id] = c
 	w.carry(c, 0, func() { w.hello(c) })
 	w.after(timeout, func() {
@@ -346,6 +354,18 @@ func (w *swNet) hello(c *swConn) {
 	w.close(b, c.id)
 }
 
+// latency is the delay of a frame from a to b: a test's override when
+// it set one, else minLatency plus the rest of the range in proportion
+// to the distance between a and b.
+func (w *swNet) latency(a, b *swNode) time.Duration {
+	if d, ok := w.fixed[[2]string{a.addr, b.addr}]; ok {
+		return d
+	}
+	dx, dy := a.x-b.x, a.y-b.y
+	dist := math.Sqrt(dx*dx + dy*dy) // netmodel.Euclidean's Latency
+	return minLatency + time.Duration(float64(maxLatency-minLatency)*dist/(latencySide*math.Sqrt2))
+}
+
 // deliverHit is the transient connection that carries a hit out of band.
 func (w *swNet) deliverHit(nd *swNode, addr string, h Hit) {
 	to := w.byAddr[addr]
@@ -354,7 +374,7 @@ func (w *swNet) deliverHit(nd *swNode, addr string, h Hit) {
 	}
 	payload := encodeHit(h)
 	nd.met.frameOut(len(payload))
-	w.queue(w.delay(), func() {
+	w.queue(w.latency(nd, to), func() {
 		if !to.dead && !w.holed(nd.addr, addr) {
 			to.met.frameIn(len(payload))
 			w.do(to, evFrame{addr: transientAddr, msg: msgQueryHit, payload: payload})

@@ -43,9 +43,13 @@ func (w *swNet) connect(nd, to *swNode) {
 func (w *swNet) isolate(nd *swNode) { w.holes[[2]string{nd.addr, ""}] = true }
 func (w *swNet) restore(nd *swNode) { delete(w.holes, [2]string{nd.addr, ""}) }
 
-// setDelay fixes the delay of the links dialled between a and b from
-// now on, in both directions, in place of the seeded one.
-func (w *swNet) setDelay(a, b *swNode, d time.Duration) { w.fixed[swPair(a.addr, b.addr)] = d }
+// setDelay fixes the latency between a and b in both directions, in
+// place of the model's, for the links dialled and the hits sent from now
+// on.
+func (w *swNet) setDelay(a, b *swNode, d time.Duration) {
+	w.fixed[[2]string{a.addr, b.addr}] = d
+	w.fixed[[2]string{b.addr, a.addr}] = d
+}
 
 // silence stops delivering from's frames of kind msg to to: without
 // pongs to sees a peer that is alive on the wire and dead to its
