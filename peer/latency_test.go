@@ -9,12 +9,6 @@ import (
 	"makalu/internal/netmodel"
 )
 
-// modelLatency is the switch's delay for two nodes d apart on its plane:
-// 1 ms, plus 4 ms across the diagonal of the 1000 × 1000 square.
-func modelLatency(d float64) time.Duration {
-	return time.Millisecond + time.Duration(float64(4*time.Millisecond)*d/(1000*math.Sqrt2))
-}
-
 // TestSwitchLatencyIsTheModel: the switch has one latency model. For
 // every ordered pair of 30 nodes, latency is their distance on
 // netmodel.NewEuclidean's plane from seed*7919+2, scaled to 1–5 ms, and
@@ -32,7 +26,8 @@ func TestSwitchLatencyIsTheModel(t *testing.T) {
 	e := netmodel.NewEuclidean(n, 1000, seed*7919+2)
 	for i, a := range nodes {
 		for j, b := range nodes {
-			if got, want := w.latency(a, b), modelLatency(e.Latency(i, j)); got != want || w.latency(b, a) != got {
+			want := time.Millisecond + time.Duration(float64(4*time.Millisecond)*e.Latency(i, j)/(1000*math.Sqrt2))
+			if got := w.latency(a, b); got != want || w.latency(b, a) != got {
 				t.Fatalf("latency(%d, %d) = %v, latency(%d, %d) = %v; want %v", i, j, got, j, i, w.latency(b, a), want)
 			}
 		}

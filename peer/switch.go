@@ -11,21 +11,12 @@ import (
 	"makalu/internal/sim"
 )
 
-// The switch's latency model: node positions on a latencySide square,
-// and a delay of minLatency at distance 0 up to maxLatency across the
-// diagonal.
-const (
-	latencySide = 1000
-	minLatency  = time.Millisecond
-	maxLatency  = 5 * time.Millisecond
-)
-
 // This file is the switch: it runs bare states (step.go) in virtual
 // time on internal/sim.Engine's seeded queue and performs their actions
 // as node.go does, so a schedule replays bit for bit per seed, with no
 // socket, sleep or clock. A send arrives after the pair's model latency
-// (FIFO): each node has a seeded position on a plane, and a link's delay
-// grows with the distance between its ends. A dial is an evHello at the target, then the
+// (FIFO), which grows with the distance between the two nodes' seeded
+// positions on a plane. A dial is an evHello at the target, then the
 // dialer's evUp{out} on a lone HelloAck, evDialFailed{refused} on a
 // Bye, or evDialFailed on a close or after DialTimeout; the acceptor's
 // evUp is an event of its own, so a step can land between the two. A
@@ -68,7 +59,7 @@ type swHush struct {
 type swNet struct {
 	eng      sim.Engine
 	rng      *rand.Rand // tick phases
-	pos      *rand.Rand // positions, as netmodel.NewEuclidean(n, latencySide, seed*7919+2) draws them
+	pos      *rand.Rand // positions, as netmodel.NewEuclidean(n, 1000, seed*7919+2) draws them
 	nodes    []*swNode
 	byAddr   map[string]*swNode
 	conns    map[linkID]*swConn
@@ -118,8 +109,7 @@ func (w *swNet) add(cfg Config) *swNode {
 	cfg = cfg.withDefaults()
 	i := len(w.nodes)
 	nd := &swNode{i: i, addr: fmt.Sprintf("10.0.%d.%d:7000", i/250, 1+i%250), fetched: make(map[uint64]*fetch)}
-	nd.x = w.pos.Float64() * latencySide
-	nd.y = w.pos.Float64() * latencySide
+	nd.x, nd.y = w.pos.Float64()*1000, w.pos.Float64()*1000
 	nd.met = newNodeMetrics(cfg.Metrics, cfg.Trace)
 	nd.st = newState(nd.addr, cfg, &nd.met)
 	w.nodes = append(w.nodes, nd)
@@ -355,15 +345,14 @@ func (w *swNet) hello(c *swConn) {
 }
 
 // latency is the delay of a frame from a to b: a test's override when
-// it set one, else minLatency plus the rest of the range in proportion
-// to the distance between a and b.
+// it set one, else 1 ms plus 4 ms times their distance over the
+// diagonal of the 1000 × 1000 plane.
 func (w *swNet) latency(a, b *swNode) time.Duration {
 	if d, ok := w.fixed[[2]string{a.addr, b.addr}]; ok {
 		return d
 	}
-	dx, dy := a.x-b.x, a.y-b.y
-	dist := math.Sqrt(dx*dx + dy*dy) // netmodel.Euclidean's Latency
-	return minLatency + time.Duration(float64(maxLatency-minLatency)*dist/(latencySide*math.Sqrt2))
+	dx, dy := a.x-b.x, a.y-b.y // as netmodel.Euclidean's Latency
+	return time.Millisecond + time.Duration(float64(4*time.Millisecond)*math.Sqrt(dx*dx+dy*dy)/(1000*math.Sqrt2))
 }
 
 // deliverHit is the transient connection that carries a hit out of band.
